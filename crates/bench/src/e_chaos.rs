@@ -39,6 +39,7 @@ use std::sync::Arc;
 use consensus::checker::{check_consensus_safety, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams};
 use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
+use lls_primitives::runtime::TimedOutput;
 use lls_primitives::{Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 use omega::spec::{stabilization, LeaderRecord};
@@ -354,6 +355,27 @@ pub(crate) fn await_unanimity(
             return None;
         }
         std::thread::sleep(StdDuration::from_millis(20));
+    }
+}
+
+/// Polls a wall-clock cluster's full output log until `leader` has
+/// emitted `target` outputs matching `counts`, or 30 s pass.
+pub(crate) fn await_leader_outputs<O>(
+    outputs_so_far: impl Fn() -> Vec<TimedOutput<O>>,
+    leader: ProcessId,
+    target: u64,
+    counts: impl Fn(&O) -> bool,
+) {
+    let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    loop {
+        let done = outputs_so_far()
+            .iter()
+            .filter(|o| o.process == leader && counts(&o.output))
+            .count() as u64;
+        if done >= target || StdInstant::now() > deadline {
+            return;
+        }
+        std::thread::sleep(StdDuration::from_millis(1));
     }
 }
 

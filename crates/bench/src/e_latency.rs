@@ -658,9 +658,6 @@ fn wirenet_run(
     for cmd in queue.drain() {
         cluster.request(leader, cmd);
     }
-    // The socket substrate exposes only each node's *latest* output, so
-    // completion is the leader's newest apply reaching the last command
-    // (a stable leader applies in submission order).
     let reg = recorders.registry();
     let sample_now = |s: &Arc<Mutex<TimelineSampler>>| {
         s.lock()
@@ -670,12 +667,15 @@ fn wirenet_run(
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
     loop {
         sample_now(&sampler);
-        let newest = cluster.latest_outputs().into_iter().nth(leader.as_usize());
-        if matches!(
-            newest,
-            Some(Some(KvEvent::Applied { seq, .. })) if seq == commands
-        ) || StdInstant::now() > deadline
-        {
+        let done = cluster
+            .outputs_so_far()
+            .iter()
+            .filter(|o| {
+                o.process == leader
+                    && matches!(&o.output, KvEvent::Applied { client, .. } if *client == CLIENT)
+            })
+            .count() as u64;
+        if done >= commands || StdInstant::now() > deadline {
             break;
         }
         std::thread::sleep(StdDuration::from_millis(5));

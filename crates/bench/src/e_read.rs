@@ -42,7 +42,7 @@ use lls_obs::{
 };
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, Topology};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 use crate::e_chaos::await_unanimity;
@@ -516,46 +516,23 @@ fn await_settle(
     }
 }
 
-/// First settlement of `(client, seq)` observed at `node` on the thread
-/// mesh (the full output log is scannable live).
-fn find_threadnet(
-    cluster: &Cluster<WallReplica>,
+/// First settlement of `(client, seq)` observed at `node`, scanned from
+/// a wall-clock cluster's output log.
+fn find_settled(
+    outputs: &[TimedOutput<KvEvent>],
     node: ProcessId,
     client: ClientId,
     seq: u64,
 ) -> Option<KvResponse> {
-    cluster
-        .outputs_so_far()
-        .into_iter()
-        .find_map(|t| match t.output {
-            KvEvent::Applied {
-                client: c,
-                seq: s,
-                response,
-                ..
-            } if t.process == node && c == client && s == seq => Some(response),
-            _ => None,
-        })
-}
-
-/// Settlement of `(client, seq)` at `node` over TCP, read off the node's
-/// latest output (the round workload keeps at most one op in flight per
-/// node, so the newest output is the settlement being awaited).
-fn find_wirenet(
-    cluster: &WireCluster<WallReplica>,
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    match cluster.latest_outputs().into_iter().nth(node.as_usize())? {
-        Some(KvEvent::Applied {
+    outputs.iter().find_map(|t| match &t.output {
+        KvEvent::Applied {
             client: c,
             seq: s,
             response,
             ..
-        }) if c == client && s == seq => Some(response),
+        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
         _ => None,
-    }
+    })
 }
 
 /// Wall-clock accumulator shared by the two substrate drivers.
@@ -582,9 +559,8 @@ impl WallTally {
                     self.stale += 1;
                 }
             }
-            // A `Duplicate` settle means a log-path retry got deduped
-            // after the first serve was missed by the latest-output poll:
-            // settled, but its value is unobservable — served, not stale.
+            // Any other settlement carries no value to judge: served, not
+            // stale.
             Some(_) => self.served += 1,
             None => {}
         }
@@ -648,7 +624,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
             if let Some(victim) = leader {
-                cluster.crash(victim);
+                cluster.kill(victim);
                 alive.retain(|p| *p != victim);
             }
             leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
@@ -661,7 +637,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_threadnet(&cluster, l, WRITER, round),
+            || find_settled(&cluster.outputs_so_far(), l, WRITER, round),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -679,7 +655,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
             let issued = StdInstant::now();
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_threadnet(&cluster, node, reader_at(node), round),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -734,7 +710,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_wirenet(&cluster, l, WRITER, round),
+            || find_settled(&cluster.outputs_so_far(), l, WRITER, round),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -752,7 +728,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
             let issued = StdInstant::now();
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_wirenet(&cluster, node, reader_at(node), round),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );

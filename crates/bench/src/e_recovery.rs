@@ -727,9 +727,8 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let timeout = StdDuration::from_secs(15);
     let mut ok = true;
 
-    // wirenet only exposes the *latest* output per node, so progress is
-    // tracked as a sticky per-node high-water mark across polls; the
-    // re-issued target command keeps fresh `Duplicate` evidence flowing.
+    // `kill`/`restart` borrow the cluster mutably, so the phases are a
+    // macro rather than `WallHooks` closures over a shared borrow.
     macro_rules! phase {
         ($members:expr, $from:expr, $to:expr, $context:expr) => {{
             let members: &[ProcessId] = $members;
@@ -740,10 +739,8 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             }
             let passed = await_seq(
                 |done| {
-                    for (i, out) in cluster.latest_outputs().iter().enumerate() {
-                        if let Some(ev) = out {
-                            note_applied(done, ProcessId(i as u32), ev);
-                        }
+                    for t in cluster.outputs_so_far() {
+                        note_applied(done, t.process, &t.output);
                     }
                 },
                 || {

@@ -40,7 +40,7 @@ use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
-use crate::e_chaos::await_unanimity;
+use crate::e_chaos::{await_leader_outputs, await_unanimity};
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
@@ -321,21 +321,12 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
             },
         );
     }
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    loop {
-        let done = cluster
-            .outputs_so_far()
-            .iter()
-            .filter(|o| {
-                o.process == leader
-                    && matches!(o.output, ShardEvent::Committed { cmd: Some(_), .. })
-            })
-            .count() as u64;
-        if done >= commands || StdInstant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(1));
-    }
+    await_leader_outputs(
+        || cluster.outputs_so_far(),
+        leader,
+        commands,
+        |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
+    );
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
@@ -364,11 +355,8 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
     }
 }
 
-/// TCP run: same shape as threadnet, except the socket substrate exposes
-/// only each node's *latest* output live, and commits interleave across
-/// shards — so completion is detected by quiescence (the leader's newest
-/// output stops changing), bounded by the deadline, and the exact
-/// committed count comes from the stop report.
+/// TCP run: the threadnet run's shape over real sockets, with the
+/// report's socket counters exported into the shared registry.
 fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> ShardRow {
     let config = WireConfig {
         n,
@@ -399,23 +387,12 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
             },
         );
     }
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    let mut newest: Option<ShardEvent<u64>> = None;
-    let mut stable_since = StdInstant::now();
-    loop {
-        let latest = cluster.latest_outputs().into_iter().nth(leader.as_usize());
-        let latest = latest.flatten();
-        if latest != newest {
-            newest = latest;
-            stable_since = StdInstant::now();
-        }
-        let quiesced = matches!(newest, Some(ShardEvent::Committed { .. }))
-            && stable_since.elapsed() >= StdDuration::from_millis(500);
-        if quiesced || StdInstant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
+    await_leader_outputs(
+        || cluster.outputs_so_far(),
+        leader,
+        commands,
+        |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
+    );
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     report.export(registry);

@@ -42,7 +42,7 @@ use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
-use crate::e_chaos::await_unanimity;
+use crate::e_chaos::{await_leader_outputs, await_unanimity};
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
@@ -292,20 +292,12 @@ fn threadnet_run(
     for i in 0..commands {
         cluster.request(leader, i);
     }
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    loop {
-        let done = cluster
-            .outputs_so_far()
-            .iter()
-            .filter(|o| {
-                o.process == leader && matches!(o.output, RsmEvent::Committed { cmd: Some(_), .. })
-            })
-            .count() as u64;
-        if done >= commands || StdInstant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(1));
-    }
+    await_leader_outputs(
+        || cluster.outputs_so_far(),
+        leader,
+        commands,
+        |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
+    );
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
@@ -343,10 +335,8 @@ fn threadnet_run(
     }
 }
 
-/// TCP run: same shape as threadnet, except completion is detected from
-/// the leader's *latest* output (the socket substrate exposes no running
-/// output log) and the report's socket counters are exported into the
-/// shared registry.
+/// TCP run: the threadnet run's shape over real sockets, with the
+/// report's socket counters exported into the shared registry.
 fn wirenet_run(
     n: usize,
     commands: u64,
@@ -379,21 +369,12 @@ fn wirenet_run(
     for i in 0..commands {
         cluster.request(leader, i);
     }
-    // Under a stable leader commands commit in submission order, so the
-    // burst is done when the leader's newest output is the last command.
-    let last = commands.saturating_sub(1);
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    loop {
-        let newest = cluster.latest_outputs().into_iter().nth(leader.as_usize());
-        if matches!(
-            newest,
-            Some(Some(RsmEvent::Committed { cmd: Some(v), .. })) if v == last
-        ) || StdInstant::now() > deadline
-        {
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
+    await_leader_outputs(
+        || cluster.outputs_so_far(),
+        leader,
+        commands,
+        |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
+    );
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     report.export(registry);

@@ -4,7 +4,6 @@ use std::fmt;
 
 use lls_primitives::wire::{Wire, WireError, WireReader};
 use lls_primitives::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// A ballot: a totally ordered proposal epoch, ordered by `(round, leader)`.
 ///
@@ -24,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(Ballot::new(1, ProcessId(0)) < a);      // id breaks ties
 /// assert_eq!(a.next_for(ProcessId(0)).round(), 2); // strictly above `a`
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ballot {
     round: u64,
     leader: ProcessId,

@@ -2,14 +2,13 @@
 
 use lls_primitives::wire::{Wire, WireError, WireReader};
 use omega::OmegaMsg;
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 
 /// Messages of the single-shot [`Consensus`](crate::Consensus) protocol over
 /// values `V`. The embedded Ω detector's traffic travels in the same
 /// envelope (`Omega`), so one transport carries the whole stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsensusMsg<V> {
     /// Embedded leader-election traffic.
     Omega(OmegaMsg),
@@ -56,7 +55,7 @@ pub enum ConsensusMsg<V> {
 /// A slot's content in the replicated log: a client command, a batch of
 /// commands decided atomically as one entry, or a no-op filler used by a
 /// new leader to close gaps left by its predecessor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Entry<V> {
     /// Gap filler; applied as "skip".
     Noop,
@@ -94,7 +93,7 @@ impl<V> Entry<V> {
 /// Messages of the [`ReplicatedLog`](crate::ReplicatedLog) (Multi-Paxos
 /// style): phase 1 covers all slots from `from_slot` on with one ballot;
 /// phase 2 runs per slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmMsg<V> {
     /// Embedded leader-election traffic.
     Omega(OmegaMsg),

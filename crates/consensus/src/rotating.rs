@@ -30,7 +30,6 @@ use std::fmt;
 
 use lls_obs::{NoopProbe, Probe, ProbeEvent};
 use lls_primitives::{Ctx, Duration, Env, ProcessId, Sm, TimerId};
-use serde::{Deserialize, Serialize};
 
 use crate::single::ConsensusParams;
 
@@ -40,7 +39,7 @@ pub const RETRY_TIMER: TimerId = TimerId(0);
 pub const SUSPECT_TIMER: TimerId = TimerId(1);
 
 /// Messages of [`RotatingConsensus`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RotMsg<V> {
     /// Phase 1: a process's current estimate for round `r`.
     Estimate {
@@ -149,7 +148,7 @@ pub struct RotatingConsensus<V, P: Probe = NoopProbe> {
 }
 
 /// Observable events of a [`RotatingConsensus`] run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RotEvent<V> {
     /// Entered round `r`.
     Round(u64),

@@ -79,7 +79,6 @@ use lls_primitives::{
     StorageHandle, StorageStats, TimerCmd, TimerId, Wire,
 };
 use omega::{CommEffOmega, OmegaMsg};
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 use crate::durable::RsmRecord;
@@ -108,7 +107,7 @@ impl LifecycleId for u64 {
 }
 
 /// Observable events of a [`ReplicatedLog`] run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmEvent<V> {
     /// The embedded Ω detector changed its output.
     Leader(ProcessId),

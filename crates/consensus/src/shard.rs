@@ -40,7 +40,6 @@ use lls_primitives::{
     TimerCmd, TimerId,
 };
 use omega::{CommEffOmega, OmegaMsg};
-use serde::{Deserialize, Serialize};
 
 use crate::durable::RsmRecord;
 use crate::msg::{classify_rsm_msg, RsmMsg};
@@ -48,9 +47,7 @@ use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent};
 use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
 
 /// Identifier of one shard group. Shard ids are dense: `0..shard_count`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u32);
 
 impl fmt::Display for ShardId {
@@ -199,7 +196,7 @@ impl PlacementManager {
 /// The multiplexed wire envelope of a sharded node: one link carries the
 /// shared Ω's heartbeats (untagged) interleaved with every co-located
 /// group's consensus traffic (tagged with its [`ShardId`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMsg<V> {
     /// Shared per-node leader-election traffic — one Ω however many shards.
     Omega(OmegaMsg),
@@ -264,7 +261,7 @@ pub fn classify_shard_msg<V>(msg: &ShardMsg<V>) -> &'static str {
 }
 
 /// Observable events of a [`ShardedNode`] run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardEvent<V> {
     /// The shared Ω detector changed its output (one announcement per node,
     /// however many groups it feeds).

@@ -21,7 +21,6 @@ use lls_primitives::{
     TimerId, Wire,
 };
 use omega::{BatchParams, CommEffOmega, OmegaMsg, OmegaParams};
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 use crate::durable::AcceptorRecord;
@@ -34,7 +33,7 @@ pub const RETRY_TIMER: TimerId = TimerId(0);
 pub const OMEGA_TIMER_BASE: u32 = 1_000;
 
 /// Parameters of a [`Consensus`] instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConsensusParams {
     /// Parameters of the embedded Ω detector.
     pub omega: OmegaParams,
@@ -70,7 +69,7 @@ impl Default for ConsensusParams {
 /// **leader** stops serving lease-reads at `round_start + duration - skew`
 /// on its clock — so with per-process clock error bounded by `skew`, the
 /// leader's serving window always ends before any granter frees itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseParams {
     /// Master switch. Off by default: with leases disabled the log behaves
     /// exactly as before this feature existed (no grant traffic, no boot
@@ -114,7 +113,7 @@ impl LeaseParams {
 }
 
 /// Observable events of a [`Consensus`] run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsensusEvent<V> {
     /// The embedded Ω detector changed its output.
     Leader(ProcessId),

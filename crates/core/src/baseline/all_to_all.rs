@@ -1,12 +1,11 @@
 //! Baseline A: all-to-all heartbeats over fully ♦-timely links.
 
 use lls_primitives::{Ctx, Duration, Env, ProcessId, Sm, TimerId};
-use serde::{Deserialize, Serialize};
 
 use crate::params::OmegaParams;
 
 /// Heartbeat message of [`AllToAllOmega`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllToAllMsg;
 
 /// Timer id of the heartbeat task.

@@ -1,7 +1,6 @@
 //! Baseline B: counter gossip in the weak system (PODC'03-style).
 
 use lls_primitives::{Ctx, Duration, Env, ProcessId, Sm, TimerId};
-use serde::{Deserialize, Serialize};
 
 use crate::params::OmegaParams;
 use crate::rank::RankTable;
@@ -9,7 +8,7 @@ use crate::rank::RankTable;
 /// Gossip message of [`BroadcastSourceOmega`]: the sender's full view of the
 /// accusation-counter vector — Θ(n) words, versus the O(1)-word messages of
 /// the communication-efficient algorithm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipMsg {
     /// Sender's accusation-counter vector (index = process id).
     pub counters: Vec<u64>,

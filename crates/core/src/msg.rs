@@ -1,7 +1,6 @@
 //! Wire messages of the communication-efficient Ω algorithm.
 
 use lls_primitives::wire::{Wire, WireError, WireReader};
-use serde::{Deserialize, Serialize};
 
 /// Messages exchanged by [`CommEffOmega`](crate::CommEffOmega).
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///   matches its current counter, which makes accusations idempotent: under
 ///   fair-lossy links an accuser retransmits, and duplicates or stale copies
 ///   must not inflate the counter more than once per "phase".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OmegaMsg {
     /// "I am the leader and my accusation counter is `counter`." Broadcast
     /// every η by a process that currently trusts itself.

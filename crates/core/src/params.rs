@@ -1,7 +1,6 @@
 //! Tuning parameters shared by the Ω algorithms.
 
 use lls_primitives::Duration;
-use serde::{Deserialize, Serialize};
 
 /// How a process grows its timeout on a candidate after a premature
 /// suspicion.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// suspicions, so that a ♦-timely leader is suspected finitely often; the
 /// exact policy is an implementation degree of freedom, exercised by the
 /// ablation experiment E9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutPolicy {
     /// `timeout += step` on every suspicion (the pseudocode idiom
     /// "Timeout\[leader\] := Timeout\[leader\] + 1", generalized).
@@ -54,7 +53,7 @@ impl TimeoutPolicy {
 /// such entries awaiting their quorums concurrently — exactly the state a
 /// slow single-slot leader passes through anyway. The paper's claims are
 /// per-slot; batching only changes how many commands ride in each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchParams {
     /// Maximum client commands coalesced into one log entry. 1 disables
     /// batching (every command gets its own slot, the pre-batching wire
@@ -97,7 +96,7 @@ impl Default for BatchParams {
 }
 
 /// Parameters of an Ω instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OmegaParams {
     /// Heartbeat period η: how often a self-believed leader sends `ALIVE`.
     pub eta: Duration,

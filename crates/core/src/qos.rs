@@ -15,12 +15,11 @@
 //!   eventual leader only to return to it (the Ω analogue of mistake rate).
 
 use lls_primitives::{Duration, Instant, ProcessId};
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{stabilization, LeaderRecord};
 
 /// Detection metrics for one crashed process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashDetection {
     /// The crashed process.
     pub victim: ProcessId,
@@ -36,7 +35,7 @@ pub struct CrashDetection {
 }
 
 /// The full QoS report of one run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QosReport {
     /// When agreement on the final correct leader began, if it did.
     pub stabilization_at: Option<Instant>,

@@ -18,7 +18,6 @@
 //!   since other processes never saw them).
 
 use lls_primitives::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// A candidate's rank: smaller is more trustworthy.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a < b); // counter dominates
 /// assert!(c < a); // id breaks ties
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CandidateRank {
     /// Effective accusation counter.
     pub counter: u64,
@@ -43,7 +42,7 @@ pub struct CandidateRank {
 }
 
 /// Per-process table of counter evidence for all candidates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankTable {
     auth: Vec<u64>,
     prov: Vec<u64>,

@@ -47,11 +47,10 @@
 use std::collections::BTreeSet;
 
 use lls_primitives::{Ctx, Effects, Env, ProcessId, Sm, TimerCmd, TimerId};
-use serde::{Deserialize, Serialize};
 
 /// A flooded message: the inner payload plus a unique identity and its
 /// intended destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayMsg<M> {
     /// The process that originated the message.
     pub origin: ProcessId,

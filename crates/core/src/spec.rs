@@ -15,10 +15,9 @@
 //!   the runtime sees sends.
 
 use lls_primitives::{Instant, ProcessId};
-use serde::{Deserialize, Serialize};
 
 /// One Ω output: at time `at`, `process` started trusting `leader`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaderRecord {
     /// When the change happened.
     pub at: Instant,
@@ -29,7 +28,7 @@ pub struct LeaderRecord {
 }
 
 /// The verdict of the Ω checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stabilization {
     /// The common final leader.
     pub leader: ProcessId,

@@ -8,8 +8,6 @@
 //! whatever means the deployment uses (`Simulator::schedule_request`,
 //! `Cluster::request`, …).
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::{ClientId, KvCmd, Tagged};
 
 /// A client session: mints tagged commands with correct sequence numbers.
@@ -32,7 +30,7 @@ use crate::command::{ClientId, KvCmd, Tagged};
 /// let next = client.issue(KvCmd::delete("k"));
 /// assert_eq!(next.seq, put.seq + 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvClient {
     id: ClientId,
     next_seq: u64,

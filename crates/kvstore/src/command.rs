@@ -5,14 +5,11 @@ use std::fmt;
 use consensus::LifecycleId;
 use lls_obs::CmdId;
 use lls_primitives::wire::{Wire, WireError, WireReader};
-use serde::{Deserialize, Serialize};
 
 /// A client session identity. Each client numbers its commands with a
 /// strictly increasing sequence; the pair `(ClientId, seq)` makes retries
 /// idempotent.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -22,7 +19,7 @@ impl fmt::Display for ClientId {
 }
 
 /// A key-value command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvCmd {
     /// Set `key` to `value`.
     Put {
@@ -102,7 +99,7 @@ impl KvCmd {
 }
 
 /// A command tagged with its client session identity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tagged<C> {
     /// The issuing client.
     pub client: ClientId,
@@ -127,7 +124,7 @@ impl<C> LifecycleId for Tagged<C> {
 }
 
 /// The outcome of applying one command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvResponse {
     /// The command executed; `previous` is the value the key held before.
     Applied {

@@ -7,7 +7,6 @@ use lls_primitives::wire::Wire;
 use lls_primitives::{
     Ctx, Env, ProcessId, Sm, SnapshotHandle, StorageError, StorageHandle, TimerId,
 };
-use serde::{Deserialize, Serialize};
 
 use consensus::{ConsensusParams, ReplicatedLog, RsmEvent};
 use omega::CommEffOmega;
@@ -29,7 +28,7 @@ struct PendingRead {
 }
 
 /// Observable events of a replica.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvEvent {
     /// The underlying Ω detector changed its output.
     Leader(ProcessId),

@@ -28,7 +28,6 @@ use lls_primitives::wire::Wire;
 use lls_primitives::{
     Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageError, StorageHandle, TimerId,
 };
-use serde::{Deserialize, Serialize};
 
 use consensus::shard::{
     PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest, ShardedNode,
@@ -195,7 +194,7 @@ impl<P: Probe> ShardedSubmitQueue<P> {
 }
 
 /// Observable events of a sharded store node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardedKvEvent {
     /// The node's shared Ω detector changed its output (one event per node,
     /// however many shards it hosts).

@@ -3,7 +3,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use lls_primitives::wire::{Wire, WireError, WireReader};
-use serde::{Deserialize, Serialize};
 
 use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
 
@@ -28,7 +27,7 @@ use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
 /// assert_eq!(s.apply(&tag(1, KvCmd::put("k", "v"))), KvResponse::Duplicate);
 /// assert_eq!(s.get("k"), Some("v"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvState {
     data: BTreeMap<String, String>,
     sessions: HashMap<ClientId, u64>,

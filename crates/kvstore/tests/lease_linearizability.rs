@@ -17,19 +17,14 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// The single register all sessions contend on.
 const KEY: &str = "reg";
-
-/// The replica under test: recorded probes routed through a watchdog, so
-/// every suite also asserts the `StaleRead`/`LeaseOverlap` detectors stay
-/// quiet on correct executions.
-type Replica = KvReplica<WatchdogProbe<RecordingProbe>>;
 
 fn lease_params() -> ConsensusParams {
     ConsensusParams {
@@ -285,45 +280,23 @@ fn await_settle(
     }
 }
 
-/// First settlement of `(client, seq)` observed at `node` on the thread
-/// mesh (the full output log is scannable live).
-fn find_threadnet(
-    cluster: &Cluster<Replica>,
+/// First settlement of `(client, seq)` observed at `node`, scanned from
+/// a wall-clock cluster's output log.
+fn find_settled(
+    outputs: &[TimedOutput<KvEvent>],
     node: ProcessId,
     client: ClientId,
     seq: u64,
 ) -> Option<KvResponse> {
-    cluster
-        .outputs_so_far()
-        .into_iter()
-        .find_map(|t| match t.output {
-            KvEvent::Applied {
-                client: c,
-                seq: s,
-                response,
-                ..
-            } if t.process == node && c == client && s == seq => Some(response),
-            _ => None,
-        })
-}
-
-/// Settlement of `(client, seq)` at `node` over TCP, read off the node's
-/// latest output (the round workload keeps one op in flight per node).
-fn find_wirenet(
-    cluster: &WireCluster<Replica>,
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    match cluster.latest_outputs().into_iter().nth(node.as_usize())? {
-        Some(KvEvent::Applied {
+    outputs.iter().find_map(|t| match &t.output {
+        KvEvent::Applied {
             client: c,
             seq: s,
             response,
             ..
-        }) if c == client && s == seq => Some(response),
+        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
         _ => None,
-    }
+    })
 }
 
 /// One read's verdict against the round-based witness: round `r`'s reads
@@ -372,7 +345,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
             if let Some(victim) = leader {
-                cluster.crash(victim);
+                cluster.kill(victim);
                 alive.retain(|p| *p != victim);
             }
             leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
@@ -390,7 +363,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_threadnet(&cluster, l, writer, wseq),
+            || find_settled(&cluster.outputs_so_far(), l, writer, wseq),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -411,7 +384,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_threadnet(&cluster, node, reader_at(node), round),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -472,7 +445,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_wirenet(&cluster, l, writer, wseq),
+            || find_settled(&cluster.outputs_so_far(), l, writer, wseq),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -492,7 +465,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_wirenet(&cluster, node, reader_at(node), round),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );

@@ -16,18 +16,16 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use consensus::shard::{PlacementManager, PlacementMap, ShardId};
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
-use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// One register per writer session: writer `1 + i` owns `KEYS[i]`.
 const KEYS: [&str; 3] = ["alpha", "beta", "gamma"];
 
 const SHARDS: u32 = 4;
-
-type Node = ShardedKvNode<WatchdogProbe<RecordingProbe>>;
 
 fn lease_params() -> ConsensusParams {
     ConsensusParams {
@@ -284,41 +282,23 @@ fn await_settle(
     }
 }
 
-fn find_threadnet(
-    cluster: &Cluster<Node>,
+/// First settlement of `(client, seq)` observed at `node`, scanned from
+/// a wall-clock cluster's output log.
+fn find_settled(
+    outputs: &[TimedOutput<ShardedKvEvent>],
     node: ProcessId,
     client: ClientId,
     seq: u64,
 ) -> Option<KvResponse> {
-    cluster
-        .outputs_so_far()
-        .into_iter()
-        .find_map(|t| match t.output {
-            ShardedKvEvent::Applied {
-                client: c,
-                seq: s,
-                response,
-                ..
-            } if t.process == node && c == client && s == seq => Some(response),
-            _ => None,
-        })
-}
-
-fn find_wirenet(
-    cluster: &WireCluster<Node>,
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    match cluster.latest_outputs().into_iter().nth(node.as_usize())? {
-        Some(ShardedKvEvent::Applied {
+    outputs.iter().find_map(|t| match &t.output {
+        ShardedKvEvent::Applied {
             client: c,
             seq: s,
             response,
             ..
-        }) if c == client && s == seq => Some(response),
+        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
         _ => None,
-    }
+    })
 }
 
 /// Per-shard prefix agreement over the stop report: every node's applied
@@ -390,7 +370,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
             cluster.request(leader, write.clone());
             assert!(
                 await_settle(
-                    || find_threadnet(&cluster, leader, writer_of(k), i),
+                    || find_settled(&cluster.outputs_so_far(), leader, writer_of(k), i),
                     || cluster.request(leader, write.clone()),
                     timeout,
                 )
@@ -410,7 +390,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_threadnet(&cluster, node, reader_at(node), rseq),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), rseq),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -490,7 +470,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
             cluster.request(leader, write.clone());
             assert!(
                 await_settle(
-                    || find_wirenet(&cluster, leader, writer_of(k), i),
+                    || find_settled(&cluster.outputs_so_far(), leader, writer_of(k), i),
                     || cluster.request(leader, write.clone()),
                     timeout,
                 )
@@ -509,7 +489,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_wirenet(&cluster, node, reader_at(node), rseq),
+                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), rseq),
                 || cluster.request(node, read.clone()),
                 timeout,
             );

@@ -2,7 +2,6 @@
 
 use lls_primitives::Duration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over message delays, sampled per message.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let s = d.sample(&mut rng);
 /// assert!(s >= Duration::from_ticks(2) && s <= Duration::from_ticks(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayDist {
     /// Every message takes exactly this long.
     Constant(Duration),

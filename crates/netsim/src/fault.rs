@@ -6,7 +6,6 @@
 //! process, when — if ever — it crashes, and optionally when it starts.
 
 use lls_primitives::{Instant, ProcessId};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic crash/start schedule for one run.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(plan.crash_time(ProcessId(0)), None);
 /// assert_eq!(plan.correct_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     n: usize,
     crash: Vec<Option<Instant>>,

@@ -2,7 +2,6 @@
 
 use lls_primitives::{Duration, Instant};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::delay::DelayDist;
 
@@ -46,7 +45,7 @@ pub enum LinkFate {
 ///     LinkFate::Drop => unreachable!("timely links never drop"),
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkModel {
     /// Always timely with bound `delta` (delay sampled from `delay`, whose
     /// upper bound must be ≤ `delta`).

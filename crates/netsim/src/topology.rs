@@ -1,14 +1,13 @@
 //! Link matrices and the paper's system presets.
 
 use lls_primitives::{Membership, ProcessId};
-use serde::{Deserialize, Serialize};
 
 use crate::link::LinkModel;
 
 /// Parameters of the paper's system **S**: all links at least fair lossy, and
 /// one designated correct process whose *outgoing* links are ♦-timely (the
 /// ♦-source).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemSParams {
     /// GST of the source's outgoing links (unknown to the protocol).
     pub gst: u64,
@@ -50,7 +49,7 @@ impl Default for SystemSParams {
 /// assert!(topo.is_source(ProcessId(2)));
 /// assert!(!topo.is_source(ProcessId(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     n: usize,
     /// Row-major: `links[from * n + to]`.

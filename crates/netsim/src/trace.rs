@@ -10,10 +10,9 @@
 use std::fmt;
 
 use lls_primitives::{Instant, ProcessId, TimerId};
-use serde::Serialize;
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A process booted.
     Start(ProcessId),
@@ -68,7 +67,7 @@ pub enum TraceKind {
 }
 
 /// One timestamped trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// When it happened.
     pub at: Instant,
@@ -98,7 +97,7 @@ impl fmt::Display for TraceRecord {
 
 /// A bounded trace buffer. When full, further records are counted but not
 /// stored (truncation is explicit, never silent).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     records: Vec<TraceRecord>,
     capacity: usize,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The identity of a process in `Π = {0, …, n-1}`.
 ///
 /// The paper's model assumes a finite, *totally ordered* set of processes whose
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p < q);
 /// assert_eq!(p.as_usize(), 2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u32);
 
 impl ProcessId {
@@ -62,7 +58,7 @@ impl From<u32> for ProcessId {
 /// assert_eq!(m.others(ProcessId(1)).count(), 3);
 /// assert_eq!(m.majority(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Membership {
     n: u32,
 }

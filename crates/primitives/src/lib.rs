@@ -19,6 +19,9 @@
 //! * the [`clock`] module — per-process [`LamportClock`]s the substrates
 //!   advance on every send and receive, giving each observability event a
 //!   causal (happens-before) position for cross-node trace reconstruction,
+//! * the [`runtime`] module — the one wall-clock node driver (timers,
+//!   tick mapping, dispatch, output log, send counters) that `threadnet`
+//!   and `wirenet` both run, each supplying only a send closure,
 //! * the [`storage`] module — durable per-process state ([`Storage`],
 //!   [`StorageHandle`], in-memory and file-WAL backends) through which
 //!   protocols persist crash-critical state so a killed process can restart
@@ -85,6 +88,7 @@
 pub mod clock;
 pub mod fault;
 mod id;
+pub mod runtime;
 mod sm;
 pub mod storage;
 mod time;

@@ -3,18 +3,18 @@
 //! A protocol is an [`Sm`]: a pure state machine driven by three stimuli —
 //! start, message delivery, timer expiry (plus optional external requests) —
 //! that reacts by recording *effects* into a [`Ctx`]: message sends, timer
-//! commands and protocol outputs. A runtime (the `netsim` simulator or the
-//! `threadnet` thread runtime) owns the loop that feeds stimuli in and carries
-//! effects out.
+//! commands and protocol outputs. A runtime (the `netsim` simulator, or the
+//! wall-clock driver in [`runtime`](crate::runtime) that `threadnet` and
+//! `wirenet` share) owns the loop that feeds stimuli in and carries effects
+//! out.
 //!
 //! Timers follow *reset semantics*: setting a timer that is already pending
-//! re-arms it (the old deadline is discarded). This matches the pseudocode
-//! idiom "reset timer to Timeout\[q\]" pervasive in the failure-detector
-//! literature.
+//! re-arms it (the old deadline is discarded), and cancelling or re-arming
+//! a timer wins over an expiry that is due but not yet delivered. This
+//! matches the pseudocode idiom "reset timer to Timeout\[q\]" pervasive in
+//! the failure-detector literature.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use crate::{Duration, Instant, Membership, ProcessId};
 
@@ -24,9 +24,7 @@ use crate::{Duration, Instant, Membership, ProcessId};
 /// two processes using the same `TimerId` own distinct timers. When protocols
 /// are *embedded* (e.g. consensus embedding Ω), the outer protocol remaps the
 /// inner protocol's timer ids into a reserved range.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimerId(pub u32);
 
 impl TimerId {

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, measured in ticks since the start of the run.
 ///
 /// # Example
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.ticks(), 10);
 /// assert_eq!(t - Instant::ZERO, Duration::from_ticks(10));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant(u64);
 
 impl Instant {
@@ -68,9 +64,7 @@ impl fmt::Display for Instant {
 /// let d = Duration::from_ticks(3) * 4;
 /// assert_eq!(d.ticks(), 12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {

@@ -1,15 +1,14 @@
-//! Cluster lifecycle: spawn, drive, crash, stop, report.
+//! Cluster lifecycle: spawn, drive, kill, restart, stop, report.
 
-use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use lls_primitives::{Ctx, Effects, Env, Instant, LamportClock, ProcessId, Sm, TimerCmd, TimerId};
-use parking_lot::Mutex;
+use lls_primitives::runtime::{self, Control, NodeLog, NodeSpec, TimedOutput};
+use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
-use crate::router::{run_router, Envelope, RouterConfig, TrafficStats};
+use crate::router::{run_router, Envelope};
 
 /// Configuration of a thread cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,33 +41,13 @@ impl Default for NetConfig {
     }
 }
 
-enum Control<S: Sm> {
-    Deliver(Envelope<S::Msg>),
-    Request(S::Request),
-    Crash,
-    /// Bring a crashed process back with a fresh state machine (typically
-    /// recovered from the durable storage its predecessor wrote).
-    Restart(S),
-    Stop,
-}
-
-/// One timestamped protocol output from the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedOutput<O> {
-    /// Wall-clock offset from cluster start.
-    pub at: StdDuration,
-    /// The process that emitted the output.
-    pub process: ProcessId,
-    /// The output value.
-    pub output: O,
-}
-
 /// Everything a finished run reports.
 #[derive(Debug, Clone)]
 pub struct Report<O> {
-    /// All outputs, roughly in emission order.
+    /// All outputs, ordered by emission time.
     pub outputs: Vec<TimedOutput<O>>,
-    /// Messages sent per process (counted at the router ingress).
+    /// Messages sent per process (counted when the state machine emits
+    /// them, before the lossy mesh sees them).
     pub sent: Vec<u64>,
     /// Messages dropped by the lossy mesh, per sender.
     pub dropped: Vec<u64>,
@@ -119,12 +98,10 @@ impl<O> Report<O> {
 ///
 /// See the [crate example](crate).
 pub struct Cluster<S: Sm> {
-    n: usize,
-    controls: Vec<Sender<Control<S>>>,
+    inboxes: Vec<Sender<Control<S>>>,
+    logs: Vec<Arc<NodeLog<S::Output>>>,
     handles: Vec<JoinHandle<()>>,
-    router_handle: Option<JoinHandle<()>>,
-    outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>>,
-    traffic: Arc<Mutex<TrafficStats>>,
+    router: JoinHandle<Vec<u64>>,
     start: StdInstant,
     tick: StdDuration,
 }
@@ -132,7 +109,7 @@ pub struct Cluster<S: Sm> {
 impl<S: Sm> std::fmt::Debug for Cluster<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("n", &self.n)
+            .field("n", &self.inboxes.len())
             .finish_non_exhaustive()
     }
 }
@@ -155,8 +132,9 @@ impl<S: Sm + Send + 'static> Cluster<S> {
     /// [`lls_obs::NodeRecorders::clocks`] so that recorded probe events and
     /// message stamps share one causal timeline. Each send ticks the
     /// sender's clock (even when the lossy mesh then drops the message —
-    /// clocks count events, not deliveries) and each delivery merges the
-    /// carried stamp into the receiver's clock *before* the handler runs.
+    /// clocks count events, not deliveries) and the router merges the
+    /// carried stamp into the receiver's clock *before* queueing the
+    /// delivery, so the handler runs causally after the send.
     ///
     /// # Panics
     ///
@@ -176,65 +154,56 @@ impl<S: Sm + Send + 'static> Cluster<S> {
         );
         let n = config.n;
         let start = StdInstant::now();
-        let outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>> = Arc::new(Mutex::new(Vec::new()));
-        let traffic = Arc::new(Mutex::new(TrafficStats::new(n)));
-        traffic.lock().started_at = start;
-
-        let (router_tx, router_rx) = unbounded::<Envelope<S::Msg>>();
-        let mut controls = Vec::with_capacity(n);
-        let mut control_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Control<S>>(4096);
-            controls.push(tx);
-            control_rxs.push(rx);
-        }
-        // The router forwards into the control inboxes.
-        let inbox_txs: Vec<Sender<Envelope<S::Msg>>> = {
-            // Adapter channels: envelope → control.
-            let mut adapters = Vec::with_capacity(n);
-            for tx in &controls {
-                let (atx, arx) = unbounded::<Envelope<S::Msg>>();
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for env in arx {
-                        if tx.send(Control::Deliver(env)).is_err() {
-                            // Destination stopped: keep draining (lossy link).
-                        }
-                    }
-                });
-                adapters.push(atx);
+        let (router_tx, router_rx) = channel::<Envelope<S::Msg>>();
+        let (inboxes, inbox_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let logs: Vec<Arc<NodeLog<S::Output>>> = (0..n).map(|_| Arc::default()).collect();
+        let router = std::thread::spawn({
+            let inboxes = inboxes.clone();
+            let clocks = clocks.clone();
+            move || {
+                run_router(router_rx, config, |env| {
+                    let to = env.to.as_usize();
+                    clocks[to].observe(env.stamp);
+                    // A stopped destination is a lossy link, not an error.
+                    let _ = inboxes[to].send(Control::Deliver {
+                        from: env.from,
+                        msg: env.msg,
+                    });
+                })
             }
-            adapters
-        };
-        let router_cfg = RouterConfig {
-            loss: config.loss,
-            min_delay: config.min_delay,
-            max_delay: config.max_delay,
-            seed: config.seed,
-        };
-        let traffic_for_router = Arc::clone(&traffic);
-        let router_handle = std::thread::spawn(move || {
-            run_router(router_rx, inbox_txs, router_cfg, traffic_for_router);
         });
-
-        let mut handles = Vec::with_capacity(n);
-        for (i, (control_rx, clock)) in control_rxs.into_iter().zip(clocks).enumerate() {
-            let env = Env::new(ProcessId(i as u32), n);
-            let sm = make(&env);
-            let outputs = Arc::clone(&outputs);
-            let router_tx = router_tx.clone();
-            let tick = config.tick;
-            handles.push(std::thread::spawn(move || {
-                node_loop(env, sm, control_rx, router_tx, outputs, tick, start, clock);
-            }));
-        }
+        let handles = inbox_rxs
+            .into_iter()
+            .zip(clocks)
+            .enumerate()
+            .map(|(i, (inbox, clock))| {
+                let env = Env::new(ProcessId(i as u32), n);
+                let sm = make(&env);
+                let spec = NodeSpec {
+                    env,
+                    epoch: start,
+                    tick: config.tick,
+                    clock,
+                    log: Arc::clone(&logs[i]),
+                };
+                let router = router_tx.clone();
+                std::thread::spawn(move || {
+                    runtime::run(spec, sm, inbox, |to, msg, envelope| {
+                        let _ = router.send(Envelope {
+                            from: env.id(),
+                            to,
+                            msg,
+                            stamp: envelope.lamport,
+                        });
+                    });
+                })
+            })
+            .collect();
         Cluster {
-            n,
-            controls,
+            inboxes,
+            logs,
             handles,
-            router_handle: Some(router_handle),
-            outputs,
-            traffic,
+            router,
             start,
             tick: config.tick,
         }
@@ -242,7 +211,7 @@ impl<S: Sm + Send + 'static> Cluster<S> {
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.inboxes.len()
     }
 
     /// The wall-clock instant every node's virtual clock counts ticks from.
@@ -260,18 +229,11 @@ impl<S: Sm + Send + 'static> Cluster<S> {
         self.tick
     }
 
-    /// Crashes `p` (crash-stop): its thread exits and all further traffic to
-    /// it is dropped.
-    pub fn crash(&self, p: ProcessId) {
-        let _ = self.controls[p.as_usize()].send(Control::Crash);
-    }
-
-    /// Kills `p` as a crash–*restart* fault: the process stops reacting (all
-    /// timers disarmed, all traffic to it discarded) but can later come back
-    /// via [`Cluster::restart`]. From the network's point of view this is
-    /// indistinguishable from [`Cluster::crash`].
+    /// Kills `p` as a crash fault: the process stops reacting (all timers
+    /// disarmed, all traffic to it discarded) until [`Cluster::restart`]
+    /// brings it back; without a restart this is crash-stop.
     pub fn kill(&self, p: ProcessId) {
-        let _ = self.controls[p.as_usize()].send(Control::Crash);
+        let _ = self.inboxes[p.as_usize()].send(Control::Kill);
     }
 
     /// Restarts a killed `p` with a fresh state machine `sm` — typically one
@@ -280,203 +242,51 @@ impl<S: Sm + Send + 'static> Cluster<S> {
     /// on the node thread; if `p` was never killed, the restart request is
     /// ignored.
     pub fn restart(&self, p: ProcessId, sm: S) {
-        let _ = self.controls[p.as_usize()].send(Control::Restart(sm));
+        let _ = self.inboxes[p.as_usize()].send(Control::Restart(Box::new(sm)));
     }
 
     /// Delivers an external request to `p`.
     pub fn request(&self, p: ProcessId, req: S::Request) {
-        let _ = self.controls[p.as_usize()].send(Control::Request(req));
+        let _ = self.inboxes[p.as_usize()].send(Control::Request(req));
     }
 
     /// A live snapshot of `(sent, last_send)` per process.
     pub fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
-        let t = self.traffic.lock();
-        (t.sent.clone(), t.last_send.clone())
+        runtime::traffic_snapshot(&self.logs)
     }
 
-    /// A clone of every output emitted so far, in rough emission order.
+    /// A clone of every output emitted so far, ordered by emission time.
     /// Unlike [`Cluster::latest_outputs`] this lets callers await an event
     /// that may be followed by later outputs (e.g. a commit followed by a
     /// leader-change notification).
     pub fn outputs_so_far(&self) -> Vec<TimedOutput<S::Output>> {
-        self.outputs.lock().clone()
+        runtime::merged_outputs(&self.logs)
     }
 
     /// Each process's most recent output so far, if any (mirrors
     /// `wirenet::WireCluster::latest_outputs`).
     pub fn latest_outputs(&self) -> Vec<Option<S::Output>> {
-        let outputs = self.outputs.lock();
-        (0..self.n as u32)
-            .map(|p| {
-                outputs
-                    .iter()
-                    .rev()
-                    .find(|t| t.process == ProcessId(p))
-                    .map(|t| t.output.clone())
-            })
-            .collect()
+        self.logs.iter().map(|log| log.latest()).collect()
     }
 
     /// Stops every thread, joins them, and returns the run report.
     pub fn stop(mut self) -> Report<S::Output> {
-        for tx in &self.controls {
-            let _ = tx.send(Control::Stop);
+        for inbox in &self.inboxes {
+            let _ = inbox.send(Control::Stop);
         }
-        for h in self.handles.drain(..) {
+        for h in std::mem::take(&mut self.handles) {
             let _ = h.join();
         }
-        // Dropping the controls disconnects the router ingress (each node
-        // held a clone of router_tx which died with its thread; ours remains
-        // inside `self` only via the nodes — the router exits when all
-        // senders are gone).
-        drop(self.controls.split_off(0));
-        if let Some(h) = self.router_handle.take() {
-            let _ = h.join();
-        }
-        let outputs = self.outputs.lock().clone();
-        let t = self.traffic.lock();
+        let (sent, last_send) = self.traffic_snapshot();
+        let outputs = self.outputs_so_far();
+        // The router exits once every node thread, and with it every sender
+        // into the router, is gone.
+        let dropped = self.router.join().unwrap_or_else(|_| vec![0; sent.len()]);
         Report {
             outputs,
-            sent: t.sent.clone(),
-            dropped: t.dropped.clone(),
-            last_send: t.last_send.clone(),
-        }
-    }
-}
-
-/// The per-process event loop: timers with reset semantics, inbox delivery,
-/// wall-clock → tick mapping, Lamport stamping on each send/receive.
-#[allow(clippy::too_many_arguments)]
-fn node_loop<S: Sm>(
-    env: Env,
-    mut sm: S,
-    inbox: Receiver<Control<S>>,
-    router: Sender<Envelope<S::Msg>>,
-    outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>>,
-    tick: StdDuration,
-    start: StdInstant,
-    clock: LamportClock,
-) {
-    let me = env.id();
-    let now_ticks = |at: StdInstant| -> Instant {
-        Instant::from_ticks(
-            (at.saturating_duration_since(start).as_nanos() / tick.as_nanos().max(1)) as u64,
-        )
-    };
-    let mut fx: Effects<S::Msg, S::Output> = Effects::new();
-    let mut deadlines: HashMap<TimerId, StdInstant> = HashMap::new();
-
-    let apply = |fx: &mut Effects<S::Msg, S::Output>,
-                 deadlines: &mut HashMap<TimerId, StdInstant>,
-                 at: StdInstant| {
-        let taken = fx.take();
-        for s in taken.sends {
-            // Tick per send attempt: clocks count events, not deliveries,
-            // so a message the mesh later drops still advances the clock.
-            let stamp = clock.tick();
-            let _ = router.send(Envelope {
-                from: me,
-                to: s.to,
-                msg: s.msg,
-                stamp,
-            });
-        }
-        for cmd in taken.timers {
-            match cmd {
-                TimerCmd::Set { timer, after } => {
-                    let wall = tick
-                        .checked_mul(after.ticks().min(u32::MAX as u64) as u32)
-                        .unwrap_or(StdDuration::from_secs(3600));
-                    deadlines.insert(timer, at + wall);
-                }
-                TimerCmd::Cancel { timer } => {
-                    deadlines.remove(&timer);
-                }
-            }
-        }
-        if !taken.outputs.is_empty() {
-            let mut out = outputs.lock();
-            for o in taken.outputs {
-                out.push(TimedOutput {
-                    at: at.saturating_duration_since(start),
-                    process: me,
-                    output: o,
-                });
-            }
-        }
-    };
-
-    let at = StdInstant::now();
-    sm.on_start(&mut Ctx::new(&env, now_ticks(at), &mut fx));
-    apply(&mut fx, &mut deadlines, at);
-
-    // While dead (killed, awaiting restart) the thread stays parked on the
-    // inbox: timers are disarmed and all traffic is discarded, so from the
-    // outside the process is crashed — but it can still be revived.
-    let mut dead = false;
-    loop {
-        if !dead {
-            // Fire all due timers first.
-            let now = StdInstant::now();
-            let due: Vec<TimerId> = deadlines
-                .iter()
-                .filter(|(_, d)| **d <= now)
-                .map(|(t, _)| *t)
-                .collect();
-            for t in due {
-                deadlines.remove(&t);
-                sm.on_timer(&mut Ctx::new(&env, now_ticks(now), &mut fx), t);
-                apply(&mut fx, &mut deadlines, now);
-            }
-        }
-        let wait = if dead {
-            StdDuration::from_millis(20)
-        } else {
-            deadlines
-                .values()
-                .min()
-                .map(|d| d.saturating_duration_since(StdInstant::now()))
-                .unwrap_or(StdDuration::from_millis(20))
-        };
-        match inbox.recv_timeout(wait) {
-            Ok(Control::Deliver(envp)) if !dead => {
-                let at = StdInstant::now();
-                // Merge before the handler so probe events the handler emits
-                // are causally after the send.
-                clock.observe(envp.stamp);
-                sm.on_message(
-                    &mut Ctx::new(&env, now_ticks(at), &mut fx),
-                    envp.from,
-                    envp.msg,
-                );
-                apply(&mut fx, &mut deadlines, at);
-            }
-            Ok(Control::Request(req)) if !dead => {
-                let at = StdInstant::now();
-                sm.on_request(&mut Ctx::new(&env, now_ticks(at), &mut fx), req);
-                apply(&mut fx, &mut deadlines, at);
-            }
-            Ok(Control::Deliver(_)) | Ok(Control::Request(_)) => {
-                // Dead: discard, like the network dropping to a crashed node.
-            }
-            Ok(Control::Crash) => {
-                dead = true;
-                deadlines.clear();
-            }
-            Ok(Control::Restart(new_sm)) if dead => {
-                sm = new_sm;
-                dead = false;
-                deadlines.clear();
-                let at = StdInstant::now();
-                sm.on_start(&mut Ctx::new(&env, now_ticks(at), &mut fx));
-                apply(&mut fx, &mut deadlines, at);
-            }
-            Ok(Control::Restart(_)) => {
-                // Restarting a live process is ignored.
-            }
-            Ok(Control::Stop) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            sent,
+            dropped,
+            last_send,
         }
     }
 }

@@ -1,11 +1,12 @@
 //! A real-time, thread-per-process runtime for the same [`Sm`](lls_primitives::Sm)
 //! state machines that run on the `netsim` simulator.
 //!
-//! Each process is an OS thread with a crossbeam inbox; links are modelled by
-//! a router thread that applies per-message loss and uniformly distributed
-//! delay before forwarding — a fair-lossy mesh over real wall-clock time.
-//! Virtual ticks are mapped to wall time (`tick`), so protocol parameters
-//! like η keep their meaning.
+//! Each process is an OS thread running the shared wall-clock driver
+//! ([`lls_primitives::runtime`]) over a `std::sync::mpsc` inbox; links are
+//! modelled by a router thread that applies per-message loss and uniformly
+//! distributed delay, then delivers straight into the destination's inbox —
+//! a fair-lossy mesh over real wall-clock time. Virtual ticks are mapped to
+//! wall time (`tick`), so protocol parameters like η keep their meaning.
 //!
 //! The runtime exists to show the algorithms are not simulator-bound
 //! (experiment E10 reruns the communication-efficiency measurement here) and
@@ -42,4 +43,5 @@
 mod cluster;
 mod router;
 
-pub use cluster::{Cluster, NetConfig, Report, TimedOutput};
+pub use cluster::{Cluster, NetConfig, Report};
+pub use lls_primitives::runtime::TimedOutput;

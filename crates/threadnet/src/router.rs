@@ -1,42 +1,21 @@
 //! The router thread: a fair-lossy mesh over wall-clock time.
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::time::Instant as StdInstant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use lls_primitives::{Fate, FaultInjector, ProcessId};
-use parking_lot::Mutex;
+
+use crate::cluster::NetConfig;
 
 /// A message in transit.
 pub(crate) struct Envelope<M> {
     pub from: ProcessId,
     pub to: ProcessId,
     pub msg: M,
-    /// Sender's Lamport clock at send time (0 when the cluster runs
-    /// without trace clocks). Carried through the router untouched; the
-    /// receiving node merges it before its handler runs.
+    /// Sender's Lamport clock at send time. Carried through the router
+    /// untouched; the delivery hook merges it into the receiver's clock.
     pub stamp: u64,
-}
-
-/// Shared, thread-safe traffic statistics.
-#[derive(Debug)]
-pub(crate) struct TrafficStats {
-    pub sent: Vec<u64>,
-    pub dropped: Vec<u64>,
-    pub last_send: Vec<Option<StdDuration>>,
-    pub started_at: StdInstant,
-}
-
-impl TrafficStats {
-    pub fn new(n: usize) -> Self {
-        TrafficStats {
-            sent: vec![0; n],
-            dropped: vec![0; n],
-            last_send: vec![None; n],
-            started_at: StdInstant::now(),
-        }
-    }
 }
 
 struct Delayed<M> {
@@ -66,62 +45,42 @@ impl<M> Ord for Delayed<M> {
     }
 }
 
-pub(crate) struct RouterConfig {
-    pub loss: f64,
-    pub min_delay: StdDuration,
-    pub max_delay: StdDuration,
-    pub seed: u64,
-}
-
-/// Runs until the ingress channel disconnects: applies loss, holds messages
-/// for their sampled delay, then forwards to the destination inbox. Delivery
-/// failures (crashed/stopped destination) are silently dropped — exactly a
-/// lossy link.
-pub(crate) fn run_router<M: Send + 'static>(
+/// Runs until the ingress channel disconnects: applies `config`'s loss,
+/// holds each surviving message for its sampled delay, then hands it to
+/// `deliver`. Returns how many messages the loss model dropped, per sender.
+pub(crate) fn run_router<M>(
     ingress: Receiver<Envelope<M>>,
-    inboxes: Vec<Sender<Envelope<M>>>,
-    config: RouterConfig,
-    stats: Arc<Mutex<TrafficStats>>,
-) {
+    config: NetConfig,
+    mut deliver: impl FnMut(Envelope<M>),
+) -> Vec<u64> {
     let mut faults = FaultInjector::new(
         config.loss.clamp(0.0, 1.0),
         config.min_delay,
         config.max_delay,
         config.seed,
     );
+    let mut dropped = vec![0; config.n];
     let mut heap: BinaryHeap<Delayed<M>> = BinaryHeap::new();
     let mut seq = 0u64;
     loop {
         // Flush everything that is due.
         let now = StdInstant::now();
         while heap.peek().is_some_and(|d| d.due <= now) {
-            let d = heap.pop().expect("peeked");
-            let _ = inboxes[d.env.to.as_usize()].send(d.env);
+            deliver(heap.pop().expect("peeked").env);
         }
-        let timeout = heap
-            .peek()
-            .map(|d| d.due.saturating_duration_since(StdInstant::now()))
-            .unwrap_or(StdDuration::from_millis(50));
-        match ingress.recv_timeout(timeout) {
-            Ok(env) => {
-                let fate = faults.fate();
-                {
-                    let mut s = stats.lock();
-                    let i = env.from.as_usize();
-                    s.sent[i] += 1;
-                    s.last_send[i] = Some(s.started_at.elapsed());
-                    if fate == Fate::Drop {
-                        s.dropped[i] += 1;
-                        continue;
-                    }
+        let next = match heap.peek() {
+            Some(d) => ingress.recv_timeout(d.due.saturating_duration_since(StdInstant::now())),
+            None => ingress.recv().map_err(RecvTimeoutError::from),
+        };
+        match next {
+            Ok(env) => match faults.fate() {
+                Fate::Drop => dropped[env.from.as_usize()] += 1,
+                Fate::DeliverAfter(delay) => {
+                    seq += 1;
+                    let due = StdInstant::now() + delay;
+                    heap.push(Delayed { due, seq, env });
                 }
-                let Fate::DeliverAfter(delay) = fate else {
-                    continue; // Drop already handled above.
-                };
-                let due = StdInstant::now() + delay;
-                seq += 1;
-                heap.push(Delayed { due, seq, env });
-            }
+            },
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -130,18 +89,17 @@ pub(crate) fn run_router<M: Send + 'static>(
     // remaining delay, bounded by max_delay) so a shutdown does not silently
     // swallow messages the loss model already admitted.
     while let Some(d) = heap.pop() {
-        let now = StdInstant::now();
-        if d.due > now {
-            std::thread::sleep(d.due - now);
-        }
-        let _ = inboxes[d.env.to.as_usize()].send(d.env);
+        std::thread::sleep(d.due.saturating_duration_since(StdInstant::now()));
+        deliver(d.env);
     }
+    dropped
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
+    use std::time::Duration as StdDuration;
 
     #[test]
     fn delayed_heap_pops_earliest_due_first() {
@@ -187,82 +145,48 @@ mod tests {
         assert_eq!(order, vec![1, 3, 5], "equal deadlines must pop FIFO");
     }
 
-    #[test]
-    fn router_counts_and_drops_deterministically() {
-        let (tx, rx) = unbounded::<Envelope<u8>>();
-        let (out_tx, out_rx) = unbounded::<Envelope<u8>>();
-        let stats = Arc::new(Mutex::new(TrafficStats::new(2)));
-        let handle = {
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                run_router(
-                    rx,
-                    vec![out_tx.clone(), out_tx],
-                    RouterConfig {
-                        loss: 0.5,
-                        min_delay: StdDuration::ZERO,
-                        max_delay: StdDuration::from_micros(100),
-                        seed: 1,
-                    },
-                    stats,
-                )
-            })
-        };
-        for i in 0..200u8 {
+    /// Pushes `count` messages from `from` through a router with `loss`
+    /// and returns `(delivered payloads, dropped per sender)`.
+    fn route(from: u32, count: u8, loss: f64, max_delay: StdDuration) -> (Vec<u8>, Vec<u64>) {
+        let (tx, rx) = channel::<Envelope<u8>>();
+        for i in 0..count {
             tx.send(Envelope {
-                from: ProcessId(0),
-                to: ProcessId(1),
+                from: ProcessId(from),
+                to: ProcessId(1 - from),
                 msg: i,
                 stamp: 0,
             })
             .unwrap();
         }
         drop(tx);
-        handle.join().unwrap();
-        let delivered = out_rx.try_iter().count();
-        let s = stats.lock();
-        assert_eq!(s.sent[0], 200);
-        let dropped = s.dropped[0] as usize;
-        assert_eq!(delivered + dropped, 200, "conservation");
-        assert!(dropped > 50 && dropped < 150, "~50% loss, got {dropped}");
-        assert!(s.last_send[0].is_some());
-        assert!(s.last_send[1].is_none());
+        let config = NetConfig {
+            n: 2,
+            loss,
+            min_delay: StdDuration::ZERO,
+            max_delay,
+            seed: 1,
+            ..NetConfig::default()
+        };
+        let mut delivered = Vec::new();
+        let dropped = run_router(rx, config, |env| delivered.push(env.msg));
+        (delivered, dropped)
+    }
+
+    #[test]
+    fn router_counts_and_drops_deterministically() {
+        let (delivered, dropped) = route(0, 200, 0.5, StdDuration::from_micros(100));
+        assert_eq!(delivered.len() as u64 + dropped[0], 200, "conservation");
+        assert!(
+            dropped[0] > 50 && dropped[0] < 150,
+            "~50% loss, got {dropped:?}"
+        );
+        assert_eq!(dropped[1], 0, "drops are charged to the sender");
     }
 
     #[test]
     fn router_with_zero_loss_delivers_everything() {
-        let (tx, rx) = unbounded::<Envelope<u8>>();
-        let (out_tx, out_rx) = unbounded::<Envelope<u8>>();
-        let stats = Arc::new(Mutex::new(TrafficStats::new(2)));
-        let handle = {
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                run_router(
-                    rx,
-                    vec![out_tx.clone(), out_tx],
-                    RouterConfig {
-                        loss: 0.0,
-                        min_delay: StdDuration::ZERO,
-                        max_delay: StdDuration::ZERO,
-                        seed: 2,
-                    },
-                    stats,
-                )
-            })
-        };
-        for i in 0..50u8 {
-            tx.send(Envelope {
-                from: ProcessId(1),
-                to: ProcessId(0),
-                msg: i,
-                stamp: 0,
-            })
-            .unwrap();
-        }
-        drop(tx);
-        handle.join().unwrap();
-        let got: Vec<u8> = out_rx.try_iter().map(|e| e.msg).collect();
-        assert_eq!(got.len(), 50);
-        assert_eq!(stats.lock().dropped[1], 0);
+        let (delivered, dropped) = route(1, 50, 0.0, StdDuration::ZERO);
+        assert_eq!(delivered, (0..50).collect::<Vec<u8>>());
+        assert_eq!(dropped, vec![0, 0]);
     }
 }

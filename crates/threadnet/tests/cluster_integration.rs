@@ -114,7 +114,7 @@ fn crashed_leader_is_replaced_on_real_threads() {
     });
     std::thread::sleep(StdDuration::from_millis(400));
     let (_, _) = cluster.traffic_snapshot();
-    cluster.crash(ProcessId(0));
+    cluster.kill(ProcessId(0));
     std::thread::sleep(StdDuration::from_millis(1_200));
     let report = cluster.stop();
     for p in 1..n as u32 {

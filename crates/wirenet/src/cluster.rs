@@ -2,14 +2,16 @@
 //! report. Mirrors `threadnet::Cluster` so experiments translate directly.
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use lls_primitives::runtime::{self, NodeLog, NodeSpec, TimedOutput};
 use lls_primitives::wire::Wire;
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
-use crate::counters::LinkStats;
+use crate::counters::{LinkCounters, LinkStats};
 use crate::link::BackoffConfig;
-use crate::node::{FaultConfig, NodeConfig, NodeError, TimedOutput, WireNode};
+use crate::node::{Counters, FaultConfig, NodeError, WireNode};
 
 /// Configuration of a TCP cluster on localhost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,11 +138,12 @@ impl<O> ClusterReport<O> {
     }
 }
 
-/// A running cluster of `n` [`WireNode`]s joined by real TCP connections
-/// over localhost.
+/// A running cluster of `n` nodes joined by real TCP connections over
+/// localhost. Each node is a listener, its reader and writer threads, and
+/// a protocol thread running the shared
+/// [`runtime`](lls_primitives::runtime) driver.
 ///
 /// See the [crate example](crate).
-#[derive(Debug)]
 pub struct WireCluster<S: Sm> {
     /// `None` marks a killed process (its slot can be revived by
     /// [`WireCluster::restart`]).
@@ -151,15 +154,23 @@ pub struct WireCluster<S: Sm> {
     /// One Lamport clock per process, surviving kill/restart so a revived
     /// incarnation continues the same causal timeline.
     clocks: Vec<LamportClock>,
+    /// Outputs and protocol-level send counts per process, written by every
+    /// incarnation, so killed ones stay in snapshots and the report.
+    logs: Vec<Arc<NodeLog<S::Output>>>,
+    /// Socket counters per process, shared by its incarnations likewise.
+    links: Vec<Counters>,
     config: WireConfig,
     start: StdInstant,
-    /// Per-process state archived from killed incarnations, merged into
-    /// snapshots and the final report.
-    archived_outputs: Vec<Vec<TimedOutput<S::Output>>>,
-    archived_sent: Vec<u64>,
-    archived_last_send: Vec<Option<StdDuration>>,
-    archived_links: Vec<Vec<LinkStats>>,
     errors: Vec<NodeError>,
+}
+
+impl<S: Sm> std::fmt::Debug for WireCluster<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireCluster")
+            .field("addrs", &self.addrs)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<S> WireCluster<S>
@@ -222,6 +233,7 @@ where
     ) -> Result<Self, NodeError> {
         assert!(config.n >= 2, "the model requires n > 1 processes");
         assert_eq!(clocks.len(), config.n, "one clock per process");
+        assert!(!config.tick.is_zero(), "tick must be positive");
         let n = config.n;
         let any = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
         let listeners: Vec<TcpListener> = (0..n)
@@ -239,54 +251,62 @@ where
                     .map_err(|e| NodeError::Listener { kind: e.kind() })
             })
             .collect::<Result<_, _>>()?;
-        let start = StdInstant::now();
-        let nodes = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, listener)| {
-                let me = ProcessId(i as u32);
-                let env = Env::new(me, n);
-                let sm = make(&env);
-                let node_config = NodeConfig {
-                    me,
-                    addrs: addrs.clone(),
-                    tick: config.tick,
-                    queue_capacity: config.queue_capacity,
-                    backoff: config.backoff,
-                    faults: config.faults,
-                    clock: Some(clocks[i].clone()),
-                };
-                WireNode::try_spawn_at(listener, node_config, sm, start).map(Some)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(WireCluster {
-            nodes,
+        let mut cluster = WireCluster {
+            nodes: (0..n).map(|_| None).collect(),
             addrs,
             clocks,
+            logs: (0..n).map(|_| Arc::default()).collect(),
+            links: (0..n)
+                .map(|_| Arc::new((0..n).map(|_| Arc::new(LinkCounters::default())).collect()))
+                .collect(),
             config,
-            start,
-            archived_outputs: vec![Vec::new(); n],
-            archived_sent: vec![0; n],
-            archived_last_send: vec![None; n],
-            archived_links: vec![vec![LinkStats::default(); n]; n],
+            start: StdInstant::now(),
             errors: Vec::new(),
-        })
+        };
+        for (i, listener) in listeners.into_iter().enumerate() {
+            let p = ProcessId(i as u32);
+            let sm = make(&Env::new(p, n));
+            cluster.nodes[i] = Some(cluster.spawn_node(p, listener, sm)?);
+        }
+        Ok(cluster)
+    }
+
+    /// Starts an incarnation of `p` on `listener`, wired to `p`'s clock,
+    /// log and link counters.
+    fn spawn_node(
+        &self,
+        p: ProcessId,
+        listener: TcpListener,
+        sm: S,
+    ) -> Result<WireNode<S>, NodeError> {
+        let i = p.as_usize();
+        let spec = NodeSpec {
+            env: Env::new(p, self.n()),
+            epoch: self.start,
+            tick: self.config.tick,
+            clock: self.clocks[i].clone(),
+            log: Arc::clone(&self.logs[i]),
+        };
+        WireNode::try_spawn_at(
+            listener,
+            sm,
+            spec,
+            &self.addrs,
+            &self.config,
+            &self.links[i],
+        )
     }
 
     /// Kills process `p`: tears down its listener and every live TCP
     /// connection it has, and joins all its threads. Peers observe the dead
     /// sockets, fall back to their redial/backoff loops, and keep knocking
     /// until [`WireCluster::restart`] re-binds the same address. Outputs and
-    /// counters of the killed incarnation are archived into the final
+    /// counters of the killed incarnation stay in snapshots and the final
     /// report. No-op if `p` is already dead.
     pub fn kill(&mut self, p: ProcessId) {
-        let Some(node) = self.nodes[p.as_usize()].take() else {
-            return;
-        };
-        self.merge_node_state(p, &node);
-        let (outputs, errors) = node.stop_collecting();
-        self.archived_outputs[p.as_usize()] = outputs;
-        self.errors.extend(errors);
+        if let Some(node) = self.nodes[p.as_usize()].take() {
+            self.errors.extend(node.stop_collecting());
+        }
     }
 
     /// Returns `true` if `p` is currently running.
@@ -315,36 +335,14 @@ where
             self.nodes[p.as_usize()].is_none(),
             "cannot restart {p}: it is alive"
         );
-        let addr = self.addrs[p.as_usize()];
-        let listener = bind_with_retry(addr, StdDuration::from_secs(10))?;
-        let node_config = NodeConfig {
-            me: p,
-            addrs: self.addrs.clone(),
-            tick: self.config.tick,
-            queue_capacity: self.config.queue_capacity,
-            backoff: self.config.backoff,
-            faults: self.config.faults,
-            clock: Some(self.clocks[p.as_usize()].clone()),
-        };
-        let node = WireNode::try_spawn_at(listener, node_config, sm, self.start)?;
-        self.nodes[p.as_usize()] = Some(node);
+        let listener = bind_with_retry(self.addrs[p.as_usize()], StdDuration::from_secs(10))?;
+        self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm)?);
         Ok(())
-    }
-
-    /// Folds a node's live counters into the per-process archives.
-    fn merge_node_state(&mut self, p: ProcessId, node: &WireNode<S>) {
-        let i = p.as_usize();
-        let traffic = node.traffic().snapshot();
-        self.archived_sent[i] += traffic.sent;
-        self.archived_last_send[i] = self.archived_last_send[i].max(traffic.last_send);
-        for (q, stats) in node.link_stats().into_iter().enumerate() {
-            self.archived_links[i][q] = self.archived_links[i][q].merge(stats);
-        }
     }
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.addrs.len()
     }
 
     /// The listen address of process `p` (fixed for the cluster's lifetime,
@@ -387,61 +385,30 @@ where
     /// `threadnet::Cluster::traffic_snapshot`. Counters of killed
     /// incarnations are included.
     pub fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
-        // One snapshot per node: sent and last_send come from the same
-        // point-in-time copy, so the pair can't tear across the two vectors.
-        let snaps: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|nd| nd.as_ref().map(|nd| nd.traffic().snapshot()))
-            .collect();
-        let sent = snaps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.archived_sent[i] + s.map_or(0, |s| s.sent))
-            .collect();
-        let last = snaps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.archived_last_send[i].max(s.and_then(|s| s.last_send)))
-            .collect();
-        (sent, last)
+        runtime::traffic_snapshot(&self.logs)
     }
 
     /// A live snapshot of every node's per-link socket counters, killed
     /// incarnations included.
     pub fn link_snapshot(&self) -> Vec<Vec<LinkStats>> {
-        self.nodes
+        self.links
             .iter()
-            .enumerate()
-            .map(|(i, nd)| self.merged_links(i, nd.as_ref()))
+            .map(|peers| peers.iter().map(|c| c.snapshot()).collect())
             .collect()
     }
 
-    fn merged_links(&self, i: usize, node: Option<&WireNode<S>>) -> Vec<LinkStats> {
-        match node {
-            Some(nd) => nd
-                .link_stats()
-                .into_iter()
-                .enumerate()
-                .map(|(q, s)| self.archived_links[i][q].merge(s))
-                .collect(),
-            None => self.archived_links[i].clone(),
-        }
+    /// A clone of every output emitted so far, killed incarnations
+    /// included, ordered by emission time (mirrors
+    /// `threadnet::Cluster::outputs_so_far`).
+    pub fn outputs_so_far(&self) -> Vec<TimedOutput<S::Output>> {
+        runtime::merged_outputs(&self.logs)
     }
 
     /// Each node's most recent output, if any. For a dead (or just-restarted
     /// and still quiet) process this is the last output of its most recent
     /// incarnation.
     pub fn latest_outputs(&self) -> Vec<Option<S::Output>> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, nd)| {
-                nd.as_ref()
-                    .and_then(|nd| nd.latest_output())
-                    .or_else(|| self.archived_outputs[i].last().map(|t| t.output.clone()))
-            })
-            .collect()
+        self.logs.iter().map(|log| log.latest()).collect()
     }
 
     /// Wall-clock elapsed since the cluster started.
@@ -450,7 +417,7 @@ where
     }
 
     /// Stops every node, joins all threads, and returns the run report
-    /// (archived state of killed incarnations merged in).
+    /// (killed incarnations included).
     pub fn stop(mut self) -> ClusterReport<S::Output> {
         // Halt all protocol threads before joining any node: otherwise the
         // survivors would watch the first node fall silent and re-elect,
@@ -458,37 +425,15 @@ where
         for node in self.nodes.iter().flatten() {
             node.begin_stop();
         }
-        let n = self.nodes.len();
-        let mut sent = Vec::with_capacity(n);
-        let mut last_send = Vec::with_capacity(n);
-        let mut links = Vec::with_capacity(n);
-        let mut outputs = Vec::new();
-        let nodes = std::mem::take(&mut self.nodes);
-        for (i, node) in nodes.into_iter().enumerate() {
-            outputs.extend(std::mem::take(&mut self.archived_outputs[i]));
-            match node {
-                Some(node) => {
-                    let traffic = node.traffic().snapshot();
-                    sent.push(self.archived_sent[i] + traffic.sent);
-                    last_send.push(self.archived_last_send[i].max(traffic.last_send));
-                    links.push(self.merged_links(i, Some(&node)));
-                    let (node_outputs, errors) = node.stop_collecting();
-                    outputs.extend(node_outputs);
-                    self.errors.extend(errors);
-                }
-                None => {
-                    sent.push(self.archived_sent[i]);
-                    last_send.push(self.archived_last_send[i]);
-                    links.push(self.archived_links[i].clone());
-                }
-            }
+        for node in std::mem::take(&mut self.nodes).into_iter().flatten() {
+            self.errors.extend(node.stop_collecting());
         }
-        outputs.sort_by_key(|t| t.at);
+        let (sent, last_send) = self.traffic_snapshot();
         ClusterReport {
-            outputs,
+            outputs: self.outputs_so_far(),
             sent,
             last_send,
-            links,
+            links: self.link_snapshot(),
             errors: self.errors,
         }
     }

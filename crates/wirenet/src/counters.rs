@@ -1,11 +1,11 @@
-//! Per-link and per-node instrumentation counters.
+//! Per-link socket counters. (Protocol-level send counts live in the
+//! shared driver's [`NodeLog`](lls_primitives::runtime::NodeLog).)
 //!
 //! All counters are atomics so the writer, reader, and protocol threads can
 //! bump them without sharing a lock; snapshots are taken with relaxed loads
 //! (exact consistency across counters is not needed for reporting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 /// Live counters for the link between this node and one remote peer
 /// (both directions combined).
@@ -100,64 +100,6 @@ impl LinkStats {
     }
 }
 
-/// Sentinel for "never sent" in [`NodeTraffic::last_send_nanos`].
-const NEVER: u64 = u64::MAX;
-
-/// Protocol-level send accounting for one node, mirroring the semantics of
-/// `threadnet`'s router-ingress counters: a send is counted when the state
-/// machine emits it, before loss/queueing can interfere. This is what the
-/// communication-efficiency oracle (`senders_since`) measures.
-#[derive(Debug)]
-pub struct NodeTraffic {
-    sent: AtomicU64,
-    last_send_nanos: AtomicU64,
-}
-
-impl Default for NodeTraffic {
-    fn default() -> Self {
-        NodeTraffic {
-            sent: AtomicU64::new(0),
-            last_send_nanos: AtomicU64::new(NEVER),
-        }
-    }
-}
-
-impl NodeTraffic {
-    pub(crate) fn record_send(&self, start: StdInstant) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        let nanos = start.elapsed().as_nanos().min(u128::from(NEVER - 1)) as u64;
-        self.last_send_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of both counters, taken in one call.
-    ///
-    /// This is the only read API: reading `sent` and `last_send` through
-    /// separate getters could tear (a send landing between the two loads
-    /// yields a count and timestamp from different instants), which showed
-    /// up as off-by-one sender sets in the efficiency oracle. The loads here
-    /// are still two relaxed atomics, but every caller now gets both fields
-    /// from one named snapshot, so a torn pair can't be split across
-    /// decision points.
-    pub fn snapshot(&self) -> NodeTrafficStats {
-        NodeTrafficStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            last_send: match self.last_send_nanos.load(Ordering::Relaxed) {
-                NEVER => None,
-                n => Some(StdDuration::from_nanos(n)),
-            },
-        }
-    }
-}
-
-/// A frozen copy of one node's protocol-level send accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeTrafficStats {
-    /// Total protocol-level sends.
-    pub sent: u64,
-    /// Offset from cluster start of the most recent send, if any.
-    pub last_send: Option<StdDuration>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,18 +141,5 @@ mod tests {
         let m = a.merge(b);
         assert_eq!(m.msgs_sent, 2);
         assert_eq!(m.decode_errors, 16);
-    }
-
-    #[test]
-    fn node_traffic_tracks_last_send() {
-        let t = NodeTraffic::default();
-        let s = t.snapshot();
-        assert_eq!(s.sent, 0);
-        assert_eq!(s.last_send, None);
-        let start = StdInstant::now();
-        t.record_send(start);
-        let s = t.snapshot();
-        assert_eq!(s.sent, 1);
-        assert!(s.last_send.is_some());
     }
 }

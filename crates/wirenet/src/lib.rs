@@ -7,9 +7,11 @@
 //! in-process thread mesh; this crate runs them over **real TCP sockets**
 //! with zero changes to the algorithm code:
 //!
-//! * every process is a [`WireNode`]: one listener, one reader thread per
-//!   inbound connection, one dialer/writer thread per peer, and one
-//!   protocol thread driving the state machine;
+//! * every process is one listener, one reader thread per inbound
+//!   connection, one dialer/writer thread per peer, and one protocol
+//!   thread running the shared [`lls_primitives::runtime`] driver (the
+//!   same one `threadnet` runs), whose send closure encodes each message
+//!   onto its peer's link;
 //! * messages travel as versioned, CRC-checked frames (the shared
 //!   [`lls_primitives::wire`] codec) — corrupted frames are counted and
 //!   skipped, never panics;
@@ -67,7 +69,8 @@ mod node;
 pub mod scrape;
 
 pub use cluster::{ClusterReport, WireCluster, WireConfig};
-pub use counters::{LinkCounters, LinkStats, NodeTraffic, NodeTrafficStats};
+pub use counters::{LinkCounters, LinkStats};
 pub use link::BackoffConfig;
-pub use node::{FaultConfig, NodeConfig, NodeError, TimedOutput, WireNode};
+pub use lls_primitives::runtime::TimedOutput;
+pub use node::{FaultConfig, NodeError};
 pub use scrape::{scrape, ScrapeRoutes, ScrapeServer};

@@ -1,32 +1,28 @@
-//! One wirenet node: a TCP listener plus reader threads (inbound), one
-//! dialer/writer thread per peer (outbound), and a protocol thread that
-//! drives the unchanged sans-io state machine.
-//!
-//! The protocol thread is identical in structure to `threadnet`'s node
-//! loop — timers with reset semantics, wall-clock → tick mapping — except
-//! that sends are encoded with the shared wire codec and handed to the
-//! outbound links instead of an in-process router.
+//! One wirenet node incarnation: a TCP listener plus reader threads
+//! (inbound), one dialer/writer thread per peer (outbound), and a protocol
+//! thread running the shared [`runtime`](lls_primitives::runtime) driver,
+//! whose send closure encodes each message with the shared wire codec onto
+//! the peer's outbound link.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Duration as StdDuration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use lls_primitives::runtime::{self, Control, NodeSpec};
 use lls_primitives::wire::{
     decode_frame, decode_frame_any, encode_frame, encode_frame_sharded, encode_frame_stamped,
     Deframer, Wire,
 };
-use lls_primitives::{
-    Ctx, Effects, Env, FaultInjector, Instant, LamportClock, ProcessId, Sm, TimerCmd, TimerId,
-};
-use parking_lot::Mutex;
+use lls_primitives::{FaultInjector, LamportClock, ProcessId, Sm};
 
-use crate::counters::{LinkCounters, LinkStats, NodeTraffic};
-use crate::link::{run_writer, BackoffConfig, PeerLink};
+use crate::cluster::WireConfig;
+use crate::counters::LinkCounters;
+use crate::link::{run_writer, PeerLink};
 
 /// A typed failure of a node's socket plumbing, surfaced through the node
 /// and cluster APIs instead of panicking — restart logic has to distinguish
@@ -84,55 +80,13 @@ pub struct FaultConfig {
     pub seed: u64,
 }
 
-/// Configuration of one node.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// This process's identity.
-    pub me: ProcessId,
-    /// Listen address of every process, indexed by [`ProcessId`];
-    /// `addrs[me]` is this node's own (already bound) address.
-    pub addrs: Vec<SocketAddr>,
-    /// Wall-clock length of one virtual tick (scales η and timeouts).
-    pub tick: StdDuration,
-    /// Capacity of each bounded outbound queue (drop-oldest on overflow).
-    pub queue_capacity: usize,
-    /// Reconnect backoff policy.
-    pub backoff: BackoffConfig,
-    /// Optional socket-layer loss/delay injection.
-    pub faults: Option<FaultConfig>,
-    /// Lamport clock handle stamped into every outbound frame (version-2
-    /// trace envelope) and merged on every inbound frame. `None` spawns a
-    /// private clock — frames are still stamped, but the timeline is not
-    /// shared with any recorder. Pass the handle from
-    /// [`lls_obs::NodeRecorders::clocks`] to put message stamps and probe
-    /// events on one causal timeline.
-    pub clock: Option<LamportClock>,
-}
-
-/// One timestamped protocol output from the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedOutput<O> {
-    /// Wall-clock offset from node (or cluster) start.
-    pub at: StdDuration,
-    /// The process that emitted the output.
-    pub process: ProcessId,
-    /// The output value.
-    pub output: O,
-}
-
-enum Control<M, R> {
-    Deliver { from: ProcessId, msg: M },
-    Request(R),
-    Stop,
-}
-
 /// Live TCP streams of this node, registered so they can be severed (for
 /// fault experiments) or shut down (for graceful stop) from outside the
 /// threads that own them.
 #[derive(Debug, Default)]
 pub(crate) struct ConnRegistry {
     next: AtomicU64,
-    conns: StdMutex<HashMap<u64, TcpStream>>,
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl ConnRegistry {
@@ -169,31 +123,21 @@ impl ConnRegistry {
     }
 }
 
-/// A running node: the state machine `S` over real TCP.
-pub struct WireNode<S: Sm> {
+/// One process's per-peer link counters, indexed by [`ProcessId`] (its own
+/// slot stays zero). The cluster keeps them across incarnations.
+pub(crate) type Counters = Arc<Vec<Arc<LinkCounters>>>;
+
+/// One incarnation of a process over real TCP: the threads driving its
+/// state machine and sockets. Its outputs, send counts and link counters
+/// belong to the cluster, so they outlive it.
+pub(crate) struct WireNode<S: Sm> {
     me: ProcessId,
-    n: usize,
-    local_addr: SocketAddr,
-    control: Sender<Control<S::Msg, S::Request>>,
+    control: SyncSender<Control<S>>,
     shutdown: Arc<AtomicBool>,
     links: Vec<Option<Arc<PeerLink>>>,
-    counters: Arc<Vec<Arc<LinkCounters>>>,
-    traffic: Arc<NodeTraffic>,
-    outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>>,
     conns: Arc<ConnRegistry>,
-    clock: LamportClock,
     handles: Vec<(&'static str, JoinHandle<()>)>,
-    reader_handles: Arc<StdMutex<Vec<JoinHandle<()>>>>,
-}
-
-impl<S: Sm> std::fmt::Debug for WireNode<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireNode")
-            .field("me", &self.me)
-            .field("n", &self.n)
-            .field("local_addr", &self.local_addr)
-            .finish_non_exhaustive()
-    }
+    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl<S> WireNode<S>
@@ -201,80 +145,39 @@ where
     S: Sm + std::marker::Send + 'static,
     S::Msg: Wire,
 {
-    /// Spawns a node on an already-bound listener (bind with port 0 to let
-    /// the OS pick a free port, then read `local_addr`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.me` is out of range, `config.addrs` has fewer than
-    /// two entries, `config.tick` is zero, or configuring the listener fails
-    /// (use [`WireNode::try_spawn`] to handle that case as an error).
-    pub fn spawn(listener: TcpListener, config: NodeConfig, sm: S) -> Self {
-        Self::try_spawn(listener, config, sm).expect("configure listener")
-    }
-
-    /// Like [`spawn`](WireNode::spawn), but listener configuration failures
-    /// become [`NodeError::Listener`] instead of panics.
+    /// Spawns an incarnation on an already-bound listener; `addrs` holds
+    /// every process's listen address, this one's included.
     ///
     /// # Errors
     ///
-    /// Fails if the listener's local address cannot be read or it cannot be
-    /// switched to non-blocking mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.me` is out of range, `config.addrs` has fewer than
-    /// two entries, or `config.tick` is zero (configuration bugs, not
-    /// runtime conditions).
-    pub fn try_spawn(listener: TcpListener, config: NodeConfig, sm: S) -> Result<Self, NodeError> {
-        Self::try_spawn_at(listener, config, sm, StdInstant::now())
-    }
-
-    /// Like [`try_spawn`](WireNode::try_spawn) with an explicit start
-    /// instant, so a cluster can timestamp all nodes' outputs on one clock.
+    /// Fails if the listener cannot be switched to non-blocking mode.
     pub(crate) fn try_spawn_at(
         listener: TcpListener,
-        config: NodeConfig,
         sm: S,
-        start: StdInstant,
+        spec: NodeSpec<S::Output>,
+        addrs: &[SocketAddr],
+        config: &WireConfig,
+        counters: &Counters,
     ) -> Result<Self, NodeError> {
-        let n = config.addrs.len();
-        let me = config.me;
-        assert!(n >= 2, "the model requires n > 1 processes");
-        assert!(me.as_usize() < n, "me out of range");
-        assert!(!config.tick.is_zero(), "tick must be positive");
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| NodeError::Listener { kind: e.kind() })?;
         listener
             .set_nonblocking(true)
             .map_err(|e| NodeError::Listener { kind: e.kind() })?;
-
-        let clock = config
-            .clock
-            .clone()
-            .unwrap_or_else(|| LamportClock::new(u64::from(me.0)));
+        let me = spec.env.id();
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(ConnRegistry::default());
-        let counters: Arc<Vec<Arc<LinkCounters>>> =
-            Arc::new((0..n).map(|_| Arc::new(LinkCounters::default())).collect());
-        let traffic = Arc::new(NodeTraffic::default());
-        let outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>> = Arc::new(Mutex::new(Vec::new()));
-        let reader_handles: Arc<StdMutex<Vec<JoinHandle<()>>>> =
-            Arc::new(StdMutex::new(Vec::new()));
-        let (control_tx, control_rx) = bounded::<Control<S::Msg, S::Request>>(4096);
-
+        let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let (control, inbox) = sync_channel::<Control<S>>(4096);
         let mut handles = Vec::new();
 
         // Outbound: one link + writer thread per remote peer.
         let hello = encode_frame(&me);
-        let mut links: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(n);
-        for peer in 0..n {
+        let mut links: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(addrs.len());
+        for (peer, &addr) in addrs.iter().enumerate() {
             if peer == me.as_usize() {
                 links.push(None);
                 continue;
             }
-            let link = Arc::new(PeerLink::new(config.addrs[peer], config.queue_capacity));
+            let link = Arc::new(PeerLink::new(addr, config.queue_capacity));
             let faults = config.faults.map(|f| {
                 FaultInjector::new(
                     f.loss.clamp(0.0, 1.0),
@@ -311,118 +214,63 @@ where
         }
 
         // Inbound: the acceptor spawns one reader thread per connection.
+        let inbound = Arc::new(Inbound {
+            n: addrs.len(),
+            control: control.clone(),
+            counters: Arc::clone(counters),
+            conns: Arc::clone(&conns),
+            shutdown: Arc::clone(&shutdown),
+            clock: spec.clock.clone(),
+        });
+        let readers = Arc::clone(&reader_handles);
         handles.push((
             "acceptor",
-            std::thread::spawn({
-                let control = control_tx.clone();
-                let counters = Arc::clone(&counters);
-                let conns = Arc::clone(&conns);
-                let shutdown = Arc::clone(&shutdown);
-                let reader_handles = Arc::clone(&reader_handles);
-                let clock = clock.clone();
-                move || {
-                    run_acceptor::<S::Msg, S::Request>(
-                        listener,
-                        n,
-                        control,
-                        counters,
-                        conns,
-                        shutdown,
-                        reader_handles,
-                        clock,
-                    )
-                }
-            }),
+            std::thread::spawn(move || run_acceptor(listener, inbound, &readers)),
         ));
 
-        // The protocol thread.
+        // The protocol thread: the shared driver, sending onto the links.
+        let send_links = links.clone();
+        let counters = Arc::clone(counters);
         handles.push((
             "protocol",
-            std::thread::spawn({
-                let env = Env::new(me, n);
-                let links = links.clone();
-                let counters = Arc::clone(&counters);
-                let traffic = Arc::clone(&traffic);
-                let outputs = Arc::clone(&outputs);
-                let tick = config.tick;
-                let clock = clock.clone();
-                move || {
-                    protocol_loop(
-                        env, sm, control_rx, links, counters, traffic, outputs, tick, start, clock,
-                    )
-                }
+            std::thread::spawn(move || {
+                runtime::run(spec, sm, inbox, |to, msg: S::Msg, envelope| {
+                    let to = to.as_usize();
+                    if let Some(link) = send_links.get(to).and_then(Option::as_ref) {
+                        // Shard-group traffic rides a version-3 frame tagged
+                        // with its shard; everything else (including the
+                        // shared Ω) stays on version 2.
+                        let frame = match msg.shard_tag() {
+                            Some(shard) => encode_frame_sharded(&msg, shard, &envelope),
+                            None => encode_frame_stamped(&msg, &envelope),
+                        };
+                        link.enqueue(frame, &counters[to]);
+                    }
+                });
             }),
         ));
 
         Ok(WireNode {
             me,
-            n,
-            local_addr,
-            control: control_tx,
+            control,
             shutdown,
             links,
-            counters,
-            traffic,
-            outputs,
             conns,
-            clock,
             handles,
             reader_handles,
         })
     }
 
-    /// This node's identity.
-    pub fn me(&self) -> ProcessId {
-        self.me
-    }
-
-    /// Cluster size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The address this node listens on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
     /// Delivers an external request to the state machine.
-    pub fn request(&self, req: S::Request) {
+    pub(crate) fn request(&self, req: S::Request) {
         let _ = self.control.send(Control::Request(req));
     }
 
     /// Force-closes every live TCP connection this node currently has
     /// (inbound and outbound). Writers redial with backoff; peers see EOF
     /// and their writers redial too. Returns how many connections died.
-    pub fn sever(&self) -> usize {
+    pub(crate) fn sever(&self) -> usize {
         self.conns.sever_all()
-    }
-
-    /// Per-peer link counter snapshots, indexed by [`ProcessId`] (this
-    /// node's own slot stays zero).
-    pub fn link_stats(&self) -> Vec<LinkStats> {
-        self.counters.iter().map(|c| c.snapshot()).collect()
-    }
-
-    /// Protocol-level send accounting (the communication-efficiency oracle).
-    pub fn traffic(&self) -> &NodeTraffic {
-        &self.traffic
-    }
-
-    /// The node's Lamport clock handle (shared with its reader and protocol
-    /// threads): ticked on each send, merged on each stamped receive.
-    pub fn clock(&self) -> &LamportClock {
-        &self.clock
-    }
-
-    /// A copy of all outputs emitted so far.
-    pub fn outputs_snapshot(&self) -> Vec<TimedOutput<S::Output>> {
-        self.outputs.lock().clone()
-    }
-
-    /// The most recent output, if any.
-    pub fn latest_output(&self) -> Option<S::Output> {
-        self.outputs.lock().last().map(|t| t.output.clone())
     }
 
     /// Signals every thread to stop without waiting for them. The protocol
@@ -430,7 +278,7 @@ where
     /// Used by the cluster to halt all nodes *before* joining any of them —
     /// joining one node at a time would leave the survivors running long
     /// enough to notice the silence and re-elect.
-    pub fn begin_stop(&self) {
+    pub(crate) fn begin_stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         let _ = self.control.send(Control::Stop);
         for link in self.links.iter().flatten() {
@@ -440,17 +288,11 @@ where
         self.conns.sever_all();
     }
 
-    /// Stops every thread, joins them, and returns all outputs, discarding
-    /// thread-panic reports (see [`WireNode::stop_collecting`]).
-    pub fn stop(self) -> Vec<TimedOutput<S::Output>> {
-        self.stop_collecting().0
-    }
-
-    /// Stops every thread, joins them, and returns all outputs plus a
+    /// Stops every thread, joins them, and returns a
     /// [`NodeError::ThreadPanic`] for each thread that died abnormally —
     /// silently swallowing a panicked protocol thread would let a broken
     /// node masquerade as a merely quiet one.
-    pub fn stop_collecting(mut self) -> (Vec<TimedOutput<S::Output>>, Vec<NodeError>) {
+    pub(crate) fn stop_collecting(mut self) -> Vec<NodeError> {
         self.begin_stop();
         let mut errors = Vec::new();
         for (role, h) in self.handles.drain(..) {
@@ -476,8 +318,18 @@ where
                 });
             }
         }
-        (self.outputs.lock().clone(), errors)
+        errors
     }
+}
+
+/// What the acceptor and every reader thread of one incarnation share.
+struct Inbound<S: Sm> {
+    n: usize,
+    control: SyncSender<Control<S>>,
+    counters: Counters,
+    conns: Arc<ConnRegistry>,
+    shutdown: Arc<AtomicBool>,
+    clock: LamportClock,
 }
 
 /// Decorrelates per-link RNG streams from one base seed.
@@ -486,47 +338,27 @@ fn mix_seed(base: u64, me: ProcessId, peer: u32) -> u64 {
 }
 
 /// The accept loop: hands each inbound connection to a reader thread.
-#[allow(clippy::too_many_arguments)]
-fn run_acceptor<M, R>(
+fn run_acceptor<S>(
     listener: TcpListener,
-    n: usize,
-    control: Sender<Control<M, R>>,
-    counters: Arc<Vec<Arc<LinkCounters>>>,
-    conns: Arc<ConnRegistry>,
-    shutdown: Arc<AtomicBool>,
-    reader_handles: Arc<StdMutex<Vec<JoinHandle<()>>>>,
-    clock: LamportClock,
+    inbound: Arc<Inbound<S>>,
+    reader_handles: &Mutex<Vec<JoinHandle<()>>>,
 ) where
-    M: Wire + Clone + std::fmt::Debug + std::marker::Send + 'static,
-    R: Clone + std::fmt::Debug + std::marker::Send + 'static,
+    S: Sm + std::marker::Send + 'static,
+    S::Msg: Wire,
 {
-    while !shutdown.load(Ordering::Relaxed) {
+    while !inbound.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let conn_id = conns.register(&stream);
+                let conn_id = inbound.conns.register(&stream);
                 let handle = std::thread::spawn({
-                    let control = control.clone();
-                    let counters = Arc::clone(&counters);
-                    let conns = Arc::clone(&conns);
-                    let shutdown = Arc::clone(&shutdown);
-                    let clock = clock.clone();
-                    move || {
-                        run_reader(
-                            stream, n, control, counters, conns, conn_id, shutdown, clock,
-                        )
-                    }
+                    let inbound = Arc::clone(&inbound);
+                    move || run_reader(stream, conn_id, &inbound)
                 });
                 reader_handles
                     .lock()
                     .expect("reader handles poisoned")
                     .push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(StdDuration::from_millis(10));
             }
             Err(_) => std::thread::sleep(StdDuration::from_millis(10)),
         }
@@ -545,24 +377,16 @@ fn run_acceptor<M, R>(
 /// for the protocol thread: the clock is a shared atomic that only grows, so
 /// merging early never violates causal order — the handler always runs at a
 /// clock value at or above the sender's stamp.
-#[allow(clippy::too_many_arguments)]
-fn run_reader<M, R>(
-    mut stream: TcpStream,
-    n: usize,
-    control: Sender<Control<M, R>>,
-    counters: Arc<Vec<Arc<LinkCounters>>>,
-    conns: Arc<ConnRegistry>,
-    conn_id: u64,
-    shutdown: Arc<AtomicBool>,
-    clock: LamportClock,
-) where
-    M: Wire,
+fn run_reader<S>(mut stream: TcpStream, conn_id: u64, inbound: &Inbound<S>)
+where
+    S: Sm,
+    S::Msg: Wire,
 {
     let _ = stream.set_read_timeout(Some(StdDuration::from_millis(200)));
     let mut deframer = Deframer::new();
     let mut from: Option<ProcessId> = None;
     let mut buf = [0u8; 8192];
-    'conn: while !shutdown.load(Ordering::Relaxed) {
+    'conn: while !inbound.shutdown.load(Ordering::Relaxed) {
         let nread = match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(nread) => nread,
@@ -583,20 +407,21 @@ fn run_reader<M, R>(
                     let frame_bytes = (payload.len() + 4) as u64;
                     match from {
                         None => match decode_frame::<ProcessId>(&payload) {
-                            Ok(pid) if pid.as_usize() < n => from = Some(pid),
+                            Ok(pid) if pid.as_usize() < inbound.n => from = Some(pid),
                             // A peer that cannot even introduce itself is
                             // not speaking this protocol: drop it.
                             _ => break 'conn,
                         },
                         Some(f) => {
-                            let c = &counters[f.as_usize()];
+                            let c = &inbound.counters[f.as_usize()];
                             c.add_recv(frame_bytes);
-                            match decode_frame_any::<M>(&payload) {
+                            match decode_frame_any::<S::Msg>(&payload) {
                                 Ok((envelope, msg)) => {
                                     if let Some(env) = &envelope {
-                                        clock.observe_envelope(env);
+                                        inbound.clock.observe_envelope(env);
                                     }
-                                    if control.send(Control::Deliver { from: f, msg }).is_err() {
+                                    let deliver = Control::Deliver { from: f, msg };
+                                    if inbound.control.send(deliver).is_err() {
                                         break 'conn;
                                     }
                                 }
@@ -609,123 +434,12 @@ fn run_reader<M, R>(
                     // The length prefix itself is implausible: alignment is
                     // gone and nothing downstream can be trusted.
                     if let Some(f) = from {
-                        counters[f.as_usize()].add_decode_error();
+                        inbound.counters[f.as_usize()].add_decode_error();
                     }
                     break 'conn;
                 }
             }
         }
     }
-    conns.deregister(conn_id);
-}
-
-/// The protocol thread: timers with reset semantics, inbox delivery,
-/// wall-clock → tick mapping, sends encoded onto outbound links.
-#[allow(clippy::too_many_arguments)]
-fn protocol_loop<S: Sm>(
-    env: Env,
-    mut sm: S,
-    inbox: Receiver<Control<S::Msg, S::Request>>,
-    links: Vec<Option<Arc<PeerLink>>>,
-    counters: Arc<Vec<Arc<LinkCounters>>>,
-    traffic: Arc<NodeTraffic>,
-    outputs: Arc<Mutex<Vec<TimedOutput<S::Output>>>>,
-    tick: StdDuration,
-    start: StdInstant,
-    clock: LamportClock,
-) where
-    S::Msg: Wire,
-{
-    let me = env.id();
-    let now_ticks = |at: StdInstant| -> Instant {
-        Instant::from_ticks(
-            (at.saturating_duration_since(start).as_nanos() / tick.as_nanos().max(1)) as u64,
-        )
-    };
-    let mut fx: Effects<S::Msg, S::Output> = Effects::new();
-    let mut deadlines: HashMap<TimerId, StdInstant> = HashMap::new();
-
-    let apply = |fx: &mut Effects<S::Msg, S::Output>,
-                 deadlines: &mut HashMap<TimerId, StdInstant>,
-                 at: StdInstant| {
-        let taken = fx.take();
-        for s in taken.sends {
-            traffic.record_send(start);
-            // Tick per send attempt: clocks count events, not deliveries,
-            // so a frame that is later dropped still advances the clock.
-            let envelope = clock.stamp();
-            let to = s.to.as_usize();
-            if let Some(link) = links.get(to).and_then(|l| l.as_ref()) {
-                // Shard-group traffic rides a version-3 frame tagged with
-                // its shard; everything else (including the shared Ω) stays
-                // on version 2.
-                let frame = match s.msg.shard_tag() {
-                    Some(shard) => encode_frame_sharded(&s.msg, shard, &envelope),
-                    None => encode_frame_stamped(&s.msg, &envelope),
-                };
-                link.enqueue(frame, &counters[to]);
-            }
-        }
-        for cmd in taken.timers {
-            match cmd {
-                TimerCmd::Set { timer, after } => {
-                    let wall = tick
-                        .checked_mul(after.ticks().min(u32::MAX as u64) as u32)
-                        .unwrap_or(StdDuration::from_secs(3600));
-                    deadlines.insert(timer, at + wall);
-                }
-                TimerCmd::Cancel { timer } => {
-                    deadlines.remove(&timer);
-                }
-            }
-        }
-        if !taken.outputs.is_empty() {
-            let mut out = outputs.lock();
-            for o in taken.outputs {
-                out.push(TimedOutput {
-                    at: at.saturating_duration_since(start),
-                    process: me,
-                    output: o,
-                });
-            }
-        }
-    };
-
-    let at = StdInstant::now();
-    sm.on_start(&mut Ctx::new(&env, now_ticks(at), &mut fx));
-    apply(&mut fx, &mut deadlines, at);
-
-    loop {
-        let now = StdInstant::now();
-        let due: Vec<TimerId> = deadlines
-            .iter()
-            .filter(|(_, d)| **d <= now)
-            .map(|(t, _)| *t)
-            .collect();
-        for t in due {
-            deadlines.remove(&t);
-            sm.on_timer(&mut Ctx::new(&env, now_ticks(now), &mut fx), t);
-            apply(&mut fx, &mut deadlines, now);
-        }
-        let wait = deadlines
-            .values()
-            .min()
-            .map(|d| d.saturating_duration_since(StdInstant::now()))
-            .unwrap_or(StdDuration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok(Control::Deliver { from, msg }) => {
-                let at = StdInstant::now();
-                sm.on_message(&mut Ctx::new(&env, now_ticks(at), &mut fx), from, msg);
-                apply(&mut fx, &mut deadlines, at);
-            }
-            Ok(Control::Request(req)) => {
-                let at = StdInstant::now();
-                sm.on_request(&mut Ctx::new(&env, now_ticks(at), &mut fx), req);
-                apply(&mut fx, &mut deadlines, at);
-            }
-            Ok(Control::Stop) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
+    inbound.conns.deregister(conn_id);
 }

@@ -26,7 +26,7 @@ use consensus::{BatchParams, ConsensusParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 const N: usize = 3;
@@ -221,6 +221,34 @@ fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
     histories
 }
 
+/// Waits until every replica has applied the whole workload of `total`
+/// ops, scanning the cluster's full output log.
+fn await_full_workload(
+    outputs_so_far: impl Fn() -> Vec<TimedOutput<KvEvent>>,
+    total: usize,
+    substrate: &str,
+) {
+    let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    loop {
+        let outputs = outputs_so_far();
+        let done = (0..N as u32).map(ProcessId).all(|p| {
+            outputs
+                .iter()
+                .filter(|t| t.process == p && matches!(t.output, KvEvent::Applied { .. }))
+                .count()
+                >= total
+        });
+        if done {
+            return;
+        }
+        assert!(
+            StdInstant::now() < deadline,
+            "{substrate}: replicas never applied the full workload"
+        );
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+}
+
 #[test]
 fn batched_history_is_linearizable_on_threadnet() {
     let cluster = Cluster::spawn(
@@ -239,27 +267,7 @@ fn batched_history_is_linearizable_on_threadnet() {
     for op in &ops {
         cluster.request(leader, op.clone());
     }
-    // Wait until every replica has applied the whole workload.
-    let total = ops.len();
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    loop {
-        let outputs = cluster.outputs_so_far();
-        let done = (0..N as u32).map(ProcessId).all(|p| {
-            outputs
-                .iter()
-                .filter(|t| t.process == p && matches!(t.output, KvEvent::Applied { .. }))
-                .count()
-                >= total
-        });
-        if done {
-            break;
-        }
-        assert!(
-            StdInstant::now() < deadline,
-            "threadnet: replicas never applied the full workload"
-        );
-        std::thread::sleep(StdDuration::from_millis(5));
-    }
+    await_full_workload(|| cluster.outputs_so_far(), ops.len(), "threadnet");
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, KvEvent)> = report
         .outputs
@@ -287,29 +295,7 @@ fn batched_history_is_linearizable_on_wirenet() {
     for op in &ops {
         cluster.request(leader, op.clone());
     }
-    // The socket substrate exposes only each node's newest output mid-run;
-    // under a stable leader ops apply in submission order, so the workload
-    // is done when every node's newest event is the last op's application.
-    let last = ops.last().expect("non-empty workload");
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    loop {
-        let latest = cluster.latest_outputs();
-        let done = latest.iter().all(|o| {
-            matches!(
-                o,
-                Some(KvEvent::Applied { client, seq, .. })
-                    if *client == last.client && *seq == last.seq
-            )
-        });
-        if done {
-            break;
-        }
-        assert!(
-            StdInstant::now() < deadline,
-            "wirenet: replicas never applied the full workload: {latest:?}"
-        );
-        std::thread::sleep(StdDuration::from_millis(5));
-    }
+    await_full_workload(|| cluster.outputs_so_far(), ops.len(), "wirenet");
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, KvEvent)> = report
         .outputs

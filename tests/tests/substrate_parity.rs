@@ -5,10 +5,11 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::{Instant, ProcessId};
+use lls_primitives::{Ctx, Duration, Instant, ProcessId, Sm, TimerId};
 use netsim::{SimBuilder, Topology};
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::{Cluster, NetConfig};
+use wirenet::{WireCluster, WireConfig};
 
 /// On a lossless, low-latency network, both substrates elect p0 (the initial
 /// default) and never change leaders after stabilization.
@@ -87,7 +88,7 @@ fn failover_shape_matches_across_substrates() {
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );
     std::thread::sleep(StdDuration::from_millis(300));
-    cluster.crash(ProcessId(0));
+    cluster.kill(ProcessId(0));
     std::thread::sleep(StdDuration::from_millis(900));
     let report = cluster.stop();
     let thread_final: Vec<ProcessId> = (1..n as u32)
@@ -201,4 +202,92 @@ fn replicated_log_commits_on_real_threads() {
             .collect();
         assert_eq!(committed, vec![0, 1, 2, 3, 4], "{p} log: {committed:?}");
     }
+}
+
+/// Arms two timers for the same tick; each handler reports its timer and
+/// cancels the other, so only the first of the pair may ever fire.
+#[derive(Debug)]
+struct TimerRace;
+
+impl Sm for TimerRace {
+    type Msg = u8;
+    type Output = TimerId;
+    type Request = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u8, TimerId>) {
+        ctx.set_timer(TimerId(1), Duration::from_ticks(5));
+        ctx.set_timer(TimerId(2), Duration::from_ticks(5));
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_, u8, TimerId>, _: ProcessId, _: u8) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u8, TimerId>, timer: TimerId) {
+        ctx.output(timer);
+        ctx.cancel_timer(TimerId(3 - timer.0));
+    }
+}
+
+/// How many outputs each of `n` processes emitted.
+fn outputs_per_process(n: usize, emitters: impl Iterator<Item = ProcessId>) -> Vec<usize> {
+    let mut counts = vec![0; n];
+    for p in emitters {
+        counts[p.as_usize()] += 1;
+    }
+    counts
+}
+
+/// Polls until every process has fired a timer. A firing batch completes
+/// before the driver reads its inbox again, so whatever else the batch
+/// emits lands before the stop that follows.
+fn await_every_fire(n: usize, outputs_so_far: impl Fn() -> Vec<ProcessId>) {
+    let deadline = StdInstant::now() + StdDuration::from_secs(10);
+    while outputs_per_process(n, outputs_so_far().into_iter()).contains(&0) {
+        assert!(StdInstant::now() < deadline, "a process never fired");
+        std::thread::sleep(StdDuration::from_millis(1));
+    }
+}
+
+/// Timer reset semantics hold inside one firing batch: a timer cancelled by
+/// a handler that ran earlier in the same batch does not fire, on the
+/// simulator and on both wall-clock substrates.
+#[test]
+fn a_timer_cancelled_within_its_firing_batch_never_fires() {
+    let n = 3;
+    let mut sim = SimBuilder::new(n).build_with(|_| TimerRace);
+    sim.run_until(Instant::from_ticks(100));
+    let netsim = outputs_per_process(n, sim.outputs().iter().map(|o| o.process));
+    assert_eq!(netsim, vec![1; n], "netsim");
+
+    let tick = StdDuration::from_millis(1);
+    let cluster = Cluster::spawn(
+        NetConfig {
+            n,
+            loss: 0.0,
+            tick,
+            ..NetConfig::default()
+        },
+        |_| TimerRace,
+    );
+    await_every_fire(n, || {
+        cluster.outputs_so_far().iter().map(|t| t.process).collect()
+    });
+    let report = cluster.stop();
+    let threadnet = outputs_per_process(n, report.outputs.iter().map(|t| t.process));
+    assert_eq!(threadnet, vec![1; n], "threadnet");
+
+    let cluster = WireCluster::try_spawn(
+        WireConfig {
+            n,
+            tick,
+            ..WireConfig::default()
+        },
+        |_| TimerRace,
+    )
+    .expect("bind 127.0.0.1 listeners");
+    await_every_fire(n, || {
+        cluster.outputs_so_far().iter().map(|t| t.process).collect()
+    });
+    let report = cluster.stop();
+    let wirenet = outputs_per_process(n, report.outputs.iter().map(|t| t.process));
+    assert_eq!(wirenet, vec![1; n], "wirenet");
 }
