@@ -2,14 +2,18 @@
 //!
 //! An [`Sm`] is pure, so what a runtime adds exists once, here: the timer
 //! table with reset semantics, the wall-clock → tick mapping, dispatch of
-//! the four stimuli, a per-process log of [`TimedOutput`]s, Lamport stamping
-//! of each send attempt, and the protocol-level send counters the
-//! communication-efficiency oracle reads. [`run`] drives one process on the
-//! caller's thread. Its only hook into the substrate is a send closure
-//! taking `(to, msg, envelope)`: `threadnet` hands the message to its lossy
-//! router, `wirenet` encodes it onto the peer's TCP link. Both transports
-//! merge the envelope into the receiver's [`LamportClock`] before queueing
-//! the [`Control::Deliver`], so the handler runs causally after the send.
+//! the stimuli, a per-process log of [`TimedOutput`]s, Lamport stamping of
+//! each send attempt, and the protocol-level send counters the
+//! communication-efficiency oracle reads. A [`Process`] holds one process's
+//! state and is stepped with a send sink passed per call, taking
+//! `(to, msg, envelope)`; [`drive`] is the one loop that fires its timers
+//! and handles its inbox. `threadnet` runs that loop alone per process
+//! ([`run`]) and its router delivers through the inbox. `wirenet` shares
+//! the process behind a `Mutex` between the loop, which keeps requests,
+//! kill/restart/stop and timers, and its socket reader threads, which call
+//! [`Process::deliver`] themselves. Both transports merge the envelope into
+//! the receiver's [`LamportClock`] before delivery, so the handler runs
+//! causally after the send.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +44,10 @@ pub enum Control<S: Sm> {
     /// `on_start`. Ignored while the process is alive. Boxed so a bounded
     /// inbox's slots stay message-sized, not machine-sized.
     Restart(Box<S>),
+    /// Makes the driver re-read its timer table: sent after
+    /// [`Process::deliver`] on another thread armed a timer due before the
+    /// driver's planned wake-up. Otherwise a no-op.
+    Wake,
     /// Ends the driver.
     Stop,
 }
@@ -191,68 +199,192 @@ pub struct NodeSpec<O> {
     pub log: Arc<NodeLog<O>>,
 }
 
-/// Drives one process until [`Control::Stop`] arrives or every sender of
-/// `inbox` is gone: runs `on_start`, then fires due timers and dispatches
-/// the inbox, handing each send to `send` with its fresh Lamport stamp.
+/// Drives one process on the caller's thread until [`Control::Stop`]
+/// arrives or every sender of `inbox` is gone: runs `on_start`, then fires
+/// due timers and dispatches the inbox, handing each send to `send` with its
+/// fresh Lamport stamp. This is [`drive`] over a [`Process`] no other thread
+/// touches.
 pub fn run<S: Sm>(
     spec: NodeSpec<S::Output>,
-    mut sm: S,
+    sm: S,
     inbox: Receiver<Control<S>>,
     send: impl FnMut(ProcessId, S::Msg, TraceEnvelope),
 ) {
-    let mut node = Driver {
-        spec,
-        send,
-        timers: HashMap::new(),
-    };
-    node.step(StdInstant::now(), |ctx| sm.on_start(ctx));
-    let mut alive = true;
+    drive(&Mutex::new(Process::new(spec, sm)), &inbox, send);
+}
+
+/// The driver loop: runs `on_start`, then fires due timers and handles the
+/// inbox until [`Control::Stop`] arrives or every sender of `inbox` is gone.
+///
+/// The lock is held for one stimulus plus the timer batch after it and
+/// released while the loop waits, so other threads may
+/// [`deliver`](Process::deliver) messages in between. A poisoned lock means
+/// a handler panicked on such a thread; the process is then dead and the
+/// loop ends.
+pub fn drive<S: Sm>(
+    process: &Mutex<Process<S>>,
+    inbox: &Receiver<Control<S>>,
+    mut send: impl FnMut(ProcessId, S::Msg, TraceEnvelope),
+) {
+    let mut next = None;
     loop {
-        // Fire due timers one at a time, earliest first, re-reading the
-        // table before each: a handler that cancels or re-arms another timer
-        // of the same batch must win, as the reset semantics of `Sm` demand.
-        let now = StdInstant::now();
-        while let Some(timer) = node.due(now) {
-            node.timers.remove(&timer);
-            node.step(now, |ctx| sm.on_timer(ctx, timer));
-        }
-        let next = match node.timers.values().min() {
+        let wake = {
+            let Ok(mut p) = process.lock() else { return };
+            p.start(&mut send);
+            if let Some(control) = next.take() {
+                if !p.handle(control, &mut send) {
+                    return;
+                }
+            }
+            p.fire_due(StdInstant::now(), &mut send);
+            p.plan_wake()
+        };
+        let received = match wake {
             Some(due) => inbox.recv_timeout(due.saturating_duration_since(StdInstant::now())),
             None => inbox.recv().map_err(RecvTimeoutError::from),
         };
-        match next {
-            Ok(Control::Deliver { from, msg }) if alive => {
-                node.step(StdInstant::now(), |ctx| sm.on_message(ctx, from, msg));
-            }
-            Ok(Control::Request(req)) if alive => {
-                node.step(StdInstant::now(), |ctx| sm.on_request(ctx, req));
-            }
-            Ok(Control::Kill) => {
-                alive = false;
-                node.timers.clear();
-            }
-            Ok(Control::Restart(fresh)) if !alive => {
-                sm = *fresh;
-                alive = true;
-                node.step(StdInstant::now(), |ctx| sm.on_start(ctx));
-            }
-            // A dead process drops its stimuli, like the network dropping
-            // traffic to a crashed node; a live one ignores restarts.
-            Ok(Control::Deliver { .. } | Control::Request(_) | Control::Restart(_)) => {}
-            Err(RecvTimeoutError::Timeout) => {}
-            Ok(Control::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-        }
+        next = match received {
+            Ok(control) => Some(control),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
     }
 }
 
-/// The driver's state between stimuli.
-struct Driver<O, F> {
-    spec: NodeSpec<O>,
-    send: F,
-    timers: HashMap<TimerId, StdInstant>,
+/// Where a process is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Life {
+    /// Created; `on_start` runs at the first stimulus.
+    Unstarted,
+    Alive,
+    /// Killed: stimuli are dropped until a restart.
+    Dead,
+    /// Processed [`Control::Stop`]: no handler runs again.
+    Stopped,
 }
 
-impl<O, F> Driver<O, F> {
+/// One process's driver state: its machine, timer table, life and spec.
+/// The send sink is passed per call, so whichever thread holds the process
+/// can step it. [`drive`] runs it from an inbox; a transport whose own
+/// threads handle messages shares it with the driving thread behind a
+/// `Mutex` and calls [`Process::deliver`] from them.
+pub struct Process<S: Sm> {
+    spec: NodeSpec<S::Output>,
+    sm: S,
+    timers: HashMap<TimerId, StdInstant>,
+    life: Life,
+    /// When the driving thread planned, before it last released the lock,
+    /// to read the timer table next by itself (`None`: only on a stimulus).
+    wake: Option<StdInstant>,
+}
+
+impl<S: Sm> std::fmt::Debug for Process<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Process")
+            .field("id", &self.spec.env.id())
+            .field("life", &self.life)
+            .field("timers", &self.timers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<S: Sm> Process<S> {
+    /// A process whose `on_start` runs at its first stimulus.
+    pub fn new(spec: NodeSpec<S::Output>, sm: S) -> Self {
+        Process {
+            spec,
+            sm,
+            timers: HashMap::new(),
+            life: Life::Unstarted,
+            wake: None,
+        }
+    }
+
+    /// Runs `on_message` for `msg` from `from`; a dead or stopped process
+    /// drops it. Returns `true` when the handler armed a timer due before
+    /// the driving thread's planned wake-up: the caller must then send
+    /// [`Control::Wake`] to the driver's inbox, or that timer fires late.
+    pub fn deliver(
+        &mut self,
+        from: ProcessId,
+        msg: S::Msg,
+        send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope),
+    ) -> bool {
+        self.start(send);
+        if self.life != Life::Alive {
+            return false;
+        }
+        let armed = self.step(StdInstant::now(), send, |sm, ctx| {
+            sm.on_message(ctx, from, msg);
+        });
+        match (armed, self.wake) {
+            (Some(due), Some(planned)) if due >= planned => false,
+            (Some(due), _) => {
+                self.wake = Some(due);
+                true
+            }
+            (None, _) => false,
+        }
+    }
+
+    /// Handles one inbox stimulus; returns `false` once the process has
+    /// stopped.
+    fn handle(
+        &mut self,
+        control: Control<S>,
+        send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope),
+    ) -> bool {
+        match control {
+            Control::Deliver { from, msg } => {
+                self.deliver(from, msg, send);
+            }
+            Control::Request(req) if self.life == Life::Alive => {
+                self.step(StdInstant::now(), send, |sm, ctx| sm.on_request(ctx, req));
+            }
+            Control::Kill => {
+                self.life = Life::Dead;
+                self.timers.clear();
+            }
+            Control::Restart(fresh) if self.life == Life::Dead => {
+                self.sm = *fresh;
+                self.life = Life::Alive;
+                self.step(StdInstant::now(), send, |sm, ctx| sm.on_start(ctx));
+            }
+            // A dead process drops its stimuli, like the network dropping
+            // traffic to a crashed node; a live one ignores restarts.
+            Control::Request(_) | Control::Restart(_) | Control::Wake => {}
+            Control::Stop => {
+                self.life = Life::Stopped;
+                self.timers.clear();
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Runs `on_start` if it has not run yet.
+    fn start(&mut self, send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope)) {
+        if self.life == Life::Unstarted {
+            self.life = Life::Alive;
+            self.step(StdInstant::now(), send, |sm, ctx| sm.on_start(ctx));
+        }
+    }
+
+    /// Fires the timers due by `now` one at a time, earliest `(deadline,
+    /// id)` first, re-reading the table before each: a handler that cancels
+    /// or re-arms another timer of the same batch must win, as the reset
+    /// semantics of `Sm` demand.
+    fn fire_due(
+        &mut self,
+        now: StdInstant,
+        send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope),
+    ) {
+        while let Some(timer) = self.due(now) {
+            self.timers.remove(&timer);
+            self.step(now, send, |sm, ctx| sm.on_timer(ctx, timer));
+        }
+    }
+
     /// The earliest timer due by `now`, ties broken by id.
     fn due(&self, now: StdInstant) -> Option<TimerId> {
         self.timers
@@ -262,24 +394,34 @@ impl<O, F> Driver<O, F> {
             .map(|(&timer, _)| timer)
     }
 
-    /// Runs one handler at wall time `at` and carries its effects out.
-    fn step<M>(&mut self, at: StdInstant, handler: impl FnOnce(&mut Ctx<'_, M, O>))
-    where
-        F: FnMut(ProcessId, M, TraceEnvelope),
-    {
+    /// Records and returns when the driving thread wakes next by itself.
+    fn plan_wake(&mut self) -> Option<StdInstant> {
+        self.wake = self.timers.values().min().copied();
+        self.wake
+    }
+
+    /// Runs one handler at wall time `at` and carries its effects out;
+    /// returns the earliest deadline it armed, if any.
+    fn step(
+        &mut self,
+        at: StdInstant,
+        send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope),
+        handler: impl FnOnce(&mut S, &mut Ctx<'_, S::Msg, S::Output>),
+    ) -> Option<StdInstant> {
         let spec = &self.spec;
         let since = at.saturating_duration_since(spec.epoch);
         let now = Instant::from_ticks((since.as_nanos() / spec.tick.as_nanos().max(1)) as u64);
         let mut fx = Effects::new();
-        handler(&mut Ctx::new(&spec.env, now, &mut fx));
+        handler(&mut self.sm, &mut Ctx::new(&spec.env, now, &mut fx));
         if !fx.sends.is_empty() {
             spec.log.traffic.record(fx.sends.len() as u64, since);
         }
         for s in fx.sends {
             // One tick per send attempt: clocks count events, not
             // deliveries, so a message lost later still advances the clock.
-            (self.send)(s.to, s.msg, spec.clock.stamp());
+            send(s.to, s.msg, spec.clock.stamp());
         }
+        let mut armed: Option<StdInstant> = None;
         for cmd in fx.timers {
             match cmd {
                 TimerCmd::Set { timer, after } => {
@@ -287,7 +429,9 @@ impl<O, F> Driver<O, F> {
                         .tick
                         .checked_mul(after.ticks().min(u64::from(u32::MAX)) as u32)
                         .unwrap_or(StdDuration::from_secs(3600));
-                    self.timers.insert(timer, at + wall);
+                    let due = at + wall;
+                    self.timers.insert(timer, due);
+                    armed = Some(armed.map_or(due, |a| a.min(due)));
                 }
                 TimerCmd::Cancel { timer } => {
                     self.timers.remove(&timer);
@@ -304,6 +448,7 @@ impl<O, F> Driver<O, F> {
                     output,
                 }));
         }
+        armed
     }
 }
 
@@ -408,6 +553,73 @@ mod tests {
         assert_eq!(handle.join().expect("driver exits cleanly"), 1);
         assert_eq!(fired(&log), vec![TimerId(1)], "the fresh machine ran");
         assert_eq!(log.traffic().sent, 1);
+    }
+
+    /// Process 0 of 2 running `sm`, with 1 ms ticks.
+    fn process<S: Sm>(sm: S) -> Process<S> {
+        let spec = NodeSpec {
+            env: Env::new(ProcessId(0), 2),
+            epoch: StdInstant::now(),
+            tick: StdDuration::from_millis(1),
+            clock: LamportClock::new(0),
+            log: Arc::default(),
+        };
+        Process::new(spec, sm)
+    }
+
+    /// Re-arms timer 1 ten ticks out on every message.
+    struct Rearm;
+
+    impl Sm for Rearm {
+        type Msg = ();
+        type Output = ();
+        type Request = ();
+
+        fn on_start(&mut self, _: &mut Ctx<'_, (), ()>) {}
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ()>, _: ProcessId, _: ()) {
+            ctx.set_timer(TimerId(1), Duration::from_ticks(10));
+        }
+
+        fn on_timer(&mut self, _: &mut Ctx<'_, (), ()>, _: TimerId) {}
+    }
+
+    #[test]
+    fn no_handler_runs_after_stop() {
+        let mut p = process(Race);
+        let mut sends = 0;
+        let mut sink = |_, _, _| sends += 1;
+        p.start(&mut sink);
+        assert!(!p.handle(Control::Stop, &mut sink));
+        assert!(!p.deliver(ProcessId(1), (), &mut sink));
+        assert!(p.handle(Control::Request(()), &mut sink));
+        p.fire_due(StdInstant::now() + StdDuration::from_secs(1), &mut sink);
+        assert_eq!(sends, 0, "the request handler did not run");
+        assert_eq!(p.spec.log.outputs(), vec![], "no timer fired");
+    }
+
+    #[test]
+    fn deliver_asks_for_a_wake_only_when_it_arms_an_earlier_timer() {
+        let mut p = process(Rearm);
+        let mut sink = |_, _, _| {};
+        p.start(&mut sink);
+        assert_eq!(p.plan_wake(), None, "no timer armed yet");
+        assert!(
+            p.deliver(ProcessId(1), (), &mut sink),
+            "the driver sleeps forever"
+        );
+        assert!(
+            !p.deliver(ProcessId(1), (), &mut sink),
+            "the first wake already covers a later deadline"
+        );
+        p.timers
+            .insert(TimerId(2), StdInstant::now() + StdDuration::from_secs(60));
+        p.timers.remove(&TimerId(1));
+        assert!(p.plan_wake().is_some());
+        assert!(
+            p.deliver(ProcessId(1), (), &mut sink),
+            "due before the planned wake"
+        );
     }
 
     #[test]

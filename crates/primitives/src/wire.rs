@@ -623,10 +623,14 @@ pub fn decode_frame_any<M: Wire>(payload: &[u8]) -> Result<(Option<TraceEnvelope
 /// Feed raw bytes with [`extend`](Deframer::extend); pull complete frame
 /// payloads with [`next_frame`](Deframer::next_frame). Only an oversized (or
 /// zero) length prefix is fatal — checksum and decode errors are per-frame
-/// and leave the stream aligned.
+/// and leave the stream aligned. Popping a frame only advances a read
+/// offset; the consumed prefix is dropped once per `extend`, so a read
+/// carrying k frames costs one shift of the leftover bytes, not k.
 #[derive(Debug, Default)]
 pub struct Deframer {
     buf: Vec<u8>,
+    /// Start of the bytes not yet returned as frames.
+    start: usize,
 }
 
 impl Deframer {
@@ -637,6 +641,8 @@ impl Deframer {
 
     /// Appends raw bytes read from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -649,24 +655,25 @@ impl Deframer {
     /// below the frame overhead, or above [`MAX_FRAME_LEN`] — the stream is
     /// then unrecoverable and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < LEN_PREFIX {
+        let rest = &self.buf[self.start..];
+        if rest.len() < LEN_PREFIX {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..LEN_PREFIX].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(rest[..LEN_PREFIX].try_into().expect("4 bytes")) as usize;
         if !(FRAME_OVERHEAD..=MAX_FRAME_LEN).contains(&len) {
             return Err(WireError::FrameTooLong { len });
         }
-        if self.buf.len() < LEN_PREFIX + len {
+        if rest.len() < LEN_PREFIX + len {
             return Ok(None);
         }
-        let payload = self.buf[LEN_PREFIX..LEN_PREFIX + len].to_vec();
-        self.buf.drain(..LEN_PREFIX + len);
+        let payload = rest[LEN_PREFIX..LEN_PREFIX + len].to_vec();
+        self.start += LEN_PREFIX + len;
         Ok(Some(payload))
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 }
 
@@ -796,6 +803,37 @@ mod tests {
             }
         }
         assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn deframer_recovers_many_frames_split_at_arbitrary_boundaries() {
+        let frames: Vec<Vec<u8>> = (0..500u64)
+            .map(|i| encode_frame(&(i, "x".repeat((i * 37 % 300) as usize))))
+            .collect();
+        let stream: Vec<u8> = frames.concat();
+        // Chunks of 1..=1500 bytes from a fixed xorshift sequence, so reads
+        // end mid-prefix, mid-body and exactly on boundaries, and one read
+        // often carries several whole frames.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut d = Deframer::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        while fed < stream.len() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let take = (1 + state % 1500) as usize;
+            let chunk = &stream[fed..(fed + take).min(stream.len())];
+            fed += chunk.len();
+            d.extend(chunk);
+            while let Some(p) = d.next_frame().expect("aligned") {
+                got.push(decode_frame::<(u64, String)>(&p).expect("valid").0);
+            }
+            let popped: usize = frames[..got.len()].iter().map(Vec::len).sum();
+            assert_eq!(d.buffered(), fed - popped);
+        }
+        assert_eq!(got, (0..500).collect::<Vec<_>>());
+        assert_eq!(d.buffered(), 0);
     }
 
     #[test]

@@ -139,9 +139,11 @@ impl<O> ClusterReport<O> {
 }
 
 /// A running cluster of `n` nodes joined by real TCP connections over
-/// localhost. Each node is a listener, its reader and writer threads, and
-/// a protocol thread running the shared
-/// [`runtime`](lls_primitives::runtime) driver.
+/// localhost. Each node is a listener, its reader and link threads, and a
+/// protocol thread running the shared [`runtime`](lls_primitives::runtime)
+/// driver. A message's handler runs on the reader thread that read it;
+/// requests ([`WireCluster::request`]), timers and kill/restart/stop run on
+/// the protocol thread, so a caller never runs protocol code.
 ///
 /// See the [crate example](crate).
 pub struct WireCluster<S: Sm> {
@@ -266,19 +268,14 @@ where
         for (i, listener) in listeners.into_iter().enumerate() {
             let p = ProcessId(i as u32);
             let sm = make(&Env::new(p, n));
-            cluster.nodes[i] = Some(cluster.spawn_node(p, listener, sm)?);
+            cluster.nodes[i] = Some(cluster.spawn_node(p, listener, sm));
         }
         Ok(cluster)
     }
 
     /// Starts an incarnation of `p` on `listener`, wired to `p`'s clock,
     /// log and link counters.
-    fn spawn_node(
-        &self,
-        p: ProcessId,
-        listener: TcpListener,
-        sm: S,
-    ) -> Result<WireNode<S>, NodeError> {
+    fn spawn_node(&self, p: ProcessId, listener: TcpListener, sm: S) -> WireNode<S> {
         let i = p.as_usize();
         let spec = NodeSpec {
             env: Env::new(p, self.n()),
@@ -287,7 +284,7 @@ where
             clock: self.clocks[i].clone(),
             log: Arc::clone(&self.logs[i]),
         };
-        WireNode::try_spawn_at(
+        WireNode::spawn_at(
             listener,
             sm,
             spec,
@@ -324,8 +321,7 @@ where
     /// # Errors
     ///
     /// Fails with [`NodeError::Bind`] if the address cannot be re-bound
-    /// within the retry budget, or [`NodeError::Listener`] if the fresh
-    /// listener cannot be configured.
+    /// within the retry budget.
     ///
     /// # Panics
     ///
@@ -336,7 +332,7 @@ where
             "cannot restart {p}: it is alive"
         );
         let listener = bind_with_retry(self.addrs[p.as_usize()], StdDuration::from_secs(10))?;
-        self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm)?);
+        self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm));
         Ok(())
     }
 
@@ -374,8 +370,8 @@ where
         }
     }
 
-    /// Force-closes every live TCP connection of node `p` (its writers and
-    /// its peers' writers redial with backoff). Returns how many died; 0 if
+    /// Force-closes every live TCP connection of node `p` (its link threads
+    /// and its peers' redial with backoff). Returns how many died; 0 if
     /// `p` is dead.
     pub fn sever(&self, p: ProcessId) -> usize {
         self.nodes[p.as_usize()].as_ref().map_or(0, |nd| nd.sever())

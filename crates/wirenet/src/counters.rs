@@ -1,9 +1,11 @@
 //! Per-link socket counters. (Protocol-level send counts live in the
 //! shared driver's [`NodeLog`](lls_primitives::runtime::NodeLog).)
 //!
-//! All counters are atomics so the writer, reader, and protocol threads can
-//! bump them without sharing a lock; snapshots are taken with relaxed loads
-//! (exact consistency across counters is not needed for reporting).
+//! All counters are atomics so the link, reader and protocol threads (any
+//! of which may write a frame, since handlers send on whichever thread they
+//! run) can bump them without sharing a lock; snapshots are taken with
+//! relaxed loads (exact consistency across counters is not needed for
+//! reporting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

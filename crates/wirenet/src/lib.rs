@@ -8,18 +8,25 @@
 //! with zero changes to the algorithm code:
 //!
 //! * every process is one listener, one reader thread per inbound
-//!   connection, one dialer/writer thread per peer, and one protocol
-//!   thread running the shared [`lls_primitives::runtime`] driver (the
-//!   same one `threadnet` runs), whose send closure encodes each message
-//!   onto its peer's link;
+//!   connection, one link thread per peer, and one protocol thread running
+//!   the shared [`lls_primitives::runtime`] driver (the same one
+//!   `threadnet` runs). The process sits behind a lock: a reader thread
+//!   runs `on_message` for each frame it decodes, while the protocol thread
+//!   keeps requests, kill/restart/stop and timers. A handler's sends are
+//!   encoded on its own thread and written straight onto the peer's
+//!   socket when that link is idle, so a message costs two thread
+//!   hand-offs (sender to kernel, kernel to reader), not four;
 //! * messages travel as versioned, CRC-checked frames (the shared
 //!   [`lls_primitives::wire`] codec) — corrupted frames are counted and
 //!   skipped, never panics;
 //! * each ordered pair of processes has one TCP connection, dialed by the
 //!   sender side; lost connections are redialed with jittered exponential
 //!   backoff ([`BackoffConfig`]);
-//! * outbound queues are bounded and evict their oldest frame on overflow,
-//!   so a dead peer costs messages (fair-lossy), never liveness;
+//! * a frame that cannot go straight onto the socket (link down or busy,
+//!   kernel buffer full, faults injected) joins a bounded queue the link
+//!   thread drains, which evicts its oldest whole frame on overflow, so a
+//!   dead peer costs messages (fair-lossy), never liveness, and no handler
+//!   ever blocks on a socket;
 //! * loss and delay can be injected at the socket layer
 //!   ([`FaultConfig`], backed by the shared
 //!   [`FaultInjector`](lls_primitives::FaultInjector));

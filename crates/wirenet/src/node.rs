@@ -1,8 +1,15 @@
-//! One wirenet node incarnation: a TCP listener plus reader threads
-//! (inbound), one dialer/writer thread per peer (outbound), and a protocol
-//! thread running the shared [`runtime`](lls_primitives::runtime) driver,
-//! whose send closure encodes each message with the shared wire codec onto
-//! the peer's outbound link.
+//! One wirenet node incarnation: a TCP listener whose acceptor spawns one
+//! reader thread per inbound connection, one link thread per peer
+//! (outbound), and a protocol thread running the shared
+//! [`runtime`](lls_primitives::runtime) driver.
+//!
+//! The process sits behind a `Mutex`. A reader thread decodes each frame
+//! and runs `on_message` itself; the protocol thread keeps requests,
+//! kill/restart/stop and timers, and a reader whose handler armed a timer
+//! due before the protocol thread's planned wake-up nudges it with
+//! [`Control::Wake`]. Every handler, on whichever thread, sends through the
+//! same [`Outbound`] sink, which encodes each message with the shared wire
+//! codec and writes it straight onto the peer's link when that link is idle.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -13,16 +20,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::{self, Control, NodeSpec};
+use lls_primitives::runtime::{self, Control, NodeSpec, Process};
 use lls_primitives::wire::{
     decode_frame, decode_frame_any, encode_frame, encode_frame_sharded, encode_frame_stamped,
     Deframer, Wire,
 };
-use lls_primitives::{FaultInjector, LamportClock, ProcessId, Sm};
+use lls_primitives::{FaultInjector, LamportClock, ProcessId, Sm, TraceEnvelope};
 
 use crate::cluster::WireConfig;
 use crate::counters::LinkCounters;
-use crate::link::{run_writer, PeerLink};
+use crate::link::{run_link, PeerLink};
 
 /// A typed failure of a node's socket plumbing, surfaced through the node
 /// and cluster APIs instead of panicking — restart logic has to distinguish
@@ -38,7 +45,7 @@ pub enum NodeError {
         kind: std::io::ErrorKind,
     },
     /// Configuring an already-bound listener failed (reading its local
-    /// address or switching it to non-blocking mode).
+    /// address).
     Listener {
         /// The OS error kind.
         kind: std::io::ErrorKind,
@@ -47,7 +54,7 @@ pub enum NodeError {
     ThreadPanic {
         /// The node whose thread died.
         node: ProcessId,
-        /// Which thread: `"writer"`, `"acceptor"`, `"protocol"`, `"reader"`.
+        /// Which thread: `"link"`, `"acceptor"`, `"protocol"`, `"reader"`.
         role: &'static str,
     },
 }
@@ -132,9 +139,12 @@ pub(crate) type Counters = Arc<Vec<Arc<LinkCounters>>>;
 /// belong to the cluster, so they outlive it.
 pub(crate) struct WireNode<S: Sm> {
     me: ProcessId,
+    /// This incarnation's listen address, dialed once at stop to wake the
+    /// acceptor from its blocking `accept`.
+    addr: SocketAddr,
     control: SyncSender<Control<S>>,
     shutdown: Arc<AtomicBool>,
-    links: Vec<Option<Arc<PeerLink>>>,
+    outbound: Arc<Outbound>,
     conns: Arc<ConnRegistry>,
     handles: Vec<(&'static str, JoinHandle<()>)>,
     reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -147,21 +157,14 @@ where
 {
     /// Spawns an incarnation on an already-bound listener; `addrs` holds
     /// every process's listen address, this one's included.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listener cannot be switched to non-blocking mode.
-    pub(crate) fn try_spawn_at(
+    pub(crate) fn spawn_at(
         listener: TcpListener,
         sm: S,
         spec: NodeSpec<S::Output>,
         addrs: &[SocketAddr],
         config: &WireConfig,
         counters: &Counters,
-    ) -> Result<Self, NodeError> {
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NodeError::Listener { kind: e.kind() })?;
+    ) -> Self {
         let me = spec.env.id();
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(ConnRegistry::default());
@@ -169,7 +172,7 @@ where
         let (control, inbox) = sync_channel::<Control<S>>(4096);
         let mut handles = Vec::new();
 
-        // Outbound: one link + writer thread per remote peer.
+        // Outbound: one link + link thread per remote peer.
         let hello = encode_frame(&me);
         let mut links: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(addrs.len());
         for (peer, &addr) in addrs.iter().enumerate() {
@@ -188,8 +191,8 @@ where
             });
             let jitter_seed = mix_seed(0x6A77_1EED, me, peer as u32);
             handles.push((
-                "writer",
-                std::thread::spawn({
+                "link",
+                spawn_named("wirenet-link", {
                     let link = Arc::clone(&link);
                     let hello = hello.clone();
                     let backoff = config.backoff;
@@ -197,7 +200,7 @@ where
                     let conns = Arc::clone(&conns);
                     let shutdown = Arc::clone(&shutdown);
                     move || {
-                        run_writer(
+                        run_link(
                             link,
                             hello,
                             backoff,
@@ -212,86 +215,94 @@ where
             ));
             links.push(Some(link));
         }
+        let outbound = Arc::new(Outbound {
+            links,
+            counters: Arc::clone(counters),
+        });
+        let clock = spec.clock.clone();
+        let process = Arc::new(Mutex::new(Process::new(spec, sm)));
 
         // Inbound: the acceptor spawns one reader thread per connection.
         let inbound = Arc::new(Inbound {
             n: addrs.len(),
+            process: Arc::clone(&process),
+            outbound: Arc::clone(&outbound),
             control: control.clone(),
-            counters: Arc::clone(counters),
             conns: Arc::clone(&conns),
             shutdown: Arc::clone(&shutdown),
-            clock: spec.clock.clone(),
+            clock,
         });
         let readers = Arc::clone(&reader_handles);
         handles.push((
             "acceptor",
-            std::thread::spawn(move || run_acceptor(listener, inbound, &readers)),
-        ));
-
-        // The protocol thread: the shared driver, sending onto the links.
-        let send_links = links.clone();
-        let counters = Arc::clone(counters);
-        handles.push((
-            "protocol",
-            std::thread::spawn(move || {
-                runtime::run(spec, sm, inbox, |to, msg: S::Msg, envelope| {
-                    let to = to.as_usize();
-                    if let Some(link) = send_links.get(to).and_then(Option::as_ref) {
-                        // Shard-group traffic rides a version-3 frame tagged
-                        // with its shard; everything else (including the
-                        // shared Ω) stays on version 2.
-                        let frame = match msg.shard_tag() {
-                            Some(shard) => encode_frame_sharded(&msg, shard, &envelope),
-                            None => encode_frame_stamped(&msg, &envelope),
-                        };
-                        link.enqueue(frame, &counters[to]);
-                    }
-                });
+            spawn_named("wirenet-acceptor", move || {
+                run_acceptor(&listener, &inbound, &readers)
             }),
         ));
 
-        Ok(WireNode {
+        // The protocol thread: requests, kill/restart/stop and timers.
+        handles.push((
+            "protocol",
+            spawn_named("wirenet-protocol", {
+                let outbound = Arc::clone(&outbound);
+                move || {
+                    runtime::drive(&process, &inbox, |to, msg, envelope| {
+                        outbound.send(to, &msg, &envelope)
+                    });
+                }
+            }),
+        ));
+
+        WireNode {
             me,
+            addr: addrs[me.as_usize()],
             control,
             shutdown,
-            links,
+            outbound,
             conns,
             handles,
             reader_handles,
-        })
+        }
     }
 
-    /// Delivers an external request to the state machine.
+    /// Delivers an external request to the state machine, through the
+    /// protocol thread's inbox.
     pub(crate) fn request(&self, req: S::Request) {
         let _ = self.control.send(Control::Request(req));
     }
 
     /// Force-closes every live TCP connection this node currently has
-    /// (inbound and outbound). Writers redial with backoff; peers see EOF
-    /// and their writers redial too. Returns how many connections died.
+    /// (inbound and outbound). Link threads redial with backoff; peers see
+    /// EOF and their link threads redial too. Returns how many connections
+    /// died.
     pub(crate) fn sever(&self) -> usize {
         self.conns.sever_all()
     }
 
-    /// Signals every thread to stop without waiting for them. The protocol
-    /// thread emits no further outputs after processing the stop message.
-    /// Used by the cluster to halt all nodes *before* joining any of them —
-    /// joining one node at a time would leave the survivors running long
-    /// enough to notice the silence and re-elect.
+    /// Signals every thread to stop without waiting for them. No handler
+    /// runs, and so no output is emitted, after the protocol thread has
+    /// processed the stop message. Used by the cluster to halt all nodes
+    /// *before* joining any of them — joining one node at a time would
+    /// leave the survivors running long enough to notice the silence and
+    /// re-elect.
     pub(crate) fn begin_stop(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        if self.shutdown.swap(true, Ordering::Relaxed) {
+            return;
+        }
         let _ = self.control.send(Control::Stop);
-        for link in self.links.iter().flatten() {
+        for link in self.outbound.links.iter().flatten() {
             link.interrupt();
         }
-        // Unblock reader threads stuck in a read.
+        // Unblock reader threads stuck in a read, then the acceptor stuck
+        // in `accept`: it sees the shutdown flag on the next connection.
         self.conns.sever_all();
+        let _ = TcpStream::connect_timeout(&self.addr, StdDuration::from_secs(1));
     }
 
     /// Stops every thread, joins them, and returns a
     /// [`NodeError::ThreadPanic`] for each thread that died abnormally —
-    /// silently swallowing a panicked protocol thread would let a broken
-    /// node masquerade as a merely quiet one.
+    /// silently swallowing a panicked thread would let a broken node
+    /// masquerade as a merely quiet one.
     pub(crate) fn stop_collecting(mut self) -> Vec<NodeError> {
         self.begin_stop();
         let mut errors = Vec::new();
@@ -322,11 +333,46 @@ where
     }
 }
 
+/// Spawns a thread named after its role, so stack traces and profiles
+/// say which of a node's threads ran a handler.
+fn spawn_named(name: &str, f: impl FnOnce() + std::marker::Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(f)
+        .expect("spawn a wirenet thread")
+}
+
+/// The send sink of one incarnation, shared by the protocol thread and
+/// every reader thread: encodes each message onto its peer's link. Its
+/// counters also take the reader side's receive accounting.
+struct Outbound {
+    links: Vec<Option<Arc<PeerLink>>>,
+    counters: Counters,
+}
+
+impl Outbound {
+    fn send<M: Wire>(&self, to: ProcessId, msg: &M, envelope: &TraceEnvelope) {
+        let to = to.as_usize();
+        if let Some(link) = self.links.get(to).and_then(Option::as_ref) {
+            // Shard-group traffic rides a version-3 frame tagged with its
+            // shard; everything else (including the shared Ω) stays on
+            // version 2.
+            let frame = match msg.shard_tag() {
+                Some(shard) => encode_frame_sharded(msg, shard, envelope),
+                None => encode_frame_stamped(msg, envelope),
+            };
+            link.send(frame, &self.counters[to]);
+        }
+    }
+}
+
 /// What the acceptor and every reader thread of one incarnation share.
 struct Inbound<S: Sm> {
     n: usize,
+    process: Arc<Mutex<Process<S>>>,
+    outbound: Arc<Outbound>,
+    /// The protocol thread's inbox, for [`Control::Wake`].
     control: SyncSender<Control<S>>,
-    counters: Counters,
     conns: Arc<ConnRegistry>,
     shutdown: Arc<AtomicBool>,
     clock: LamportClock,
@@ -338,21 +384,27 @@ fn mix_seed(base: u64, me: ProcessId, peer: u32) -> u64 {
 }
 
 /// The accept loop: hands each inbound connection to a reader thread.
+/// `accept` blocks; [`WireNode::begin_stop`] wakes it with a connection of
+/// its own after raising the shutdown flag.
 fn run_acceptor<S>(
-    listener: TcpListener,
-    inbound: Arc<Inbound<S>>,
+    listener: &TcpListener,
+    inbound: &Arc<Inbound<S>>,
     reader_handles: &Mutex<Vec<JoinHandle<()>>>,
 ) where
     S: Sm + std::marker::Send + 'static,
     S::Msg: Wire,
 {
-    while !inbound.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inbound.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let conn_id = inbound.conns.register(&stream);
-                let handle = std::thread::spawn({
-                    let inbound = Arc::clone(&inbound);
+                let handle = spawn_named("wirenet-reader", {
+                    let inbound = Arc::clone(inbound);
                     move || run_reader(stream, conn_id, &inbound)
                 });
                 reader_handles
@@ -360,6 +412,7 @@ fn run_acceptor<S>(
                     .expect("reader handles poisoned")
                     .push(handle);
             }
+            // Out of descriptors or similar: back off instead of spinning.
             Err(_) => std::thread::sleep(StdDuration::from_millis(10)),
         }
     }
@@ -372,11 +425,14 @@ fn run_acceptor<S>(
 /// framing keeps the stream aligned. Only a corrupt length prefix (framing
 /// lost) or a bad handshake tears the connection down.
 ///
+/// The reader then runs the handler itself, holding the process lock; if
+/// the handler armed a timer due before the protocol thread's planned
+/// wake-up, it nudges the protocol thread. A poisoned lock means a handler
+/// panicked on another thread: the node is dead and the reader leaves.
+///
 /// Version-2 frames carry a trace envelope which is merged into the node's
-/// Lamport clock *here*, on the reader thread, before the message is queued
-/// for the protocol thread: the clock is a shared atomic that only grows, so
-/// merging early never violates causal order — the handler always runs at a
-/// clock value at or above the sender's stamp.
+/// Lamport clock before the handler runs, so the handler runs at a clock
+/// value at or above the sender's stamp.
 fn run_reader<S>(mut stream: TcpStream, conn_id: u64, inbound: &Inbound<S>)
 where
     S: Sm,
@@ -413,16 +469,23 @@ where
                             _ => break 'conn,
                         },
                         Some(f) => {
-                            let c = &inbound.counters[f.as_usize()];
+                            let c = &inbound.outbound.counters[f.as_usize()];
                             c.add_recv(frame_bytes);
                             match decode_frame_any::<S::Msg>(&payload) {
                                 Ok((envelope, msg)) => {
                                     if let Some(env) = &envelope {
                                         inbound.clock.observe_envelope(env);
                                     }
-                                    let deliver = Control::Deliver { from: f, msg };
-                                    if inbound.control.send(deliver).is_err() {
+                                    let Ok(mut process) = inbound.process.lock() else {
                                         break 'conn;
+                                    };
+                                    let wake = process.deliver(f, msg, &mut |to, m, e| {
+                                        inbound.outbound.send(to, &m, &e)
+                                    });
+                                    drop(process);
+                                    if wake {
+                                        // A full inbox wakes the driver anyway.
+                                        let _ = inbound.control.try_send(Control::Wake);
                                     }
                                 }
                                 Err(_) => c.add_decode_error(),
@@ -434,7 +497,7 @@ where
                     // The length prefix itself is implausible: alignment is
                     // gone and nothing downstream can be trusted.
                     if let Some(f) = from {
-                        inbound.counters[f.as_usize()].add_decode_error();
+                        inbound.outbound.counters[f.as_usize()].add_decode_error();
                     }
                     break 'conn;
                 }

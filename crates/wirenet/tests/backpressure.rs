@@ -1,8 +1,10 @@
 //! Backpressure under a pipelined burst: a deliberately tiny bounded
 //! outbound queue is flooded by the batched/pipelined leader path, and the
 //! substrate must degrade by dropping the *oldest* frames — never by
-//! blocking the node thread. The protocol's retry machinery then recovers
-//! the lost traffic, so the log still makes progress, and the drops are
+//! blocking a handler. One follower is killed first, so the leader's link
+//! to it is down and every frame for it queues: an idle, connected link
+//! writes straight to the socket, whose kernel buffer would absorb the
+//! whole burst. The surviving majority keeps committing, and the drops are
 //! accounted in the metrics registry as `wirenet_queue_drops_total`.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
@@ -15,7 +17,7 @@ use wirenet::{BackoffConfig, WireCluster, WireConfig};
 #[test]
 fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
     let n = 3;
-    let cluster = WireCluster::try_spawn(
+    let mut cluster = WireCluster::try_spawn(
         WireConfig {
             n,
             tick: StdDuration::from_millis(1),
@@ -67,15 +69,22 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
         std::thread::sleep(StdDuration::from_millis(20));
     };
 
+    // Take one follower down, so the leader's link to it must queue.
+    let follower = (0..n as u32)
+        .map(ProcessId)
+        .find(|&p| p != leader)
+        .expect("n > 1");
+    cluster.kill(follower);
+
     // The pipelined burst: far more traffic than 4-deep queues can hold.
     let burst = 400u64;
     for v in 0..burst {
         cluster.request(leader, v);
     }
 
-    // Liveness despite overflow: the retry path re-sends what the queue
-    // evicted, so commits keep arriving. Wait for real progress — the node
-    // thread being deadlocked would freeze the newest outputs instead.
+    // Liveness despite overflow: the surviving majority keeps committing.
+    // Wait for real progress — a deadlocked node would freeze the newest
+    // outputs instead.
     let deadline = StdInstant::now() + StdDuration::from_secs(20);
     loop {
         let progressed = cluster

@@ -140,7 +140,7 @@ fn severed_leader_triggers_reelection_and_reconnect() {
 fn queue_overflow_drops_oldest_but_cluster_stays_live() {
     let n = 2;
     // Queues of 1 with heavy injected delay: almost every heartbeat is
-    // evicted by its successor, yet the protocol threads never block.
+    // evicted by its successor, yet no handler ever blocks.
     let cluster = WireCluster::spawn(
         WireConfig {
             n,
