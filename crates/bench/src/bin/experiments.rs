@@ -12,9 +12,9 @@
 //! directory as one artifact. E17/E18 additionally embed metrics snapshots
 //! and span statistics.
 //!
-//! The process exits non-zero when E16's chaos campaign, E21's recovery
-//! gates, or E23's read-path gates report violations, so they gate CI
-//! directly. The special `e23-violation` id runs E23's *induced* lease
+//! The process exits non-zero when E7's steady-state gates, E16's chaos
+//! campaign, E21's recovery gates, or E23's read-path gates report
+//! violations, so they gate CI directly. The special `e23-violation` id runs E23's *induced* lease
 //! violation and exits non-zero when the StaleRead watchdog fires as
 //! intended — CI asserts that non-zero exit.
 
@@ -115,12 +115,20 @@ fn run(id: &str, s: &Scale) -> bool {
             s,
             e_consensus::e6_consensus(s.seeds.min(8), s.long_horizon),
         ),
-        "e7" => print_exp(
-            id,
-            "consensus steady state (claim: no re-prepare, ~4(n-1) msgs/cmd, leader-centric)",
-            s,
-            e_consensus::e7_steady_state(5, 100.min(s.horizon / 200), 10_000),
-        ),
+        "e7" => {
+            let (table, violations) =
+                e_consensus::e7_steady_state(5, 100.min(s.horizon / 200), 10_000);
+            print_exp(
+                id,
+                "consensus steady state (claim: no re-prepare, ~4(n-1) msgs/cmd, leader-centric)",
+                s,
+                table,
+            );
+            if violations > 0 {
+                eprintln!("E7: {violations} gate violation(s) — failing the run");
+                return false;
+            }
+        }
         "e8" => print_exp(
             id,
             "synchrony crossover: #♦-sources needed (claim: 1 suffices for comm-eff)",

@@ -112,9 +112,18 @@ pub fn e6_consensus(seeds: u64, horizon: u64) -> Table {
     t
 }
 
+/// How far above the theoretical 4(n−1) the zero-loss row of E7 may read
+/// before the experiment fails.
+const E7_MSGS_SLACK: f64 = 0.5;
+
 /// **E7** — replicated-log steady state: messages per committed command by
 /// kind, and the size of the sender set, once the leader is established.
-pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
+///
+/// Returns the table and the number of gate violations, each reported on
+/// stderr: a row that commits fewer than all its commands or re-prepares in
+/// steady state, and a zero-loss row whose msgs/cmd exceeds 4(n−1) by more
+/// than 0.5 or whose last senders are not exactly the leader.
+pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> (Table, usize) {
     let mut t = Table::new(vec![
         "mesh_loss",
         "committed",
@@ -123,6 +132,8 @@ pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
         "theory 4(n-1)",
         "senders",
     ]);
+    let theory = 4 * (n as u64 - 1);
+    let mut violations = 0;
     for &loss in &[0.0, 0.2] {
         let topo = if loss == 0.0 {
             Topology::all_timely(n, lls_primitives::Duration::from_ticks(2))
@@ -176,16 +187,37 @@ pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
         let senders = sim
             .stats()
             .senders_since(Instant::from_ticks(end.saturating_sub(2_000)));
+        let prepares = prepares_after - prepares_before;
+        let msgs_per_cmd = marginal as f64 / commands as f64;
+        let mut failures = Vec::new();
+        if committed < commands {
+            failures.push(format!("committed {committed}/{commands}"));
+        }
+        if prepares > 0 {
+            failures.push(format!("{prepares} prepare(s) in steady state"));
+        }
+        if loss == 0.0 {
+            if msgs_per_cmd > theory as f64 + E7_MSGS_SLACK {
+                failures.push(format!("{msgs_per_cmd:.1} msgs/cmd > 4(n-1) = {theory}"));
+            }
+            if senders != [leader] {
+                failures.push(format!("last senders {senders:?}, not only {leader}"));
+            }
+        }
+        for failure in &failures {
+            eprintln!("E7 (mesh_loss {loss:.1}): {failure}");
+        }
+        violations += failures.len();
         t.row(vec![
             format!("{loss:.1}"),
             format!("{committed}/{commands}"),
-            (prepares_after - prepares_before).to_string(),
-            format!("{:.1}", marginal as f64 / commands as f64),
-            (4 * (n - 1)).to_string(),
+            prepares.to_string(),
+            format!("{msgs_per_cmd:.1}"),
+            theory.to_string(),
             format!("{senders:?}"),
         ]);
     }
-    t
+    (t, violations)
 }
 
 /// Messages sent up to (and including) the stats window containing `t` —
@@ -349,8 +381,9 @@ mod tests {
 
     #[test]
     fn e7_steady_state_runs_no_prepares() {
-        let t = e7_steady_state(3, 10, 5_000);
+        let (t, violations) = e7_steady_state(3, 10, 5_000);
         let s = t.render();
+        assert_eq!(violations, 0, "E7 gates:\n{s}");
         let loss0 = s.lines().nth(2).unwrap();
         let cols: Vec<&str> = loss0.split_whitespace().collect();
         assert_eq!(cols[1], "10/10", "all commands must commit:\n{s}");

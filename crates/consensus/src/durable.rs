@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | Ω own counter | `OmegaCounter` | Peers adopt the largest counter heard from us and accusations only count when they match it (the counter *is* the phase). Regressing it would let a demoted candidate re-claim leadership it lost — breaking eventual agreement — and desynchronise the accusation phase forever. |
 //! | promised ballot | `Promised` | A `Promise(b)` tells a proposer "no ballot `< b` can succeed through me". Forgetting it would let a restarted acceptor promise/accept an older ballot, producing two quorums for different values — the classic Paxos split brain. |
-//! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. |
+//! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. A replicated-log acceptor keeps a slot's vote only until it learns the slot chosen, and reveals the chosen entry in its place (see *Votes of chosen slots*). |
 //! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and are announced to peers (and to the local application). A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
 //!
 //! # Recovery ("recovering rejoin mode")
@@ -32,6 +32,31 @@
 //! promises, so it must behave like a crashed process — which the protocols
 //! already tolerate.
 //!
+//! # Votes of chosen slots
+//!
+//! For each slot, a promise needs either the acceptor's highest vote or the
+//! knowledge that the slot is chosen, never both. So a
+//! [`ReplicatedLog`](crate::ReplicatedLog) acceptor holds a slot's vote only
+//! while it does not know the slot chosen: learning the slot drops the
+//! vote, WAL recovery drops the vote of every recovered chosen slot, and an
+//! `Accept` for a slot already known chosen is persisted and acknowledged
+//! but not kept as a vote. In exchange, both promise paths — the `Prepare`
+//! handler and a new leader's self-promise — report every slot at or above
+//! `from_slot` that the promiser knows chosen as its chosen entry at the
+//! ballot `b` being promised.
+//!
+//! Why that is safe: let `v` be chosen at slot `s` under ballot `bc`. By
+//! the Paxos invariant every proposal at a ballot `≥ bc` for `s` carries `v`
+//! (see Aspnes, *Notes on Theory of Distributed Systems*, the Paxos
+//! chapter), so `v` reported at `b > bc` is a value a correct acceptor
+//! could have voted for at `b`. No vote at `b` exists while its leader is
+//! still gathering promises, so the report wins the new leader's per-slot
+//! maximum over every real vote, and the leader re-proposes `v` — the only
+//! value `s` can take. Promisers that report the same slot chosen report
+//! the same `v`. Nothing in the WAL changes: the same records are appended
+//! as before, and recovery simply prefers `Chosen` over `Accepted` for a
+//! slot holding both.
+//!
 //! # Compaction (the "durable prefix" envelope)
 //!
 //! Snapshots and WAL compaction
@@ -40,14 +65,17 @@
 //! above. The invariant is an ordering: **the snapshot is durable first**
 //! (CRC-checked, tmp-then-rename, directory fsync), then the WAL is
 //! rewritten to its *live* records — the latest `OmegaCounter`, the latest
-//! `Promised`, and every `Accepted`/`Chosen` at slots ≥ the snapshot
-//! watermark — and only then is in-memory state pruned. A crash between any
+//! `Promised`, every `Chosen` at slots ≥ the snapshot watermark and the
+//! `Accepted` vote of every such slot not known chosen — and only then is
+//! in-memory state pruned. A crash between any
 //! two steps therefore recovers a *superset* of the required state (the
 //! "durable prefix" envelope): old snapshot + full WAL, new snapshot + full
 //! WAL, or new snapshot + compacted WAL, each of which replays to the same
 //! observable state. Nothing an acceptor ever *told the rest of the system*
-//! is dropped: the promise and the accepted suffix stay in the rewritten
-//! WAL verbatim, and the chosen prefix below the watermark is summarized by
+//! is dropped: the promise and the live votes stay in the rewritten WAL
+//! verbatim, a vote of a chosen slot is covered by its `Chosen` record (see
+//! *Votes of chosen slots*), and the chosen prefix below the watermark is
+//! summarized by
 //! the snapshot, whose watermark floors the replica (`low_slot` in
 //! `Promise`) so no peer is ever answered from compacted amnesia. A new
 //! leader treats the maximum promised `low_slot` as its proposal *floor*:

@@ -58,6 +58,7 @@
 
 mod ballot;
 pub mod checker;
+mod chosen;
 pub mod durable;
 mod msg;
 mod rotating;

@@ -104,12 +104,15 @@ pub enum RsmMsg<V> {
         /// First slot the ballot claims.
         from_slot: u64,
     },
-    /// Phase 1b: promise plus everything the acceptor accepted at or above
-    /// `from_slot`.
+    /// Phase 1b: promise plus, for every slot at or above `from_slot`,
+    /// what the acceptor knows of it.
     Promise {
         /// The promised ballot (echoed).
         b: Ballot,
-        /// Accepted `(slot, ballot, entry)` triples at or after `from_slot`.
+        /// `(slot, ballot, entry)` triples at or after `from_slot`: the
+        /// highest vote of each slot not known chosen, and each slot known
+        /// chosen as its chosen entry at `b` (the acceptor keeps no vote for
+        /// those; see [`crate::durable`], "Votes of chosen slots").
         accepted: Vec<(u64, Ballot, Entry<V>)>,
         /// The acceptor's first slot not known chosen (hint for the leader).
         low_slot: u64,

@@ -11,7 +11,13 @@
 //! Mechanics:
 //!
 //! * One [`Ballot`] covers every slot from `from_slot` on; acceptors promise
-//!   it once and reveal everything they accepted at or above that slot.
+//!   it once and reveal, for every slot at or above it, their highest vote
+//!   or — once they know the slot chosen and have dropped its vote — the
+//!   chosen entry at the promised ballot (the rule and its safety argument:
+//!   [`crate::durable`], "Votes of chosen slots").
+//! * The chosen entries from the snapshot watermark to the emission cursor
+//!   are stored densely, one [`Entry`] per slot; only slots learned above a
+//!   gap wait in a map.
 //! * A newly `Led` leader re-proposes inherited entries, plugs the gaps left
 //!   by its predecessor with [`Entry::Noop`], then drains its pending command
 //!   queue into fresh slots.
@@ -34,12 +40,12 @@
 //!
 //! All new `Accepted` WAL records minted by one pump of the pipeline are
 //! persisted as a *single group* ([`StorageHandle::append_records`]) — one
-//! fsync-equivalent flush per pump, not per slot — so durability does not
-//! serialize the pipeline. Neither knob touches safety: every slot is still
-//! chosen by the ordinary ballot/quorum rules, a batch is just one entry
-//! whose payload happens to hold several commands, and the write-ahead rule
-//! (records durable before the handler returns, hence before any `Accept`
-//! leaves) is preserved verbatim. Experiment E19 measures the resulting
+//! `write(2)` per pump on file-backed WALs, not one per slot — so
+//! durability does not serialize the pipeline. Neither knob touches safety:
+//! every slot is still chosen by the ordinary ballot/quorum rules, a batch
+//! is just one entry whose payload happens to hold several commands, and
+//! the write-ahead rule (records durable before the handler returns, hence
+//! before any `Accept` leaves) is preserved verbatim. Experiment E19 measures the resulting
 //! decided-commands/sec and latency percentiles.
 //!
 //! # Bounded recovery: snapshots, compaction, and snapshot-install catch-up
@@ -50,11 +56,12 @@
 //! [`ReplicatedLog::compact`] after applying a prefix: the serialized state
 //! at `watermark` is installed durably *first* (atomic tmp-then-rename in
 //! the file backend), then the WAL is rewritten to only the live records
-//! (latest Ω counter, latest promise, accepted/chosen entries at or above
-//! the watermark), then the in-memory maps drop the covered prefix. A crash
-//! between the two installs replays a superset — never a subset — of the
-//! compacted state, so the durable-prefix safety envelope of
-//! [`crate::durable`] is preserved (see row "compaction" there).
+//! (latest Ω counter, latest promise, chosen entries and the votes of
+//! undecided slots at or above the watermark), then the in-memory maps drop
+//! the covered prefix. A crash between the two installs replays a superset
+//! — never a subset — of the compacted state, so the durable-prefix safety
+//! envelope of [`crate::durable`] is preserved (see row "compaction"
+//! there).
 //!
 //! Catch-up changes shape once logs can be compacted. A laggard whose gap
 //! lies *above* every peer's watermark is served plain `Decide`s via
@@ -81,6 +88,7 @@ use lls_primitives::{
 use omega::{CommEffOmega, OmegaMsg};
 
 use crate::ballot::Ballot;
+use crate::chosen::ChosenLog;
 use crate::durable::RsmRecord;
 use crate::msg::{Entry, RsmMsg};
 use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
@@ -236,8 +244,10 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     // Acceptor state.
     promised: Ballot,
     accepted: BTreeMap<u64, (Ballot, Entry<V>)>,
-    // Learner state.
-    chosen: BTreeMap<u64, Entry<V>>,
+    // Learner state: chosen entries from the snapshot watermark on, and the
+    // emission cursor. Between handlers the cursor is the end of the
+    // chosen log's dense run.
+    chosen: ChosenLog<V>,
     emitted_upto: u64,
     // Leader state.
     state: LeaderState<V>,
@@ -261,11 +271,9 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     // Durability (see `crate::durable` for the safety arguments).
     storage: Option<StorageHandle>,
     wedged: bool,
-    // Snapshots + compaction (see the module docs).
+    // Snapshots + compaction (see the module docs). The snapshot watermark
+    // is the base of `chosen`.
     snapshots: Option<SnapshotHandle>,
-    /// First slot *not* covered by the latest durable snapshot. Everything
-    /// below is chosen, applied, and may be absent from WAL and maps.
-    watermark: u64,
     /// The snapshot a `with_storage_and_snapshots` constructor recovered,
     /// for the application to rebuild its state from.
     recovered_snapshot: Option<Snapshot>,
@@ -387,7 +395,7 @@ where
             omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
-            chosen: BTreeMap::new(),
+            chosen: ChosenLog::new(),
             emitted_upto: 0,
             state: LeaderState::Follower,
             highest_seen: Ballot::ZERO,
@@ -399,7 +407,6 @@ where
             storage: None,
             wedged: false,
             snapshots: None,
-            watermark: 0,
             recovered_snapshot: None,
             recovered: false,
             outgoing_snaps: BTreeMap::new(),
@@ -509,26 +516,25 @@ where
             match rec {
                 RsmRecord::OmegaCounter(c) => omega_counter = omega_counter.max(c),
                 RsmRecord::Promised(b) => sm.promised = sm.promised.max(b),
+                // A chosen slot keeps no vote (see `crate::durable`, "Votes
+                // of chosen slots"), whichever of its records comes first.
                 RsmRecord::Accepted { slot, b, entry } => {
                     sm.promised = sm.promised.max(b);
-                    match sm.accepted.get(&slot) {
-                        Some((prev, _)) if *prev > b => {}
-                        _ => {
-                            sm.accepted.insert(slot, (b, entry));
-                        }
+                    let highest = sm.accepted.get(&slot).is_none_or(|(prev, _)| *prev <= b);
+                    if highest && !sm.chosen.contains(slot) {
+                        sm.accepted.insert(slot, (b, entry));
                     }
                 }
                 RsmRecord::Chosen { slot, entry } => {
-                    sm.chosen.entry(slot).or_insert(entry);
+                    sm.chosen.insert(slot, entry);
+                    sm.accepted.remove(&slot);
                 }
             }
         }
         sm.highest_seen = sm.promised;
         // Quietly advance past the contiguous recovered prefix: those
         // Committed events were already emitted by the previous incarnation.
-        while sm.chosen.contains_key(&sm.emitted_upto) {
-            sm.emitted_upto += 1;
-        }
+        sm.emitted_upto = sm.chosen.end();
         let boot_counter = if recovering {
             omega_counter.saturating_add(1)
         } else {
@@ -602,9 +608,7 @@ where
             self.apply_watermark(snap.watermark);
             // Quiet advance, as in WAL recovery: the pre-crash incarnation
             // already emitted everything contiguous above the watermark.
-            while self.chosen.contains_key(&self.emitted_upto) {
-                self.emitted_upto += 1;
-            }
+            self.emitted_upto = self.chosen.end();
             self.recovered_snapshot = Some(snap);
         }
         self.snapshots = Some(snapshots);
@@ -617,12 +621,11 @@ where
     /// the live path drain committed events themselves *after* announcing
     /// the snapshot.
     fn apply_watermark(&mut self, watermark: u64) {
-        if watermark <= self.watermark {
+        if watermark <= self.watermark() {
             return;
         }
-        self.watermark = watermark;
         self.accepted = self.accepted.split_off(&watermark);
-        self.chosen = self.chosen.split_off(&watermark);
+        self.chosen.truncate_front(watermark);
         // Pruning a tracker that still has unacknowledged peers would drop
         // their retransmission silently; remember them as snapshot debtors
         // so the next retry tick serves them a state transfer instead.
@@ -656,9 +659,9 @@ where
                 entry: entry.clone(),
             });
         }
-        for (slot, entry) in &self.chosen {
+        for (slot, entry) in self.chosen.iter_from(0) {
             live.push(RsmRecord::Chosen {
-                slot: *slot,
+                slot,
                 entry: entry.clone(),
             });
         }
@@ -692,7 +695,7 @@ where
             return Ok(false);
         };
         let watermark = watermark.min(self.emitted_upto);
-        if watermark <= self.watermark {
+        if watermark <= self.watermark() {
             return Ok(false);
         }
         // 1. Snapshot durable first.
@@ -725,7 +728,7 @@ where
     /// First slot not covered by the latest durable snapshot (0 when no
     /// compaction has happened).
     pub fn watermark(&self) -> u64 {
-        self.watermark
+        self.chosen.base()
     }
 
     /// Live/appended byte counts of the attached WAL (zeros when none) —
@@ -772,9 +775,9 @@ where
     }
 
     /// Appends `recs` to the durable log as one group commit — a single
-    /// fsync-equivalent flush on file-backed WALs, however many slots the
-    /// pipeline pump minted — if storage is attached; wedges the machine on
-    /// failure. An empty group is a no-op.
+    /// `write(2)` on file-backed WALs, however many slots the pipeline pump
+    /// minted — if storage is attached; wedges the machine on failure. An
+    /// empty group is a no-op.
     fn persist_group(&mut self, recs: &[RsmRecord<V>]) -> bool {
         if self.wedged {
             return false;
@@ -1064,16 +1067,21 @@ where
 
     /// The chosen entry of `slot`, if this replica learned it.
     pub fn chosen(&self, slot: u64) -> Option<&Entry<V>> {
-        self.chosen.get(&slot)
+        self.chosen.get(slot)
+    }
+
+    /// This acceptor's highest vote for `slot`, if it holds one. A slot
+    /// known chosen holds none: its vote is dropped once the slot is learned
+    /// (see [`crate::durable`], "Votes of chosen slots").
+    pub fn vote(&self, slot: u64) -> Option<(Ballot, &Entry<V>)> {
+        self.accepted.get(&slot).map(|(b, e)| (*b, e))
     }
 
     /// All contiguously committed client commands in slot order (no-ops
     /// skipped; batched slots contribute each of their commands in batch
     /// order).
     pub fn committed_commands(&self) -> impl Iterator<Item = &V> {
-        self.chosen
-            .range(0..self.emitted_upto)
-            .flat_map(|(_, e)| e.commands().iter())
+        self.committed_commands_from(0)
     }
 
     /// Contiguously committed client commands from slot `from` on — the
@@ -1081,7 +1089,7 @@ where
     /// (pass the snapshot's watermark; slots below it were compacted away).
     pub fn committed_commands_from(&self, from: u64) -> impl Iterator<Item = &V> {
         self.chosen
-            .range(from..self.emitted_upto.max(from))
+            .run_range(from, self.emitted_upto)
             .flat_map(|(_, e)| e.commands().iter())
     }
 
@@ -1101,8 +1109,8 @@ where
     /// *one* command; use [`Self::chosen_entries`] for the lossless view.
     pub fn chosen_log(&self) -> BTreeMap<u64, Option<V>> {
         self.chosen
-            .iter()
-            .map(|(s, e)| (*s, e.command().cloned()))
+            .iter_from(0)
+            .map(|(s, e)| (s, e.command().cloned()))
             .collect()
     }
 
@@ -1110,7 +1118,10 @@ where
     /// their whole command vectors. The consistency check for batched runs
     /// compares these maps across replicas.
     pub fn chosen_entries(&self) -> BTreeMap<u64, Entry<V>> {
-        self.chosen.clone()
+        self.chosen
+            .iter_from(0)
+            .map(|(s, e)| (s, e.clone()))
+            .collect()
     }
 
     fn me(&self) -> ProcessId {
@@ -1119,6 +1130,23 @@ where
 
     fn majority(&self) -> usize {
         self.env.membership().majority()
+    }
+
+    /// What a promise of `b` reveals from `from_slot` on: the highest vote
+    /// of every slot not known chosen, and every slot known chosen as its
+    /// chosen entry at `b` itself (see `crate::durable`, "Votes of chosen
+    /// slots"). Both promise paths — the `Prepare` handler and a new
+    /// leader's self-promise — reveal exactly this.
+    fn promise_suffix(&self, b: Ballot, from_slot: u64) -> Vec<(u64, Ballot, Entry<V>)> {
+        let votes = self
+            .accepted
+            .range(from_slot..)
+            .map(|(s, (ab, e))| (*s, *ab, e.clone()));
+        let chosen = self
+            .chosen
+            .iter_from(from_slot)
+            .map(|(s, e)| (s, b, e.clone()));
+        votes.chain(chosen).collect()
     }
 
     fn drive_omega(
@@ -1201,14 +1229,14 @@ where
         }
         self.highest_seen = b;
         let from_slot = self.emitted_upto;
-        // Self-promise, revealing our own accepted suffix.
+        // Self-promise, revealing our own suffix like any promiser.
         self.promised = b;
         let mut promised_by = vec![false; self.env.n()];
         promised_by[self.me().as_usize()] = true;
         let gathered: BTreeMap<u64, (Ballot, Entry<V>)> = self
-            .accepted
-            .range(from_slot..)
-            .map(|(s, (ab, e))| (*s, (*ab, e.clone())))
+            .promise_suffix(b, from_slot)
+            .into_iter()
+            .map(|(s, ab, e)| (s, (ab, e)))
             .collect();
         let mut low_slots = vec![0u64; self.env.n()];
         low_slots[self.me().as_usize()] = self.emitted_upto;
@@ -1258,13 +1286,13 @@ where
             .copied()
             .max()
             .unwrap_or(0)
-            .max(self.watermark);
+            .max(self.watermark());
         let horizon = gathered
             .keys()
             .next_back()
             .map(|s| s + 1)
             .unwrap_or(from_slot)
-            .max(self.chosen.keys().next_back().map(|s| s + 1).unwrap_or(0))
+            .max(self.chosen.last().map_or(0, |s| s + 1))
             .max(floor);
         self.state = LeaderState::Led {
             b,
@@ -1280,7 +1308,7 @@ where
         let mut proposals: Vec<(u64, Entry<V>)> = Vec::new();
         let mut needs_catchup = false;
         for slot in from_slot..horizon {
-            if let Some(entry) = self.chosen.get(&slot).cloned() {
+            if let Some(entry) = self.chosen.get(slot).cloned() {
                 announce.push((slot, entry));
             } else if let Some((_, entry)) = gathered.get(&slot).cloned() {
                 proposals.push((slot, entry));
@@ -1460,12 +1488,12 @@ where
     }
 
     fn learn(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64, entry: Entry<V>) {
-        if slot < self.watermark {
+        if slot < self.watermark() {
             // Covered by the installed snapshot: already applied (possibly
             // on a peer's behalf), never re-emitted, never re-grown.
             return;
         }
-        if !self.chosen.contains_key(&slot) {
+        if !self.chosen.contains(slot) {
             // Write-ahead: the choice must be durable before the Committed
             // output (and any Decide broadcast) can be observed.
             if !self.persist(&RsmRecord::Chosen {
@@ -1476,6 +1504,7 @@ where
             }
             self.emit_stage(ctx.now(), &entry, CmdStage::Decide);
             self.chosen.insert(slot, entry);
+            self.accepted.remove(&slot);
             self.probe.emit(ProbeEvent::Decide {
                 node: self.me(),
                 at: ctx.now(),
@@ -1488,12 +1517,16 @@ where
     /// Emits `Committed` for every contiguously chosen slot at the emission
     /// cursor (one event per command; batches unfold in batch order).
     fn drain_committed(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
-        while let Some(e) = self.chosen.get(&self.emitted_upto) {
+        while self.emitted_upto < self.chosen.end() {
             let slot = self.emitted_upto;
+            let entry = self
+                .chosen
+                .get(slot)
+                .expect("the run holds every slot below its end");
             // One Committed event *per command*: a batched slot unfolds into
             // its commands in batch order (same slot index repeated), so
             // downstream appliers never need to know batching exists.
-            match e.clone() {
+            match entry.clone() {
                 Entry::Noop => ctx.output(RsmEvent::Committed { slot, cmd: None }),
                 Entry::Cmd(v) => ctx.output(RsmEvent::Committed { slot, cmd: Some(v) }),
                 Entry::Batch(vs) => {
@@ -1526,15 +1559,15 @@ where
         if peer == self.me() {
             return;
         }
-        if low_slot < self.watermark {
+        if low_slot < self.watermark() {
             self.start_snapshot_transfer(ctx, peer);
             return;
         }
         let decides: Vec<(u64, Entry<V>)> = self
             .chosen
-            .range(low_slot..self.emitted_upto.max(low_slot))
+            .run_range(low_slot, self.emitted_upto)
             .take(CATCHUP_BURST)
-            .map(|(s, e)| (*s, e.clone()))
+            .map(|(s, e)| (s, e.clone()))
             .collect();
         for (slot, entry) in decides {
             ctx.send(peer, RsmMsg::Decide { slot, entry });
@@ -1851,11 +1884,7 @@ where
         // retransmission state. Ask the cluster: peers answer with Decides
         // or a snapshot transfer. Quiet steady state sends nothing.
         if self.incoming_snap.is_none()
-            && (self
-                .chosen
-                .keys()
-                .next_back()
-                .is_some_and(|s| *s >= self.emitted_upto)
+            && (self.chosen.last().is_some_and(|s| s >= self.emitted_upto)
                 || self.known_frontier > self.emitted_upto)
         {
             let low_slot = self.emitted_upto;
@@ -1875,7 +1904,7 @@ where
                 done.push(slot);
                 continue;
             }
-            let Some(entry) = self.chosen.get(&slot).cloned() else {
+            let Some(entry) = self.chosen.get(slot).cloned() else {
                 // Defensive: a tracker without its chosen entry can only
                 // mean the slot fell below the watermark — the snapshot
                 // supersedes it, so convert the tracker into debts.
@@ -1992,16 +2021,11 @@ where
                         return;
                     }
                     self.promised = b;
-                    let accepted: Vec<(u64, Ballot, Entry<V>)> = self
-                        .accepted
-                        .range(from_slot..)
-                        .map(|(s, (ab, e))| (*s, *ab, e.clone()))
-                        .collect();
                     ctx.send(
                         from,
                         RsmMsg::Promise {
                             b,
-                            accepted,
+                            accepted: self.promise_suffix(b, from_slot),
                             low_slot: self.emitted_upto,
                         },
                     );
@@ -2061,7 +2085,12 @@ where
                         return;
                     }
                     self.promised = b;
-                    self.accepted.insert(slot, (b, entry));
+                    // A re-proposal of a slot this replica already knows
+                    // chosen (learned, or below the snapshot watermark)
+                    // carries the chosen entry; the vote adds nothing.
+                    if slot >= self.watermark() && !self.chosen.contains(slot) {
+                        self.accepted.insert(slot, (b, entry));
+                    }
                     ctx.send(from, RsmMsg::Accepted { b, slot });
                 } else {
                     ctx.send(
@@ -3941,5 +3970,330 @@ mod tests {
                 .any(|s| s.to == ProcessId(2) && matches!(s.msg, RsmMsg::Promise { .. })),
             "the broken granter frees itself while the leader still serves"
         );
+    }
+
+    /// A replica of a 3-replica group in external-leadership mode, so a
+    /// test makes it leader with [`Harness::lead`].
+    fn externally_led(me: u32) -> Harness {
+        let env = Env::new(ProcessId(me), 3);
+        Harness {
+            env,
+            sm: ReplicatedLog::new_externally_led(&env, ConsensusParams::default()),
+            fx: Effects::new(),
+        }
+    }
+
+    impl Harness {
+        fn lead(&mut self) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
+            let mut ctx = Ctx::new(&self.env, Instant::ZERO, &mut self.fx);
+            self.sm.set_leader(&mut ctx, self.env.id());
+            self.fx.take()
+        }
+    }
+
+    /// The entry each `Accept` in `fx` proposes, by slot.
+    fn accepts_of(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>) -> BTreeMap<u64, Entry<u64>> {
+        fx.sends
+            .iter()
+            .filter_map(|s| match &s.msg {
+                RsmMsg::Accept { slot, entry, .. } => Some((*slot, entry.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Votes for slot 1 under p0's ballot `b(1, 0)`, then learns slot 1
+    /// chosen; slot 0 stays unknown.
+    fn learn_slot_one_after_voting(h: &mut Harness) {
+        h.deliver(
+            0,
+            RsmMsg::Prepare {
+                b: b(1, 0),
+                from_slot: 0,
+            },
+        );
+        h.deliver(
+            0,
+            RsmMsg::Accept {
+                b: b(1, 0),
+                slot: 1,
+                entry: Entry::Cmd(11),
+            },
+        );
+        assert_eq!(h.sm.vote(1), Some((b(1, 0), &Entry::Cmd(11))));
+        h.deliver(
+            0,
+            RsmMsg::Decide {
+                slot: 1,
+                entry: Entry::Cmd(11),
+            },
+        );
+        assert_eq!(h.sm.vote(1), None, "learning the slot drops its vote");
+        assert_eq!(h.sm.committed_len(), 0);
+    }
+
+    #[test]
+    fn a_lagging_leader_re_proposes_exactly_what_a_promiser_knows_chosen() {
+        let mut p1 = externally_led(1);
+        learn_slot_one_after_voting(&mut p1);
+        // p2 promised p0's ballot too, knows nothing chosen, and has a
+        // command queued.
+        let mut p2 = externally_led(2);
+        p2.deliver(
+            0,
+            RsmMsg::Prepare {
+                b: b(1, 0),
+                from_slot: 0,
+            },
+        );
+        p2.request(99);
+        let prepare = p2
+            .lead()
+            .sends
+            .into_iter()
+            .find(|s| s.to == ProcessId(1))
+            .expect("p2 prepares")
+            .msg;
+        let promise = p1
+            .deliver(2, prepare)
+            .sends
+            .into_iter()
+            .find(|s| matches!(s.msg, RsmMsg::Promise { .. }))
+            .expect("p1 promises")
+            .msg;
+        let RsmMsg::Promise {
+            b: pb, accepted, ..
+        } = &promise
+        else {
+            unreachable!()
+        };
+        assert_eq!(
+            accepted,
+            &vec![(1, *pb, Entry::Cmd(11))],
+            "the chosen slot is revealed at the promised ballot"
+        );
+        let out = p2.deliver(1, promise);
+        assert!(p2.sm.is_established_leader());
+        let accepts = accepts_of(&out);
+        assert_eq!(
+            accepts.get(&1),
+            Some(&Entry::Cmd(11)),
+            "slot 1 carries exactly the chosen entry: {accepts:?}"
+        );
+        assert_eq!(accepts.get(&0), Some(&Entry::Noop), "{accepts:?}");
+        assert_eq!(accepts.get(&2), Some(&Entry::Cmd(99)), "{accepts:?}");
+    }
+
+    #[test]
+    fn a_new_leaders_self_promise_reveals_what_it_knows_chosen() {
+        let mut p2 = externally_led(2);
+        learn_slot_one_after_voting(&mut p2);
+        p2.request(99);
+        p2.lead();
+        let LeaderState::Preparing {
+            b: lb, gathered, ..
+        } = &p2.sm.state
+        else {
+            panic!("p2 prepares: {:?}", p2.sm.state);
+        };
+        let lb = *lb;
+        assert_eq!(
+            gathered.get(&1),
+            Some(&(lb, Entry::Cmd(11))),
+            "the self-promise reveals the chosen slot at its own ballot"
+        );
+        // p1 reveals an older vote for slot 1 that lost.
+        let out = p2.deliver(
+            1,
+            RsmMsg::Promise {
+                b: lb,
+                accepted: vec![(1, b(0, 1), Entry::Cmd(55))],
+                low_slot: 0,
+            },
+        );
+        assert!(p2.sm.is_established_leader());
+        let accepts = accepts_of(&out);
+        assert_eq!(accepts.get(&0), Some(&Entry::Noop), "{accepts:?}");
+        assert!(
+            !accepts.contains_key(&1),
+            "a slot the leader knows chosen is announced, never re-proposed: {accepts:?}"
+        );
+        assert_eq!(accepts.get(&2), Some(&Entry::Cmd(99)), "{accepts:?}");
+        let decided: Vec<&Entry<u64>> = out
+            .sends
+            .iter()
+            .filter_map(|s| match &s.msg {
+                RsmMsg::Decide { slot: 1, entry } => Some(entry),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !decided.is_empty() && decided.iter().all(|e| **e == Entry::Cmd(11)),
+            "slot 1 is announced with its chosen entry: {decided:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_keeps_no_vote_for_a_chosen_slot_and_still_reveals_it() {
+        use lls_primitives::StorageHandle;
+        let env = Env::new(ProcessId(1), 3);
+        let store = StorageHandle::in_memory();
+        let records: Vec<RsmRecord<u64>> = vec![
+            RsmRecord::Promised(b(1, 0)),
+            RsmRecord::Accepted {
+                slot: 0,
+                b: b(1, 0),
+                entry: Entry::Cmd(5),
+            },
+            RsmRecord::Chosen {
+                slot: 0,
+                entry: Entry::Cmd(5),
+            },
+            RsmRecord::Chosen {
+                slot: 2,
+                entry: Entry::Cmd(7),
+            },
+            // A later leader re-proposed the chosen slot 2.
+            RsmRecord::Accepted {
+                slot: 2,
+                b: b(2, 2),
+                entry: Entry::Cmd(7),
+            },
+            RsmRecord::Accepted {
+                slot: 3,
+                b: b(2, 2),
+                entry: Entry::Cmd(8),
+            },
+        ];
+        store.append_records(&records).unwrap();
+        let mut sm: Log =
+            ReplicatedLog::with_storage(&env, ConsensusParams::default(), store).unwrap();
+        assert_eq!((sm.vote(0), sm.vote(2)), (None, None));
+        assert_eq!(sm.vote(3), Some((b(2, 2), &Entry::Cmd(8))));
+        assert_eq!(sm.committed_len(), 1);
+        let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
+        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
+        sm.on_message(
+            &mut ctx,
+            ProcessId(0),
+            RsmMsg::Prepare {
+                b: b(5, 0),
+                from_slot: 1,
+            },
+        );
+        let mut revealed = fx
+            .take()
+            .sends
+            .into_iter()
+            .find_map(|s| match s.msg {
+                RsmMsg::Promise { accepted, .. } => Some(accepted),
+                _ => None,
+            })
+            .expect("the recovered acceptor promises");
+        revealed.sort_by_key(|(slot, ..)| *slot);
+        assert_eq!(
+            revealed,
+            vec![(2, b(5, 0), Entry::Cmd(7)), (3, b(2, 2), Entry::Cmd(8))]
+        );
+    }
+
+    #[test]
+    fn the_dense_run_covers_exactly_the_watermark_to_the_cursor() {
+        use lls_primitives::{SnapshotHandle, StorageHandle};
+        let env = Env::new(ProcessId(1), 3);
+        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
+            &env,
+            ConsensusParams::default(),
+            StorageHandle::in_memory(),
+            SnapshotHandle::in_memory(),
+        )
+        .unwrap();
+        let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
+        let mut deliver = |sm: &mut Log, msg: RsmMsg<u64>| {
+            let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
+            sm.on_message(&mut ctx, ProcessId(0), msg);
+            fx.take()
+        };
+        let decide = |slot: u64| RsmMsg::Decide {
+            slot,
+            entry: Entry::Cmd(slot),
+        };
+        let assert_dense = |sm: &Log, watermark: u64, cursor: u64| {
+            assert_eq!((sm.watermark(), sm.committed_len()), (watermark, cursor));
+            assert_eq!((sm.chosen.base(), sm.chosen.end()), (watermark, cursor));
+        };
+        // Learned out of order, above a gap at slot 0.
+        for slot in [3, 5, 1] {
+            deliver(&mut sm, decide(slot));
+            assert_dense(&sm, 0, 0);
+        }
+        deliver(&mut sm, decide(0));
+        assert_dense(&sm, 0, 2);
+        deliver(&mut sm, decide(2));
+        assert_dense(&sm, 0, 4);
+        deliver(&mut sm, decide(4));
+        assert_dense(&sm, 0, 6);
+        // Compaction inside the run.
+        assert!(sm.compact(2, vec![1]).unwrap());
+        assert_dense(&sm, 2, 6);
+        assert_eq!(
+            sm.committed_commands().copied().collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
+        // A snapshot installed above the run, at a slot already known.
+        deliver(&mut sm, decide(9));
+        deliver(&mut sm, decide(10));
+        deliver(&mut sm, decide(12));
+        assert_dense(&sm, 2, 6);
+        let data = vec![8u8; 3];
+        let out = deliver(
+            &mut sm,
+            RsmMsg::SnapshotChunk {
+                watermark: 9,
+                index: 0,
+                chunks: 1,
+                crc: crc32(&data),
+                chunk_crc: crc32(&data),
+                data,
+            },
+        );
+        assert_dense(&sm, 9, 11);
+        let committed: Vec<u64> = out
+            .outputs
+            .iter()
+            .filter_map(|o| match o {
+                RsmEvent::Committed { slot, .. } => Some(*slot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed, vec![9, 10], "emitted after the install");
+        assert_eq!(sm.chosen(8), None);
+        assert_eq!(sm.chosen(12), Some(&Entry::Cmd(12)));
+        deliver(&mut sm, decide(11));
+        assert_dense(&sm, 9, 13);
+    }
+
+    #[test]
+    fn a_decide_near_the_top_of_the_slot_range_stays_sparse() {
+        let mut h = Harness::new(1, 3);
+        h.deliver(
+            0,
+            RsmMsg::Decide {
+                slot: u64::MAX - 1,
+                entry: Entry::Cmd(1),
+            },
+        );
+        assert_eq!(h.sm.chosen(u64::MAX - 1), Some(&Entry::Cmd(1)));
+        assert_eq!((h.sm.chosen.base(), h.sm.chosen.end()), (0, 0));
+        assert_eq!(h.sm.committed_len(), 0);
+        h.deliver(
+            0,
+            RsmMsg::Decide {
+                slot: 0,
+                entry: Entry::Cmd(0),
+            },
+        );
+        assert_eq!(h.sm.committed_len(), 1);
+        assert_eq!((h.sm.chosen.base(), h.sm.chosen.end()), (0, 1));
     }
 }

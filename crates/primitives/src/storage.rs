@@ -59,7 +59,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
-use crate::wire::{decode_frame, encode_frame, Wire, WireError, MAX_FRAME_LEN};
+use crate::wire::{decode_frame, encode_byte_frames, Wire, WireError, MAX_FRAME_LEN};
 
 /// Bytes of the little-endian length prefix in front of every WAL frame
 /// (same framing as the stream transports; see [`crate::wire::encode_frame`]).
@@ -289,7 +289,7 @@ impl FileWal {
 
 impl Storage for FileWal {
     fn append(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        let frame = encode_frame(&record.to_vec());
+        let frame = encode_byte_frames(&[record]);
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", &self.path, &e))?;
@@ -301,19 +301,18 @@ impl Storage for FileWal {
     }
 
     /// Group commit: every frame of the group is encoded into one buffer and
-    /// written with a single `write_all` + flush, so the whole group costs
-    /// one fsync-equivalent instead of one per record. A crash mid-write
-    /// leaves at most a torn frame at the tail, which recovery truncates —
-    /// yielding a durable prefix of whole records, exactly the [`Storage`]
-    /// group-commit contract.
+    /// written with a single `write_all`, so the whole group costs one
+    /// `write(2)` instead of one per record. (`File::flush` does nothing.)
+    /// That survives a process crash but not power loss: nothing on the
+    /// append path calls `sync_data` yet. A crash mid-write leaves at most a
+    /// torn frame at the tail, which recovery truncates — yielding a durable
+    /// prefix of whole records, exactly the [`Storage`] group-commit
+    /// contract.
     fn append_group(&mut self, records: &[Vec<u8>]) -> Result<(), StorageError> {
         if records.is_empty() {
             return Ok(());
         }
-        let mut buf = Vec::new();
-        for record in records {
-            buf.extend_from_slice(&encode_frame(record));
-        }
+        let buf = encode_byte_frames(records);
         self.file
             .write_all(&buf)
             .map_err(|e| io_err("append", &self.path, &e))?;
@@ -349,10 +348,7 @@ impl Storage for FileWal {
     /// full old log or the full new one.
     fn compact_to(&mut self, live: &[Vec<u8>]) -> Result<(), StorageError> {
         let tmp = self.path.with_extension("wal.tmp");
-        let mut buf = Vec::new();
-        for record in live {
-            buf.extend_from_slice(&encode_frame(record));
-        }
+        let buf = encode_byte_frames(live);
         {
             let mut f = File::create(&tmp).map_err(|e| io_err("compact", &tmp, &e))?;
             f.write_all(&buf).map_err(|e| io_err("compact", &tmp, &e))?;
@@ -564,17 +560,14 @@ impl SegmentedWal {
 
 impl Storage for SegmentedWal {
     fn append(&mut self, record: &[u8]) -> Result<(), StorageError> {
-        self.write_frames(&encode_frame(&record.to_vec()))
+        self.write_frames(&encode_byte_frames(&[record]))
     }
 
     fn append_group(&mut self, records: &[Vec<u8>]) -> Result<(), StorageError> {
         if records.is_empty() {
             return Ok(());
         }
-        let mut buf = Vec::new();
-        for record in records {
-            buf.extend_from_slice(&encode_frame(record));
-        }
+        let buf = encode_byte_frames(records);
         self.write_frames(&buf)
     }
 
@@ -601,10 +594,7 @@ impl Storage for SegmentedWal {
         let next = self.seqs.last().copied().unwrap_or(0) + 1;
         let path = self.segment_path(next);
         let tmp = self.dir.join(format!("wal-{next:08}.seg.tmp"));
-        let mut buf = Vec::new();
-        for record in live {
-            buf.extend_from_slice(&encode_frame(record));
-        }
+        let buf = encode_byte_frames(live);
         {
             let mut f = File::create(&tmp).map_err(|e| io_err("compact", &tmp, &e))?;
             f.write_all(&buf).map_err(|e| io_err("compact", &tmp, &e))?;
@@ -792,11 +782,8 @@ impl SnapshotStore for FileSnapshotStore {
     fn install(&mut self, snap: &Snapshot) -> Result<(), StorageError> {
         let blob_name = format!("snap-{:020}.snap", snap.watermark);
         let blob_path = self.dir.join(&blob_name);
-        self.write_atomic(&blob_path, &encode_frame(&snap.to_bytes()))?;
-        self.write_atomic(
-            &self.manifest_path(),
-            &encode_frame(&blob_name.into_bytes()),
-        )?;
+        self.write_atomic(&blob_path, &encode_byte_frames(&[snap.to_bytes()]))?;
+        self.write_atomic(&self.manifest_path(), &encode_byte_frames(&[blob_name]))?;
         // Only now is it safe to drop older blobs: the manifest durably
         // points at the new one. Removal failures are not fatal to the
         // install (the stale blob just lingers until the next install).
@@ -883,8 +870,9 @@ impl SnapshotHandle {
 /// Wall-clock accounting of a handle's durable appends: how many flushes
 /// ran and how long they took. A "flush" here is one [`Storage::append`] or
 /// [`Storage::append_group`] call — on the file backends that is exactly
-/// one `write_all` + `flush` of the device, so the duration is dominated by
-/// the fsync-equivalent; on the in-memory backends it is effectively zero.
+/// one `write_all` into the page cache (no `sync_data`, so not an fsync
+/// despite the probe's name); on the in-memory backends it is effectively
+/// zero.
 ///
 /// The consensus layer reads the delta around each group commit to emit
 /// `WalFsync` probe events, which feed the `wal_fsync_micros` histogram and
@@ -1356,6 +1344,43 @@ mod tests {
                 b"record-10".to_vec()
             ]
         );
+    }
+
+    /// WAL bytes as earlier builds framed them: one generic `Vec<u8>` frame
+    /// per record.
+    fn generic_frames(records: &[&[u8]]) -> Vec<u8> {
+        records
+            .iter()
+            .flat_map(|r| crate::wire::encode_frame(&r.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn wals_framed_record_by_record_still_open_and_recover() {
+        let big = vec![7u8; 3000];
+        let old: [&[u8]; 3] = [b"promise", b"", &big];
+        let tmp = TempWal::new("generic-frames");
+        std::fs::write(&tmp.path, generic_frames(&old)).unwrap();
+        let mut wal = FileWal::open(&tmp.path).unwrap();
+        assert_eq!(wal.load().unwrap(), old.map(<[u8]>::to_vec));
+        wal.append(b"new").unwrap();
+        wal.append_group(&[b"g1".to_vec(), b"g2".to_vec()]).unwrap();
+        drop(wal);
+        assert_eq!(
+            std::fs::read(&tmp.path).unwrap(),
+            generic_frames(&[b"promise", b"", &big, b"new", b"g1", b"g2"]),
+            "new appends frame byte for byte as before"
+        );
+
+        let dir = TempDir::new("generic-frames-seg");
+        std::fs::create_dir_all(&dir.path).unwrap();
+        std::fs::write(dir.path.join("wal-00000001.seg"), generic_frames(&old)).unwrap();
+        let mut wal = SegmentedWal::open(&dir.path, 1 << 20).unwrap();
+        assert_eq!(wal.load().unwrap(), old.map(<[u8]>::to_vec));
+        wal.append(b"new").unwrap();
+        drop(wal);
+        let mut wal = SegmentedWal::open(&dir.path, 1 << 20).unwrap();
+        assert_eq!(wal.load().unwrap().last().unwrap(), b"new");
     }
 
     #[test]

@@ -483,6 +483,30 @@ pub fn encode_frame<M: Wire>(msg: &M) -> Vec<u8> {
     out
 }
 
+/// Frames each record as `encode_frame(&record.to_vec())` would — a
+/// version-1 frame whose body is the length-prefixed byte string — back to
+/// back into one buffer, without copying a record into a `Vec` first or
+/// encoding its bytes one at a time.
+pub(crate) fn encode_byte_frames<R: AsRef<[u8]>>(records: &[R]) -> Vec<u8> {
+    // Per record: length prefix, version, a varint of at most 10 bytes, CRC.
+    let framing = LEN_PREFIX + FRAME_OVERHEAD + 10;
+    let total = records.iter().map(|r| r.as_ref().len() + framing).sum();
+    let mut out = Vec::with_capacity(total);
+    for record in records {
+        let bytes = record.as_ref();
+        let start = out.len();
+        out.extend_from_slice(&[0, 0, 0, 0]); // length back-patched below
+        out.push(PROTOCOL_VERSION);
+        put_varint(&mut out, bytes.len() as u64);
+        out.extend_from_slice(bytes);
+        let crc = crc32(&out[start + LEN_PREFIX..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        let len = (out.len() - start - LEN_PREFIX) as u32;
+        out[start..start + LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+    }
+    out
+}
+
 /// Decodes a frame *payload* — the bytes after the length prefix, i.e.
 /// `version | body | crc` — as produced by [`Deframer::next_frame`].
 ///
@@ -1046,6 +1070,26 @@ mod tests {
     fn shard_tag_defaults_to_none() {
         assert_eq!(7u64.shard_tag(), None);
         assert_eq!(String::from("x").shard_tag(), None);
+    }
+
+    #[test]
+    fn byte_frames_match_the_generic_frame_encoding() {
+        let big: Vec<u8> = (0..5 * 1024).map(|i| (i % 251) as u8).collect();
+        let records: [&[u8]; 4] = [b"", b"x", b"a short record", &big];
+        for record in records {
+            assert_eq!(
+                encode_byte_frames(&[record]),
+                encode_frame(&record.to_vec()),
+                "{} bytes",
+                record.len()
+            );
+        }
+        let joined: Vec<u8> = records
+            .iter()
+            .flat_map(|r| encode_frame(&r.to_vec()))
+            .collect();
+        assert_eq!(encode_byte_frames(&records), joined, "frames back to back");
+        assert!(encode_byte_frames::<Vec<u8>>(&[]).is_empty());
     }
 
     #[test]

@@ -29,20 +29,26 @@ fn both_substrates_elect_p0_on_perfect_links() {
         assert_eq!(sim.node(p).leader(), ProcessId(0), "sim: {p} disagrees");
     }
 
-    // Threads.
+    // Threads, at 2 ms ticks: p0 is suspected only after its initial
+    // 60 ms timeout passes without an ALIVE, longer than the scheduler
+    // stalls of a loaded 2-core host (at 200 µs ticks a 6 ms stall was
+    // enough to get p0 accused, and everyone then named p1).
+    let tick = StdDuration::from_millis(2);
     let cluster = Cluster::spawn(
         NetConfig {
             n,
             loss: 0.0,
             min_delay: StdDuration::from_micros(50),
             max_delay: StdDuration::from_micros(200),
-            tick: StdDuration::from_micros(200),
+            tick,
             seed: 0,
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );
-    std::thread::sleep(StdDuration::from_millis(400));
+    let eta = tick * OmegaParams::default().eta.ticks() as u32;
+    let settled = await_stable_leader(|| cluster.latest_outputs(), eta, 5);
     let report = cluster.stop();
+    assert_eq!(settled, Some(ProcessId(0)), "threads: no stable p0");
     for p in (0..n as u32).map(ProcessId) {
         assert_eq!(
             report.final_output_of(p),
@@ -50,6 +56,34 @@ fn both_substrates_elect_p0_on_perfect_links() {
             "threads: {p} disagrees"
         );
     }
+}
+
+/// Polls the processes' latest leader outputs once per `eta` until all of
+/// them have named the same leader for `rounds` polls in a row, and returns
+/// that leader; `None` if that has not happened within 20 s.
+fn await_stable_leader(
+    latest_outputs: impl Fn() -> Vec<Option<ProcessId>>,
+    eta: StdDuration,
+    rounds: usize,
+) -> Option<ProcessId> {
+    let deadline = StdInstant::now() + StdDuration::from_secs(20);
+    let mut streak: Option<(ProcessId, usize)> = None;
+    while StdInstant::now() < deadline {
+        let outputs = latest_outputs();
+        let agreed = outputs[0].filter(|l| outputs.iter().all(|o| *o == Some(*l)));
+        streak = match (agreed, streak) {
+            (Some(l), Some((prev, k))) if prev == l => Some((l, k + 1)),
+            (Some(l), _) => Some((l, 1)),
+            (None, _) => None,
+        };
+        if let Some((l, k)) = streak {
+            if k >= rounds {
+                return Some(l);
+            }
+        }
+        std::thread::sleep(eta);
+    }
+    None
 }
 
 /// Crash-stop failover works identically in shape on both substrates: the
