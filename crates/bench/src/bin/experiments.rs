@@ -120,7 +120,7 @@ fn run(id: &str, s: &Scale) -> bool {
                 e_consensus::e7_steady_state(5, 100.min(s.horizon / 200), 10_000);
             print_exp(
                 id,
-                "consensus steady state (claim: no re-prepare, ~4(n-1) msgs/cmd, leader-centric)",
+                "consensus steady state (claim: no re-prepare, ~2(n-1) msgs/cmd, leader-centric)",
                 s,
                 table,
             );

@@ -14,7 +14,7 @@
 //! | Ω own counter | `OmegaCounter` | Peers adopt the largest counter heard from us and accusations only count when they match it (the counter *is* the phase). Regressing it would let a demoted candidate re-claim leadership it lost — breaking eventual agreement — and desynchronise the accusation phase forever. |
 //! | promised ballot | `Promised` | A `Promise(b)` tells a proposer "no ballot `< b` can succeed through me". Forgetting it would let a restarted acceptor promise/accept an older ballot, producing two quorums for different values — the classic Paxos split brain. |
 //! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. A replicated-log acceptor keeps a slot's vote only until it learns the slot chosen, and reveals the chosen entry in its place (see *Votes of chosen slots*). |
-//! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and are announced to peers (and to the local application). A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
+//! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and observable: the local application sees them, a single-shot decider announces its decision, a replicated-log leader advertises its chosen prefix (see *Learning from the leader's prefix*), and any replica serves chosen slots to laggards. A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
 //!
 //! # Recovery ("recovering rejoin mode")
 //!
@@ -56,6 +56,51 @@
 //! the same `v`. Nothing in the WAL changes: the same records are appended
 //! as before, and recovery simply prefers `Chosen` over `Accepted` for a
 //! slot holding both.
+//!
+//! # Learning from the leader's prefix
+//!
+//! A [`ReplicatedLog`](crate::ReplicatedLog) leader does not announce its
+//! decisions. Its *chosen prefix* — the number of contiguous slots it knows
+//! chosen — rides, with its ballot, on every `Accept`, on `ReadIndexReply`
+//! and on the Ω ALIVEs it sends every η anyway, and followers learn from it.
+//!
+//! *Premise:* a leader proposes at most one entry per slot per ballot.
+//! Fresh commands go only to `next_slot`, which only grows; the takeover
+//! proposes each slot of its re-proposal range once (the entry it gathered,
+//! or a no-op) and skips the slots it already knows chosen; and
+//! `start_prepare` always picks a ballot above everything promised or seen
+//! (the promise survives restarts in the WAL), so no process leads the
+//! same ballot twice.
+//!
+//! *Rule:* a replica holds a vote `(b, e)` for slot `s`, and the leader of
+//! `b` advertises a chosen prefix above `s`. Then the replica learns `e` at
+//! `s`. A vote at any other ballot — or no vote — teaches nothing: the
+//! replica raises its known frontier and pulls the slot with `CatchUp`.
+//!
+//! Why that is safe: by the premise, `e` is the only entry the leader of
+//! `b` proposed at `s` under `b`, and it advertises only slots it knows
+//! chosen. It also keeps its prefix *honest*: while it leads `b`, every
+//! slot below the prefix that it proposed under `b` is chosen with the
+//! entry it proposed. A slot it chose itself was chosen by a majority of
+//! votes for that entry. A slot it learns any other way (a `Decide`,
+//! another leader's prefix) carries the chosen entry `v`; by the Paxos
+//! invariant a value chosen at a ballot `≤ b` is what every ballot-`b`
+//! proposal carries, so `v` differs from its own proposal only if a higher
+//! ballot chose it. A chosen slot at or past `next_slot`, where it would
+//! propose next, proves the same: slots chosen below `b` lie below the
+//! horizon its promise quorum revealed, and its own choices lie below
+//! `next_slot`. On either sign the leader abdicates before the slot enters
+//! its prefix, and never advertises `b` again; a snapshot install covering
+//! one of its in-flight proposals, or reaching past `next_slot`, abdicates
+//! likewise, since the snapshot's entries are opaque. So when the replica
+//! learns `e`, `e` is the chosen entry.
+//!
+//! What is persisted: nothing new. A learned slot is a `Chosen` record, as
+//! before. On an `Accept`, the vote and the `Chosen` records its prefix
+//! teaches go to the WAL as one group, written before the `Accepted` reply
+//! and before any `Committed` output; a prefix on a `ReadIndexReply` or an
+//! ALIVE writes the records it teaches as one group before the slots are
+//! emitted. Recovery is unchanged.
 //!
 //! # Compaction (the "durable prefix" envelope)
 //!

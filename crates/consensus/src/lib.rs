@@ -70,7 +70,7 @@ pub use ballot::Ballot;
 pub use durable::{AcceptorRecord, RsmRecord};
 pub use msg::{classify_consensus_msg, classify_rsm_msg, ConsensusMsg, Entry, RsmMsg};
 pub use rotating::{classify_rot_msg, RotEvent, RotMsg, RotatingConsensus};
-pub use rsm::{LifecycleId, ReplicatedLog, RsmEvent};
+pub use rsm::{LifecycleId, ReplicatedLog, RsmEvent, CATCHUP_BURST};
 pub use shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg,
     ShardRequest, ShardedNode,

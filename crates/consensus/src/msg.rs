@@ -93,10 +93,17 @@ impl<V> Entry<V> {
 /// Messages of the [`ReplicatedLog`](crate::ReplicatedLog) (Multi-Paxos
 /// style): phase 1 covers all slots from `from_slot` on with one ballot;
 /// phase 2 runs per slot.
+///
+/// An established leader's chosen prefix rides on `Accept`, on
+/// `ReadIndexReply` and on its Ω heartbeats, and teaches each follower the
+/// slots it holds a vote for at that leader's ballot (see
+/// [`crate::durable`], "Learning from the leader's prefix"). There is no
+/// separate decide round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmMsg<V> {
-    /// Embedded leader-election traffic.
-    Omega(OmegaMsg),
+    /// Embedded leader-election traffic, with the sender's ballot and
+    /// chosen prefix when it leads the log at an established ballot.
+    Omega(OmegaMsg, Option<(Ballot, u64)>),
     /// Phase 1a for every slot ≥ `from_slot` at once.
     Prepare {
         /// The proposer's ballot.
@@ -125,6 +132,9 @@ pub enum RsmMsg<V> {
         slot: u64,
         /// The entry to accept.
         entry: Entry<V>,
+        /// The leader's chosen prefix when it sent this (retransmissions
+        /// included): every slot below it is chosen.
+        commit: u64,
     },
     /// Phase 2b for one slot.
     Accepted {
@@ -140,21 +150,18 @@ pub enum RsmMsg<V> {
         /// The ballot the acceptor is promised to.
         higher: Ballot,
     },
-    /// A chosen slot, broadcast (and retransmitted) by the leader.
+    /// A chosen slot: the answer to `CatchUp`, and a new leader's one-time
+    /// announce of the slots it already knows chosen. Sent once and never
+    /// acknowledged; a receiver that misses it pulls the slot again.
     Decide {
         /// The chosen slot.
         slot: u64,
         /// The chosen entry.
         entry: Entry<V>,
     },
-    /// Acknowledges `Decide { slot }` to silence retransmission.
-    DecideAck {
-        /// The acknowledged slot.
-        slot: u64,
-    },
-    /// A laggard asks a peer for everything chosen from `low_slot` on. The
-    /// peer answers with `Decide`s, or with a snapshot transfer when its
-    /// own log was already compacted past `low_slot`.
+    /// A laggard asks a peer for what is chosen from `low_slot` on. The peer
+    /// answers with up to one window of `Decide`s, or with a snapshot
+    /// transfer when its own log was already compacted past `low_slot`.
     CatchUp {
         /// The requester's first slot not known chosen.
         low_slot: u64,
@@ -191,8 +198,7 @@ pub enum RsmMsg<V> {
     },
     /// Acknowledges one snapshot chunk (silencing its retransmission), or
     /// — with `index == u32::MAX` — the whole transfer (received or not
-    /// needed), telling the sender to resume Decide streaming at the
-    /// watermark.
+    /// needed), ending it at the sender.
     SnapshotAck {
         /// The watermark of the transfer being acknowledged.
         watermark: u64,
@@ -225,12 +231,15 @@ pub enum RsmMsg<V> {
     /// The leaseholder's answer to `ReadIndex { req }`: the read is safe
     /// once the asker has applied `index` contiguous slots. Only a leader
     /// with an *active* lease answers — without the lease its committed
-    /// length could be stale.
+    /// length could be stale. `index` is the leader's chosen prefix, so
+    /// with `b` the asker learns its own votes below it on receipt.
     ReadIndexReply {
         /// The echoed request token.
         req: u64,
         /// The committed length to wait for before serving the read.
         index: u64,
+        /// The leaseholder's established ballot.
+        b: Ballot,
     },
 }
 
@@ -334,9 +343,10 @@ impl<V: Wire> Wire for ConsensusMsg<V> {
 impl<V: Wire> Wire for RsmMsg<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            RsmMsg::Omega(m) => {
+            RsmMsg::Omega(m, prefix) => {
                 out.push(0);
                 m.encode(out);
+                prefix.encode(out);
             }
             RsmMsg::Prepare { b, from_slot } => {
                 out.push(1);
@@ -353,11 +363,17 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 accepted.encode(out);
                 low_slot.encode(out);
             }
-            RsmMsg::Accept { b, slot, entry } => {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                commit,
+            } => {
                 out.push(3);
                 b.encode(out);
                 slot.encode(out);
                 entry.encode(out);
+                commit.encode(out);
             }
             RsmMsg::Accepted { b, slot } => {
                 out.push(4);
@@ -373,10 +389,6 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 out.push(6);
                 slot.encode(out);
                 entry.encode(out);
-            }
-            RsmMsg::DecideAck { slot } => {
-                out.push(7);
-                slot.encode(out);
             }
             RsmMsg::CatchUp { low_slot } => {
                 out.push(8);
@@ -427,17 +439,18 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 out.push(14);
                 req.encode(out);
             }
-            RsmMsg::ReadIndexReply { req, index } => {
+            RsmMsg::ReadIndexReply { req, index, b } => {
                 out.push(15);
                 req.encode(out);
                 index.encode(out);
+                b.encode(out);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(RsmMsg::Omega(OmegaMsg::decode(r)?)),
+            0 => Ok(RsmMsg::Omega(OmegaMsg::decode(r)?, Option::decode(r)?)),
             1 => Ok(RsmMsg::Prepare {
                 b: Ballot::decode(r)?,
                 from_slot: u64::decode(r)?,
@@ -451,6 +464,7 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 b: Ballot::decode(r)?,
                 slot: u64::decode(r)?,
                 entry: Entry::decode(r)?,
+                commit: u64::decode(r)?,
             }),
             4 => Ok(RsmMsg::Accepted {
                 b: Ballot::decode(r)?,
@@ -464,9 +478,8 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 slot: u64::decode(r)?,
                 entry: Entry::decode(r)?,
             }),
-            7 => Ok(RsmMsg::DecideAck {
-                slot: u64::decode(r)?,
-            }),
+            // Tag 7 is retired (a decide acknowledgement in older builds):
+            // it falls through to `BadTag`, never to another message.
             8 => Ok(RsmMsg::CatchUp {
                 low_slot: u64::decode(r)?,
             }),
@@ -501,6 +514,7 @@ impl<V: Wire> Wire for RsmMsg<V> {
             15 => Ok(RsmMsg::ReadIndexReply {
                 req: u64::decode(r)?,
                 index: u64::decode(r)?,
+                b: Ballot::decode(r)?,
             }),
             tag => Err(WireError::BadTag {
                 type_name: "RsmMsg",
@@ -527,14 +541,13 @@ pub fn classify_consensus_msg<V>(msg: &ConsensusMsg<V>) -> &'static str {
 /// Classifier for per-kind message statistics of [`RsmMsg`].
 pub fn classify_rsm_msg<V>(msg: &RsmMsg<V>) -> &'static str {
     match msg {
-        RsmMsg::Omega(m) => omega::classify_msg(m),
+        RsmMsg::Omega(m, _) => omega::classify_msg(m),
         RsmMsg::Prepare { .. } => "PREPARE",
         RsmMsg::Promise { .. } => "PROMISE",
         RsmMsg::Accept { .. } => "ACCEPT",
         RsmMsg::Accepted { .. } => "ACCEPTED",
         RsmMsg::Nack { .. } => "NACK",
         RsmMsg::Decide { .. } => "DECIDE",
-        RsmMsg::DecideAck { .. } => "DECIDE_ACK",
         RsmMsg::CatchUp { .. } => "CATCH_UP",
         RsmMsg::SnapshotOffer { .. } => "SNAP_OFFER",
         RsmMsg::SnapshotChunk { .. } => "SNAP_CHUNK",
@@ -608,7 +621,7 @@ mod tests {
     fn rsm_classify_covers_every_variant() {
         let b = Ballot::new(1, ProcessId(0));
         let msgs: Vec<RsmMsg<u64>> = vec![
-            RsmMsg::Omega(OmegaMsg::Accuse { counter: 0 }),
+            RsmMsg::Omega(OmegaMsg::Accuse { counter: 0 }, None),
             RsmMsg::Prepare { b, from_slot: 0 },
             RsmMsg::Promise {
                 b,
@@ -619,6 +632,7 @@ mod tests {
                 b,
                 slot: 0,
                 entry: Entry::Cmd(1),
+                commit: 0,
             },
             RsmMsg::Accepted { b, slot: 0 },
             RsmMsg::Nack { b, higher: b },
@@ -626,7 +640,6 @@ mod tests {
                 slot: 0,
                 entry: Entry::Noop,
             },
-            RsmMsg::DecideAck { slot: 0 },
             RsmMsg::CatchUp { low_slot: 3 },
             RsmMsg::SnapshotOffer {
                 watermark: 5,
@@ -648,7 +661,11 @@ mod tests {
             RsmMsg::LeaseGrant { b, seq: 1 },
             RsmMsg::LeaseAck { b, seq: 1 },
             RsmMsg::ReadIndex { req: 9 },
-            RsmMsg::ReadIndexReply { req: 9, index: 4 },
+            RsmMsg::ReadIndexReply {
+                req: 9,
+                index: 4,
+                b,
+            },
         ];
         let kinds: Vec<_> = msgs.iter().map(classify_rsm_msg).collect();
         assert_eq!(
@@ -661,7 +678,6 @@ mod tests {
                 "ACCEPTED",
                 "NACK",
                 "DECIDE",
-                "DECIDE_ACK",
                 "CATCH_UP",
                 "SNAP_OFFER",
                 "SNAP_CHUNK",
@@ -712,6 +728,7 @@ mod tests {
             RsmMsg::ReadIndexReply {
                 req: 0xAB_CDEF,
                 index: 42,
+                b,
             },
         ];
         for msg in msgs {

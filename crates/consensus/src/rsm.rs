@@ -4,9 +4,11 @@
 //! The point of this module is the paper's *communication-efficient
 //! consensus* claim: once Ω stabilizes on a leader `ℓ` after GST, `ℓ` runs
 //! the ballot (phase-1) handshake **once** for all future slots, and every
-//! subsequent command commits in a single `Accept`/`Accepted` round trip plus
-//! a `Decide` notification — Θ(n) messages per decision, all sent by or
-//! addressed to `ℓ`. Experiment E7 measures exactly this steady state.
+//! subsequent command commits in a single `Accept`/`Accepted` round trip —
+//! 2(n−1) messages per decision, all sent by or addressed to `ℓ`.
+//! Followers learn the decision from `ℓ`'s chosen prefix on the traffic that
+//! flows anyway (the next `Accept`, a `ReadIndexReply`, or `ℓ`'s Ω
+//! heartbeat). Experiment E7 measures exactly this steady state.
 //!
 //! Mechanics:
 //!
@@ -21,8 +23,12 @@
 //! * A newly `Led` leader re-proposes inherited entries, plugs the gaps left
 //!   by its predecessor with [`Entry::Noop`], then drains its pending command
 //!   queue into fresh slots.
-//! * Chosen slots are broadcast as `Decide` and retransmitted until each peer
-//!   acknowledges (fair-lossy links), and every process emits
+//! * Every `Accept`, `ReadIndexReply` and Ω heartbeat of an established
+//!   leader carries its ballot and chosen prefix; a follower learns each
+//!   slot below the prefix for which it holds a vote at that ballot (the
+//!   rule and its safety argument: [`crate::durable`], "Learning from the
+//!   leader's prefix"). A slot it cannot learn so raises its known frontier
+//!   and is pulled with [`RsmMsg::CatchUp`]. Every process emits
 //!   [`RsmEvent::Committed`] in strict slot order.
 //!
 //! # Throughput path: batching and pipelining
@@ -33,7 +39,7 @@
 //!
 //! * **Batching** — up to `max_batch` queued commands coalesce into one
 //!   [`Entry::Batch`], decided atomically in a single slot (one accept
-//!   round trip, one WAL record, one `Decide` for the whole batch);
+//!   round trip, one WAL record for the whole batch);
 //! * **Pipelining** — up to `pipeline_depth` slots may be awaiting their
 //!   quorums concurrently; commands arriving while the pipeline is full
 //!   queue in `pending` and coalesce into the next batch.
@@ -63,20 +69,31 @@
 //! envelope of [`crate::durable`] is preserved (see row "compaction"
 //! there).
 //!
-//! Catch-up changes shape once logs can be compacted. A laggard whose gap
-//! lies *above* every peer's watermark is served plain `Decide`s via
-//! [`RsmMsg::CatchUp`]; a laggard whose gap dips *below* a peer's watermark
-//! (it was down long enough for the cluster to compact, or it is a fresh
-//! replacement) is served a chunked, CRC-checked snapshot transfer
+//! # Catch-up
+//!
+//! A replica knows it is behind when its known frontier (the highest
+//! prefix any peer advertised) or a slot it learned lies past its emission
+//! cursor. It pulls the gap one window of [`CATCHUP_BURST`] slots at a
+//! time: a [`RsmMsg::CatchUp`] is answered with `Decide`s, and as soon as
+//! the cursor passes the window, with the frontier still ahead, the laggard
+//! asks the peer that served it for the next one, so a long gap costs one
+//! round trip per window and traffic linear in the slots missed. Retry
+//! ticks only repair loss: a laggard with no window outstanding, or whose
+//! cursor did not move since the last tick, asks the believed leader. A restarted replica asks every peer once. The leader keeps
+//! no per-peer or per-slot state for any of this.
+//!
+//! A laggard whose gap dips *below* a peer's watermark (it was down long
+//! enough for the cluster to compact, or it is a fresh replacement) is
+//! served a chunked, CRC-checked snapshot transfer instead
 //! (`SnapshotOffer`/`SnapshotChunk`/`SnapshotAck`, retransmitted with
 //! jittered exponential backoff), installs it, emits
-//! [`RsmEvent::SnapshotInstalled`], and resumes Decide streaming at the
+//! [`RsmEvent::SnapshotInstalled`], and resumes windowed catch-up at the
 //! watermark. Symmetrically, a *new leader* never no-op-fills a slot below
 //! the highest `low_slot` any promiser reported — those slots are chosen
 //! somewhere (possibly compacted away); it fetches them by `CatchUp`
 //! instead. Experiment E21 exercises all of this under sustained chaos.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
@@ -183,9 +200,11 @@ const SNAP_CHUNK_BYTES: usize = 32 * 1024;
 /// (a fresh `CatchUp` from the peer restarts it from scratch).
 const SNAP_MAX_ATTEMPTS: u32 = 10;
 
-/// Max `Decide`s served per `CatchUp` request — the laggard re-requests as
-/// it advances, so one huge burst never floods a link.
-const CATCHUP_BURST: usize = 128;
+/// Max `Decide`s served per `CatchUp` request: one catch-up window. The
+/// laggard asks for the next window as soon as its cursor passes this one
+/// while its known frontier is still ahead, so a long gap streams at one
+/// window per round trip and one huge burst never floods a link.
+pub const CATCHUP_BURST: u64 = 128;
 
 /// splitmix64 — the deterministic hash behind retransmission jitter (no RNG
 /// dependency; the same seeds always produce the same schedule, which keeps
@@ -254,20 +273,18 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     highest_seen: Ballot,
     pending: VecDeque<V>,
     inflight: BTreeMap<u64, Inflight<V>>,
-    decide_trackers: BTreeMap<u64, Vec<bool>>,
-    /// Peers that had not acknowledged a Decide when compaction pruned its
-    /// tracker. The Decide bytes no longer exist here, so the next retry
-    /// tick serves these peers a snapshot transfer instead — a peer missing
-    /// the *final* slot has no later chosen slot to trigger its own
-    /// CatchUp, and would otherwise never converge in a quiet cluster.
-    snapshot_debtors: BTreeSet<ProcessId>,
-    /// Highest log frontier overheard from peers: a `CatchUp { low_slot }`
-    /// advertises that its sender has emitted everything below `low_slot`,
-    /// and a snapshot offer advertises its watermark. Evidence that slots
-    /// up to the frontier exist even when we hold nothing above our cursor
-    /// — the case after the decider of our missing suffix crashed (its
-    /// in-memory retransmission state dies with it) and rejoined.
+    /// Highest log frontier overheard from peers: a leader's advertised
+    /// chosen prefix, a `CatchUp { low_slot }` (its sender has emitted
+    /// everything below `low_slot`), or a snapshot offer's watermark.
+    /// Evidence that slots up to the frontier are chosen even when we hold
+    /// nothing above our cursor.
     known_frontier: u64,
+    /// End of the catch-up window last requested: once the cursor passes
+    /// it, a laggard still behind asks for the next window.
+    catchup_end: u64,
+    /// The emission cursor at the last retry tick; a laggard whose cursor
+    /// has not moved since then lost its catch-up and asks again.
+    cursor_at_tick: u64,
     // Durability (see `crate::durable` for the safety arguments).
     storage: Option<StorageHandle>,
     wedged: bool,
@@ -401,9 +418,9 @@ where
             highest_seen: Ballot::ZERO,
             pending: VecDeque::new(),
             inflight: BTreeMap::new(),
-            decide_trackers: BTreeMap::new(),
-            snapshot_debtors: BTreeSet::new(),
             known_frontier: 0,
+            catchup_end: 0,
+            cursor_at_tick: 0,
             storage: None,
             wedged: false,
             snapshots: None,
@@ -626,19 +643,6 @@ where
         }
         self.accepted = self.accepted.split_off(&watermark);
         self.chosen.truncate_front(watermark);
-        // Pruning a tracker that still has unacknowledged peers would drop
-        // their retransmission silently; remember them as snapshot debtors
-        // so the next retry tick serves them a state transfer instead.
-        let mut owed: Vec<ProcessId> = Vec::new();
-        for (_, acks) in self.decide_trackers.range(..watermark) {
-            for q in self.env.membership().others(self.me()) {
-                if !acks[q.as_usize()] {
-                    owed.push(q);
-                }
-            }
-        }
-        self.snapshot_debtors.extend(owed);
-        self.decide_trackers = self.decide_trackers.split_off(&watermark);
         if self.emitted_upto < watermark {
             self.emitted_upto = watermark;
         }
@@ -948,15 +952,30 @@ where
             ctx.output(RsmEvent::ReadIndexAt { req, index });
             return;
         }
-        let believed = if self.external {
-            self.believed
-        } else {
-            Some(self.omega.leader())
-        };
-        if let Some(leader) = believed {
+        if let Some(leader) = self.believed_leader() {
             if leader != self.me() {
                 ctx.send(leader, RsmMsg::ReadIndex { req });
             }
+        }
+    }
+
+    /// The leader this replica currently believes in: the external
+    /// detector's word in external mode, the embedded Ω's otherwise.
+    fn believed_leader(&self) -> Option<ProcessId> {
+        if self.external {
+            self.believed
+        } else {
+            Some(self.omega.leader())
+        }
+    }
+
+    /// The ballot and chosen prefix this replica advertises on its traffic:
+    /// only an established leader advertises (see [`crate::durable`],
+    /// "Learning from the leader's prefix").
+    pub(crate) fn advertised_prefix(&self) -> Option<(Ballot, u64)> {
+        match self.state {
+            LeaderState::Led { b, .. } => Some((b, self.emitted_upto)),
+            _ => None,
         }
     }
 
@@ -1167,8 +1186,9 @@ where
         {
             return;
         }
+        let prefix = self.advertised_prefix();
         for s in fx.sends {
-            ctx.send(s.to, RsmMsg::Omega(s.msg));
+            ctx.send(s.to, RsmMsg::Omega(s.msg, prefix));
         }
         for cmd in fx.timers {
             match cmd {
@@ -1319,10 +1339,7 @@ where
             }
         }
         if needs_catchup {
-            let low_slot = self.emitted_upto;
-            for q in self.env.membership().others(self.me()) {
-                ctx.send(q, RsmMsg::CatchUp { low_slot });
-            }
+            self.request_window(ctx, None);
         }
         // Group commit: one flush covers every inherited/no-op re-proposal.
         let records: Vec<RsmRecord<V>> = proposals
@@ -1337,9 +1354,9 @@ where
             return;
         }
         for (slot, entry) in announce {
-            // Already chosen here: (re)announce so laggards catch up.
-            self.track_decide(slot);
-            self.broadcast_decide(ctx, slot, entry);
+            // Already chosen here, so no follower can learn it from our
+            // prefix: announce it once; a follower that misses it pulls it.
+            ctx.broadcast(RsmMsg::Decide { slot, entry });
         }
         for (slot, entry) in proposals {
             self.accept_persisted(ctx, slot, entry);
@@ -1426,8 +1443,9 @@ where
         }
     }
 
-    /// Self-accepts `entry` at `slot`, broadcasts the `Accept`, and checks
-    /// for an (n = 1 or retransmission-fed) instant quorum. The matching
+    /// Self-accepts `entry` at `slot`, broadcasts the `Accept` (carrying our
+    /// chosen prefix), and checks for an (n = 1 or retransmission-fed)
+    /// instant quorum. The matching
     /// `Accepted` WAL record must already be durable — callers persist
     /// (individually or as a group) *before* this runs, preserving the
     /// write-ahead rule.
@@ -1451,10 +1469,18 @@ where
             },
         );
         self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
-        ctx.broadcast(RsmMsg::Accept { b, slot, entry });
+        let commit = self.emitted_upto;
+        ctx.broadcast(RsmMsg::Accept {
+            b,
+            slot,
+            entry,
+            commit,
+        });
         self.try_choose(ctx, slot);
     }
 
+    /// Learns `slot` once a majority voted for it. Nothing is sent: the
+    /// followers learn it from our prefix on the traffic that follows.
     fn try_choose(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64) {
         let Some(inf) = self.inflight.get(&slot) else {
             return;
@@ -1464,27 +1490,7 @@ where
         }
         let entry = inf.entry.clone();
         self.inflight.remove(&slot);
-        self.learn(ctx, slot, entry.clone());
-        if self.wedged {
-            return;
-        }
-        self.track_decide(slot);
-        self.broadcast_decide(ctx, slot, entry);
-    }
-
-    fn track_decide(&mut self, slot: u64) {
-        let mut acks = vec![false; self.env.n()];
-        acks[self.me().as_usize()] = true;
-        self.decide_trackers.insert(slot, acks);
-    }
-
-    fn broadcast_decide(
-        &mut self,
-        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
-        slot: u64,
-        entry: Entry<V>,
-    ) {
-        ctx.broadcast(RsmMsg::Decide { slot, entry });
+        self.learn(ctx, slot, entry);
     }
 
     fn learn(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64, entry: Entry<V>) {
@@ -1495,23 +1501,95 @@ where
         }
         if !self.chosen.contains(slot) {
             // Write-ahead: the choice must be durable before the Committed
-            // output (and any Decide broadcast) can be observed.
+            // output can be observed.
             if !self.persist(&RsmRecord::Chosen {
                 slot,
                 entry: entry.clone(),
             }) {
                 return;
             }
-            self.emit_stage(ctx.now(), &entry, CmdStage::Decide);
-            self.chosen.insert(slot, entry);
-            self.accepted.remove(&slot);
-            self.probe.emit(ProbeEvent::Decide {
-                node: self.me(),
-                at: ctx.now(),
-                slot,
-            });
+            self.mark_chosen(ctx.now(), slot, entry);
         }
         self.drain_committed(ctx);
+    }
+
+    /// Records `slot` as chosen, whose `Chosen` record is already durable,
+    /// and drops its vote. Emits nothing; callers drain committed slots.
+    fn mark_chosen(&mut self, now: Instant, slot: u64, entry: Entry<V>) {
+        // Prefix honesty (see `crate::durable`): an established leader of
+        // `b` learning, from anyone but its own quorum, a slot at or past
+        // its proposal horizon or one it proposed under `b` with another
+        // entry has met a choice made at a higher ballot. It stops
+        // advertising `b` before that slot can enter its prefix.
+        if let LeaderState::Led { next_slot, .. } = self.state {
+            if slot >= next_slot || self.inflight.get(&slot).is_some_and(|i| i.entry != entry) {
+                self.abdicate(now);
+            }
+        }
+        self.emit_stage(now, &entry, CmdStage::Decide);
+        self.chosen.insert(slot, entry);
+        self.accepted.remove(&slot);
+        self.probe.emit(ProbeEvent::Decide {
+            node: self.me(),
+            at: now,
+            slot,
+        });
+    }
+
+    /// Our votes at ballot `b` for slots below `commit`: what the leader of
+    /// `b`, whose chosen prefix is `commit`, teaches us (see
+    /// [`crate::durable`], "Learning from the leader's prefix").
+    fn prefix_lessons(&self, b: Ballot, commit: u64) -> Vec<(u64, Entry<V>)> {
+        self.accepted
+            .range(..commit)
+            .filter(|(_, (vb, _))| *vb == b)
+            .map(|(s, (_, e))| (*s, e.clone()))
+            .collect()
+    }
+
+    /// Learns every slot the leader of `b`, advertising chosen prefix
+    /// `commit`, teaches us: their `Chosen` records go to the WAL as one
+    /// group, then the slots are emitted in order.
+    pub(crate) fn learn_prefix(
+        &mut self,
+        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
+        b: Ballot,
+        commit: u64,
+    ) {
+        self.clock = ctx.now();
+        if self.wedged {
+            return;
+        }
+        self.known_frontier = self.known_frontier.max(commit);
+        let lessons = self.prefix_lessons(b, commit);
+        if lessons.is_empty() {
+            return;
+        }
+        self.commit_lessons(ctx, Vec::new(), lessons);
+    }
+
+    /// Persists `head` and the `Chosen` records of `lessons` as one WAL
+    /// group, then marks the lessons chosen and emits what became
+    /// contiguous. Returns `false` (wedged) if the group could not be
+    /// written.
+    fn commit_lessons(
+        &mut self,
+        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
+        mut head: Vec<RsmRecord<V>>,
+        lessons: Vec<(u64, Entry<V>)>,
+    ) -> bool {
+        head.extend(lessons.iter().map(|(slot, entry)| RsmRecord::Chosen {
+            slot: *slot,
+            entry: entry.clone(),
+        }));
+        if !self.persist_group(&head) {
+            return false;
+        }
+        for (slot, entry) in lessons {
+            self.mark_chosen(ctx.now(), slot, entry);
+        }
+        self.drain_committed(ctx);
+        true
     }
 
     /// Emits `Committed` for every contiguously chosen slot at the emission
@@ -1566,7 +1644,7 @@ where
         let decides: Vec<(u64, Entry<V>)> = self
             .chosen
             .run_range(low_slot, self.emitted_upto)
-            .take(CATCHUP_BURST)
+            .take(CATCHUP_BURST as usize)
             .map(|(s, e)| (s, e.clone()))
             .collect();
         for (slot, entry) in decides {
@@ -1778,7 +1856,7 @@ where
     /// CRC, make the snapshot durable, compact our own WAL behind it, floor
     /// the in-memory maps, announce [`RsmEvent::SnapshotInstalled`], then
     /// emit whatever became contiguous above the watermark and ask the
-    /// sender to resume Decide streaming there.
+    /// sender for the catch-up window there.
     fn install_incoming_snapshot(
         &mut self,
         ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
@@ -1795,15 +1873,18 @@ where
             // Poisoned reassembly: drop it. The gap persists, so the next
             // catch-up round restarts the transfer from scratch (the sender
             // treats a fully-acked-but-unfinished transfer as restartable).
-            ctx.send(
-                from,
-                RsmMsg::CatchUp {
-                    low_slot: self.emitted_upto,
-                },
-            );
+            self.request_window(ctx, Some(from));
             return;
         }
         let watermark = inc.watermark;
+        // Prefix honesty (see `mark_chosen`): the snapshot's slots are
+        // opaque, so a leader whose horizon or in-flight proposals it covers
+        // can no longer vouch for what it would advertise.
+        if let LeaderState::Led { next_slot, .. } = self.state {
+            if watermark > next_slot || self.inflight.range(..watermark).next().is_some() {
+                self.abdicate(ctx.now());
+            }
+        }
         // Durable snapshot BEFORE compacting the WAL below: a crash between
         // the two must find the snapshot. Without a snapshot store the
         // install is memory-only and the WAL is left alone — a crash then
@@ -1854,85 +1935,38 @@ where
                 index: u32::MAX,
             },
         );
-        ctx.send(
-            from,
-            RsmMsg::CatchUp {
-                low_slot: self.emitted_upto,
-            },
-        );
+        self.request_window(ctx, Some(from));
+    }
+
+    /// Asks `to` (every peer when `None`) for the catch-up window at our
+    /// emission cursor.
+    fn request_window(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, to: Option<ProcessId>) {
+        let low_slot = self.emitted_upto;
+        self.catchup_end = low_slot + CATCHUP_BURST;
+        match to {
+            Some(q) => ctx.send(q, RsmMsg::CatchUp { low_slot }),
+            None => ctx.broadcast(RsmMsg::CatchUp { low_slot }),
+        }
     }
 
     fn on_retry(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
         self.pump_snapshot_retries(ctx);
-        // Serve peers whose un-acked Decides were compacted away: the
-        // snapshot is the only remaining form of those bytes. An offer to a
-        // peer that was merely slow to ack is self-terminating (a receiver
-        // already past the watermark immediately acks the transfer away).
-        if !self.snapshot_debtors.is_empty() {
-            let owed: Vec<ProcessId> = std::mem::take(&mut self.snapshot_debtors)
-                .into_iter()
-                .collect();
-            for q in owed {
-                self.start_snapshot_transfer(ctx, q);
-            }
-        }
-        // A chosen slot above the emission cursor means a gap below it —
-        // slots we may never see by retransmission (their chooser may have
-        // compacted and restarted). An overheard frontier above the cursor
-        // means the same thing even with nothing local to show for it: the
-        // decider of our missing suffix may have crashed and lost its
-        // retransmission state. Ask the cluster: peers answer with Decides
-        // or a snapshot transfer. Quiet steady state sends nothing.
-        if self.incoming_snap.is_none()
-            && (self.chosen.last().is_some_and(|s| s >= self.emitted_upto)
-                || self.known_frontier > self.emitted_upto)
+        // Loss repair. A chosen slot past the cursor, or a frontier some
+        // peer advertised past it, means a gap. A laggard with no catch-up
+        // window outstanding, or whose cursor has not moved since the last
+        // tick, asks the believed leader (everyone, when it believes itself
+        // the leader) for the window at its cursor. Windowed catch-up in
+        // progress, and a quiet steady state, send nothing here.
+        let behind = self.chosen.last().is_some_and(|s| s >= self.emitted_upto)
+            || self.known_frontier > self.emitted_upto;
+        if behind
+            && self.incoming_snap.is_none()
+            && (self.emitted_upto >= self.catchup_end || self.emitted_upto == self.cursor_at_tick)
         {
-            let low_slot = self.emitted_upto;
-            for q in self.env.membership().others(self.me()) {
-                ctx.send(q, RsmMsg::CatchUp { low_slot });
-            }
+            let to = self.believed_leader().filter(|l| *l != self.me());
+            self.request_window(ctx, to);
         }
-        // Retransmit decided slots to peers that have not acknowledged.
-        let mut done = Vec::new();
-        let trackers: Vec<(u64, Vec<bool>)> = self
-            .decide_trackers
-            .iter()
-            .map(|(s, a)| (*s, a.clone()))
-            .collect();
-        for (slot, acks) in trackers {
-            if acks.iter().all(|a| *a) {
-                done.push(slot);
-                continue;
-            }
-            let Some(entry) = self.chosen.get(slot).cloned() else {
-                // Defensive: a tracker without its chosen entry can only
-                // mean the slot fell below the watermark — the snapshot
-                // supersedes it, so convert the tracker into debts.
-                let owed: Vec<ProcessId> = self
-                    .env
-                    .membership()
-                    .others(self.me())
-                    .filter(|q| !acks[q.as_usize()])
-                    .collect();
-                self.snapshot_debtors.extend(owed);
-                done.push(slot);
-                continue;
-            };
-            for q in self.env.membership().others(self.me()) {
-                if !acks[q.as_usize()] {
-                    ctx.send(
-                        q,
-                        RsmMsg::Decide {
-                            slot,
-                            entry: entry.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        for slot in done {
-            self.decide_trackers.remove(&slot);
-        }
+        self.cursor_at_tick = self.emitted_upto;
         if !self.believes_leadership() {
             if !matches!(self.state, LeaderState::Follower) {
                 self.abdicate(ctx.now());
@@ -1965,6 +1999,7 @@ where
                     .iter()
                     .map(|(s, i)| (*s, i.entry.clone(), i.acks.clone()))
                     .collect();
+                let commit = self.emitted_upto;
                 for (slot, entry, acks) in inflight {
                     for q in self.env.membership().others(self.me()) {
                         if !acks[q.as_usize()] {
@@ -1974,6 +2009,7 @@ where
                                     b,
                                     slot,
                                     entry: entry.clone(),
+                                    commit,
                                 },
                             );
                         }
@@ -1998,7 +2034,7 @@ where
         msg: RsmMsg<V>,
     ) {
         match msg {
-            RsmMsg::Omega(_) => unreachable!("routed by caller"),
+            RsmMsg::Omega(..) => unreachable!("routed by caller"),
             RsmMsg::Prepare { b, from_slot } => {
                 self.highest_seen = self.highest_seen.max(b);
                 // Lease holdoff: while a granted lease (or the boot
@@ -2072,27 +2108,14 @@ where
                     }
                 }
             }
-            RsmMsg::Accept { b, slot, entry } => {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                commit,
+            } => {
                 self.highest_seen = self.highest_seen.max(b);
-                if b >= self.promised {
-                    // Write-ahead: the vote must be durable before the
-                    // Accepted reply can leave.
-                    if !self.persist(&RsmRecord::Accepted {
-                        slot,
-                        b,
-                        entry: entry.clone(),
-                    }) {
-                        return;
-                    }
-                    self.promised = b;
-                    // A re-proposal of a slot this replica already knows
-                    // chosen (learned, or below the snapshot watermark)
-                    // carries the chosen entry; the vote adds nothing.
-                    if slot >= self.watermark() && !self.chosen.contains(slot) {
-                        self.accepted.insert(slot, (b, entry));
-                    }
-                    ctx.send(from, RsmMsg::Accepted { b, slot });
-                } else {
+                if b < self.promised {
                     ctx.send(
                         from,
                         RsmMsg::Nack {
@@ -2100,7 +2123,37 @@ where
                             higher: self.promised,
                         },
                     );
+                    return;
                 }
+                self.known_frontier = self.known_frontier.max(commit);
+                // A re-proposal of a slot this replica already knows chosen
+                // (learned, or below the snapshot watermark) carries the
+                // chosen entry; the vote adds nothing.
+                let fresh = slot >= self.watermark() && !self.chosen.contains(slot);
+                // The vote itself and our earlier votes at `b` below the
+                // prefix are learned at once.
+                let mut lessons = self.prefix_lessons(b, commit);
+                lessons.retain(|(s, _)| *s != slot);
+                let learned = fresh && slot < commit;
+                if learned {
+                    lessons.push((slot, entry.clone()));
+                }
+                // Write-ahead: the vote and what the prefix teaches become
+                // durable as one group before the Accepted reply or any
+                // Committed output.
+                let vote = RsmRecord::Accepted {
+                    slot,
+                    b,
+                    entry: entry.clone(),
+                };
+                if !self.commit_lessons(ctx, vec![vote], lessons) {
+                    return;
+                }
+                self.promised = b;
+                if fresh && !learned {
+                    self.accepted.insert(slot, (b, entry));
+                }
+                ctx.send(from, RsmMsg::Accepted { b, slot });
             }
             RsmMsg::Accepted { b, slot } => {
                 if let LeaderState::Led { b: cur, .. } = self.state {
@@ -2129,14 +2182,14 @@ where
             }
             RsmMsg::Decide { slot, entry } => {
                 self.learn(ctx, slot, entry);
-                ctx.send(from, RsmMsg::DecideAck { slot });
-            }
-            RsmMsg::DecideAck { slot } => {
-                if let Some(acks) = self.decide_trackers.get_mut(&slot) {
-                    acks[from.as_usize()] = true;
-                    if acks.iter().all(|a| *a) {
-                        self.decide_trackers.remove(&slot);
-                    }
+                // Paced catch-up: once the cursor passes the window and the
+                // frontier is still ahead, ask the peer that served it for
+                // the next one.
+                if self.emitted_upto >= self.catchup_end
+                    && self.known_frontier > self.emitted_upto
+                    && self.incoming_snap.is_none()
+                {
+                    self.request_window(ctx, Some(from));
                 }
             }
             RsmMsg::CatchUp { low_slot } => {
@@ -2236,16 +2289,15 @@ where
                 // replica's committed length could trail a newer leader's
                 // decisions, and the index would certify a stale read.
                 if self.lease_read_allowed(ctx.now()) {
-                    ctx.send(
-                        from,
-                        RsmMsg::ReadIndexReply {
-                            req,
-                            index: self.emitted_upto,
-                        },
-                    );
+                    if let Some((b, index)) = self.advertised_prefix() {
+                        ctx.send(from, RsmMsg::ReadIndexReply { req, index, b });
+                    }
                 }
             }
-            RsmMsg::ReadIndexReply { req, index } => {
+            RsmMsg::ReadIndexReply { req, index, b } => {
+                // Learn first: on FIFO links our votes below `index` are
+                // already here, so the read never waits for another message.
+                self.learn_prefix(ctx, b, index);
                 ctx.output(RsmEvent::ReadIndexAt { req, index });
             }
         }
@@ -2283,9 +2335,7 @@ where
         // cluster may have chosen (and compacted) a long prefix while it was
         // down, and nobody may be retransmitting that history anymore.
         if self.recovered {
-            ctx.broadcast(RsmMsg::CatchUp {
-                low_slot: self.emitted_upto,
-            });
+            self.request_window(ctx, None);
         }
         // In external-leadership mode the embedded Ω never runs: the shared
         // per-node detector injects leadership via `set_leader`.
@@ -2305,7 +2355,10 @@ where
             return;
         }
         match msg {
-            RsmMsg::Omega(m) => {
+            RsmMsg::Omega(m, prefix) => {
+                if let Some((b, commit)) = prefix {
+                    self.learn_prefix(ctx, b, commit);
+                }
                 // Ω traffic is not ours in external mode — the shared
                 // per-node detector owns it.
                 if !self.external {
@@ -2510,7 +2563,7 @@ mod tests {
         sm.on_message(
             &mut ctx,
             ProcessId(0),
-            RsmMsg::Omega(omega::OmegaMsg::Alive { counter: 9 }),
+            RsmMsg::Omega(omega::OmegaMsg::Alive { counter: 9 }, None),
         );
         let out = fx.take();
         assert!(out.sends.is_empty() && out.outputs.is_empty());
@@ -2544,7 +2597,8 @@ mod tests {
             .iter()
             .all(|s| matches!(s.msg, RsmMsg::Accept { slot: 0, .. })));
         assert_eq!(fx.sends.len(), 2);
-        // One Accepted (plus self) = majority: commit + decide broadcast.
+        // One Accepted (plus self) = majority: commit, and nothing more is
+        // sent — the followers learn slot 0 from our prefix later.
         let fx = h.deliver(
             1,
             RsmMsg::Accepted {
@@ -2556,14 +2610,18 @@ mod tests {
             slot: 0,
             cmd: Some(7)
         }));
-        assert_eq!(
-            fx.sends
-                .iter()
-                .filter(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. }))
-                .count(),
-            2
-        );
+        assert!(fx.sends.is_empty(), "no decide round: {:?}", fx.sends);
         assert_eq!(h.sm.committed_len(), 1);
+        // The next Accept carries the prefix.
+        let fx = h.request(8);
+        assert!(fx.sends.iter().all(|s| matches!(
+            s.msg,
+            RsmMsg::Accept {
+                slot: 1,
+                commit: 1,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -2651,6 +2709,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 0,
                 entry: Entry::Cmd(5),
+                commit: 0,
             },
         );
         h.deliver(
@@ -2659,6 +2718,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 3,
                 entry: Entry::Cmd(8),
+                commit: 0,
             },
         );
         let fx = h.deliver(
@@ -2706,6 +2766,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 0,
                 entry: Entry::Cmd(1),
+                commit: 0,
             },
         );
         assert!(fx
@@ -2782,21 +2843,168 @@ mod tests {
             .any(|s| matches!(s.msg, RsmMsg::Decide { .. })));
     }
 
+    /// The slots `fx` commits, in emission order.
+    fn committed_slots(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>) -> Vec<u64> {
+        fx.outputs
+            .iter()
+            .filter_map(|o| match o {
+                RsmEvent::Committed { slot, .. } => Some(*slot),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A follower (p2) holding votes for slot 0 at ballot `b(1, 0)` and for
+    /// slot 1 at ballot `b(2, 1)` — the newer leader p1 proposed slot 1
+    /// only, having inherited slot 0 as already chosen elsewhere.
+    fn follower_with_votes_at_two_ballots() -> Harness {
+        let mut h = Harness::new(2, 3);
+        h.start();
+        let accept = |b, slot, v| RsmMsg::Accept {
+            b,
+            slot,
+            entry: Entry::Cmd(v),
+            commit: 0,
+        };
+        h.deliver(0, accept(b(1, 0), 0, 10));
+        h.deliver(1, accept(b(2, 1), 1, 11));
+        assert_eq!(h.sm.vote(0).map(|(vb, _)| vb), Some(b(1, 0)));
+        assert_eq!(h.sm.vote(1).map(|(vb, _)| vb), Some(b(2, 1)));
+        h
+    }
+
     #[test]
-    fn decide_ack_completes_tracker() {
+    fn an_accept_prefix_teaches_only_votes_at_its_ballot() {
+        let mut h = follower_with_votes_at_two_ballots();
+        // p1's next Accept says slots 0 and 1 are chosen. Our vote for slot 1
+        // is p1's own proposal at b(2, 1): learned. Our vote for slot 0 is
+        // at b(1, 0): p1 may have chosen another entry there, so it teaches
+        // nothing.
+        let fx = h.deliver(
+            1,
+            RsmMsg::Accept {
+                b: b(2, 1),
+                slot: 2,
+                entry: Entry::Cmd(12),
+                commit: 2,
+            },
+        );
+        assert!(committed_slots(&fx).is_empty(), "slot 0 is still a gap");
+        assert_eq!(h.sm.chosen(1), Some(&Entry::Cmd(11)));
+        assert_eq!(h.sm.chosen(0), None);
+        assert_eq!(h.sm.committed_len(), 0);
+        // The gap is pulled from the believed leader on the next tick.
+        let out = h.retry_at(Instant::ZERO);
+        assert!(
+            out.sends
+                .iter()
+                .any(|s| s.msg == RsmMsg::CatchUp { low_slot: 0 }),
+            "{:?}",
+            out.sends
+        );
+    }
+
+    #[test]
+    fn a_read_index_reply_teaches_only_votes_at_its_ballot() {
+        let mut h = follower_with_votes_at_two_ballots();
+        let fx = h.deliver(
+            1,
+            RsmMsg::ReadIndexReply {
+                req: 4,
+                index: 2,
+                b: b(2, 1),
+            },
+        );
+        assert!(fx
+            .outputs
+            .contains(&RsmEvent::ReadIndexAt { req: 4, index: 2 }));
+        assert_eq!(h.sm.chosen(1), Some(&Entry::Cmd(11)));
+        assert_eq!(
+            h.sm.chosen(0),
+            None,
+            "a vote at another ballot is not learned"
+        );
+        let out = h.retry_at(Instant::ZERO);
+        assert!(out
+            .sends
+            .iter()
+            .any(|s| s.msg == RsmMsg::CatchUp { low_slot: 0 }));
+    }
+
+    #[test]
+    fn a_read_index_reply_is_learned_before_the_read_is_released() {
+        let mut h = Harness::new(2, 3);
+        h.start();
+        h.deliver(
+            0,
+            RsmMsg::Accept {
+                b: b(1, 0),
+                slot: 0,
+                entry: Entry::Cmd(10),
+                commit: 0,
+            },
+        );
+        let fx = h.deliver(
+            0,
+            RsmMsg::ReadIndexReply {
+                req: 1,
+                index: 1,
+                b: b(1, 0),
+            },
+        );
+        assert_eq!(committed_slots(&fx), vec![0]);
+        let order: Vec<bool> = fx
+            .outputs
+            .iter()
+            .map(|o| matches!(o, RsmEvent::ReadIndexAt { .. }))
+            .collect();
+        assert_eq!(order, vec![false, true], "commit first, then the read");
+    }
+
+    #[test]
+    fn a_leader_learning_a_contradicting_choice_stops_advertising() {
+        // p0 leads b(1, 0) and proposes 7 at slot 0. A peer's Decide says
+        // slot 0 chose 9: a higher ballot chose it, so p0 must not advertise
+        // a prefix covering slot 0 under b(1, 0).
         let mut h = led_leader();
         h.request(7);
         h.deliver(
             1,
-            RsmMsg::Accepted {
-                b: b(1, 0),
+            RsmMsg::Decide {
                 slot: 0,
+                entry: Entry::Cmd(9),
             },
         );
-        assert!(h.sm.decide_trackers.contains_key(&0));
-        h.deliver(1, RsmMsg::DecideAck { slot: 0 });
-        h.deliver(2, RsmMsg::DecideAck { slot: 0 });
-        assert!(!h.sm.decide_trackers.contains_key(&0));
+        assert!(!h.sm.is_established_leader());
+        assert_eq!(h.sm.advertised_prefix(), None);
+        // A slot past the horizon proves the same.
+        let mut h = led_leader();
+        h.deliver(
+            1,
+            RsmMsg::Decide {
+                slot: 3,
+                entry: Entry::Cmd(9),
+            },
+        );
+        assert!(!h.sm.is_established_leader());
+        // So does a snapshot covering an in-flight proposal: its entries
+        // are opaque.
+        let mut h = led_leader();
+        h.request(7);
+        let data = vec![1, 2, 3];
+        h.deliver(
+            1,
+            RsmMsg::SnapshotChunk {
+                watermark: 1,
+                index: 0,
+                chunks: 1,
+                crc: crc32(&data),
+                chunk_crc: crc32(&data),
+                data,
+            },
+        );
+        assert_eq!(h.sm.watermark(), 1, "the snapshot is installed");
+        assert!(!h.sm.is_established_leader());
     }
 
     #[test]
@@ -3008,6 +3216,7 @@ mod tests {
                     b: b(2, 0),
                     slot: 1,
                     entry: Entry::Cmd(8),
+                    commit: 0,
                 },
             );
             fx.take();
@@ -3183,6 +3392,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 6,
                 entry: Entry::Cmd(60),
+                commit: 0,
             },
         );
         fx.take();
@@ -3370,12 +3580,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_converts_unacked_decides_into_snapshot_transfers() {
+    fn a_quiet_follower_missing_a_compacted_final_slot_pulls_a_snapshot() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
-        // Regression: a decider whose un-acked Decide is compacted away must
-        // not go silent — a peer missing the *final* slot has no later
-        // chosen slot to trigger its own CatchUp, so in a quiet cluster the
-        // decider's retry tick is the only remaining delivery path.
+        // Regression: a follower that missed the *final* slot, which the
+        // leader then compacted away, has no later Accept to learn from.
+        // The leader's heartbeat prefix tells it the slot exists; it asks
+        // the leader, which can only answer with its snapshot.
         let env = Env::new(ProcessId(0), 3);
         let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
             &env,
@@ -3399,7 +3609,6 @@ mod tests {
             },
         );
         fx.take();
-        assert!(sm.is_established_leader());
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.on_request(&mut ctx, 7);
         fx.take();
@@ -3413,33 +3622,46 @@ mod tests {
             },
         );
         fx.take();
-        assert!(sm.decide_trackers.contains_key(&0), "slot 0 is tracked");
-        // p1 acknowledges the Decide; p2 never does.
-        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.on_message(&mut ctx, ProcessId(1), RsmMsg::DecideAck { slot: 0 });
-        fx.take();
-        // Compaction prunes the tracker — but remembers who is still owed.
         sm.compact(1, vec![9; 64]).unwrap();
-        assert!(sm.decide_trackers.is_empty());
+        // The heartbeat carries the prefix.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.on_timer(&mut ctx, RETRY_TIMER);
-        let out = fx.take();
-        let offered: Vec<ProcessId> = out
+        sm.on_timer(&mut ctx, TimerId(OMEGA_TIMER_BASE));
+        let alive = fx
+            .take()
             .sends
-            .iter()
-            .filter(|s| matches!(s.msg, RsmMsg::SnapshotOffer { watermark: 1, .. }))
-            .map(|s| s.to)
-            .collect();
-        assert_eq!(
-            offered,
-            vec![ProcessId(2)],
-            "only the un-acked peer is served a state transfer"
+            .into_iter()
+            .find(|s| s.to == ProcessId(2))
+            .expect("the leader heartbeats p2")
+            .msg;
+        assert!(
+            matches!(alive, RsmMsg::Omega(_, Some((pb, 1))) if pb == b(1, 0)),
+            "{alive:?}"
+        );
+        // p2 never saw slot 0; it learns the frontier and asks on its tick.
+        let mut p2 = Harness::new(2, 3);
+        p2.start();
+        p2.deliver(0, alive);
+        let out = p2.retry_at(Instant::ZERO);
+        let ask = out
+            .sends
+            .into_iter()
+            .find(|s| s.msg == RsmMsg::CatchUp { low_slot: 0 })
+            .expect("a follower behind the advertised prefix asks");
+        assert_eq!(ask.to, ProcessId(0), "it asks the believed leader");
+        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
+        sm.on_message(&mut ctx, ProcessId(2), ask.msg);
+        let out = fx.take();
+        assert!(
+            out.sends.iter().any(|s| s.to == ProcessId(2)
+                && matches!(s.msg, RsmMsg::SnapshotOffer { watermark: 1, .. })),
+            "below the watermark the answer is a snapshot transfer: {:?}",
+            out.sends
         );
         assert!(
             !out.sends
                 .iter()
                 .any(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. })),
-            "the compacted Decide itself is not (and cannot be) resent"
+            "the compacted slot itself cannot be resent"
         );
     }
 
@@ -3893,10 +4115,13 @@ mod tests {
         h.deliver_at(t(211), 1, RsmMsg::LeaseAck { b: b(1, 0), seq: 1 });
         let out = h.deliver_at(t(212), 2, RsmMsg::ReadIndex { req: 7 });
         assert!(
-            out.sends
-                .iter()
-                .any(|s| s.to == ProcessId(2)
-                    && s.msg == RsmMsg::ReadIndexReply { req: 7, index: 0 }),
+            out.sends.iter().any(|s| s.to == ProcessId(2)
+                && s.msg
+                    == RsmMsg::ReadIndexReply {
+                        req: 7,
+                        index: 0,
+                        b: b(1, 0)
+                    }),
             "a leaseholder answers with its committed length"
         );
         // Past the serving window the same request is dropped again.
@@ -4018,6 +4243,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 1,
                 entry: Entry::Cmd(11),
+                commit: 0,
             },
         );
         assert_eq!(h.sm.vote(1), Some((b(1, 0), &Entry::Cmd(11))));

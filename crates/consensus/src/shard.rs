@@ -41,6 +41,7 @@ use lls_primitives::{
 };
 use omega::{CommEffOmega, OmegaMsg};
 
+use crate::ballot::Ballot;
 use crate::durable::RsmRecord;
 use crate::msg::{classify_rsm_msg, RsmMsg};
 use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent};
@@ -198,8 +199,11 @@ impl PlacementManager {
 /// group's consensus traffic (tagged with its [`ShardId`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMsg<V> {
-    /// Shared per-node leader-election traffic — one Ω however many shards.
-    Omega(OmegaMsg),
+    /// Shared per-node leader-election traffic — one Ω however many shards —
+    /// carrying `(shard, ballot, chosen prefix)` for every group the sender
+    /// leads at an established ballot, so the heartbeat teaches each
+    /// group's followers what that group chose (see [`RsmMsg::Omega`]).
+    Omega(OmegaMsg, Vec<(ShardId, Ballot, u64)>),
     /// Consensus traffic of one shard group.
     Rsm {
         /// The group this message belongs to.
@@ -212,9 +216,10 @@ pub enum ShardMsg<V> {
 impl<V: Wire> Wire for ShardMsg<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ShardMsg::Omega(m) => {
+            ShardMsg::Omega(m, prefixes) => {
                 out.push(0);
                 m.encode(out);
+                prefixes.encode(out);
             }
             ShardMsg::Rsm { shard, msg } => {
                 out.push(1);
@@ -226,7 +231,7 @@ impl<V: Wire> Wire for ShardMsg<V> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(ShardMsg::Omega(OmegaMsg::decode(r)?)),
+            0 => Ok(ShardMsg::Omega(OmegaMsg::decode(r)?, Vec::decode(r)?)),
             1 => Ok(ShardMsg::Rsm {
                 shard: ShardId::decode(r)?,
                 msg: RsmMsg::decode(r)?,
@@ -243,7 +248,7 @@ impl<V: Wire> Wire for ShardMsg<V> {
     /// not to any one group.
     fn shard_tag(&self) -> Option<u32> {
         match self {
-            ShardMsg::Omega(_) => None,
+            ShardMsg::Omega(..) => None,
             ShardMsg::Rsm { shard, .. } => Some(shard.0),
         }
     }
@@ -255,7 +260,7 @@ impl<V: Wire> Wire for ShardMsg<V> {
 /// shard counts read straight off the substrate's kind counters.
 pub fn classify_shard_msg<V>(msg: &ShardMsg<V>) -> &'static str {
     match msg {
-        ShardMsg::Omega(m) => omega::classify_msg(m),
+        ShardMsg::Omega(m, _) => omega::classify_msg(m),
         ShardMsg::Rsm { msg, .. } => classify_rsm_msg(msg),
     }
 }
@@ -749,8 +754,13 @@ where
                 }
             }
         }
+        let prefixes: Vec<(ShardId, Ballot, u64)> = self
+            .groups
+            .iter()
+            .filter_map(|(s, g)| g.advertised_prefix().map(|(b, c)| (*s, b, c)))
+            .collect();
         for s in fx.sends {
-            ctx.send(s.to, ShardMsg::Omega(s.msg));
+            ctx.send(s.to, ShardMsg::Omega(s.msg, prefixes.clone()));
         }
         for cmd in fx.timers {
             match cmd {
@@ -816,7 +826,10 @@ where
             return;
         }
         match msg {
-            ShardMsg::Omega(m) => {
+            ShardMsg::Omega(m, prefixes) => {
+                for (shard, b, commit) in prefixes {
+                    self.drive_group(ctx, shard, |g, gctx| g.learn_prefix(gctx, b, commit));
+                }
                 self.drive_omega(ctx, |o, octx| o.on_message(octx, from, m));
             }
             ShardMsg::Rsm { shard, msg } => {
@@ -852,7 +865,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ballot::Ballot;
     use crate::msg::Entry;
     use lls_primitives::Instant;
 
@@ -952,7 +964,7 @@ mod tests {
             h.start()
                 .sends
                 .into_iter()
-                .filter(|s| matches!(s.msg, ShardMsg::Omega(_)))
+                .filter(|s| matches!(s.msg, ShardMsg::Omega(..)))
                 .count()
         };
         assert_eq!(omega_sends(1), omega_sends(8));
@@ -1030,6 +1042,73 @@ mod tests {
         );
     }
 
+    /// The prefixes riding the heartbeat `p0` sends `p1` when its Ω
+    /// heartbeat timer fires.
+    fn heartbeat_prefixes(h: &mut Harness) -> Vec<(ShardId, Ballot, u64)> {
+        let mut ctx = Ctx::new(&h.env, Instant::ZERO, &mut h.fx);
+        h.sm.on_timer(&mut ctx, TimerId(OMEGA_TIMER_BASE));
+        h.fx.take()
+            .sends
+            .into_iter()
+            .find_map(|s| match s.msg {
+                ShardMsg::Omega(OmegaMsg::Alive { .. }, prefixes) if s.to == ProcessId(1) => {
+                    Some(prefixes)
+                }
+                _ => None,
+            })
+            .expect("the leader heartbeats p1")
+    }
+
+    #[test]
+    fn a_heartbeat_carries_a_prefix_for_exactly_the_groups_led() {
+        let mut h = Harness::new(0, 3, 3);
+        h.start();
+        assert_eq!(heartbeat_prefixes(&mut h), vec![], "no group is led yet");
+        // Groups 0 and 2 reach a promise quorum; group 1 stays preparing.
+        h.promise(1, 0);
+        h.promise(1, 2);
+        h.request(2, 40);
+        h.accepted(1, 2, 0);
+        let b = Ballot::new(1, ProcessId(0));
+        assert_eq!(
+            heartbeat_prefixes(&mut h),
+            vec![(ShardId(0), b, 0), (ShardId(2), b, 1)]
+        );
+    }
+
+    #[test]
+    fn a_heartbeat_prefix_teaches_each_group_its_votes() {
+        let mut h = Harness::new(1, 3, 2);
+        h.start();
+        let b = Ballot::new(1, ProcessId(0));
+        h.deliver(
+            0,
+            ShardMsg::Rsm {
+                shard: ShardId(1),
+                msg: RsmMsg::Accept {
+                    b,
+                    slot: 0,
+                    entry: Entry::Cmd(5),
+                    commit: 0,
+                },
+            },
+        );
+        let out = h.deliver(
+            0,
+            ShardMsg::Omega(OmegaMsg::Alive { counter: 0 }, vec![(ShardId(1), b, 1)]),
+        );
+        assert!(
+            out.outputs.contains(&ShardEvent::Committed {
+                shard: ShardId(1),
+                slot: 0,
+                cmd: Some(5)
+            }),
+            "{:?}",
+            out.outputs
+        );
+        assert_eq!(h.sm.group(ShardId(0)).unwrap().committed_len(), 0);
+    }
+
     #[test]
     fn rsm_traffic_is_tagged_and_omega_traffic_is_not() {
         // The envelope property shard-aware transports key off: group
@@ -1038,29 +1117,40 @@ mod tests {
         let out = h.start();
         for s in &out.sends {
             match &s.msg {
-                ShardMsg::Omega(_) => assert_eq!(s.msg.shard_tag(), None),
+                ShardMsg::Omega(..) => assert_eq!(s.msg.shard_tag(), None),
                 ShardMsg::Rsm { shard, .. } => assert_eq!(s.msg.shard_tag(), Some(shard.0)),
             }
         }
         let tagged = ShardMsg::<u64>::Rsm {
             shard: ShardId(5),
-            msg: RsmMsg::DecideAck { slot: 0 },
+            msg: RsmMsg::CatchUp { low_slot: 0 },
         };
         assert_eq!(tagged.shard_tag(), Some(5));
-        let untagged = ShardMsg::<u64>::Omega(OmegaMsg::Alive { counter: 0 });
+        let untagged = ShardMsg::<u64>::Omega(
+            OmegaMsg::Alive { counter: 0 },
+            vec![(ShardId(5), Ballot::new(1, ProcessId(0)), 3)],
+        );
         assert_eq!(untagged.shard_tag(), None);
     }
 
     #[test]
     fn shard_msg_roundtrips_on_the_wire() {
         let msgs: Vec<ShardMsg<u64>> = vec![
-            ShardMsg::Omega(OmegaMsg::Alive { counter: 3 }),
+            ShardMsg::Omega(OmegaMsg::Alive { counter: 3 }, vec![]),
+            ShardMsg::Omega(
+                OmegaMsg::Alive { counter: 3 },
+                vec![
+                    (ShardId(0), Ballot::new(1, ProcessId(0)), 7),
+                    (ShardId(2), Ballot::new(2, ProcessId(1)), 0),
+                ],
+            ),
             ShardMsg::Rsm {
                 shard: ShardId(2),
                 msg: RsmMsg::Accept {
                     b: Ballot::new(1, ProcessId(0)),
                     slot: 4,
                     entry: Entry::Batch(vec![1, 2]),
+                    commit: 3,
                 },
             },
         ];
@@ -1073,15 +1163,18 @@ mod tests {
     #[test]
     fn classify_shard_msg_reuses_the_flat_kinds() {
         assert_eq!(
-            classify_shard_msg(&ShardMsg::<u64>::Omega(OmegaMsg::Alive { counter: 0 })),
+            classify_shard_msg(&ShardMsg::<u64>::Omega(
+                OmegaMsg::Alive { counter: 0 },
+                vec![]
+            )),
             "ALIVE"
         );
         assert_eq!(
             classify_shard_msg(&ShardMsg::<u64>::Rsm {
                 shard: ShardId(0),
-                msg: RsmMsg::DecideAck { slot: 0 }
+                msg: RsmMsg::CatchUp { low_slot: 0 }
             }),
-            "DECIDE_ACK"
+            "CATCH_UP"
         );
     }
 

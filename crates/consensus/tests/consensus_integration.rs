@@ -4,7 +4,10 @@
 use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
+use consensus::{
+    Consensus, ConsensusEvent, ConsensusParams, PlacementManager, PlacementMap, ReplicatedLog,
+    ShardId, ShardRequest, ShardedNode,
+};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 
@@ -274,8 +277,8 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
 #[test]
 fn steady_state_costs_are_linear_per_decision() {
     // The communication-efficiency claim for consensus: once the leader is
-    // established, a command costs ~3(n-1) messages (Accept out, Accepted
-    // in, Decide out) plus acks — Θ(n), with no Prepare traffic at all.
+    // established, a command costs 2(n-1) messages (Accept out, Accepted
+    // in) — Θ(n), with no Prepare traffic at all.
     let n = 5;
     let mut sim = SimBuilder::new(n)
         .seed(41)
@@ -290,6 +293,8 @@ fn steady_state_costs_are_linear_per_decision() {
         .copied()
         .unwrap_or(0);
     let base_total = sim.stats().total_sent();
+    let alive = |sim: &Simulator<ReplicatedLog<u64>>| sim.stats().kind_counts()["ALIVE"];
+    let base_alive = alive(&sim);
 
     let commands = 50u64;
     for k in 0..commands {
@@ -308,13 +313,89 @@ fn steady_state_costs_are_linear_per_decision() {
         "steady state must not re-run phase 1"
     );
     // Total protocol messages per command (excluding the constant Ω
-    // heartbeat background): Accept/Accepted/Decide/DecideAck = 4(n-1).
-    let alive_rate = sim.stats().kind_counts()["ALIVE"]; // background
+    // heartbeat background): Accept/Accepted = 2(n-1); followers learn
+    // each decision from the leader's prefix on its heartbeats.
+    let background = alive(&sim) - base_alive;
     let total = sim.stats().total_sent() - base_total;
-    let per_command = (total.saturating_sub(alive_rate)) as f64 / commands as f64;
+    let per_command = (total - background) as f64 / commands as f64;
     assert!(
-        per_command <= (4 * (n - 1)) as f64 + 2.0,
+        per_command <= (2 * (n - 1)) as f64 + 2.0,
         "steady-state cost too high: {per_command:.1} msgs/cmd"
     );
     assert_eq!(sim.node(ProcessId(0)).committed_len(), commands);
+}
+
+/// Steps `sim` until `done` holds, returning the virtual time it first did.
+fn step_until<S: lls_primitives::Sm>(
+    sim: &mut Simulator<S>,
+    mut done: impl FnMut(&Simulator<S>) -> bool,
+) -> Instant {
+    while !done(sim) {
+        assert!(sim.step(), "the run went quiet before the condition held");
+    }
+    sim.now()
+}
+
+/// One η plus one link delay: the next heartbeat after a decision leaves
+/// within η and arrives one delay later.
+fn heartbeat_reach() -> u64 {
+    ConsensusParams::default().omega.eta.ticks() + 2
+}
+
+#[test]
+fn an_idle_follower_learns_the_last_command_from_the_leaders_heartbeat() {
+    let n = 3;
+    let mut sim = SimBuilder::new(n)
+        .seed(3)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+    sim.run_until(Instant::from_ticks(10_000));
+    sim.schedule_request(Instant::from_ticks(10_001), ProcessId(0), 7);
+    // No later Accept will carry the prefix: only the heartbeat can.
+    let chosen = step_until(&mut sim, |s| s.node(ProcessId(0)).committed_len() == 1);
+    sim.run_until(chosen + Duration::from_ticks(heartbeat_reach()));
+    for p in [ProcessId(1), ProcessId(2)] {
+        assert_eq!(
+            sim.node(p)
+                .committed_commands()
+                .copied()
+                .collect::<Vec<_>>(),
+            vec![7],
+            "{p} learns the last command within one heartbeat"
+        );
+    }
+}
+
+#[test]
+fn an_idle_sharded_follower_learns_the_last_command_from_the_leaders_heartbeat() {
+    let n = 3;
+    let mut sim = SimBuilder::new(n)
+        .seed(3)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .build_with(|env| {
+            ShardedNode::<u64>::new(
+                env,
+                ConsensusParams::default(),
+                PlacementManager::with_all_attached(PlacementMap::uniform(2, n)),
+            )
+        });
+    sim.run_until(Instant::from_ticks(10_000));
+    let shard = ShardId(1);
+    sim.schedule_request(
+        Instant::from_ticks(10_001),
+        ProcessId(0),
+        ShardRequest { shard, cmd: 7 },
+    );
+    let len = |s: &Simulator<ShardedNode<u64>>, p: ProcessId| {
+        s.node(p).group(shard).expect("attached").committed_len()
+    };
+    let chosen = step_until(&mut sim, |s| len(s, ProcessId(0)) == 1);
+    sim.run_until(chosen + Duration::from_ticks(heartbeat_reach()));
+    for p in [ProcessId(1), ProcessId(2)] {
+        assert_eq!(
+            len(&sim, p),
+            1,
+            "{p} learns shard1's last command within one heartbeat"
+        );
+    }
 }

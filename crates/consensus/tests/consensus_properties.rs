@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
-use lls_primitives::{Instant, ProcessId};
+use lls_primitives::{Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use proptest::prelude::*;
 
@@ -129,13 +129,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Replicated-log slot agreement under random command interleavings and
-    /// loss: no two replicas ever commit different entries at a slot.
+    /// Replicated-log slot agreement under random command interleavings,
+    /// loss and (optionally) the leader killed and restarted from its WAL
+    /// mid-stream: no two replicas ever commit different entries at a slot,
+    /// however followers learned them (leader prefixes, catch-up, or
+    /// snapshot-free WAL recovery).
     #[test]
     fn log_consistency_under_random_workloads(
         seed in any::<u64>(),
         mesh_loss in 0.0f64..0.5,
         cmds in 1usize..30,
+        kill in proptest::option::of((0u64..9_000, 200u64..6_000)),
     ) {
         let n = 5;
         let topo = Topology::system_s(
@@ -156,14 +160,31 @@ proptest! {
                 );
             }
         }
-        let mut sim = builder
-            .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+        let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+        let params = ConsensusParams::default();
+        let mut sim = builder.build_with(|env| {
+            ReplicatedLog::<u64>::with_storage(env, params, stores[env.id().as_usize()].clone())
+                .expect("fresh WAL")
+        });
+        if let Some((at, down)) = kill {
+            sim.run_until(Instant::from_ticks(8_000 + at));
+            let leader = (0..n as u32)
+                .map(ProcessId)
+                .find(|p| sim.node(*p).is_established_leader());
+            if let Some(victim) = leader {
+                sim.kill(victim);
+                sim.run_until(Instant::from_ticks(8_000 + at + down));
+                let env = Env::new(victim, n);
+                let store = stores[victim.as_usize()].clone();
+                sim.restart(victim, ReplicatedLog::with_storage(&env, params, store).expect("WAL"));
+            }
+        }
         sim.run_until(Instant::from_ticks(8_000 + 300 * cmds as u64 + 80_000));
         let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
             .map(|p| sim.node(ProcessId(p)).chosen_log())
             .collect();
         if let Err(e) = check_log_consistency(&logs) {
-            prop_assert!(false, "{e} (seed={seed}, loss={mesh_loss}, cmds={cmds})");
+            prop_assert!(false, "{e} (seed={seed}, loss={mesh_loss}, cmds={cmds}, kill={kill:?})");
         }
         // Liveness: every command is committed somewhere in the shared log
         // (duplicates across leader changes are allowed; loss is not).
@@ -174,7 +195,7 @@ proptest! {
         for k in 0..cmds as u64 {
             prop_assert!(
                 union.contains(&k),
-                "command {k} lost (seed={seed}, loss={mesh_loss}, cmds={cmds}; union={union:?})"
+                "command {k} lost (seed={seed}, loss={mesh_loss}, cmds={cmds}, kill={kill:?}; union={union:?})"
             );
         }
     }

@@ -128,7 +128,7 @@ proptest! {
             deliver(&env, &mut sm, 0, RsmMsg::Prepare { b: promised, from_slot: 0 });
             // An accepted-but-undecided entry above the prefix, then compact.
             deliver(&env, &mut sm, 0, RsmMsg::Accept {
-                b: promised, slot: prefix + 1, entry: Entry::Cmd(777),
+                b: promised, slot: prefix + 1, entry: Entry::Cmd(777), commit: 0,
             });
             sm.compact(prefix, vec![]).unwrap();
             // Crash.
@@ -146,7 +146,7 @@ proptest! {
                 "a stale Prepare must not win a promise after recovery"
             );
             let fx = deliver(&env, &mut sm, 2, RsmMsg::Accept {
-                b: stale, slot: prefix + 2, entry: Entry::Cmd(666),
+                b: stale, slot: prefix + 2, entry: Entry::Cmd(666), commit: 0,
             });
             prop_assert!(
                 fx.sends.iter().any(|s| matches!(s.msg, RsmMsg::Nack { .. })),

@@ -109,21 +109,36 @@ fn failover_shape_matches_across_substrates() {
         .iter()
         .all(|&l| l == sim_final[0] && l != ProcessId(0)));
 
-    // Thread run.
+    // Thread run, at the same 2 ms ticks as the election test above (at
+    // 200 µs ticks and fixed sleeps a scheduler stall could leave the
+    // survivors undecided when the run was cut). p0 must be the stable
+    // leader before it is killed; then the survivors must name one other
+    // leader for five polls in a row.
+    let tick = StdDuration::from_millis(2);
     let cluster = Cluster::spawn(
         NetConfig {
             n,
             loss: 0.0,
             min_delay: StdDuration::from_micros(50),
             max_delay: StdDuration::from_micros(200),
-            tick: StdDuration::from_micros(200),
+            tick,
             seed: 1,
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );
-    std::thread::sleep(StdDuration::from_millis(300));
+    let eta = tick * OmegaParams::default().eta.ticks() as u32;
+    let before = await_stable_leader(|| cluster.latest_outputs(), eta, 5);
+    assert_eq!(before, Some(ProcessId(0)), "threads: no stable p0");
     cluster.kill(ProcessId(0));
-    std::thread::sleep(StdDuration::from_millis(900));
+    // A survivor still naming p0 counts as undecided.
+    let survivors = || -> Vec<Option<ProcessId>> {
+        cluster.latest_outputs()[1..]
+            .iter()
+            .map(|o| o.filter(|l| *l != ProcessId(0)))
+            .collect()
+    };
+    let after = await_stable_leader(survivors, eta, 5);
+    assert!(after.is_some(), "threads: the survivors never settled");
     let report = cluster.stop();
     let thread_final: Vec<ProcessId> = (1..n as u32)
         .map(|p| {

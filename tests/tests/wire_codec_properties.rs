@@ -11,10 +11,12 @@
 //!    boundaries and the following good frames decode intact.
 //! 5. **No panic on garbage** — arbitrary bytes fed to the deframer in
 //!    arbitrary chunkings produce values or errors, never a panic.
+//! 6. **Retired tags stay retired** — an RSM frame with the retired tag 7
+//!    (the former decide acknowledgement) decodes to `BadTag`.
 
-use consensus::{Ballot, ConsensusMsg, Entry, RsmMsg};
+use consensus::{Ballot, ConsensusMsg, Entry, RsmMsg, ShardId, ShardMsg};
 use kvstore::{ClientId, KvCmd, KvResponse, Tagged};
-use lls_primitives::wire::{decode_frame, encode_frame, Deframer, Wire};
+use lls_primitives::wire::{decode_frame, encode_frame, Deframer, Wire, WireError, WireReader};
 use lls_primitives::ProcessId;
 use omega::OmegaMsg;
 use proptest::prelude::*;
@@ -87,9 +89,14 @@ fn consensus_msg() -> impl Strategy<Value = ConsensusMsg<Tagged<KvCmd>>> {
     ]
 }
 
+/// A leader's advertised `(ballot, chosen prefix)`, or none.
+fn prefix() -> impl Strategy<Value = Option<(Ballot, u64)>> {
+    proptest::option::of((ballot(), any::<u64>()))
+}
+
 fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
     prop_oneof![
-        omega_msg().prop_map(RsmMsg::Omega),
+        (omega_msg(), prefix()).prop_map(|(m, prefix)| RsmMsg::Omega(m, prefix)),
         (ballot(), any::<u64>()).prop_map(|(b, from_slot)| RsmMsg::Prepare { b, from_slot }),
         (
             ballot(),
@@ -101,16 +108,56 @@ fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
                 accepted,
                 low_slot
             }),
-        (ballot(), any::<u64>(), entry()).prop_map(|(b, slot, entry)| RsmMsg::Accept {
-            b,
-            slot,
-            entry
+        (ballot(), any::<u64>(), entry(), any::<u64>()).prop_map(|(b, slot, entry, commit)| {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                commit,
+            }
         }),
         (ballot(), any::<u64>()).prop_map(|(b, slot)| RsmMsg::Accepted { b, slot }),
         (ballot(), ballot()).prop_map(|(b, higher)| RsmMsg::Nack { b, higher }),
         (any::<u64>(), entry()).prop_map(|(slot, entry)| RsmMsg::Decide { slot, entry }),
-        any::<u64>().prop_map(|slot| RsmMsg::DecideAck { slot }),
+        (any::<u64>(), any::<u64>(), ballot()).prop_map(|(req, index, b)| RsmMsg::ReadIndexReply {
+            req,
+            index,
+            b
+        }),
     ]
+}
+
+fn shard_msg() -> impl Strategy<Value = ShardMsg<Tagged<KvCmd>>> {
+    prop_oneof![
+        (
+            omega_msg(),
+            proptest::collection::vec((any::<u32>(), ballot(), any::<u64>()), 0..4),
+        )
+            .prop_map(|(m, prefixes)| ShardMsg::Omega(
+                m,
+                prefixes
+                    .into_iter()
+                    .map(|(s, b, c)| (ShardId(s), b, c))
+                    .collect()
+            )),
+        (any::<u32>(), rsm_msg()).prop_map(|(s, msg)| ShardMsg::Rsm {
+            shard: ShardId(s),
+            msg
+        }),
+    ]
+}
+
+/// Raw body bytes, framed as they are: lets a test put any tag on the wire.
+#[derive(Debug)]
+struct RawBody(Vec<u8>);
+
+impl Wire for RawBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(_: &mut WireReader<'_>) -> Result<Self, WireError> {
+        unreachable!("only ever encoded")
+    }
 }
 
 /// Frame → deframe → decode must reproduce the original exactly.
@@ -145,6 +192,29 @@ proptest! {
     #[test]
     fn rsm_messages_roundtrip(msg in rsm_msg()) {
         assert_roundtrip(&msg)?;
+    }
+
+    #[test]
+    fn shard_messages_roundtrip(msg in shard_msg()) {
+        assert_roundtrip(&msg)?;
+    }
+
+    #[test]
+    fn retired_decide_ack_tag_decodes_to_bad_tag(
+        tail in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut body = vec![7u8];
+        body.extend_from_slice(&tail);
+        let frame = encode_frame(&RawBody(body));
+        let mut d = Deframer::new();
+        d.extend(&frame);
+        let payload = d.next_frame().expect("well-formed frame").expect("complete frame");
+        let decoded = decode_frame::<RsmMsg<Tagged<KvCmd>>>(&payload);
+        prop_assert!(
+            matches!(decoded, Err(WireError::BadTag { tag: 7, .. })),
+            "tag 7 must be a bad tag: {:?}",
+            decoded
+        );
     }
 
     #[test]
