@@ -12,11 +12,13 @@
 //! directory as one artifact. E17/E18 additionally embed metrics snapshots
 //! and span statistics.
 //!
-//! The process exits non-zero when E7's steady-state gates, E16's chaos
-//! campaign, E21's recovery gates, or E23's read-path gates report
-//! violations, so they gate CI directly. The special `e23-violation` id runs E23's *induced* lease
-//! violation and exits non-zero when the StaleRead watchdog fires as
-//! intended — CI asserts that non-zero exit.
+//! The process exits 1 when E7's steady-state gates, E16's chaos campaign,
+//! E19's or E20's verdict, E22's deterministic rows (netsim and NoopProbe
+//! parity; its wall-clock rows only report), E21's recovery gates, or
+//! E23's read-path gates fail, so they gate CI directly. The special
+//! `e23-violation` id runs E23's *induced* lease violation and exits 1 when
+//! the StaleRead watchdog fires as intended — CI asserts that exit. An
+//! unknown id exits 2 before anything runs.
 
 use std::path::PathBuf;
 
@@ -219,6 +221,10 @@ fn run(id: &str, s: &Scale) -> bool {
             println!("\n=== {} — {} ===", id.to_uppercase(), title);
             println!("{}", table.render());
             write_json(s, id, &summary);
+            if !passed(&summary) {
+                eprintln!("E19: verdict FAIL — failing the run");
+                return false;
+            }
         }
         "e20" => {
             let (n, commands) = if s.quick { (3, 240) } else { (3, 960) };
@@ -227,6 +233,10 @@ fn run(id: &str, s: &Scale) -> bool {
             println!("\n=== {} — {} ===", id.to_uppercase(), title);
             println!("{}", table.render());
             write_json(s, id, &summary);
+            if !passed(&summary) {
+                eprintln!("E20: verdict FAIL — failing the run");
+                return false;
+            }
         }
         "e21" => {
             let (scenarios, commands, wall, ratio_gate) = if s.quick {
@@ -248,10 +258,15 @@ fn run(id: &str, s: &Scale) -> bool {
         "e22" => {
             let (n, commands) = if s.quick { (3, 160) } else { (3, 400) };
             let title = "command-lifecycle latency attribution + live timeline plane";
-            let (table, summary) = e_latency::e22_latency(n, commands, 7, s.quick);
+            let (table, summary, deterministic_pass) =
+                e_latency::e22_latency(n, commands, 7, s.quick);
             println!("\n=== {} — {} ===", id.to_uppercase(), title);
             println!("{}", table.render());
             write_json(s, id, &summary);
+            if !deterministic_pass {
+                eprintln!("E22: a netsim or NoopProbe parity row FAILed — failing the run");
+                return false;
+            }
         }
         "e23" => {
             let (n, reads, rounds) = if s.quick { (3, 240, 4) } else { (3, 960, 8) };
@@ -280,10 +295,25 @@ fn run(id: &str, s: &Scale) -> bool {
             }
             eprintln!("E23-VIOLATION: the sabotaged run did NOT trip StaleRead — detector broken");
         }
-        other => eprintln!("unknown experiment id: {other} (expected e1..e23 or all)"),
+        other => unreachable!("`main` rejects unknown ids: {other}"),
     }
     true
 }
+
+/// The `pass` verdict of an experiment's JSON summary.
+fn passed(summary: &JsonValue) -> bool {
+    let JsonValue::Obj(fields) = summary else {
+        return false;
+    };
+    fields
+        .iter()
+        .any(|(k, v)| k == "pass" && matches!(v, JsonValue::Bool(true)))
+}
+
+const ALL: [&str; 23] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -325,12 +355,16 @@ fn main() {
             out_dir,
         }
     };
+    if let Some(bad) = ids
+        .iter()
+        .find(|i| *i != "all" && *i != "e23-violation" && !ALL.contains(&i.as_str()))
+    {
+        eprintln!("unknown experiment id: {bad} (expected e1..e23, e23-violation or all)");
+        std::process::exit(2);
+    }
     let mut ok = true;
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        for id in [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
-        ] {
+        for id in ALL {
             ok &= run(id, &scale);
         }
     } else {

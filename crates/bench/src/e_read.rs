@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, LeaseParams};
+use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{
     AlarmKind, NodeRecorders, RecordingProbe, Registry, Watchdog, WatchdogConfig, WatchdogProbe,
@@ -245,7 +245,13 @@ fn netsim_throughput_run(
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
-        .build_with(|env| KvReplica::new_with_probe(env, params, recorders.probe_for(env.id())));
+        .build_with(|env| {
+            ReplicatedLog::builder(env, params)
+                .probe(recorders.probe_for(env.id()))
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("in-memory log")
+        });
     let issue_base = 3_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -360,7 +366,11 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
         .topology(base.clone())
         .classify(classify_rsm_msg)
         .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
+            ReplicatedLog::builder(env, params)
+                .probe(watchdog.probe(recorders.probe_for(env.id())))
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("in-memory log")
         });
     let mut issued: Vec<IssuedRead> = Vec::new();
     let mut seqs: BTreeMap<ProcessId, u64> = BTreeMap::new();
@@ -610,11 +620,11 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
         seed,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
-            env,
-            lease_params(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ReplicatedLog::builder(env, lease_params())
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(KvReplica::from_log)
+            .expect("in-memory log")
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let mut alive = all.clone();
@@ -679,11 +689,11 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
         faults: None,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
-            env,
-            lease_params(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ReplicatedLog::builder(env, lease_params())
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(KvReplica::from_log)
+            .expect("in-memory log")
     }) else {
         // No loopback listeners (sandboxed environment): report an empty,
         // violation-free row rather than failing the whole experiment.
@@ -764,7 +774,11 @@ fn violation_run(invert: bool, seed: u64) -> (usize, usize, String) {
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
         .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
+            ReplicatedLog::builder(env, params)
+                .probe(watchdog.probe(recorders.probe_for(env.id())))
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("in-memory log")
         });
     sim.run_until(Instant::from_ticks(3_400));
     let old = sim.node(ProcessId(0)).omega().leader();

@@ -41,7 +41,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::ConsensusParams;
+use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Env, Instant, ProcessId, SnapshotHandle, StorageHandle};
@@ -214,13 +214,22 @@ fn netsim_scenario(
                  snap: SnapshotHandle,
                  probe: lls_obs::WatchdogProbe<lls_obs::RecordingProbe>| {
         if compacted {
-            let mut r =
-                KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
-                    .expect("open stores");
+            let mut r = ReplicatedLog::builder(env, params)
+                .storage(store)
+                .snapshots(snap)
+                .probe(probe)
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("open stores");
             r.set_compact_every(COMPACT_EVERY);
             r
         } else {
-            KvReplica::with_storage_and_probe(env, params, store, probe).expect("open store")
+            ReplicatedLog::builder(env, params)
+                .storage(store)
+                .probe(probe)
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("open store")
         }
     };
     let mut sim = SimBuilder::new(n)
@@ -577,7 +586,12 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         seed,
     };
     let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
-        let mut r = KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
+        let mut r = ReplicatedLog::builder(env, params)
+            .storage(store)
+            .snapshots(snap)
+            .probe(probe)
+            .build()
+            .and_then(KvReplica::from_log)
             .expect("open stores");
         r.set_compact_every(COMPACT_EVERY);
         r
@@ -708,7 +722,12 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         }),
     };
     let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
-        let mut r = KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
+        let mut r = ReplicatedLog::builder(env, params)
+            .storage(store)
+            .snapshots(snap)
+            .probe(probe)
+            .build()
+            .and_then(KvReplica::from_log)
             .expect("open stores");
         r.set_compact_every(COMPACT_EVERY);
         r

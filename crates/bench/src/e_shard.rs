@@ -155,12 +155,10 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_shard_msg)
         .build_with(move |env| {
-            ShardedNode::<u64, _>::new_with_probe(
-                env,
-                params,
-                placement(shards, n),
-                rec.probe_for(env.id()),
-            )
+            ShardedNode::<u64>::builder(env, params, placement(shards, n))
+                .probe(rec.probe_for(env.id()))
+                .build()
+                .expect("in-memory log")
         });
     // Let the shared Ω settle and every group establish its ballot.
     let issue_base = 2_000u64;

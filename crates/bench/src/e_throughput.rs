@@ -149,7 +149,10 @@ fn netsim_run(
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
         .build_with(move |env| {
-            ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
+            ReplicatedLog::<u64>::builder(env, params)
+                .probe(rec.probe_for(env.id()))
+                .build()
+                .expect("in-memory log")
         });
     // Let the initial leader establish its ballot before offering load.
     let issue_base = 2_000u64;
@@ -279,7 +282,10 @@ fn threadnet_run(
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
     let cluster = Cluster::spawn(config, move |env| {
-        ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
+        ReplicatedLog::<u64>::builder(env, params)
+            .probe(rec.probe_for(env.id()))
+            .build()
+            .expect("in-memory log")
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let leader = await_unanimity(
@@ -355,7 +361,10 @@ fn wirenet_run(
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
     let cluster = WireCluster::try_spawn(config, move |env| {
-        ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
+        ReplicatedLog::<u64>::builder(env, params)
+            .probe(rec.probe_for(env.id()))
+            .build()
+            .expect("in-memory log")
     })
     .expect("bind 127.0.0.1 listeners");
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();

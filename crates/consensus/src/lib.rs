@@ -70,10 +70,10 @@ pub use ballot::Ballot;
 pub use durable::{AcceptorRecord, RsmRecord};
 pub use msg::{classify_consensus_msg, classify_rsm_msg, ConsensusMsg, Entry, RsmMsg};
 pub use rotating::{classify_rot_msg, RotEvent, RotMsg, RotatingConsensus};
-pub use rsm::{LifecycleId, ReplicatedLog, RsmEvent, CATCHUP_BURST};
+pub use rsm::{LifecycleId, LogBuilder, ReplicatedLog, RsmEvent, CATCHUP_BURST};
 pub use shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg,
-    ShardRequest, ShardedNode,
+    ShardRequest, ShardedNode, ShardedNodeBuilder,
 };
 pub use single::{Consensus, ConsensusEvent, ConsensusParams, LeaseParams};
 // Re-exported so callers can tune the log's throughput path without

@@ -58,7 +58,7 @@
 //!
 //! Without compaction the WAL grows with uptime and a restarted replica
 //! replays its whole history. With a [`SnapshotHandle`] attached
-//! ([`ReplicatedLog::with_storage_and_snapshots`]), the application may call
+//! ([`LogBuilder::snapshots`]), the application may call
 //! [`ReplicatedLog::compact`] after applying a prefix: the serialized state
 //! at `watermark` is installed durably *first* (atomic tmp-then-rename in
 //! the file backend), then the WAL is rewritten to only the live records
@@ -95,6 +95,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::marker::PhantomData;
 
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
 use lls_primitives::wire::crc32;
@@ -291,7 +292,7 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     // Snapshots + compaction (see the module docs). The snapshot watermark
     // is the base of `chosen`.
     snapshots: Option<SnapshotHandle>,
-    /// The snapshot a `with_storage_and_snapshots` constructor recovered,
+    /// The snapshot [`LogBuilder::snapshots`] recovered at build time,
     /// for the application to rebuild its state from.
     recovered_snapshot: Option<Snapshot>,
     /// Whether this incarnation recovered non-empty durable state (it then
@@ -335,16 +336,55 @@ impl<V> ReplicatedLog<V>
 where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
 {
-    /// Creates a replica.
+    /// Creates an in-memory replica led by its embedded Ω.
     ///
     /// # Panics
     ///
     /// Panics if the Ω parameters are invalid.
     pub fn new(env: &Env, params: ConsensusParams) -> Self {
-        ReplicatedLog::new_with_probe(env, params, NoopProbe)
+        ReplicatedLog::builder(env, params)
+            .build()
+            .expect("a log without storage cannot fail to build")
     }
 
-    /// Creates a replica backed by a durable log, recovering the promised
+    /// Starts building a replica with any of a durable log, a snapshot
+    /// store, an observability probe and external leadership (see
+    /// [`LogBuilder`]).
+    pub fn builder(env: &Env, params: ConsensusParams) -> LogBuilder<V> {
+        LogBuilder {
+            env: *env,
+            params,
+            storage: None,
+            snapshots: None,
+            probe: NoopProbe,
+            externally_led: false,
+            _cmds: PhantomData,
+        }
+    }
+}
+
+/// Builds a [`ReplicatedLog`]; start from [`ReplicatedLog::builder`].
+/// Every part is optional, and [`LogBuilder::build`] assembles them in one
+/// fixed order: the in-memory replica, then WAL recovery, then the
+/// snapshot floor, then the leadership mode.
+#[derive(Debug)]
+#[must_use = "a builder does nothing until `build` is called"]
+pub struct LogBuilder<V, P: Probe = NoopProbe> {
+    env: Env,
+    params: ConsensusParams,
+    storage: Option<StorageHandle>,
+    snapshots: Option<SnapshotHandle>,
+    probe: P,
+    externally_led: bool,
+    _cmds: PhantomData<fn() -> V>,
+}
+
+impl<V, P> LogBuilder<V, P>
+where
+    V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
+    P: Probe,
+{
+    /// Backs the replica with a durable log, recovering the promised
     /// ballot, accepted entries, chosen prefix and Ω counter a previous
     /// incarnation persisted.
     ///
@@ -352,64 +392,69 @@ where
     /// rejoin mode"). Recovered chosen slots are restored *without*
     /// re-emitting their `Committed` outputs — the pre-crash incarnation
     /// already emitted them; applications rebuilding state after a restart
-    /// read [`Self::chosen_log`] / [`Self::committed_commands`] instead. The
-    /// recovered Ω counter is bumped once so the restarted replica rejoins
-    /// as a follower. See [`crate::durable`] for the per-field safety
-    /// arguments.
+    /// read [`ReplicatedLog::chosen_log`] /
+    /// [`ReplicatedLog::committed_commands`] instead. The recovered Ω
+    /// counter is bumped once so the restarted replica rejoins as a
+    /// follower. See [`crate::durable`] for the per-field safety arguments.
+    pub fn storage(mut self, storage: StorageHandle) -> Self {
+        self.storage = Some(storage);
+        self
+    }
+
+    /// Attaches a snapshot store: any snapshot it holds floors the
+    /// replica's watermark (WAL records below it are covered by the
+    /// snapshot and ignored), and [`ReplicatedLog::compact`] becomes
+    /// available. The recovered snapshot blob is exposed through
+    /// [`ReplicatedLog::recovered_snapshot`] for the application to
+    /// rebuild its state from.
+    pub fn snapshots(mut self, snapshots: SnapshotHandle) -> Self {
+        self.snapshots = Some(snapshots);
+        self
+    }
+
+    /// Attaches an observability probe, shared with the embedded Ω
+    /// detector so one sink sees both layers.
+    pub fn probe<Q: Probe>(self, probe: Q) -> LogBuilder<V, Q> {
+        LogBuilder {
+            env: self.env,
+            params: self.params,
+            storage: self.storage,
+            snapshots: self.snapshots,
+            probe,
+            externally_led: self.externally_led,
+            _cmds: PhantomData,
+        }
+    }
+
+    /// Builds the replica in *external-leadership* mode: the embedded Ω
+    /// detector stays inert (no heartbeats, no timers, Ω messages dropped)
+    /// and leadership is injected with [`ReplicatedLog::set_leader`]
+    /// instead. This is how a node hosting many co-located shard groups
+    /// shares **one** Ω across all of them — steady-state election traffic
+    /// stays independent of the group count. A durable group recovers its
+    /// own WAL segment exactly as usual, then waits for leadership from the
+    /// shared detector.
+    pub fn externally_led(mut self) -> Self {
+        self.externally_led = true;
+        self
+    }
+
+    /// Builds the replica.
     ///
     /// # Errors
     ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
+    /// Fails if the log or snapshot store cannot be read, or the boot
+    /// record cannot be written.
     ///
     /// # Panics
     ///
     /// Panics if the Ω parameters are invalid.
-    pub fn with_storage(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ReplicatedLog::with_storage_and_probe(env, params, storage, NoopProbe)
-    }
-
-    /// Like [`ReplicatedLog::with_storage`], additionally attaching a
-    /// snapshot store (see
-    /// [`ReplicatedLog::with_storage_snapshots_and_probe`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read or the boot record
-    /// cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_and_snapshots(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-    ) -> Result<Self, StorageError> {
-        ReplicatedLog::with_storage_snapshots_and_probe(env, params, storage, snapshots, NoopProbe)
-    }
-}
-
-impl<V, P> ReplicatedLog<V, P>
-where
-    V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
-    P: Probe,
-{
-    /// Like [`ReplicatedLog::new`], with an observability probe (shared
-    /// with the embedded Ω detector, so one sink sees both layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_with_probe(env: &Env, params: ConsensusParams, probe: P) -> Self {
-        ReplicatedLog {
-            env: *env,
-            params,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
+    pub fn build(self) -> Result<ReplicatedLog<V, P>, StorageError> {
+        let env = self.env;
+        let mut sm = ReplicatedLog {
+            env,
+            params: self.params,
+            omega: CommEffOmega::new_with_probe(&env, self.params.omega, self.probe.clone()),
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
             chosen: ChosenLog::new(),
@@ -437,183 +482,77 @@ where
             lease_round_start: Instant::ZERO,
             lease_acks: vec![false; env.n()],
             probe_shard: 0,
-            probe,
+            probe: self.probe,
             clock: Instant::ZERO,
+        };
+        if let Some(storage) = self.storage {
+            sm.recover_wal(storage)?;
         }
-    }
-
-    /// Like [`ReplicatedLog::new`], but in *external-leadership* mode: the
-    /// embedded Ω detector stays inert (no heartbeats, no timers, Ω
-    /// messages dropped) and leadership is injected with
-    /// [`ReplicatedLog::set_leader`] instead. This is how a node hosting
-    /// many co-located shard groups shares **one** Ω across all of them —
-    /// steady-state election traffic stays independent of the group count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_externally_led(env: &Env, params: ConsensusParams) -> Self
-    where
-        P: Default,
-    {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, P::default());
-        sm.external = true;
-        sm
-    }
-
-    /// Like [`ReplicatedLog::new_externally_led`], with an observability
-    /// probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_externally_led_with_probe(env: &Env, params: ConsensusParams, probe: P) -> Self {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, probe);
-        sm.external = true;
-        sm
-    }
-
-    /// Like [`ReplicatedLog::with_storage_and_probe`], but in
-    /// external-leadership mode (see
-    /// [`ReplicatedLog::new_externally_led`]): the group recovers its own
-    /// WAL segment exactly as usual, then waits for leadership from the
-    /// shared detector.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_externally_led(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_and_probe(env, params, storage, probe)?;
-        sm.external = true;
+        if let Some(snapshots) = self.snapshots {
+            sm.attach_snapshots(snapshots)?;
+        }
+        sm.external = self.externally_led;
         Ok(sm)
     }
+}
 
-    /// Like [`ReplicatedLog::with_storage`], with an observability probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, probe);
+impl<V, P> ReplicatedLog<V, P>
+where
+    V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
+    P: Probe,
+{
+    /// Replays the durable log into a fresh replica, writes the boot
+    /// record, and keeps the handle for persistence (see
+    /// [`LogBuilder::storage`]).
+    fn recover_wal(&mut self, storage: StorageHandle) -> Result<(), StorageError> {
         let records: Vec<RsmRecord<V>> = storage.load_records()?;
-        sm.probe.emit(ProbeEvent::WalRecover {
-            node: env.id(),
+        self.probe.emit(ProbeEvent::WalRecover {
+            node: self.me(),
             at: Instant::ZERO,
             records: records.len() as u64,
         });
         // The WAL bytes just replayed are exactly what snapshots exist to
         // bound — surfaced as the `recovery_replay_bytes` counter.
-        sm.probe.emit(ProbeEvent::RecoveryReplay {
-            node: env.id(),
+        self.probe.emit(ProbeEvent::RecoveryReplay {
+            node: self.me(),
             at: Instant::ZERO,
             bytes: storage.stats().live_bytes,
         });
         let recovering = !records.is_empty();
-        sm.recovered = recovering;
+        self.recovered = recovering;
         let mut omega_counter = 0u64;
         for rec in records {
             match rec {
                 RsmRecord::OmegaCounter(c) => omega_counter = omega_counter.max(c),
-                RsmRecord::Promised(b) => sm.promised = sm.promised.max(b),
+                RsmRecord::Promised(b) => self.promised = self.promised.max(b),
                 // A chosen slot keeps no vote (see `crate::durable`, "Votes
                 // of chosen slots"), whichever of its records comes first.
                 RsmRecord::Accepted { slot, b, entry } => {
-                    sm.promised = sm.promised.max(b);
-                    let highest = sm.accepted.get(&slot).is_none_or(|(prev, _)| *prev <= b);
-                    if highest && !sm.chosen.contains(slot) {
-                        sm.accepted.insert(slot, (b, entry));
+                    self.promised = self.promised.max(b);
+                    let highest = self.accepted.get(&slot).is_none_or(|(prev, _)| *prev <= b);
+                    if highest && !self.chosen.contains(slot) {
+                        self.accepted.insert(slot, (b, entry));
                     }
                 }
                 RsmRecord::Chosen { slot, entry } => {
-                    sm.chosen.insert(slot, entry);
-                    sm.accepted.remove(&slot);
+                    self.chosen.insert(slot, entry);
+                    self.accepted.remove(&slot);
                 }
             }
         }
-        sm.highest_seen = sm.promised;
+        self.highest_seen = self.promised;
         // Quietly advance past the contiguous recovered prefix: those
         // Committed events were already emitted by the previous incarnation.
-        sm.emitted_upto = sm.chosen.end();
+        self.emitted_upto = self.chosen.end();
         let boot_counter = if recovering {
             omega_counter.saturating_add(1)
         } else {
             0
         };
         storage.append_record(&RsmRecord::<V>::OmegaCounter(boot_counter))?;
-        sm.omega.restore_own_counter(boot_counter);
-        sm.storage = Some(storage);
-        Ok(sm)
-    }
-
-    /// Like [`ReplicatedLog::with_storage_and_probe`], additionally
-    /// attaching a snapshot store: any snapshot it holds floors the
-    /// replica's watermark before WAL replay semantics apply (records below
-    /// the watermark are covered by the snapshot and ignored), and
-    /// [`ReplicatedLog::compact`] becomes available. The recovered snapshot
-    /// blob is exposed through [`ReplicatedLog::recovered_snapshot`] for the
-    /// application to rebuild its state from.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read, or the boot
-    /// record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_snapshots_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_and_probe(env, params, storage, probe)?;
-        sm.attach_snapshots(snapshots)?;
-        Ok(sm)
-    }
-
-    /// Like [`ReplicatedLog::with_storage_snapshots_and_probe`], in
-    /// external-leadership mode (see [`ReplicatedLog::new_externally_led`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read, or the boot
-    /// record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_snapshots_externally_led(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_snapshots_and_probe(
-            env, params, storage, snapshots, probe,
-        )?;
-        sm.external = true;
-        Ok(sm)
+        self.omega.restore_own_counter(boot_counter);
+        self.storage = Some(storage);
+        Ok(())
     }
 
     /// Loads the snapshot store's current snapshot (if any), floors the
@@ -911,7 +850,7 @@ where
 
     /// Stamps lease/read probe events with `shard`. Sharded nodes call this
     /// once per group at construction; unsharded logs stay at 0.
-    pub fn set_probe_shard(&mut self, shard: u32) {
+    pub(crate) fn set_probe_shard(&mut self, shard: u32) {
         self.probe_shard = shard;
     }
 
@@ -2510,7 +2449,10 @@ mod tests {
     #[test]
     fn externally_led_log_is_silent_until_leadership_is_injected() {
         let env = Env::new(ProcessId(0), 3);
-        let mut sm: Log = ReplicatedLog::new_externally_led(&env, ConsensusParams::default());
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .externally_led()
+            .build()
+            .unwrap();
         assert!(sm.is_externally_led());
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
@@ -2554,7 +2496,10 @@ mod tests {
     #[test]
     fn externally_led_log_drops_omega_messages_and_timers() {
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::new_externally_led(&env, ConsensusParams::default());
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .externally_led()
+            .build()
+            .unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
         fx.take();
@@ -3162,8 +3107,10 @@ mod tests {
         let store = StorageHandle::in_memory();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         {
-            let mut sm: Log =
-                ReplicatedLog::with_storage(&env, batched_params(8, 4), store.clone()).unwrap();
+            let mut sm: Log = ReplicatedLog::builder(&env, batched_params(8, 4))
+                .storage(store.clone())
+                .build()
+                .unwrap();
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
             sm.on_message(
                 &mut ctx,
@@ -3176,7 +3123,10 @@ mod tests {
             fx.take();
             // Crash.
         }
-        let sm2: Log = ReplicatedLog::with_storage(&env, batched_params(8, 4), store).unwrap();
+        let sm2: Log = ReplicatedLog::builder(&env, batched_params(8, 4))
+            .storage(store)
+            .build()
+            .unwrap();
         assert_eq!(
             sm2.chosen(0),
             Some(&Entry::Batch(vec![1, 2, 3])),
@@ -3195,9 +3145,10 @@ mod tests {
         let store = StorageHandle::in_memory();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         {
-            let mut sm: Log =
-                ReplicatedLog::with_storage(&env, ConsensusParams::default(), store.clone())
-                    .unwrap();
+            let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+                .storage(store.clone())
+                .build()
+                .unwrap();
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
             sm.on_message(
                 &mut ctx,
@@ -3236,8 +3187,10 @@ mod tests {
             }));
             // Crash: the in-memory replica is dropped, only the WAL survives.
         }
-        let mut sm2: Log =
-            ReplicatedLog::with_storage(&env, ConsensusParams::default(), store).unwrap();
+        let mut sm2: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store)
+            .build()
+            .unwrap();
         assert_eq!(sm2.promised, b(2, 0), "promise must survive the crash");
         assert_eq!(
             sm2.chosen(0),
@@ -3325,13 +3278,11 @@ mod tests {
         let store = StorageHandle::in_memory();
         let snaps = SnapshotHandle::in_memory();
         {
-            let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-                &env,
-                ConsensusParams::default(),
-                store.clone(),
-                snaps.clone(),
-            )
-            .unwrap();
+            let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+                .storage(store.clone())
+                .snapshots(snaps.clone())
+                .build()
+                .unwrap();
             decide_prefix(&env, &mut sm, 10);
             let before = sm.wal_stats().live_bytes;
             assert!(sm.compact(8, vec![0xAB; 4]).unwrap(), "compaction runs");
@@ -3346,13 +3297,11 @@ mod tests {
             assert!(!sm.compact(8, vec![]).unwrap());
             // Crash.
         }
-        let sm2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            store,
-            snaps,
-        )
-        .unwrap();
+        let sm2: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store)
+            .snapshots(snaps)
+            .build()
+            .unwrap();
         assert_eq!(sm2.watermark(), 8);
         let snap = sm2.recovered_snapshot().expect("snapshot recovered");
         assert_eq!((snap.watermark, snap.data.clone()), (8, vec![0xAB; 4]));
@@ -3374,13 +3323,11 @@ mod tests {
     fn compacted_acceptor_still_reveals_its_live_suffix_and_low_slot() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         decide_prefix(&env, &mut sm, 5);
         // An accepted-but-undecided entry above the prefix.
@@ -3472,13 +3419,11 @@ mod tests {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env0 = Env::new(ProcessId(0), 3);
         // The sender: a compacted leader-side replica with a snapshot.
-        let mut sender: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env0,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sender: Log = ReplicatedLog::builder(&env0, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         decide_prefix(&env0, &mut sender, 12);
         sender.compact(12, vec![7; 100]).unwrap();
         // A fresh follower asks for slot 0: below the watermark, so the
@@ -3510,13 +3455,11 @@ mod tests {
         let env2 = Env::new(ProcessId(2), 3);
         let store2 = StorageHandle::in_memory();
         let snaps2 = SnapshotHandle::in_memory();
-        let mut recv: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env2,
-            ConsensusParams::default(),
-            store2.clone(),
-            snaps2.clone(),
-        )
-        .unwrap();
+        let mut recv: Log = ReplicatedLog::builder(&env2, ConsensusParams::default())
+            .storage(store2.clone())
+            .snapshots(snaps2.clone())
+            .build()
+            .unwrap();
         let mut acks = Vec::new();
         let mut installed = Vec::new();
         for msg in to_follower {
@@ -3548,13 +3491,11 @@ mod tests {
         // The install is durable: a crash right after recovers from the
         // installed snapshot.
         drop(recv);
-        let recv2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env2,
-            ConsensusParams::default(),
-            store2,
-            snaps2,
-        )
-        .unwrap();
+        let recv2: Log = ReplicatedLog::builder(&env2, ConsensusParams::default())
+            .storage(store2)
+            .snapshots(snaps2)
+            .build()
+            .unwrap();
         assert_eq!(recv2.watermark(), 12, "installed snapshot survives a crash");
 
         // The completion ack retires the sender's outgoing transfer state.
@@ -3587,13 +3528,11 @@ mod tests {
         // The leader's heartbeat prefix tells it the slot exists; it asks
         // the leader, which can only answer with its snapshot.
         let env = Env::new(ProcessId(0), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.on_start(&mut ctx);
@@ -3701,13 +3640,11 @@ mod tests {
     fn corrupt_chunk_is_ignored_and_retried_round_resends_it() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env0 = Env::new(ProcessId(0), 3);
-        let mut sender: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env0,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sender: Log = ReplicatedLog::builder(&env0, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         decide_prefix(&env0, &mut sender, 4);
         // A state large enough for several chunks.
         sender.compact(4, vec![9; 80 * 1024]).unwrap();
@@ -3728,13 +3665,11 @@ mod tests {
         );
 
         let env2 = Env::new(ProcessId(2), 3);
-        let mut recv: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env2,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut recv: Log = ReplicatedLog::builder(&env2, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         // Corrupt the first chunk's payload; its CRC no longer matches.
         let mut corrupted = chunks.clone();
         if let RsmMsg::SnapshotChunk { data, .. } = &mut corrupted[0] {
@@ -3767,13 +3702,11 @@ mod tests {
     fn decides_below_the_watermark_are_dropped() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         decide_prefix(&env, &mut sm, 6);
         sm.compact(6, vec![]).unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
@@ -4203,7 +4136,10 @@ mod tests {
         let env = Env::new(ProcessId(me), 3);
         Harness {
             env,
-            sm: ReplicatedLog::new_externally_led(&env, ConsensusParams::default()),
+            sm: ReplicatedLog::builder(&env, ConsensusParams::default())
+                .externally_led()
+                .build()
+                .unwrap(),
             fx: Effects::new(),
         }
     }
@@ -4392,8 +4328,10 @@ mod tests {
             },
         ];
         store.append_records(&records).unwrap();
-        let mut sm: Log =
-            ReplicatedLog::with_storage(&env, ConsensusParams::default(), store).unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store)
+            .build()
+            .unwrap();
         assert_eq!((sm.vote(0), sm.vote(2)), (None, None));
         assert_eq!(sm.vote(3), Some((b(2, 2), &Entry::Cmd(8))));
         assert_eq!(sm.committed_len(), 1);
@@ -4427,13 +4365,11 @@ mod tests {
     fn the_dense_run_covers_exactly_the_watermark_to_the_cursor() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            StorageHandle::in_memory(),
-            SnapshotHandle::in_memory(),
-        )
-        .unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(StorageHandle::in_memory())
+            .snapshots(SnapshotHandle::in_memory())
+            .build()
+            .unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         let mut deliver = |sm: &mut Log, msg: RsmMsg<u64>| {
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);

@@ -32,12 +32,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
 
 use lls_obs::{NoopProbe, Probe};
 use lls_primitives::wire::{Wire, WireError, WireReader};
 use lls_primitives::{
-    Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageError, StorageHandle,
-    TimerCmd, TimerId,
+    Ctx, Effects, Env, ProcessId, Sm, SnapshotHandle, StorageError, StorageHandle, TimerCmd,
+    TimerId,
 };
 use omega::{CommEffOmega, OmegaMsg};
 
@@ -344,44 +345,98 @@ impl<V> ShardedNode<V>
 where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
 {
-    /// Creates a node hosting every shard attached in `placement`, all
-    /// groups sharing `params` (per-group parameter overrides go through
-    /// [`ShardedNode::attach_with_params`]).
+    /// Creates an in-memory node hosting every shard attached in
+    /// `placement`, all groups sharing `params` (per-group parameter
+    /// overrides go through [`ShardedNode::attach_with_params`]).
     ///
     /// # Panics
     ///
     /// Panics if the Ω parameters are invalid.
     pub fn new(env: &Env, params: ConsensusParams, placement: PlacementManager) -> Self {
-        ShardedNode::new_with_probe(env, params, placement, NoopProbe)
+        ShardedNode::builder(env, params, placement)
+            .build()
+            .expect("a node without storage cannot fail to build")
     }
 
-    /// Creates a node whose attached groups each recover from their own WAL
-    /// segment (`stores`), and whose shared Ω counter recovers from its own
-    /// dedicated segment (`omega_store`) — so a restart resumes **every**
-    /// co-located group from its own durable state.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage(
+    /// Starts building a node hosting every shard attached in `placement`,
+    /// with any of durable storage, snapshot stores and an observability
+    /// probe (see [`ShardedNodeBuilder`]).
+    pub fn builder(
         env: &Env,
         params: ConsensusParams,
         placement: PlacementManager,
+    ) -> ShardedNodeBuilder<V> {
+        ShardedNodeBuilder {
+            env: *env,
+            params,
+            placement,
+            storage: None,
+            snapshots: BTreeMap::new(),
+            probe: NoopProbe,
+            _cmds: PhantomData,
+        }
+    }
+}
+
+/// Builds a [`ShardedNode`]; start from [`ShardedNode::builder`]. Each
+/// attached group is built with [`ReplicatedLog::builder`] in
+/// external-leadership mode, in shard order, before the shared Ω.
+#[derive(Debug)]
+#[must_use = "a builder does nothing until `build` is called"]
+pub struct ShardedNodeBuilder<V, P: Probe = NoopProbe> {
+    env: Env,
+    params: ConsensusParams,
+    placement: PlacementManager,
+    storage: Option<(BTreeMap<ShardId, StorageHandle>, StorageHandle)>,
+    snapshots: BTreeMap<ShardId, SnapshotHandle>,
+    probe: P,
+    _cmds: PhantomData<fn() -> V>,
+}
+
+impl<V, P> ShardedNodeBuilder<V, P>
+where
+    V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
+    P: Probe,
+{
+    /// Makes the node durable: each attached group recovers from its own
+    /// WAL segment in `stores`, and the shared Ω counter from its own
+    /// dedicated segment `omega_store` — so a restart resumes **every**
+    /// co-located group from its own durable state.
+    /// [`ShardedNodeBuilder::build`] panics if an attached shard has no
+    /// segment in `stores`.
+    pub fn storage(
+        mut self,
         stores: &BTreeMap<ShardId, StorageHandle>,
         omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_and_probe(env, params, placement, stores, omega_store, NoopProbe)
+    ) -> Self {
+        self.storage = Some((stores.clone(), omega_store));
+        self
     }
 
-    /// Like [`ShardedNode::with_storage`], additionally attaching one
-    /// snapshot store per shard (shards missing from `snaps` run without
-    /// compaction). Each group recovers snapshot-first, then WAL — see
-    /// [`ReplicatedLog::with_storage_and_snapshots`].
+    /// Attaches one snapshot store per shard in `snaps` (shards missing
+    /// from it run without compaction): those groups recover
+    /// snapshot-first, then WAL — see
+    /// [`LogBuilder::snapshots`](crate::LogBuilder::snapshots).
+    pub fn snapshots(mut self, snaps: &BTreeMap<ShardId, SnapshotHandle>) -> Self {
+        self.snapshots = snaps.clone();
+        self
+    }
+
+    /// Attaches an observability probe shared by the Ω detector and every
+    /// group.
+    pub fn probe<Q: Probe>(self, probe: Q) -> ShardedNodeBuilder<V, Q> {
+        ShardedNodeBuilder {
+            env: self.env,
+            params: self.params,
+            placement: self.placement,
+            storage: self.storage,
+            snapshots: self.snapshots,
+            probe,
+            _cmds: PhantomData,
+        }
+    }
+
+    /// Builds the node.
     ///
     /// # Errors
     ///
@@ -390,25 +445,73 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_and_snapshots(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        snaps: &BTreeMap<ShardId, SnapshotHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_snapshots_and_probe(
+    /// Panics if the Ω parameters are invalid, or if the node is durable
+    /// and an attached shard has no WAL segment.
+    pub fn build(self) -> Result<ShardedNode<V, P>, StorageError> {
+        let ShardedNodeBuilder {
             env,
             params,
             placement,
-            stores,
-            snaps,
+            storage,
+            snapshots,
+            probe,
+            _cmds,
+        } = self;
+        let mut groups = BTreeMap::new();
+        for shard in placement.attached() {
+            let mut group = ReplicatedLog::builder(&env, params)
+                .probe(probe.clone())
+                .externally_led();
+            if let Some((stores, _)) = &storage {
+                let store = stores
+                    .get(&shard)
+                    .unwrap_or_else(|| panic!("no WAL segment for attached {shard}"));
+                group = group.storage(store.clone());
+            }
+            if let Some(snap) = snapshots.get(&shard) {
+                group = group.snapshots(snap.clone());
+            }
+            let mut group = group.build()?;
+            group.set_probe_shard(shard.0);
+            groups.insert(shard, group);
+        }
+        let mut omega = CommEffOmega::new_with_probe(&env, params.omega, probe.clone());
+        let omega_store = match storage {
+            Some((_, omega_store)) => {
+                // The shared Ω counter lives in its own segment: recover the
+                // highest persisted counter, rejoin one incarnation above it
+                // (exactly the single-log recovery rule), and write the boot
+                // record ahead of any message that could reveal the new
+                // counter.
+                let records: Vec<RsmRecord<V>> = omega_store.load_records()?;
+                let mut counter = 0u64;
+                for rec in &records {
+                    if let RsmRecord::OmegaCounter(c) = rec {
+                        counter = counter.max(*c);
+                    }
+                }
+                let boot = if records.is_empty() {
+                    0
+                } else {
+                    counter.saturating_add(1)
+                };
+                omega_store.append_record(&RsmRecord::<V>::OmegaCounter(boot))?;
+                omega.restore_own_counter(boot);
+                Some(omega_store)
+            }
+            None => None,
+        };
+        Ok(ShardedNode {
+            env,
+            omega,
+            placement,
+            groups,
             omega_store,
-            NoopProbe,
-        )
+            believed: None,
+            params,
+            probe,
+            wedged: false,
+        })
     }
 }
 
@@ -417,143 +520,6 @@ where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
     P: Probe,
 {
-    /// Like [`ShardedNode::new`], with an observability probe shared by the
-    /// Ω detector and every group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_with_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        probe: P,
-    ) -> Self {
-        let groups = placement
-            .attached()
-            .map(|shard| {
-                let mut group =
-                    ReplicatedLog::new_externally_led_with_probe(env, params, probe.clone());
-                group.set_probe_shard(shard.0);
-                (shard, group)
-            })
-            .collect();
-        ShardedNode {
-            env: *env,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
-            placement,
-            groups,
-            omega_store: None,
-            believed: None,
-            params,
-            probe,
-            wedged: false,
-        }
-    }
-
-    /// Like [`ShardedNode::with_storage`], with an observability probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        omega_store: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_snapshots_and_probe(
-            env,
-            params,
-            placement,
-            stores,
-            &BTreeMap::new(),
-            omega_store,
-            probe,
-        )
-    }
-
-    /// Like [`ShardedNode::with_storage_and_snapshots`], with an
-    /// observability probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL or snapshot store cannot be read or a boot record
-    /// cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_snapshots_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        snaps: &BTreeMap<ShardId, SnapshotHandle>,
-        omega_store: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut groups = BTreeMap::new();
-        for shard in placement.attached() {
-            let store = stores
-                .get(&shard)
-                .unwrap_or_else(|| panic!("no WAL segment for attached {shard}"))
-                .clone();
-            let mut group = match snaps.get(&shard) {
-                Some(snap) => ReplicatedLog::with_storage_snapshots_externally_led(
-                    env,
-                    params,
-                    store,
-                    snap.clone(),
-                    probe.clone(),
-                )?,
-                None => {
-                    ReplicatedLog::with_storage_externally_led(env, params, store, probe.clone())?
-                }
-            };
-            group.set_probe_shard(shard.0);
-            groups.insert(shard, group);
-        }
-        // The shared Ω counter lives in its own segment: recover the highest
-        // persisted counter, rejoin one incarnation above it (exactly the
-        // single-log recovery rule), and write the boot record ahead of any
-        // message that could reveal the new counter.
-        let records: Vec<RsmRecord<V>> = omega_store.load_records()?;
-        let mut counter = 0u64;
-        for rec in &records {
-            if let RsmRecord::OmegaCounter(c) = rec {
-                counter = counter.max(*c);
-            }
-        }
-        let boot = if records.is_empty() {
-            0
-        } else {
-            counter.saturating_add(1)
-        };
-        omega_store.append_record(&RsmRecord::<V>::OmegaCounter(boot))?;
-        let mut sm = ShardedNode {
-            env: *env,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
-            placement,
-            groups,
-            omega_store: Some(omega_store),
-            believed: None,
-            params,
-            probe,
-            wedged: false,
-        };
-        sm.omega.restore_own_counter(boot);
-        Ok(sm)
-    }
-
     /// The shared Ω detector (for instrumentation).
     pub fn omega(&self) -> &CommEffOmega<P> {
         &self.omega
@@ -601,15 +567,6 @@ where
         self.believed
     }
 
-    /// Whether this node may serve a lease read for `shard` locally at
-    /// `now`: it leads that group and holds a quorum-acked, unexpired
-    /// lease. `false` when the shard is not attached.
-    pub fn lease_read_allowed(&self, shard: ShardId, now: Instant) -> bool {
-        self.groups
-            .get(&shard)
-            .is_some_and(|g| g.lease_read_allowed(now))
-    }
-
     /// Requests a read index for `shard` (see
     /// [`ReplicatedLog::request_read_index`]): the leaseholder answers with
     /// [`ShardEvent::ReadIndexAt`] synchronously, a follower forwards to the
@@ -647,8 +604,11 @@ where
             return;
         }
         self.placement.attach(shard);
-        let mut group =
-            ReplicatedLog::new_externally_led_with_probe(&self.env, params, self.probe.clone());
+        let mut group = ReplicatedLog::builder(&self.env, params)
+            .probe(self.probe.clone())
+            .externally_led()
+            .build()
+            .expect("a log without storage cannot fail to build");
         group.set_probe_shard(shard.0);
         self.groups.insert(shard, group);
         self.drive_group(ctx, shard, |g, gctx| g.on_start(gctx));
@@ -1238,14 +1198,11 @@ mod tests {
         let omega_store = StorageHandle::in_memory();
         {
             let env = Env::new(ProcessId(0), 3);
-            let sm: Node = ShardedNode::with_storage(
-                &env,
-                ConsensusParams::default(),
-                placement.clone(),
-                &stores,
-                omega_store.clone(),
-            )
-            .expect("fresh stores");
+            let sm: Node =
+                ShardedNode::builder(&env, ConsensusParams::default(), placement.clone())
+                    .storage(&stores, omega_store.clone())
+                    .build()
+                    .expect("fresh stores");
             let mut h = Harness {
                 env,
                 sm,
@@ -1263,14 +1220,10 @@ mod tests {
             // Crash: drop the whole node.
         }
         let env = Env::new(ProcessId(0), 3);
-        let sm2: Node = ShardedNode::with_storage(
-            &env,
-            ConsensusParams::default(),
-            placement,
-            &stores,
-            omega_store,
-        )
-        .expect("recover from WALs");
+        let sm2: Node = ShardedNode::builder(&env, ConsensusParams::default(), placement)
+            .storage(&stores, omega_store)
+            .build()
+            .expect("recover from WALs");
         assert_eq!(
             sm2.group(ShardId(0))
                 .unwrap()

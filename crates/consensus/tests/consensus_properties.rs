@@ -163,7 +163,9 @@ proptest! {
         let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
         let params = ConsensusParams::default();
         let mut sim = builder.build_with(|env| {
-            ReplicatedLog::<u64>::with_storage(env, params, stores[env.id().as_usize()].clone())
+            ReplicatedLog::<u64>::builder(env, params)
+                .storage(stores[env.id().as_usize()].clone())
+                .build()
                 .expect("fresh WAL")
         });
         if let Some((at, down)) = kill {
@@ -176,7 +178,8 @@ proptest! {
                 sim.run_until(Instant::from_ticks(8_000 + at + down));
                 let env = Env::new(victim, n);
                 let store = stores[victim.as_usize()].clone();
-                sim.restart(victim, ReplicatedLog::with_storage(&env, params, store).expect("WAL"));
+                let log = ReplicatedLog::builder(&env, params).storage(store).build();
+                sim.restart(victim, log.expect("WAL"));
             }
         }
         sim.run_until(Instant::from_ticks(8_000 + 300 * cmds as u64 + 80_000));

@@ -36,7 +36,9 @@ fn run_outage(outage: u64) -> Outcome {
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
         .build_with(|env| {
-            ReplicatedLog::<u64>::with_storage(env, params, stores[env.id().as_usize()].clone())
+            ReplicatedLog::<u64>::builder(env, params)
+                .storage(stores[env.id().as_usize()].clone())
+                .build()
                 .expect("fresh WAL")
         });
     let mut commands = 0;
@@ -52,7 +54,9 @@ fn run_outage(outage: u64) -> Outcome {
     sim.kill(p2);
     sim.run_until(Instant::from_ticks(restart_at));
     let target = sim.node(p0).committed_len();
-    let recovered = ReplicatedLog::with_storage(&Env::new(p2, n), params, stores[2].clone())
+    let recovered = ReplicatedLog::builder(&Env::new(p2, n), params)
+        .storage(stores[2].clone())
+        .build()
         .expect("p2 recovers its WAL");
     sim.restart(p2, recovered);
     while sim.node(p2).committed_len() < target && sim.step() {}

@@ -64,12 +64,15 @@ proptest! {
         let store_b = StorageHandle::in_memory();
         let kill = kill_after.min(decides);
         {
-            let mut a: Log = ReplicatedLog::with_storage_and_snapshots(
-                &env, ConsensusParams::default(), store_a.clone(), snaps_a.clone(),
-            ).unwrap();
-            let mut full: Log = ReplicatedLog::with_storage(
-                &env, ConsensusParams::default(), store_b.clone(),
-            ).unwrap();
+            let mut a: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+                .storage(store_a.clone())
+                .snapshots(snaps_a.clone())
+                .build()
+                .unwrap();
+            let mut full: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+                .storage(store_b.clone())
+                .build()
+                .unwrap();
             // The "application state": every command applied so far, in
             // order — what a real state machine materializes and what the
             // snapshot body must therefore summarize (the log itself no
@@ -87,12 +90,15 @@ proptest! {
             }
             // Crash both at the kill point (drop without further writes).
         }
-        let a2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env, ConsensusParams::default(), store_a, snaps_a,
-        ).unwrap();
-        let full2: Log = ReplicatedLog::with_storage(
-            &env, ConsensusParams::default(), store_b,
-        ).unwrap();
+        let a2: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store_a)
+            .snapshots(snaps_a)
+            .build()
+            .unwrap();
+        let full2: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store_b)
+            .build()
+            .unwrap();
         let from_full: Vec<u64> = full2.committed_commands().copied().collect();
         prop_assert_eq!(materialized(&a2), from_full, "replay equivalence");
         prop_assert_eq!(a2.committed_len(), full2.committed_len());
@@ -119,9 +125,11 @@ proptest! {
         let snaps = SnapshotHandle::in_memory();
         let promised = b(promised_round, 0);
         {
-            let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-                &env, ConsensusParams::default(), store.clone(), snaps.clone(),
-            ).unwrap();
+            let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+                .storage(store.clone())
+                .snapshots(snaps.clone())
+                .build()
+                .unwrap();
             for slot in 0..prefix {
                 decide(&env, &mut sm, slot, slot);
             }
@@ -133,9 +141,11 @@ proptest! {
             sm.compact(prefix, vec![]).unwrap();
             // Crash.
         }
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env, ConsensusParams::default(), store, snaps,
-        ).unwrap();
+        let mut sm: Log = ReplicatedLog::builder(&env, ConsensusParams::default())
+            .storage(store)
+            .snapshots(snaps)
+            .build()
+            .unwrap();
         prop_assert_eq!(sm.watermark(), prefix);
 
         let stale = b(stale_round, 2);

@@ -13,6 +13,15 @@
 //!    applied is skipped (clients retry safely — e.g. after a leader change
 //!    — without double-applying).
 //!
+//! There is one node type, [`ReplicatedKv`], generic over its
+//! [`LogPlane`]: a [`ShardedNode`](consensus::ShardedNode) of `S` groups
+//! under one shared Ω ([`ShardedKvNode`]), or a single
+//! [`ReplicatedLog`](consensus::ReplicatedLog) with its own Ω
+//! ([`KvReplica`]) — the unsharded store is the `S = 1` case. Build the log
+//! with its builder (storage, snapshots, probe) and wrap it with
+//! [`ReplicatedKv::from_log`], which seeds each shard's store from its
+//! recovered snapshot and replays the tail above it.
+//!
 //! # Example
 //!
 //! ```
@@ -54,7 +63,7 @@ mod submit;
 
 pub use client::KvClient;
 pub use command::{ClientId, KvCmd, KvResponse, Tagged};
-pub use replica::{KvEvent, KvReplica};
-pub use sharded::{ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue};
+pub use replica::{KvEvent, KvReplica, LogPlane, ReplicatedKv, ShardedKvEvent, ShardedKvNode};
+pub use sharded::ShardedSubmitQueue;
 pub use state::KvState;
 pub use submit::{Settled, SubmitQueue};

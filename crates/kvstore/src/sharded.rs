@@ -1,20 +1,11 @@
-//! The sharded key-value store: key-routed client path over S independent
-//! replicated logs, one shared Ω per node.
+//! The client side of the sharded key-value store: a key-routed submit
+//! queue over S independent replicated logs.
 //!
-//! This is the `kvstore` half of the shard plane
-//! ([`consensus::shard`](consensus::shard)): the consensus layer gives each
-//! shard its own slot sequence and multiplexes one Ω across all co-located
-//! groups; this module routes *keys* onto those groups:
-//!
-//! * [`ShardedSubmitQueue`] — the client side. Commands are routed to their
-//!   shard by the placement map's stable key hash, each shard gets its own
-//!   [`SubmitQueue`] window (per-shard pipelines fill independently), and
-//!   replies settle against the shard that owns the key.
-//! * [`ShardedKvNode`] — the server side. One
-//!   [`ShardedNode`](consensus::ShardedNode) of tagged commands plus one
-//!   [`KvState`] **per shard**, so disjoint keys commit and apply in
-//!   parallel with no cross-shard ordering (and no cross-shard transactions
-//!   — by construction a command touches exactly one key, hence one shard).
+//! [`ShardedSubmitQueue`] routes commands to their shard by the placement
+//! map's stable key hash, gives each shard its own [`SubmitQueue`] window
+//! (per-shard pipelines fill independently), and settles replies against
+//! the shard that owns the key. The server side is
+//! [`ShardedKvNode`](crate::ShardedKvNode).
 //!
 //! Exactly-once semantics are preserved per shard: a client's `(client,
 //! seq)` tags are deduplicated by the session table of the shard that
@@ -23,20 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use lls_obs::{CmdStage, NoopProbe, Probe, ProbeEvent, ReadMode};
-use lls_primitives::wire::Wire;
-use lls_primitives::{
-    Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageError, StorageHandle, TimerId,
-};
+use lls_obs::{NoopProbe, Probe};
+use lls_primitives::{Instant, ProcessId};
 
-use consensus::shard::{
-    PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest, ShardedNode,
-};
-use consensus::ConsensusParams;
-use omega::CommEffOmega;
+use consensus::shard::{PlacementMap, ShardId};
 
 use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
-use crate::state::KvState;
 use crate::submit::{Settled, SubmitQueue};
 
 /// Client-side fan-out: one windowed [`SubmitQueue`] per shard, fed by the
@@ -193,533 +176,13 @@ impl<P: Probe> ShardedSubmitQueue<P> {
     }
 }
 
-/// Observable events of a sharded store node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardedKvEvent {
-    /// The node's shared Ω detector changed its output (one event per node,
-    /// however many shards it hosts).
-    Leader(ProcessId),
-    /// A command committed in `shard` at `slot` and was applied (or
-    /// suppressed as a duplicate) with the given response — or a
-    /// fast-path read resolved against that shard.
-    Applied {
-        /// The shard group that decided the command.
-        shard: ShardId,
-        /// Log slot within that shard's sequence. For fast-path reads
-        /// (lease or read-index), which never enter the log, this is the
-        /// shard's apply *watermark* — the slot its next committed write
-        /// will occupy — not a unique log position. Correlate
-        /// completions by `(client, seq)`, never by `slot` alone.
-        slot: u64,
-        /// Issuing client.
-        client: ClientId,
-        /// Client sequence number.
-        seq: u64,
-        /// The application outcome.
-        response: KvResponse,
-    },
-    /// A peer's snapshot of one shard was installed by state transfer:
-    /// that shard's store now materializes every command below
-    /// `watermark` without having seen the individual `Applied` events.
-    SnapshotInstalled {
-        /// The shard whose group installed the snapshot.
-        shard: ShardId,
-        /// First slot NOT covered by the installed snapshot.
-        watermark: u64,
-    },
-}
-
-/// One node of the sharded key-value store: a
-/// [`ShardedNode`](consensus::ShardedNode) of tagged commands plus one
-/// materialized [`KvState`] per locally attached shard.
-///
-/// Requests are plain tagged commands — the node routes each to the shard
-/// group owning its key (the *key-routed client path*), so callers need no
-/// shard awareness at all.
-#[derive(Debug, Clone)]
-pub struct ShardedKvNode<P: Probe = NoopProbe> {
-    node: ShardedNode<Tagged<KvCmd>, P>,
-    states: BTreeMap<ShardId, KvState>,
-    compact_every: u64,
-    applied_since_compact: BTreeMap<ShardId, u64>,
-    /// Per-shard apply watermark (contiguous slots folded into the store,
-    /// no-op fillers included) that read-index reads wait on.
-    applied_upto: BTreeMap<ShardId, u64>,
-    /// Fast-path reads awaiting a read index and/or their shard's apply
-    /// watermark, keyed by read token.
-    reads: BTreeMap<u64, PendingShardRead>,
-    next_read_token: u64,
-}
-
-/// A fast-path read parked on one shard group: first for the leaseholder's
-/// read-index answer, then for the shard's apply loop to reach it.
-#[derive(Debug, Clone)]
-struct PendingShardRead {
-    shard: ShardId,
-    client: ClientId,
-    seq: u64,
-    key: String,
-    index: Option<u64>,
-}
-
-impl ShardedKvNode {
-    /// Creates a node hosting the shards attached in `placement`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters inside `params` are invalid.
-    pub fn new(env: &Env, params: ConsensusParams, placement: PlacementManager) -> Self {
-        ShardedKvNode::new_with_probe(env, params, placement, NoopProbe)
-    }
-
-    /// Creates a node whose shard groups each recover from their own WAL
-    /// segment, plus a dedicated segment for the shared Ω counter.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid or an attached shard has no
-    /// storage handle.
-    pub fn with_storage(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        let node = ShardedNode::with_storage(env, params, placement, stores, omega_store)?;
-        ShardedKvNode::from_node(node)
-    }
-
-    /// Like [`ShardedKvNode::with_storage`], additionally attaching a
-    /// snapshot store to each shard in `snaps`: those groups recover from
-    /// their durable snapshot plus the WAL tail above its watermark, and
-    /// may be compacted ([`ShardedKvNode::set_compact_every`],
-    /// [`ShardedKvNode::compact_shard_now`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL or snapshot store cannot be read, a boot record
-    /// cannot be written, or a recovered snapshot does not decode as a
-    /// [`KvState`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid or an attached shard has no
-    /// storage handle.
-    pub fn with_storage_and_snapshots(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        snaps: &BTreeMap<ShardId, SnapshotHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        let node = ShardedNode::with_storage_and_snapshots(
-            env,
-            params,
-            placement,
-            stores,
-            snaps,
-            omega_store,
-        )?;
-        ShardedKvNode::from_node(node)
-    }
-}
-
-impl<P: Probe> ShardedKvNode<P> {
-    /// Like [`ShardedKvNode::new`], with an observability probe threaded
-    /// down through every shard group into the shared Ω detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters inside `params` are invalid.
-    pub fn new_with_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        probe: P,
-    ) -> Self {
-        let node = ShardedNode::new_with_probe(env, params, placement, probe);
-        let states = node
-            .placement()
-            .attached()
-            .map(|s| (s, KvState::new()))
-            .collect();
-        ShardedKvNode {
-            node,
-            states,
-            compact_every: 0,
-            applied_since_compact: BTreeMap::new(),
-            applied_upto: BTreeMap::new(),
-            reads: BTreeMap::new(),
-            next_read_token: 0,
-        }
-    }
-
-    /// Wraps a recovered sharded node, rebuilding each shard's store from
-    /// its group's recovered snapshot (if any) plus a replay of the
-    /// committed prefix above the snapshot watermark.
-    fn from_node(node: ShardedNode<Tagged<KvCmd>, P>) -> Result<Self, StorageError> {
-        let mut states = BTreeMap::new();
-        let mut applied_upto = BTreeMap::new();
-        for (shard, group) in node.groups() {
-            let mut state = match group.recovered_snapshot() {
-                Some(snap) => KvState::from_bytes(&snap.data).map_err(StorageError::Decode)?,
-                None => KvState::new(),
-            };
-            for cmd in group.committed_commands_from(group.watermark()) {
-                state.apply(cmd);
-            }
-            states.insert(shard, state);
-            applied_upto.insert(shard, group.committed_len());
-        }
-        Ok(ShardedKvNode {
-            node,
-            states,
-            compact_every: 0,
-            applied_since_compact: BTreeMap::new(),
-            applied_upto,
-            reads: BTreeMap::new(),
-            next_read_token: 0,
-        })
-    }
-
-    /// Enables automatic compaction: a shard that applies `every` commands
-    /// since its last snapshot is snapshotted at its committed prefix and
-    /// its WAL rewritten to live records only. 0 disables (the default). A
-    /// no-op for shards without a snapshot store.
-    pub fn set_compact_every(&mut self, every: u64) {
-        self.compact_every = every;
-    }
-
-    /// Snapshots `shard`'s store at its committed prefix and compacts its
-    /// WAL segment. Returns `Ok(false)` when the shard is not attached or
-    /// its group declined (no snapshot store, watermark not advancing,
-    /// wedged).
-    ///
-    /// # Errors
-    ///
-    /// Propagates a WAL rewrite failure; the group is wedged first.
-    pub fn compact_shard_now(&mut self, shard: ShardId) -> Result<bool, StorageError> {
-        let Some(state) = self.states.get(&shard) else {
-            return Ok(false);
-        };
-        let Some(watermark) = self.node.group(shard).map(|g| g.committed_len()) else {
-            return Ok(false);
-        };
-        let bytes = state.to_bytes();
-        self.node.compact_shard(shard, watermark, bytes)
-    }
-
-    /// The materialized store of `shard`, if attached.
-    pub fn state(&self, shard: ShardId) -> Option<&KvState> {
-        self.states.get(&shard)
-    }
-
-    /// The underlying sharded consensus node (for instrumentation).
-    pub fn node(&self) -> &ShardedNode<Tagged<KvCmd>, P> {
-        &self.node
-    }
-
-    /// The node's shared Ω detector (for leader discovery).
-    pub fn omega(&self) -> &CommEffOmega<P> {
-        self.node.omega()
-    }
-
-    /// The placement manager (map + local attachments).
-    pub fn placement(&self) -> &PlacementManager {
-        self.node.placement()
-    }
-
-    /// Contiguous slots folded into `shard`'s store (its apply watermark).
-    pub fn applied_upto(&self, shard: ShardId) -> u64 {
-        self.applied_upto.get(&shard).copied().unwrap_or(0)
-    }
-
-    /// Fast-path reads still waiting on a read index or an apply loop,
-    /// across all shards.
-    pub fn pending_reads(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Answers one read from `shard`'s materialized store and stamps it on
-    /// the probe plane — the single exit point of every fast-path read.
-    fn serve_read(
-        &self,
-        ctx: &mut Ctx<'_, <Self as Sm>::Msg, ShardedKvEvent>,
-        shard: ShardId,
-        client: ClientId,
-        seq: u64,
-        key: &str,
-        mode: ReadMode,
-    ) {
-        let response = self
-            .states
-            .get(&shard)
-            .map_or(KvResponse::Value { value: None }, |s| s.read(key));
-        if P::ENABLED {
-            if let Some(group) = self.node.group(shard) {
-                group.probe().emit(ProbeEvent::ReadServed {
-                    node: ctx.id(),
-                    at: ctx.now(),
-                    shard: shard.0,
-                    mode,
-                    watermark: self.applied_upto(shard),
-                });
-            }
-        }
-        ctx.output(ShardedKvEvent::Applied {
-            shard,
-            slot: self.applied_upto(shard),
-            client,
-            seq,
-            response,
-        });
-    }
-
-    /// Serves every parked read whose resolved index its shard's apply
-    /// watermark has reached.
-    fn serve_ready_reads(&mut self, ctx: &mut Ctx<'_, <Self as Sm>::Msg, ShardedKvEvent>) {
-        let ready: Vec<u64> = self
-            .reads
-            .iter()
-            .filter(|(_, r)| r.index.is_some_and(|i| i <= self.applied_upto(r.shard)))
-            .map(|(t, _)| *t)
-            .collect();
-        for token in ready {
-            let read = self.reads.remove(&token).expect("token just listed");
-            self.serve_read(
-                ctx,
-                read.shard,
-                read.client,
-                read.seq,
-                &read.key,
-                ReadMode::ReadIndex,
-            );
-        }
-    }
-
-    /// The fast read path, per shard group: the group's leaseholder answers
-    /// immediately from the local store; a follower runs a read-index round
-    /// against the believed leader; a leader without an active lease falls
-    /// back to replicating the read through that group's log.
-    fn on_read(
-        &mut self,
-        ctx: &mut Ctx<'_, <Self as Sm>::Msg, ShardedKvEvent>,
-        shard: ShardId,
-        req: Tagged<KvCmd>,
-    ) {
-        if self.node.lease_read_allowed(shard, ctx.now()) {
-            self.serve_read(
-                ctx,
-                shard,
-                req.client,
-                req.seq,
-                req.cmd.key(),
-                ReadMode::Lease,
-            );
-            return;
-        }
-        if self
-            .node
-            .group(shard)
-            .is_some_and(|g| g.is_established_leader())
-        {
-            self.drive(ctx, |node, ictx| {
-                node.on_request(ictx, ShardRequest { shard, cmd: req })
-            });
-            return;
-        }
-        // A retry replaces the client's own parked read: under a stable
-        // leader the leader-change purge never fires, so tokens of rounds
-        // whose ReadIndex (or its reply) was dropped would otherwise
-        // accumulate forever, one per retry.
-        self.reads
-            .retain(|_, r| r.client != req.client || r.seq != req.seq);
-        let token = self.next_read_token;
-        self.next_read_token += 1;
-        self.reads.insert(
-            token,
-            PendingShardRead {
-                shard,
-                client: req.client,
-                seq: req.seq,
-                key: req.cmd.key().to_owned(),
-                index: None,
-            },
-        );
-        self.drive(ctx, |node, ictx| {
-            node.request_read_index(ictx, shard, token)
-        });
-    }
-
-    /// Translates shard-plane events into applied KV events, feeding each
-    /// committed command to the state of the shard that decided it.
-    fn translate(
-        &mut self,
-        ctx: &mut Ctx<'_, <Self as Sm>::Msg, ShardedKvEvent>,
-        events: Vec<ShardEvent<Tagged<KvCmd>>>,
-    ) {
-        for ev in events {
-            match ev {
-                ShardEvent::Leader(l) => {
-                    // A forwarded read-index request may have raced the old
-                    // leader's fall; the client's retry cadence re-issues.
-                    self.reads.retain(|_, r| r.index.is_some());
-                    ctx.output(ShardedKvEvent::Leader(l));
-                }
-                ShardEvent::Committed { shard, slot, cmd } => {
-                    let upto = self.applied_upto.entry(shard).or_default();
-                    *upto = (*upto).max(slot + 1);
-                    if let Some(tagged) = cmd {
-                        let state = self.states.entry(shard).or_default();
-                        let response = state.apply(&tagged);
-                        *self.applied_since_compact.entry(shard).or_default() += 1;
-                        if P::ENABLED {
-                            if let Some(group) = self.node.group(shard) {
-                                group.probe().emit(ProbeEvent::CmdLifecycle {
-                                    node: ctx.id(),
-                                    at: ctx.now(),
-                                    cmd: lls_obs::CmdId {
-                                        client: tagged.client.0,
-                                        seq: tagged.seq,
-                                    },
-                                    stage: CmdStage::Apply,
-                                    shard: shard.0,
-                                });
-                                if tagged.cmd.is_read() {
-                                    // A read that went through the log: the
-                                    // slow baseline the lease path replaces.
-                                    group.probe().emit(ProbeEvent::ReadServed {
-                                        node: ctx.id(),
-                                        at: ctx.now(),
-                                        shard: shard.0,
-                                        mode: ReadMode::Log,
-                                        watermark: *upto,
-                                    });
-                                }
-                            }
-                        }
-                        ctx.output(ShardedKvEvent::Applied {
-                            shard,
-                            slot,
-                            client: tagged.client,
-                            seq: tagged.seq,
-                            response,
-                        });
-                    }
-                }
-                ShardEvent::SnapshotInstalled {
-                    shard,
-                    watermark,
-                    state,
-                } => {
-                    // CRC-checked upstream; an undecodable snapshot means an
-                    // incompatible sender — diverging silently is worse.
-                    let decoded = KvState::from_bytes(&state)
-                        .expect("installed snapshot must decode as a KvState");
-                    self.states.insert(shard, decoded);
-                    self.applied_since_compact.insert(shard, 0);
-                    let upto = self.applied_upto.entry(shard).or_default();
-                    *upto = (*upto).max(watermark);
-                    ctx.output(ShardedKvEvent::SnapshotInstalled { shard, watermark });
-                }
-                ShardEvent::ReadIndexAt { req, index, .. } => {
-                    if let Some(read) = self.reads.get_mut(&req) {
-                        read.index = Some(index);
-                    }
-                }
-            }
-        }
-        self.serve_ready_reads(ctx);
-        if self.compact_every > 0 {
-            let due: Vec<ShardId> = self
-                .applied_since_compact
-                .iter()
-                .filter(|(_, n)| **n >= self.compact_every)
-                .map(|(s, _)| *s)
-                .collect();
-            for shard in due {
-                self.applied_since_compact.insert(shard, 0);
-                // On failure the group wedges itself; nothing to unwind.
-                let _ = self.compact_shard_now(shard);
-            }
-        }
-    }
-
-    /// Runs one step of the inner sharded node and applies its outputs.
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx<'_, <Self as Sm>::Msg, ShardedKvEvent>,
-        step: impl FnOnce(
-            &mut ShardedNode<Tagged<KvCmd>, P>,
-            &mut Ctx<'_, <Self as Sm>::Msg, ShardEvent<Tagged<KvCmd>>>,
-        ),
-    ) {
-        let env = Env::new(ctx.id(), ctx.n());
-        let mut fx = Effects::new();
-        {
-            let mut ictx = Ctx::new(&env, ctx.now(), &mut fx);
-            step(&mut self.node, &mut ictx);
-        }
-        for s in fx.sends {
-            ctx.send(s.to, s.msg);
-        }
-        for cmd in fx.timers {
-            match cmd {
-                lls_primitives::TimerCmd::Set { timer, after } => ctx.set_timer(timer, after),
-                lls_primitives::TimerCmd::Cancel { timer } => ctx.cancel_timer(timer),
-            }
-        }
-        self.translate(ctx, fx.outputs);
-    }
-}
-
-impl<P: Probe> Sm for ShardedKvNode<P> {
-    type Msg = ShardMsg<Tagged<KvCmd>>;
-    type Output = ShardedKvEvent;
-    /// A plain tagged command: the node routes it to the shard owning its
-    /// key, so clients stay shard-oblivious.
-    type Request = Tagged<KvCmd>;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>) {
-        self.drive(ctx, |node, ictx| node.on_start(ictx));
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, Self::Msg, Self::Output>,
-        from: ProcessId,
-        msg: Self::Msg,
-    ) {
-        self.drive(ctx, |node, ictx| node.on_message(ictx, from, msg));
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>, timer: TimerId) {
-        self.drive(ctx, |node, ictx| node.on_timer(ictx, timer));
-    }
-
-    fn on_request(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>, req: Self::Request) {
-        let shard = self.node.placement().map().shard_of_key(req.cmd.key());
-        if req.cmd.is_read() && self.node.group(shard).is_some_and(|g| g.lease_enabled()) {
-            self.on_read(ctx, shard, req);
-            return;
-        }
-        self.drive(ctx, |node, ictx| {
-            node.on_request(ictx, ShardRequest { shard, cmd: req })
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus::{Ballot, RsmMsg};
-    use lls_primitives::Instant;
+    use crate::{ShardedKvEvent, ShardedKvNode};
+    use consensus::shard::{PlacementManager, ShardMsg};
+    use consensus::{Ballot, ConsensusParams, RsmMsg};
+    use lls_primitives::{Ctx, Effects, Env, Sm};
 
     fn tag(seq: u64, cmd: KvCmd) -> Tagged<KvCmd> {
         Tagged {

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardMsg};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardMsg, ShardedNode};
 use consensus::{ConsensusParams, Entry, RsmMsg};
 use kvstore::{ClientId, KvCmd, KvReplica, KvState, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_primitives::{Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageHandle};
@@ -124,22 +124,20 @@ proptest! {
         let omega_b = StorageHandle::in_memory();
         let kill = kill_after.min(ops.len());
         {
-            let mut a = ShardedKvNode::with_storage_and_snapshots(
-                &env,
-                ConsensusParams::default(),
-                PlacementManager::with_all_attached(map.clone()),
-                &stores_a,
-                &snaps_a,
-                omega_a.clone(),
-            ).unwrap();
+            let placement = PlacementManager::with_all_attached(map.clone());
+            let mut a = ShardedNode::builder(&env, ConsensusParams::default(), placement)
+                .storage(&stores_a, omega_a.clone())
+                .snapshots(&snaps_a)
+                .build()
+                .and_then(ShardedKvNode::from_log)
+                .unwrap();
             a.set_compact_every(cadence);
-            let mut full = ShardedKvNode::with_storage(
-                &env,
-                ConsensusParams::default(),
-                PlacementManager::with_all_attached(map.clone()),
-                &stores_b,
-                omega_b.clone(),
-            ).unwrap();
+            let placement = PlacementManager::with_all_attached(map.clone());
+            let mut full = ShardedNode::builder(&env, ConsensusParams::default(), placement)
+                .storage(&stores_b, omega_b.clone())
+                .build()
+                .and_then(ShardedKvNode::from_log)
+                .unwrap();
             let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
             let mut next_slot: BTreeMap<ShardId, u64> = BTreeMap::new();
             for (i, o) in ops[..kill].iter().enumerate() {
@@ -163,21 +161,19 @@ proptest! {
             }
             // Crash both (drop without further writes).
         }
-        let a2 = ShardedKvNode::<lls_obs::NoopProbe>::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            PlacementManager::with_all_attached(map.clone()),
-            &stores_a,
-            &snaps_a,
-            omega_a,
-        ).unwrap();
-        let full2 = ShardedKvNode::<lls_obs::NoopProbe>::with_storage(
-            &env,
-            ConsensusParams::default(),
-            PlacementManager::with_all_attached(map),
-            &stores_b,
-            omega_b,
-        ).unwrap();
+        let placement = PlacementManager::with_all_attached(map.clone());
+        let a2 = ShardedNode::builder(&env, ConsensusParams::default(), placement)
+            .storage(&stores_a, omega_a)
+            .snapshots(&snaps_a)
+            .build()
+            .and_then(ShardedKvNode::from_log)
+            .unwrap();
+        let placement = PlacementManager::with_all_attached(map);
+        let full2 = ShardedNode::builder(&env, ConsensusParams::default(), placement)
+            .storage(&stores_b, omega_b)
+            .build()
+            .and_then(ShardedKvNode::from_log)
+            .unwrap();
         for shard in &shard_ids {
             prop_assert_eq!(
                 a2.state(*shard), full2.state(*shard),

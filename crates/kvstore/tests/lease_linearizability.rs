@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{ConsensusParams, LeaseParams};
+use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Duration, Instant, ProcessId};
@@ -67,7 +67,11 @@ fn concurrent_readers_never_observe_a_stale_register() {
         .seed(23)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
+            ReplicatedLog::builder(env, params)
+                .probe(watchdog.probe(recorders.probe_for(env.id())))
+                .build()
+                .and_then(KvReplica::from_log)
+                .unwrap()
         });
     sim.run_until(Instant::from_ticks(3_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -332,11 +336,11 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
         seed: 23,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
-            env,
-            lease_params(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ReplicatedLog::builder(env, lease_params())
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(KvReplica::from_log)
+            .unwrap()
     });
     let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
@@ -412,11 +416,11 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
         faults: None,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
-            env,
-            lease_params(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ReplicatedLog::builder(env, lease_params())
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(KvReplica::from_log)
+            .unwrap()
     }) else {
         eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
         return;

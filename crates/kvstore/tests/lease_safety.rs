@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use consensus::{ConsensusParams, LeaseParams};
+use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{Probe, ProbeEvent, ReadMode, Watchdog, WatchdogConfig, WatchdogProbe};
 use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
@@ -226,13 +226,12 @@ proptest! {
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {
-                KvReplica::with_storage_and_probe(
-                    env,
-                    params,
-                    stores[env.id().as_usize()].clone(),
-                    watchdog.probe(Collect(Arc::clone(&events))),
-                )
-                .expect("fresh in-memory store")
+                ReplicatedLog::builder(env, params)
+                    .storage(stores[env.id().as_usize()].clone())
+                    .probe(watchdog.probe(Collect(Arc::clone(&events))))
+                    .build()
+                    .and_then(KvReplica::from_log)
+                    .expect("fresh in-memory store")
             });
         let mut t = 3_000u64;
         sim.run_until(Instant::from_ticks(t));
@@ -256,13 +255,12 @@ proptest! {
             t += dead;
             sim.run_until(Instant::from_ticks(t));
             let env = Env::new(victim, n);
-            let recovered = KvReplica::with_storage_and_probe(
-                &env,
-                params,
-                stores[victim.as_usize()].clone(),
-                watchdog.probe(Collect(Arc::clone(&events))),
-            )
-            .expect("recover from the victim's WAL");
+            let recovered = ReplicatedLog::builder(&env, params)
+                .storage(stores[victim.as_usize()].clone())
+                .probe(watchdog.probe(Collect(Arc::clone(&events))))
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("recover from the victim's WAL");
             sim.restart(victim, recovered);
             t += 2_500;
             sim.run_until(Instant::from_ticks(t));
@@ -295,13 +293,12 @@ proptest! {
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {
-                KvReplica::with_storage_and_probe(
-                    env,
-                    params,
-                    stores[env.id().as_usize()].clone(),
-                    watchdog.probe(Collect(Arc::clone(&events))),
-                )
-                .expect("fresh in-memory store")
+                ReplicatedLog::builder(env, params)
+                    .storage(stores[env.id().as_usize()].clone())
+                    .probe(watchdog.probe(Collect(Arc::clone(&events))))
+                    .build()
+                    .and_then(KvReplica::from_log)
+                    .expect("fresh in-memory store")
             });
         let mut t = 3_000u64;
         sim.run_until(Instant::from_ticks(t));
@@ -330,13 +327,12 @@ proptest! {
         t = restart_at;
         sim.run_until(Instant::from_ticks(t));
         let env = Env::new(holder, n);
-        let recovered = KvReplica::with_storage_and_probe(
-            &env,
-            params,
-            stores[holder.as_usize()].clone(),
-            watchdog.probe(Collect(Arc::clone(&events))),
-        )
-        .expect("recover from the holder's WAL");
+        let recovered = ReplicatedLog::builder(&env, params)
+            .storage(stores[holder.as_usize()].clone())
+            .probe(watchdog.probe(Collect(Arc::clone(&events))))
+            .build()
+            .and_then(KvReplica::from_log)
+            .expect("recover from the holder's WAL");
         sim.restart(holder, recovered);
         // Pepper the restarted node with reads across the tail: inside its
         // old window, across the boot blackout, and beyond.

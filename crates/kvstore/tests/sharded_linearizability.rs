@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::shard::{PlacementManager, PlacementMap, ShardId};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardedNode};
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
@@ -80,12 +80,11 @@ fn cross_shard_reads_respect_per_key_real_time() {
         .seed(29)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
-            ShardedKvNode::new_with_probe(
-                env,
-                params,
-                placement(n),
-                watchdog.probe(recorders.probe_for(env.id())),
-            )
+            ShardedNode::builder(env, params, placement(n))
+                .probe(watchdog.probe(recorders.probe_for(env.id())))
+                .build()
+                .and_then(ShardedKvNode::from_log)
+                .unwrap()
         });
     sim.run_until(Instant::from_ticks(3_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -349,12 +348,11 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
         seed: 29,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        ShardedKvNode::new_with_probe(
-            env,
-            lease_params(),
-            placement(n),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ShardedNode::builder(env, lease_params(), placement(n))
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(ShardedKvNode::from_log)
+            .unwrap()
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
@@ -446,12 +444,11 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
         faults: None,
     };
     let Ok(cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        ShardedKvNode::new_with_probe(
-            env,
-            lease_params(),
-            placement(n),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+        ShardedNode::builder(env, lease_params(), placement(n))
+            .probe(watchdog.probe(recorders.probe_for(env.id())))
+            .build()
+            .and_then(ShardedKvNode::from_log)
+            .unwrap()
     }) else {
         eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
         return;

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::ConsensusParams;
+use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe};
 use lls_primitives::ProcessId;
@@ -110,11 +110,11 @@ fn main() {
         },
         recorders.clocks(),
         |env| {
-            KvReplica::new_with_probe(
-                env,
-                ConsensusParams::default(),
-                recorders.probe_for(env.id()),
-            )
+            ReplicatedLog::builder(env, ConsensusParams::default())
+                .probe(recorders.probe_for(env.id()))
+                .build()
+                .and_then(KvReplica::from_log)
+                .expect("in-memory log")
         },
     )
     .expect("bind localhost listeners");

@@ -132,7 +132,7 @@ proptest! {
         let params = params_with(max_batch, depth);
         let mut fx = Effects::new();
 
-        let mut sm = ReplicatedLog::<u64>::with_storage(&env, params, store.clone())
+        let mut sm = ReplicatedLog::<u64>::builder(&env, params).storage(store.clone()).build()
             .expect("fresh in-memory store");
         sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
         fx.take();
@@ -175,7 +175,7 @@ proptest! {
         let chosen_before = sm.chosen_entries();
         drop(sm); // crash mid-pipeline
 
-        let sm = ReplicatedLog::<u64>::with_storage(&env, params, store)
+        let sm = ReplicatedLog::<u64>::builder(&env, params).storage(store).build()
             .expect("recover from WAL");
         let chosen_after = sm.chosen_entries();
         for (slot, entry) in &chosen_before {

@@ -306,9 +306,10 @@ fn restart_of_a_two_shard_node_recovers_both_groups_from_their_own_segments() {
     // Life before the crash: both groups led, asymmetric histories (two
     // commands in group 0, one in group 1).
     {
-        let sm =
-            ShardedNode::with_storage(&env, params, placement.clone(), &stores, segments.handle(2))
-                .expect("fresh segments");
+        let sm = ShardedNode::builder(&env, params, placement.clone())
+            .storage(&stores, segments.handle(2))
+            .build()
+            .expect("fresh segments");
         let mut d = ShardDriver {
             env,
             sm,
@@ -330,7 +331,9 @@ fn restart_of_a_two_shard_node_recovers_both_groups_from_their_own_segments() {
     let mut stores = BTreeMap::new();
     stores.insert(ShardId(0), segments.handle(0));
     stores.insert(ShardId(1), segments.handle(1));
-    let sm = ShardedNode::with_storage(&env, params, placement, &stores, segments.handle(2))
+    let sm = ShardedNode::builder(&env, params, placement)
+        .storage(&stores, segments.handle(2))
+        .build()
         .expect("recover every group from its own WAL segment");
 
     // Every attached group is back, each with exactly its own history.
