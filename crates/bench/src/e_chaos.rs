@@ -39,7 +39,7 @@ use std::sync::Arc;
 use consensus::checker::{check_consensus_safety, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams};
 use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
-use lls_primitives::runtime::TimedOutput;
+use lls_primitives::runtime::{OutputCursor, TimedOutput};
 use lls_primitives::{Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 use omega::spec::{stabilization, LeaderRecord};
@@ -144,7 +144,10 @@ fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
             ..SystemSParams::default()
         },
     );
-    let mut builder = SimBuilder::new(n).seed(seed).topology(base.clone());
+    let mut builder = SimBuilder::new(n)
+        .record_outputs()
+        .seed(seed)
+        .topology(base.clone());
     if seed % 2 == 1 {
         // Compose with the partition injector: isolate the highest id for a
         // while, then heal by restoring the base topology.
@@ -251,6 +254,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let params = ConsensusParams::default();
     let proposals: Vec<u64> = (0..n as u64).map(|p| 100 + p).collect();
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(topo)
         .build_with(|env| {
@@ -358,17 +362,20 @@ pub(crate) fn await_unanimity(
     }
 }
 
-/// Polls a wall-clock cluster's full output log until `leader` has
-/// emitted `target` outputs matching `counts`, or 30 s pass.
+/// Polls a wall-clock cluster's recorded outputs, reading each once through
+/// `outputs_since`, until `leader` has emitted `target` outputs matching
+/// `counts`, or 30 s pass.
 pub(crate) fn await_leader_outputs<O>(
-    outputs_so_far: impl Fn() -> Vec<TimedOutput<O>>,
+    outputs_since: impl Fn(&mut OutputCursor) -> Vec<TimedOutput<O>>,
     leader: ProcessId,
     target: u64,
     counts: impl Fn(&O) -> bool,
 ) {
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let mut cursor = OutputCursor::default();
+    let mut done = 0;
     loop {
-        let done = outputs_so_far()
+        done += outputs_since(&mut cursor)
             .iter()
             .filter(|o| o.process == leader && counts(&o.output))
             .count() as u64;
@@ -476,6 +483,7 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             max_delay: StdDuration::from_micros(900),
             seed,
         }),
+        ..WireConfig::default()
     };
     let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         CommEffOmega::with_storage_and_probe(
@@ -651,9 +659,17 @@ mod tests {
                 ..SystemSParams::default()
             },
         );
-        let mut sim = SimBuilder::new(n).seed(7).topology(topo).build_with(|env| {
-            CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
-        });
+        let mut sim = SimBuilder::new(n)
+            .record_outputs()
+            .seed(7)
+            .topology(topo)
+            .build_with(|env| {
+                CommEffOmega::new_with_probe(
+                    env,
+                    OmegaParams::default(),
+                    recorders.probe_for(env.id()),
+                )
+            });
         sim.run_until(Instant::from_ticks(8_000));
         let victim = sim.node(ProcessId(0)).leader();
         sim.kill(victim);

@@ -51,7 +51,10 @@ pub fn e6_consensus(seeds: u64, horizon: u64) -> Table {
                             ..SystemSParams::default()
                         },
                     );
-                    let mut builder = SimBuilder::new(n).seed(seed).topology(topo);
+                    let mut builder = SimBuilder::new(n)
+                        .record_outputs()
+                        .seed(seed)
+                        .topology(topo);
                     let mut crashed = vec![false; n];
                     let mut scheduled = 0usize;
                     for p in 0..n as u32 {
@@ -271,6 +274,7 @@ pub fn e14_vs_rotating(n: usize, seeds: u64, horizon: u64) -> Table {
         let mut decided_runs = 0usize;
         for seed in 0..seeds {
             let mut sim = SimBuilder::new(n)
+                .record_outputs()
                 .seed(seed)
                 .topology(topo(seed))
                 .build_with(|env| {
@@ -319,6 +323,7 @@ pub fn e14_vs_rotating(n: usize, seeds: u64, horizon: u64) -> Table {
         let mut decided_runs = 0usize;
         for seed in 0..seeds {
             let mut sim = SimBuilder::new(n)
+                .record_outputs()
                 .seed(seed)
                 .topology(topo(seed))
                 .build_with(|env| {

@@ -47,6 +47,7 @@ use lls_obs::{
     attribute, fold_into_registry, reconstruct_paths, Attribution, CmdPath, NodeRecorders,
     NoopProbe, Probe, Registry, TimelineSampler,
 };
+use lls_primitives::runtime::OutputCursor;
 use lls_primitives::{Duration, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
@@ -210,6 +211,7 @@ fn netsim_drive<P: Probe>(
 ) -> NetsimDrive {
     let p = params(max_batch, depth);
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
@@ -365,6 +367,7 @@ fn netsim_sharded_run(
     let p = params(max_batch, depth);
     let map = PlacementMap::uniform(shards, n);
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
@@ -501,7 +504,7 @@ fn settle_wall_outputs<P: Probe>(
 }
 
 /// Thread-mesh run: burst the commands at the elected leader, poll the
-/// shared output log, sample the timeline while polling, then settle and
+/// recorded outputs, sample the timeline while polling, then settle and
 /// attribute from the stopped report.
 fn threadnet_run(
     n: usize,
@@ -556,9 +559,10 @@ fn threadnet_run(
     }
     let reg = recorders.registry();
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let (mut cursor, mut done) = (OutputCursor::default(), 0);
     loop {
-        let done = cluster
-            .outputs_so_far()
+        done += cluster
+            .outputs_since(&mut cursor)
             .iter()
             .filter(|o| {
                 o.process == leader
@@ -573,7 +577,7 @@ fn threadnet_run(
     }
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
@@ -621,6 +625,7 @@ fn wirenet_run(
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let p = params(max_batch, depth);
     let rec = Arc::clone(&recorders);
@@ -663,10 +668,11 @@ fn wirenet_run(
             .sample(&reg, to_ticks(epoch, tick, StdInstant::now()));
     };
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let (mut cursor, mut done) = (OutputCursor::default(), 0);
     loop {
         sample_now(&sampler);
-        let done = cluster
-            .outputs_so_far()
+        done += cluster
+            .outputs_since(&mut cursor)
             .iter()
             .filter(|o| {
                 o.process == leader
@@ -693,7 +699,7 @@ fn wirenet_run(
     let report = cluster.stop();
     report.export(registry);
     let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();

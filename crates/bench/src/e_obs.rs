@@ -197,6 +197,7 @@ fn wirenet_qos(n: usize) -> QosRow {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        ..WireConfig::default()
     };
     let cluster = WireCluster::spawn(config, |env| {
         CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))

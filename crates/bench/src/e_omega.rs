@@ -23,6 +23,7 @@ where
     F: FnMut(&Env) -> S,
 {
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(topology)
         .faults(faults)
@@ -259,6 +260,7 @@ pub fn e4_robustness(n: usize, seeds: u64, horizon: u64) -> Table {
 pub fn e5_counter_stability(n: usize, seed: u64, horizon: u64) -> Table {
     let topo = Topology::system_s(n, ProcessId(2), SystemSParams::default());
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(topo)
         .classify(classify_msg)
@@ -581,6 +583,7 @@ pub fn e13_qos(n: usize, seeds: u64, horizon: u64) -> Table {
             );
             // Phase 1: stabilize; find the leader; crash it mid-run.
             let mut sim = SimBuilder::new(n)
+                .record_outputs()
                 .seed(seed)
                 .topology(topo)
                 .build_with(|env| CommEffOmega::new(env, params));

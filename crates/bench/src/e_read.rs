@@ -42,7 +42,7 @@ use lls_obs::{
 };
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, Topology};
-use threadnet::{Cluster, NetConfig, TimedOutput};
+use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 use crate::e_chaos::await_unanimity;
@@ -242,6 +242,7 @@ fn netsim_throughput_run(
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let params = if leases { lease_params() } else { log_params() };
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
@@ -362,6 +363,7 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(base.clone())
         .classify(classify_rsm_msg)
@@ -505,7 +507,7 @@ fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
 /// retry cadence (forwarded read-index messages may race a leader change
 /// and drop; the retry is the liveness story, exactly as a real client).
 fn await_settle(
-    poll: impl Fn() -> Option<KvResponse>,
+    mut poll: impl FnMut() -> Option<KvResponse>,
     reissue: impl Fn(),
     timeout: StdDuration,
 ) -> Option<KvResponse> {
@@ -526,23 +528,39 @@ fn await_settle(
     }
 }
 
-/// First settlement of `(client, seq)` observed at `node`, scanned from
-/// a wall-clock cluster's output log.
-fn find_settled(
-    outputs: &[TimedOutput<KvEvent>],
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    outputs.iter().find_map(|t| match &t.output {
-        KvEvent::Applied {
-            client: c,
-            seq: s,
-            response,
-            ..
-        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
-        _ => None,
-    })
+/// The first settlement of each `(node, client, seq)` a wall-clock
+/// cluster has emitted, read once each through a cursor.
+#[derive(Default)]
+struct Settled {
+    cursor: OutputCursor,
+    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
+}
+
+impl Settled {
+    /// Folds in what `outputs_since` returns past the cursor, then looks up
+    /// the first settlement of `(client, seq)` observed at `node`.
+    fn find(
+        &mut self,
+        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
+        node: ProcessId,
+        client: ClientId,
+        seq: u64,
+    ) -> Option<KvResponse> {
+        for t in outputs_since(&mut self.cursor) {
+            if let KvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } = t.output
+            {
+                self.first
+                    .entry((t.process, client, seq))
+                    .or_insert(response);
+            }
+        }
+        self.first.get(&(node, client, seq)).cloned()
+    }
 }
 
 /// Wall-clock accumulator shared by the two substrate drivers.
@@ -630,6 +648,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
     let mut alive = all.clone();
     let timeout = StdDuration::from_secs(10);
     let mut tally = WallTally::default();
+    let mut settled = Settled::default();
     let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
@@ -647,7 +666,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_settled(&cluster.outputs_so_far(), l, WRITER, round),
+            || settled.find(|c| cluster.outputs_since(c), l, WRITER, round),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -665,7 +684,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
             let issued = StdInstant::now();
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -687,6 +706,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ReplicatedLog::builder(env, lease_params())
@@ -703,6 +723,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
     let mut alive = all.clone();
     let timeout = StdDuration::from_secs(10);
     let mut tally = WallTally::default();
+    let mut settled = Settled::default();
     let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
@@ -720,7 +741,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_settled(&cluster.outputs_so_far(), l, WRITER, round),
+            || settled.find(|c| cluster.outputs_since(c), l, WRITER, round),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -738,7 +759,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
             let issued = StdInstant::now();
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );

@@ -46,7 +46,7 @@ use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Env, Instant, ProcessId, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, OutputCursor};
 use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
 
 use crate::json::{self, JsonValue};
@@ -233,6 +233,7 @@ fn netsim_scenario(
         }
     };
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(topo)
         .build_with(|env| {
@@ -495,21 +496,22 @@ fn netsim_scenario(
     stats
 }
 
-/// Polls `applied(seq_done_per_node)` until every member reaches `target`,
-/// re-issuing the target command each round (replicas answer re-issues with
+/// Polls `refresh(done)` until every member's applied sequence in `done`
+/// (a running tally, carried across phases) reaches `target`, re-issuing
+/// the target command each round (replicas answer re-issues with
 /// `Duplicate`, so even a fully caught-up cluster keeps emitting evidence).
 fn await_seq(
     mut refresh: impl FnMut(&mut BTreeMap<ProcessId, u64>),
     resubmit: impl Fn(),
+    done: &mut BTreeMap<ProcessId, u64>,
     members: &[ProcessId],
     target: u64,
     timeout: StdDuration,
 ) -> bool {
     let deadline = StdInstant::now() + timeout;
-    let mut done: BTreeMap<ProcessId, u64> = BTreeMap::new();
     loop {
         resubmit();
-        refresh(&mut done);
+        refresh(done);
         if members
             .iter()
             .all(|p| done.get(p).copied().unwrap_or(0) >= target)
@@ -537,7 +539,10 @@ fn note_applied(done: &mut BTreeMap<ProcessId, u64>, p: ProcessId, ev: &KvEvent)
 /// then a wipe restart that must finish with a snapshot-install.
 struct WallHooks<'a> {
     request: &'a dyn Fn(ProcessId, Tagged<KvCmd>),
+    /// Folds the outputs emitted since its last call into the tally.
     refresh: &'a mut dyn FnMut(&mut BTreeMap<ProcessId, u64>),
+    /// The highest `CLIENT` sequence each process has applied so far.
+    done: BTreeMap<ProcessId, u64>,
 }
 
 fn wall_phase(
@@ -560,6 +565,7 @@ fn wall_phase(
                 request(p, put(to));
             }
         },
+        &mut hooks.done,
         members,
         to,
         timeout,
@@ -609,8 +615,9 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let timeout = StdDuration::from_secs(15);
     let mut ok = true;
     {
+        let mut cursor = OutputCursor::default();
         let mut refresh = |done: &mut BTreeMap<ProcessId, u64>| {
-            for t in cluster.outputs_so_far() {
+            for t in cluster.outputs_since(&mut cursor) {
                 note_applied(done, t.process, &t.output);
             }
         };
@@ -618,6 +625,7 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         let mut hooks = WallHooks {
             request: &request,
             refresh: &mut refresh,
+            done: BTreeMap::new(),
         };
         let gate = |tally: &mut Tally, ok: &mut bool, passed: bool, context: &str| {
             tally.checks += 1;
@@ -679,8 +687,9 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         let passed = wall_phase(&mut hooks, &all, 41, 41, timeout);
         gate(tally, &mut ok, passed, "threadnet wipe-restart catch-up");
     }
-    let outputs = cluster.stop().outputs;
-    let installs = outputs
+    let report = cluster.stop();
+    let installs = report
+        .outputs()
         .iter()
         .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
         .count() as u64;
@@ -720,6 +729,7 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             max_delay: StdDuration::from_micros(900),
             seed,
         }),
+        record_outputs: true,
     };
     let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
         let mut r = ReplicatedLog::builder(env, params)
@@ -745,6 +755,8 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(15);
     let mut ok = true;
+    let mut cursor = OutputCursor::default();
+    let mut done = BTreeMap::new();
 
     // `kill`/`restart` borrow the cluster mutably, so the phases are a
     // macro rather than `WallHooks` closures over a shared borrow.
@@ -758,7 +770,7 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             }
             let passed = await_seq(
                 |done| {
-                    for t in cluster.outputs_so_far() {
+                    for t in cluster.outputs_since(&mut cursor) {
                         note_applied(done, t.process, &t.output);
                     }
                 },
@@ -767,6 +779,7 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
                         cluster.request(p, put($to));
                     }
                 },
+                &mut done,
                 members,
                 $to,
                 timeout,
@@ -829,8 +842,9 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         phase!(&all, 41, 41, "wirenet wipe-restart catch-up");
     }
 
-    let outputs = cluster.stop().outputs;
-    let installs = outputs
+    let report = cluster.stop();
+    let installs = report
+        .outputs()
         .iter()
         .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
         .count() as u64;

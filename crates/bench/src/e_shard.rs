@@ -151,6 +151,7 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
     let params = shard_params();
     let rec = Arc::clone(&recorders);
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_shard_msg)
@@ -287,7 +288,7 @@ fn wall_latencies(
 }
 
 /// Thread-mesh run: fire the whole round-robin burst at the elected
-/// leader, poll the shared output log until every command committed
+/// leader, poll the recorded outputs until every command committed
 /// there, then time it.
 fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Registry) -> ShardRow {
     let config = NetConfig {
@@ -320,7 +321,7 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
         );
     }
     await_leader_outputs(
-        || cluster.outputs_so_far(),
+        |cursor| cluster.outputs_since(cursor),
         leader,
         commands,
         |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
@@ -328,7 +329,7 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
@@ -362,6 +363,7 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let params = shard_params();
     let cluster = WireCluster::try_spawn(config, move |env| {
@@ -386,7 +388,7 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         );
     }
     await_leader_outputs(
-        || cluster.outputs_so_far(),
+        |cursor| cluster.outputs_since(cursor),
         leader,
         commands,
         |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
@@ -395,7 +397,7 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
     let report = cluster.stop();
     report.export(registry);
     let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();

@@ -145,6 +145,7 @@ fn netsim_run(
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_rsm_msg)
@@ -261,7 +262,7 @@ fn wall_latencies(
 }
 
 /// Thread-mesh run: fire the whole burst at the elected leader, poll the
-/// shared output log until every command committed there, then time it.
+/// recorded outputs until every command committed there, then time it.
 fn threadnet_run(
     n: usize,
     commands: u64,
@@ -299,7 +300,7 @@ fn threadnet_run(
         cluster.request(leader, i);
     }
     await_leader_outputs(
-        || cluster.outputs_so_far(),
+        |cursor| cluster.outputs_since(cursor),
         leader,
         commands,
         |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
@@ -307,7 +308,7 @@ fn threadnet_run(
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
@@ -357,6 +358,7 @@ fn wirenet_run(
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
@@ -379,7 +381,7 @@ fn wirenet_run(
         cluster.request(leader, i);
     }
     await_leader_outputs(
-        || cluster.outputs_so_far(),
+        |cursor| cluster.outputs_since(cursor),
         leader,
         commands,
         |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
@@ -388,7 +390,7 @@ fn wirenet_run(
     let report = cluster.stop();
     report.export(registry);
     let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();

@@ -218,6 +218,7 @@ fn wirenet_trace(n: usize) -> TraceRow {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        ..WireConfig::default()
     };
     let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         CommEffOmega::new_with_probe(

@@ -30,6 +30,7 @@ pub fn e15_wirenet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Table
             max_delay: StdDuration::from_micros(900),
             seed: 9,
         }),
+        ..WireConfig::default()
     };
     let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let mut t = Table::new(vec!["t(ms)", "msgs_in_window", "senders"]);

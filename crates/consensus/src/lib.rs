@@ -39,6 +39,7 @@
 //! let mut sim = SimBuilder::new(n)
 //!     .seed(4)
 //!     .topology(topo)
+//!     .record_outputs()
 //!     .build_with(|env| {
 //!         // Every process proposes its own id as the value.
 //!         Consensus::new(env, ConsensusParams::default(), Some(env.id().0 as u64))

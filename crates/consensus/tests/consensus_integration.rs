@@ -36,7 +36,10 @@ fn run_single(
     horizon: u64,
     crashes: &[(u32, u64)],
 ) -> Simulator<Consensus<u64>> {
-    let mut builder = SimBuilder::new(n).seed(seed).topology(topo);
+    let mut builder = SimBuilder::new(n)
+        .record_outputs()
+        .seed(seed)
+        .topology(topo);
     for &(p, t) in crashes {
         builder = builder.crash_at(ProcessId(p), Instant::from_ticks(t));
     }
@@ -96,13 +99,17 @@ fn decision_is_stable_across_leader_crash() {
             ..SystemSParams::default()
         },
     );
-    let mut sim = SimBuilder::new(n).seed(3).topology(topo).build_with(|env| {
-        Consensus::new(
-            env,
-            ConsensusParams::default(),
-            Some(100 + env.id().0 as u64),
-        )
-    });
+    let mut sim = SimBuilder::new(n)
+        .record_outputs()
+        .seed(3)
+        .topology(topo)
+        .build_with(|env| {
+            Consensus::new(
+                env,
+                ConsensusParams::default(),
+                Some(100 + env.id().0 as u64),
+            )
+        });
     sim.run_until(Instant::from_ticks(30_000));
     let early = decisions(&sim);
     assert!(!early.is_empty(), "nobody decided in 30k ticks");

@@ -54,7 +54,10 @@ fn run(adv: &Adversary, horizon: u64) -> netsim::Simulator<Consensus<u64>> {
             ..SystemSParams::default()
         },
     );
-    let mut builder = SimBuilder::new(adv.n).seed(adv.seed).topology(topo);
+    let mut builder = SimBuilder::new(adv.n)
+        .record_outputs()
+        .seed(adv.seed)
+        .topology(topo);
     let mut crashed = vec![false; adv.n];
     for &(p, t) in &adv.crashes {
         if !crashed[p as usize] {

@@ -27,7 +27,10 @@ fn run(
     horizon: u64,
     crashes: &[(u32, u64)],
 ) -> Simulator<RotatingConsensus<u64>> {
-    let mut builder = SimBuilder::new(n).seed(seed).topology(topo);
+    let mut builder = SimBuilder::new(n)
+        .record_outputs()
+        .seed(seed)
+        .topology(topo);
     for &(p, t) in crashes {
         builder = builder.crash_at(ProcessId(p), Instant::from_ticks(t));
     }

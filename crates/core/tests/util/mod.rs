@@ -34,6 +34,7 @@ where
     F: FnMut(&Env) -> S,
 {
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(seed)
         .topology(topology)
         .faults(faults)

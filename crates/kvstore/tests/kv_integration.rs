@@ -170,6 +170,7 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
         },
     );
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(17)
         .topology(topo)
         .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
@@ -269,6 +270,7 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
 fn applied_events_report_responses_in_slot_order() {
     let n = 3;
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .request_at(
             Instant::from_ticks(500),

@@ -20,7 +20,7 @@ use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, TimedOutput};
+use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// The single register all sessions contend on.
@@ -64,6 +64,7 @@ fn concurrent_readers_never_observe_a_stale_register() {
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let params = lease_params();
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(23)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
@@ -263,7 +264,7 @@ fn await_unanimity(
 /// retry cadence (a forwarded read-index may race a leader change and
 /// drop; the retry is the liveness story, exactly as for a real client).
 fn await_settle(
-    poll: impl Fn() -> Option<KvResponse>,
+    mut poll: impl FnMut() -> Option<KvResponse>,
     reissue: impl Fn(),
     timeout: StdDuration,
 ) -> Option<KvResponse> {
@@ -284,23 +285,39 @@ fn await_settle(
     }
 }
 
-/// First settlement of `(client, seq)` observed at `node`, scanned from
-/// a wall-clock cluster's output log.
-fn find_settled(
-    outputs: &[TimedOutput<KvEvent>],
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    outputs.iter().find_map(|t| match &t.output {
-        KvEvent::Applied {
-            client: c,
-            seq: s,
-            response,
-            ..
-        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
-        _ => None,
-    })
+/// The first settlement of each `(node, client, seq)` a wall-clock
+/// cluster has emitted, read once each through a cursor.
+#[derive(Default)]
+struct Settled {
+    cursor: OutputCursor,
+    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
+}
+
+impl Settled {
+    /// Folds in what `outputs_since` returns past the cursor, then looks up
+    /// the first settlement of `(client, seq)` observed at `node`.
+    fn find(
+        &mut self,
+        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
+        node: ProcessId,
+        client: ClientId,
+        seq: u64,
+    ) -> Option<KvResponse> {
+        for t in outputs_since(&mut self.cursor) {
+            if let KvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } = t.output
+            {
+                self.first
+                    .entry((t.process, client, seq))
+                    .or_insert(response);
+            }
+        }
+        self.first.get(&(node, client, seq)).cloned()
+    }
 }
 
 /// One read's verdict against the round-based witness: round `r`'s reads
@@ -344,6 +361,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
     });
     let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let mut settled = Settled::default();
     let mut served = 0u64;
     let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
     for round in 1..=rounds {
@@ -367,7 +385,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_settled(&cluster.outputs_so_far(), l, writer, wseq),
+            || settled.find(|c| cluster.outputs_since(c), l, writer, wseq),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -388,7 +406,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -414,6 +432,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ReplicatedLog::builder(env, lease_params())
@@ -427,6 +446,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
     };
     let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let mut settled = Settled::default();
     let mut served = 0u64;
     let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
     for round in 1..=rounds {
@@ -449,7 +469,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
         };
         cluster.request(l, write.clone());
         if await_settle(
-            || find_settled(&cluster.outputs_so_far(), l, writer, wseq),
+            || settled.find(|c| cluster.outputs_since(c), l, writer, wseq),
             || cluster.request(l, write.clone()),
             timeout,
         )
@@ -469,7 +489,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), round),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
                 || cluster.request(node, read.clone()),
                 timeout,
             );

@@ -222,7 +222,7 @@ proptest! {
         let events = Arc::new(Mutex::new(Vec::new()));
         let watchdog = Watchdog::new(n, WatchdogConfig::default());
         let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-        let mut sim = SimBuilder::new(n)
+        let mut sim = SimBuilder::new(n).record_outputs()
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {
@@ -289,7 +289,7 @@ proptest! {
         let events = Arc::new(Mutex::new(Vec::new()));
         let watchdog = Watchdog::new(n, WatchdogConfig::default());
         let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-        let mut sim = SimBuilder::new(n)
+        let mut sim = SimBuilder::new(n).record_outputs()
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {

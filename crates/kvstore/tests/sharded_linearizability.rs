@@ -19,7 +19,7 @@ use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, TimedOutput};
+use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// One register per writer session: writer `1 + i` owns `KEYS[i]`.
@@ -77,6 +77,7 @@ fn cross_shard_reads_respect_per_key_real_time() {
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let params = lease_params();
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(29)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
@@ -260,7 +261,7 @@ fn await_unanimity(
 
 /// Polls until `(client, seq)` settles, re-issuing on a retry cadence.
 fn await_settle(
-    poll: impl Fn() -> Option<KvResponse>,
+    mut poll: impl FnMut() -> Option<KvResponse>,
     reissue: impl Fn(),
     timeout: StdDuration,
 ) -> Option<KvResponse> {
@@ -281,23 +282,39 @@ fn await_settle(
     }
 }
 
-/// First settlement of `(client, seq)` observed at `node`, scanned from
-/// a wall-clock cluster's output log.
-fn find_settled(
-    outputs: &[TimedOutput<ShardedKvEvent>],
-    node: ProcessId,
-    client: ClientId,
-    seq: u64,
-) -> Option<KvResponse> {
-    outputs.iter().find_map(|t| match &t.output {
-        ShardedKvEvent::Applied {
-            client: c,
-            seq: s,
-            response,
-            ..
-        } if t.process == node && *c == client && *s == seq => Some(response.clone()),
-        _ => None,
-    })
+/// The first settlement of each `(node, client, seq)` a wall-clock
+/// cluster has emitted, read once each through a cursor.
+#[derive(Default)]
+struct Settled {
+    cursor: OutputCursor,
+    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
+}
+
+impl Settled {
+    /// Folds in what `outputs_since` returns past the cursor, then looks up
+    /// the first settlement of `(client, seq)` observed at `node`.
+    fn find(
+        &mut self,
+        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<ShardedKvEvent>>,
+        node: ProcessId,
+        client: ClientId,
+        seq: u64,
+    ) -> Option<KvResponse> {
+        for t in outputs_since(&mut self.cursor) {
+            if let ShardedKvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } = t.output
+            {
+                self.first
+                    .entry((t.process, client, seq))
+                    .or_insert(response);
+            }
+        }
+        self.first.get(&(node, client, seq)).cloned()
+    }
 }
 
 /// Per-shard prefix agreement over the stop report: every node's applied
@@ -356,6 +373,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let mut settled = Settled::default();
     let leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &all, timeout)
         .expect("a leader must settle");
     for i in 1..=writes_per_key {
@@ -368,7 +386,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
             cluster.request(leader, write.clone());
             assert!(
                 await_settle(
-                    || find_settled(&cluster.outputs_so_far(), leader, writer_of(k), i),
+                    || settled.find(|c| cluster.outputs_since(c), leader, writer_of(k), i),
                     || cluster.request(leader, write.clone()),
                     timeout,
                 )
@@ -388,7 +406,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), rseq),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), rseq),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -404,7 +422,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
     }
     let report = cluster.stop();
     let mut per_node: BTreeMap<ProcessId, Vec<(u32, u64, ClientId, u64)>> = BTreeMap::new();
-    for o in &report.outputs {
+    for o in report.outputs() {
         if let ShardedKvEvent::Applied {
             shard,
             slot,
@@ -442,6 +460,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: true,
     };
     let Ok(cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ShardedNode::builder(env, lease_params(), placement(n))
@@ -455,6 +474,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
     };
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let mut settled = Settled::default();
     let leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &all, timeout)
         .expect("a leader must settle");
     for i in 1..=writes_per_key {
@@ -467,7 +487,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
             cluster.request(leader, write.clone());
             assert!(
                 await_settle(
-                    || find_settled(&cluster.outputs_so_far(), leader, writer_of(k), i),
+                    || settled.find(|c| cluster.outputs_since(c), leader, writer_of(k), i),
                     || cluster.request(leader, write.clone()),
                     timeout,
                 )
@@ -486,7 +506,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
             };
             cluster.request(node, read.clone());
             let response = await_settle(
-                || find_settled(&cluster.outputs_so_far(), node, reader_at(node), rseq),
+                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), rseq),
                 || cluster.request(node, read.clone()),
                 timeout,
             );
@@ -502,7 +522,7 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
     }
     let report = cluster.stop();
     let mut per_node: BTreeMap<ProcessId, Vec<(u32, u64, ClientId, u64)>> = BTreeMap::new();
-    for o in &report.outputs {
+    for o in report.outputs() {
         if let ShardedKvEvent::Applied {
             shard,
             slot,

@@ -19,8 +19,9 @@
 //!   `(protocol, topology, faults, seed)`.
 //! * **Instrumentation** ([`Stats`], [`OutputEvent`]): per-process and
 //!   per-kind message counts, per-window sender sets (for the paper's
-//!   *communication efficiency* property), last-send times, and a timestamped
-//!   trace of protocol outputs (leader changes, decisions).
+//!   *communication efficiency* property), last-send times, and, for a
+//!   harness that asks with [`SimBuilder::record_outputs`], a timestamped
+//!   history of protocol outputs (leader changes, decisions).
 //!
 //! # Example: two processes ping-pong over a timely mesh
 //!
@@ -50,6 +51,7 @@
 //!
 //! let mut sim = SimBuilder::new(2)
 //!     .topology(Topology::all_timely(2, Duration::from_ticks(1)))
+//!     .record_outputs()
 //!     .build_with(|_env| Echo);
 //! sim.run_until(Instant::from_ticks(100));
 //! let seen: Vec<u64> = sim.outputs().iter().map(|e| e.output).collect();

@@ -59,6 +59,7 @@ pub struct SimBuilder<S: Sm> {
     output_classifier: fn(&S::Output) -> &'static str,
     trace_capacity: Option<usize>,
     clocks: Option<Vec<LamportClock>>,
+    record_outputs: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -88,7 +89,7 @@ impl<S: Sm> SimBuilder<S> {
     /// Starts configuring a system of `n` processes.
     ///
     /// Defaults: seed 0, an all-timely topology with `δ = 1`, no faults, a
-    /// stats window of 100 ticks.
+    /// stats window of 100 ticks, no output history.
     ///
     /// # Panics
     ///
@@ -107,6 +108,7 @@ impl<S: Sm> SimBuilder<S> {
             output_classifier: default_output_classifier::<S::Output>,
             trace_capacity: None,
             clocks: None,
+            record_outputs: false,
         }
     }
 
@@ -212,6 +214,14 @@ impl<S: Sm> SimBuilder<S> {
         self
     }
 
+    /// Keeps every protocol output for [`Simulator::outputs`]. Off by
+    /// default: the simulator then keeps no outputs (the trace's
+    /// [`TraceKind::Output`] records are kept either way).
+    pub fn record_outputs(mut self) -> Self {
+        self.record_outputs = true;
+        self
+    }
+
     /// Sets the length of the statistics windows.
     ///
     /// # Panics
@@ -297,7 +307,7 @@ impl<S: Sm> SimBuilder<S> {
             rng: StdRng::seed_from_u64(self.seed),
             now: Instant::ZERO,
             stats: Stats::new(self.n, self.window),
-            outputs: Vec::new(),
+            outputs: self.record_outputs.then(Vec::new),
             classifier: self.classifier,
             output_classifier: self.output_classifier,
             fx: Effects::new(),
@@ -325,7 +335,8 @@ pub struct Simulator<S: Sm> {
     rng: StdRng,
     now: Instant,
     stats: Stats,
-    outputs: Vec<OutputEvent<S::Output>>,
+    /// `None` unless built with [`SimBuilder::record_outputs`].
+    outputs: Option<Vec<OutputEvent<S::Output>>>,
     classifier: fn(&S::Msg) -> &'static str,
     output_classifier: fn(&S::Output) -> &'static str,
     fx: Effects<S::Msg, S::Output>,
@@ -372,8 +383,17 @@ impl<S: Sm> Simulator<S> {
     }
 
     /// All protocol outputs recorded so far, in emission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the simulator was built with
+    /// [`SimBuilder::record_outputs`]: an empty list would let a checker
+    /// over outputs pass on nothing.
     pub fn outputs(&self) -> &[OutputEvent<S::Output>] {
-        &self.outputs
+        self.outputs.as_deref().expect(
+            "output history was not recorded: build the simulator with \
+             `SimBuilder::record_outputs()` to read it",
+        )
     }
 
     /// Run statistics. Windows are flushed up to the time of the last
@@ -682,11 +702,13 @@ impl<S: Sm> Simulator<S> {
                     },
                 );
             }
-            self.outputs.push(OutputEvent {
-                at: self.now,
-                process: p,
-                output,
-            });
+            if let Some(outputs) = &mut self.outputs {
+                outputs.push(OutputEvent {
+                    at: self.now,
+                    process: p,
+                    output,
+                });
+            }
         }
     }
 }
@@ -808,6 +830,7 @@ mod tests {
     #[test]
     fn requests_are_delivered_to_live_started_nodes() {
         let mut sim = beacon_sim(2)
+            .record_outputs()
             .request_at(Instant::from_ticks(5), ProcessId(0), 7)
             .build_with(|_| Beacon { count: 0 });
         sim.run_until(Instant::from_ticks(20));
@@ -822,6 +845,7 @@ mod tests {
         let run = |seed: u64| {
             let mut sim = SimBuilder::<Beacon>::new(3)
                 .seed(seed)
+                .record_outputs()
                 .topology(crate::Topology::fair_lossy_mesh(3, 0.5, 3))
                 .build_with(|_| Beacon { count: 0 });
             sim.run_until(Instant::from_ticks(500));
@@ -864,7 +888,9 @@ mod tests {
                 ctx.output(1);
             }
         }
-        let mut sim = SimBuilder::<Rearm>::new(2).build_with(|_| Rearm);
+        let mut sim = SimBuilder::<Rearm>::new(2)
+            .record_outputs()
+            .build_with(|_| Rearm);
         sim.run_until(Instant::from_ticks(30));
         // Message at t=1 re-armed the timer to t=51: no expiry by t=30.
         assert!(sim.outputs().is_empty());
@@ -962,6 +988,31 @@ mod tests {
         let mut quiet = beacon_sim(2).build_with(|_| Beacon { count: 0 });
         quiet.run_until(Instant::from_ticks(10));
         assert!(quiet.trace().is_none());
+    }
+
+    #[test]
+    fn a_run_without_recording_keeps_no_outputs() {
+        let mut sim = beacon_sim(2)
+            .record_trace(1_000)
+            .build_with(|_| Beacon { count: 0 });
+        sim.run_until(Instant::from_ticks(100));
+        let emitted = sim
+            .trace()
+            .expect("recording enabled")
+            .records()
+            .iter()
+            .filter(|r| matches!(r.kind, crate::TraceKind::Output { .. }))
+            .count();
+        assert!(emitted >= 10, "the beacons emitted {emitted} outputs");
+        assert_eq!(sim.outputs.as_ref().map(Vec::len), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimBuilder::record_outputs()")]
+    fn reading_unrecorded_outputs_panics() {
+        let mut sim = beacon_sim(2).build_with(|_| Beacon { count: 0 });
+        sim.run_until(Instant::from_ticks(100));
+        let _ = sim.outputs();
     }
 
     #[test]

@@ -233,16 +233,20 @@ pub enum ProbeEvent {
         /// Virtual time of the triggering handler.
         at: Instant,
     },
-    /// A WAL group-commit flushed: one durable `flush` covering a pumped
-    /// burst of records. `micros` is wall-clock device time (0 on the
-    /// in-memory backends), feeding the `wal_fsync_micros` histogram and
-    /// the watchdog's fsync-spike detector.
+    /// A WAL group commit was written: one append call covering a pumped
+    /// burst of records. On the file backends that is one `write_all` into
+    /// the page cache with no sync, so the records survive a process crash
+    /// but not a power loss, despite the name. `micros` is the wall-clock
+    /// time of that call (0 on the in-memory backends), feeding the
+    /// `wal_fsync_micros` histogram and the watchdog's fsync-spike
+    /// detector.
     WalFsync {
         /// Emitting process.
         node: ProcessId,
         /// Virtual time of the triggering handler.
         at: Instant,
-        /// Wall-clock microseconds the flush took on the storage backend.
+        /// Wall-clock microseconds the append call took on the storage
+        /// backend.
         micros: u64,
         /// Records the flushed group carried.
         records: u64,

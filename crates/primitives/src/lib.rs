@@ -20,8 +20,9 @@
 //!   advance on every send and receive, giving each observability event a
 //!   causal (happens-before) position for cross-node trace reconstruction,
 //! * the [`runtime`] module — the one wall-clock node driver (timers,
-//!   tick mapping, dispatch, output log, send counters) that `threadnet`
-//!   and `wirenet` both run, each supplying only a send closure,
+//!   tick mapping, dispatch, each process's latest output plus opt-in
+//!   output history, send counters) that `threadnet` and `wirenet` both
+//!   run, each supplying only a send closure,
 //! * the [`storage`] module — durable per-process state ([`Storage`],
 //!   [`StorageHandle`], in-memory and file-WAL backends) through which
 //!   protocols persist crash-critical state so a killed process can restart

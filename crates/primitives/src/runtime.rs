@@ -2,8 +2,9 @@
 //!
 //! An [`Sm`] is pure, so what a runtime adds exists once, here: the timer
 //! table with reset semantics, the wall-clock → tick mapping, dispatch of
-//! the stimuli, a per-process log of [`TimedOutput`]s, Lamport stamping of
-//! each send attempt, and the protocol-level send counters the
+//! the stimuli, each process's latest [`TimedOutput`] (plus its whole output
+//! history for a harness that asks for it), Lamport stamping of each send
+//! attempt, and the protocol-level send counters the
 //! communication-efficiency oracle reads. A [`Process`] holds one process's
 //! state and is stepped with a send sink passed per call, taking
 //! `(to, msg, envelope)`; [`drive`] is the one loop that fires its timers
@@ -121,25 +122,72 @@ pub struct NodeTrafficStats {
     pub last_send: Option<StdDuration>,
 }
 
-/// What the drivers of one process leave for its cluster: the outputs and
-/// send counts of every incarnation, so a killed process's history stays
-/// in live snapshots and in the final report.
+/// The panic message for reading history a cluster did not record.
+const HISTORY_OFF: &str = "output history was not recorded: spawn the cluster with \
+     `record_outputs: true` in its config to read it";
+
+/// What a [`NodeLog`] keeps of its process's outputs.
 #[derive(Debug)]
-pub struct NodeLog<O> {
-    outputs: Mutex<Vec<TimedOutput<O>>>,
-    traffic: NodeTraffic,
+enum Kept<O> {
+    /// Only the newest output: the default, since a protocol's outputs are
+    /// current values (Ω's leader) or answers a harness reads once.
+    Latest(Option<TimedOutput<O>>),
+    /// Every output, oldest first, for a harness that asked to read history.
+    History(Vec<TimedOutput<O>>),
 }
 
-impl<O> Default for NodeLog<O> {
-    fn default() -> Self {
-        NodeLog {
-            outputs: Mutex::new(Vec::new()),
-            traffic: NodeTraffic::default(),
+impl<O> Kept<O> {
+    fn latest(&self) -> Option<&TimedOutput<O>> {
+        match self {
+            Kept::Latest(latest) => latest.as_ref(),
+            Kept::History(history) => history.last(),
+        }
+    }
+
+    /// The recorded history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if history is off: an empty list would let a checker over
+    /// outputs pass on nothing.
+    fn history(&self) -> &[TimedOutput<O>] {
+        match self {
+            Kept::History(history) => history,
+            Kept::Latest(_) => panic!("{HISTORY_OFF}"),
         }
     }
 }
 
+/// What the drivers of one process leave for its cluster: the newest output
+/// and the send counts of all its incarnations, so a killed process stays in
+/// live snapshots and in the final report. With recording on it also keeps
+/// every output, read through [`outputs_since`] and [`RunOutputs`].
+#[derive(Debug)]
+pub struct NodeLog<O> {
+    outputs: Mutex<Kept<O>>,
+    traffic: NodeTraffic,
+}
+
+impl<O> Default for NodeLog<O> {
+    /// A log that keeps only the latest output.
+    fn default() -> Self {
+        NodeLog::new(false)
+    }
+}
+
 impl<O> NodeLog<O> {
+    /// A log that keeps the latest output, and every output if `record`.
+    pub fn new(record: bool) -> Self {
+        NodeLog {
+            outputs: Mutex::new(if record {
+                Kept::History(Vec::new())
+            } else {
+                Kept::Latest(None)
+            }),
+            traffic: NodeTraffic::default(),
+        }
+    }
+
     /// The process's send counters.
     pub fn traffic(&self) -> NodeTrafficStats {
         self.traffic.snapshot()
@@ -148,30 +196,113 @@ impl<O> NodeLog<O> {
     /// Locks the outputs even if a driver panicked while holding the lock:
     /// the substrate reports a dead driver itself (wirenet as
     /// `NodeError::ThreadPanic` at join), and the outputs it emitted before
-    /// dying stay readable. Every update is one `extend`, which leaves the
-    /// list valid at every step, so the recovered guard is sound.
-    fn lock(&self) -> MutexGuard<'_, Vec<TimedOutput<O>>> {
+    /// dying stay readable. Every update is one assignment or `extend`,
+    /// which leaves the outputs valid at every step, so the recovered guard
+    /// is sound.
+    fn lock(&self) -> MutexGuard<'_, Kept<O>> {
         self.outputs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps what one handler emitted, `at` an offset from the epoch.
+    fn push(&self, at: StdDuration, process: ProcessId, outputs: Vec<O>) {
+        let timed = outputs.into_iter().map(|output| TimedOutput {
+            at,
+            process,
+            output,
+        });
+        match &mut *self.lock() {
+            Kept::Latest(latest) => {
+                if let Some(last) = timed.last() {
+                    *latest = Some(last);
+                }
+            }
+            Kept::History(history) => history.extend(timed),
+        }
     }
 }
 
 impl<O: Clone> NodeLog<O> {
-    /// Every output so far, oldest first.
-    pub fn outputs(&self) -> Vec<TimedOutput<O>> {
-        self.lock().clone()
-    }
-
     /// The newest output, if any.
     pub fn latest(&self) -> Option<O> {
-        self.lock().last().map(|t| t.output.clone())
+        self.lock().latest().map(|t| t.output.clone())
     }
 }
 
-/// Every process's outputs in one list, ordered by emission time.
-pub fn merged_outputs<O: Clone>(logs: &[Arc<NodeLog<O>>]) -> Vec<TimedOutput<O>> {
-    let mut all: Vec<TimedOutput<O>> = logs.iter().flat_map(|log| log.outputs()).collect();
-    all.sort_by_key(|t| t.at);
-    all
+/// How far a reader has read each process's recorded outputs; see
+/// [`outputs_since`]. A fresh cursor reads from the start of the run.
+#[derive(Debug, Clone, Default)]
+pub struct OutputCursor {
+    read: Vec<usize>,
+}
+
+/// What every process emitted since `cursor` last read, advancing it past
+/// them: each output once, each process's in emission order, the whole
+/// call's result sorted by `at`.
+///
+/// # Panics
+///
+/// Panics if the logs keep no history (`record_outputs` off).
+pub fn outputs_since<O: Clone>(
+    logs: &[Arc<NodeLog<O>>],
+    cursor: &mut OutputCursor,
+) -> Vec<TimedOutput<O>> {
+    cursor.read.resize(logs.len(), 0);
+    let mut fresh = Vec::new();
+    for (log, read) in logs.iter().zip(&mut cursor.read) {
+        let kept = log.lock();
+        let history = kept.history();
+        fresh.extend_from_slice(&history[*read..]);
+        *read = history.len();
+    }
+    // Stable, and `at` never falls within one process: its handlers run
+    // one at a time and stamp `at` under the process lock.
+    fresh.sort_by_key(|t| t.at);
+    fresh
+}
+
+/// What a stopped cluster's processes emitted: each one's newest output and,
+/// when the cluster recorded them, every output of the run.
+#[derive(Debug, Clone)]
+pub struct RunOutputs<O> {
+    latest: Vec<Option<O>>,
+    history: Option<Vec<TimedOutput<O>>>,
+}
+
+impl<O: Clone> RunOutputs<O> {
+    /// Moves what `logs` kept into one record, history ordered by emission
+    /// time. Call it once, after every driver has been joined.
+    pub fn collect(logs: &[Arc<NodeLog<O>>]) -> Self {
+        let mut latest = Vec::with_capacity(logs.len());
+        let mut history = Some(Vec::new());
+        for log in logs {
+            let mut kept = log.lock();
+            latest.push(kept.latest().map(|t| t.output.clone()));
+            match (&mut *kept, &mut history) {
+                (Kept::History(own), Some(all)) => all.append(own),
+                _ => history = None,
+            }
+        }
+        if let Some(all) = &mut history {
+            all.sort_by_key(|t| t.at);
+        }
+        RunOutputs { latest, history }
+    }
+}
+
+impl<O> RunOutputs<O> {
+    /// The last output `p` emitted, in whichever incarnation, if any.
+    pub fn latest(&self, p: ProcessId) -> Option<&O> {
+        self.latest[p.as_usize()].as_ref()
+    }
+
+    /// Every output of the run, ordered by emission time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster was spawned without `record_outputs`.
+    pub fn history(&self) -> &[TimedOutput<O>] {
+        self.history.as_deref().expect(HISTORY_OFF)
+    }
 }
 
 /// Every process's `(sent, last_send)` counters, indexed by process.
@@ -439,14 +570,7 @@ impl<S: Sm> Process<S> {
             }
         }
         if !fx.outputs.is_empty() {
-            let process = spec.env.id();
-            spec.log
-                .lock()
-                .extend(fx.outputs.into_iter().map(|output| TimedOutput {
-                    at: since,
-                    process,
-                    output,
-                }));
+            spec.log.push(since, spec.env.id(), fx.outputs);
         }
         armed
     }
@@ -498,7 +622,7 @@ mod tests {
         for control in queued {
             tx.send(control).expect("inbox open");
         }
-        let log: Arc<NodeLog<TimerId>> = Arc::default();
+        let log = Arc::new(NodeLog::new(true));
         let spec = NodeSpec {
             env: Env::new(ProcessId(0), 2),
             epoch: StdInstant::now(),
@@ -514,8 +638,11 @@ mod tests {
         (tx, log, handle)
     }
 
-    fn fired(log: &NodeLog<TimerId>) -> Vec<TimerId> {
-        log.outputs().into_iter().map(|t| t.output).collect()
+    fn fired(log: &Arc<NodeLog<TimerId>>) -> Vec<TimerId> {
+        outputs_since(std::slice::from_ref(log), &mut OutputCursor::default())
+            .into_iter()
+            .map(|t| t.output)
+            .collect()
     }
 
     /// Polls until the driver has fired a timer. Both timers are due in the
@@ -595,7 +722,7 @@ mod tests {
         assert!(p.handle(Control::Request(()), &mut sink));
         p.fire_due(StdInstant::now() + StdDuration::from_secs(1), &mut sink);
         assert_eq!(sends, 0, "the request handler did not run");
-        assert_eq!(p.spec.log.outputs(), vec![], "no timer fired");
+        assert_eq!(p.spec.log.latest(), None, "no timer fired");
     }
 
     #[test]
@@ -636,15 +763,51 @@ mod tests {
 
     #[test]
     fn outputs_survive_a_panicked_holder() {
-        let log: Arc<NodeLog<u8>> = Arc::default();
+        let log = Arc::new(NodeLog::new(true));
         let holder = Arc::clone(&log);
         let died = std::thread::spawn(move || {
+            holder.push(StdDuration::ZERO, ProcessId(0), vec![7_u8]);
             let _guard = holder.lock();
             panic!("driver dies holding the output lock");
         })
         .join();
         assert!(died.is_err());
-        assert_eq!(log.outputs(), vec![]);
-        assert_eq!(log.latest(), None);
+        let all = outputs_since(std::slice::from_ref(&log), &mut OutputCursor::default());
+        assert_eq!(all.len(), 1);
+        assert_eq!(log.latest(), Some(7));
+    }
+
+    #[test]
+    fn a_log_without_history_holds_only_the_latest_output() {
+        let log = NodeLog::default();
+        for v in 0..10_000_u64 {
+            log.push(StdDuration::from_micros(v), ProcessId(0), vec![v]);
+        }
+        match &*log.lock() {
+            Kept::Latest(Some(latest)) => assert_eq!(latest.output, 9_999),
+            Kept::Latest(None) => panic!("the latest output was lost"),
+            Kept::History(all) => panic!("kept all {} outputs", all.len()),
+        }
+        assert_eq!(log.latest(), Some(9_999));
+    }
+
+    #[test]
+    fn a_cursor_reads_each_output_once_in_emission_order() {
+        let logs: Vec<Arc<NodeLog<u64>>> = (0..2).map(|_| Arc::new(NodeLog::new(true))).collect();
+        let mut cursor = OutputCursor::default();
+        let at = StdDuration::from_millis;
+        logs[1].push(at(1), ProcessId(1), vec![10, 11]);
+        logs[0].push(at(2), ProcessId(0), vec![0]);
+        let first = outputs_since(&logs, &mut cursor);
+        logs[0].push(at(3), ProcessId(0), vec![1, 2]);
+        let second = outputs_since(&logs, &mut cursor);
+        assert!(outputs_since(&logs, &mut cursor).is_empty(), "nothing new");
+        let read = |batch: &[TimedOutput<u64>]| batch.iter().map(|t| t.output).collect::<Vec<_>>();
+        assert_eq!(read(&first), vec![10, 11, 0], "sorted by `at`");
+        assert_eq!(read(&second), vec![1, 2]);
+        let report = RunOutputs::collect(&logs);
+        assert_eq!(read(report.history()), vec![10, 11, 0, 1, 2]);
+        assert_eq!(report.latest(ProcessId(0)), Some(&2));
+        assert_eq!(report.latest(ProcessId(1)), Some(&11));
     }
 }

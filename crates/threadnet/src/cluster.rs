@@ -5,7 +5,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{self, Control, NodeLog, NodeSpec, TimedOutput};
+use lls_primitives::runtime::{
+    self, Control, NodeLog, NodeSpec, OutputCursor, RunOutputs, TimedOutput,
+};
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
 use crate::router::{run_router, Envelope};
@@ -44,8 +46,7 @@ impl Default for NetConfig {
 /// Everything a finished run reports.
 #[derive(Debug, Clone)]
 pub struct Report<O> {
-    /// All outputs, ordered by emission time.
-    pub outputs: Vec<TimedOutput<O>>,
+    outputs: RunOutputs<O>,
     /// Messages sent per process (counted when the state machine emits
     /// them, before the lossy mesh sees them).
     pub sent: Vec<u64>,
@@ -56,13 +57,14 @@ pub struct Report<O> {
 }
 
 impl<O> Report<O> {
+    /// Every output of the run, ordered by emission time.
+    pub fn outputs(&self) -> &[TimedOutput<O>] {
+        self.outputs.history()
+    }
+
     /// The last output `p` emitted, if any.
     pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
-        self.outputs
-            .iter()
-            .rev()
-            .find(|t| t.process == p)
-            .map(|t| &t.output)
+        self.outputs.latest(p)
     }
 
     /// Processes whose last send happened at or after `since` (from cluster
@@ -156,7 +158,10 @@ impl<S: Sm + Send + 'static> Cluster<S> {
         let start = StdInstant::now();
         let (router_tx, router_rx) = channel::<Envelope<S::Msg>>();
         let (inboxes, inbox_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
-        let logs: Vec<Arc<NodeLog<S::Output>>> = (0..n).map(|_| Arc::default()).collect();
+        // Thread clusters run short tests and experiments, which read the
+        // output history, so every process keeps all of it.
+        let logs: Vec<Arc<NodeLog<S::Output>>> =
+            (0..n).map(|_| Arc::new(NodeLog::new(true))).collect();
         let router = std::thread::spawn({
             let inboxes = inboxes.clone();
             let clocks = clocks.clone();
@@ -255,12 +260,13 @@ impl<S: Sm + Send + 'static> Cluster<S> {
         runtime::traffic_snapshot(&self.logs)
     }
 
-    /// A clone of every output emitted so far, ordered by emission time.
-    /// Unlike [`Cluster::latest_outputs`] this lets callers await an event
-    /// that may be followed by later outputs (e.g. a commit followed by a
+    /// Every output emitted since `cursor` last read, ordered by emission
+    /// time, each process's in the order it emitted them. Unlike
+    /// [`Cluster::latest_outputs`] this lets callers await an event that
+    /// may be followed by later outputs (e.g. a commit followed by a
     /// leader-change notification).
-    pub fn outputs_so_far(&self) -> Vec<TimedOutput<S::Output>> {
-        runtime::merged_outputs(&self.logs)
+    pub fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<S::Output>> {
+        runtime::outputs_since(&self.logs, cursor)
     }
 
     /// Each process's most recent output so far, if any (mirrors
@@ -278,7 +284,7 @@ impl<S: Sm + Send + 'static> Cluster<S> {
             let _ = h.join();
         }
         let (sent, last_send) = self.traffic_snapshot();
-        let outputs = self.outputs_so_far();
+        let outputs = RunOutputs::collect(&self.logs);
         // The router exits once every node thread, and with it every sender
         // into the router, is gone.
         let dropped = self.router.join().unwrap_or_else(|_| vec![0; sent.len()]);

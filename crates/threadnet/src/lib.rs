@@ -44,4 +44,4 @@ mod cluster;
 mod router;
 
 pub use cluster::{Cluster, NetConfig, Report};
-pub use lls_primitives::runtime::TimedOutput;
+pub use lls_primitives::runtime::{OutputCursor, TimedOutput};

@@ -5,7 +5,7 @@ use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{self, NodeLog, NodeSpec, TimedOutput};
+use lls_primitives::runtime::{self, NodeLog, NodeSpec, OutputCursor, RunOutputs, TimedOutput};
 use lls_primitives::wire::Wire;
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
@@ -26,11 +26,15 @@ pub struct WireConfig {
     pub backoff: BackoffConfig,
     /// Optional socket-layer loss/delay injection.
     pub faults: Option<FaultConfig>,
+    /// Keep every output for [`WireCluster::outputs_since`] and
+    /// [`ClusterReport::outputs`]. Off by default: each process then keeps
+    /// only its latest output.
+    pub record_outputs: bool,
 }
 
 impl Default for WireConfig {
     /// 3 processes, 200 µs ticks, queues of 1024, default backoff, no
-    /// injected faults.
+    /// injected faults, no output history.
     fn default() -> Self {
         WireConfig {
             n: 3,
@@ -38,6 +42,7 @@ impl Default for WireConfig {
             queue_capacity: 1024,
             backoff: BackoffConfig::default(),
             faults: None,
+            record_outputs: false,
         }
     }
 }
@@ -46,8 +51,7 @@ impl Default for WireConfig {
 /// `threadnet::Report`, extended with the per-link socket counters.
 #[derive(Debug, Clone)]
 pub struct ClusterReport<O> {
-    /// All outputs from every node, ordered by emission time.
-    pub outputs: Vec<TimedOutput<O>>,
+    outputs: RunOutputs<O>,
     /// Protocol-level sends per process (counted when the state machine
     /// emits them, as at `threadnet`'s router ingress).
     pub sent: Vec<u64>,
@@ -62,13 +66,19 @@ pub struct ClusterReport<O> {
 }
 
 impl<O> ClusterReport<O> {
-    /// The last output `p` emitted, if any.
+    /// Every output from every node, killed incarnations included, ordered
+    /// by emission time.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster ran with [`WireConfig::record_outputs`].
+    pub fn outputs(&self) -> &[TimedOutput<O>] {
+        self.outputs.history()
+    }
+
+    /// The last output `p` emitted, in whichever incarnation, if any.
     pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
-        self.outputs
-            .iter()
-            .rev()
-            .find(|t| t.process == p)
-            .map(|t| &t.output)
+        self.outputs.latest(p)
     }
 
     /// Processes whose last send happened at or after `since` (from cluster
@@ -156,8 +166,9 @@ pub struct WireCluster<S: Sm> {
     /// One Lamport clock per process, surviving kill/restart so a revived
     /// incarnation continues the same causal timeline.
     clocks: Vec<LamportClock>,
-    /// Outputs and protocol-level send counts per process, written by every
-    /// incarnation, so killed ones stay in snapshots and the report.
+    /// Latest outputs (and history, when recorded) and protocol-level send
+    /// counts per process, written by every incarnation, so killed ones
+    /// stay in snapshots and the report.
     logs: Vec<Arc<NodeLog<S::Output>>>,
     /// Socket counters per process, shared by its incarnations likewise.
     links: Vec<Counters>,
@@ -257,7 +268,9 @@ where
             nodes: (0..n).map(|_| None).collect(),
             addrs,
             clocks,
-            logs: (0..n).map(|_| Arc::default()).collect(),
+            logs: (0..n)
+                .map(|_| Arc::new(NodeLog::new(config.record_outputs)))
+                .collect(),
             links: (0..n)
                 .map(|_| Arc::new((0..n).map(|_| Arc::new(LinkCounters::default())).collect()))
                 .collect(),
@@ -393,11 +406,15 @@ where
             .collect()
     }
 
-    /// A clone of every output emitted so far, killed incarnations
-    /// included, ordered by emission time (mirrors
-    /// `threadnet::Cluster::outputs_so_far`).
-    pub fn outputs_so_far(&self) -> Vec<TimedOutput<S::Output>> {
-        runtime::merged_outputs(&self.logs)
+    /// Every output emitted since `cursor` last read, killed incarnations
+    /// included, ordered by emission time, each process's in the order it
+    /// emitted them (mirrors `threadnet::Cluster::outputs_since`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster runs with [`WireConfig::record_outputs`].
+    pub fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<S::Output>> {
+        runtime::outputs_since(&self.logs, cursor)
     }
 
     /// Each node's most recent output, if any. For a dead (or just-restarted
@@ -426,7 +443,7 @@ where
         }
         let (sent, last_send) = self.traffic_snapshot();
         ClusterReport {
-            outputs: self.outputs_so_far(),
+            outputs: RunOutputs::collect(&self.logs),
             sent,
             last_send,
             links: self.link_snapshot(),

@@ -78,6 +78,6 @@ pub mod scrape;
 pub use cluster::{ClusterReport, WireCluster, WireConfig};
 pub use counters::{LinkCounters, LinkStats};
 pub use link::BackoffConfig;
-pub use lls_primitives::runtime::TimedOutput;
+pub use lls_primitives::runtime::{OutputCursor, TimedOutput};
 pub use node::{FaultConfig, NodeError};
 pub use scrape::{scrape, ScrapeRoutes, ScrapeServer};

@@ -26,6 +26,7 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
             queue_capacity: 4,
             backoff: BackoffConfig::default(),
             faults: None,
+            record_outputs: false,
         },
         |env| {
             ReplicatedLog::<u64, _>::new(

@@ -20,6 +20,7 @@ fn config(n: usize, loss: f64) -> WireConfig {
             max_delay: StdDuration::from_micros(800),
             seed: 7,
         }),
+        record_outputs: false,
     }
 }
 
@@ -88,9 +89,11 @@ fn three_processes_elect_one_leader_over_tcp() {
 fn severed_leader_triggers_reelection_and_reconnect() {
     let n = 3;
     // No injected loss: the only disturbance is the severed connections.
-    let cluster = WireCluster::spawn(config(n, 0.0), |env| {
-        CommEffOmega::new(env, OmegaParams::default())
-    });
+    let config = WireConfig {
+        record_outputs: true,
+        ..config(n, 0.0)
+    };
+    let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let old_leader = await_agreement(
         &cluster,
         StdDuration::from_secs(10),
@@ -120,14 +123,14 @@ fn severed_leader_triggers_reelection_and_reconnect() {
     .expect("no re-agreement after sever storm");
     let report = cluster.stop();
     let reelected = report
-        .outputs
+        .outputs()
         .iter()
         .any(|t| t.at >= sever_at && t.output != old_leader);
     assert!(
         reelected,
         "no output after the sever ever named a different leader \
          (old {old_leader}, final {new_leader}, outputs {:?})",
-        report.outputs
+        report.outputs()
     );
     assert!(
         report.total_reconnects() > 0,
@@ -153,6 +156,7 @@ fn queue_overflow_drops_oldest_but_cluster_stays_live() {
                 max_delay: StdDuration::from_millis(10),
                 seed: 3,
             }),
+            record_outputs: false,
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );

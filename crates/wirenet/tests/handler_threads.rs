@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use lls_primitives::{Ctx, Duration, ProcessId, Sm, TimerId};
-use wirenet::{NodeError, WireCluster, WireConfig};
+use wirenet::{NodeError, OutputCursor, WireCluster, WireConfig};
 
 /// What a [`Probe`] handler reports: which stimulus ran, on which thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,24 +75,29 @@ fn config() -> WireConfig {
     WireConfig {
         n: 2,
         tick: StdDuration::from_millis(1),
+        record_outputs: true,
         ..WireConfig::default()
     }
 }
 
-/// Polls `p`'s outputs until `done` holds for them.
+/// Polls `p`'s outputs, reading each once through a cursor, until `done`
+/// holds for all of them so far.
 fn await_outputs(
     cluster: &WireCluster<Probe>,
     p: ProcessId,
     done: impl Fn(&[Seen]) -> bool,
 ) -> Vec<Seen> {
     let deadline = StdInstant::now() + StdDuration::from_secs(20);
+    let mut cursor = OutputCursor::default();
+    let mut seen = Vec::new();
     loop {
-        let seen: Vec<Seen> = cluster
-            .outputs_so_far()
-            .into_iter()
-            .filter(|t| t.process == p)
-            .map(|t| t.output)
-            .collect();
+        let fresh = cluster.outputs_since(&mut cursor);
+        seen.extend(
+            fresh
+                .into_iter()
+                .filter(|t| t.process == p)
+                .map(|t| t.output),
+        );
         if done(&seen) {
             return seen;
         }
@@ -125,7 +130,7 @@ fn frames_arrive_in_send_order_and_each_handler_runs_on_its_thread() {
 
     // Process 1 saw 0, then 0..k, in send order, each on a reader thread.
     let there: Vec<(u64, String)> = report
-        .outputs
+        .outputs()
         .iter()
         .filter(|t| t.process == p1)
         .filter_map(|t| match &t.output {

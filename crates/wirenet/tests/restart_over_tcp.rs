@@ -21,6 +21,7 @@ fn config(n: usize) -> WireConfig {
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
+        record_outputs: false,
     }
 }
 

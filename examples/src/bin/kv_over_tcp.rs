@@ -106,6 +106,7 @@ fn main() {
         WireConfig {
             n,
             tick: StdDuration::from_micros(200),
+            record_outputs: true,
             ..WireConfig::default()
         },
         recorders.clocks(),
@@ -173,7 +174,7 @@ fn main() {
     // Every replica must have applied the identical sequence.
     let applied_of = |p: ProcessId| -> Vec<(u64, ClientId, u64, kvstore::KvResponse)> {
         report
-            .outputs
+            .outputs()
             .iter()
             .filter(|t| t.process == p)
             .filter_map(|t| match &t.output {

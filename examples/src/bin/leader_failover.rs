@@ -20,6 +20,7 @@ fn main() {
     );
 
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(11)
         .topology(topology)
         .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));

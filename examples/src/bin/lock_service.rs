@@ -16,6 +16,7 @@ fn main() {
     let n = 5;
     let topo = Topology::system_s(n, ProcessId(0), SystemSParams::default());
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(5)
         .topology(topo)
         .build_with(|env| KvReplica::new(env, ConsensusParams::default()));

@@ -31,6 +31,7 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
         ..ConsensusParams::default()
     };
     let mut sim = SimBuilder::new(N)
+        .record_outputs()
         .seed(7)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
         .build_with(|env| KvReplica::new(env, params));

@@ -18,6 +18,7 @@ fn main() {
     let topology = Topology::system_s(n, source, SystemSParams::default());
 
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(42)
         .topology(topology)
         .classify(classify_msg)

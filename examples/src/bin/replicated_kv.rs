@@ -76,6 +76,7 @@ fn main() {
     ];
 
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(7)
         .topology(topology)
         .build_with(|env| ReplicatedLog::<Put>::new(env, ConsensusParams::default()));

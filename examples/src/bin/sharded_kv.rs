@@ -49,6 +49,7 @@ fn drive(shards: u32) -> (u64, Vec<u64>, Vec<Option<String>>) {
     let map = PlacementMap::uniform(shards, N);
     let placement_map = map.clone();
     let mut sim = SimBuilder::new(N)
+        .record_outputs()
         .seed(7)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
         .build_with(move |env| {

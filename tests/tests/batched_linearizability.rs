@@ -26,7 +26,7 @@ use consensus::{BatchParams, ConsensusParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, TimedOutput};
+use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 const N: usize = 3;
@@ -115,6 +115,7 @@ fn check_linearizable(histories: &[Vec<HistoryOp>], substrate: &str) {
 fn batched_history_is_linearizable_on_netsim() {
     let ops = workload();
     let mut sim = SimBuilder::new(N)
+        .record_outputs()
         .seed(13)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
         .build_with(|env| KvReplica::new(env, batched_params()));
@@ -222,23 +223,23 @@ fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
 }
 
 /// Waits until every replica has applied the whole workload of `total`
-/// ops, scanning the cluster's full output log.
+/// ops, counting each output of the cluster's history once through a
+/// cursor.
 fn await_full_workload(
-    outputs_so_far: impl Fn() -> Vec<TimedOutput<KvEvent>>,
+    outputs_since: impl Fn(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
     total: usize,
     substrate: &str,
 ) {
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let mut cursor = OutputCursor::default();
+    let mut applied = [0; N];
     loop {
-        let outputs = outputs_so_far();
-        let done = (0..N as u32).map(ProcessId).all(|p| {
-            outputs
-                .iter()
-                .filter(|t| t.process == p && matches!(t.output, KvEvent::Applied { .. }))
-                .count()
-                >= total
-        });
-        if done {
+        for t in outputs_since(&mut cursor) {
+            if matches!(t.output, KvEvent::Applied { .. }) {
+                applied[t.process.as_usize()] += 1;
+            }
+        }
+        if applied.iter().all(|&a| a >= total) {
             return;
         }
         assert!(
@@ -267,10 +268,10 @@ fn batched_history_is_linearizable_on_threadnet() {
     for op in &ops {
         cluster.request(leader, op.clone());
     }
-    await_full_workload(|| cluster.outputs_so_far(), ops.len(), "threadnet");
+    await_full_workload(|c| cluster.outputs_since(c), ops.len(), "threadnet");
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, KvEvent)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|t| (t.process, t.output.clone()))
         .collect();
@@ -286,6 +287,7 @@ fn batched_history_is_linearizable_on_wirenet() {
             queue_capacity: 1024,
             backoff: BackoffConfig::default(),
             faults: None,
+            record_outputs: true,
         },
         |env| KvReplica::new(env, batched_params()),
     )
@@ -295,10 +297,10 @@ fn batched_history_is_linearizable_on_wirenet() {
     for op in &ops {
         cluster.request(leader, op.clone());
     }
-    await_full_workload(|| cluster.outputs_so_far(), ops.len(), "wirenet");
+    await_full_workload(|c| cluster.outputs_since(c), ops.len(), "wirenet");
     let report = cluster.stop();
     let outputs: Vec<(ProcessId, KvEvent)> = report
-        .outputs
+        .outputs()
         .iter()
         .map(|t| (t.process, t.output.clone()))
         .collect();

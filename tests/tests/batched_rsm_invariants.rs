@@ -45,7 +45,7 @@ proptest! {
     ) {
         let n = 3;
         let params = params_with(max_batch, depth);
-        let mut sim = SimBuilder::new(n)
+        let mut sim = SimBuilder::new(n).record_outputs()
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| ReplicatedLog::<u64>::new(env, params));

@@ -20,6 +20,7 @@ fn omega_then_consensus_pipeline() {
 
     // Stage 1: bare Ω.
     let mut sim = SimBuilder::new(n)
+        .record_outputs()
         .seed(1)
         .topology(topo.clone())
         .build_with(|env| CommEffOmega::new(env, OmegaParams::default()));
@@ -41,6 +42,7 @@ fn omega_then_consensus_pipeline() {
     // Stage 2: consensus over the same topology and seed elects the same
     // kind of leader and decides a proposed value.
     let mut csim = SimBuilder::new(n)
+        .record_outputs()
         .seed(1)
         .topology(topo)
         .build_with(|env| Consensus::new(env, ConsensusParams::default(), Some(env.id().0 as u64)));
@@ -73,6 +75,7 @@ fn full_stack_runs_are_reproducible() {
         let n = 4;
         let topo = Topology::system_s(n, ProcessId(1), SystemSParams::default());
         let mut sim = SimBuilder::new(n)
+            .record_outputs()
             .seed(99)
             .topology(topo)
             .crash_at(ProcessId(3), Instant::from_ticks(7_000))

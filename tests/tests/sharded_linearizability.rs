@@ -156,6 +156,7 @@ fn cross_shard_history_is_linearizable_per_shard() {
 
     let placement_map = map.clone();
     let mut sim = SimBuilder::new(N)
+        .record_outputs()
         .seed(19)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
         .build_with(move |env| {

@@ -8,7 +8,7 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use lls_primitives::{Ctx, Duration, Instant, ProcessId, Sm, TimerId};
 use netsim::{SimBuilder, Topology};
 use omega::{CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
+use threadnet::{Cluster, NetConfig, OutputCursor};
 use wirenet::{WireCluster, WireConfig};
 
 /// On a lossless, low-latency network, both substrates elect p0 (the initial
@@ -212,22 +212,22 @@ fn replicated_log_commits_on_real_threads() {
         cluster.request(leader, k);
         std::thread::sleep(StdDuration::from_millis(30));
     }
-    // Wait until every replica has committed the final command. Scan the
-    // full output history, not just the newest output: a leader-change
+    // Wait until every replica has committed the final command. Read the
+    // output history, not just the newest output: a leader-change
     // notification emitted after the commit must not mask completion.
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
+    let mut cursor = OutputCursor::default();
+    let mut done = vec![false; n];
     loop {
-        let outputs = cluster.outputs_so_far();
-        let done = (0..n as u32).map(ProcessId).all(|p| {
-            outputs.iter().any(|t| {
-                t.process == p
-                    && matches!(
-                        t.output,
-                        consensus::RsmEvent::Committed { cmd: Some(4), .. }
-                    )
-            })
-        });
-        if done {
+        for t in cluster.outputs_since(&mut cursor) {
+            if matches!(
+                t.output,
+                consensus::RsmEvent::Committed { cmd: Some(4), .. }
+            ) {
+                done[t.process.as_usize()] = true;
+            }
+        }
+        if done.iter().all(|d| *d) {
             break;
         }
         assert!(
@@ -241,7 +241,7 @@ fn replicated_log_commits_on_real_threads() {
     // Every replica committed the same prefix, in order.
     for p in (0..n as u32).map(ProcessId) {
         let committed: Vec<u64> = report
-            .outputs
+            .outputs()
             .iter()
             .filter(|t| t.process == p)
             .filter_map(|t| match &t.output {
@@ -285,12 +285,21 @@ fn outputs_per_process(n: usize, emitters: impl Iterator<Item = ProcessId>) -> V
     counts
 }
 
-/// Polls until every process has fired a timer. A firing batch completes
-/// before the driver reads its inbox again, so whatever else the batch
-/// emits lands before the stop that follows.
-fn await_every_fire(n: usize, outputs_so_far: impl Fn() -> Vec<ProcessId>) {
+/// Polls until every process has fired a timer, reading each output once
+/// through `emitters_since`. A firing batch completes before the driver
+/// reads its inbox again, so whatever else the batch emits lands before the
+/// stop that follows.
+fn await_every_fire(n: usize, emitters_since: impl Fn(&mut OutputCursor) -> Vec<ProcessId>) {
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
-    while outputs_per_process(n, outputs_so_far().into_iter()).contains(&0) {
+    let mut cursor = OutputCursor::default();
+    let mut fired = vec![false; n];
+    loop {
+        for p in emitters_since(&mut cursor) {
+            fired[p.as_usize()] = true;
+        }
+        if fired.iter().all(|f| *f) {
+            return;
+        }
         assert!(StdInstant::now() < deadline, "a process never fired");
         std::thread::sleep(StdDuration::from_millis(1));
     }
@@ -302,7 +311,9 @@ fn await_every_fire(n: usize, outputs_so_far: impl Fn() -> Vec<ProcessId>) {
 #[test]
 fn a_timer_cancelled_within_its_firing_batch_never_fires() {
     let n = 3;
-    let mut sim = SimBuilder::new(n).build_with(|_| TimerRace);
+    let mut sim = SimBuilder::new(n)
+        .record_outputs()
+        .build_with(|_| TimerRace);
     sim.run_until(Instant::from_ticks(100));
     let netsim = outputs_per_process(n, sim.outputs().iter().map(|o| o.process));
     assert_eq!(netsim, vec![1; n], "netsim");
@@ -317,26 +328,29 @@ fn a_timer_cancelled_within_its_firing_batch_never_fires() {
         },
         |_| TimerRace,
     );
-    await_every_fire(n, || {
-        cluster.outputs_so_far().iter().map(|t| t.process).collect()
+    await_every_fire(n, |cursor| {
+        let fresh = cluster.outputs_since(cursor);
+        fresh.iter().map(|t| t.process).collect()
     });
     let report = cluster.stop();
-    let threadnet = outputs_per_process(n, report.outputs.iter().map(|t| t.process));
+    let threadnet = outputs_per_process(n, report.outputs().iter().map(|t| t.process));
     assert_eq!(threadnet, vec![1; n], "threadnet");
 
     let cluster = WireCluster::try_spawn(
         WireConfig {
             n,
             tick,
+            record_outputs: true,
             ..WireConfig::default()
         },
         |_| TimerRace,
     )
     .expect("bind 127.0.0.1 listeners");
-    await_every_fire(n, || {
-        cluster.outputs_so_far().iter().map(|t| t.process).collect()
+    await_every_fire(n, |cursor| {
+        let fresh = cluster.outputs_since(cursor);
+        fresh.iter().map(|t| t.process).collect()
     });
     let report = cluster.stop();
-    let wirenet = outputs_per_process(n, report.outputs.iter().map(|t| t.process));
+    let wirenet = outputs_per_process(n, report.outputs().iter().map(|t| t.process));
     assert_eq!(wirenet, vec![1; n], "wirenet");
 }
