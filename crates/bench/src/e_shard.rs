@@ -15,6 +15,11 @@
 //!    per-run `ALIVE`/`ACCUSE` message counts (netsim's deterministic
 //!    kind counters) must stay flat (within 10%) as `S` grows 1 → 8. A
 //!    naive per-shard Ω would multiply them by `S`.
+//! 3. **Lease traffic independent of `S`** — a leases-on netsim sweep of
+//!    [`ShardedKvNode`]s under a steady read load: each node renews every
+//!    group's lease in one round per retry period, so its `LEASE_GRANT` +
+//!    `LEASE_ACK` count must stay within the same 10% of `S = 1`. One
+//!    round per group would multiply it by `S`.
 //!
 //! Commands are routed round-robin over the shards (the kvstore layer
 //! routes by key hash; round-robin is the same uniform offered load
@@ -33,7 +38,8 @@ use consensus::shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest,
     ShardedNode,
 };
-use consensus::{BatchParams, ConsensusParams};
+use consensus::{BatchParams, ConsensusParams, LeaseParams};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{aggregate_shard_registries, NodeRecorders, Registry};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
@@ -51,8 +57,12 @@ const SHARD_COUNTS: &[u32] = &[1, 2, 4, 8];
 /// The acceptance threshold: netsim throughput at `S = 4` over `S = 1`.
 const SCALING_GATE: f64 = 2.5;
 
-/// Allowed relative drift of the Ω message counters across shard counts.
+/// Allowed relative drift of the Ω and lease message counters across shard
+/// counts.
 const OMEGA_FLATNESS: f64 = 0.10;
+
+/// Ticks between two reads of the lease sweep's steady read load.
+const READ_GAP: u64 = 5;
 
 /// One substrate × shard-count measurement.
 struct ShardRow {
@@ -450,6 +460,11 @@ fn compute_scaling(rows: &mut [ShardRow]) -> f64 {
     gated
 }
 
+/// Relative distance of `count` from `base`.
+fn drift(count: u64, base: u64) -> f64 {
+    (count as f64 - base as f64).abs() / (base as f64).max(1.0)
+}
+
 /// Checks the shared-Ω claim on the deterministic substrate: every netsim
 /// row's `ALIVE` count must sit within [`OMEGA_FLATNESS`] of the `S = 1`
 /// baseline's, and accusations must not grow with the shard count.
@@ -461,10 +476,81 @@ fn omega_flat(rows: &[ShardRow]) -> bool {
         return false;
     };
     rows.iter().filter(|r| r.substrate == "netsim").all(|r| {
-        let drift = (r.omega_alive as f64 - base.omega_alive as f64).abs()
-            / (base.omega_alive as f64).max(1.0);
-        drift <= OMEGA_FLATNESS && r.omega_accuse <= base.omega_accuse
+        drift(r.omega_alive, base.omega_alive) <= OMEGA_FLATNESS
+            && r.omega_accuse <= base.omega_accuse
     })
+}
+
+/// One run of the lease sweep.
+struct LeaseRow {
+    shards: u32,
+    /// Reads issued, and reads answered with a value.
+    reads: u64,
+    served: u64,
+    /// `LEASE_GRANT` + `LEASE_ACK` messages sent in the run.
+    lease_msgs: u64,
+}
+
+/// Leases-on netsim run of `ShardedKvNode`s over timely links: after the
+/// leader settles, one read every [`READ_GAP`] ticks, at each process in
+/// turn, over keys spread across the shards. Counts every lease message
+/// sent in the run.
+fn lease_run(n: usize, reads: u64, shards: u32, seed: u64) -> LeaseRow {
+    let params = ConsensusParams {
+        lease: LeaseParams::enabled(),
+        ..ConsensusParams::default()
+    };
+    let mut sim = SimBuilder::new(n)
+        .record_outputs()
+        .seed(seed)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(classify_shard_msg)
+        .build_with(move |env| ShardedKvNode::new(env, params, placement(shards, n)));
+    let issue_base = 2_000u64;
+    for i in 0..reads {
+        let at = Instant::from_ticks(issue_base + READ_GAP * i);
+        let read = Tagged {
+            client: ClientId(1),
+            seq: i,
+            cmd: KvCmd::read(format!("k{}", i % 16)),
+        };
+        sim.schedule_request(at, ProcessId((i % n as u64) as u32), read);
+    }
+    sim.run_until(Instant::from_ticks(issue_base + READ_GAP * reads + 1_000));
+    let served = sim
+        .outputs()
+        .iter()
+        .filter(|o| {
+            matches!(
+                o.output,
+                ShardedKvEvent::Applied {
+                    response: KvResponse::Value { .. },
+                    ..
+                }
+            )
+        })
+        .count() as u64;
+    let kinds = sim.stats().kind_counts();
+    let count = |kind: &str| kinds.get(kind).copied().unwrap_or(0);
+    LeaseRow {
+        shards,
+        reads,
+        served,
+        lease_msgs: count("LEASE_GRANT") + count("LEASE_ACK"),
+    }
+}
+
+/// Checks the per-node lease claim: every sweep row served its whole read
+/// load, and its lease message count sits within [`OMEGA_FLATNESS`] of
+/// the `S = 1` row's.
+fn lease_flat(rows: &[LeaseRow]) -> bool {
+    let Some(base) = rows.iter().find(|r| r.shards == 1) else {
+        return false;
+    };
+    base.lease_msgs > 0
+        && rows
+            .iter()
+            .all(|r| r.served == r.reads && drift(r.lease_msgs, base.lease_msgs) <= OMEGA_FLATNESS)
 }
 
 fn row_json(row: &ShardRow) -> JsonValue {
@@ -492,10 +578,12 @@ fn row_json(row: &ShardRow) -> JsonValue {
 /// round-robin offered load over `S ∈ {1, 2, 4, 8}` shard groups (each
 /// pinned to the one-command-per-round-trip baseline), reporting per-shard
 /// decided counts, the scaling ratio against `S = 1`, and netsim's Ω
-/// message counters across shard counts. PASS requires netsim `S = 4`
-/// scaling ≥ 2.5× **and** flat (±10%) Ω traffic 1 → 8 — the shared-Ω
-/// multiplexing claim. Returns the human table and the JSON summary the
-/// CLI writes as `BENCH_E20.json`.
+/// message counters across shard counts; then the leases-on netsim sweep
+/// over the same shard counts with `commands` reads. PASS requires netsim
+/// `S = 4` scaling ≥ 2.5× **and** flat (±10%) Ω traffic 1 → 8 — the
+/// shared-Ω multiplexing claim — **and** flat (±10%) lease traffic with
+/// every sweep read served. Returns the human table and the JSON summary
+/// the CLI writes as `BENCH_E20.json`.
 pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
     let registry = Registry::new();
     let mut rows = Vec::new();
@@ -508,10 +596,15 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
     for &s in SHARD_COUNTS {
         rows.push(wirenet_run(n, commands, s, &registry));
     }
+    let lease_rows: Vec<LeaseRow> = SHARD_COUNTS
+        .iter()
+        .map(|&s| lease_run(n, commands, s, seed))
+        .collect();
     let scaling_s4 = compute_scaling(&mut rows);
     let flat = omega_flat(&rows);
+    let leases_flat = lease_flat(&lease_rows);
     let complete = rows.iter().all(|r| r.committed == r.commands);
-    let pass = scaling_s4 >= SCALING_GATE && flat && complete;
+    let pass = scaling_s4 >= SCALING_GATE && flat && leases_flat && complete;
     let mut t = Table::new(vec![
         "substrate",
         "shards",
@@ -521,8 +614,16 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
         "latency p50/p99",
         "scaling",
         "omega alive",
+        "lease msgs (reads)",
     ]);
     for row in &rows {
+        // The lease sweep runs on netsim only.
+        let lease = lease_rows
+            .iter()
+            .find(|l| row.substrate == "netsim" && l.shards == row.shards)
+            .map_or("-".to_owned(), |l| {
+                format!("{} ({}/{})", l.lease_msgs, l.served, l.reads)
+            });
         t.row(vec![
             row.substrate.to_owned(),
             row.shards.to_string(),
@@ -536,6 +637,7 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
             format!("{}/{} {}", row.p50, row.p99, row.lat_unit),
             format!("{:.2}x", row.scaling),
             row.omega_alive.to_string(),
+            lease,
         ]);
     }
     let json = JsonValue::obj(vec![
@@ -556,8 +658,25 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
         ("netsim_scaling_s4", JsonValue::F64(scaling_s4)),
         ("omega_flatness_bound", JsonValue::F64(OMEGA_FLATNESS)),
         ("omega_flat", JsonValue::Bool(flat)),
+        ("lease_flat", JsonValue::Bool(leases_flat)),
         ("pass", JsonValue::Bool(pass)),
         ("rows", JsonValue::Arr(rows.iter().map(row_json).collect())),
+        (
+            "lease_rows",
+            JsonValue::Arr(
+                lease_rows
+                    .iter()
+                    .map(|l| {
+                        JsonValue::obj(vec![
+                            ("shards", JsonValue::U64(u64::from(l.shards))),
+                            ("reads", JsonValue::U64(l.reads)),
+                            ("served", JsonValue::U64(l.served)),
+                            ("lease_msgs", JsonValue::U64(l.lease_msgs)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         ("metrics", JsonValue::Raw(registry.snapshot_json())),
     ]);
     (t, json)
@@ -609,6 +728,28 @@ mod tests {
             eight.omega_alive
         );
         assert!(eight.omega_accuse <= one.omega_accuse);
+    }
+
+    /// The lease sweep at `--quick` size: a node renews all its groups'
+    /// leases in one round, so eight groups send the lease messages one
+    /// does, and every read of the steady load is answered.
+    #[test]
+    fn lease_traffic_is_flat_across_shard_counts() {
+        let rows: Vec<LeaseRow> = SHARD_COUNTS
+            .iter()
+            .map(|&s| lease_run(3, 240, s, 7))
+            .collect();
+        for row in &rows {
+            assert_eq!(row.served, row.reads, "S={}: reads unanswered", row.shards);
+        }
+        assert!(rows[0].lease_msgs > 0, "leases must be renewed");
+        assert!(
+            lease_flat(&rows),
+            "lease messages by S: {:?}",
+            rows.iter()
+                .map(|r| (r.shards, r.lease_msgs))
+                .collect::<Vec<_>>()
+        );
     }
 
     /// Same seed, same shard count, same numbers: the netsim rows are

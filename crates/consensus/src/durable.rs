@@ -32,6 +32,24 @@
 //! promises, so it must behave like a crashed process — which the protocols
 //! already tolerate.
 //!
+//! # Lease holdoffs across restarts
+//!
+//! A lease granter's holdoff is volatile by design: no record persists it.
+//! A restarted [`ReplicatedLog`](crate::ReplicatedLog) with leases on
+//! therefore sits out a *boot blackout* of one lease duration plus skew,
+//! refusing every ballot, which outlasts any holdoff a previous incarnation
+//! granted. A first incarnation owes none and skips it: when the WAL held
+//! no record and the snapshot store no snapshot (nothing was recovered),
+//! there was no predecessor, because every incarnation appends its boot
+//! `OmegaCounter` record, which survives a process crash, before it can
+//! send anything. A replica without storage has no such evidence and keeps
+//! the blackout, as does one that recovered anything.
+//!
+//! The rule reads an empty disk as "never ran". A node whose disk is lost
+//! has forgotten its promised ballot and its votes as well as its
+//! holdoffs, so it must rejoin as a new member, never as its old self —
+//! the way experiment E21 treats a wiped node.
+//!
 //! # Votes of chosen slots
 //!
 //! For each slot, a promise needs either the acceptor's highest vote or the

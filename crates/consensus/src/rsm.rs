@@ -30,6 +30,15 @@
 //!   leader's prefix"). A slot it cannot learn so raises its known frontier
 //!   and is pulled with [`RsmMsg::CatchUp`]. Every process emits
 //!   [`RsmEvent::Committed`] in strict slot order.
+//! * An `Accept` is repeated only when overdue. At each retry tick the
+//!   leader re-sends a slot still in flight, to the peers that have not
+//!   acked it, once it has been outstanding for more than twice the
+//!   smoothed `Accept` → `Accepted` round trip it measures under its
+//!   ballot. Only slots sent once give samples (Karn's rule), and before
+//!   the ballot's first sample every unacked slot is re-sent. On timely
+//!   links each slot therefore costs one `Accept` and one `Accepted` per
+//!   follower, and a lost `Accept` is still repaired at the first retry
+//!   tick past the threshold.
 //!
 //! # Throughput path: batching and pipelining
 //!
@@ -183,6 +192,9 @@ enum LeaderState<V> {
     Led {
         b: Ballot,
         next_slot: u64,
+        /// Smoothed `Accept` → `Accepted` round trip under `b`, in eighths
+        /// of a tick; `None` until the ballot's first sample.
+        srtt8: Option<u64>,
     },
 }
 
@@ -190,6 +202,11 @@ enum LeaderState<V> {
 struct Inflight<V> {
     entry: Entry<V>,
     acks: Vec<bool>,
+    /// When the `Accept` last left.
+    sent_at: Instant,
+    /// Whether it left more than once: its acks then time no round trip
+    /// (Karn's rule), since they may answer either copy.
+    resent: bool,
 }
 
 /// Bytes per [`RsmMsg::SnapshotChunk`] — small enough to stay far below the
@@ -296,7 +313,8 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     /// for the application to rebuild its state from.
     recovered_snapshot: Option<Snapshot>,
     /// Whether this incarnation recovered non-empty durable state (it then
-    /// broadcasts one `CatchUp` on start to find where the log has moved).
+    /// broadcasts one `CatchUp` on start to find where the log has moved,
+    /// and sits out the lease boot blackout).
     recovered: bool,
     outgoing_snaps: BTreeMap<ProcessId, OutgoingSnapshot>,
     incoming_snap: Option<IncomingSnapshot>,
@@ -429,11 +447,13 @@ where
     /// Builds the replica in *external-leadership* mode: the embedded Ω
     /// detector stays inert (no heartbeats, no timers, Ω messages dropped)
     /// and leadership is injected with [`ReplicatedLog::set_leader`]
-    /// instead. This is how a node hosting many co-located shard groups
-    /// shares **one** Ω across all of them — steady-state election traffic
-    /// stays independent of the group count. A durable group recovers its
-    /// own WAL segment exactly as usual, then waits for leadership from the
-    /// shared detector.
+    /// instead. The log arms no retry timer either: its host runs the
+    /// retry step on its own timer. This is how a node hosting many
+    /// co-located shard groups shares **one** Ω and one retry timer across
+    /// all of them — steady-state election and lease traffic stay
+    /// independent of the group count. A durable group recovers its own WAL
+    /// segment exactly as usual, then waits for leadership from the shared
+    /// detector.
     pub fn externally_led(mut self) -> Self {
         self.externally_led = true;
         self
@@ -1256,6 +1276,7 @@ where
         self.state = LeaderState::Led {
             b,
             next_slot: horizon,
+            srtt8: None,
         };
         self.probe.emit(ProbeEvent::PhaseEnter {
             node: self.me(),
@@ -1310,7 +1331,7 @@ where
     /// no-op unless this replica is an established leader with both free
     /// pipeline capacity and queued commands.
     fn pump(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
-        let LeaderState::Led { b, next_slot } = self.state else {
+        let LeaderState::Led { b, next_slot, .. } = self.state else {
             return;
         };
         let max_batch = self.params.batch.max_batch.max(1);
@@ -1405,6 +1426,8 @@ where
             Inflight {
                 entry: entry.clone(),
                 acks,
+                sent_at: ctx.now(),
+                resent: false,
             },
         );
         self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
@@ -1888,7 +1911,15 @@ where
         }
     }
 
-    fn on_retry(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
+    /// One retry step: loss repair, the election or pipeline retries of
+    /// the current phase, and (while `Led`) a lease grant round. The
+    /// retry timer runs it every `retry`; an externally led log arms no
+    /// timer, and its host runs this step for it instead.
+    pub(crate) fn retry_tick(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
+        self.clock = ctx.now();
+        if self.wedged {
+            return;
+        }
         self.pump_snapshot_retries(ctx);
         // Loss repair. A chosen slot past the cursor, or a frontier some
         // peer advertised past it, means a gap. A laggard with no catch-up
@@ -1931,27 +1962,32 @@ where
                     ctx.send(q, RsmMsg::Prepare { b, from_slot });
                 }
             }
-            LeaderState::Led { b, .. } => {
-                let b = *b;
-                let inflight: Vec<(u64, Entry<V>, Vec<bool>)> = self
-                    .inflight
-                    .iter()
-                    .map(|(s, i)| (*s, i.entry.clone(), i.acks.clone()))
-                    .collect();
+            LeaderState::Led { b, srtt8, .. } => {
+                let (b, srtt8) = (*b, *srtt8);
+                let now = ctx.now();
                 let commit = self.emitted_upto;
-                for (slot, entry, acks) in inflight {
-                    for q in self.env.membership().others(self.me()) {
-                        if !acks[q.as_usize()] {
-                            ctx.send(
-                                q,
-                                RsmMsg::Accept {
-                                    b,
-                                    slot,
-                                    entry: entry.clone(),
-                                    commit,
-                                },
-                            );
-                        }
+                let others: Vec<ProcessId> = self.env.membership().others(self.me()).collect();
+                for (&slot, inf) in &mut self.inflight {
+                    // Re-send only what is overdue: outstanding for more
+                    // than twice the smoothed round trip (age > 2·srtt, in
+                    // eighths of a tick), or anything before the ballot's
+                    // first sample.
+                    let age = now.saturating_since(inf.sent_at).ticks();
+                    if srtt8.is_some_and(|s| age.saturating_mul(4) <= s) {
+                        continue;
+                    }
+                    inf.sent_at = now;
+                    inf.resent = true;
+                    for &q in others.iter().filter(|q| !inf.acks[q.as_usize()]) {
+                        ctx.send(
+                            q,
+                            RsmMsg::Accept {
+                                b,
+                                slot,
+                                entry: inf.entry.clone(),
+                                commit,
+                            },
+                        );
                     }
                 }
                 // Belt and braces: if capacity freed without an Accepted
@@ -2095,9 +2131,16 @@ where
                 ctx.send(from, RsmMsg::Accepted { b, slot });
             }
             RsmMsg::Accepted { b, slot } => {
-                if let LeaderState::Led { b: cur, .. } = self.state {
-                    if cur == b {
+                if let LeaderState::Led { b: cur, srtt8, .. } = &mut self.state {
+                    if *cur == b {
                         if let Some(inf) = self.inflight.get_mut(&slot) {
+                            if !inf.resent && !inf.acks[from.as_usize()] {
+                                // Smoothed as in RFC 6298, gain 1/8.
+                                let sample = ctx.now().saturating_since(inf.sent_at).ticks();
+                                *srtt8 = Some(srtt8.map_or(sample.saturating_mul(8), |s| {
+                                    (s - s / 8).saturating_add(sample)
+                                }));
+                            }
                             inf.acks[from.as_usize()] = true;
                             self.try_choose(ctx, slot);
                             // A chosen slot frees pipeline capacity: refill
@@ -2257,15 +2300,21 @@ where
         if self.wedged {
             return;
         }
-        ctx.set_timer(RETRY_TIMER, self.params.retry);
+        if !self.external {
+            ctx.set_timer(RETRY_TIMER, self.params.retry);
+        }
         // Boot blackout: lease promises are volatile, so a restarted
         // granter no longer remembers a holdoff it may owe. Refusing *all*
         // elections for one full lease + skew after boot conservatively
-        // covers any lease a previous incarnation granted — and, applied
-        // unconditionally, also guarantees a restarted *leader* can never
-        // resume serving an expired lease (it re-elects and re-acquires
-        // from scratch). Costs one lease worth of election delay at boot.
-        if self.params.lease.enabled {
+        // covers any lease a previous incarnation granted — and also
+        // guarantees a restarted *leader* can never resume serving an
+        // expired lease (it re-elects and re-acquires from scratch). Costs
+        // one lease worth of election delay at boot. A first incarnation
+        // owes nothing: storage that held no record and no snapshot had no
+        // predecessor, since every incarnation writes its boot record
+        // before it can send. Without storage there is no such evidence.
+        let first_incarnation = self.storage.is_some() && !self.recovered;
+        if self.params.lease.enabled && !first_incarnation {
             let blackout = ctx.now() + self.params.lease.duration + self.params.lease.skew;
             self.holdoff_until = self.holdoff_until.max(blackout);
             self.holdoff_for = None;
@@ -2320,7 +2369,7 @@ where
             let inner = TimerId(timer.0 - OMEGA_TIMER_BASE);
             self.drive_omega(ctx, |omega, octx| omega.on_timer(octx, inner));
         } else if timer == RETRY_TIMER {
-            self.on_retry(ctx);
+            self.retry_tick(ctx);
             ctx.set_timer(RETRY_TIMER, self.params.retry);
         } else {
             debug_assert!(false, "unexpected timer {timer}");
@@ -2383,7 +2432,11 @@ mod tests {
         }
 
         fn request(&mut self, v: u64) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
-            let mut ctx = Ctx::new(&self.env, Instant::ZERO, &mut self.fx);
+            self.request_at(Instant::ZERO, v)
+        }
+
+        fn request_at(&mut self, now: Instant, v: u64) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
+            let mut ctx = Ctx::new(&self.env, now, &mut self.fx);
             self.sm.on_request(&mut ctx, v);
             self.fx.take()
         }
@@ -2462,11 +2515,9 @@ mod tests {
             "no Ω heartbeats, no prepares: {:?}",
             out.sends
         );
-        // Only the retry timer is armed — no Ω timers.
-        assert!(out
-            .timers
-            .iter()
-            .all(|t| matches!(t, TimerCmd::Set { timer, .. } if *timer == RETRY_TIMER)));
+        // No timer at all: the embedded Ω is inert, and the host runs the
+        // retry step on its own timer.
+        assert!(out.timers.is_empty(), "{:?}", out.timers);
 
         // Injecting our own id starts phase 1 exactly like an Ω output.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
@@ -3727,6 +3778,98 @@ mod tests {
         assert_eq!(sm.chosen(2), None, "and is not re-admitted into the log");
     }
 
+    // ---- Re-sending overdue Accepts ----
+
+    /// Drives p0 to `Led` in a 5-replica group: a quorum is 3, so one
+    /// `Accepted` leaves a slot in flight.
+    fn led_leader_of_five() -> Harness {
+        let mut h = Harness::new(0, 5);
+        h.start();
+        for p in [1, 2] {
+            h.deliver(
+                p,
+                RsmMsg::Promise {
+                    b: b(1, 0),
+                    accepted: vec![],
+                    low_slot: 0,
+                },
+            );
+        }
+        assert!(h.sm.is_established_leader());
+        h
+    }
+
+    /// The peers an `Accept` of `slot` goes to in `fx`.
+    fn accept_targets(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>, slot: u64) -> Vec<u32> {
+        fx.sends
+            .iter()
+            .filter(|s| matches!(s.msg, RsmMsg::Accept { slot: s2, .. } if s2 == slot))
+            .map(|s| s.to.0)
+            .collect()
+    }
+
+    /// Slot 0 proposed at tick 10 and acked by p1 at tick 14: one 4-tick
+    /// sample, so a slot is overdue once outstanding more than 8 ticks.
+    fn leader_with_one_sample() -> Harness {
+        let mut h = led_leader_of_five();
+        h.request_at(t(10), 7);
+        h.deliver_at(
+            t(14),
+            1,
+            RsmMsg::Accepted {
+                b: b(1, 0),
+                slot: 0,
+            },
+        );
+        assert_eq!(h.sm.inflight_len(), 1, "two of five votes choose nothing");
+        h
+    }
+
+    #[test]
+    fn a_slot_younger_than_twice_the_round_trip_is_not_resent() {
+        let mut h = leader_with_one_sample();
+        let out = h.retry_at(t(18));
+        assert_eq!(
+            accept_targets(&out, 0),
+            Vec::<u32>::new(),
+            "age 8 is not overdue"
+        );
+    }
+
+    #[test]
+    fn an_overdue_slot_is_resent_to_unacked_peers_only() {
+        let mut h = leader_with_one_sample();
+        let out = h.retry_at(t(19));
+        assert_eq!(accept_targets(&out, 0), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn before_any_sample_every_unacked_slot_is_resent() {
+        let mut h = led_leader_of_five();
+        h.request_at(t(10), 7);
+        let out = h.retry_at(t(11));
+        assert_eq!(accept_targets(&out, 0), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn acks_of_a_resent_slot_time_no_round_trip() {
+        let mut h = leader_with_one_sample();
+        h.retry_at(t(19));
+        // A late ack of the re-sent slot 0 could answer either copy: were
+        // it sampled (81 or 86 ticks), slot 1 would not be overdue at 9.
+        h.deliver_at(
+            t(100),
+            2,
+            RsmMsg::Accepted {
+                b: b(1, 0),
+                slot: 0,
+            },
+        );
+        h.request_at(t(110), 8);
+        let out = h.retry_at(t(119));
+        assert_eq!(accept_targets(&out, 1), vec![1, 2, 3, 4]);
+    }
+
     // ---- Leader leases and the fast read path ----
 
     use crate::single::LeaseParams;
@@ -3793,6 +3936,68 @@ mod tests {
                 .iter()
                 .any(|s| matches!(s.msg, RsmMsg::Prepare { .. })),
             "the first tick past duration+skew may elect"
+        );
+    }
+
+    /// A lease-configured replica on `store`, started at tick 0.
+    fn durable_lease_replica(
+        store: &StorageHandle,
+    ) -> (Harness, Effects<RsmMsg<u64>, RsmEvent<u64>>) {
+        let env = Env::new(ProcessId(0), 3);
+        let sm = ReplicatedLog::builder(&env, lease_params())
+            .storage(store.clone())
+            .build()
+            .expect("in-memory store");
+        let mut h = Harness {
+            env,
+            sm,
+            fx: Effects::new(),
+        };
+        let out = h.start();
+        (h, out)
+    }
+
+    fn prepares(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>) -> bool {
+        fx.sends
+            .iter()
+            .any(|s| matches!(s.msg, RsmMsg::Prepare { .. }))
+    }
+
+    #[test]
+    fn a_first_incarnation_owes_no_boot_blackout() {
+        // Storage that held no record had no predecessor to owe a holdoff
+        // for: the initial Ω leader prepares on start.
+        let (_, out) = durable_lease_replica(&StorageHandle::in_memory());
+        assert!(prepares(&out), "a fresh durable replica elects at once");
+    }
+
+    #[test]
+    fn a_restarted_durable_replica_sits_out_the_boot_blackout() {
+        let store = StorageHandle::in_memory();
+        drop(durable_lease_replica(&store));
+        // The first incarnation wrote its boot record: this one recovers it
+        // and refuses every ballot until duration + skew (128) has passed.
+        let (mut h, out) = durable_lease_replica(&store);
+        assert!(!prepares(&out), "no prepare inside the boot blackout");
+        let prepare = |round| RsmMsg::Prepare {
+            b: b(round, 1),
+            from_slot: 0,
+        };
+        let out = h.deliver_at(t(100), 1, prepare(5));
+        assert!(
+            out.sends
+                .iter()
+                .any(|s| matches!(s.msg, RsmMsg::Nack { .. })),
+            "a competing prepare is refused inside the blackout: {:?}",
+            out.sends
+        );
+        let out = h.deliver_at(t(129), 1, prepare(6));
+        assert!(
+            out.sends
+                .iter()
+                .any(|s| matches!(s.msg, RsmMsg::Promise { .. })),
+            "and promised once it ends: {:?}",
+            out.sends
         );
     }
 

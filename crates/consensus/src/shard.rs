@@ -22,13 +22,13 @@
 //!   shard via a stable FNV-1a hash, shard → replica set.
 //! * [`PlacementManager`] — which shard groups are attached on this node
 //!   (attach/detach).
-//! * [`ShardMsg`] — the multiplexed wire envelope: shared-Ω traffic travels
-//!   untagged; group traffic carries its [`ShardId`] and is stamped into a
-//!   version-3 frame by shard-aware transports (see
-//!   [`Wire::shard_tag`]).
+//! * [`ShardMsg`] — the multiplexed wire envelope: shared-Ω traffic and the
+//!   node's merged lease rounds travel untagged; group traffic carries its
+//!   [`ShardId`] and is stamped into a version-3 frame by shard-aware
+//!   transports (see [`Wire::shard_tag`]).
 //! * [`ShardedNode`] — the per-node composite state machine: one shared Ω,
-//!   a map of externally-led groups, timer and message demultiplexing, and
-//!   per-group WAL recovery on restart.
+//!   one retry timer, a map of externally-led groups, message
+//!   demultiplexing, and per-group WAL recovery on restart.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -96,15 +96,9 @@ impl PlacementMap {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or ≥ the Ω timer base (the shard id
-    /// doubles as the group's retry-timer id on a node, so the id space
-    /// below the base (1000) bounds the shard count).
+    /// Panics if `shards` is zero.
     pub fn uniform(shards: u32, n: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        assert!(
-            shards < OMEGA_TIMER_BASE,
-            "shard count must stay below the Ω timer base ({OMEGA_TIMER_BASE})"
-        );
         let everyone: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
         PlacementMap {
             shards,
@@ -196,8 +190,9 @@ impl PlacementManager {
 }
 
 /// The multiplexed wire envelope of a sharded node: one link carries the
-/// shared Ω's heartbeats (untagged) interleaved with every co-located
-/// group's consensus traffic (tagged with its [`ShardId`]).
+/// shared Ω's heartbeats and the node's lease rounds (untagged) interleaved
+/// with every co-located group's consensus traffic (tagged with its
+/// [`ShardId`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMsg<V> {
     /// Shared per-node leader-election traffic — one Ω however many shards —
@@ -212,6 +207,15 @@ pub enum ShardMsg<V> {
         /// The group's consensus message.
         msg: RsmMsg<V>,
     },
+    /// One retry step's lease grants to one peer, for every group whose
+    /// grant round it started: `(shard, ballot, seq)` per group, each
+    /// handed to that group as [`RsmMsg::LeaseGrant`].
+    LeaseGrants(Vec<(ShardId, Ballot, u64)>),
+    /// The granter's answer to one [`ShardMsg::LeaseGrants`]: `(shard,
+    /// ballot, seq)` per group that granted, each handed to the leader's
+    /// group as [`RsmMsg::LeaseAck`]. A group that refused answers with
+    /// its own `Rsm` `Nack` instead.
+    LeaseAcks(Vec<(ShardId, Ballot, u64)>),
 }
 
 impl<V: Wire> Wire for ShardMsg<V> {
@@ -227,6 +231,14 @@ impl<V: Wire> Wire for ShardMsg<V> {
                 shard.encode(out);
                 msg.encode(out);
             }
+            ShardMsg::LeaseGrants(grants) => {
+                out.push(2);
+                grants.encode(out);
+            }
+            ShardMsg::LeaseAcks(acks) => {
+                out.push(3);
+                acks.encode(out);
+            }
         }
     }
 
@@ -237,6 +249,8 @@ impl<V: Wire> Wire for ShardMsg<V> {
                 shard: ShardId::decode(r)?,
                 msg: RsmMsg::decode(r)?,
             }),
+            2 => Ok(ShardMsg::LeaseGrants(Vec::decode(r)?)),
+            3 => Ok(ShardMsg::LeaseAcks(Vec::decode(r)?)),
             tag => Err(WireError::BadTag {
                 type_name: "ShardMsg",
                 tag,
@@ -245,11 +259,11 @@ impl<V: Wire> Wire for ShardMsg<V> {
     }
 
     /// Group traffic rides a shard-tagged version-3 frame; the shared Ω's
-    /// messages stay untagged (version 2), since they belong to the node,
-    /// not to any one group.
+    /// messages and the merged lease rounds stay untagged (version 2),
+    /// since they belong to the node, not to any one group.
     fn shard_tag(&self) -> Option<u32> {
         match self {
-            ShardMsg::Omega(..) => None,
+            ShardMsg::Omega(..) | ShardMsg::LeaseGrants(_) | ShardMsg::LeaseAcks(_) => None,
             ShardMsg::Rsm { shard, .. } => Some(shard.0),
         }
     }
@@ -257,12 +271,35 @@ impl<V: Wire> Wire for ShardMsg<V> {
 
 /// Classifier for per-kind message statistics of [`ShardMsg`]: Ω traffic
 /// classifies as `ALIVE`/`ACCUSE` exactly like the unsharded stack, group
-/// traffic by its consensus kind — so heartbeat-flatness comparisons across
-/// shard counts read straight off the substrate's kind counters.
+/// traffic by its consensus kind, and a merged lease round as one
+/// `LEASE_GRANT` or `LEASE_ACK` — so flatness comparisons across shard
+/// counts read straight off the substrate's kind counters.
 pub fn classify_shard_msg<V>(msg: &ShardMsg<V>) -> &'static str {
     match msg {
         ShardMsg::Omega(m, _) => omega::classify_msg(m),
         ShardMsg::Rsm { msg, .. } => classify_rsm_msg(msg),
+        ShardMsg::LeaseGrants(_) => "LEASE_GRANT",
+        ShardMsg::LeaseAcks(_) => "LEASE_ACK",
+    }
+}
+
+/// The lease messages of one node step, merged per peer: every group's
+/// `LeaseGrant` to a peer leaves in one [`ShardMsg::LeaseGrants`], every
+/// `LeaseAck` in one [`ShardMsg::LeaseAcks`].
+#[derive(Debug, Default)]
+struct LeaseMail {
+    grants: BTreeMap<ProcessId, Vec<(ShardId, Ballot, u64)>>,
+    acks: BTreeMap<ProcessId, Vec<(ShardId, Ballot, u64)>>,
+}
+
+impl LeaseMail {
+    fn post<V>(self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>) {
+        for (to, grants) in self.grants {
+            ctx.send(to, ShardMsg::LeaseGrants(grants));
+        }
+        for (to, acks) in self.acks {
+            ctx.send(to, ShardMsg::LeaseAcks(acks));
+        }
     }
 }
 
@@ -325,9 +362,16 @@ pub struct ShardRequest<V> {
 /// never send Ω traffic, so per-node heartbeat volume is the same for one
 /// shard as for a hundred.
 ///
-/// Timer multiplexing: the shared Ω's timers are offset by
-/// `OMEGA_TIMER_BASE` (1000); group `s`'s retry timer maps to `TimerId(s)` —
-/// which is why shard ids must stay below the base.
+/// Timers: the shared Ω's are offset by `OMEGA_TIMER_BASE` (1000), and the
+/// node has **one** retry timer (`TimerId(0)`, every `params.retry`). Each
+/// time it fires, every attached group runs its retry step in shard order,
+/// and the lease grants those steps start leave as one
+/// [`ShardMsg::LeaseGrants`] per peer. A granter hands each entry to its
+/// group and answers with one [`ShardMsg::LeaseAcks`], so lease traffic,
+/// like leadership, is a node property: one grant and one ack per follower
+/// per retry period, however many groups the node leads. Each group's
+/// lease state machine sees the same `LeaseGrant`/`LeaseAck` inputs it
+/// would see alone.
 #[derive(Debug, Clone)]
 pub struct ShardedNode<V, P: Probe = NoopProbe> {
     env: Env,
@@ -346,8 +390,7 @@ where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
 {
     /// Creates an in-memory node hosting every shard attached in
-    /// `placement`, all groups sharing `params` (per-group parameter
-    /// overrides go through [`ShardedNode::attach_with_params`]).
+    /// `placement`, all groups sharing `params`.
     ///
     /// # Panics
     ///
@@ -583,28 +626,16 @@ where
         self.drive_group(ctx, shard, |g, gctx| g.request_read_index(gctx, req));
     }
 
-    /// Attaches `shard` at runtime with this node's default parameters: a
-    /// fresh externally-led group is created, started (its retry timer
-    /// armed), and fed the currently believed leader. A no-op if already
-    /// attached.
+    /// Attaches `shard` at runtime with this node's parameters: a fresh
+    /// externally-led group is created, started, and fed the currently
+    /// believed leader; the node's retry timer covers it from its next
+    /// firing. A no-op if already attached.
     pub fn attach(&mut self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>, shard: ShardId) {
-        let params = self.params;
-        self.attach_with_params(ctx, shard, params);
-    }
-
-    /// Like [`ShardedNode::attach`], with group-specific parameters (each
-    /// group may run its own [`BatchParams`](crate::BatchParams)).
-    pub fn attach_with_params(
-        &mut self,
-        ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>,
-        shard: ShardId,
-        params: ConsensusParams,
-    ) {
         if self.groups.contains_key(&shard) {
             return;
         }
         self.placement.attach(shard);
-        let mut group = ReplicatedLog::builder(&self.env, params)
+        let mut group = ReplicatedLog::builder(&self.env, self.params)
             .probe(self.probe.clone())
             .externally_led()
             .build()
@@ -619,25 +650,38 @@ where
         }
     }
 
-    /// Detaches `shard`: its retry timer is cancelled and its group state
-    /// dropped (a durable group's WAL segment survives for a future
-    /// re-attach). A no-op if not attached.
-    pub fn detach(&mut self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>, shard: ShardId) {
+    /// Detaches `shard`, dropping its group state (a durable group's WAL
+    /// segment survives for a future re-attach). A no-op if not attached.
+    pub fn detach(&mut self, shard: ShardId) {
         if self.groups.remove(&shard).is_some() {
             self.placement.detach(shard);
-            ctx.cancel_timer(TimerId(shard.0));
         }
+    }
+
+    /// Runs one step of the group of `shard` and posts its lease messages
+    /// at once (see [`ShardedNode::step_group`]).
+    fn drive_group(
+        &mut self,
+        ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>,
+        shard: ShardId,
+        step: impl FnOnce(&mut ReplicatedLog<V, P>, &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>),
+    ) {
+        let mut mail = LeaseMail::default();
+        self.step_group(ctx, &mut mail, shard, step);
+        mail.post(ctx);
     }
 
     /// Runs one step of the group of `shard` (silently dropped if not
     /// attached), translating its effects into the sharded envelope: sends
-    /// are tagged with the shard, the group's retry timer maps to
-    /// `TimerId(shard)`, commits become [`ShardEvent::Committed`]. Per-group
-    /// `Leader` events are suppressed — the shared Ω's announcement is the
-    /// authoritative one and would otherwise repeat per shard.
-    fn drive_group(
+    /// are tagged with the shard, except lease grants and acks, which join
+    /// `mail` for the caller to post merged per peer; commits become
+    /// [`ShardEvent::Committed`]. Per-group `Leader` events are suppressed
+    /// — the shared Ω's announcement is the authoritative one and would
+    /// otherwise repeat per shard.
+    fn step_group(
         &mut self,
         ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>,
+        mail: &mut LeaseMail,
         shard: ShardId,
         step: impl FnOnce(&mut ReplicatedLog<V, P>, &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>),
     ) {
@@ -649,19 +693,16 @@ where
             let mut gctx = Ctx::new(&self.env, ctx.now(), &mut fx);
             step(group, &mut gctx);
         }
+        debug_assert!(fx.timers.is_empty(), "externally led groups arm no timer");
         for s in fx.sends {
-            ctx.send(s.to, ShardMsg::Rsm { shard, msg: s.msg });
-        }
-        for cmd in fx.timers {
-            match cmd {
-                TimerCmd::Set { timer, after } => {
-                    debug_assert_eq!(
-                        timer, RETRY_TIMER,
-                        "externally led groups only arm the retry timer"
-                    );
-                    ctx.set_timer(timer.offset(shard.0), after);
+            match s.msg {
+                RsmMsg::LeaseGrant { b, seq } => {
+                    mail.grants.entry(s.to).or_default().push((shard, b, seq));
                 }
-                TimerCmd::Cancel { timer } => ctx.cancel_timer(timer.offset(shard.0)),
+                RsmMsg::LeaseAck { b, seq } => {
+                    mail.acks.entry(s.to).or_default().push((shard, b, seq));
+                }
+                msg => ctx.send(s.to, ShardMsg::Rsm { shard, msg }),
             }
         }
         for o in fx.outputs {
@@ -737,6 +778,17 @@ where
         }
     }
 
+    /// The node's retry step: every attached group's, in shard order, with
+    /// the lease grants they start merged into one message per peer.
+    fn retry_round(&mut self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>) {
+        let mut mail = LeaseMail::default();
+        let shards: Vec<ShardId> = self.groups.keys().copied().collect();
+        for shard in shards {
+            self.step_group(ctx, &mut mail, shard, |g, gctx| g.retry_tick(gctx));
+        }
+        mail.post(ctx);
+    }
+
     /// One leader announcement from the shared Ω: record it, emit a single
     /// [`ShardEvent::Leader`], and inject it into every attached group it
     /// can lead (its replica set contains the leader).
@@ -769,6 +821,7 @@ where
         if self.wedged {
             return;
         }
+        ctx.set_timer(RETRY_TIMER, self.params.retry);
         let shards: Vec<ShardId> = self.groups.keys().copied().collect();
         for shard in shards {
             self.drive_group(ctx, shard, |g, gctx| g.on_start(gctx));
@@ -795,6 +848,24 @@ where
             ShardMsg::Rsm { shard, msg } => {
                 self.drive_group(ctx, shard, |g, gctx| g.on_message(gctx, from, msg));
             }
+            ShardMsg::LeaseGrants(grants) => {
+                // Each group grants or refuses on its own; the grants come
+                // back as one LeaseAcks, the refusals as group Nacks.
+                let mut mail = LeaseMail::default();
+                for (shard, b, seq) in grants {
+                    self.step_group(ctx, &mut mail, shard, |g, gctx| {
+                        g.on_message(gctx, from, RsmMsg::LeaseGrant { b, seq });
+                    });
+                }
+                mail.post(ctx);
+            }
+            ShardMsg::LeaseAcks(acks) => {
+                for (shard, b, seq) in acks {
+                    self.drive_group(ctx, shard, |g, gctx| {
+                        g.on_message(gctx, from, RsmMsg::LeaseAck { b, seq });
+                    });
+                }
+            }
         }
     }
 
@@ -805,11 +876,11 @@ where
         if timer.0 >= OMEGA_TIMER_BASE {
             let inner = TimerId(timer.0 - OMEGA_TIMER_BASE);
             self.drive_omega(ctx, |o, octx| o.on_timer(octx, inner));
+        } else if timer == RETRY_TIMER {
+            self.retry_round(ctx);
+            ctx.set_timer(RETRY_TIMER, self.params.retry);
         } else {
-            // Below the base, the timer id *is* the shard id of a group
-            // retry timer (see the struct docs).
-            let shard = ShardId(timer.0);
-            self.drive_group(ctx, shard, |g, gctx| g.on_timer(gctx, RETRY_TIMER));
+            debug_assert!(false, "unexpected timer {timer}");
         }
     }
 
@@ -839,14 +910,30 @@ mod tests {
 
     impl Harness {
         fn new(me: u32, n: usize, shards: u32) -> Self {
+            Harness::with_params(me, n, shards, ConsensusParams::default())
+        }
+
+        fn with_params(me: u32, n: usize, shards: u32, params: ConsensusParams) -> Self {
             let env = Env::new(ProcessId(me), n);
             let placement = PlacementManager::with_all_attached(PlacementMap::uniform(shards, n));
-            let sm = ShardedNode::new(&env, ConsensusParams::default(), placement);
+            let sm = ShardedNode::new(&env, params, placement);
             Harness {
                 env,
                 sm,
                 fx: Effects::new(),
             }
+        }
+
+        fn deliver_at(&mut self, now: Instant, from: u32, msg: ShardMsg<u64>) -> Fx {
+            let mut ctx = Ctx::new(&self.env, now, &mut self.fx);
+            self.sm.on_message(&mut ctx, ProcessId(from), msg);
+            self.fx.take()
+        }
+
+        fn retry_at(&mut self, now: Instant) -> Fx {
+            let mut ctx = Ctx::new(&self.env, now, &mut self.fx);
+            self.sm.on_timer(&mut ctx, RETRY_TIMER);
+            self.fx.take()
         }
 
         fn start(&mut self) -> Fx {
@@ -1072,15 +1159,24 @@ mod tests {
     #[test]
     fn rsm_traffic_is_tagged_and_omega_traffic_is_not() {
         // The envelope property shard-aware transports key off: group
-        // traffic advertises its shard, the shared Ω's does not.
+        // traffic advertises its shard, the node's own traffic does not.
         let mut h = Harness::new(0, 3, 2);
         let out = h.start();
         for s in &out.sends {
             match &s.msg {
-                ShardMsg::Omega(..) => assert_eq!(s.msg.shard_tag(), None),
                 ShardMsg::Rsm { shard, .. } => assert_eq!(s.msg.shard_tag(), Some(shard.0)),
+                _ => assert_eq!(s.msg.shard_tag(), None),
             }
         }
+        let b = Ballot::new(1, ProcessId(0));
+        assert_eq!(
+            ShardMsg::<u64>::LeaseGrants(vec![(ShardId(5), b, 1)]).shard_tag(),
+            None
+        );
+        assert_eq!(
+            ShardMsg::<u64>::LeaseAcks(vec![(ShardId(5), b, 1)]).shard_tag(),
+            None
+        );
         let tagged = ShardMsg::<u64>::Rsm {
             shard: ShardId(5),
             msg: RsmMsg::CatchUp { low_slot: 0 },
@@ -1113,6 +1209,11 @@ mod tests {
                     commit: 3,
                 },
             },
+            ShardMsg::LeaseGrants(vec![
+                (ShardId(0), Ballot::new(1, ProcessId(0)), 9),
+                (ShardId(3), Ballot::new(4, ProcessId(0)), 2),
+            ]),
+            ShardMsg::LeaseAcks(vec![(ShardId(3), Ballot::new(4, ProcessId(0)), 2)]),
         ];
         for msg in msgs {
             let decoded = ShardMsg::<u64>::from_bytes(&msg.to_bytes()).expect("roundtrip");
@@ -1135,6 +1236,17 @@ mod tests {
                 msg: RsmMsg::CatchUp { low_slot: 0 }
             }),
             "CATCH_UP"
+        );
+        // A merged lease round counts as one message of the flat kind.
+        let b = Ballot::new(1, ProcessId(0));
+        let entries = vec![(ShardId(0), b, 1), (ShardId(1), b, 1)];
+        assert_eq!(
+            classify_shard_msg(&ShardMsg::<u64>::LeaseGrants(entries.clone())),
+            "LEASE_GRANT"
+        );
+        assert_eq!(
+            classify_shard_msg(&ShardMsg::<u64>::LeaseAcks(entries)),
+            "LEASE_ACK"
         );
     }
 
@@ -1171,21 +1283,133 @@ mod tests {
             out.sends
         );
         assert!(
+            out.timers.is_empty(),
+            "a late-attached group arms no timer of its own: {:?}",
             out.timers
-                .iter()
-                .any(|t| matches!(t, TimerCmd::Set { timer, .. } if timer.0 == 7)),
-            "the new group's retry timer is multiplexed on its shard id"
         );
-        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.detach(&mut ctx, ShardId(7));
-        let out = fx.take();
+        sm.detach(ShardId(7));
         assert!(!sm.placement().is_attached(ShardId(7)));
         assert!(sm.group(ShardId(7)).is_none());
-        assert!(
-            out.timers
+    }
+
+    /// Leases on, three groups: p0 prepares every group after the boot
+    /// blackout (tick 200) and p1's promises establish them.
+    fn led_lease_node() -> Harness {
+        let params = ConsensusParams {
+            lease: crate::LeaseParams::enabled(),
+            ..ConsensusParams::default()
+        };
+        let mut h = Harness::with_params(0, 3, 3, params);
+        let out = h.start();
+        let retry_timers: Vec<&TimerCmd> = out
+            .timers
+            .iter()
+            .filter(|t| matches!(t, TimerCmd::Set { timer, .. } if timer.0 < OMEGA_TIMER_BASE))
+            .collect();
+        assert_eq!(
+            retry_timers,
+            vec![&TimerCmd::Set {
+                timer: RETRY_TIMER,
+                after: params.retry
+            }],
+            "one retry timer for the node, however many groups"
+        );
+        h.retry_at(Instant::from_ticks(200));
+        for shard in 0..3 {
+            h.promise(1, shard);
+            assert!(h.sm.group(ShardId(shard)).unwrap().is_established_leader());
+        }
+        h
+    }
+
+    #[test]
+    fn one_retry_step_sends_one_lease_grant_per_peer_for_every_group() {
+        let mut h = led_lease_node();
+        let out = h.retry_at(Instant::from_ticks(240));
+        let b = Ballot::new(1, ProcessId(0));
+        let every_group = vec![(ShardId(0), b, 1), (ShardId(1), b, 1), (ShardId(2), b, 1)];
+        for peer in [1, 2] {
+            let grants: Vec<&ShardMsg<u64>> = out
+                .sends
                 .iter()
-                .any(|t| matches!(t, TimerCmd::Cancel { timer } if timer.0 == 7)),
-            "detach cancels the group's multiplexed timer"
+                .filter(|s| s.to == ProcessId(peer) && classify_shard_msg(&s.msg) == "LEASE_GRANT")
+                .map(|s| &s.msg)
+                .collect();
+            assert_eq!(
+                grants,
+                vec![&ShardMsg::LeaseGrants(every_group.clone())],
+                "p{peer} gets one grant listing every group"
+            );
+        }
+    }
+
+    #[test]
+    fn a_merged_ack_activates_only_the_groups_it_acks_at_their_ballot() {
+        let mut h = led_lease_node();
+        h.retry_at(Instant::from_ticks(240));
+        // Group 0 is acked at its ballot, group 1 not at all, and group 2
+        // at another ballot of p0's: only group 0 may activate.
+        let (b, other) = (Ballot::new(1, ProcessId(0)), Ballot::new(2, ProcessId(0)));
+        h.deliver_at(
+            Instant::from_ticks(242),
+            1,
+            ShardMsg::LeaseAcks(vec![(ShardId(0), b, 1), (ShardId(2), other, 1)]),
+        );
+        let now = Instant::from_ticks(243);
+        let active: Vec<bool> =
+            h.sm.groups()
+                .map(|(_, g)| g.lease_read_allowed(now))
+                .collect();
+        assert_eq!(active, vec![true, false, false]);
+    }
+
+    #[test]
+    fn a_granter_acks_the_groups_it_grants_in_one_message_and_nacks_the_rest() {
+        let params = ConsensusParams {
+            lease: crate::LeaseParams::enabled(),
+            ..ConsensusParams::default()
+        };
+        let mut h = Harness::with_params(1, 3, 3, params);
+        h.start();
+        // Past the boot blackout, group 1 promises p2's higher ballot.
+        let higher = Ballot::new(2, ProcessId(2));
+        h.deliver_at(
+            Instant::from_ticks(150),
+            2,
+            ShardMsg::Rsm {
+                shard: ShardId(1),
+                msg: RsmMsg::Prepare {
+                    b: higher,
+                    from_slot: 0,
+                },
+            },
+        );
+        let b = Ballot::new(1, ProcessId(0));
+        let out = h.deliver_at(
+            Instant::from_ticks(200),
+            0,
+            ShardMsg::LeaseGrants(vec![
+                (ShardId(0), b, 4),
+                (ShardId(1), b, 4),
+                (ShardId(2), b, 4),
+            ]),
+        );
+        let to_p0: Vec<&ShardMsg<u64>> = out
+            .sends
+            .iter()
+            .filter(|s| s.to == ProcessId(0))
+            .map(|s| &s.msg)
+            .collect();
+        assert_eq!(
+            to_p0,
+            vec![
+                &ShardMsg::Rsm {
+                    shard: ShardId(1),
+                    msg: RsmMsg::Nack { b, higher }
+                },
+                &ShardMsg::LeaseAcks(vec![(ShardId(0), b, 4), (ShardId(2), b, 4)]),
+            ],
+            "one merged ack for the groups that grant, a group Nack for the one that refuses"
         );
     }
 

@@ -406,3 +406,106 @@ fn an_idle_sharded_follower_learns_the_last_command_from_the_leaders_heartbeat()
         );
     }
 }
+
+/// The pipelined load of the send-once tests: one command per tick from
+/// tick `LOAD_FROM` on, for `LOAD_TICKS` ticks.
+const LOAD_FROM: u64 = 1_001;
+const LOAD_TICKS: u64 = 1_000;
+
+fn lease_params() -> ConsensusParams {
+    ConsensusParams {
+        lease: consensus::LeaseParams::enabled(),
+        ..ConsensusParams::default()
+    }
+}
+
+/// Runs `sim` through the load and a quiet tail, returning how many retry
+/// ticks found the leader with slots in flight (`inflight`, read one tick
+/// before each tick fires): the ticks at which a leader re-sending every
+/// unacked slot would have repeated an `Accept`.
+fn run_counting_busy_retry_ticks<S: lls_primitives::Sm>(
+    sim: &mut Simulator<S>,
+    inflight: impl Fn(&Simulator<S>) -> usize,
+) -> u64 {
+    let retry = ConsensusParams::default().retry.ticks();
+    let mut busy = 0;
+    let mut tick = (LOAD_FROM / retry + 1) * retry;
+    while tick <= LOAD_FROM + LOAD_TICKS {
+        sim.run_until(Instant::from_ticks(tick - 1));
+        if inflight(sim) > 0 {
+            busy += 1;
+        }
+        tick += retry;
+    }
+    sim.run_until(Instant::from_ticks(LOAD_FROM + LOAD_TICKS + 2_000));
+    busy
+}
+
+/// Asserts the send-once property: every slot proposed cost exactly one
+/// `Accept` and one `Accepted` per follower.
+fn assert_each_accept_sent_once(kinds: &BTreeMap<&'static str, u64>, n: usize, slots: u64) {
+    let per_kind = (n as u64 - 1) * slots;
+    assert_eq!(kinds.get("ACCEPT").copied(), Some(per_kind), "{kinds:?}");
+    assert_eq!(kinds.get("ACCEPTED").copied(), Some(per_kind), "{kinds:?}");
+}
+
+#[test]
+fn a_timely_leader_sends_each_accept_once() {
+    let n = 3;
+    let mut sim = SimBuilder::new(n)
+        .seed(5)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(consensus::classify_rsm_msg)
+        .build_with(|env| ReplicatedLog::<u64>::new(env, lease_params()));
+    for k in 0..LOAD_TICKS {
+        sim.schedule_request(Instant::from_ticks(LOAD_FROM + k), ProcessId(0), k);
+    }
+    let busy = run_counting_busy_retry_ticks(&mut sim, |s| s.node(ProcessId(0)).inflight_len());
+    assert!(busy >= 20, "only {busy} retry ticks found slots in flight");
+    let leader = sim.node(ProcessId(0));
+    assert!(leader.is_established_leader());
+    assert_eq!(
+        leader.committed_len(),
+        LOAD_TICKS,
+        "every command is its own slot"
+    );
+    assert_each_accept_sent_once(sim.stats().kind_counts(), n, LOAD_TICKS);
+}
+
+#[test]
+fn a_timely_sharded_leader_sends_each_accept_once() {
+    let (n, shards) = (5, 4);
+    let mut sim = SimBuilder::new(n)
+        .seed(5)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(consensus::classify_shard_msg)
+        .build_with(|env| {
+            ShardedNode::<u64>::new(
+                env,
+                lease_params(),
+                PlacementManager::with_all_attached(PlacementMap::uniform(shards, n)),
+            )
+        });
+    for k in 0..LOAD_TICKS {
+        let shard = ShardId((k % u64::from(shards)) as u32);
+        let at = Instant::from_ticks(LOAD_FROM + k);
+        sim.schedule_request(at, ProcessId(0), ShardRequest { shard, cmd: k });
+    }
+    let busy = run_counting_busy_retry_ticks(&mut sim, |s| {
+        s.node(ProcessId(0))
+            .groups()
+            .map(|(_, g)| g.inflight_len())
+            .sum()
+    });
+    assert!(busy >= 20, "only {busy} retry ticks found slots in flight");
+    let slots: u64 = sim
+        .node(ProcessId(0))
+        .groups()
+        .map(|(_, g)| {
+            assert!(g.is_established_leader());
+            g.committed_len()
+        })
+        .sum();
+    assert_eq!(slots, LOAD_TICKS, "every command is its own slot");
+    assert_each_accept_sent_once(sim.stats().kind_counts(), n, slots);
+}

@@ -16,14 +16,23 @@
 //! Alongside both, the real-time witness from the linearizability suite:
 //! no read, on any schedule, observes a register older than the latest
 //! write committed before it was issued.
+//!
+//! Invariant 1 runs on both node types: a [`KvReplica`], and a
+//! [`ShardedKvNode`] whose groups renew their leases in one merged round
+//! per node, with lease windows checked per shard.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use consensus::{
+    ConsensusParams, LeaseParams, PlacementManager, PlacementMap, ReplicatedLog, ShardId,
+    ShardedNode,
+};
+use kvstore::{
+    ClientId, KvCmd, KvEvent, KvReplica, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged,
+};
 use lls_obs::{Probe, ProbeEvent, ReadMode, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
+use lls_primitives::{Duration, Env, Instant, ProcessId, Sm, StorageHandle};
 use netsim::{SimBuilder, Simulator, Topology};
 use proptest::prelude::*;
 
@@ -42,6 +51,49 @@ impl Probe for Collect {
 }
 
 type Replica = KvReplica<WatchdogProbe<Collect>>;
+type ShardedReplica = ShardedKvNode<WatchdogProbe<Collect>>;
+
+/// What the properties read of a node type.
+trait KvNode: Sm<Request = Tagged<KvCmd>> {
+    /// The node's Ω output.
+    fn leader(&self) -> ProcessId;
+    /// `(client, seq, response)` of an applied command or a served read.
+    fn applied(out: &Self::Output) -> Option<(ClientId, u64, &KvResponse)>;
+}
+
+impl KvNode for Replica {
+    fn leader(&self) -> ProcessId {
+        self.omega().leader()
+    }
+    fn applied(out: &KvEvent) -> Option<(ClientId, u64, &KvResponse)> {
+        match out {
+            KvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } => Some((*client, *seq, response)),
+            _ => None,
+        }
+    }
+}
+
+impl KvNode for ShardedReplica {
+    fn leader(&self) -> ProcessId {
+        self.omega().leader()
+    }
+    fn applied(out: &ShardedKvEvent) -> Option<(ClientId, u64, &KvResponse)> {
+        match out {
+            ShardedKvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } => Some((*client, *seq, response)),
+            _ => None,
+        }
+    }
+}
 
 fn params_for(duration: u64, skew: u64) -> ConsensusParams {
     ConsensusParams {
@@ -72,13 +124,18 @@ fn index_of(value: Option<&str>) -> u64 {
 
 /// Advances the simulation until every live node reports the same leader
 /// (or the budget runs out), returning that leader.
-fn settle_leader(sim: &mut Simulator<Replica>, n: usize, t: &mut u64, budget: u64) -> ProcessId {
+fn settle_leader<N: KvNode>(
+    sim: &mut Simulator<N>,
+    n: usize,
+    t: &mut u64,
+    budget: u64,
+) -> ProcessId {
     let cap = *t + budget;
     loop {
         let views: Vec<ProcessId> = (0..n as u32)
             .map(ProcessId)
             .filter(|&p| sim.is_alive(p))
-            .map(|p| sim.node(p).omega().leader())
+            .map(|p| sim.node(p).leader())
             .collect();
         let first = views[0];
         if views.iter().all(|&v| v == first) && sim.is_alive(first) {
@@ -101,8 +158,8 @@ struct IssuedRead {
 }
 
 /// Schedules a read at every currently-live node.
-fn read_everywhere(
-    sim: &mut Simulator<Replica>,
+fn read_everywhere<N: KvNode>(
+    sim: &mut Simulator<N>,
     n: usize,
     t: u64,
     seqs: &mut BTreeMap<ProcessId, u64>,
@@ -134,31 +191,20 @@ fn read_everywhere(
 
 /// The real-time witness: a served read observing write `i` is stale iff
 /// any later write had committed — anywhere — before the read was issued.
-fn assert_no_stale_reads(sim: &Simulator<Replica>, issued: &[IssuedRead]) {
+fn assert_no_stale_reads<N: KvNode>(sim: &Simulator<N>, issued: &[IssuedRead]) {
     let outputs = sim.outputs();
     let mut commit_at: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in outputs {
-        if let KvEvent::Applied {
-            client,
-            seq,
-            response: KvResponse::Applied { .. },
-            ..
-        } = &ev.output
-        {
-            if *client == WRITER {
-                let at = commit_at.entry(*seq).or_insert(ev.at.ticks());
-                *at = (*at).min(ev.at.ticks());
-            }
+        if let Some((WRITER, seq, KvResponse::Applied { .. })) = N::applied(&ev.output) {
+            let at = commit_at.entry(seq).or_insert(ev.at.ticks());
+            *at = (*at).min(ev.at.ticks());
         }
     }
     for read in issued {
-        let serve = outputs.iter().find_map(|ev| match &ev.output {
-            KvEvent::Applied {
-                client,
-                seq,
-                response: KvResponse::Value { value },
-                ..
-            } if ev.process == read.node && *client == read.client && *seq == read.seq => {
+        let serve = outputs.iter().find_map(|ev| match N::applied(&ev.output) {
+            Some((client, seq, KvResponse::Value { value }))
+                if ev.process == read.node && client == read.client && seq == read.seq =>
+            {
                 Some(index_of(value.as_deref()))
             }
             _ => None,
@@ -177,18 +223,24 @@ fn assert_no_stale_reads(sim: &Simulator<Replica>, issued: &[IssuedRead]) {
 }
 
 /// Replays the collected `LeaseAcquired` stream and asserts no two
-/// holders' windows ever overlap, independently of the watchdog.
+/// holders' windows on one shard ever overlap, independently of the
+/// watchdog.
 fn assert_no_lease_overlap(events: &[ProbeEvent], duration: u64) {
-    let mut windows: BTreeMap<ProcessId, Instant> = BTreeMap::new();
+    let mut windows: BTreeMap<(u32, ProcessId), Instant> = BTreeMap::new();
     for ev in events {
         if let ProbeEvent::LeaseAcquired {
-            node, at, until, ..
+            node,
+            at,
+            until,
+            shard,
+            ..
         } = ev
         {
-            for (holder, end) in &windows {
+            for ((on, holder), end) in &windows {
                 assert!(
-                    *holder == *node || *at >= *end,
-                    "{node} acquired at {at:?} while {holder}'s lease runs to {end:?}"
+                    on != shard || *holder == *node || *at >= *end,
+                    "{node} acquired shard {shard} at {at:?} while {holder}'s lease \
+                     runs to {end:?}"
                 );
             }
             // The serving window never extends a full duration past the
@@ -198,10 +250,60 @@ fn assert_no_lease_overlap(events: &[ProbeEvent], duration: u64) {
                 until.ticks() <= at.ticks() + duration,
                 "window too generous: acquired {at:?}, until {until:?}, duration {duration}"
             );
-            let end = windows.entry(*node).or_insert(*until);
+            let end = windows.entry((*shard, *node)).or_insert(*until);
             *end = (*end).max(*until);
         }
     }
+}
+
+/// The body of invariant 1: a write and reads everywhere under each
+/// `(pre, dead)` of `schedule` — the settled leader is killed `pre` ticks
+/// after the write, left dead for `dead` ticks, and recovered by `build`
+/// from its own storage. Returns the run and the reads it issued.
+fn run_kill_restart_schedule<N: KvNode>(
+    n: usize,
+    seed: u64,
+    schedule: &[(u64, u64)],
+    build: impl Fn(&Env) -> N,
+) -> (Simulator<N>, Vec<IssuedRead>) {
+    let mut sim = SimBuilder::new(n)
+        .record_outputs()
+        .seed(seed)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .build_with(&build);
+    let mut t = 3_000u64;
+    sim.run_until(Instant::from_ticks(t));
+    let mut wseq = 0u64;
+    let mut rseqs: BTreeMap<ProcessId, u64> = BTreeMap::new();
+    let mut issued: Vec<IssuedRead> = Vec::new();
+    for &(pre, dead) in schedule {
+        let leader = settle_leader(&mut sim, n, &mut t, 8_000);
+        wseq += 1;
+        sim.schedule_request(
+            Instant::from_ticks(t + 10),
+            leader,
+            Tagged {
+                client: WRITER,
+                seq: wseq,
+                cmd: KvCmd::put(KEY, value_of(wseq)),
+            },
+        );
+        read_everywhere(&mut sim, n, t + pre / 2, &mut rseqs, &mut issued);
+        t += pre;
+        sim.run_until(Instant::from_ticks(t));
+        let victim = settle_leader(&mut sim, n, &mut t, 8_000);
+        sim.kill(victim);
+        read_everywhere(&mut sim, n, t + dead / 2, &mut rseqs, &mut issued);
+        t += dead;
+        sim.run_until(Instant::from_ticks(t));
+        sim.restart(victim, build(&Env::new(victim, n)));
+        t += 2_500;
+        sim.run_until(Instant::from_ticks(t));
+        read_everywhere(&mut sim, n, t, &mut rseqs, &mut issued);
+    }
+    t += 3_000;
+    sim.run_until(Instant::from_ticks(t));
+    (sim, issued)
 }
 
 proptest! {
@@ -222,55 +324,60 @@ proptest! {
         let events = Arc::new(Mutex::new(Vec::new()));
         let watchdog = Watchdog::new(n, WatchdogConfig::default());
         let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-        let mut sim = SimBuilder::new(n).record_outputs()
-            .seed(seed)
-            .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-            .build_with(|env| {
-                ReplicatedLog::builder(env, params)
-                    .storage(stores[env.id().as_usize()].clone())
-                    .probe(watchdog.probe(Collect(Arc::clone(&events))))
-                    .build()
-                    .and_then(KvReplica::from_log)
-                    .expect("fresh in-memory store")
-            });
-        let mut t = 3_000u64;
-        sim.run_until(Instant::from_ticks(t));
-        let mut wseq = 0u64;
-        let mut rseqs: BTreeMap<ProcessId, u64> = BTreeMap::new();
-        let mut issued: Vec<IssuedRead> = Vec::new();
-        for (pre, dead) in schedule {
-            let leader = settle_leader(&mut sim, n, &mut t, 8_000);
-            wseq += 1;
-            sim.schedule_request(
-                Instant::from_ticks(t + 10),
-                leader,
-                Tagged { client: WRITER, seq: wseq, cmd: KvCmd::put(KEY, value_of(wseq)) },
-            );
-            read_everywhere(&mut sim, n, t + pre / 2, &mut rseqs, &mut issued);
-            t += pre;
-            sim.run_until(Instant::from_ticks(t));
-            let victim = settle_leader(&mut sim, n, &mut t, 8_000);
-            sim.kill(victim);
-            read_everywhere(&mut sim, n, t + dead / 2, &mut rseqs, &mut issued);
-            t += dead;
-            sim.run_until(Instant::from_ticks(t));
-            let env = Env::new(victim, n);
-            let recovered = ReplicatedLog::builder(&env, params)
-                .storage(stores[victim.as_usize()].clone())
+        let (sim, issued) = run_kill_restart_schedule(n, seed, &schedule, |env| {
+            ReplicatedLog::builder(env, params)
+                .storage(stores[env.id().as_usize()].clone())
                 .probe(watchdog.probe(Collect(Arc::clone(&events))))
                 .build()
                 .and_then(KvReplica::from_log)
-                .expect("recover from the victim's WAL");
-            sim.restart(victim, recovered);
-            t += 2_500;
-            sim.run_until(Instant::from_ticks(t));
-            read_everywhere(&mut sim, n, t, &mut rseqs, &mut issued);
-        }
-        t += 3_000;
-        sim.run_until(Instant::from_ticks(t));
-
+                .expect("in-memory store")
+        });
         prop_assert_eq!(watchdog.alarm_count(), 0, "watchdog alarms: {:?}", watchdog.alarms());
         assert_no_lease_overlap(&events.lock().expect("collector poisoned"), duration);
+        assert_no_stale_reads(&sim, &issued);
+    }
+
+    /// Invariant 1 on a sharded node at S = 2: each group recovers from its
+    /// own WAL segment and the shared Ω from its own, and no two lease
+    /// windows on one shard overlap although every node renews all its
+    /// groups' leases in one round.
+    #[test]
+    fn sharded_leases_never_overlap_under_kill_restart_schedules(
+        duration in 60u64..=200,
+        skew in 0u64..=8,
+        seed in any::<u64>(),
+        schedule in proptest::collection::vec((300u64..=1_500, 100u64..=1_200), 1..=2),
+    ) {
+        let (n, shards) = (3, 2);
+        let params = params_for(duration, skew);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let watchdog = Watchdog::new(n, WatchdogConfig::default());
+        let map = PlacementMap::uniform(shards, n);
+        let stores: Vec<(BTreeMap<ShardId, StorageHandle>, StorageHandle)> = (0..n)
+            .map(|_| {
+                let segments = map.shard_ids().map(|s| (s, StorageHandle::in_memory())).collect();
+                (segments, StorageHandle::in_memory())
+            })
+            .collect();
+        let (sim, issued) = run_kill_restart_schedule(n, seed, &schedule, |env| {
+            let (segments, omega) = &stores[env.id().as_usize()];
+            ShardedNode::builder(env, params, PlacementManager::with_all_attached(map.clone()))
+                .storage(segments, omega.clone())
+                .probe(watchdog.probe(Collect(Arc::clone(&events))))
+                .build()
+                .and_then(ShardedReplica::from_log)
+                .expect("in-memory segments")
+        });
+        prop_assert_eq!(watchdog.alarm_count(), 0, "watchdog alarms: {:?}", watchdog.alarms());
+        let events = events.lock().expect("collector poisoned");
+        for shard in 0..shards {
+            prop_assert!(
+                events.iter().any(|e| matches!(e, ProbeEvent::LeaseAcquired { shard: s, .. } if *s == shard)),
+                "shard {} never held a lease",
+                shard
+            );
+        }
+        assert_no_lease_overlap(&events, duration);
         assert_no_stale_reads(&sim, &issued);
     }
 

@@ -127,23 +127,22 @@ fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
     ]
 }
 
+/// `(shard, ballot, number)` lists: the per-group entries of Ω prefixes
+/// and of merged lease rounds.
+fn per_group() -> impl Strategy<Value = Vec<(ShardId, Ballot, u64)>> {
+    proptest::collection::vec((any::<u32>(), ballot(), any::<u64>()), 0..4)
+        .prop_map(|v| v.into_iter().map(|(s, b, c)| (ShardId(s), b, c)).collect())
+}
+
 fn shard_msg() -> impl Strategy<Value = ShardMsg<Tagged<KvCmd>>> {
     prop_oneof![
-        (
-            omega_msg(),
-            proptest::collection::vec((any::<u32>(), ballot(), any::<u64>()), 0..4),
-        )
-            .prop_map(|(m, prefixes)| ShardMsg::Omega(
-                m,
-                prefixes
-                    .into_iter()
-                    .map(|(s, b, c)| (ShardId(s), b, c))
-                    .collect()
-            )),
+        (omega_msg(), per_group()).prop_map(|(m, prefixes)| ShardMsg::Omega(m, prefixes)),
         (any::<u32>(), rsm_msg()).prop_map(|(s, msg)| ShardMsg::Rsm {
             shard: ShardId(s),
             msg
         }),
+        per_group().prop_map(ShardMsg::LeaseGrants),
+        per_group().prop_map(ShardMsg::LeaseAcks),
     ]
 }
 
