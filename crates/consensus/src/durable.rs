@@ -274,6 +274,26 @@ impl<V: Wire> Wire for RsmRecord<V> {
     }
 }
 
+impl<V: Wire> RsmRecord<V> {
+    /// Decodes one stored record. A `Chosen` record is its tag and its slot
+    /// followed by exactly its entry's encoding, which comes back too (empty
+    /// for every other record), so recovery can keep those bytes as they
+    /// are. The entry is decoded all the same: a record that does not
+    /// decode fails here, before any of its bytes are kept.
+    pub(crate) fn decode_stored(blob: &[u8]) -> Result<(Self, &[u8]), WireError> {
+        let rec = Self::from_bytes(blob)?;
+        let mut encoding: &[u8] = &[];
+        if let RsmRecord::Chosen { .. } = rec {
+            // Skip the tag and the slot.
+            let mut r = WireReader::new(blob);
+            r.u8()?;
+            r.varint()?;
+            encoding = &blob[blob.len() - r.remaining()..];
+        }
+        Ok((rec, encoding))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,6 +88,16 @@ impl<V> Entry<V> {
             Entry::Batch(vs) => vs.as_slice(),
         }
     }
+
+    /// [`Entry::commands`] by value.
+    pub(crate) fn into_commands(self) -> impl Iterator<Item = V> {
+        let (one, batch) = match self {
+            Entry::Noop => (None, Vec::new()),
+            Entry::Cmd(v) => (Some(v), Vec::new()),
+            Entry::Batch(vs) => (None, vs),
+        };
+        one.into_iter().chain(batch)
+    }
 }
 
 /// Messages of the [`ReplicatedLog`](crate::ReplicatedLog) (Multi-Paxos

@@ -18,8 +18,9 @@
 //!   chosen entry at the promised ballot (the rule and its safety argument:
 //!   [`crate::durable`], "Votes of chosen slots").
 //! * The chosen entries from the snapshot watermark to the emission cursor
-//!   are stored densely, one [`Entry`] per slot; only slots learned above a
-//!   gap wait in a map.
+//!   are kept as their wire encodings in one byte buffer: each is encoded
+//!   once, when the cursor reaches it, and decoded only when an old slot is
+//!   read. Only slots learned above a gap wait in a map as entries.
 //! * A newly `Led` leader re-proposes inherited entries, plugs the gaps left
 //!   by its predecessor with [`Entry::Noop`], then drains its pending command
 //!   queue into fresh slots.
@@ -270,7 +271,7 @@ struct IncomingSnapshot {
 ///     .request_at(Instant::from_ticks(600), ProcessId(0), 8u64)
 ///     .build_with(|env| ReplicatedLog::new(env, ConsensusParams::default()));
 /// sim.run_until(Instant::from_ticks(5_000));
-/// let committed: Vec<u64> = sim.node(ProcessId(1)).committed_commands().cloned().collect();
+/// let committed: Vec<u64> = sim.node(ProcessId(1)).committed_commands().collect();
 /// assert_eq!(committed, vec![7, 8]);
 /// ```
 #[derive(Debug, Clone)]
@@ -281,11 +282,10 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     // Acceptor state.
     promised: Ballot,
     accepted: BTreeMap<u64, (Ballot, Entry<V>)>,
-    // Learner state: chosen entries from the snapshot watermark on, and the
-    // emission cursor. Between handlers the cursor is the end of the
-    // chosen log's dense run.
+    // Learner state: chosen entries from the snapshot watermark on. Its
+    // cursor is the emission cursor; between handlers it is the end of the
+    // chosen log's contiguous run.
     chosen: ChosenLog<V>,
-    emitted_upto: u64,
     // Leader state.
     state: LeaderState<V>,
     highest_seen: Ballot,
@@ -478,7 +478,6 @@ where
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
             chosen: ChosenLog::new(),
-            emitted_upto: 0,
             state: LeaderState::Follower,
             highest_seen: Ballot::ZERO,
             pending: VecDeque::new(),
@@ -525,7 +524,7 @@ where
     /// record, and keeps the handle for persistence (see
     /// [`LogBuilder::storage`]).
     fn recover_wal(&mut self, storage: StorageHandle) -> Result<(), StorageError> {
-        let records: Vec<RsmRecord<V>> = storage.load_records()?;
+        let records = storage.load()?;
         self.probe.emit(ProbeEvent::WalRecover {
             node: self.me(),
             at: Instant::ZERO,
@@ -541,7 +540,8 @@ where
         let recovering = !records.is_empty();
         self.recovered = recovering;
         let mut omega_counter = 0u64;
-        for rec in records {
+        for blob in &records {
+            let (rec, encoding) = RsmRecord::decode_stored(blob)?;
             match rec {
                 RsmRecord::OmegaCounter(c) => omega_counter = omega_counter.max(c),
                 RsmRecord::Promised(b) => self.promised = self.promised.max(b),
@@ -555,7 +555,7 @@ where
                     }
                 }
                 RsmRecord::Chosen { slot, entry } => {
-                    self.chosen.insert(slot, entry);
+                    self.chosen.insert_encoded(slot, entry, encoding);
                     self.accepted.remove(&slot);
                 }
             }
@@ -563,7 +563,7 @@ where
         self.highest_seen = self.promised;
         // Quietly advance past the contiguous recovered prefix: those
         // Committed events were already emitted by the previous incarnation.
-        self.emitted_upto = self.chosen.end();
+        while self.chosen.emit().is_some() {}
         let boot_counter = if recovering {
             omega_counter.saturating_add(1)
         } else {
@@ -584,7 +584,7 @@ where
             self.apply_watermark(snap.watermark);
             // Quiet advance, as in WAL recovery: the pre-crash incarnation
             // already emitted everything contiguous above the watermark.
-            self.emitted_upto = self.chosen.end();
+            while self.chosen.emit().is_some() {}
             self.recovered_snapshot = Some(snap);
         }
         self.snapshots = Some(snapshots);
@@ -592,19 +592,16 @@ where
     }
 
     /// Floors the replica at `watermark`: drops acceptor/learner state below
-    /// it (all of it is chosen and covered by a snapshot) and advances the
-    /// emission cursor to at least the watermark. Emits nothing — callers on
-    /// the live path drain committed events themselves *after* announcing
-    /// the snapshot.
+    /// it (all of it is chosen and covered by a snapshot), which advances
+    /// the emission cursor to at least the watermark. Emits nothing —
+    /// callers on the live path drain committed events themselves *after*
+    /// announcing the snapshot.
     fn apply_watermark(&mut self, watermark: u64) {
         if watermark <= self.watermark() {
             return;
         }
         self.accepted = self.accepted.split_off(&watermark);
         self.chosen.truncate_front(watermark);
-        if self.emitted_upto < watermark {
-            self.emitted_upto = watermark;
-        }
     }
 
     /// The records that must survive a WAL rewrite at the current horizon:
@@ -623,10 +620,7 @@ where
             });
         }
         for (slot, entry) in self.chosen.iter_from(0) {
-            live.push(RsmRecord::Chosen {
-                slot,
-                entry: entry.clone(),
-            });
+            live.push(RsmRecord::Chosen { slot, entry });
         }
         live
     }
@@ -657,7 +651,7 @@ where
         let Some(snaps) = self.snapshots.clone() else {
             return Ok(false);
         };
-        let watermark = watermark.min(self.emitted_upto);
+        let watermark = watermark.min(self.chosen.cursor());
         if watermark <= self.watermark() {
             return Ok(false);
         }
@@ -865,7 +859,7 @@ where
 
     /// Number of contiguously committed slots.
     pub fn committed_len(&self) -> u64 {
-        self.emitted_upto
+        self.chosen.cursor()
     }
 
     /// Stamps lease/read probe events with `shard`. Sharded nodes call this
@@ -907,7 +901,7 @@ where
             return;
         }
         if self.lease_read_allowed(ctx.now()) {
-            let index = self.emitted_upto;
+            let index = self.chosen.cursor();
             ctx.output(RsmEvent::ReadIndexAt { req, index });
             return;
         }
@@ -933,7 +927,7 @@ where
     /// "Learning from the leader's prefix").
     pub(crate) fn advertised_prefix(&self) -> Option<(Ballot, u64)> {
         match self.state {
-            LeaderState::Led { b, .. } => Some((b, self.emitted_upto)),
+            LeaderState::Led { b, .. } => Some((b, self.chosen.cursor())),
             _ => None,
         }
     }
@@ -1044,7 +1038,7 @@ where
     }
 
     /// The chosen entry of `slot`, if this replica learned it.
-    pub fn chosen(&self, slot: u64) -> Option<&Entry<V>> {
+    pub fn chosen(&self, slot: u64) -> Option<Entry<V>> {
         self.chosen.get(slot)
     }
 
@@ -1058,17 +1052,17 @@ where
     /// All contiguously committed client commands in slot order (no-ops
     /// skipped; batched slots contribute each of their commands in batch
     /// order).
-    pub fn committed_commands(&self) -> impl Iterator<Item = &V> {
+    pub fn committed_commands(&self) -> impl Iterator<Item = V> + '_ {
         self.committed_commands_from(0)
     }
 
     /// Contiguously committed client commands from slot `from` on — the
     /// replay iterator for a replica rebuilding state on top of a snapshot
     /// (pass the snapshot's watermark; slots below it were compacted away).
-    pub fn committed_commands_from(&self, from: u64) -> impl Iterator<Item = &V> {
+    pub fn committed_commands_from(&self, from: u64) -> impl Iterator<Item = V> + '_ {
         self.chosen
-            .run_range(from, self.emitted_upto)
-            .flat_map(|(_, e)| e.commands().iter())
+            .run_range(from, self.chosen.cursor())
+            .flat_map(|(_, e)| e.into_commands())
     }
 
     /// Commands queued locally but not yet committed.
@@ -1096,10 +1090,7 @@ where
     /// their whole command vectors. The consistency check for batched runs
     /// compares these maps across replicas.
     pub fn chosen_entries(&self) -> BTreeMap<u64, Entry<V>> {
-        self.chosen
-            .iter_from(0)
-            .map(|(s, e)| (s, e.clone()))
-            .collect()
+        self.chosen.iter_from(0).collect()
     }
 
     fn me(&self) -> ProcessId {
@@ -1120,10 +1111,7 @@ where
             .accepted
             .range(from_slot..)
             .map(|(s, (ab, e))| (*s, *ab, e.clone()));
-        let chosen = self
-            .chosen
-            .iter_from(from_slot)
-            .map(|(s, e)| (s, b, e.clone()));
+        let chosen = self.chosen.iter_from(from_slot).map(|(s, e)| (s, b, e));
         votes.chain(chosen).collect()
     }
 
@@ -1207,7 +1195,7 @@ where
             return;
         }
         self.highest_seen = b;
-        let from_slot = self.emitted_upto;
+        let from_slot = self.chosen.cursor();
         // Self-promise, revealing our own suffix like any promiser.
         self.promised = b;
         let mut promised_by = vec![false; self.env.n()];
@@ -1218,7 +1206,7 @@ where
             .map(|(s, ab, e)| (s, (ab, e)))
             .collect();
         let mut low_slots = vec![0u64; self.env.n()];
-        low_slots[self.me().as_usize()] = self.emitted_upto;
+        low_slots[self.me().as_usize()] = self.chosen.cursor();
         self.state = LeaderState::Preparing {
             b,
             from_slot,
@@ -1288,7 +1276,7 @@ where
         let mut proposals: Vec<(u64, Entry<V>)> = Vec::new();
         let mut needs_catchup = false;
         for slot in from_slot..horizon {
-            if let Some(entry) = self.chosen.get(slot).cloned() {
+            if let Some(entry) = self.chosen.get(slot) {
                 announce.push((slot, entry));
             } else if let Some((_, entry)) = gathered.get(&slot).cloned() {
                 proposals.push((slot, entry));
@@ -1431,7 +1419,7 @@ where
             },
         );
         self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
-        let commit = self.emitted_upto;
+        let commit = self.chosen.cursor();
         ctx.broadcast(RsmMsg::Accept {
             b,
             slot,
@@ -1557,16 +1545,11 @@ where
     /// Emits `Committed` for every contiguously chosen slot at the emission
     /// cursor (one event per command; batches unfold in batch order).
     fn drain_committed(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
-        while self.emitted_upto < self.chosen.end() {
-            let slot = self.emitted_upto;
-            let entry = self
-                .chosen
-                .get(slot)
-                .expect("the run holds every slot below its end");
+        while let Some((slot, entry)) = self.chosen.emit() {
             // One Committed event *per command*: a batched slot unfolds into
             // its commands in batch order (same slot index repeated), so
             // downstream appliers never need to know batching exists.
-            match entry.clone() {
+            match entry {
                 Entry::Noop => ctx.output(RsmEvent::Committed { slot, cmd: None }),
                 Entry::Cmd(v) => ctx.output(RsmEvent::Committed { slot, cmd: Some(v) }),
                 Entry::Batch(vs) => {
@@ -1581,7 +1564,6 @@ where
                     }
                 }
             }
-            self.emitted_upto += 1;
         }
     }
 
@@ -1605,9 +1587,8 @@ where
         }
         let decides: Vec<(u64, Entry<V>)> = self
             .chosen
-            .run_range(low_slot, self.emitted_upto)
+            .run_range(low_slot, self.chosen.cursor())
             .take(CATCHUP_BURST as usize)
-            .map(|(s, e)| (s, e.clone()))
             .collect();
         for (slot, entry) in decides {
             ctx.send(peer, RsmMsg::Decide { slot, entry });
@@ -1746,7 +1727,7 @@ where
             return false;
         }
         self.known_frontier = self.known_frontier.max(watermark);
-        if watermark <= self.emitted_upto {
+        if watermark <= self.chosen.cursor() {
             ctx.send(
                 from,
                 RsmMsg::SnapshotAck {
@@ -1903,7 +1884,7 @@ where
     /// Asks `to` (every peer when `None`) for the catch-up window at our
     /// emission cursor.
     fn request_window(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, to: Option<ProcessId>) {
-        let low_slot = self.emitted_upto;
+        let low_slot = self.chosen.cursor();
         self.catchup_end = low_slot + CATCHUP_BURST;
         match to {
             Some(q) => ctx.send(q, RsmMsg::CatchUp { low_slot }),
@@ -1927,16 +1908,20 @@ where
         // tick, asks the believed leader (everyone, when it believes itself
         // the leader) for the window at its cursor. Windowed catch-up in
         // progress, and a quiet steady state, send nothing here.
-        let behind = self.chosen.last().is_some_and(|s| s >= self.emitted_upto)
-            || self.known_frontier > self.emitted_upto;
+        let behind = self
+            .chosen
+            .last()
+            .is_some_and(|s| s >= self.chosen.cursor())
+            || self.known_frontier > self.chosen.cursor();
         if behind
             && self.incoming_snap.is_none()
-            && (self.emitted_upto >= self.catchup_end || self.emitted_upto == self.cursor_at_tick)
+            && (self.chosen.cursor() >= self.catchup_end
+                || self.chosen.cursor() == self.cursor_at_tick)
         {
             let to = self.believed_leader().filter(|l| *l != self.me());
             self.request_window(ctx, to);
         }
-        self.cursor_at_tick = self.emitted_upto;
+        self.cursor_at_tick = self.chosen.cursor();
         if !self.believes_leadership() {
             if !matches!(self.state, LeaderState::Follower) {
                 self.abdicate(ctx.now());
@@ -1965,7 +1950,7 @@ where
             LeaderState::Led { b, srtt8, .. } => {
                 let (b, srtt8) = (*b, *srtt8);
                 let now = ctx.now();
-                let commit = self.emitted_upto;
+                let commit = self.chosen.cursor();
                 let others: Vec<ProcessId> = self.env.membership().others(self.me()).collect();
                 for (&slot, inf) in &mut self.inflight {
                     // Re-send only what is overdue: outstanding for more
@@ -2037,7 +2022,7 @@ where
                         RsmMsg::Promise {
                             b,
                             accepted: self.promise_suffix(b, from_slot),
-                            low_slot: self.emitted_upto,
+                            low_slot: self.chosen.cursor(),
                         },
                     );
                 } else {
@@ -2167,8 +2152,8 @@ where
                 // Paced catch-up: once the cursor passes the window and the
                 // frontier is still ahead, ask the peer that served it for
                 // the next one.
-                if self.emitted_upto >= self.catchup_end
-                    && self.known_frontier > self.emitted_upto
+                if self.chosen.cursor() >= self.catchup_end
+                    && self.known_frontier > self.chosen.cursor()
                     && self.incoming_snap.is_none()
                 {
                     self.request_window(ctx, Some(from));
@@ -2886,7 +2871,7 @@ mod tests {
             },
         );
         assert!(committed_slots(&fx).is_empty(), "slot 0 is still a gap");
-        assert_eq!(h.sm.chosen(1), Some(&Entry::Cmd(11)));
+        assert_eq!(h.sm.chosen(1), Some(Entry::Cmd(11)));
         assert_eq!(h.sm.chosen(0), None);
         assert_eq!(h.sm.committed_len(), 0);
         // The gap is pulled from the believed leader on the next tick.
@@ -2914,7 +2899,7 @@ mod tests {
         assert!(fx
             .outputs
             .contains(&RsmEvent::ReadIndexAt { req: 4, index: 2 }));
-        assert_eq!(h.sm.chosen(1), Some(&Entry::Cmd(11)));
+        assert_eq!(h.sm.chosen(1), Some(Entry::Cmd(11)));
         assert_eq!(
             h.sm.chosen(0),
             None,
@@ -3095,7 +3080,7 @@ mod tests {
             "a batch unfolds into per-command commits at its slot"
         );
         assert_eq!(
-            h.sm.committed_commands().copied().collect::<Vec<_>>(),
+            h.sm.committed_commands().collect::<Vec<_>>(),
             vec![10, 11, 12, 13]
         );
         assert_eq!(h.sm.committed_len(), 2, "two slots, four commands");
@@ -3180,13 +3165,10 @@ mod tests {
             .unwrap();
         assert_eq!(
             sm2.chosen(0),
-            Some(&Entry::Batch(vec![1, 2, 3])),
+            Some(Entry::Batch(vec![1, 2, 3])),
             "a chosen batch must survive the crash whole"
         );
-        assert_eq!(
-            sm2.committed_commands().copied().collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        assert_eq!(sm2.committed_commands().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -3245,7 +3227,7 @@ mod tests {
         assert_eq!(sm2.promised, b(2, 0), "promise must survive the crash");
         assert_eq!(
             sm2.chosen(0),
-            Some(&Entry::Cmd(5)),
+            Some(Entry::Cmd(5)),
             "chosen slot must survive the crash"
         );
         assert_eq!(
@@ -3363,7 +3345,6 @@ mod tests {
         );
         assert_eq!(
             sm2.committed_commands_from(sm2.watermark())
-                .copied()
                 .collect::<Vec<_>>(),
             vec![8, 9],
             "only the post-snapshot tail replays"
@@ -4604,7 +4585,7 @@ mod tests {
         assert!(sm.compact(2, vec![1]).unwrap());
         assert_dense(&sm, 2, 6);
         assert_eq!(
-            sm.committed_commands().copied().collect::<Vec<_>>(),
+            sm.committed_commands().collect::<Vec<_>>(),
             vec![2, 3, 4, 5]
         );
         // A snapshot installed above the run, at a slot already known.
@@ -4635,7 +4616,7 @@ mod tests {
             .collect();
         assert_eq!(committed, vec![9, 10], "emitted after the install");
         assert_eq!(sm.chosen(8), None);
-        assert_eq!(sm.chosen(12), Some(&Entry::Cmd(12)));
+        assert_eq!(sm.chosen(12), Some(Entry::Cmd(12)));
         deliver(&mut sm, decide(11));
         assert_dense(&sm, 9, 13);
     }
@@ -4650,7 +4631,7 @@ mod tests {
                 entry: Entry::Cmd(1),
             },
         );
-        assert_eq!(h.sm.chosen(u64::MAX - 1), Some(&Entry::Cmd(1)));
+        assert_eq!(h.sm.chosen(u64::MAX - 1), Some(Entry::Cmd(1)));
         assert_eq!((h.sm.chosen.base(), h.sm.chosen.end()), (0, 0));
         assert_eq!(h.sm.committed_len(), 0);
         h.deliver(

@@ -1452,7 +1452,6 @@ mod tests {
             sm2.group(ShardId(0))
                 .unwrap()
                 .committed_commands()
-                .copied()
                 .collect::<Vec<_>>(),
             vec![10],
             "group 0 recovers its own log"
@@ -1461,7 +1460,6 @@ mod tests {
             sm2.group(ShardId(1))
                 .unwrap()
                 .committed_commands()
-                .copied()
                 .collect::<Vec<_>>(),
             vec![20],
             "group 1 recovers its own log"

@@ -210,20 +210,12 @@ fn replicated_log_commits_a_stream_in_order_everywhere() {
     check_log_consistency(&logs).unwrap();
 
     // The leader's committed command stream is exactly the submission order.
-    let committed: Vec<u64> = sim
-        .node(ProcessId(0))
-        .committed_commands()
-        .cloned()
-        .collect();
+    let committed: Vec<u64> = sim.node(ProcessId(0)).committed_commands().collect();
     assert_eq!(committed, (0..20u64).map(|k| 1_000 + k).collect::<Vec<_>>());
 
     // And every replica converges to the same committed stream.
     for p in 1..n as u32 {
-        let stream: Vec<u64> = sim
-            .node(ProcessId(p))
-            .committed_commands()
-            .cloned()
-            .collect();
+        let stream: Vec<u64> = sim.node(ProcessId(p)).committed_commands().collect();
         assert_eq!(stream, committed, "replica p{p} diverged");
     }
 }
@@ -250,7 +242,7 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
         sim.schedule_request(Instant::from_ticks(5_100 + 100 * k), leader, k);
     }
     sim.run_until(Instant::from_ticks(20_000));
-    let before: Vec<u64> = sim.node(leader).committed_commands().cloned().collect();
+    let before: Vec<u64> = sim.node(leader).committed_commands().collect();
     assert_eq!(before, vec![0, 1, 2, 3, 4]);
 
     // Crash the leader; the survivors elect a new one and keep committing.
@@ -275,7 +267,7 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
         .map(|p| sim.node(ProcessId(p)).chosen_log())
         .collect();
     check_log_consistency(&logs).unwrap();
-    let stream: Vec<u64> = sim.node(new_leader).committed_commands().cloned().collect();
+    let stream: Vec<u64> = sim.node(new_leader).committed_commands().collect();
     // All pre-crash commits survive, in order, and the new ones follow
     // (no-op fillers are skipped by committed_commands).
     assert_eq!(stream, vec![0, 1, 2, 3, 4, 5, 6, 7]);
@@ -363,10 +355,7 @@ fn an_idle_follower_learns_the_last_command_from_the_leaders_heartbeat() {
     sim.run_until(chosen + Duration::from_ticks(heartbeat_reach()));
     for p in [ProcessId(1), ProcessId(2)] {
         assert_eq!(
-            sim.node(p)
-                .committed_commands()
-                .copied()
-                .collect::<Vec<_>>(),
+            sim.node(p).committed_commands().collect::<Vec<_>>(),
             vec![7],
             "{p} learns the last command within one heartbeat"
         );

@@ -63,8 +63,8 @@ fn run_outage(outage: u64) -> Outcome {
     let converged_after = sim.now().ticks() - restart_at;
     sim.run_until(Instant::from_ticks(load_end + 3_000));
 
-    let leader: Vec<u64> = sim.node(p0).committed_commands().copied().collect();
-    let laggard: Vec<u64> = sim.node(p2).committed_commands().copied().collect();
+    let leader: Vec<u64> = sim.node(p0).committed_commands().collect();
+    let laggard: Vec<u64> = sim.node(p2).committed_commands().collect();
     assert_eq!(leader.len() as u64, commands, "every command commits");
     assert_eq!(laggard, leader, "p2 ends at p0's log");
     Outcome {

@@ -41,7 +41,7 @@ fn materialized(sm: &Log) -> Vec<u64> {
         Some(snap) => Vec::<u64>::from_bytes(&snap.data).expect("snapshot body decodes"),
         None => Vec::new(),
     };
-    all.extend(sm.committed_commands_from(sm.watermark()).copied());
+    all.extend(sm.committed_commands_from(sm.watermark()));
     all
 }
 
@@ -99,7 +99,7 @@ proptest! {
             .storage(store_b)
             .build()
             .unwrap();
-        let from_full: Vec<u64> = full2.committed_commands().copied().collect();
+        let from_full: Vec<u64> = full2.committed_commands().collect();
         prop_assert_eq!(materialized(&a2), from_full, "replay equivalence");
         prop_assert_eq!(a2.committed_len(), full2.committed_len());
         prop_assert!(

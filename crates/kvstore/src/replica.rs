@@ -404,7 +404,7 @@ impl<L: LogPlane> ReplicatedKv<L> {
                 None => KvState::new(),
             };
             for cmd in group.committed_commands_from(group.watermark()) {
-                state.apply(cmd);
+                state.apply(&cmd);
             }
             let applied_upto = group.committed_len();
             shards.insert(

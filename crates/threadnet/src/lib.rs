@@ -16,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use std::time::Duration as StdDuration;
+//! use std::time::{Duration as StdDuration, Instant as StdInstant};
 //! use lls_primitives::ProcessId;
 //! use omega::{CommEffOmega, OmegaParams};
 //! use threadnet::{Cluster, NetConfig};
@@ -24,11 +24,22 @@
 //! let config = NetConfig {
 //!     n: 3,
 //!     loss: 0.05,
-//!     tick: StdDuration::from_micros(200),
+//!     tick: StdDuration::from_millis(2),
 //!     ..NetConfig::default()
 //! };
 //! let cluster = Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
-//! std::thread::sleep(StdDuration::from_millis(300));
+//! // Agreement is eventual: poll until all three have named one leader for
+//! // five polls in a row.
+//! let deadline = StdInstant::now() + StdDuration::from_secs(20);
+//! let (mut named, mut streak) = (None, 0);
+//! while streak < 5 {
+//!     std::thread::sleep(StdDuration::from_millis(50));
+//!     let latest = cluster.latest_outputs();
+//!     let agreed = latest[0].filter(|l| latest.iter().all(|v| *v == Some(*l)));
+//!     streak = if agreed.is_some() && agreed == named { streak + 1 } else { 0 };
+//!     named = agreed;
+//!     assert!(StdInstant::now() < deadline, "no agreement: {latest:?}");
+//! }
 //! let report = cluster.stop();
 //! // All three processes ended up trusting the same leader.
 //! let finals: Vec<ProcessId> = (0..3)

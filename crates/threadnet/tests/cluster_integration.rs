@@ -7,13 +7,17 @@ use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::{Cluster, NetConfig};
 
+/// 2 ms ticks: Ω's initial timeout (60 ms) then outlasts the scheduler
+/// stalls of a loaded 2-core host. At 200 µs ticks a 6 ms stall forged an
+/// accusation, which raised timeouts past a fixed wait or left a second
+/// sender in the tail.
 fn config(n: usize, loss: f64) -> NetConfig {
     NetConfig {
         n,
         loss,
         min_delay: StdDuration::from_micros(100),
         max_delay: StdDuration::from_micros(800),
-        tick: StdDuration::from_micros(200),
+        tick: StdDuration::from_millis(2),
         seed: 7,
     }
 }
@@ -65,7 +69,7 @@ fn cluster_elects_a_single_leader_under_loss() {
     });
     let leader = await_agreement(
         &cluster,
-        StdDuration::from_secs(10),
+        StdDuration::from_secs(20),
         StdDuration::from_millis(400),
     )
     .expect("no stable agreement under loss");
@@ -79,20 +83,11 @@ fn cluster_elects_a_single_leader_under_loss() {
 #[test]
 fn cluster_becomes_communication_efficient() {
     let n = 4;
-    // 2 ms ticks: Ω's initial timeout (60 ms) then outlasts the scheduler
-    // stalls of a loaded 2-core host. At 200 µs ticks a 6 ms stall forged an
-    // accusation, and with it a second sender in the tail.
-    let tick = StdDuration::from_millis(2);
-    let cluster = Cluster::spawn(
-        NetConfig {
-            tick,
-            ..config(n, 0.05)
-        },
-        |env| CommEffOmega::new(env, OmegaParams::default()),
-    );
+    let config = config(n, 0.05);
     // The property is eventual: wait for one window of 1,500 ticks in which
     // only one process sent anything.
-    let window = tick * 1_500;
+    let window = config.tick * 1_500;
+    let cluster = Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let deadline = StdInstant::now() + StdDuration::from_secs(20);
     let (mut start, mut at_start) = (StdInstant::now(), cluster.traffic_snapshot().0);
     let sender = loop {
@@ -121,17 +116,10 @@ fn cluster_becomes_communication_efficient() {
 fn crashed_leader_is_replaced_on_real_threads() {
     let n = 4;
     // Lossless, low-latency mesh: every process is effectively a source, so
-    // re-election is guaranteed even after the leader dies. 2 ms ticks, for
-    // the reason `cluster_becomes_communication_efficient` gives: spurious
-    // suspicions at 200 µs ticks raised the survivors' timeouts past a
-    // fixed wait.
-    let cluster = Cluster::spawn(
-        NetConfig {
-            tick: StdDuration::from_millis(2),
-            ..config(n, 0.0)
-        },
-        |env| CommEffOmega::new(env, OmegaParams::default()),
-    );
+    // re-election is guaranteed even after the leader dies.
+    let cluster = Cluster::spawn(config(n, 0.0), |env| {
+        CommEffOmega::new(env, OmegaParams::default())
+    });
     let dead = await_agreement(
         &cluster,
         StdDuration::from_secs(10),

@@ -8,6 +8,12 @@ use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
 
+/// 200 µs ticks on purpose: Ω's 6 ms initial timeout then expires before
+/// the first heartbeats cross the fresh connections, so the followers
+/// accuse and the leader receives frames too, which
+/// `three_processes_elect_one_leader_over_tcp` asserts. At 2 ms ticks the
+/// leader receives nothing. These tests wait by polling for agreement, not
+/// with a fixed sleep.
 fn config(n: usize, loss: f64) -> WireConfig {
     WireConfig {
         n,
@@ -142,18 +148,19 @@ fn severed_leader_triggers_reelection_and_reconnect() {
 #[test]
 fn queue_overflow_drops_oldest_but_cluster_stays_live() {
     let n = 2;
-    // Queues of 1 with heavy injected delay: almost every heartbeat is
-    // evicted by its successor, yet no handler ever blocks.
+    // Queues of 1 with injected delays of 2.5 to 5 heartbeat periods (η is
+    // 10 ticks): almost every heartbeat is evicted by its successor, yet no
+    // handler ever blocks.
     let cluster = WireCluster::spawn(
         WireConfig {
             n,
-            tick: StdDuration::from_micros(200),
+            tick: StdDuration::from_millis(2),
             queue_capacity: 1,
             backoff: BackoffConfig::default(),
             faults: Some(FaultConfig {
                 loss: 0.0,
-                min_delay: StdDuration::from_millis(5),
-                max_delay: StdDuration::from_millis(10),
+                min_delay: StdDuration::from_millis(50),
+                max_delay: StdDuration::from_millis(100),
                 seed: 3,
             }),
             record_outputs: false,

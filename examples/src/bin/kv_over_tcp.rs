@@ -2,10 +2,12 @@
 //! `KvReplica` state machine that runs in the simulator and on the thread
 //! mesh, here wired over localhost connections with the framed wire codec.
 //!
-//! Three replicas elect a leader, a client aims tagged commands at it, and
-//! every replica applies the committed log in order — the example asserts
-//! that all three observed the *identical* applied sequence, then prints
-//! the socket-level traffic that carried it.
+//! Three replicas elect a leader, a client aims tagged commands at it (and
+//! re-aims any command not yet applied at whichever replica leads now),
+//! and every replica applies the committed log in order — the example
+//! asserts that all three observed the *identical* applied sequence and
+//! that each command took effect exactly once, then prints the
+//! socket-level traffic that carried it.
 //!
 //! The run is observable while it happens: every replica feeds a flight
 //! recorder, and a scrape endpoint serves `/metrics`, `/flight`, and
@@ -19,10 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{ConsensusParams, ReplicatedLog};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, Tagged};
+use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe};
 use lls_primitives::ProcessId;
-use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
+use wirenet::{scrape, OutputCursor, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
 
 type Replica = KvReplica<RecordingProbe>;
 
@@ -54,16 +56,94 @@ fn await_leader(cluster: &WireCluster<Replica>, timeout: StdDuration) -> Process
     }
 }
 
-/// Polls until every replica's latest output is an `Applied` with the final
-/// client sequence number. Panics after `timeout`.
-fn await_applied(cluster: &WireCluster<Replica>, last_seq: u64, timeout: StdDuration) {
+/// What the replicas have output so far, read through one cursor.
+struct Observed {
+    cursor: OutputCursor,
+    /// The leader each replica last named.
+    leaders: Vec<Option<ProcessId>>,
+    /// The client sequence numbers each replica applied, in slot order.
+    applied: Vec<Vec<u64>>,
+}
+
+impl Observed {
+    fn new(n: usize) -> Self {
+        Observed {
+            cursor: OutputCursor::default(),
+            leaders: vec![None; n],
+            applied: vec![Vec::new(); n],
+        }
+    }
+
+    fn poll(&mut self, cluster: &WireCluster<Replica>) {
+        for t in cluster.outputs_since(&mut self.cursor) {
+            let p = t.process.as_usize();
+            match t.output {
+                KvEvent::Leader(l) => self.leaders[p] = Some(l),
+                KvEvent::Applied { seq, .. } => self.applied[p].push(seq),
+                KvEvent::SnapshotInstalled { .. } => {}
+            }
+        }
+    }
+
+    /// A replica that names itself leader, if one does.
+    fn self_named_leader(&self) -> Option<ProcessId> {
+        (0..self.leaders.len() as u32)
+            .map(ProcessId)
+            .find(|p| self.leaders[p.as_usize()] == Some(*p))
+    }
+}
+
+/// Submits `cmd` to the replica that names itself leader, and re-submits
+/// it every 200 ms to whichever replica then does, until some replica
+/// applies it. A leader can move after the stability wait, and a replica
+/// that lost leadership never proposes what it queued; the session tag
+/// keeps a re-submission exactly-once (a second copy that commits is
+/// answered `Duplicate`). Panics after `timeout`.
+fn submit_until_applied(
+    cluster: &WireCluster<Replica>,
+    seen: &mut Observed,
+    cmd: &Tagged<KvCmd>,
+    timeout: StdDuration,
+) {
+    let deadline = StdInstant::now() + timeout;
+    let marks: Vec<usize> = seen.applied.iter().map(Vec::len).collect();
+    let mut resend_at = StdInstant::now();
+    loop {
+        seen.poll(cluster);
+        let applied = seen
+            .applied
+            .iter()
+            .zip(&marks)
+            .any(|(log, &mark)| log[mark..].contains(&cmd.seq));
+        if applied {
+            return;
+        }
+        if StdInstant::now() >= resend_at {
+            if let Some(leader) = seen.self_named_leader() {
+                cluster.request(leader, cmd.clone());
+                resend_at = StdInstant::now() + StdDuration::from_millis(200);
+            }
+        }
+        assert!(
+            StdInstant::now() < deadline,
+            "seq {} was never applied",
+            cmd.seq
+        );
+        std::thread::sleep(StdDuration::from_millis(10));
+    }
+}
+
+/// Polls until all replicas have applied the same number of slots.
+/// Panics after `timeout`.
+fn await_applied_everywhere(
+    cluster: &WireCluster<Replica>,
+    seen: &mut Observed,
+    timeout: StdDuration,
+) {
     let deadline = StdInstant::now() + timeout;
     loop {
-        let done = cluster
-            .latest_outputs()
-            .iter()
-            .all(|o| matches!(o, Some(KvEvent::Applied { seq, .. }) if *seq == last_seq));
-        if done {
+        seen.poll(cluster);
+        if seen.applied.windows(2).all(|w| w[0].len() == w[1].len()) {
             return;
         }
         assert!(
@@ -105,7 +185,7 @@ fn main() {
     let cluster = WireCluster::try_spawn_traced(
         WireConfig {
             n,
-            tick: StdDuration::from_micros(200),
+            tick: StdDuration::from_millis(2),
             record_outputs: true,
             ..WireConfig::default()
         },
@@ -143,19 +223,16 @@ fn main() {
         (2, KvCmd::put("bob", "20")),            // retry of seq 2 → Duplicate
         (5, KvCmd::delete("alice")),
     ];
-    let last_seq = 5;
+    let mut seen = Observed::new(n);
     for (seq, cmd) in &workload {
-        cluster.request(
-            leader,
-            Tagged {
-                client,
-                seq: *seq,
-                cmd: cmd.clone(),
-            },
-        );
-        std::thread::sleep(StdDuration::from_millis(30));
+        let cmd = Tagged {
+            client,
+            seq: *seq,
+            cmd: cmd.clone(),
+        };
+        submit_until_applied(&cluster, &mut seen, &cmd, StdDuration::from_secs(10));
     }
-    await_applied(&cluster, last_seq, StdDuration::from_secs(10));
+    await_applied_everywhere(&cluster, &mut seen, StdDuration::from_secs(10));
 
     // Scrape our own endpoint while the cluster is still live — the same
     // view Prometheus (or curl) would get.
@@ -172,7 +249,7 @@ fn main() {
     server.stop();
 
     // Every replica must have applied the identical sequence.
-    let applied_of = |p: ProcessId| -> Vec<(u64, ClientId, u64, kvstore::KvResponse)> {
+    let applied_of = |p: ProcessId| -> Vec<(u64, ClientId, u64, KvResponse)> {
         report
             .outputs()
             .iter()
@@ -194,6 +271,15 @@ fn main() {
     }
     let logs: Vec<_> = (0..n as u32).map(|p| applied_of(ProcessId(p))).collect();
     assert!(logs.windows(2).all(|w| w[0] == w[1]), "replicas diverged!");
+    // Exactly once: each command took effect in one slot; every other copy
+    // of it (the deliberate retry, or a re-submission) was a duplicate.
+    for seq in 1..=5 {
+        let effective = logs[0]
+            .iter()
+            .filter(|(_, _, s, r)| *s == seq && *r != KvResponse::Duplicate)
+            .count();
+        assert_eq!(effective, 1, "seq {seq} took effect {effective} times");
+    }
 
     println!("\n=== socket traffic ===");
     for p in (0..n as u32).map(ProcessId) {

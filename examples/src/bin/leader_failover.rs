@@ -33,11 +33,7 @@ fn main() {
         sim.schedule_request(Instant::from_ticks(8_100 + 200 * k), first_leader, k);
     }
     sim.run_until(Instant::from_ticks(20_000));
-    let committed: Vec<u64> = sim
-        .node(first_leader)
-        .committed_commands()
-        .cloned()
-        .collect();
+    let committed: Vec<u64> = sim.node(first_leader).committed_commands().collect();
     println!("committed before crash: {committed:?}");
 
     // Phase 2: kill the leader.
@@ -67,11 +63,7 @@ fn main() {
         }
     }
 
-    let final_log: Vec<u64> = sim
-        .node(second_leader)
-        .committed_commands()
-        .cloned()
-        .collect();
+    let final_log: Vec<u64> = sim.node(second_leader).committed_commands().collect();
     println!("\nfinal committed stream at {second_leader}: {final_log:?}");
     assert_eq!(
         final_log,

@@ -107,7 +107,7 @@ fn main() {
     println!("\n=== materialized stores ===");
     let mut stores = Vec::new();
     for p in (0..n as u32).map(ProcessId) {
-        let store = materialize(sim.node(p).committed_commands().cloned());
+        let store = materialize(sim.node(p).committed_commands());
         println!("  {p}: {store:?}");
         stores.push(store);
     }

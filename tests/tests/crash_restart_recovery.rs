@@ -289,7 +289,6 @@ fn committed(sm: &ShardedNode<u64>, shard: u32) -> Vec<u64> {
     sm.group(ShardId(shard))
         .expect("attached")
         .committed_commands()
-        .copied()
         .collect()
 }
 
