@@ -32,46 +32,65 @@
 //! violations, so they gate the campaign (and CI) exactly like the post-hoc
 //! checkers.
 
-use std::time::{Duration as StdDuration, Instant as StdInstant};
-
 use std::sync::Arc;
 
 use consensus::checker::{check_consensus_safety, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams};
-use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
-use lls_primitives::runtime::{OutputCursor, TimedOutput};
-use lls_primitives::{Env, Instant, ProcessId, StorageHandle};
+use lls_obs::{NodeRecorders, Probe, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_primitives::runtime::Cluster;
+use lls_primitives::{Env, Instant, LamportClock, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 use omega::spec::{stabilization, LeaderRecord};
 use omega::{CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
+use wirenet::WireCluster;
 
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
-/// splitmix64: all per-scenario schedule choices derive from this, so the
-/// campaign is a pure function of its seeds.
-fn mix(mut x: u64) -> u64 {
+/// splitmix64: all per-scenario schedule choices derive from this, so a
+/// campaign (E16's, E21's) is a pure function of its seeds.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-/// Per-configuration tally of a chaos campaign slice.
+/// Per-configuration tally of a chaos campaign slice (E16's, E21's).
 #[derive(Debug, Default, Clone, Copy)]
-struct Tally {
-    scenarios: usize,
-    kills: usize,
-    checks: usize,
-    violations: usize,
-    successes: usize,
+pub(crate) struct Tally {
+    pub(crate) scenarios: usize,
+    pub(crate) kills: usize,
+    /// Restarts from an empty disk (E21).
+    pub(crate) wipes: usize,
+    /// Snapshot installs observed (E21).
+    pub(crate) installs: u64,
+    pub(crate) checks: usize,
+    pub(crate) violations: usize,
+    pub(crate) successes: usize,
+}
+
+impl Tally {
+    /// Counts one checked invariant; a failed one is a violation, reported
+    /// on stderr with `dump()`. Returns `passed`.
+    pub(crate) fn check(&mut self, passed: bool, dump: impl FnOnce() -> String) -> bool {
+        self.checks += 1;
+        if !passed {
+            self.violations += 1;
+            eprintln!("{}", dump());
+        }
+        passed
+    }
 }
 
 /// The post-mortem artifact: the flight-recorder contents of the nodes
-/// implicated in a checker violation, oldest event first. E16 prints this
-/// to stderr the moment a checker trips.
-fn violation_dump(context: &str, recorders: &NodeRecorders, nodes: &[ProcessId]) -> String {
+/// implicated in a checker violation, oldest event first. E16 and E21 print
+/// this to stderr the moment a checker trips.
+pub(crate) fn violation_dump(
+    context: &str,
+    recorders: &NodeRecorders,
+    nodes: &[ProcessId],
+) -> String {
     let mut out = format!("CHECKER VIOLATION ({context}) — flight-recorder post-mortem:\n");
     for &p in nodes {
         out.push_str(&recorders.dump(p));
@@ -79,22 +98,20 @@ fn violation_dump(context: &str, recorders: &NodeRecorders, nodes: &[ProcessId])
     out
 }
 
-/// Counts the watchdog's alarms raised since `seen` into the tally as one
-/// checked invariant, printing each alarm (its captured flight dump
-/// included) to stderr. Returns the new alarm count.
-fn gate_on_watchdog(context: &str, watchdog: &Watchdog, seen: usize, tally: &mut Tally) -> usize {
+/// Counts "the watchdog raised no alarm" into the tally as one checked
+/// invariant, printing each alarm (its captured flight dump included) to
+/// stderr.
+pub(crate) fn gate_on_watchdog(context: &str, watchdog: &Watchdog, tally: &mut Tally) {
     let alarms = watchdog.alarms();
-    tally.checks += 1;
-    if alarms.len() > seen {
-        tally.violations += 1;
-        for alarm in &alarms[seen..] {
-            eprintln!(
+    tally.check(alarms.is_empty(), || {
+        let dumps = alarms.iter().map(|alarm| {
+            format!(
                 "WATCHDOG ALARM ({context}) {:?} on {}: {}\n{}",
                 alarm.kind, alarm.node, alarm.detail, alarm.dump
-            );
-        }
-    }
-    alarms.len()
+            )
+        });
+        dumps.collect::<Vec<_>>().join("\n")
+    });
 }
 
 fn omega_records<P: Probe>(sim: &Simulator<CommEffOmega<P>>) -> Vec<LeaderRecord> {
@@ -180,19 +197,16 @@ fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
         now += 6_000 + mix(seed ^ cycle) % 2_000;
         sim.run_until(Instant::from_ticks(now));
         // Survivors must have stabilized on a live leader.
-        tally.checks += 1;
-        if stabilization(&omega_records(&sim), &alive_set(&sim, n)).is_none() {
-            tally.violations += 1;
-            stabilized = false;
-            eprintln!(
-                "{}",
+        stabilized &= tally.check(
+            stabilization(&omega_records(&sim), &alive_set(&sim, n)).is_some(),
+            || {
                 violation_dump(
                     "netsim/omega post-kill stabilization",
                     &recorders,
-                    &[victim]
+                    &[victim],
                 )
-            );
-        }
+            },
+        );
         let env = Env::new(victim, n);
         let recovered = CommEffOmega::with_storage_and_probe(
             &env,
@@ -205,19 +219,16 @@ fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
         now += 10_000;
         sim.run_until(Instant::from_ticks(now));
         // After the recovery, the full membership must re-stabilize.
-        tally.checks += 1;
-        if stabilization(&omega_records(&sim), &alive_set(&sim, n)).is_none() {
-            tally.violations += 1;
-            stabilized = false;
-            eprintln!(
-                "{}",
+        stabilized &= tally.check(
+            stabilization(&omega_records(&sim), &alive_set(&sim, n)).is_some(),
+            || {
                 violation_dump(
                     "netsim/omega post-restart stabilization",
                     &recorders,
-                    &[victim]
+                    &[victim],
                 )
-            );
-        }
+            },
+        );
     }
     // Armed steady tail: after the last recovery the watchdog's full
     // steady-state invariants (no flaps, flat accusation counters) must
@@ -226,7 +237,7 @@ fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
     // is deterministic, so this gate is reproducible seed-for-seed.
     watchdog.arm();
     sim.run_until(Instant::from_ticks(now + 2_000));
-    gate_on_watchdog("netsim/omega armed tail", &watchdog, 0, tally);
+    gate_on_watchdog("netsim/omega armed tail", &watchdog, tally);
     watchdog.disarm();
     if stabilized {
         tally.successes += 1;
@@ -284,15 +295,10 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         tally.kills += 1;
         now += 4_000;
         sim.run_until(Instant::from_ticks(now));
-        tally.checks += 1;
-        if check_consensus_safety(&consensus_decisions(&sim), &proposals).is_err() {
-            tally.violations += 1;
-            safe = false;
-            eprintln!(
-                "{}",
-                violation_dump("netsim/consensus post-kill safety", &recorders, &[victim])
-            );
-        }
+        safe &= tally.check(
+            check_consensus_safety(&consensus_decisions(&sim), &proposals).is_ok(),
+            || violation_dump("netsim/consensus post-kill safety", &recorders, &[victim]),
+        );
         let env = Env::new(victim, n);
         let recovered = Consensus::with_storage_and_probe(
             &env,
@@ -305,22 +311,19 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         sim.restart(victim, recovered);
         now += 10_000;
         sim.run_until(Instant::from_ticks(now));
-        tally.checks += 1;
-        if check_consensus_safety(&consensus_decisions(&sim), &proposals).is_err() {
-            tally.violations += 1;
-            safe = false;
-            eprintln!(
-                "{}",
+        safe &= tally.check(
+            check_consensus_safety(&consensus_decisions(&sim), &proposals).is_ok(),
+            || {
                 violation_dump(
                     "netsim/consensus post-restart safety",
                     &recorders,
-                    &[victim]
+                    &[victim],
                 )
-            );
-        }
+            },
+        );
     }
     // The always-on monotonicity invariant must have held throughout.
-    gate_on_watchdog("netsim/consensus monotonicity", &watchdog, 0, tally);
+    gate_on_watchdog("netsim/consensus monotonicity", &watchdog, tally);
     // Liveness across the chaos: every process (restarted ones included)
     // decided at some point.
     let ds = consensus_decisions(&sim);
@@ -330,227 +333,52 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
     }
 }
 
-/// Polls `latest` until the members' outputs are unanimous and stay so for
-/// 150 ms, or `timeout` elapses.
-pub(crate) fn await_unanimity(
-    latest: impl Fn() -> Vec<Option<ProcessId>>,
-    members: &[ProcessId],
-    timeout: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let outs = latest();
-        let views: Vec<Option<ProcessId>> = members.iter().map(|p| outs[p.as_usize()]).collect();
-        let unanimous = views
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| views.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= StdDuration::from_millis(150) {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
+/// The Ω machine of a chaos scenario: durable state in an in-memory store,
+/// probes into the flight recorders through the watchdog.
+type ChaosOmega = CommEffOmega<WatchdogProbe<RecordingProbe>>;
 
-/// Polls a wall-clock cluster's recorded outputs, reading each once through
-/// `outputs_since`, until `leader` has emitted `target` outputs matching
-/// `counts`, or 30 s pass.
-pub(crate) fn await_leader_outputs<O>(
-    outputs_since: impl Fn(&mut OutputCursor) -> Vec<TimedOutput<O>>,
-    leader: ProcessId,
-    target: u64,
-    counts: impl Fn(&O) -> bool,
+/// One Ω kill/restart cycle on a wall-clock substrate, under injected loss
+/// and delay: the elected leader is killed, then restarted from its store.
+/// On wirenet its listener and sockets are torn down and re-bound, so the
+/// survivors' reconnect path runs from the accepting side. `spawn` starts
+/// the cluster on the recorders' clocks, each process built by `make`.
+fn wall_scenario<C: Cluster<Sm = ChaosOmega>>(
+    substrate: &str,
+    n: usize,
+    tally: &mut Tally,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> ChaosOmega) -> C,
 ) {
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    let mut cursor = OutputCursor::default();
-    let mut done = 0;
-    loop {
-        done += outputs_since(&mut cursor)
-            .iter()
-            .filter(|o| o.process == leader && counts(&o.output))
-            .count() as u64;
-        if done >= target || StdInstant::now() > deadline {
-            return;
-        }
-        std::thread::sleep(StdDuration::from_millis(1));
-    }
-}
-
-/// One Ω kill/restart cycle on the thread mesh (wall clock, injected loss
-/// and delay).
-fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = NetConfig {
-        n,
-        loss: 0.02,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_millis(1),
-        seed,
+    let make = |env: &Env| {
+        let store = stores[env.id().as_usize()].clone();
+        let probe = watchdog.probe(recorders.probe_for(env.id()));
+        CommEffOmega::with_storage_and_probe(env, OmegaParams::default(), store, probe)
+            .expect("open the in-memory store")
     };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        CommEffOmega::with_storage_and_probe(
-            env,
-            OmegaParams::default(),
-            stores[env.id().as_usize()].clone(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
-        .expect("fresh in-memory store")
-    });
+    let mut cluster = spawn(recorders.clocks(), &make);
     tally.scenarios += 1;
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let mut ok = true;
-
-    tally.checks += 1;
-    let leader = await_unanimity(|| cluster.latest_outputs(), &all, timeout);
-    if leader.is_none() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("threadnet initial unanimity", &recorders, &all)
-        );
-    }
+    let dump = |context: &str, nodes: &[ProcessId]| {
+        violation_dump(&format!("{substrate} {context}"), &recorders, nodes)
+    };
+    let all = all(n);
+    let leader = stable_leader(&cluster, &all, |l| Some(*l));
+    let mut ok = tally.check(leader.is_some(), || dump("initial unanimity", &all));
     let victim = leader.unwrap_or(ProcessId(0));
     cluster.kill(victim);
     tally.kills += 1;
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    tally.checks += 1;
-    if await_unanimity(|| cluster.latest_outputs(), &survivors, timeout).is_none() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("threadnet post-kill unanimity", &recorders, &[victim])
-        );
-    }
-    let env = Env::new(victim, n);
-    let recovered = CommEffOmega::with_storage_and_probe(
-        &env,
-        OmegaParams::default(),
-        stores[victim.as_usize()].clone(),
-        watchdog.probe(recorders.probe_for(victim)),
-    )
-    .expect("recover from the victim's log");
-    cluster.restart(victim, recovered);
-    tally.checks += 1;
-    if await_unanimity(|| cluster.latest_outputs(), &all, timeout).is_none() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("threadnet post-restart unanimity", &recorders, &[victim])
-        );
-    }
+    let agreed = stable_leader(&cluster, &survivors, |l| Some(*l)).is_some();
+    ok &= tally.check(agreed, || dump("post-kill unanimity", &[victim]));
+    cluster.restart(victim, make(&Env::new(victim, n)));
+    let agreed = stable_leader(&cluster, &all, |l| Some(*l)).is_some();
+    ok &= tally.check(agreed, || dump("post-restart unanimity", &[victim]));
     cluster.stop();
     // Wall-clock runs keep the watchdog disarmed (steady windows are not
     // deterministic here), but the always-on counter-monotonicity invariant
     // gates the scenario.
-    gate_on_watchdog("threadnet monotonicity", &watchdog, 0, tally);
-    if ok {
-        tally.successes += 1;
-    }
-}
-
-/// One Ω kill/restart cycle over real TCP: the victim's listener and
-/// sockets are torn down, then re-bound, so the survivors' reconnect path
-/// is exercised from the accepting side.
-fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
-    let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: Some(FaultConfig {
-            loss: 0.02,
-            min_delay: StdDuration::from_micros(100),
-            max_delay: StdDuration::from_micros(900),
-            seed,
-        }),
-        ..WireConfig::default()
-    };
-    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        CommEffOmega::with_storage_and_probe(
-            env,
-            OmegaParams::default(),
-            stores[env.id().as_usize()].clone(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
-        .expect("fresh in-memory store")
-    })
-    .expect("bind 127.0.0.1 listeners");
-    tally.scenarios += 1;
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let mut ok = true;
-
-    tally.checks += 1;
-    let leader = await_unanimity(|| cluster.latest_outputs(), &all, timeout);
-    if leader.is_none() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("wirenet initial unanimity", &recorders, &all)
-        );
-    }
-    let victim = leader.unwrap_or(ProcessId(0));
-    cluster.kill(victim);
-    tally.kills += 1;
-    let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    tally.checks += 1;
-    if await_unanimity(|| cluster.latest_outputs(), &survivors, timeout).is_none() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("wirenet post-kill unanimity", &recorders, &[victim])
-        );
-    }
-    let env = Env::new(victim, n);
-    let recovered = CommEffOmega::with_storage_and_probe(
-        &env,
-        OmegaParams::default(),
-        stores[victim.as_usize()].clone(),
-        watchdog.probe(recorders.probe_for(victim)),
-    )
-    .expect("recover from the victim's log");
-    if cluster.restart(victim, recovered).is_err() {
-        tally.violations += 1;
-        ok = false;
-        eprintln!(
-            "{}",
-            violation_dump("wirenet restart rebind", &recorders, &[victim])
-        );
-    } else {
-        tally.checks += 1;
-        if await_unanimity(|| cluster.latest_outputs(), &all, timeout).is_none() {
-            tally.violations += 1;
-            ok = false;
-            eprintln!(
-                "{}",
-                violation_dump("wirenet post-restart unanimity", &recorders, &[victim])
-            );
-        }
-    }
-    cluster.stop();
-    gate_on_watchdog("wirenet monotonicity", &watchdog, 0, tally);
+    gate_on_watchdog(&format!("{substrate} monotonicity"), &watchdog, tally);
     if ok {
         tally.successes += 1;
     }
@@ -617,7 +445,9 @@ pub fn e16_chaos(seeds_per_config: u64, sizes: &[usize], wall_seeds: u64) -> (Ta
     let wall_n = sizes.first().copied().unwrap_or(3);
     let mut tally = Tally::default();
     for seed in 0..wall_seeds {
-        threadnet_scenario(wall_n, seed, &mut tally);
+        wall_scenario("threadnet", wall_n, &mut tally, |clocks, make| {
+            threadnet::Cluster::spawn_traced(thread_config(wall_n, 0.02, 900, seed), clocks, make)
+        });
     }
     add(
         &mut t,
@@ -628,7 +458,10 @@ pub fn e16_chaos(seeds_per_config: u64, sizes: &[usize], wall_seeds: u64) -> (Ta
     );
     let mut tally = Tally::default();
     for seed in 0..wall_seeds {
-        wirenet_scenario(wall_n, seed, &mut tally);
+        wall_scenario("wirenet", wall_n, &mut tally, |clocks, make| {
+            WireCluster::try_spawn_traced(wire_config(wall_n, 0.02, seed), clocks, make)
+                .expect("bind 127.0.0.1 listeners")
+        });
     }
     add(&mut t, "wirenet/omega", wall_n.to_string(), tally, "agreed");
     tally_row(&mut t, "TOTAL", "-".into(), total, "ok");

@@ -45,17 +45,16 @@ use kvstore::{
 };
 use lls_obs::{
     attribute, fold_into_registry, reconstruct_paths, Attribution, CmdPath, NodeRecorders,
-    NoopProbe, Probe, Registry, TimelineSampler,
+    NoopProbe, Probe, RecordingProbe, Registry, TimelineSampler,
 };
-use lls_primitives::runtime::OutputCursor;
-use lls_primitives::{Duration, Instant, ProcessId, StorageHandle};
+use lls_primitives::runtime::{Cluster, OutputCursor, TimedOutput};
+use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{scrape, BackoffConfig, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
+use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
 
-use crate::e_chaos::await_unanimity;
 use crate::json::JsonValue;
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
 /// The `(max_batch, pipeline_depth, shards)` grid. The sharded
 /// configuration runs on netsim only (the wall substrates reuse E20 for
@@ -441,17 +440,6 @@ fn netsim_sharded_run(
     )
 }
 
-/// Leader view for [`await_unanimity`] over a kv cluster's latest outputs.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Maps a wall-clock instant into the cluster's tick domain — the same
 /// `(now - epoch) / tick` formula every node applies, so client-side probe
 /// events land on the replicas' timeline.
@@ -464,7 +452,7 @@ fn to_ticks(epoch: StdInstant, tick: StdDuration, at: StdInstant) -> u64 {
 /// `Reply` stage at that tick), and returns the harness's unquantized
 /// end-to-end measurements in fractional ticks.
 fn settle_wall_outputs<P: Probe>(
-    outputs: &[(ProcessId, StdDuration, KvEvent)],
+    outputs: &[TimedOutput<KvEvent>],
     leader: ProcessId,
     tick: StdDuration,
     submit_wall: &BTreeMap<u64, StdDuration>,
@@ -472,19 +460,16 @@ fn settle_wall_outputs<P: Probe>(
 ) -> (BTreeMap<u64, f64>, BTreeMap<u64, f64>) {
     let tick_nanos = tick.as_nanos().max(1);
     let mut applied: BTreeMap<u64, (StdDuration, KvResponse)> = BTreeMap::new();
-    for (p, at, ev) in outputs {
-        if *p != leader {
-            continue;
-        }
+    for t in outputs.iter().filter(|t| t.process == leader) {
         if let KvEvent::Applied {
             client,
             seq,
             response,
             ..
-        } = ev
+        } = &t.output
         {
             if *client == CLIENT {
-                applied.entry(*seq).or_insert((*at, response.clone()));
+                applied.entry(*seq).or_insert((t.at, response.clone()));
             }
         }
     }
@@ -503,97 +488,6 @@ fn settle_wall_outputs<P: Probe>(
     (submit_at, reply_at)
 }
 
-/// Thread-mesh run: burst the commands at the elected leader, poll the
-/// recorded outputs, sample the timeline while polling, then settle and
-/// attribute from the stopped report.
-fn threadnet_run(
-    n: usize,
-    commands: u64,
-    max_batch: usize,
-    depth: usize,
-    seed: u64,
-    registry: &Registry,
-    sampler: &mut TimelineSampler,
-) -> LatencyRow {
-    let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
-    let p = params(max_batch, depth);
-    let rec = Arc::clone(&recorders);
-    let cluster = Cluster::spawn(config, move |env| {
-        ReplicatedLog::builder(env, p)
-            .storage(StorageHandle::in_memory())
-            .probe(rec.probe_for(env.id()))
-            .build()
-            .and_then(KvReplica::from_log)
-            .expect("open in-memory store")
-    });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
-    let (epoch, tick) = (cluster.epoch(), cluster.tick());
-    let mut queue = SubmitQueue::with_probe(
-        commands as usize,
-        ProcessId(0),
-        recorders.probe_for(ProcessId(0)),
-    );
-    let mut submit_wall: BTreeMap<u64, StdDuration> = BTreeMap::new();
-    for seq in 1..=commands {
-        let now = StdInstant::now();
-        queue.set_now(Instant::from_ticks(to_ticks(epoch, tick, now)));
-        queue.submit(put(seq));
-        submit_wall.insert(seq, now.saturating_duration_since(epoch));
-    }
-    for cmd in queue.drain() {
-        cluster.request(leader, cmd);
-    }
-    let reg = recorders.registry();
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    let (mut cursor, mut done) = (OutputCursor::default(), 0);
-    loop {
-        done += cluster
-            .outputs_since(&mut cursor)
-            .iter()
-            .filter(|o| {
-                o.process == leader
-                    && matches!(&o.output, KvEvent::Applied { client, .. } if *client == CLIENT)
-            })
-            .count() as u64;
-        sampler.sample(&reg, to_ticks(epoch, tick, StdInstant::now()));
-        if done >= commands || StdInstant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(5));
-    }
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
-    let (submit_at, reply_at) =
-        settle_wall_outputs(&outputs, leader, tick, &submit_wall, &mut queue);
-    close_row(
-        registry,
-        "threadnet",
-        (max_batch, depth, 1),
-        commands,
-        &recorders,
-        &submit_at,
-        &reply_at,
-    )
-}
-
 /// What the wirenet leg reports beyond its attribution row.
 struct LiveTimeline {
     /// Frames the in-process sampler retained when the run ended.
@@ -604,47 +498,34 @@ struct LiveTimeline {
     json: String,
 }
 
-/// TCP run: same burst shape over real sockets, with the timeline sampler
-/// served *live* on the `/timeline` scrape route while commands commit.
-fn wirenet_run(
-    n: usize,
-    commands: u64,
-    max_batch: usize,
-    depth: usize,
+/// Wall-clock run: the commands are tagged through a submit queue stamped
+/// on the cluster's tick domain and burst at the elected leader; the
+/// recorded outputs are polled, sampling `timeline` every 5 ms, until the
+/// leader applied them all; then the run is settled and attributed from the
+/// stopped report. `spawn` starts the cluster, each process built by
+/// `make`. `live` runs once the leader applied every command, while the
+/// cluster still runs, with the recorders and a way to take one more
+/// timeline sample (wirenet serves its live `/timeline` there).
+fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
+    substrate: &'static str,
+    (n, commands): (usize, u64),
+    (max_batch, depth): (usize, usize),
     registry: &Registry,
-) -> (LatencyRow, LiveTimeline) {
+    timeline: &Mutex<TimelineSampler>,
+    spawn: impl FnOnce(&dyn Fn(&Env) -> KvReplica<RecordingProbe>) -> C,
+    live: impl FnOnce(&Arc<NodeRecorders>, &dyn Fn()),
+) -> (LatencyRow, C::Report) {
     let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
-    let sampler = Arc::new(Mutex::new(TimelineSampler::new(64)));
-    let server = ScrapeServer::spawn(
-        ScrapeRoutes::for_recorders(Arc::clone(&recorders)).with_timeline(Arc::clone(&sampler)),
-    )
-    .expect("bind scrape listener");
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
-    };
     let p = params(max_batch, depth);
-    let rec = Arc::clone(&recorders);
-    let cluster = WireCluster::try_spawn(config, move |env| {
+    let cluster = spawn(&|env| {
         ReplicatedLog::builder(env, p)
             .storage(StorageHandle::in_memory())
-            .probe(rec.probe_for(env.id()))
+            .probe(recorders.probe_for(env.id()))
             .build()
             .and_then(KvReplica::from_log)
             .expect("open in-memory store")
-    })
-    .expect("bind 127.0.0.1 listeners");
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
+    });
+    let leader = stable_leader(&cluster, &all(n), KvEvent::leader).unwrap_or(ProcessId(0));
     let (epoch, tick) = (cluster.epoch(), cluster.tick());
     let mut queue = SubmitQueue::with_probe(
         commands as usize,
@@ -662,15 +543,16 @@ fn wirenet_run(
         cluster.request(leader, cmd);
     }
     let reg = recorders.registry();
-    let sample_now = |s: &Arc<Mutex<TimelineSampler>>| {
-        s.lock()
+    let sample = || {
+        timeline
+            .lock()
             .expect("sampler lock")
             .sample(&reg, to_ticks(epoch, tick, StdInstant::now()));
     };
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
     let (mut cursor, mut done) = (OutputCursor::default(), 0);
     loop {
-        sample_now(&sampler);
+        sample();
         done += cluster
             .outputs_since(&mut cursor)
             .iter()
@@ -684,44 +566,51 @@ fn wirenet_run(
         }
         std::thread::sleep(StdDuration::from_millis(5));
     }
-    // Guarantee the live gate has enough frames even on an instant run.
-    while sampler.lock().expect("sampler lock").total() < MIN_LIVE_FRAMES {
-        sample_now(&sampler);
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
-    // Sampling has stopped; the served body must now be byte-identical to
-    // the in-process rendering.
-    let local = sampler.lock().expect("sampler lock").to_json();
-    let served = scrape(server.addr(), "/timeline");
-    let matched = served.is_ok_and(|body| body == local);
-    let frames = sampler.lock().expect("sampler lock").len() as u64;
-    server.stop();
+    live(&recorders, &sample);
     let report = cluster.stop();
-    report.export(registry);
-    let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
     let (submit_at, reply_at) =
-        settle_wall_outputs(&outputs, leader, tick, &submit_wall, &mut queue);
+        settle_wall_outputs(report.outputs(), leader, tick, &submit_wall, &mut queue);
     let row = close_row(
         registry,
-        "wirenet",
+        substrate,
         (max_batch, depth, 1),
         commands,
         &recorders,
         &submit_at,
         &reply_at,
     );
-    (
-        row,
-        LiveTimeline {
-            frames,
-            matched,
-            json: local,
-        },
+    (row, report)
+}
+
+/// The wirenet leg's live `/timeline` check, once its leader applied every
+/// command: tops the sampler up to [`MIN_LIVE_FRAMES`], then serves it over
+/// the scrape route and compares the served body with the sampler's own
+/// rendering.
+fn serve_timeline(
+    recorders: &Arc<NodeRecorders>,
+    sampler: &Arc<Mutex<TimelineSampler>>,
+    sample: &dyn Fn(),
+) -> LiveTimeline {
+    // Guarantee the live gate has enough frames even on an instant run.
+    while sampler.lock().expect("sampler lock").total() < MIN_LIVE_FRAMES {
+        sample();
+        std::thread::sleep(StdDuration::from_millis(2));
+    }
+    let server = ScrapeServer::spawn(
+        ScrapeRoutes::for_recorders(Arc::clone(recorders)).with_timeline(Arc::clone(sampler)),
     )
+    .expect("bind scrape listener");
+    // Sampling has stopped; the served body must now be byte-identical to
+    // the in-process rendering.
+    let local = sampler.lock().expect("sampler lock").to_json();
+    let matched = scrape(server.addr(), "/timeline").is_ok_and(|body| body == local);
+    let frames = sampler.lock().expect("sampler lock").len() as u64;
+    server.stop();
+    LiveTimeline {
+        frames,
+        matched,
+        json: local,
+    }
 }
 
 fn row_json(row: &LatencyRow) -> JsonValue {
@@ -780,26 +669,40 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
     } else {
         vec![(1, 1), (8, 4)]
     };
-    let mut threadnet_timeline = TimelineSampler::new(64);
+    let threadnet_timeline = Mutex::new(TimelineSampler::new(64));
     for &(b, d) in &wall_configs {
-        rows.push(threadnet_run(
-            n,
-            commands,
-            b,
-            d,
-            seed,
+        let (row, _) = wall_run(
+            "threadnet",
+            (n, commands),
+            (b, d),
             &registry,
-            &mut threadnet_timeline,
-        ));
+            &threadnet_timeline,
+            |make| threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make),
+            |_, _| {},
+        );
+        rows.push(row);
     }
     let mut live: Option<LiveTimeline> = None;
     for &(b, d) in &wall_configs {
-        let (row, timeline) = wirenet_run(n, commands, b, d, &registry);
+        let sampler = Arc::new(Mutex::new(TimelineSampler::new(64)));
+        let (row, report) = wall_run(
+            "wirenet",
+            (n, commands),
+            (b, d),
+            &registry,
+            &sampler,
+            |make| {
+                WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
+                    .expect("bind 127.0.0.1 listeners")
+            },
+            // The last wirenet leg's timeline carries the live gate.
+            |recorders, sample| live = Some(serve_timeline(recorders, &sampler, sample)),
+        );
+        report.export(&registry);
         rows.push(row);
-        // The last wirenet leg's timeline carries the live gate.
-        live = Some(timeline);
     }
     let live = live.expect("at least one wirenet leg runs");
+    let threadnet_timeline = threadnet_timeline.into_inner().expect("sampler lock");
     let timeline_live = live.matched && live.frames >= MIN_LIVE_FRAMES;
 
     let pass = rows.iter().all(|r| r.pass) && noop_parity && timeline_live;

@@ -22,16 +22,16 @@
 
 use std::time::Duration as StdDuration;
 
-use lls_obs::{NodeRecorders, ProbeEvent};
-use lls_primitives::{Instant, ProcessId};
+use lls_obs::{NodeRecorders, ProbeEvent, RecordingProbe, Registry};
+use lls_primitives::runtime::Cluster;
+use lls_primitives::{Env, Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{BackoffConfig, WireCluster, WireConfig};
+use wirenet::{LinkStats, WireCluster};
 
-use crate::e_chaos::await_unanimity;
 use crate::json::JsonValue;
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
 /// How long a sum of the two accusation counters is at some instant.
 fn accusation_total(recorders: &NodeRecorders) -> u64 {
@@ -132,123 +132,82 @@ fn netsim_qos(n: usize, horizon: u64, seed: u64) -> QosRow {
     }
 }
 
-/// Thread-mesh run: wall clock, sender set from per-process send deltas
-/// over the steady window.
-fn threadnet_qos(n: usize, seed: u64) -> QosRow {
+/// Wall-clock run (1 ms ticks, no loss): once every process names one
+/// leader and the election's tail traffic has drained, a 1 s steady window
+/// in which `measure` is read at both ends and the accusation counters must
+/// not move. `finish` exports the stopped cluster's report into the
+/// registry and turns the two readings into the window's sender set and,
+/// where links are measured, how many carried frames.
+fn wall_qos<C: Cluster<Sm = CommEffOmega<RecordingProbe>>, M>(
+    substrate: &'static str,
+    n: usize,
+    spawn: impl FnOnce(&dyn Fn(&Env) -> CommEffOmega<RecordingProbe>) -> C,
+    measure: impl Fn(&C) -> M,
+    finish: impl FnOnce(&C::Report, &Registry, M, M) -> (Vec<ProcessId>, Option<u64>),
+) -> QosRow {
     let recorders = NodeRecorders::new(n, 1024);
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
-    let cluster = Cluster::spawn(config, |env| {
+    let cluster = spawn(&|env| {
         CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
     });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || cluster.latest_outputs(),
-        &all,
-        StdDuration::from_secs(10),
-    );
+    let leader = stable_leader(&cluster, &all(n), |l| Some(*l));
     // Let the election's tail traffic (final accusations in flight) drain
     // before opening the measurement window.
     std::thread::sleep(StdDuration::from_millis(400));
-    let (sent_at_cut, _) = cluster.traffic_snapshot();
+    let at_cut = measure(&cluster);
     let accusations_at_cut = accusation_total(&recorders);
     std::thread::sleep(StdDuration::from_millis(1_000));
-    let (sent_at_end, _) = cluster.traffic_snapshot();
+    let at_end = measure(&cluster);
     let accusation_delta = accusation_total(&recorders) - accusations_at_cut;
     let report = cluster.stop();
-    report.export(&recorders.registry());
-
-    let senders: Vec<ProcessId> = (0..n as u32)
-        .map(ProcessId)
-        .filter(|p| sent_at_end[p.as_usize()] > sent_at_cut[p.as_usize()])
-        .collect();
+    let (senders, link_count) = finish(&report, &recorders.registry(), at_cut, at_end);
     let stab = last_leader_change(&recorders);
     let pass = leader.is_some()
         && senders == leader.into_iter().collect::<Vec<_>>()
+        && link_count.is_none_or(|l| l == n as u64 - 1)
         && accusation_delta == 0;
     QosRow {
-        substrate: "threadnet",
+        substrate,
         n,
         stabilization: format!("{stab} ms"),
         stab_value: stab,
         senders: render_senders(&senders),
         sender_count: senders.len(),
-        links: format!("{} (broadcast)", n - 1),
-        link_count: None,
+        links: link_count.map_or(format!("{} (broadcast)", n - 1), |l| {
+            format!("{l} measured")
+        }),
+        link_count,
         accusation_delta,
         pass,
         metrics: recorders.registry().snapshot_json(),
     }
 }
 
-/// TCP run: wall clock, and the only substrate where the claim's "exactly
-/// n − 1 links" form is measured directly, from per-link frame counters.
-fn wirenet_qos(n: usize) -> QosRow {
-    let recorders = NodeRecorders::new(n, 1024);
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        ..WireConfig::default()
-    };
-    let cluster = WireCluster::spawn(config, |env| {
-        CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
-    });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || cluster.latest_outputs(),
-        &all,
-        StdDuration::from_secs(10),
-    );
-    std::thread::sleep(StdDuration::from_millis(400));
-    let links_at_cut = cluster.link_snapshot();
-    let accusations_at_cut = accusation_total(&recorders);
-    std::thread::sleep(StdDuration::from_millis(1_000));
-    let links_at_end = cluster.link_snapshot();
-    let accusation_delta = accusation_total(&recorders) - accusations_at_cut;
-    let report = cluster.stop();
-    report.export(&recorders.registry());
+/// The processes that sent during a window, from per-process send counts
+/// read at its start and end.
+fn senders_between(cut: &[u64], end: &[u64]) -> Vec<ProcessId> {
+    let sent = |p: &ProcessId| end[p.as_usize()] > cut[p.as_usize()];
+    all(cut.len()).into_iter().filter(sent).collect()
+}
 
-    // Directed links that carried at least one frame during the window.
+/// Directed links that carried at least one frame during a window, from
+/// per-link counters read at its start and end, and the processes that
+/// wrote on them. Only wirenet measures this directly: it is the claim's
+/// "exactly n − 1 links" form.
+fn active_links(cut: &[Vec<LinkStats>], end: &[Vec<LinkStats>]) -> (Vec<ProcessId>, u64) {
     let mut active = 0u64;
-    let mut active_sources: Vec<ProcessId> = Vec::new();
-    for (i, (cut_row, end_row)) in links_at_cut.iter().zip(&links_at_end).enumerate() {
+    let mut sources: Vec<ProcessId> = Vec::new();
+    for (i, (cut_row, end_row)) in cut.iter().zip(end).enumerate() {
         for (cut_link, end_link) in cut_row.iter().zip(end_row) {
             if end_link.msgs_sent > cut_link.msgs_sent {
                 active += 1;
                 let p = ProcessId(i as u32);
-                if !active_sources.contains(&p) {
-                    active_sources.push(p);
+                if !sources.contains(&p) {
+                    sources.push(p);
                 }
             }
         }
     }
-    let stab = last_leader_change(&recorders);
-    let pass = leader.is_some()
-        && active == (n as u64 - 1)
-        && active_sources == leader.into_iter().collect::<Vec<_>>()
-        && accusation_delta == 0;
-    QosRow {
-        substrate: "wirenet",
-        n,
-        stabilization: format!("{stab} ms"),
-        stab_value: stab,
-        senders: render_senders(&active_sources),
-        sender_count: active_sources.len(),
-        links: format!("{active} measured"),
-        link_count: Some(active),
-        accusation_delta,
-        pass,
-        metrics: recorders.registry().snapshot_json(),
-    }
+    (sources, active)
 }
 
 fn row_json(row: &QosRow) -> JsonValue {
@@ -278,8 +237,27 @@ fn row_json(row: &QosRow) -> JsonValue {
 pub fn e17_observability(n: usize, horizon: u64, seed: u64) -> (Table, JsonValue) {
     let rows = vec![
         netsim_qos(n, horizon, seed),
-        threadnet_qos(n, seed),
-        wirenet_qos(n),
+        wall_qos(
+            "threadnet",
+            n,
+            |make| threadnet::Cluster::spawn(thread_config(n, 0.0, 900, seed), make),
+            |c| c.traffic_snapshot().0,
+            |report, registry, cut, end| {
+                report.export(registry);
+                (senders_between(&cut, &end), None)
+            },
+        ),
+        wall_qos(
+            "wirenet",
+            n,
+            |make| WireCluster::spawn(wire_config(n, 0.0, seed), make),
+            WireCluster::link_snapshot,
+            |report, registry, cut, end| {
+                report.export(registry);
+                let (sources, active) = active_links(&cut, &end);
+                (sources, Some(active))
+            },
+        ),
     ];
     let mut t = Table::new(vec![
         "substrate",

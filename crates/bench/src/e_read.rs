@@ -40,15 +40,15 @@ use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{
     AlarmKind, NodeRecorders, RecordingProbe, Registry, Watchdog, WatchdogConfig, WatchdogProbe,
 };
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::runtime::{Cluster, OutputCursor, TimedOutput};
+use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
 use netsim::{SimBuilder, Simulator, Topology};
-use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
-use wirenet::{BackoffConfig, WireCluster, WireConfig};
+use wirenet::WireCluster;
 
-use crate::e_chaos::await_unanimity;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
 /// The acceptance threshold: netsim lease-read throughput over the
 /// log-read baseline.
@@ -491,18 +491,6 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
     }
 }
 
-/// Maps a replica cluster's latest outputs to the leader view
-/// [`await_unanimity`] polls.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Polls `poll` until it yields, re-invoking `reissue` on a client-style
 /// retry cadence (forwarded read-index messages may race a leader change
 /// and drop; the retry is the liveness story, exactly as a real client).
@@ -621,42 +609,44 @@ impl WallTally {
     }
 }
 
-/// Lockstep round workload on the thread mesh: per round, one write
-/// settled at the leader, then a lease read at the leader and a
-/// read-index read at a follower — with the leader killed halfway through
-/// the rounds. Freshness is by construction: round `i`'s reads are only
-/// issued after write `i` settled, so observing anything older is stale.
-fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
+/// Lockstep round workload on a wall-clock cluster: per round, one write
+/// settled at the leader, then a lease read at the leader and a read-index
+/// read at a follower — with the leader killed halfway through the rounds
+/// (on wirenet its sockets are torn down). Freshness is by construction:
+/// round `i`'s reads are only issued after write `i` settled, so observing
+/// anything older is stale. `spawn` starts the cluster on the recorders'
+/// clocks, or returns `None` where it cannot (no loopback listeners in a
+/// sandbox): the row is then empty and violation-free rather than failing
+/// the whole experiment.
+fn wall_safety_run<C: Cluster<Sm = WallReplica>>(
+    substrate: &'static str,
+    n: usize,
+    rounds: u64,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> WallReplica) -> Option<C>,
+) -> ReadRow {
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
+    let Some(mut cluster) = spawn(recorders.clocks(), &|env| {
         ReplicatedLog::builder(env, lease_params())
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(KvReplica::from_log)
             .expect("in-memory log")
-    });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let mut alive = all.clone();
+    }) else {
+        return WallTally::default().into_row(substrate, 0);
+    };
+    let mut alive = all(n);
     let timeout = StdDuration::from_secs(10);
     let mut tally = WallTally::default();
     let mut settled = Settled::default();
-    let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
+    let mut leader = stable_leader(&cluster, &alive, KvEvent::leader);
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
             if let Some(victim) = leader {
                 cluster.kill(victim);
                 alive.retain(|p| *p != victim);
             }
-            leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
+            leader = stable_leader(&cluster, &alive, KvEvent::leader);
         }
         let Some(l) = leader else { break };
         let write = Tagged {
@@ -692,82 +682,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
         }
     }
     cluster.stop();
-    tally.into_row("threadnet", watchdog.alarm_count() as u64)
-}
-
-/// The same lockstep round workload over real TCP loopback, with the
-/// leader's sockets torn down mid-run ([`WireCluster::kill`]).
-fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
-    };
-    let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        ReplicatedLog::builder(env, lease_params())
-            .probe(watchdog.probe(recorders.probe_for(env.id())))
-            .build()
-            .and_then(KvReplica::from_log)
-            .expect("in-memory log")
-    }) else {
-        // No loopback listeners (sandboxed environment): report an empty,
-        // violation-free row rather than failing the whole experiment.
-        return WallTally::default().into_row("wirenet", 0);
-    };
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let mut alive = all.clone();
-    let timeout = StdDuration::from_secs(10);
-    let mut tally = WallTally::default();
-    let mut settled = Settled::default();
-    let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
-    for round in 1..=rounds {
-        if round == rounds / 2 + 1 {
-            if let Some(victim) = leader {
-                cluster.kill(victim);
-                alive.retain(|p| *p != victim);
-            }
-            leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
-        }
-        let Some(l) = leader else { break };
-        let write = Tagged {
-            client: WRITER,
-            seq: round,
-            cmd: KvCmd::put(KEY, value_of(round)),
-        };
-        cluster.request(l, write.clone());
-        if await_settle(
-            || settled.find(|c| cluster.outputs_since(c), l, WRITER, round),
-            || cluster.request(l, write.clone()),
-            timeout,
-        )
-        .is_none()
-        {
-            continue;
-        }
-        let follower = alive.iter().copied().find(|&p| p != l);
-        for node in [Some(l), follower].into_iter().flatten() {
-            let read = Tagged {
-                client: reader_at(node),
-                seq: round,
-                cmd: KvCmd::read(KEY),
-            };
-            let issued = StdInstant::now();
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
-            tally.settle(round, issued, response);
-        }
-    }
-    cluster.stop();
-    tally.into_row("wirenet", watchdog.alarm_count() as u64)
+    tally.into_row(substrate, watchdog.alarm_count() as u64)
 }
 
 /// The E12-style lease adversary, parameterized by the sabotage switch.
@@ -894,8 +809,13 @@ pub fn e23_read(n: usize, reads: u64, rounds: u64, seed: u64) -> (Table, JsonVal
     for kind in ["expiry", "skew", "kill"] {
         rows.push(netsim_safety_scenario(kind, n, seed));
     }
-    rows.push(threadnet_safety_run(n, rounds, seed));
-    rows.push(wirenet_safety_run(n, rounds));
+    rows.push(wall_safety_run("threadnet", n, rounds, |clocks, make| {
+        let config = thread_config(n, 0.0, 500, seed);
+        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
+    }));
+    rows.push(wall_safety_run("wirenet", n, rounds, |clocks, make| {
+        WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), clocks, make).ok()
+    }));
     let lease_tp = rows[0].throughput;
     let log_tp = rows[1].throughput;
     let speedup = if log_tp > 0.0 { lease_tp / log_tp } else { 0.0 };

@@ -43,14 +43,16 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
-use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
-use lls_primitives::{Env, Instant, ProcessId, SnapshotHandle, StorageHandle};
+use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_primitives::runtime::{Cluster, OutputCursor};
+use lls_primitives::{Env, Instant, LamportClock, ProcessId, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
-use threadnet::{Cluster, NetConfig, OutputCursor};
-use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
+use wirenet::WireCluster;
 
+use crate::e_chaos::{gate_on_watchdog, mix, violation_dump, Tally};
 use crate::json::{self, JsonValue};
 use crate::table::Table;
+use crate::wall::{all, thread_config, wire_config};
 
 /// Segment budget of every on-disk WAL in the campaign.
 const SEGMENT_BUDGET: u64 = 8 * 1024;
@@ -61,49 +63,6 @@ const COMPACT_EVERY: u64 = 8;
 const WAL_BOUND: u64 = 2 * SEGMENT_BUDGET;
 /// The single chaos client.
 const CLIENT: ClientId = ClientId(9);
-
-/// splitmix64 — every schedule choice derives from the scenario seed.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Per-substrate tally of the campaign.
-#[derive(Debug, Default, Clone, Copy)]
-struct Tally {
-    scenarios: usize,
-    kills: usize,
-    wipes: usize,
-    installs: u64,
-    checks: usize,
-    violations: usize,
-    successes: usize,
-}
-
-fn violation_dump(context: &str, recorders: &NodeRecorders, nodes: &[ProcessId]) -> String {
-    let mut out = format!("E21 VIOLATION ({context}) — flight-recorder post-mortem:\n");
-    for &p in nodes {
-        out.push_str(&recorders.dump(p));
-    }
-    out
-}
-
-/// Folds the watchdog's alarms into the tally as one checked invariant.
-fn gate_on_watchdog(context: &str, watchdog: &Watchdog, tally: &mut Tally) {
-    let alarms = watchdog.alarms();
-    tally.checks += 1;
-    if !alarms.is_empty() {
-        tally.violations += 1;
-        for alarm in &alarms {
-            eprintln!(
-                "WATCHDOG ALARM ({context}) {:?} on {}: {}\n{}",
-                alarm.kind, alarm.node, alarm.detail, alarm.dump
-            );
-        }
-    }
-}
 
 /// Per-scenario on-disk layout, removed on drop (best effort).
 struct ScenarioDirs {
@@ -496,25 +455,48 @@ fn netsim_scenario(
     stats
 }
 
-/// Polls `refresh(done)` until every member's applied sequence in `done`
-/// (a running tally, carried across phases) reaches `target`, re-issuing
-/// the target command each round (replicas answer re-issues with
-/// `Duplicate`, so even a fully caught-up cluster keeps emitting evidence).
-fn await_seq(
-    mut refresh: impl FnMut(&mut BTreeMap<ProcessId, u64>),
-    resubmit: impl Fn(),
-    done: &mut BTreeMap<ProcessId, u64>,
+/// The kv replica of a wall-clock recovery scenario.
+type WallReplica = KvReplica<WatchdogProbe<RecordingProbe>>;
+
+/// The highest `CLIENT` sequence each process of a wall-clock cluster has
+/// applied so far, read once each through a cursor.
+#[derive(Default)]
+struct Applied {
+    cursor: OutputCursor,
+    done: BTreeMap<ProcessId, u64>,
+}
+
+/// One phase of a wall-clock scenario: puts `from..=to` at every member,
+/// then polls until every member has applied `to`, re-issuing it each round
+/// (replicas answer re-issues with `Duplicate`, so even a fully caught-up
+/// cluster keeps emitting evidence). `false` if that takes over 15 s.
+fn wall_phase<C: Cluster<Sm = WallReplica>>(
+    cluster: &C,
+    applied: &mut Applied,
     members: &[ProcessId],
-    target: u64,
-    timeout: StdDuration,
+    (from, to): (u64, u64),
 ) -> bool {
-    let deadline = StdInstant::now() + timeout;
+    for s in from..=to {
+        for &p in members {
+            cluster.request(p, put(s));
+        }
+    }
+    let deadline = StdInstant::now() + StdDuration::from_secs(15);
     loop {
-        resubmit();
-        refresh(done);
+        for &p in members {
+            cluster.request(p, put(to));
+        }
+        for t in cluster.outputs_since(&mut applied.cursor) {
+            if let KvEvent::Applied { client, seq, .. } = t.output {
+                if client == CLIENT {
+                    let entry = applied.done.entry(t.process).or_default();
+                    *entry = (*entry).max(seq);
+                }
+            }
+        }
         if members
             .iter()
-            .all(|p| done.get(p).copied().unwrap_or(0) >= target)
+            .all(|p| applied.done.get(p).copied().unwrap_or(0) >= to)
         {
             return true;
         }
@@ -525,56 +507,18 @@ fn await_seq(
     }
 }
 
-fn note_applied(done: &mut BTreeMap<ProcessId, u64>, p: ProcessId, ev: &KvEvent) {
-    if let KvEvent::Applied { client, seq, .. } = ev {
-        if *client == CLIENT {
-            let entry = done.entry(p).or_default();
-            *entry = (*entry).max(*seq);
-        }
-    }
-}
-
-/// One wall-clock cycle shared by both substrates, expressed through
-/// closures over the concrete cluster: pipelined load, a durable restart,
-/// then a wipe restart that must finish with a snapshot-install.
-struct WallHooks<'a> {
-    request: &'a dyn Fn(ProcessId, Tagged<KvCmd>),
-    /// Folds the outputs emitted since its last call into the tally.
-    refresh: &'a mut dyn FnMut(&mut BTreeMap<ProcessId, u64>),
-    /// The highest `CLIENT` sequence each process has applied so far.
-    done: BTreeMap<ProcessId, u64>,
-}
-
-fn wall_phase(
-    hooks: &mut WallHooks<'_>,
-    members: &[ProcessId],
-    from: u64,
-    to: u64,
-    timeout: StdDuration,
-) -> bool {
-    for s in from..=to {
-        for &p in members {
-            (hooks.request)(p, put(s));
-        }
-    }
-    let request = hooks.request;
-    await_seq(
-        &mut *hooks.refresh,
-        || {
-            for &p in members {
-                request(p, put(to));
-            }
-        },
-        &mut hooks.done,
-        members,
-        to,
-        timeout,
-    )
-}
-
-/// One threadnet scenario: in-memory stores with snapshots, loss and delay
-/// injected, kill → durable restart → kill → wipe restart.
-fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
+/// One wall-clock scenario: in-memory stores with snapshots, loss and delay
+/// injected, kill → durable restart → kill → wipe restart, which must
+/// finish with a snapshot-install. On wirenet the wiped node's catch-up
+/// crosses reconnecting sockets. `spawn` starts the cluster on the
+/// recorders' clocks, each process built by `make`.
+fn wall_scenario<C: Cluster<Sm = WallReplica>>(
+    substrate: &str,
+    n: usize,
+    seed: u64,
+    tally: &mut Tally,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> WallReplica) -> C,
+) {
     let mut stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let mut snaps: Vec<SnapshotHandle> = (0..n).map(|_| SnapshotHandle::in_memory()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
@@ -583,14 +527,6 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let wipe_watchdog =
         Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&wipe_recorders));
     let params = ConsensusParams::default();
-    let config = NetConfig {
-        n,
-        loss: 0.02,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
     let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
         let mut r = ReplicatedLog::builder(env, params)
             .storage(store)
@@ -602,245 +538,65 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         r.set_compact_every(COMPACT_EVERY);
         r
     };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        make(
-            env,
-            stores[env.id().as_usize()].clone(),
-            snaps[env.id().as_usize()].clone(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
-    });
-    tally.scenarios += 1;
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(15);
-    let mut ok = true;
-    {
-        let mut cursor = OutputCursor::default();
-        let mut refresh = |done: &mut BTreeMap<ProcessId, u64>| {
-            for t in cluster.outputs_since(&mut cursor) {
-                note_applied(done, t.process, &t.output);
-            }
-        };
-        let request = |p: ProcessId, cmd: Tagged<KvCmd>| cluster.request(p, cmd);
-        let mut hooks = WallHooks {
-            request: &request,
-            refresh: &mut refresh,
-            done: BTreeMap::new(),
-        };
-        let gate = |tally: &mut Tally, ok: &mut bool, passed: bool, context: &str| {
-            tally.checks += 1;
-            if !passed {
-                tally.violations += 1;
-                *ok = false;
-                eprintln!("{}", violation_dump(context, &recorders, &all));
-            }
-        };
-
-        let passed = wall_phase(&mut hooks, &all, 1, 16, timeout);
-        gate(tally, &mut ok, passed, "threadnet warm-up convergence");
-
-        let victim1 = ProcessId((mix(seed) % n as u64) as u32);
-        cluster.kill(victim1);
-        tally.kills += 1;
-        let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim1).collect();
-        let passed = wall_phase(&mut hooks, &survivors, 17, 28, timeout);
-        gate(tally, &mut ok, passed, "threadnet progress during outage");
-
-        let env = Env::new(victim1, n);
-        cluster.restart(
-            victim1,
-            make(
-                &env,
-                stores[victim1.as_usize()].clone(),
-                snaps[victim1.as_usize()].clone(),
-                watchdog.probe(recorders.probe_for(victim1)),
-            ),
-        );
-        let passed = wall_phase(&mut hooks, &all, 29, 29, timeout);
-        gate(tally, &mut ok, passed, "threadnet durable-restart rejoin");
-
-        let victim2 = ProcessId(((mix(seed) + 1) % n as u64) as u32);
-        cluster.kill(victim2);
-        tally.kills += 1;
-        tally.wipes += 1;
-        let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim2).collect();
-        let passed = wall_phase(&mut hooks, &survivors, 30, 40, timeout);
-        gate(
-            tally,
-            &mut ok,
-            passed,
-            "threadnet progress during wipe outage",
-        );
-
-        stores[victim2.as_usize()] = StorageHandle::in_memory();
-        snaps[victim2.as_usize()] = SnapshotHandle::in_memory();
-        let env = Env::new(victim2, n);
-        cluster.restart(
-            victim2,
-            make(
-                &env,
-                stores[victim2.as_usize()].clone(),
-                snaps[victim2.as_usize()].clone(),
-                wipe_watchdog.probe(wipe_recorders.probe_for(victim2)),
-            ),
-        );
-        let passed = wall_phase(&mut hooks, &all, 41, 41, timeout);
-        gate(tally, &mut ok, passed, "threadnet wipe-restart catch-up");
-    }
-    let report = cluster.stop();
-    let installs = report
-        .outputs()
-        .iter()
-        .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
-        .count() as u64;
-    tally.checks += 1;
-    if installs == 0 {
-        tally.violations += 1;
-        ok = false;
-        eprintln!("E21 VIOLATION (threadnet seed {seed}): no snapshot-install observed");
-    }
-    tally.installs += installs;
-    gate_on_watchdog("threadnet monotonicity", &watchdog, tally);
-    gate_on_watchdog("threadnet monotonicity (wiped node)", &wipe_watchdog, tally);
-    if ok {
-        tally.successes += 1;
-    }
-}
-
-/// One wirenet scenario: the same cycle over real TCP — the wiped node's
-/// catch-up crosses actual reconnecting sockets under injected faults.
-fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
-    let mut stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-    let mut snaps: Vec<SnapshotHandle> = (0..n).map(|_| SnapshotHandle::in_memory()).collect();
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let wipe_recorders = Arc::new(NodeRecorders::new(n, 256));
-    let wipe_watchdog =
-        Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&wipe_recorders));
-    let params = ConsensusParams::default();
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: Some(FaultConfig {
-            loss: 0.02,
-            min_delay: StdDuration::from_micros(100),
-            max_delay: StdDuration::from_micros(900),
-            seed,
-        }),
-        record_outputs: true,
+    let node = |env: &Env, stores: &[StorageHandle], snaps: &[SnapshotHandle]| {
+        let i = env.id().as_usize();
+        let probe = watchdog.probe(recorders.probe_for(env.id()));
+        make(env, stores[i].clone(), snaps[i].clone(), probe)
     };
-    let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
-        let mut r = ReplicatedLog::builder(env, params)
-            .storage(store)
-            .snapshots(snap)
-            .probe(probe)
-            .build()
-            .and_then(KvReplica::from_log)
-            .expect("open stores");
-        r.set_compact_every(COMPACT_EVERY);
-        r
-    };
-    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        make(
-            env,
-            stores[env.id().as_usize()].clone(),
-            snaps[env.id().as_usize()].clone(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
-    })
-    .expect("bind 127.0.0.1 listeners");
+    let mut cluster = spawn(recorders.clocks(), &|env| node(env, &stores, &snaps));
     tally.scenarios += 1;
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(15);
+    let all = all(n);
     let mut ok = true;
-    let mut cursor = OutputCursor::default();
-    let mut done = BTreeMap::new();
+    let mut applied = Applied::default();
+    let mut phase = |cluster: &C, tally: &mut Tally, members: &[ProcessId], seqs, context| {
+        let passed = wall_phase(cluster, &mut applied, members, seqs);
+        ok &= tally.check(passed, || {
+            violation_dump(&format!("{substrate} {context}"), &recorders, &all)
+        });
+    };
 
-    // `kill`/`restart` borrow the cluster mutably, so the phases are a
-    // macro rather than `WallHooks` closures over a shared borrow.
-    macro_rules! phase {
-        ($members:expr, $from:expr, $to:expr, $context:expr) => {{
-            let members: &[ProcessId] = $members;
-            for s in $from..=$to {
-                for &p in members {
-                    cluster.request(p, put(s));
-                }
-            }
-            let passed = await_seq(
-                |done| {
-                    for t in cluster.outputs_since(&mut cursor) {
-                        note_applied(done, t.process, &t.output);
-                    }
-                },
-                || {
-                    for &p in members {
-                        cluster.request(p, put($to));
-                    }
-                },
-                &mut done,
-                members,
-                $to,
-                timeout,
-            );
-            tally.checks += 1;
-            if !passed {
-                tally.violations += 1;
-                ok = false;
-                eprintln!("{}", violation_dump($context, &recorders, &all));
-            }
-        }};
-    }
-
-    phase!(&all, 1, 16, "wirenet warm-up convergence");
+    phase(&cluster, tally, &all, (1, 16), "warm-up convergence");
 
     let victim1 = ProcessId((mix(seed) % n as u64) as u32);
     cluster.kill(victim1);
     tally.kills += 1;
-    let survivors1: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim1).collect();
-    phase!(&survivors1, 17, 28, "wirenet progress during outage");
-
-    let env = Env::new(victim1, n);
-    let recovered = make(
-        &env,
-        stores[victim1.as_usize()].clone(),
-        snaps[victim1.as_usize()].clone(),
-        watchdog.probe(recorders.probe_for(victim1)),
+    let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim1).collect();
+    phase(
+        &cluster,
+        tally,
+        &survivors,
+        (17, 28),
+        "progress during outage",
     );
-    if cluster.restart(victim1, recovered).is_err() {
-        tally.checks += 1;
-        tally.violations += 1;
-        ok = false;
-        eprintln!("E21 VIOLATION (wirenet seed {seed}): restart rebind failed");
-    } else {
-        phase!(&all, 29, 29, "wirenet durable-restart rejoin");
-    }
+
+    cluster.restart(victim1, node(&Env::new(victim1, n), &stores, &snaps));
+    phase(&cluster, tally, &all, (29, 29), "durable-restart rejoin");
 
     let victim2 = ProcessId(((mix(seed) + 1) % n as u64) as u32);
     cluster.kill(victim2);
     tally.kills += 1;
     tally.wipes += 1;
-    let survivors2: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim2).collect();
-    phase!(&survivors2, 30, 40, "wirenet progress during wipe outage");
+    let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim2).collect();
+    phase(
+        &cluster,
+        tally,
+        &survivors,
+        (30, 40),
+        "progress during wipe outage",
+    );
 
     stores[victim2.as_usize()] = StorageHandle::in_memory();
     snaps[victim2.as_usize()] = SnapshotHandle::in_memory();
     let env = Env::new(victim2, n);
+    let probe = wipe_watchdog.probe(wipe_recorders.probe_for(victim2));
     let fresh = make(
         &env,
         stores[victim2.as_usize()].clone(),
         snaps[victim2.as_usize()].clone(),
-        wipe_watchdog.probe(wipe_recorders.probe_for(victim2)),
+        probe,
     );
-    if cluster.restart(victim2, fresh).is_err() {
-        tally.checks += 1;
-        tally.violations += 1;
-        ok = false;
-        eprintln!("E21 VIOLATION (wirenet seed {seed}): wipe-restart rebind failed");
-    } else {
-        phase!(&all, 41, 41, "wirenet wipe-restart catch-up");
-    }
+    cluster.restart(victim2, fresh);
+    phase(&cluster, tally, &all, (41, 41), "wipe-restart catch-up");
 
     let report = cluster.stop();
     let installs = report
@@ -848,15 +604,16 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         .iter()
         .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
         .count() as u64;
-    tally.checks += 1;
-    if installs == 0 {
-        tally.violations += 1;
-        ok = false;
-        eprintln!("E21 VIOLATION (wirenet seed {seed}): no snapshot-install observed");
-    }
+    ok &= tally.check(installs > 0, || {
+        format!("E21 VIOLATION ({substrate} seed {seed}): no snapshot-install observed")
+    });
     tally.installs += installs;
-    gate_on_watchdog("wirenet monotonicity", &watchdog, tally);
-    gate_on_watchdog("wirenet monotonicity (wiped node)", &wipe_watchdog, tally);
+    gate_on_watchdog(&format!("{substrate} monotonicity"), &watchdog, tally);
+    gate_on_watchdog(
+        &format!("{substrate} monotonicity (wiped node)"),
+        &wipe_watchdog,
+        tally,
+    );
     if ok {
         tally.successes += 1;
     }
@@ -938,11 +695,26 @@ pub fn e21_recovery(
 
     let mut thread_tally = Tally::default();
     for seed in 0..wall_seeds {
-        threadnet_scenario(wall_n, seed, &mut thread_tally);
+        wall_scenario(
+            "threadnet",
+            wall_n,
+            seed,
+            &mut thread_tally,
+            |clocks, make| {
+                threadnet::Cluster::spawn_traced(
+                    thread_config(wall_n, 0.02, 900, seed),
+                    clocks,
+                    make,
+                )
+            },
+        );
     }
     let mut wire_tally = Tally::default();
     for seed in 0..wall_seeds {
-        wirenet_scenario(wall_n, seed, &mut wire_tally);
+        wall_scenario("wirenet", wall_n, seed, &mut wire_tally, |clocks, make| {
+            WireCluster::try_spawn_traced(wire_config(wall_n, 0.02, seed), clocks, make)
+                .expect("bind 127.0.0.1 listeners")
+        });
     }
 
     let mut t = Table::new(vec![

@@ -32,7 +32,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest,
@@ -41,15 +40,16 @@ use consensus::shard::{
 use consensus::{BatchParams, ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{aggregate_shard_registries, NodeRecorders, Registry};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::runtime::Cluster;
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{BackoffConfig, WireCluster, WireConfig};
+use wirenet::WireCluster;
 
-use crate::e_chaos::{await_leader_outputs, await_unanimity};
+use crate::e_throughput::timed_burst;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
+use crate::wall::{thread_config, wire_config};
 
 /// The measured shard counts, always starting at the unsharded baseline.
 const SHARD_COUNTS: &[u32] = &[1, 2, 4, 8];
@@ -244,111 +244,45 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
     }
 }
 
-/// Maps a sharded cluster's latest outputs to the leader view
-/// [`await_unanimity`] polls: in a request-free warmup the only outputs
-/// are the shared Ω's `Leader` announcements.
-fn leader_view(latest: Vec<Option<ShardEvent<u64>>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(ShardEvent::Leader(l)) => Some(l),
+/// Wall-clock run: the whole round-robin burst fired at the elected
+/// leader at once (E19's timed burst), timed until the leader has committed
+/// every command. `spawn` starts the cluster, each process built by `make`.
+fn wall_run<C: Cluster<Sm = ShardedNode<u64>>>(
+    substrate: &'static str,
+    (n, commands, shards): (usize, u64, u32),
+    registry: &Registry,
+    spawn: impl FnOnce(&dyn Fn(&Env) -> ShardedNode<u64>) -> C,
+) -> (ShardRow, C::Report) {
+    let params = shard_params();
+    let cluster = spawn(&|env| ShardedNode::<u64>::new(env, params, placement(shards, n)));
+    let requests = (0..commands).map(|i| ShardRequest {
+        shard: shard_of(i, shards),
+        cmd: i,
+    });
+    let (burst, report) = timed_burst(
+        cluster,
+        requests.collect(),
+        ShardEvent::leader,
+        |o| match o {
+            ShardEvent::Committed {
+                shard,
+                cmd: Some(v),
+                ..
+            } => Some((*v, shard.0)),
             _ => None,
-        })
-        .collect()
-}
-
-/// Timeline bookkeeping shared by the wall-clock substrates (same
-/// re-anchoring trick as E19, with the shard carried along).
-fn wall_latencies(
-    outputs: &[(ProcessId, StdDuration, ShardEvent<u64>)],
-    leader: ProcessId,
-    shards: u32,
-    total_wall: StdDuration,
-) -> (u64, Vec<u64>, BTreeMap<u32, Vec<u64>>) {
-    let mut commit_at: BTreeMap<u64, (u32, StdDuration)> = BTreeMap::new();
-    for (p, at, ev) in outputs {
-        if *p != leader {
-            continue;
-        }
-        if let ShardEvent::Committed {
-            shard,
-            cmd: Some(v),
-            ..
-        } = ev
-        {
-            commit_at.entry(*v).or_insert((shard.0, *at));
-        }
-    }
-    let committed = commit_at.len() as u64;
-    let anchor = commit_at
-        .values()
-        .map(|&(_, at)| at)
-        .max()
-        .map_or(StdDuration::ZERO, |last| last.saturating_sub(total_wall));
+        },
+    );
+    let committed = burst.commits.len() as u64;
     let mut per_shard = vec![0u64; shards as usize];
     let mut per_shard_latencies: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for &(shard, at) in commit_at.values() {
+    for &(shard, latency) in burst.commits.values() {
         per_shard[shard as usize] += 1;
-        per_shard_latencies
-            .entry(shard)
-            .or_default()
-            .push(at.saturating_sub(anchor).as_micros() as u64);
+        per_shard_latencies.entry(shard).or_default().push(latency);
     }
-    (committed, per_shard, per_shard_latencies)
-}
-
-/// Thread-mesh run: fire the whole round-robin burst at the elected
-/// leader, poll the recorded outputs until every command committed
-/// there, then time it.
-fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Registry) -> ShardRow {
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
-    let params = shard_params();
-    let cluster = Cluster::spawn(config, move |env| {
-        ShardedNode::<u64>::new(env, params, placement(shards, n))
-    });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
-    let burst_start = StdInstant::now();
-    for i in 0..commands {
-        cluster.request(
-            leader,
-            ShardRequest {
-                shard: shard_of(i, shards),
-                cmd: i,
-            },
-        );
-    }
-    await_leader_outputs(
-        |cursor| cluster.outputs_since(cursor),
-        leader,
-        commands,
-        |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
-    );
-    let total_wall = burst_start.elapsed();
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
-    let (committed, per_shard, per_shard_latencies) =
-        wall_latencies(&outputs, leader, shards, total_wall);
-    let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
-    let (p50, p99) = record_sharded_run(registry, "threadnet", shards, "us", &per_shard_latencies);
-    ShardRow {
-        substrate: "threadnet",
+    let throughput = committed as f64 / burst.wall.as_secs_f64().max(f64::EPSILON);
+    let (p50, p99) = record_sharded_run(registry, substrate, shards, "us", &per_shard_latencies);
+    let row = ShardRow {
+        substrate,
         shards,
         commands,
         committed,
@@ -361,75 +295,8 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
         scaling: 1.0,
         omega_alive: 0,
         omega_accuse: 0,
-    }
-}
-
-/// TCP run: the threadnet run's shape over real sockets, with the
-/// report's socket counters exported into the shared registry.
-fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> ShardRow {
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
     };
-    let params = shard_params();
-    let cluster = WireCluster::try_spawn(config, move |env| {
-        ShardedNode::<u64>::new(env, params, placement(shards, n))
-    })
-    .expect("bind 127.0.0.1 listeners");
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
-    let burst_start = StdInstant::now();
-    for i in 0..commands {
-        cluster.request(
-            leader,
-            ShardRequest {
-                shard: shard_of(i, shards),
-                cmd: i,
-            },
-        );
-    }
-    await_leader_outputs(
-        |cursor| cluster.outputs_since(cursor),
-        leader,
-        commands,
-        |o| matches!(o, ShardEvent::Committed { cmd: Some(_), .. }),
-    );
-    let total_wall = burst_start.elapsed();
-    let report = cluster.stop();
-    report.export(registry);
-    let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
-    let (committed, per_shard, per_shard_latencies) =
-        wall_latencies(&outputs, leader, shards, total_wall);
-    let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
-    let (p50, p99) = record_sharded_run(registry, "wirenet", shards, "us", &per_shard_latencies);
-    ShardRow {
-        substrate: "wirenet",
-        shards,
-        commands,
-        committed,
-        per_shard,
-        throughput,
-        unit: "cmds/s",
-        p50,
-        p99,
-        lat_unit: "us",
-        scaling: 1.0,
-        omega_alive: 0,
-        omega_accuse: 0,
-    }
+    (row, report)
 }
 
 /// Fills in per-substrate scaling ratios relative to the `S = 1` baseline
@@ -591,10 +458,18 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
         rows.push(netsim_run(n, commands, s, seed, &registry));
     }
     for &s in SHARD_COUNTS {
-        rows.push(threadnet_run(n, commands, s, seed, &registry));
+        let (row, _) = wall_run("threadnet", (n, commands, s), &registry, |make| {
+            threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make)
+        });
+        rows.push(row);
     }
     for &s in SHARD_COUNTS {
-        rows.push(wirenet_run(n, commands, s, &registry));
+        let (row, report) = wall_run("wirenet", (n, commands, s), &registry, |make| {
+            WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
+                .expect("bind 127.0.0.1 listeners")
+        });
+        report.export(&registry);
+        rows.push(row);
     }
     let lease_rows: Vec<LeaseRow> = SHARD_COUNTS
         .iter()

@@ -1,26 +1,25 @@
-//! Experiment E10: the communication-efficiency shape on real threads.
+//! Experiment E10: the communication-efficiency shape on real threads,
+//! measured by the body E15 shares over real TCP sockets.
 
 use std::time::Duration as StdDuration;
 
+use lls_primitives::runtime::Cluster;
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
+use threadnet::NetConfig;
 
 use crate::table::Table;
 
-/// **E10** — run the election on the thread runtime with injected loss and
-/// sample the sender set every `window_ms`: the series must collapse toward
-/// a single sender, matching the simulator's E2 shape on a wall clock.
-pub fn e10_threadnet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Table {
-    let config = NetConfig {
-        n,
-        loss,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_micros(250),
-        seed: 9,
-    };
-    let cluster = Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
+/// Samples the sender set every `window_ms` while the election runs, then
+/// stops the cluster and adds a row saying whether every process ended up
+/// trusting one leader. The series must collapse toward a single sender,
+/// matching the simulator's E2 shape on a wall clock.
+pub(crate) fn sender_series<C: Cluster<Sm = CommEffOmega>>(
+    cluster: C,
+    windows: usize,
+    window_ms: u64,
+) -> (Table, C::Report) {
+    let n = cluster.n();
     let mut t = Table::new(vec!["t(ms)", "msgs_in_window", "senders"]);
     let mut prev = vec![0u64; n];
     for step in 1..=windows {
@@ -36,7 +35,6 @@ pub fn e10_threadnet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Tab
         prev = sent;
     }
     let report = cluster.stop();
-    // Append a summary row: final agreement across all processes.
     let leader = report.final_output_of(ProcessId(0)).copied();
     let agreed = (0..n as u32)
         .map(ProcessId)
@@ -49,7 +47,23 @@ pub fn e10_threadnet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Tab
         ),
         format!("agreement={agreed}"),
     ]);
-    t
+    (t, report)
+}
+
+/// **E10** — the election on the thread runtime with injected loss, its
+/// sender set sampled every `window_ms`.
+pub fn e10_threadnet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Table {
+    let config = NetConfig {
+        n,
+        loss,
+        min_delay: StdDuration::from_micros(100),
+        max_delay: StdDuration::from_micros(900),
+        tick: StdDuration::from_micros(250),
+        seed: 9,
+    };
+    let cluster =
+        threadnet::Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
+    sender_series(cluster, windows, window_ms).0
 }
 
 #[cfg(test)]

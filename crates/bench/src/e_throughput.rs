@@ -36,16 +36,16 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
-use lls_obs::{NodeRecorders, Registry};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_obs::{NodeRecorders, RecordingProbe, Registry};
+use lls_primitives::runtime::{Cluster, Output, OutputCursor};
+use lls_primitives::{Duration, Env, Instant, ProcessId, Sm};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{BackoffConfig, WireCluster, WireConfig};
+use wirenet::WireCluster;
 
-use crate::e_chaos::{await_leader_outputs, await_unanimity};
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
 /// The measured grid: the mandatory baseline plus two batched/pipelined
 /// configurations.
@@ -218,116 +218,114 @@ fn netsim_run(
     }
 }
 
-/// Maps a replicated-log cluster's latest outputs to the leader view
-/// [`await_unanimity`] polls: in a request-free warmup the only outputs
-/// are `Leader` events.
-fn leader_view(latest: Vec<Option<RsmEvent<u64>>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(RsmEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
+/// One timed burst on a wall-clock cluster, as E19 and E20 read it.
+pub(crate) struct Burst {
+    /// Each committed command's tag (E20's shard) and latency in µs, by
+    /// command.
+    pub(crate) commits: BTreeMap<u64, (u32, u64)>,
+    /// Wall time from the first request until the leader was seen to have
+    /// committed them all.
+    pub(crate) wall: StdDuration,
 }
 
-/// Timeline bookkeeping shared by the wall-clock substrates: latencies
-/// are measured against the burst start, re-anchored onto the report's
-/// since-spawn clock via the last commit (`anchor = last_commit -
-/// measured_wall`), which confines the error to the polling granularity.
-fn wall_latencies(
-    outputs: &[(ProcessId, StdDuration, RsmEvent<u64>)],
-    leader: ProcessId,
-    total_wall: StdDuration,
-) -> (u64, Vec<u64>) {
-    let mut commit_at: BTreeMap<u64, StdDuration> = BTreeMap::new();
-    for (p, at, ev) in outputs {
-        if *p != leader {
-            continue;
+/// Fires `requests` at once at the stable leader `leader` reads from the
+/// processes' latest outputs, polls the recorded outputs until the leader
+/// has committed as many commands as it was sent (or 30 s pass), and stops
+/// the cluster. `commit` reads a committed command and its tag out of an
+/// output. Latencies are measured against the burst start, re-anchored onto
+/// the report's since-spawn clock via the last commit (`anchor =
+/// last_commit - wall`), which confines the error to the polling
+/// granularity.
+pub(crate) fn timed_burst<C: Cluster>(
+    cluster: C,
+    requests: Vec<<C::Sm as Sm>::Request>,
+    leader: impl Fn(&Output<C>) -> Option<ProcessId>,
+    commit: impl Fn(&Output<C>) -> Option<(u64, u32)>,
+) -> (Burst, C::Report) {
+    let leader = stable_leader(&cluster, &all(cluster.n()), leader).unwrap_or(ProcessId(0));
+    let target = requests.len() as u64;
+    let start = StdInstant::now();
+    for req in requests {
+        cluster.request(leader, req);
+    }
+    let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let (mut cursor, mut done) = (OutputCursor::default(), 0);
+    loop {
+        done += cluster
+            .outputs_since(&mut cursor)
+            .iter()
+            .filter(|o| o.process == leader && commit(&o.output).is_some())
+            .count() as u64;
+        if done >= target || StdInstant::now() > deadline {
+            break;
         }
-        if let RsmEvent::Committed { cmd: Some(v), .. } = ev {
-            commit_at.entry(*v).or_insert(*at);
+        std::thread::sleep(StdDuration::from_millis(1));
+    }
+    let wall = start.elapsed();
+    let report = cluster.stop();
+    let mut commit_at: BTreeMap<u64, (u32, StdDuration)> = BTreeMap::new();
+    for o in report.outputs().iter().filter(|o| o.process == leader) {
+        if let Some((cmd, tag)) = commit(&o.output) {
+            commit_at.entry(cmd).or_insert((tag, o.at));
         }
     }
-    let committed = commit_at.len() as u64;
     let anchor = commit_at
         .values()
+        .map(|&(_, at)| at)
         .max()
-        .map_or(StdDuration::ZERO, |&last| last.saturating_sub(total_wall));
-    let latencies = commit_at
-        .values()
-        .map(|&at| at.saturating_sub(anchor).as_micros() as u64)
+        .map_or(StdDuration::ZERO, |last| last.saturating_sub(wall));
+    let commits = commit_at
+        .into_iter()
+        .map(|(cmd, (tag, at))| (cmd, (tag, at.saturating_sub(anchor).as_micros() as u64)))
         .collect();
-    (committed, latencies)
+    (Burst { commits, wall }, report)
 }
 
-/// Thread-mesh run: fire the whole burst at the elected leader, poll the
-/// recorded outputs until every command committed there, then time it.
-fn threadnet_run(
-    n: usize,
-    commands: u64,
-    max_batch: usize,
-    depth: usize,
-    seed: u64,
+/// Wall-clock run: the whole burst fired at the elected leader at once,
+/// timed until the leader has committed every command. `spawn` starts the
+/// cluster, each process built by `make`.
+fn wall_run<C: Cluster<Sm = ReplicatedLog<u64, RecordingProbe>>>(
+    substrate: &'static str,
+    (n, commands): (usize, u64),
+    (max_batch, depth): (usize, usize),
     registry: &Registry,
-) -> ThroughputRow {
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
+    spawn: impl FnOnce(&dyn Fn(&Env) -> ReplicatedLog<u64, RecordingProbe>) -> C,
+) -> (ThroughputRow, C::Report) {
+    let recorders = NodeRecorders::new(n, 256);
     let params = rsm_params(max_batch, depth);
-    let rec = Arc::clone(&recorders);
-    let cluster = Cluster::spawn(config, move |env| {
+    let cluster = spawn(&|env| {
         ReplicatedLog::<u64>::builder(env, params)
-            .probe(rec.probe_for(env.id()))
+            .probe(recorders.probe_for(env.id()))
             .build()
             .expect("in-memory log")
     });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
-    let burst_start = StdInstant::now();
-    for i in 0..commands {
-        cluster.request(leader, i);
-    }
-    await_leader_outputs(
-        |cursor| cluster.outputs_since(cursor),
-        leader,
-        commands,
-        |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
-    );
-    let total_wall = burst_start.elapsed();
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
-    let (committed, mut latencies) = wall_latencies(&outputs, leader, total_wall);
-    let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
+    let (burst, report) =
+        timed_burst(
+            cluster,
+            (0..commands).collect(),
+            RsmEvent::leader,
+            |o| match o {
+                RsmEvent::Committed { cmd: Some(v), .. } => Some((*v, 0)),
+                _ => None,
+            },
+        );
+    let committed = burst.commits.len() as u64;
+    let mut latencies: Vec<u64> = burst.commits.values().map(|&(_, l)| l).collect();
+    let throughput = committed as f64 / burst.wall.as_secs_f64().max(f64::EPSILON);
     let batched_slots = recorders
         .registry()
         .counter_value("probe_batch_commit_total");
     let (p50, p99) = record_run(
         registry,
-        "threadnet",
+        substrate,
         "us",
         (max_batch, depth),
         &mut latencies,
         committed,
         batched_slots,
     );
-    ThroughputRow {
-        substrate: "threadnet",
+    let row = ThroughputRow {
+        substrate,
         max_batch,
         depth,
         commands,
@@ -339,89 +337,8 @@ fn threadnet_run(
         p99,
         lat_unit: "us",
         speedup: 1.0,
-    }
-}
-
-/// TCP run: the threadnet run's shape over real sockets, with the
-/// report's socket counters exported into the shared registry.
-fn wirenet_run(
-    n: usize,
-    commands: u64,
-    max_batch: usize,
-    depth: usize,
-    registry: &Registry,
-) -> ThroughputRow {
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
     };
-    let params = rsm_params(max_batch, depth);
-    let rec = Arc::clone(&recorders);
-    let cluster = WireCluster::try_spawn(config, move |env| {
-        ReplicatedLog::<u64>::builder(env, params)
-            .probe(rec.probe_for(env.id()))
-            .build()
-            .expect("in-memory log")
-    })
-    .expect("bind 127.0.0.1 listeners");
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_unanimity(
-        || leader_view(cluster.latest_outputs()),
-        &all,
-        StdDuration::from_secs(10),
-    )
-    .unwrap_or(ProcessId(0));
-    let burst_start = StdInstant::now();
-    for i in 0..commands {
-        cluster.request(leader, i);
-    }
-    await_leader_outputs(
-        |cursor| cluster.outputs_since(cursor),
-        leader,
-        commands,
-        |o| matches!(o, RsmEvent::Committed { cmd: Some(_), .. }),
-    );
-    let total_wall = burst_start.elapsed();
-    let report = cluster.stop();
-    report.export(registry);
-    let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
-        .outputs()
-        .iter()
-        .map(|o| (o.process, o.at, o.output.clone()))
-        .collect();
-    let (committed, mut latencies) = wall_latencies(&outputs, leader, total_wall);
-    let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
-    let batched_slots = recorders
-        .registry()
-        .counter_value("probe_batch_commit_total");
-    let (p50, p99) = record_run(
-        registry,
-        "wirenet",
-        "us",
-        (max_batch, depth),
-        &mut latencies,
-        committed,
-        batched_slots,
-    );
-    ThroughputRow {
-        substrate: "wirenet",
-        max_batch,
-        depth,
-        commands,
-        committed,
-        batched_slots,
-        throughput,
-        unit: "cmds/s",
-        p50,
-        p99,
-        lat_unit: "us",
-        speedup: 1.0,
-    }
+    (row, report)
 }
 
 /// Fills in per-substrate speedups relative to the `(1, 1)` baseline row
@@ -449,6 +366,14 @@ fn compute_speedups(rows: &mut [ThroughputRow]) -> f64 {
         }
     }
     max_speedup
+}
+
+/// The best speedup and E19's verdict: it reaches the gate, and every row,
+/// on every substrate, committed its whole burst.
+fn verdict(rows: &mut [ThroughputRow]) -> (f64, bool) {
+    let max_speedup = compute_speedups(rows);
+    let complete = rows.iter().all(|r| r.committed == r.commands);
+    (max_speedup, max_speedup >= SPEEDUP_GATE && complete)
 }
 
 fn row_json(row: &ThroughputRow) -> JsonValue {
@@ -482,13 +407,20 @@ pub fn e19_throughput(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) 
         rows.push(netsim_run(n, commands, b, d, seed, &registry));
     }
     for &(b, d) in CONFIGS {
-        rows.push(threadnet_run(n, commands, b, d, seed, &registry));
+        let (row, _) = wall_run("threadnet", (n, commands), (b, d), &registry, |make| {
+            threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make)
+        });
+        rows.push(row);
     }
     for &(b, d) in CONFIGS {
-        rows.push(wirenet_run(n, commands, b, d, &registry));
+        let (row, report) = wall_run("wirenet", (n, commands), (b, d), &registry, |make| {
+            WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
+                .expect("bind 127.0.0.1 listeners")
+        });
+        report.export(&registry);
+        rows.push(row);
     }
-    let max_speedup = compute_speedups(&mut rows);
-    let pass = max_speedup >= SPEEDUP_GATE;
+    let (max_speedup, pass) = verdict(&mut rows);
     let mut t = Table::new(vec![
         "substrate",
         "batch x depth",
@@ -548,6 +480,28 @@ mod tests {
             fast.throughput,
             base.throughput
         );
+    }
+
+    /// The verdict fails when any row leaves part of its burst uncommitted,
+    /// however large the speedup.
+    #[test]
+    fn a_short_row_fails_the_verdict() {
+        let registry = Registry::new();
+        let mut rows = vec![
+            netsim_run(3, 240, 1, 1, 7, &registry),
+            netsim_run(3, 240, 32, 8, 7, &registry),
+        ];
+        assert!(verdict(&mut rows).1, "full bursts pass");
+        let mut short = netsim_run(3, 240, 8, 4, 7, &registry);
+        short.substrate = "wirenet";
+        short.committed = 0;
+        rows.push(short);
+        let (max_speedup, pass) = verdict(&mut rows);
+        assert!(
+            max_speedup >= SPEEDUP_GATE,
+            "the complete rows keep the gain"
+        );
+        assert!(!pass, "a row that committed 0 of 240 must fail E19");
     }
 
     /// Same seed, same configuration, same numbers: the netsim rows are

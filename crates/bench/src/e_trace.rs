@@ -29,17 +29,20 @@
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-use lls_obs::{reconstruct_spans, NodeRecorders, SpanKind, SpanRecord, Watchdog, WatchdogConfig};
-use lls_primitives::{Instant, ProcessId};
+use lls_obs::{
+    reconstruct_spans, NodeRecorders, RecordingProbe, SpanKind, SpanRecord, Watchdog,
+    WatchdogConfig, WatchdogProbe,
+};
+use lls_primitives::runtime::Cluster;
+use lls_primitives::{Env, Instant, LamportClock, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
-use wirenet::{scrape, BackoffConfig, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
+use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
 
-use crate::e_chaos::await_unanimity;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
+use crate::wall::{all, stable_leader, thread_config, wire_config};
 
 /// Distribution summary over the reconstructed spans of one run.
 struct SpanStats {
@@ -171,104 +174,76 @@ fn netsim_trace(n: usize, horizon: u64, seed: u64) -> TraceRow {
     finish_row("netsim", n, &recorders, &watchdog, alarms_steady, None)
 }
 
-/// Thread-mesh run (wall clock): the cut kills the leader process.
-fn threadnet_trace(n: usize, seed: u64) -> TraceRow {
+/// The Ω machine of a traced wall-clock run.
+type TracedOmega = CommEffOmega<WatchdogProbe<RecordingProbe>>;
+
+/// Wall-clock run (1 ms ticks, no loss): stabilize, arm the watchdog for a
+/// 500 ms steady window, then cut by killing the elected leader and await
+/// the survivors' re-election. `spawn` starts the cluster on the recorders'
+/// clocks. After the steady window `live` may start a live endpoint over
+/// the recorders and check it (wirenet's scrape); `churn` checks it again
+/// once the survivors agree. Both verdicts make the row's scrape column.
+fn wall_trace<C: Cluster<Sm = TracedOmega>, L>(
+    substrate: &'static str,
+    n: usize,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> TracedOmega) -> C,
+    live: impl FnOnce(&Arc<NodeRecorders>) -> Option<(L, bool)>,
+    churn: impl FnOnce(L) -> bool,
+) -> TraceRow {
     let recorders = Arc::new(NodeRecorders::new(n, 1024));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_millis(1),
-        seed,
-    };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        CommEffOmega::new_with_probe(
-            env,
-            OmegaParams::default(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
+    let mut cluster = spawn(recorders.clocks(), &|env| {
+        let probe = watchdog.probe(recorders.probe_for(env.id()));
+        CommEffOmega::new_with_probe(env, OmegaParams::default(), probe)
     });
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let leader = await_unanimity(|| cluster.latest_outputs(), &all, timeout);
+    let all = all(n);
+    let leader = stable_leader(&cluster, &all, |l| Some(*l));
     // Let the election's tail traffic drain before arming.
     std::thread::sleep(StdDuration::from_millis(400));
     watchdog.arm();
     std::thread::sleep(StdDuration::from_millis(500));
     let alarms_steady = watchdog.alarm_count();
+    let endpoint = live(&recorders);
     let victim = leader.unwrap_or(ProcessId(0));
     cluster.kill(victim);
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    let _ = await_unanimity(|| cluster.latest_outputs(), &survivors, timeout);
+    let _ = stable_leader(&cluster, &survivors, |l| Some(*l));
+    let scrape_ok = endpoint.map(|(endpoint, steady_ok)| churn(endpoint) && steady_ok);
     watchdog.disarm();
-    cluster.stop();
-    finish_row("threadnet", n, &recorders, &watchdog, alarms_steady, None)
-}
-
-/// TCP run (wall clock): same shape as threadnet, plus a live HTTP scrape
-/// mid-run that must agree with the in-process registry.
-fn wirenet_trace(n: usize) -> TraceRow {
-    let recorders = Arc::new(NodeRecorders::new(n, 1024));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = WireConfig {
-        n,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        ..WireConfig::default()
-    };
-    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        CommEffOmega::new_with_probe(
-            env,
-            OmegaParams::default(),
-            watchdog.probe(recorders.probe_for(env.id())),
-        )
-    })
-    .expect("bind 127.0.0.1 listeners");
-    let server =
-        ScrapeServer::spawn(ScrapeRoutes::for_recorders(Arc::clone(&recorders))).expect("scrape");
-    let addr = server.addr();
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let leader = await_unanimity(|| cluster.latest_outputs(), &all, timeout);
-    std::thread::sleep(StdDuration::from_millis(400));
-    watchdog.arm();
-    std::thread::sleep(StdDuration::from_millis(500));
-    let alarms_steady = watchdog.alarm_count();
-    // Mid-run scrape: the HTTP body must be the registry's own rendering.
-    // The cluster is live, so counters can move between the scrape and the
-    // local snapshot — retry a few times until one round trip is quiescent.
-    let mut scrape_ok = false;
-    for _ in 0..5 {
-        let scraped = scrape(addr, "/metrics");
-        let local = recorders.registry().render_prometheus();
-        if scraped.is_ok_and(|body| body == local) {
-            scrape_ok = true;
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(100));
-    }
-    let victim = leader.unwrap_or(ProcessId(0));
-    cluster.kill(victim);
-    let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    let _ = await_unanimity(|| cluster.latest_outputs(), &survivors, timeout);
-    // The endpoint must keep answering while the cluster churns.
-    let flight_live = scrape(addr, "/flight").is_ok_and(|b| b.contains("node p"));
-    let spans_live = scrape(addr, "/spans").is_ok_and(|b| b.starts_with('['));
-    watchdog.disarm();
-    server.stop();
     cluster.stop();
     finish_row(
-        "wirenet",
+        substrate,
         n,
         &recorders,
         &watchdog,
         alarms_steady,
-        Some(scrape_ok && flight_live && spans_live),
+        scrape_ok,
     )
+}
+
+/// Starts the wirenet leg's scrape endpoint over `recorders` and checks,
+/// mid-run, that its `/metrics` body is the registry's own rendering. The
+/// cluster is live, so counters can move between the scrape and the local
+/// snapshot: it retries until one round trip is quiescent.
+fn scrape_metrics(recorders: &Arc<NodeRecorders>) -> (ScrapeServer, bool) {
+    let server =
+        ScrapeServer::spawn(ScrapeRoutes::for_recorders(Arc::clone(recorders))).expect("scrape");
+    let matched = (0..5).any(|attempt| {
+        if attempt > 0 {
+            std::thread::sleep(StdDuration::from_millis(100));
+        }
+        let local = recorders.registry().render_prometheus();
+        scrape(server.addr(), "/metrics").is_ok_and(|body| body == local)
+    });
+    (server, matched)
+}
+
+/// The endpoint must keep answering while the cluster churns.
+fn scrape_churn(server: ScrapeServer) -> bool {
+    let flight = scrape(server.addr(), "/flight").is_ok_and(|b| b.contains("node p"));
+    let spans = scrape(server.addr(), "/spans").is_ok_and(|b| b.starts_with('['));
+    server.stop();
+    flight && spans
 }
 
 fn opt_u64(v: Option<u64>) -> JsonValue {
@@ -306,8 +281,25 @@ fn row_json(row: &TraceRow) -> JsonValue {
 pub fn e18_tracing(n: usize, horizon: u64, seed: u64) -> (Table, JsonValue) {
     let rows = vec![
         netsim_trace(n, horizon, seed),
-        threadnet_trace(n, seed),
-        wirenet_trace(n),
+        wall_trace(
+            "threadnet",
+            n,
+            |clocks, make| {
+                threadnet::Cluster::spawn_traced(thread_config(n, 0.0, 900, seed), clocks, make)
+            },
+            |_| None,
+            |()| true,
+        ),
+        wall_trace(
+            "wirenet",
+            n,
+            |clocks, make| {
+                WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), clocks, make)
+                    .expect("bind 127.0.0.1 listeners")
+            },
+            |recorders| Some(scrape_metrics(recorders)),
+            scrape_churn,
+        ),
     ];
     let mut t = Table::new(vec![
         "substrate",

@@ -51,6 +51,7 @@ pub mod e_trace;
 pub mod e_wire;
 pub mod json;
 pub mod table;
+mod wall;
 
 /// Quantile helper used by several experiments (nearest-rank).
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {

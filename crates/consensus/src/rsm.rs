@@ -177,6 +177,16 @@ pub enum RsmEvent<V> {
     },
 }
 
+impl<V> RsmEvent<V> {
+    /// The leader a `Leader` event names; `None` for every other event.
+    pub fn leader(&self) -> Option<ProcessId> {
+        match self {
+            RsmEvent::Leader(l) => Some(*l),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum LeaderState<V> {
     Follower,

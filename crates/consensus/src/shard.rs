@@ -343,6 +343,16 @@ pub enum ShardEvent<V> {
     },
 }
 
+impl<V> ShardEvent<V> {
+    /// The leader a `Leader` event names; `None` for every other event.
+    pub fn leader(&self) -> Option<ProcessId> {
+        match self {
+            ShardEvent::Leader(l) => Some(*l),
+            _ => None,
+        }
+    }
+}
+
 /// A client command addressed to one shard group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRequest<V> {

@@ -58,6 +58,16 @@ pub enum KvEvent {
     },
 }
 
+impl KvEvent {
+    /// The leader a `Leader` event names; `None` for every other event.
+    pub fn leader(&self) -> Option<ProcessId> {
+        match self {
+            KvEvent::Leader(l) => Some(*l),
+            _ => None,
+        }
+    }
+}
+
 /// Observable events of a [`ShardedKvNode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardedKvEvent {
@@ -92,6 +102,16 @@ pub enum ShardedKvEvent {
         /// First slot NOT covered by the installed snapshot.
         watermark: u64,
     },
+}
+
+impl ShardedKvEvent {
+    /// The leader a `Leader` event names; `None` for every other event.
+    pub fn leader(&self) -> Option<ProcessId> {
+        match self {
+            ShardedKvEvent::Leader(l) => Some(*l),
+            _ => None,
+        }
+    }
 }
 
 mod sealed {

@@ -11,16 +11,20 @@
 //! are only issued after the round's write settled at the leader, so
 //! observing an earlier round is a real-time violation.
 
+mod util;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Duration as StdDuration;
 
 use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_primitives::runtime::{await_stable_leader, Cluster};
+use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
+use threadnet::NetConfig;
+use util::Settled;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// The single register all sessions contend on.
@@ -216,110 +220,6 @@ fn round_of(value: Option<&str>) -> u64 {
         .unwrap_or(0)
 }
 
-/// Maps a cluster's latest outputs to the per-node leader view
-/// [`await_unanimity`] polls.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Quiescence polling (no fixed sleeps): waits until every member reports
-/// the same leader and that agreement holds for a stability window.
-fn await_unanimity(
-    latest: impl Fn() -> Vec<Option<ProcessId>>,
-    members: &[ProcessId],
-    timeout: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let outs = latest();
-        let views: Vec<Option<ProcessId>> = members.iter().map(|p| outs[p.as_usize()]).collect();
-        let unanimous = views
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| views.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= StdDuration::from_millis(150) {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
-
-/// Polls `poll` until it yields, re-invoking `reissue` on a client-style
-/// retry cadence (a forwarded read-index may race a leader change and
-/// drop; the retry is the liveness story, exactly as for a real client).
-fn await_settle(
-    mut poll: impl FnMut() -> Option<KvResponse>,
-    reissue: impl Fn(),
-    timeout: StdDuration,
-) -> Option<KvResponse> {
-    let deadline = StdInstant::now() + timeout;
-    let mut last_issue = StdInstant::now();
-    loop {
-        if let Some(r) = poll() {
-            return Some(r);
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        if last_issue.elapsed() >= StdDuration::from_millis(400) {
-            reissue();
-            last_issue = StdInstant::now();
-        }
-        std::thread::sleep(StdDuration::from_millis(10));
-    }
-}
-
-/// The first settlement of each `(node, client, seq)` a wall-clock
-/// cluster has emitted, read once each through a cursor.
-#[derive(Default)]
-struct Settled {
-    cursor: OutputCursor,
-    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
-}
-
-impl Settled {
-    /// Folds in what `outputs_since` returns past the cursor, then looks up
-    /// the first settlement of `(client, seq)` observed at `node`.
-    fn find(
-        &mut self,
-        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
-        node: ProcessId,
-        client: ClientId,
-        seq: u64,
-    ) -> Option<KvResponse> {
-        for t in outputs_since(&mut self.cursor) {
-            if let KvEvent::Applied {
-                client,
-                seq,
-                response,
-                ..
-            } = t.output
-            {
-                self.first
-                    .entry((t.process, client, seq))
-                    .or_insert(response);
-            }
-        }
-        self.first.get(&(node, client, seq)).cloned()
-    }
-}
-
 /// One read's verdict against the round-based witness: round `r`'s reads
 /// are issued only after write `r` settled, so observing an older round
 /// is a real-time violation.
@@ -338,59 +238,55 @@ fn judge(round: u64, node: ProcessId, response: Option<KvResponse>) -> bool {
     }
 }
 
-#[test]
-fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
-    let n = 5;
-    let rounds = 6u64;
+/// The replica of the wall-clock legs.
+type Replica = KvReplica<WatchdogProbe<RecordingProbe>>;
+
+/// Settle-then-read rounds on a wall-clock cluster of `n`, with the leader
+/// killed halfway through: each round's write (three writer sessions take
+/// turns) settles at the leader before the leaseholder and two followers
+/// read it. `spawn` starts the cluster on the recorders' clocks, or returns
+/// `None` where no loopback listener can be bound (the test then skips).
+fn rounds_stay_fresh<C: Cluster<Sm = Replica>>(
+    n: usize,
+    rounds: u64,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> Replica) -> Option<C>,
+) {
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed: 23,
-    };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
+    let Some(mut cluster) = spawn(recorders.clocks(), &|env| {
         ReplicatedLog::builder(env, lease_params())
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(KvReplica::from_log)
             .unwrap()
-    });
+    }) else {
+        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
+        return;
+    };
     let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let hold = StdDuration::from_millis(150);
     let mut settled = Settled::default();
     let mut served = 0u64;
-    let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
+    let mut leader = await_stable_leader(&cluster, &alive, KvEvent::leader, hold, timeout);
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
             if let Some(victim) = leader {
                 cluster.kill(victim);
                 alive.retain(|p| *p != victim);
             }
-            leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
+            leader = await_stable_leader(&cluster, &alive, KvEvent::leader, hold, timeout);
         }
         let Some(l) = leader else {
             panic!("no leader settled for round {round}")
         };
         // Rotate the writing session: three writers share the register.
-        let writer = ClientId(1 + (round - 1) % 3);
-        let wseq = round.div_ceil(3);
         let write = Tagged {
-            client: writer,
-            seq: wseq,
+            client: ClientId(1 + (round - 1) % 3),
+            seq: round.div_ceil(3),
             cmd: KvCmd::put(KEY, rval(round)),
         };
-        cluster.request(l, write.clone());
-        if await_settle(
-            || settled.find(|c| cluster.outputs_since(c), l, writer, wseq),
-            || cluster.request(l, write.clone()),
-            timeout,
-        )
-        .is_none()
-        {
+        if settled.request(&cluster, l, write, timeout).is_none() {
             continue; // Unsettled write: this round's reads cannot be judged.
         }
         // Three reader sessions: the leaseholder plus two followers.
@@ -404,13 +300,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
                 seq: round,
                 cmd: KvCmd::read(KEY),
             };
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
-            if judge(round, node, response) {
+            if judge(round, node, settled.request(&cluster, node, read, timeout)) {
                 served += 1;
             }
         }
@@ -421,84 +311,31 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
 }
 
 #[test]
+fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
+    let config = NetConfig {
+        n: 5,
+        loss: 0.0,
+        min_delay: StdDuration::from_micros(100),
+        max_delay: StdDuration::from_micros(500),
+        tick: StdDuration::from_millis(1),
+        seed: 23,
+    };
+    rounds_stay_fresh(5, 6, |clocks, make| {
+        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
+    });
+}
+
+#[test]
 fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
-    let n = 3;
-    let rounds = 4u64;
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let config = WireConfig {
-        n,
+        n: 3,
         tick: StdDuration::from_millis(1),
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
         record_outputs: true,
     };
-    let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        ReplicatedLog::builder(env, lease_params())
-            .probe(watchdog.probe(recorders.probe_for(env.id())))
-            .build()
-            .and_then(KvReplica::from_log)
-            .unwrap()
-    }) else {
-        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
-        return;
-    };
-    let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let mut settled = Settled::default();
-    let mut served = 0u64;
-    let mut leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
-    for round in 1..=rounds {
-        if round == rounds / 2 + 1 {
-            if let Some(victim) = leader {
-                cluster.kill(victim);
-                alive.retain(|p| *p != victim);
-            }
-            leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &alive, timeout);
-        }
-        let Some(l) = leader else {
-            panic!("no leader settled for round {round}")
-        };
-        let writer = ClientId(1 + (round - 1) % 3);
-        let wseq = round.div_ceil(3);
-        let write = Tagged {
-            client: writer,
-            seq: wseq,
-            cmd: KvCmd::put(KEY, rval(round)),
-        };
-        cluster.request(l, write.clone());
-        if await_settle(
-            || settled.find(|c| cluster.outputs_since(c), l, writer, wseq),
-            || cluster.request(l, write.clone()),
-            timeout,
-        )
-        .is_none()
-        {
-            continue;
-        }
-        for &node in alive
-            .iter()
-            .filter(|&&p| p == l)
-            .chain(alive.iter().filter(|&&p| p != l).take(2))
-        {
-            let read = Tagged {
-                client: reader_at(node),
-                seq: round,
-                cmd: KvCmd::read(KEY),
-            };
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
-            if judge(round, node, response) {
-                served += 1;
-            }
-        }
-    }
-    cluster.stop();
-    assert!(served > 0, "some reads must settle");
-    assert_eq!(watchdog.alarm_count(), 0, "watchdog must stay quiet");
+    rounds_stay_fresh(3, 4, |clocks, make| {
+        WireCluster::try_spawn_traced(config, clocks, make).ok()
+    });
 }

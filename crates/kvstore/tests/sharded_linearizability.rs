@@ -9,17 +9,21 @@
 //! specific `(client, seq)` settle) with client-style retries, never a
 //! fixed sleep — so the suites are immune to scheduler jitter.
 
+mod util;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Duration as StdDuration;
 
 use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardedNode};
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
-use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
+use lls_primitives::runtime::{await_stable_leader, Cluster};
+use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
+use threadnet::NetConfig;
+use util::Settled;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 /// One register per writer session: writer `1 + i` owns `KEYS[i]`.
@@ -217,106 +221,6 @@ fn cross_shard_reads_respect_per_key_real_time() {
 // Wall clock: quiescence polling, never fixed sleeps.
 // ---------------------------------------------------------------------------
 
-fn leader_view(latest: Vec<Option<ShardedKvEvent>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(ShardedKvEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Waits until every member reports the same leader and the agreement
-/// holds for a stability window — polling, not sleeping a fixed guess.
-fn await_unanimity(
-    latest: impl Fn() -> Vec<Option<ProcessId>>,
-    members: &[ProcessId],
-    timeout: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let outs = latest();
-        let views: Vec<Option<ProcessId>> = members.iter().map(|p| outs[p.as_usize()]).collect();
-        let unanimous = views
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| views.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= StdDuration::from_millis(150) {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
-
-/// Polls until `(client, seq)` settles, re-issuing on a retry cadence.
-fn await_settle(
-    mut poll: impl FnMut() -> Option<KvResponse>,
-    reissue: impl Fn(),
-    timeout: StdDuration,
-) -> Option<KvResponse> {
-    let deadline = StdInstant::now() + timeout;
-    let mut last_issue = StdInstant::now();
-    loop {
-        if let Some(r) = poll() {
-            return Some(r);
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        if last_issue.elapsed() >= StdDuration::from_millis(400) {
-            reissue();
-            last_issue = StdInstant::now();
-        }
-        std::thread::sleep(StdDuration::from_millis(10));
-    }
-}
-
-/// The first settlement of each `(node, client, seq)` a wall-clock
-/// cluster has emitted, read once each through a cursor.
-#[derive(Default)]
-struct Settled {
-    cursor: OutputCursor,
-    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
-}
-
-impl Settled {
-    /// Folds in what `outputs_since` returns past the cursor, then looks up
-    /// the first settlement of `(client, seq)` observed at `node`.
-    fn find(
-        &mut self,
-        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<ShardedKvEvent>>,
-        node: ProcessId,
-        client: ClientId,
-        seq: u64,
-    ) -> Option<KvResponse> {
-        for t in outputs_since(&mut self.cursor) {
-            if let ShardedKvEvent::Applied {
-                client,
-                seq,
-                response,
-                ..
-            } = t.output
-            {
-                self.first
-                    .entry((t.process, client, seq))
-                    .or_insert(response);
-            }
-        }
-        self.first.get(&(node, client, seq)).cloned()
-    }
-}
-
 /// Per-shard prefix agreement over the stop report: every node's applied
 /// command sequence for each shard must equal a prefix of the longest
 /// node's sequence (linearizable-prefix agreement, per shard).
@@ -350,31 +254,37 @@ fn assert_prefix_agreement(per_node: &BTreeMap<ProcessId, Vec<(u32, u64, ClientI
     }
 }
 
-/// One wall-clock round workload: `writes_per_key` settled writes per key
-/// at the unanimous leader, a read of every key at every node after its
-/// final write, then per-shard prefix agreement over the stop report.
-fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
+/// The node of the wall-clock legs.
+type Node = ShardedKvNode<WatchdogProbe<RecordingProbe>>;
+
+/// One wall-clock round workload on a cluster of `n`: `writes_per_key`
+/// settled writes per key at the unanimous leader, a read of every key at
+/// every node after its final write, then per-shard prefix agreement over
+/// the stop report. `spawn` starts the cluster on the recorders' clocks, or
+/// returns `None` where no loopback listener can be bound (the test then
+/// skips).
+fn cross_shard_settles<C: Cluster<Sm = Node>>(
+    n: usize,
+    writes_per_key: u64,
+    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> Node) -> Option<C>,
+) {
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed: 29,
-    };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
+    let Some(cluster) = spawn(recorders.clocks(), &|env| {
         ShardedNode::builder(env, lease_params(), placement(n))
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(ShardedKvNode::from_log)
             .unwrap()
-    });
+    }) else {
+        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
+        return;
+    };
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
+    let hold = StdDuration::from_millis(150);
     let mut settled = Settled::default();
-    let leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &all, timeout)
+    let leader = await_stable_leader(&cluster, &all, ShardedKvEvent::leader, hold, timeout)
         .expect("a leader must settle");
     for i in 1..=writes_per_key {
         for (k, key) in KEYS.iter().enumerate() {
@@ -383,14 +293,8 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
                 seq: i,
                 cmd: KvCmd::put(*key, value_of(i)),
             };
-            cluster.request(leader, write.clone());
             assert!(
-                await_settle(
-                    || settled.find(|c| cluster.outputs_since(c), leader, writer_of(k), i),
-                    || cluster.request(leader, write.clone()),
-                    timeout,
-                )
-                .is_some(),
+                settled.request(&cluster, leader, write, timeout).is_some(),
                 "write {i} to {key:?} must settle"
             );
         }
@@ -404,13 +308,7 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
                 seq: rseq,
                 cmd: KvCmd::read(*key),
             };
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), rseq),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
-            match response {
+            match settled.request(&cluster, node, read, timeout) {
                 Some(KvResponse::Value { value }) => assert_eq!(
                     index_of(value.as_deref()),
                     writes_per_key,
@@ -445,100 +343,30 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
 
 #[test]
 fn threadnet_cross_shard_settles_by_quiescence_polling() {
-    assert_threadnet_cross_shard(3, 4);
+    let config = NetConfig {
+        n: 3,
+        loss: 0.0,
+        min_delay: StdDuration::from_micros(100),
+        max_delay: StdDuration::from_micros(500),
+        tick: StdDuration::from_millis(1),
+        seed: 29,
+    };
+    cross_shard_settles(3, 4, |clocks, make| {
+        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
+    });
 }
 
 #[test]
 fn wirenet_cross_shard_settles_by_quiescence_polling() {
-    let n = 3;
-    let writes_per_key = 3u64;
-    let recorders = Arc::new(NodeRecorders::new(n, 256));
-    let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let config = WireConfig {
-        n,
+        n: 3,
         tick: StdDuration::from_millis(1),
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: None,
         record_outputs: true,
     };
-    let Ok(cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        ShardedNode::builder(env, lease_params(), placement(n))
-            .probe(watchdog.probe(recorders.probe_for(env.id())))
-            .build()
-            .and_then(ShardedKvNode::from_log)
-            .unwrap()
-    }) else {
-        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
-        return;
-    };
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(10);
-    let mut settled = Settled::default();
-    let leader = await_unanimity(|| leader_view(cluster.latest_outputs()), &all, timeout)
-        .expect("a leader must settle");
-    for i in 1..=writes_per_key {
-        for (k, key) in KEYS.iter().enumerate() {
-            let write = Tagged {
-                client: writer_of(k),
-                seq: i,
-                cmd: KvCmd::put(*key, value_of(i)),
-            };
-            cluster.request(leader, write.clone());
-            assert!(
-                await_settle(
-                    || settled.find(|c| cluster.outputs_since(c), leader, writer_of(k), i),
-                    || cluster.request(leader, write.clone()),
-                    timeout,
-                )
-                .is_some(),
-                "write {i} to {key:?} must settle"
-            );
-        }
-    }
-    for (k, key) in KEYS.iter().enumerate() {
-        let rseq = (k + 1) as u64;
-        for &node in &all {
-            let read = Tagged {
-                client: reader_at(node),
-                seq: rseq,
-                cmd: KvCmd::read(*key),
-            };
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), rseq),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
-            match response {
-                Some(KvResponse::Value { value }) => assert_eq!(
-                    index_of(value.as_deref()),
-                    writes_per_key,
-                    "{key:?} at {node}: must observe the final write"
-                ),
-                other => panic!("read of {key:?} at {node} did not settle: {other:?}"),
-            }
-        }
-    }
-    let report = cluster.stop();
-    let mut per_node: BTreeMap<ProcessId, Vec<(u32, u64, ClientId, u64)>> = BTreeMap::new();
-    for o in report.outputs() {
-        if let ShardedKvEvent::Applied {
-            shard,
-            slot,
-            client,
-            seq,
-            ..
-        } = &o.output
-        {
-            if client.0 <= KEYS.len() as u64 {
-                per_node
-                    .entry(o.process)
-                    .or_default()
-                    .push((shard.0, *slot, *client, *seq));
-            }
-        }
-    }
-    assert_prefix_agreement(&per_node);
-    assert_eq!(watchdog.alarm_count(), 0, "watchdog must stay quiet");
+    cross_shard_settles(3, 3, |clocks, make| {
+        WireCluster::try_spawn_traced(config, clocks, make).ok()
+    });
 }

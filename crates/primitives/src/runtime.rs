@@ -1,4 +1,5 @@
-//! The wall-clock node driver every real-time substrate runs.
+//! The wall-clock node driver every real-time substrate runs, and the one
+//! [`Cluster`] interface a harness drives those substrates through.
 //!
 //! An [`Sm`] is pure, so what a runtime adds exists once, here: the timer
 //! table with reset semantics, the wall-clock → tick mapping, dispatch of
@@ -15,6 +16,12 @@
 //! [`Process::deliver`] themselves. Both transports merge the envelope into
 //! the receiver's [`LamportClock`] before delivery, so the handler runs
 //! causally after the send.
+//!
+//! Each substrate's cluster implements [`Cluster`]: spawn is its own, and
+//! everything after it (requests, kill and restart, the reads over each
+//! process's [`NodeLog`], stop and the shared [`RunReport`]) has one
+//! meaning on both. [`await_stable_leader`] is the one wait for a settled
+//! election.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +168,7 @@ impl<O> Kept<O> {
 /// What the drivers of one process leave for its cluster: the newest output
 /// and the send counts of all its incarnations, so a killed process stays in
 /// live snapshots and in the final report. With recording on it also keeps
-/// every output, read through [`outputs_since`] and [`RunOutputs`].
+/// every output, read through [`outputs_since`] and [`RunReport`].
 #[derive(Debug)]
 pub struct NodeLog<O> {
     outputs: Mutex<Kept<O>>,
@@ -260,18 +267,26 @@ pub fn outputs_since<O: Clone>(
     fresh
 }
 
-/// What a stopped cluster's processes emitted: each one's newest output and,
-/// when the cluster recorded them, every output of the run.
+/// What every wall-clock substrate reports when it stops: each process's
+/// newest output, its send counters and, when the cluster recorded them,
+/// every output of the run. A substrate's report adds its own counters and
+/// dereferences to this one.
 #[derive(Debug, Clone)]
-pub struct RunOutputs<O> {
+pub struct RunReport<O> {
     latest: Vec<Option<O>>,
     history: Option<Vec<TimedOutput<O>>>,
+    /// Protocol-level sends per process, counted when the state machine
+    /// emits them, before any loss or queueing.
+    pub sent: Vec<u64>,
+    /// Offset from the epoch of each process's last protocol-level send.
+    pub last_send: Vec<Option<StdDuration>>,
 }
 
-impl<O: Clone> RunOutputs<O> {
+impl<O: Clone> RunReport<O> {
     /// Moves what `logs` kept into one record, history ordered by emission
     /// time. Call it once, after every driver has been joined.
     pub fn collect(logs: &[Arc<NodeLog<O>>]) -> Self {
+        let (sent, last_send) = traffic_snapshot(logs);
         let mut latest = Vec::with_capacity(logs.len());
         let mut history = Some(Vec::new());
         for log in logs {
@@ -285,23 +300,40 @@ impl<O: Clone> RunOutputs<O> {
         if let Some(all) = &mut history {
             all.sort_by_key(|t| t.at);
         }
-        RunOutputs { latest, history }
+        RunReport {
+            latest,
+            history,
+            sent,
+            last_send,
+        }
     }
 }
 
-impl<O> RunOutputs<O> {
-    /// The last output `p` emitted, in whichever incarnation, if any.
-    pub fn latest(&self, p: ProcessId) -> Option<&O> {
-        self.latest[p.as_usize()].as_ref()
-    }
-
-    /// Every output of the run, ordered by emission time.
+impl<O> RunReport<O> {
+    /// Every output of the run, killed incarnations included, ordered by
+    /// emission time.
     ///
     /// # Panics
     ///
-    /// Panics if the cluster was spawned without `record_outputs`.
-    pub fn history(&self) -> &[TimedOutput<O>] {
+    /// Panics if the cluster did not record its history.
+    pub fn outputs(&self) -> &[TimedOutput<O>] {
         self.history.as_deref().expect(HISTORY_OFF)
+    }
+
+    /// The last output `p` emitted, in whichever incarnation, if any.
+    pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
+        self.latest[p.as_usize()].as_ref()
+    }
+
+    /// Processes whose last send happened at or after `since` (from the
+    /// epoch): the communication-efficiency oracle, as in `netsim`.
+    pub fn senders_since(&self, since: StdDuration) -> Vec<ProcessId> {
+        self.last_send
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.is_some_and(|t| t >= since))
+            .map(|(i, _)| ProcessId(i as u32))
+            .collect()
     }
 }
 
@@ -313,6 +345,129 @@ pub fn traffic_snapshot<O>(logs: &[Arc<NodeLog<O>>]) -> (Vec<u64>, Vec<Option<St
             (t.sent, t.last_send)
         })
         .unzip()
+}
+
+/// The output type of cluster `C`'s state machine.
+pub type Output<C> = <<C as Cluster>::Sm as Sm>::Output;
+
+/// A running wall-clock cluster, as a harness drives it: the one interface
+/// `threadnet::Cluster` and `wirenet::WireCluster` share, so an experiment
+/// or a test is written once and run on both.
+///
+/// The contract both substrates keep:
+///
+/// - A request sent to a killed process is dropped, like one sent to a
+///   crashed server: it is never handled, not even after a restart.
+/// - A killed incarnation's last output stays in
+///   [`latest_outputs`](Cluster::latest_outputs) and in the report's
+///   [`final_output_of`](RunReport::final_output_of) until the process
+///   emits again, and its sends stay counted.
+/// - Restarting a live process does nothing: the running incarnation
+///   carries on and the fresh machine is dropped.
+///
+/// The read methods are written once here, over each process's
+/// [`NodeLog`].
+pub trait Cluster: Sized {
+    /// The state machine every process runs.
+    type Sm: Sm;
+    /// What [`stop`](Cluster::stop) returns: the shared [`RunReport`] plus
+    /// the substrate's own counters.
+    type Report: std::ops::Deref<Target = RunReport<Output<Self>>>;
+
+    /// Each process's log, indexed by process, written by all its
+    /// incarnations.
+    fn logs(&self) -> &[Arc<NodeLog<Output<Self>>>];
+
+    /// The wall-clock instant every node's virtual clock counts ticks from.
+    /// An external client maps its own timestamps into the same tick domain
+    /// with `(now - epoch) / tick`, so client- and replica-side probe events
+    /// share one timeline.
+    fn epoch(&self) -> StdInstant;
+
+    /// The wall-clock length of one tick.
+    fn tick(&self) -> StdDuration;
+
+    /// Hands an external request to `p`; dropped if `p` is dead.
+    fn request(&self, p: ProcessId, req: <Self::Sm as Sm>::Request);
+
+    /// Crashes `p`: it handles nothing until [`restart`](Cluster::restart)
+    /// brings it back; without a restart this is crash-stop.
+    fn kill(&mut self, p: ProcessId);
+
+    /// Brings a killed `p` back with a fresh machine, typically one recovered
+    /// from the storage its predecessor wrote, and runs its `on_start`.
+    /// Does nothing while `p` is alive.
+    ///
+    /// # Panics
+    ///
+    /// A substrate that cannot bring `p` back panics (wirenet: its listen
+    /// address cannot be re-bound).
+    fn restart(&mut self, p: ProcessId, sm: Self::Sm);
+
+    /// Stops every process, joins every thread, and reports the run.
+    fn stop(self) -> Self::Report;
+
+    /// Number of processes.
+    fn n(&self) -> usize {
+        self.logs().len()
+    }
+
+    /// Each process's most recent output, if any; for a dead (or restarted
+    /// and still quiet) process, its last incarnation's.
+    fn latest_outputs(&self) -> Vec<Option<Output<Self>>> {
+        self.logs().iter().map(|log| log.latest()).collect()
+    }
+
+    /// Every output emitted since `cursor` last read, killed incarnations
+    /// included; see [`outputs_since`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster records its output history.
+    fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<Output<Self>>> {
+        outputs_since(self.logs(), cursor)
+    }
+
+    /// A live snapshot of `(sent, last_send)` per process, killed
+    /// incarnations included.
+    fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
+        traffic_snapshot(self.logs())
+    }
+}
+
+/// Polls `cluster` every 20 ms until every process in `members` names the
+/// same leader through `leader`, and has named it for `hold` without a
+/// break; returns that leader, or `None` once `timeout` has passed.
+/// Agreement that does not hold for `hold` (start-up churn) does not count.
+pub fn await_stable_leader<C: Cluster>(
+    cluster: &C,
+    members: &[ProcessId],
+    leader: impl Fn(&Output<C>) -> Option<ProcessId>,
+    hold: StdDuration,
+    timeout: StdDuration,
+) -> Option<ProcessId> {
+    let deadline = StdInstant::now() + timeout;
+    let mut agreed: Option<(ProcessId, StdInstant)> = None;
+    loop {
+        let latest = cluster.latest_outputs();
+        let mut views = members
+            .iter()
+            .map(|p| latest[p.as_usize()].as_ref().and_then(&leader));
+        let first = views.next().flatten();
+        match (first.filter(|l| views.all(|v| v == Some(*l))), agreed) {
+            (Some(l), Some((held, since))) if l == held => {
+                if since.elapsed() >= hold {
+                    return Some(l);
+                }
+            }
+            (Some(l), _) => agreed = Some((l, StdInstant::now())),
+            (None, _) => agreed = None,
+        }
+        if StdInstant::now() > deadline {
+            return None;
+        }
+        std::thread::sleep(StdDuration::from_millis(20));
+    }
 }
 
 /// What one process's driver runs with, besides its machine and inbox.
@@ -805,9 +960,9 @@ mod tests {
         let read = |batch: &[TimedOutput<u64>]| batch.iter().map(|t| t.output).collect::<Vec<_>>();
         assert_eq!(read(&first), vec![10, 11, 0], "sorted by `at`");
         assert_eq!(read(&second), vec![1, 2]);
-        let report = RunOutputs::collect(&logs);
-        assert_eq!(read(report.history()), vec![10, 11, 0, 1, 2]);
-        assert_eq!(report.latest(ProcessId(0)), Some(&2));
-        assert_eq!(report.latest(ProcessId(1)), Some(&11));
+        let report = RunReport::collect(&logs);
+        assert_eq!(read(report.outputs()), vec![10, 11, 0, 1, 2]);
+        assert_eq!(report.final_output_of(ProcessId(0)), Some(&2));
+        assert_eq!(report.final_output_of(ProcessId(1)), Some(&11));
     }
 }

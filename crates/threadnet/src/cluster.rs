@@ -5,9 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{
-    self, Control, NodeLog, NodeSpec, OutputCursor, RunOutputs, TimedOutput,
-};
+use lls_primitives::runtime::{self, Control, NodeLog, NodeSpec, RunReport};
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
 use crate::router::{run_router, Envelope};
@@ -43,41 +41,25 @@ impl Default for NetConfig {
     }
 }
 
-/// Everything a finished run reports.
+/// Everything a finished run reports: the shared [`RunReport`] (outputs,
+/// send counts, `senders_since`), which it dereferences to, plus the lossy
+/// mesh's drops.
 #[derive(Debug, Clone)]
 pub struct Report<O> {
-    outputs: RunOutputs<O>,
-    /// Messages sent per process (counted when the state machine emits
-    /// them, before the lossy mesh sees them).
-    pub sent: Vec<u64>,
+    run: RunReport<O>,
     /// Messages dropped by the lossy mesh, per sender.
     pub dropped: Vec<u64>,
-    /// Wall-clock offset of each process's last send.
-    pub last_send: Vec<Option<StdDuration>>,
+}
+
+impl<O> std::ops::Deref for Report<O> {
+    type Target = RunReport<O>;
+
+    fn deref(&self) -> &RunReport<O> {
+        &self.run
+    }
 }
 
 impl<O> Report<O> {
-    /// Every output of the run, ordered by emission time.
-    pub fn outputs(&self) -> &[TimedOutput<O>] {
-        self.outputs.history()
-    }
-
-    /// The last output `p` emitted, if any.
-    pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
-        self.outputs.latest(p)
-    }
-
-    /// Processes whose last send happened at or after `since` (from cluster
-    /// start) — the communication-efficiency oracle, as in `netsim`.
-    pub fn senders_since(&self, since: StdDuration) -> Vec<ProcessId> {
-        self.last_send
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_some_and(|t| t >= since))
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect()
-    }
-
     /// Exports the run's traffic accounting into an observability
     /// [`Registry`](lls_obs::Registry): per-process
     /// `threadnet_sent_total_p{i}` plus an aggregate drop counter.
@@ -213,86 +195,54 @@ impl<S: Sm + Send + 'static> Cluster<S> {
             tick: config.tick,
         }
     }
+}
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.inboxes.len()
+impl<S: Sm + Send + 'static> runtime::Cluster for Cluster<S> {
+    type Sm = S;
+    type Report = Report<S::Output>;
+
+    fn logs(&self) -> &[Arc<NodeLog<S::Output>>] {
+        &self.logs
     }
 
-    /// The wall-clock instant every node's virtual clock counts ticks from.
-    /// An external client (e.g. a latency harness's submit queue) maps its
-    /// own timestamps into the same tick domain with
-    /// `(now - epoch) / tick`, so client- and replica-side probe events
-    /// share one timeline.
-    pub fn epoch(&self) -> StdInstant {
+    fn epoch(&self) -> StdInstant {
         self.start
     }
 
-    /// The configured tick length — the granularity of every node's
-    /// virtual clock.
-    pub fn tick(&self) -> StdDuration {
+    fn tick(&self) -> StdDuration {
         self.tick
     }
 
-    /// Kills `p` as a crash fault: the process stops reacting (all timers
-    /// disarmed, all traffic to it discarded) until [`Cluster::restart`]
-    /// brings it back; without a restart this is crash-stop.
-    pub fn kill(&self, p: ProcessId) {
-        let _ = self.inboxes[p.as_usize()].send(Control::Kill);
-    }
-
-    /// Restarts a killed `p` with a fresh state machine `sm` — typically one
-    /// recovered from the same durable storage the pre-crash incarnation
-    /// wrote (e.g. `Consensus::with_storage`). The machine's `on_start` runs
-    /// on the node thread; if `p` was never killed, the restart request is
-    /// ignored.
-    pub fn restart(&self, p: ProcessId, sm: S) {
-        let _ = self.inboxes[p.as_usize()].send(Control::Restart(Box::new(sm)));
-    }
-
-    /// Delivers an external request to `p`.
-    pub fn request(&self, p: ProcessId, req: S::Request) {
+    fn request(&self, p: ProcessId, req: S::Request) {
         let _ = self.inboxes[p.as_usize()].send(Control::Request(req));
     }
 
-    /// A live snapshot of `(sent, last_send)` per process.
-    pub fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
-        runtime::traffic_snapshot(&self.logs)
+    /// Queues the kill in `p`'s inbox: the driver disarms every timer and
+    /// drops each later stimulus until a restart.
+    fn kill(&mut self, p: ProcessId) {
+        let _ = self.inboxes[p.as_usize()].send(Control::Kill);
     }
 
-    /// Every output emitted since `cursor` last read, ordered by emission
-    /// time, each process's in the order it emitted them. Unlike
-    /// [`Cluster::latest_outputs`] this lets callers await an event that
-    /// may be followed by later outputs (e.g. a commit followed by a
-    /// leader-change notification).
-    pub fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<S::Output>> {
-        runtime::outputs_since(&self.logs, cursor)
+    /// Queues the fresh machine in `p`'s inbox; the driver runs its
+    /// `on_start` on the node thread, or drops it if `p` is alive.
+    fn restart(&mut self, p: ProcessId, sm: S) {
+        let _ = self.inboxes[p.as_usize()].send(Control::Restart(Box::new(sm)));
     }
 
-    /// Each process's most recent output so far, if any (mirrors
-    /// `wirenet::WireCluster::latest_outputs`).
-    pub fn latest_outputs(&self) -> Vec<Option<S::Output>> {
-        self.logs.iter().map(|log| log.latest()).collect()
-    }
-
-    /// Stops every thread, joins them, and returns the run report.
-    pub fn stop(mut self) -> Report<S::Output> {
+    fn stop(mut self) -> Report<S::Output> {
         for inbox in &self.inboxes {
             let _ = inbox.send(Control::Stop);
         }
         for h in std::mem::take(&mut self.handles) {
             let _ = h.join();
         }
-        let (sent, last_send) = self.traffic_snapshot();
-        let outputs = RunOutputs::collect(&self.logs);
+        let run = RunReport::collect(&self.logs);
         // The router exits once every node thread, and with it every sender
         // into the router, is gone.
-        let dropped = self.router.join().unwrap_or_else(|_| vec![0; sent.len()]);
-        Report {
-            outputs,
-            sent,
-            dropped,
-            last_send,
-        }
+        let dropped = self
+            .router
+            .join()
+            .unwrap_or_else(|_| vec![0; run.sent.len()]);
+        Report { run, dropped }
     }
 }

@@ -8,6 +8,12 @@
 //! a fair-lossy mesh over real wall-clock time. Virtual ticks are mapped to
 //! wall time (`tick`), so protocol parameters like η keep their meaning.
 //!
+//! [`Cluster`] implements the substrate-generic
+//! [`lls_primitives::runtime::Cluster`] trait, so a harness drives it
+//! exactly as it drives `wirenet`'s TCP cluster: only the spawn and its
+//! [`NetConfig`] are this crate's own. Bring the trait into scope to call
+//! `request`, `kill`, `restart`, the output reads and `stop`.
+//!
 //! The runtime exists to show the algorithms are not simulator-bound
 //! (experiment E10 reruns the communication-efficiency measurement here) and
 //! to serve as a deployment-shaped integration harness. It is intentionally
@@ -16,7 +22,8 @@
 //! # Example
 //!
 //! ```
-//! use std::time::{Duration as StdDuration, Instant as StdInstant};
+//! use std::time::Duration as StdDuration;
+//! use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 //! use lls_primitives::ProcessId;
 //! use omega::{CommEffOmega, OmegaParams};
 //! use threadnet::{Cluster, NetConfig};
@@ -28,22 +35,17 @@
 //!     ..NetConfig::default()
 //! };
 //! let cluster = Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
-//! // Agreement is eventual: poll until all three have named one leader for
-//! // five polls in a row.
-//! let deadline = StdInstant::now() + StdDuration::from_secs(20);
-//! let (mut named, mut streak) = (None, 0);
-//! while streak < 5 {
-//!     std::thread::sleep(StdDuration::from_millis(50));
-//!     let latest = cluster.latest_outputs();
-//!     let agreed = latest[0].filter(|l| latest.iter().all(|v| *v == Some(*l)));
-//!     streak = if agreed.is_some() && agreed == named { streak + 1 } else { 0 };
-//!     named = agreed;
-//!     assert!(StdInstant::now() < deadline, "no agreement: {latest:?}");
-//! }
+//! // Agreement is eventual: wait until all three have named one leader for
+//! // 250 ms without a break.
+//! let all: Vec<ProcessId> = (0..3).map(ProcessId).collect();
+//! let hold = StdDuration::from_millis(250);
+//! await_stable_leader(&cluster, &all, |l| Some(*l), hold, StdDuration::from_secs(20))
+//!     .expect("no agreement");
 //! let report = cluster.stop();
 //! // All three processes ended up trusting the same leader.
-//! let finals: Vec<ProcessId> = (0..3)
-//!     .map(|p| report.final_output_of(ProcessId(p)).copied().expect("leader output"))
+//! let finals: Vec<ProcessId> = all
+//!     .iter()
+//!     .map(|&p| report.final_output_of(p).copied().expect("leader output"))
 //!     .collect();
 //! assert!(finals.iter().all(|&l| l == finals[0]), "disagreement: {finals:?}");
 //! ```

@@ -3,6 +3,7 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::{Cluster, NetConfig};
@@ -28,38 +29,11 @@ fn final_leaders(report: &threadnet::Report<ProcessId>, n: usize) -> Vec<Option<
         .collect()
 }
 
-/// Polls until every process's latest output has been the *same* leader for
-/// `stable_for` continuously — a fixed sleep is not enough, because
-/// scheduler jitter under a loaded test machine can leave a momentary
-/// disagreement at whatever instant the cluster happens to be stopped.
-fn await_agreement(
-    cluster: &Cluster<CommEffOmega>,
-    timeout: StdDuration,
-    stable_for: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let latest = cluster.latest_outputs();
-        let unanimous = latest
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| latest.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= stable_for {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(25));
-    }
-}
+/// How long every process must name one leader before a test counts it as
+/// elected: a fixed sleep is not enough, because scheduler jitter under a
+/// loaded test machine can leave a momentary disagreement at whatever
+/// instant the cluster happens to be stopped.
+const HOLD: StdDuration = StdDuration::from_millis(400);
 
 #[test]
 fn cluster_elects_a_single_leader_under_loss() {
@@ -67,12 +41,10 @@ fn cluster_elects_a_single_leader_under_loss() {
     let cluster = Cluster::spawn(config(n, 0.15), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
-    let leader = await_agreement(
-        &cluster,
-        StdDuration::from_secs(20),
-        StdDuration::from_millis(400),
-    )
-    .expect("no stable agreement under loss");
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let timeout = StdDuration::from_secs(20);
+    let leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, timeout)
+        .expect("no stable agreement under loss");
     let report = cluster.stop();
     let finals = final_leaders(&report, n);
     for (i, l) in finals.iter().enumerate() {
@@ -117,44 +89,31 @@ fn crashed_leader_is_replaced_on_real_threads() {
     let n = 4;
     // Lossless, low-latency mesh: every process is effectively a source, so
     // re-election is guaranteed even after the leader dies.
-    let cluster = Cluster::spawn(config(n, 0.0), |env| {
+    let mut cluster = Cluster::spawn(config(n, 0.0), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
-    let dead = await_agreement(
-        &cluster,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no stable leader before the crash");
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let timeout = StdDuration::from_secs(10);
+    let dead = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, timeout)
+        .expect("no stable leader before the crash");
     cluster.kill(dead);
-    // Poll until the survivors have named one live leader for five polls
-    // in a row.
-    let survivors: Vec<usize> = (0..n).filter(|&p| p != dead.as_usize()).collect();
-    let deadline = StdInstant::now() + StdDuration::from_secs(20);
-    let (mut named, mut streak) = (None, 0);
-    while streak < 5 {
-        std::thread::sleep(StdDuration::from_millis(50));
-        let latest = cluster.latest_outputs();
-        let views: Vec<Option<ProcessId>> = survivors.iter().map(|&p| latest[p]).collect();
-        let agreed = views[0].filter(|l| *l != dead && views.iter().all(|v| *v == Some(*l)));
-        streak = if agreed.is_some() && agreed == named {
-            streak + 1
-        } else {
-            usize::from(agreed.is_some())
-        };
-        named = agreed;
-        assert!(
-            StdInstant::now() < deadline,
-            "survivors never settled on a live leader after {dead} died: {views:?}"
-        );
-    }
+    // Wait until the survivors have named one live leader for 200 ms.
+    let survivors: Vec<ProcessId> = all.iter().copied().filter(|&p| p != dead).collect();
+    let live = |l: &ProcessId| (*l != dead).then_some(*l);
+    let (hold, timeout) = (StdDuration::from_millis(200), StdDuration::from_secs(20));
+    let settled = await_stable_leader(&cluster, &survivors, live, hold, timeout);
+    assert!(
+        settled.is_some(),
+        "survivors never settled on a live leader after {dead} died: {:?}",
+        cluster.latest_outputs()
+    );
     let report = cluster.stop();
     for p in survivors {
         let leader = report
-            .final_output_of(ProcessId(p as u32))
+            .final_output_of(p)
             .copied()
             .expect("survivor must output");
-        assert_ne!(leader, dead, "p{p} still trusts the dead leader");
+        assert_ne!(leader, dead, "{p} still trusts the dead leader");
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use lls_primitives::runtime::Cluster as _;
 use lls_primitives::{Ctx, ProcessId, Sm, TimerId};
 use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
 
@@ -43,7 +44,7 @@ fn a_cursor_reads_each_output_once_across_a_restart() {
         tick: StdDuration::from_millis(1),
         ..NetConfig::default()
     };
-    let cluster = Cluster::spawn(config, |_| Echo);
+    let mut cluster = Cluster::spawn(config, |_| Echo);
     let (mut cursor, mut read) = (OutputCursor::default(), Vec::new());
     let mut requested = [Vec::new(), Vec::new()];
     let mut next = 0;

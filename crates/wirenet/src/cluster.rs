@@ -1,11 +1,14 @@
 //! Cluster lifecycle over real sockets: bind, spawn, drive, sever, stop,
-//! report. Mirrors `threadnet::Cluster` so experiments translate directly.
+//! report. [`WireCluster`] implements the substrate-generic
+//! [`runtime::Cluster`] trait, so an experiment or test written against it
+//! runs here and on `threadnet` unchanged; what only sockets have (link
+//! counters, sever, listen addresses) stays inherent.
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{self, NodeLog, NodeSpec, OutputCursor, RunOutputs, TimedOutput};
+use lls_primitives::runtime::{self, NodeLog, NodeSpec, RunReport};
 use lls_primitives::wire::Wire;
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
@@ -26,8 +29,8 @@ pub struct WireConfig {
     pub backoff: BackoffConfig,
     /// Optional socket-layer loss/delay injection.
     pub faults: Option<FaultConfig>,
-    /// Keep every output for [`WireCluster::outputs_since`] and
-    /// [`ClusterReport::outputs`]. Off by default: each process then keeps
+    /// Keep every output for [`runtime::Cluster::outputs_since`] and
+    /// [`RunReport::outputs`]. Off by default: each process then keeps
     /// only its latest output.
     pub record_outputs: bool,
 }
@@ -47,16 +50,12 @@ impl Default for WireConfig {
     }
 }
 
-/// Everything a finished run reports. The shape matches
-/// `threadnet::Report`, extended with the per-link socket counters.
+/// Everything a finished run reports: the shared [`RunReport`] (outputs,
+/// send counts, `senders_since`), which it dereferences to, plus the
+/// per-link socket counters and the plumbing failures.
 #[derive(Debug, Clone)]
 pub struct ClusterReport<O> {
-    outputs: RunOutputs<O>,
-    /// Protocol-level sends per process (counted when the state machine
-    /// emits them, as at `threadnet`'s router ingress).
-    pub sent: Vec<u64>,
-    /// Wall-clock offset of each process's last protocol-level send.
-    pub last_send: Vec<Option<StdDuration>>,
+    run: RunReport<O>,
     /// Socket counters: `links[p][q]` is node `p`'s view of its link to
     /// `q` (bytes/messages both ways, reconnects, drops, decode errors).
     pub links: Vec<Vec<LinkStats>>,
@@ -65,33 +64,15 @@ pub struct ClusterReport<O> {
     pub errors: Vec<NodeError>,
 }
 
+impl<O> std::ops::Deref for ClusterReport<O> {
+    type Target = RunReport<O>;
+
+    fn deref(&self) -> &RunReport<O> {
+        &self.run
+    }
+}
+
 impl<O> ClusterReport<O> {
-    /// Every output from every node, killed incarnations included, ordered
-    /// by emission time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster ran with [`WireConfig::record_outputs`].
-    pub fn outputs(&self) -> &[TimedOutput<O>] {
-        self.outputs.history()
-    }
-
-    /// The last output `p` emitted, in whichever incarnation, if any.
-    pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
-        self.outputs.latest(p)
-    }
-
-    /// Processes whose last send happened at or after `since` (from cluster
-    /// start) — the communication-efficiency oracle, as in `threadnet`.
-    pub fn senders_since(&self, since: StdDuration) -> Vec<ProcessId> {
-        self.last_send
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_some_and(|t| t >= since))
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect()
-    }
-
     /// All of node `p`'s link counters merged into one total.
     pub fn node_links_total(&self, p: ProcessId) -> LinkStats {
         self.links[p.as_usize()]
@@ -291,7 +272,7 @@ where
     fn spawn_node(&self, p: ProcessId, listener: TcpListener, sm: S) -> WireNode<S> {
         let i = p.as_usize();
         let spec = NodeSpec {
-            env: Env::new(p, self.n()),
+            env: Env::new(p, self.addrs.len()),
             epoch: self.start,
             tick: self.config.tick,
             clock: self.clocks[i].clone(),
@@ -331,27 +312,20 @@ where
     /// been redialling that address since the kill — find the new
     /// incarnation from the *accepting* side.
     ///
+    /// Does nothing while `p` is alive: the running incarnation carries on
+    /// and `sm` is dropped, as on every [`runtime::Cluster`].
+    ///
     /// # Errors
     ///
     /// Fails with [`NodeError::Bind`] if the address cannot be re-bound
     /// within the retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is still alive.
     pub fn restart(&mut self, p: ProcessId, sm: S) -> Result<(), NodeError> {
-        assert!(
-            self.nodes[p.as_usize()].is_none(),
-            "cannot restart {p}: it is alive"
-        );
+        if self.is_alive(p) {
+            return Ok(());
+        }
         let listener = bind_with_retry(self.addrs[p.as_usize()], StdDuration::from_secs(10))?;
         self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm));
         Ok(())
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.addrs.len()
     }
 
     /// The listen address of process `p` (fixed for the cluster's lifetime,
@@ -360,19 +334,10 @@ where
         self.addrs[p.as_usize()]
     }
 
-    /// The wall-clock instant every node's virtual clock counts ticks
-    /// from. An external client (e.g. a latency harness's submit queue)
-    /// maps its own timestamps into the same tick domain with
-    /// `(now - epoch) / tick`, so client- and replica-side probe events
-    /// share one timeline.
+    /// The wall-clock instant every node's virtual clock counts ticks from
+    /// (the same as [`runtime::Cluster::epoch`]).
     pub fn epoch(&self) -> StdInstant {
         self.start
-    }
-
-    /// The configured tick length — the granularity of every node's
-    /// virtual clock.
-    pub fn tick(&self) -> StdDuration {
-        self.config.tick
     }
 
     /// Delivers an external request to `p`. Dropped if `p` is dead, like a
@@ -390,9 +355,9 @@ where
         self.nodes[p.as_usize()].as_ref().map_or(0, |nd| nd.sever())
     }
 
-    /// A live snapshot of `(sent, last_send)` per process, mirroring
-    /// `threadnet::Cluster::traffic_snapshot`. Counters of killed
-    /// incarnations are included.
+    /// A live snapshot of `(sent, last_send)` per process, killed
+    /// incarnations included (the same as
+    /// [`runtime::Cluster::traffic_snapshot`]).
     pub fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
         runtime::traffic_snapshot(&self.logs)
     }
@@ -404,29 +369,6 @@ where
             .iter()
             .map(|peers| peers.iter().map(|c| c.snapshot()).collect())
             .collect()
-    }
-
-    /// Every output emitted since `cursor` last read, killed incarnations
-    /// included, ordered by emission time, each process's in the order it
-    /// emitted them (mirrors `threadnet::Cluster::outputs_since`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster runs with [`WireConfig::record_outputs`].
-    pub fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<S::Output>> {
-        runtime::outputs_since(&self.logs, cursor)
-    }
-
-    /// Each node's most recent output, if any. For a dead (or just-restarted
-    /// and still quiet) process this is the last output of its most recent
-    /// incarnation.
-    pub fn latest_outputs(&self) -> Vec<Option<S::Output>> {
-        self.logs.iter().map(|log| log.latest()).collect()
-    }
-
-    /// Wall-clock elapsed since the cluster started.
-    pub fn elapsed(&self) -> StdDuration {
-        self.start.elapsed()
     }
 
     /// Stops every node, joins all threads, and returns the run report
@@ -441,14 +383,50 @@ where
         for node in std::mem::take(&mut self.nodes).into_iter().flatten() {
             self.errors.extend(node.stop_collecting());
         }
-        let (sent, last_send) = self.traffic_snapshot();
         ClusterReport {
-            outputs: RunOutputs::collect(&self.logs),
-            sent,
-            last_send,
+            run: RunReport::collect(&self.logs),
             links: self.link_snapshot(),
             errors: self.errors,
         }
+    }
+}
+
+impl<S> runtime::Cluster for WireCluster<S>
+where
+    S: Sm + std::marker::Send + 'static,
+    S::Msg: Wire,
+{
+    type Sm = S;
+    type Report = ClusterReport<S::Output>;
+
+    fn logs(&self) -> &[Arc<NodeLog<S::Output>>] {
+        &self.logs
+    }
+
+    fn epoch(&self) -> StdInstant {
+        WireCluster::epoch(self)
+    }
+
+    fn tick(&self) -> StdDuration {
+        self.config.tick
+    }
+
+    fn request(&self, p: ProcessId, req: S::Request) {
+        WireCluster::request(self, p, req);
+    }
+
+    fn kill(&mut self, p: ProcessId) {
+        WireCluster::kill(self, p);
+    }
+
+    fn restart(&mut self, p: ProcessId, sm: S) {
+        if let Err(e) = WireCluster::restart(self, p, sm) {
+            panic!("cannot restart {p}: {e}");
+        }
+    }
+
+    fn stop(self) -> ClusterReport<S::Output> {
+        WireCluster::stop(self)
     }
 }
 

@@ -30,9 +30,13 @@
 //! * loss and delay can be injected at the socket layer
 //!   ([`FaultConfig`], backed by the shared
 //!   [`FaultInjector`](lls_primitives::FaultInjector));
+//! * [`WireCluster`] implements the substrate-generic
+//!   [`lls_primitives::runtime::Cluster`] trait, as `threadnet`'s cluster
+//!   does, so an experiment or test is written once for both; bring the
+//!   trait into scope for `latest_outputs`, `outputs_since` and `tick`;
 //! * per-link counters (bytes/messages both ways, reconnects, queue drops,
-//!   decode failures) surface in a [`ClusterReport`] mirroring
-//!   `threadnet`'s;
+//!   decode failures) surface in the [`ClusterReport`], which extends the
+//!   shared [`RunReport`](lls_primitives::runtime::RunReport);
 //! * every frame carries a version-2 trace envelope (the sender's Lamport
 //!   clock), merged on receive, so recorded probe events line up on one
 //!   causal timeline across nodes;

@@ -11,6 +11,7 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
 use lls_obs::Registry;
+use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
@@ -44,31 +45,10 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
     .expect("bind 127.0.0.1 listeners");
 
     // Await a unanimous stable leader before flooding it.
-    let deadline = StdInstant::now() + StdDuration::from_secs(10);
-    let stable_for = StdDuration::from_millis(300);
-    let mut held: Option<(ProcessId, StdInstant)> = None;
-    let leader = loop {
-        let view: Vec<Option<ProcessId>> = cluster
-            .latest_outputs()
-            .into_iter()
-            .map(|o| match o {
-                Some(RsmEvent::Leader(l)) => Some(l),
-                _ => None,
-            })
-            .collect();
-        let unanimous = match view.first() {
-            Some(&Some(l)) if view.iter().all(|v| *v == Some(l)) => Some(l),
-            _ => None,
-        };
-        match (unanimous, held) {
-            (Some(l), Some((h, since))) if l == h && since.elapsed() >= stable_for => break l,
-            (Some(l), Some((h, _))) if l == h => {}
-            (Some(l), _) => held = Some((l, StdInstant::now())),
-            (None, _) => held = None,
-        }
-        assert!(StdInstant::now() < deadline, "no stable leader over TCP");
-        std::thread::sleep(StdDuration::from_millis(20));
-    };
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
+    let leader = await_stable_leader(&cluster, &all, RsmEvent::leader, hold, timeout)
+        .expect("no stable leader over TCP");
 
     // Take one follower down, so the leader's link to it must queue.
     let follower = (0..n as u32)

@@ -4,20 +4,18 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
 
-/// 200 µs ticks on purpose: Ω's 6 ms initial timeout then expires before
-/// the first heartbeats cross the fresh connections, so the followers
-/// accuse and the leader receives frames too, which
-/// `three_processes_elect_one_leader_over_tcp` asserts. At 2 ms ticks the
-/// leader receives nothing. These tests wait by polling for agreement, not
-/// with a fixed sleep.
+/// 2 ms ticks, like the other wall-clock suites: Ω's initial timeout (60 ms)
+/// then outlasts the scheduler stalls of a loaded host. These tests wait by
+/// polling for agreement, not with a fixed sleep.
 fn config(n: usize, loss: f64) -> WireConfig {
     WireConfig {
         n,
-        tick: StdDuration::from_micros(200),
+        tick: StdDuration::from_millis(2),
         queue_capacity: 1024,
         backoff: BackoffConfig::default(),
         faults: (loss > 0.0).then_some(FaultConfig {
@@ -30,37 +28,11 @@ fn config(n: usize, loss: f64) -> WireConfig {
     }
 }
 
-/// Polls until every node's latest output has been the *same* leader for
-/// `stable_for` continuously (momentary agreement during the initial churn
-/// does not count), or gives up after `timeout`.
-fn await_agreement(
-    cluster: &WireCluster<CommEffOmega>,
-    timeout: StdDuration,
-    stable_for: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let latest = cluster.latest_outputs();
-        let unanimous = latest
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| latest.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= stable_for {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(25));
-    }
-}
+/// How long every node must name one leader before a test counts it as
+/// elected (momentary agreement during the initial churn does not count),
+/// and how long a test waits for that.
+const HOLD: StdDuration = StdDuration::from_millis(400);
+const TIMEOUT: StdDuration = StdDuration::from_secs(10);
 
 #[test]
 fn three_processes_elect_one_leader_over_tcp() {
@@ -68,12 +40,9 @@ fn three_processes_elect_one_leader_over_tcp() {
     let cluster = WireCluster::spawn(config(n, 0.05), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
-    let leader = await_agreement(
-        &cluster,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no agreement over TCP");
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("no agreement over TCP");
     let report = cluster.stop();
     for p in (0..n as u32).map(ProcessId) {
         assert_eq!(
@@ -82,12 +51,17 @@ fn three_processes_elect_one_leader_over_tcp() {
             "{p} disagrees"
         );
     }
-    // Real bytes moved through real sockets.
-    for p in (0..n as u32).map(ProcessId) {
-        let total = report.node_links_total(p);
-        assert!(total.msgs_sent > 0, "{p} wrote no frames");
-        assert!(total.bytes_sent > 0, "{p} wrote no bytes");
-        assert!(total.msgs_recv > 0, "{p} received no frames");
+    // Real bytes moved through real sockets: the leader's heartbeats,
+    // which are all the protocol must send once it is elected, reached
+    // every follower.
+    for p in (0..n as u32).map(ProcessId).filter(|&p| p != leader) {
+        let to_follower = report.links[leader.as_usize()][p.as_usize()];
+        assert!(to_follower.msgs_sent > 0, "{leader} wrote no frames to {p}");
+        assert!(to_follower.bytes_sent > 0, "{leader} wrote no bytes to {p}");
+        assert!(
+            report.node_links_total(p).msgs_recv > 0,
+            "{p} received no frames"
+        );
     }
 }
 
@@ -100,18 +74,16 @@ fn severed_leader_triggers_reelection_and_reconnect() {
         ..config(n, 0.0)
     };
     let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
-    let old_leader = await_agreement(
-        &cluster,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no initial agreement");
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let old_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("no initial agreement");
 
-    // Kill the leader's connections in a tight loop for half a second. A
-    // single sever heals in a few milliseconds on localhost (the redial
-    // succeeds immediately), which can beat the 6 ms suspicion timeout;
-    // flapping the links guarantees the silence the detector needs.
-    let sever_at = cluster.elapsed();
+    // Kill the leader's connections in a tight loop for half a second,
+    // about eight of Ω's 60 ms initial timeouts. A single sever heals in a
+    // few milliseconds on localhost (the redial succeeds immediately),
+    // which can beat the suspicion timeout; flapping the links guarantees
+    // the silence the detector needs.
+    let sever_at = cluster.epoch().elapsed();
     let storm_start = StdInstant::now();
     let mut severed = 0;
     while storm_start.elapsed() < StdDuration::from_millis(500) {
@@ -121,12 +93,8 @@ fn severed_leader_triggers_reelection_and_reconnect() {
     assert!(severed > 0, "nothing to sever: no live connections");
 
     // The survivors must have moved off the silent leader during the storm.
-    let new_leader = await_agreement(
-        &cluster,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no re-agreement after sever storm");
+    let new_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("no re-agreement after sever storm");
     let report = cluster.stop();
     let reelected = report
         .outputs()

@@ -4,8 +4,9 @@
 //! address so the survivors' redial loops find it from the *accepting*
 //! side — and rejoins as a follower.
 
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Duration as StdDuration;
 
+use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::{ProcessId, StorageHandle};
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -25,38 +26,10 @@ fn config(n: usize) -> WireConfig {
     }
 }
 
-/// Polls until every *member*'s latest output has been the same leader for
-/// `stable_for` continuously, or gives up after `timeout`.
-fn await_agreement_among(
-    cluster: &WireCluster<CommEffOmega>,
-    members: &[ProcessId],
-    timeout: StdDuration,
-    stable_for: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let latest = cluster.latest_outputs();
-        let views: Vec<Option<ProcessId>> = members.iter().map(|p| latest[p.as_usize()]).collect();
-        let unanimous = views
-            .first()
-            .and_then(|o| *o)
-            .filter(|first| views.iter().all(|o| *o == Some(*first)));
-        match (unanimous, agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= stable_for {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(25));
-    }
-}
+/// How long the members must name one leader before the test counts it as
+/// elected, and how long it waits for that.
+const HOLD: StdDuration = StdDuration::from_millis(400);
+const TIMEOUT: StdDuration = StdDuration::from_secs(10);
 
 #[test]
 fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
@@ -74,13 +47,8 @@ fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
 
-    let old_leader = await_agreement_among(
-        &cluster,
-        &all,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no initial agreement");
+    let old_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("no initial agreement");
 
     // Kill the leader for real: listener gone, sockets severed, threads
     // joined. The survivors' writers fall back to redialling its address.
@@ -88,13 +56,8 @@ fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
     assert!(!cluster.is_alive(old_leader));
 
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != old_leader).collect();
-    let interim = await_agreement_among(
-        &cluster,
-        &survivors,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("survivors did not re-elect after the kill");
+    let interim = await_stable_leader(&cluster, &survivors, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("survivors did not re-elect after the kill");
     assert_ne!(interim, old_leader, "survivors still trust the dead leader");
 
     // Restart from the same durable store. The incarnation bump recovered
@@ -112,13 +75,8 @@ fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
         .expect("re-bind the old leader's address");
     assert!(cluster.is_alive(old_leader));
 
-    let final_leader = await_agreement_among(
-        &cluster,
-        &all,
-        StdDuration::from_secs(10),
-        StdDuration::from_millis(400),
-    )
-    .expect("no full agreement after the restart");
+    let final_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+        .expect("no full agreement after the restart");
     assert_ne!(
         final_leader, old_leader,
         "the restarted leader must not reclaim leadership"

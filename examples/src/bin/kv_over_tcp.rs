@@ -23,38 +23,11 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe};
+use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use wirenet::{scrape, OutputCursor, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
 
 type Replica = KvReplica<RecordingProbe>;
-
-/// Polls until every replica's latest output is `Leader(l)` for the same
-/// `l`, held for 300 ms (momentary agreement during startup churn does not
-/// count). Panics after `timeout`.
-fn await_leader(cluster: &WireCluster<Replica>, timeout: StdDuration) -> ProcessId {
-    let deadline = StdInstant::now() + timeout;
-    let mut held: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let latest = cluster.latest_outputs();
-        let unanimous = latest.first().and_then(|o| match o {
-            Some(KvEvent::Leader(l)) if latest.iter().all(|o| *o == Some(KvEvent::Leader(*l))) => {
-                Some(*l)
-            }
-            _ => None,
-        });
-        match (unanimous, held) {
-            (Some(l), Some((h, since))) if l == h => {
-                if since.elapsed() >= StdDuration::from_millis(300) {
-                    return l;
-                }
-            }
-            (Some(l), _) => held = Some((l, StdInstant::now())),
-            (None, _) => held = None,
-        }
-        assert!(StdInstant::now() < deadline, "no stable leader over TCP");
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
 
 /// What the replicas have output so far, read through one cursor.
 struct Observed {
@@ -210,7 +183,12 @@ fn main() {
     );
     spawn_dump_on_stdin(Arc::clone(&recorders));
 
-    let leader = await_leader(&cluster, StdDuration::from_secs(10));
+    // Momentary agreement during startup churn does not count: the leader
+    // must hold for 300 ms.
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
+    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
+        .expect("no stable leader over TCP");
     println!("stable leader over TCP: {leader}\n");
 
     // One client session; the (client, seq) tag makes the retry idempotent.

@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run -p lls-examples --bin thread_cluster`
 
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Duration as StdDuration;
 
+use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::{Cluster, NetConfig};
@@ -55,15 +56,10 @@ fn main() {
     // Agreement is eventual too: poll until every process names one leader
     // (at sub-millisecond ticks a scheduler stall could still be moving it
     // when a fixed wait ended).
-    let deadline = StdInstant::now() + StdDuration::from_secs(20);
-    loop {
-        let latest = cluster.latest_outputs();
-        if latest[0].is_some() && latest.iter().all(|l| *l == latest[0]) {
-            break;
-        }
-        assert!(StdInstant::now() < deadline, "no agreement: {latest:?}");
-        std::thread::sleep(StdDuration::from_millis(50));
-    }
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let timeout = StdDuration::from_secs(20);
+    await_stable_leader(&cluster, &all, |l| Some(*l), StdDuration::ZERO, timeout)
+        .expect("no agreement");
     let report = cluster.stop();
     let leader = report
         .final_output_of(ProcessId(0))

@@ -24,9 +24,10 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{BatchParams, ConsensusParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use lls_primitives::runtime::{await_stable_leader, Cluster, OutputCursor};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::{Cluster, NetConfig, OutputCursor, TimedOutput};
+use threadnet::NetConfig;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 const N: usize = 3;
@@ -171,41 +172,6 @@ fn batched_history_is_linearizable_on_netsim() {
     }
 }
 
-/// Awaits a leader that every node reports and that stays stable, reading
-/// a cluster's latest outputs through `latest`.
-fn await_stable_leader(latest: impl Fn() -> Vec<Option<KvEvent>>, substrate: &str) -> ProcessId {
-    let deadline = StdInstant::now() + StdDuration::from_secs(10);
-    let stable_for = StdDuration::from_millis(300);
-    let mut held: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let view: Vec<Option<ProcessId>> = latest()
-            .into_iter()
-            .map(|o| match o {
-                Some(KvEvent::Leader(l)) => Some(l),
-                _ => None,
-            })
-            .collect();
-        let unanimous = match view.first() {
-            Some(&Some(l)) if view.iter().all(|v| *v == Some(l)) => Some(l),
-            _ => None,
-        };
-        match (unanimous, held) {
-            (Some(l), Some((h, since))) if l == h => {
-                if since.elapsed() >= stable_for {
-                    return l;
-                }
-            }
-            (Some(l), _) => held = Some((l, StdInstant::now())),
-            (None, _) => held = None,
-        }
-        assert!(
-            StdInstant::now() < deadline,
-            "{substrate}: no stable leader"
-        );
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
-
 fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
     let mut histories: Vec<Vec<HistoryOp>> = vec![Vec::new(); N];
     for (p, ev) in outputs {
@@ -222,37 +188,46 @@ fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
     histories
 }
 
-/// Waits until every replica has applied the whole workload of `total`
-/// ops, counting each output of the cluster's history once through a
-/// cursor.
-fn await_full_workload(
-    outputs_since: impl Fn(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
-    total: usize,
-    substrate: &str,
-) {
+/// The wall-clock leg: the workload is sent to a leader every node has
+/// named for 300 ms, every replica must apply all of it (counting each
+/// output of the cluster's history once through a cursor), and the stopped
+/// report's history must be linearizable.
+fn wall_history_is_linearizable(cluster: impl Cluster<Sm = KvReplica>, substrate: &str) {
+    let all: Vec<ProcessId> = (0..N as u32).map(ProcessId).collect();
+    let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
+    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
+        .unwrap_or_else(|| panic!("{substrate}: no stable leader"));
+    let ops = workload();
+    for op in &ops {
+        cluster.request(leader, op.clone());
+    }
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
     let mut cursor = OutputCursor::default();
     let mut applied = [0; N];
-    loop {
-        for t in outputs_since(&mut cursor) {
-            if matches!(t.output, KvEvent::Applied { .. }) {
-                applied[t.process.as_usize()] += 1;
-            }
-        }
-        if applied.iter().all(|&a| a >= total) {
-            return;
-        }
+    while applied.iter().any(|&a| a < ops.len()) {
         assert!(
             StdInstant::now() < deadline,
             "{substrate}: replicas never applied the full workload"
         );
         std::thread::sleep(StdDuration::from_millis(5));
+        for t in cluster.outputs_since(&mut cursor) {
+            if matches!(t.output, KvEvent::Applied { .. }) {
+                applied[t.process.as_usize()] += 1;
+            }
+        }
     }
+    let report = cluster.stop();
+    let outputs: Vec<(ProcessId, KvEvent)> = report
+        .outputs()
+        .iter()
+        .map(|t| (t.process, t.output.clone()))
+        .collect();
+    check_linearizable(&histories_from(&outputs), substrate);
 }
 
 #[test]
 fn batched_history_is_linearizable_on_threadnet() {
-    let cluster = Cluster::spawn(
+    let cluster = threadnet::Cluster::spawn(
         NetConfig {
             n: N,
             loss: 0.0,
@@ -263,19 +238,7 @@ fn batched_history_is_linearizable_on_threadnet() {
         },
         |env| KvReplica::new(env, batched_params()),
     );
-    let leader = await_stable_leader(|| cluster.latest_outputs(), "threadnet");
-    let ops = workload();
-    for op in &ops {
-        cluster.request(leader, op.clone());
-    }
-    await_full_workload(|c| cluster.outputs_since(c), ops.len(), "threadnet");
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, KvEvent)> = report
-        .outputs()
-        .iter()
-        .map(|t| (t.process, t.output.clone()))
-        .collect();
-    check_linearizable(&histories_from(&outputs), "threadnet");
+    wall_history_is_linearizable(cluster, "threadnet");
 }
 
 #[test]
@@ -292,17 +255,5 @@ fn batched_history_is_linearizable_on_wirenet() {
         |env| KvReplica::new(env, batched_params()),
     )
     .expect("bind 127.0.0.1 listeners");
-    let leader = await_stable_leader(|| cluster.latest_outputs(), "wirenet");
-    let ops = workload();
-    for op in &ops {
-        cluster.request(leader, op.clone());
-    }
-    await_full_workload(|c| cluster.outputs_since(c), ops.len(), "wirenet");
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, KvEvent)> = report
-        .outputs()
-        .iter()
-        .map(|t| (t.process, t.output.clone()))
-        .collect();
-    check_linearizable(&histories_from(&outputs), "wirenet");
+    wall_history_is_linearizable(cluster, "wirenet");
 }

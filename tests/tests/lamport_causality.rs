@@ -15,6 +15,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use lls_obs::{reconstruct_spans, NodeRecorders, SpanRecord};
+use lls_primitives::runtime::Cluster as _;
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
@@ -117,7 +118,7 @@ fn threadnet_streams_are_monotone_and_spans_ordered() {
         tick: StdDuration::from_millis(1),
         seed: 3,
     };
-    let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
+    let mut cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
         CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
     });
     std::thread::sleep(StdDuration::from_millis(800));

@@ -5,11 +5,18 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::{Ctx, Duration, Instant, ProcessId, Sm, TimerId};
 use netsim::{SimBuilder, Topology};
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::{Cluster, NetConfig, OutputCursor};
 use wirenet::{WireCluster, WireConfig};
+
+/// Five heartbeat periods at `tick`: how long a wall-clock election must
+/// name one leader before these tests count it as settled.
+fn hold(tick: StdDuration) -> StdDuration {
+    tick * OmegaParams::default().eta.ticks() as u32 * 5
+}
 
 /// On a lossless, low-latency network, both substrates elect p0 (the initial
 /// default) and never change leaders after stabilization.
@@ -45,8 +52,9 @@ fn both_substrates_elect_p0_on_perfect_links() {
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );
-    let eta = tick * OmegaParams::default().eta.ticks() as u32;
-    let settled = await_stable_leader(|| cluster.latest_outputs(), eta, 5);
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let timeout = StdDuration::from_secs(20);
+    let settled = await_stable_leader(&cluster, &all, |l| Some(*l), hold(tick), timeout);
     let report = cluster.stop();
     assert_eq!(settled, Some(ProcessId(0)), "threads: no stable p0");
     for p in (0..n as u32).map(ProcessId) {
@@ -56,34 +64,6 @@ fn both_substrates_elect_p0_on_perfect_links() {
             "threads: {p} disagrees"
         );
     }
-}
-
-/// Polls the processes' latest leader outputs once per `eta` until all of
-/// them have named the same leader for `rounds` polls in a row, and returns
-/// that leader; `None` if that has not happened within 20 s.
-fn await_stable_leader(
-    latest_outputs: impl Fn() -> Vec<Option<ProcessId>>,
-    eta: StdDuration,
-    rounds: usize,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + StdDuration::from_secs(20);
-    let mut streak: Option<(ProcessId, usize)> = None;
-    while StdInstant::now() < deadline {
-        let outputs = latest_outputs();
-        let agreed = outputs[0].filter(|l| outputs.iter().all(|o| *o == Some(*l)));
-        streak = match (agreed, streak) {
-            (Some(l), Some((prev, k))) if prev == l => Some((l, k + 1)),
-            (Some(l), _) => Some((l, 1)),
-            (None, _) => None,
-        };
-        if let Some((l, k)) = streak {
-            if k >= rounds {
-                return Some(l);
-            }
-        }
-        std::thread::sleep(eta);
-    }
-    None
 }
 
 /// Crash-stop failover works identically in shape on both substrates: the
@@ -113,9 +93,9 @@ fn failover_shape_matches_across_substrates() {
     // 200 µs ticks and fixed sleeps a scheduler stall could leave the
     // survivors undecided when the run was cut). p0 must be the stable
     // leader before it is killed; then the survivors must name one other
-    // leader for five polls in a row.
+    // leader for five heartbeat periods.
     let tick = StdDuration::from_millis(2);
-    let cluster = Cluster::spawn(
+    let mut cluster = Cluster::spawn(
         NetConfig {
             n,
             loss: 0.0,
@@ -126,18 +106,14 @@ fn failover_shape_matches_across_substrates() {
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),
     );
-    let eta = tick * OmegaParams::default().eta.ticks() as u32;
-    let before = await_stable_leader(|| cluster.latest_outputs(), eta, 5);
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let timeout = StdDuration::from_secs(20);
+    let before = await_stable_leader(&cluster, &all, |l| Some(*l), hold(tick), timeout);
     assert_eq!(before, Some(ProcessId(0)), "threads: no stable p0");
     cluster.kill(ProcessId(0));
     // A survivor still naming p0 counts as undecided.
-    let survivors = || -> Vec<Option<ProcessId>> {
-        cluster.latest_outputs()[1..]
-            .iter()
-            .map(|o| o.filter(|l| *l != ProcessId(0)))
-            .collect()
-    };
-    let after = await_stable_leader(survivors, eta, 5);
+    let live = |l: &ProcessId| (*l != ProcessId(0)).then_some(*l);
+    let after = await_stable_leader(&cluster, &all[1..], live, hold(tick), timeout);
     assert!(after.is_some(), "threads: the survivors never settled");
     let report = cluster.stop();
     let thread_final: Vec<ProcessId> = (1..n as u32)
@@ -181,33 +157,10 @@ fn replicated_log_commits_on_real_threads() {
     // landing on a leader that is still running (or about to rerun) its
     // prepare phase, and the workload cannot be resubmitted without
     // breaking the exact-log assertion below.
-    let deadline = StdInstant::now() + StdDuration::from_secs(10);
-    let stable_for = StdDuration::from_millis(400);
-    let mut held_since: Option<(ProcessId, StdInstant)> = None;
-    let leader = loop {
-        let latest = cluster.latest_outputs();
-        let unanimous = latest.first().and_then(|o| match o {
-            Some(consensus::RsmEvent::Leader(l))
-                if latest
-                    .iter()
-                    .all(|o| matches!(o, Some(consensus::RsmEvent::Leader(x)) if x == l)) =>
-            {
-                Some(*l)
-            }
-            _ => None,
-        });
-        match (unanimous, held_since) {
-            (Some(l), Some((h, since))) if l == h => {
-                if since.elapsed() >= stable_for {
-                    break l;
-                }
-            }
-            (Some(l), _) => held_since = Some((l, StdInstant::now())),
-            (None, _) => held_since = None,
-        }
-        assert!(StdInstant::now() < deadline, "no stable leader on threads");
-        std::thread::sleep(StdDuration::from_millis(25));
-    };
+    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
+    let (hold, timeout) = (StdDuration::from_millis(400), StdDuration::from_secs(10));
+    let leader = await_stable_leader(&cluster, &all, consensus::RsmEvent::leader, hold, timeout)
+        .expect("no stable leader on threads");
     for k in 0..5u64 {
         cluster.request(leader, k);
         std::thread::sleep(StdDuration::from_millis(30));
@@ -285,24 +238,24 @@ fn outputs_per_process(n: usize, emitters: impl Iterator<Item = ProcessId>) -> V
     counts
 }
 
-/// Polls until every process has fired a timer, reading each output once
-/// through `emitters_since`. A firing batch completes before the driver
-/// reads its inbox again, so whatever else the batch emits lands before the
-/// stop that follows.
-fn await_every_fire(n: usize, emitters_since: impl Fn(&mut OutputCursor) -> Vec<ProcessId>) {
+/// How many timers each process fired: polls until every process has fired
+/// one, reading each output once, then stops the cluster. A firing batch
+/// completes before the driver reads its inbox again, so whatever else the
+/// batch emits lands before the stop.
+fn fired_per_process(cluster: impl lls_primitives::runtime::Cluster<Sm = TimerRace>) -> Vec<usize> {
+    let n = cluster.n();
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
     let mut cursor = OutputCursor::default();
     let mut fired = vec![false; n];
-    loop {
-        for p in emitters_since(&mut cursor) {
-            fired[p.as_usize()] = true;
-        }
-        if fired.iter().all(|f| *f) {
-            return;
-        }
+    while !fired.iter().all(|f| *f) {
         assert!(StdInstant::now() < deadline, "a process never fired");
         std::thread::sleep(StdDuration::from_millis(1));
+        for t in cluster.outputs_since(&mut cursor) {
+            fired[t.process.as_usize()] = true;
+        }
     }
+    let report = cluster.stop();
+    outputs_per_process(n, report.outputs().iter().map(|t| t.process))
 }
 
 /// Timer reset semantics hold inside one firing batch: a timer cancelled by
@@ -319,38 +272,21 @@ fn a_timer_cancelled_within_its_firing_batch_never_fires() {
     assert_eq!(netsim, vec![1; n], "netsim");
 
     let tick = StdDuration::from_millis(1);
-    let cluster = Cluster::spawn(
-        NetConfig {
-            n,
-            loss: 0.0,
-            tick,
-            ..NetConfig::default()
-        },
-        |_| TimerRace,
-    );
-    await_every_fire(n, |cursor| {
-        let fresh = cluster.outputs_since(cursor);
-        fresh.iter().map(|t| t.process).collect()
-    });
-    let report = cluster.stop();
-    let threadnet = outputs_per_process(n, report.outputs().iter().map(|t| t.process));
+    let config = NetConfig {
+        n,
+        loss: 0.0,
+        tick,
+        ..NetConfig::default()
+    };
+    let threadnet = fired_per_process(Cluster::spawn(config, |_| TimerRace));
     assert_eq!(threadnet, vec![1; n], "threadnet");
 
-    let cluster = WireCluster::try_spawn(
-        WireConfig {
-            n,
-            tick,
-            record_outputs: true,
-            ..WireConfig::default()
-        },
-        |_| TimerRace,
-    )
-    .expect("bind 127.0.0.1 listeners");
-    await_every_fire(n, |cursor| {
-        let fresh = cluster.outputs_since(cursor);
-        fresh.iter().map(|t| t.process).collect()
-    });
-    let report = cluster.stop();
-    let wirenet = outputs_per_process(n, report.outputs().iter().map(|t| t.process));
+    let config = WireConfig {
+        n,
+        tick,
+        record_outputs: true,
+        ..WireConfig::default()
+    };
+    let wirenet = fired_per_process(WireCluster::spawn(config, |_| TimerRace));
     assert_eq!(wirenet, vec![1; n], "wirenet");
 }
