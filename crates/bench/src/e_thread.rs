@@ -3,17 +3,19 @@
 
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::Cluster;
+use lls_primitives::runtime::{await_stable_leader, Cluster};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use threadnet::NetConfig;
 
 use crate::table::Table;
+use crate::wall::all;
 
 /// Samples the sender set every `window_ms` while the election runs, then
-/// stops the cluster and adds a row saying whether every process ended up
-/// trusting one leader. The series must collapse toward a single sender,
-/// matching the simulator's E2 shape on a wall clock.
+/// waits up to 10 s for every process to name one leader for five heartbeat
+/// periods, stops the cluster, and adds a row saying whether they did. The
+/// series must collapse toward a single sender, matching the simulator's E2
+/// shape on a wall clock.
 pub(crate) fn sender_series<C: Cluster<Sm = CommEffOmega>>(
     cluster: C,
     windows: usize,
@@ -34,11 +36,14 @@ pub(crate) fn sender_series<C: Cluster<Sm = CommEffOmega>>(
         ]);
         prev = sent;
     }
+    // A late accusation can split the processes' views at any one instant,
+    // so agreement is read off an election that has held still.
+    let hold = cluster.tick() * OmegaParams::default().eta.ticks() as u32 * 5;
+    let timeout = StdDuration::from_secs(10);
+    let settled = await_stable_leader(&cluster, &all(n), |l| Some(*l), hold, timeout);
     let report = cluster.stop();
-    let leader = report.final_output_of(ProcessId(0)).copied();
-    let agreed = (0..n as u32)
-        .map(ProcessId)
-        .all(|p| report.final_output_of(p).copied() == leader);
+    let agreed = settled.is_some();
+    let leader = settled.or_else(|| report.final_output_of(ProcessId(0)).copied());
     t.row(vec![
         "final".into(),
         format!(

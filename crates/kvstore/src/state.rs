@@ -1,16 +1,129 @@
 //! The deterministic state machine: a string map plus session table.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
-use lls_primitives::wire::{Wire, WireError, WireReader};
+use lls_primitives::wire::{put_varint, Wire, WireError, WireReader};
 
 use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
+
+/// The most bytes a [`CompactStr`] holds in place.
+const INLINE_CAP: usize = 22;
+
+/// A key or value as [`KvState`] holds it, 24 bytes either way: a string of
+/// up to [`INLINE_CAP`] bytes in place, a longer one as one `Box<str>`.
+///
+/// It is built only from a `str` or from bytes checked as UTF-8 once, on
+/// decoding. It compares and orders by its bytes, which is `str`'s order,
+/// so the map looks a key up as `[u8]` and no comparison re-checks UTF-8.
+#[derive(Clone)]
+enum CompactStr {
+    /// The string is `bytes[..len]`.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_CAP],
+    },
+    Heap(Box<str>),
+}
+
+impl CompactStr {
+    fn new(s: &str) -> Self {
+        if s.len() <= INLINE_CAP {
+            let mut bytes = [0; INLINE_CAP];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            CompactStr::Inline {
+                len: s.len() as u8,
+                bytes,
+            }
+        } else {
+            CompactStr::Heap(s.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            CompactStr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            CompactStr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The string. Without `unsafe`, an inline string's (at most 22) bytes
+    /// are checked again here; the check cannot fail, since only a `str`
+    /// built them.
+    fn as_str(&self) -> &str {
+        match self {
+            CompactStr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("built from a str")
+            }
+            CompactStr::Heap(s) => s,
+        }
+    }
+
+    /// The string, owned: a heap string moves out without a copy.
+    fn into_string(self) -> String {
+        match self {
+            CompactStr::Heap(s) => s.into_string(),
+            inline => inline.as_str().to_owned(),
+        }
+    }
+}
+
+impl PartialEq for CompactStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for CompactStr {}
+
+impl PartialOrd for CompactStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CompactStr {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Borrow<[u8]> for CompactStr {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Debug for CompactStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The same bytes as a `String`'s encoding.
+impl Wire for CompactStr {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.as_bytes().len() as u64);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.str().map(CompactStr::new)
+    }
+}
 
 /// The materialized store: key → value plus the per-client session table
 /// that makes command application exactly-once.
 ///
 /// Applying the same committed log prefix to two `KvState`s yields equal
 /// states — the determinism that state-machine replication rests on.
+///
+/// The map holds each key and value as a 24-byte string that keeps up to
+/// 22 bytes in place and a longer string as one heap allocation, so an
+/// entry with a short key and value costs its map slot and nothing on the
+/// heap. The API takes and returns `&str` and `String` all the same.
 ///
 /// # Example
 ///
@@ -29,7 +142,7 @@ use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvState {
-    data: BTreeMap<String, String>,
+    data: BTreeMap<CompactStr, CompactStr>,
     sessions: HashMap<ClientId, u64>,
     applied: u64,
     duplicates: u64,
@@ -43,7 +156,7 @@ impl KvState {
 
     /// Reads a key.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.data.get(key).map(String::as_str)
+        self.data.get(key.as_bytes()).map(CompactStr::as_str)
     }
 
     /// Number of keys.
@@ -59,6 +172,18 @@ impl KvState {
     /// Iterates over entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.data.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
+    /// The value at `key`, owned.
+    fn value(&self, key: &str) -> Option<String> {
+        self.get(key).map(str::to_owned)
+    }
+
+    /// Stores `value` at `key` and returns the value it replaced.
+    fn insert(&mut self, key: &str, value: &str) -> Option<String> {
+        self.data
+            .insert(CompactStr::new(key), CompactStr::new(value))
+            .map(CompactStr::into_string)
     }
 
     /// Commands applied (excluding duplicates).
@@ -87,28 +212,31 @@ impl KvState {
         self.sessions.insert(tagged.client, tagged.seq);
         self.applied += 1;
         match &tagged.cmd {
-            KvCmd::Put { key, value } => {
-                let previous = self.data.insert(key.clone(), value.clone());
-                KvResponse::Applied { previous }
-            }
-            KvCmd::Delete { key } => {
-                let previous = self.data.remove(key);
-                KvResponse::Applied { previous }
-            }
+            KvCmd::Put { key, value } => KvResponse::Applied {
+                previous: self.insert(key, value),
+            },
+            KvCmd::Delete { key } => KvResponse::Applied {
+                previous: self
+                    .data
+                    .remove(key.as_bytes())
+                    .map(CompactStr::into_string),
+            },
             KvCmd::Cas { key, expect, value } => {
-                let actual = self.data.get(key).cloned();
-                if actual.as_deref() == expect.as_deref() {
-                    let previous = self.data.insert(key.clone(), value.clone());
-                    KvResponse::Applied { previous }
+                if self.get(key) == expect.as_deref() {
+                    KvResponse::Applied {
+                        previous: self.insert(key, value),
+                    }
                 } else {
-                    KvResponse::CasFailed { actual }
+                    KvResponse::CasFailed {
+                        actual: self.value(key),
+                    }
                 }
             }
             // A log-read: the read replicated like a command (the slow
             // baseline the lease path is measured against) and resolves at
             // its slot's position in the apply order.
             KvCmd::Read { key } => KvResponse::Value {
-                value: self.data.get(key).cloned(),
+                value: self.value(key),
             },
         }
     }
@@ -118,22 +246,23 @@ impl KvState {
     /// read-index reads, which never enter the log.
     pub fn read(&self, key: &str) -> KvResponse {
         KvResponse::Value {
-            value: self.data.get(key).cloned(),
+            value: self.value(key),
         }
     }
 }
 
-/// Canonical snapshot encoding: the session table is serialized in
-/// `ClientId` order so two replicas at the same log prefix produce
-/// byte-identical snapshots (the map itself iterates in hash order).
+/// Canonical snapshot encoding: the entries as a `Vec<(String, String)>` in
+/// key order, written and read straight from and into the map, then the
+/// session table in `ClientId` order, so two replicas at the same log
+/// prefix produce byte-identical snapshots (the session table itself
+/// iterates in hash order).
 impl Wire for KvState {
     fn encode(&self, out: &mut Vec<u8>) {
-        let entries: Vec<(String, String)> = self
-            .data
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        entries.encode(out);
+        put_varint(out, self.data.len() as u64);
+        for (key, value) in &self.data {
+            key.encode(out);
+            value.encode(out);
+        }
         let mut sessions: Vec<(u64, u64)> = self.sessions.iter().map(|(c, s)| (c.0, *s)).collect();
         sessions.sort_unstable();
         sessions.encode(out);
@@ -142,10 +271,13 @@ impl Wire for KvState {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let entries = Vec::<(String, String)>::decode(r)?;
+        let mut data = BTreeMap::new();
+        for _ in 0..r.len_prefix()? {
+            data.insert(CompactStr::decode(r)?, CompactStr::decode(r)?);
+        }
         let sessions = Vec::<(u64, u64)>::decode(r)?;
         Ok(KvState {
-            data: entries.into_iter().collect(),
+            data,
             sessions: sessions
                 .into_iter()
                 .map(|(c, s)| (ClientId(c), s))
@@ -159,12 +291,213 @@ impl Wire for KvState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn tag(client: u64, seq: u64, cmd: KvCmd) -> Tagged<KvCmd> {
         Tagged {
             client: ClientId(client),
             seq,
             cmd,
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Keys of 0, 1, 22, 23 (a 2-byte character across byte 22) and 64
+    /// bytes; values inline and on the heap, ASCII, Latin, Cyrillic and
+    /// CJK; a replaced, a CAS-updated and a deleted key; three sessions
+    /// and one duplicate.
+    fn golden_state() -> KvState {
+        let cmds = [
+            (1, 1, KvCmd::put("", "empty key")),
+            (1, 2, KvCmd::put("k", "v")),
+            (2, 1, KvCmd::put("k".repeat(22), "é".repeat(11))),
+            (
+                2,
+                2,
+                KvCmd::put(format!("{}é", "x".repeat(21)), "中".repeat(8)),
+            ),
+            (3, 1, KvCmd::put("k".repeat(64), "v".repeat(64))),
+            (3, 2, KvCmd::put("ключ", "значение")),
+            (3, 3, KvCmd::put("gone", "soon")),
+            (1, 3, KvCmd::cas("k", Some("v"), "w")),
+            (3, 4, KvCmd::delete("gone")),
+            (2, 1, KvCmd::put("k", "duplicate")),
+        ];
+        let mut s = KvState::new();
+        for (client, seq, cmd) in cmds {
+            s.apply(&tag(client, seq, cmd));
+        }
+        s
+    }
+
+    /// `golden_state()` as the store encoded it when it held
+    /// `BTreeMap<String, String>`: snapshots written then must load now,
+    /// and the same state must encode to the same bytes.
+    const GOLDEN: &str = concat!(
+        "060009656d707479206b6579016b0177166b6b6b6b6b6b6b6b6b6b6b6b6b6b6b",
+        "6b6b6b6b6b6b6b16c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9406b",
+        "6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b",
+        "6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b40",
+        "7676767676767676767676767676767676767676767676767676767676767676",
+        "7676767676767676767676767676767676767676767676767676767676767676",
+        "17787878787878787878787878787878787878787878c3a918e4b8ade4b8ade4",
+        "b8ade4b8ade4b8ade4b8ade4b8ade4b8ad08d0bad0bbd18ed18710d0b7d0bdd0",
+        "b0d187d0b5d0bdd0b8d0b5030103020203040901",
+    );
+
+    #[test]
+    fn snapshot_bytes_match_the_golden_encoding() {
+        let state = golden_state();
+        let bytes = state.to_bytes();
+        assert_eq!(hex(&bytes), GOLDEN);
+        let loaded = KvState::from_bytes(&bytes).expect("golden snapshot decodes");
+        assert_eq!(loaded, state);
+    }
+
+    #[test]
+    fn compact_str_is_24_bytes_and_inline_up_to_22() {
+        assert_eq!(std::mem::size_of::<CompactStr>(), 24);
+        let inline = |s: &str| matches!(CompactStr::new(s), CompactStr::Inline { .. });
+        // A 2- or 3-byte character that ends at byte 22 stays inline; one
+        // that straddles byte 22 moves the string to the heap.
+        let cases = [
+            (String::new(), true),
+            ("a".repeat(22), true),
+            ("a".repeat(23), false),
+            (format!("{}é", "a".repeat(20)), true),
+            (format!("{}é", "a".repeat(21)), false),
+            (format!("{}€", "a".repeat(19)), true),
+            (format!("{}€", "a".repeat(20)), false),
+            ("€".repeat(8), false),
+        ];
+        for (s, fits) in cases {
+            let c = CompactStr::new(&s);
+            assert_eq!(inline(&s), fits, "{} bytes", s.len());
+            assert_eq!(c.as_str(), s);
+            assert_eq!(CompactStr::from_bytes(&c.to_bytes()), Ok(c.clone()));
+            assert_eq!(c.into_string(), s);
+        }
+    }
+
+    /// Strings of 0–40 bytes: ASCII, or a mix of 1- to 4-byte characters.
+    fn text() -> impl Strategy<Value = String> {
+        const CHARS: [char; 10] = ['a', 'k', 'z', '0', '~', 'é', 'ß', '€', '中', '😀'];
+        prop_oneof![
+            vec(0u8..128, 0..=40).prop_map(|b| String::from_utf8(b).expect("ASCII")),
+            vec(0..CHARS.len(), 0..=40).prop_map(|ix| {
+                let mut s = String::new();
+                for c in ix.into_iter().map(|i| CHARS[i]) {
+                    if s.len() + c.len_utf8() > 40 {
+                        break;
+                    }
+                    s.push(c);
+                }
+                s
+            }),
+        ]
+    }
+
+    /// A put, delete or CAS of one of a few keys across the inline limit.
+    enum Op {
+        Put(usize, String),
+        Delete(usize),
+        /// With `None` the CAS expects the key's current value.
+        Cas(usize, Option<Option<String>>, String),
+    }
+
+    const KEYS: usize = 6;
+
+    fn key(i: usize) -> String {
+        match i {
+            0 => String::new(),
+            1 => "k".into(),
+            2 => "ключ".into(),
+            3 => "k".repeat(22),
+            4 => format!("{}é", "k".repeat(21)),
+            _ => "k".repeat(40),
+        }
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..KEYS, text()).prop_map(|(k, v)| Op::Put(k, v)),
+            (0..KEYS).prop_map(Op::Delete),
+            (
+                0..KEYS,
+                proptest::option::of(proptest::option::of(text())),
+                text()
+            )
+                .prop_map(|(k, e, v)| Op::Cas(k, e, v)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn compact_str_compares_and_round_trips_like_string(
+            a in text(),
+            b in text(),
+            cut in 0..=40usize,
+        ) {
+            let mut cut = cut.min(a.len());
+            while !a.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let x = CompactStr::new(&a);
+            prop_assert_eq!(x.as_str(), a.as_str());
+            prop_assert_eq!(x.to_bytes(), a.to_bytes());
+            prop_assert_eq!(CompactStr::from_bytes(&a.to_bytes()), Ok(x.clone()));
+            for other in [b.as_str(), &a[..cut], a.as_str()] {
+                let y = CompactStr::new(other);
+                prop_assert_eq!(x == y, a.as_str() == other);
+                prop_assert_eq!(x.cmp(&y), a.as_str().cmp(other));
+            }
+            prop_assert_eq!(x.into_string(), a);
+        }
+
+        #[test]
+        fn store_matches_a_string_map_model(ops in vec(op(), 0..60)) {
+            let mut state = KvState::new();
+            let mut model: BTreeMap<String, String> = BTreeMap::new();
+            for (seq, op) in (1..).zip(ops) {
+                let (cmd, expected) = match op {
+                    Op::Put(k, v) => {
+                        let previous = model.insert(key(k), v.clone());
+                        (KvCmd::put(key(k), v), KvResponse::Applied { previous })
+                    }
+                    Op::Delete(k) => {
+                        let previous = model.remove(&key(k));
+                        (KvCmd::delete(key(k)), KvResponse::Applied { previous })
+                    }
+                    Op::Cas(k, expect, v) => {
+                        let actual = model.get(&key(k)).cloned();
+                        let expect = expect.unwrap_or_else(|| actual.clone());
+                        let cmd = KvCmd::cas(key(k), expect.as_deref(), v.clone());
+                        if expect == actual {
+                            (cmd, KvResponse::Applied { previous: model.insert(key(k), v) })
+                        } else {
+                            (cmd, KvResponse::CasFailed { actual })
+                        }
+                    }
+                };
+                prop_assert_eq!(state.apply(&tag(1, seq, cmd)), expected);
+            }
+            let entries: Vec<(String, String)> = model.into_iter().collect();
+            let listed: Vec<(&str, &str)> = state.iter().collect();
+            let modelled: Vec<(&str, &str)> =
+                entries.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            prop_assert_eq!(listed, modelled);
+            let mut encoded = entries.to_bytes();
+            let applied = state.applied_count();
+            let sessions: Vec<(u64, u64)> =
+                if applied == 0 { vec![] } else { vec![(1, applied)] };
+            sessions.encode(&mut encoded);
+            applied.encode(&mut encoded);
+            0u64.encode(&mut encoded);
+            prop_assert_eq!(state.to_bytes(), encoded);
         }
     }
 

@@ -192,6 +192,27 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
+    /// Reads a length prefix: the count of the bytes or elements that
+    /// follow. Each takes at least one byte, so a count beyond the
+    /// remaining bytes is provably corrupt and is rejected before anyone
+    /// allocates for it.
+    pub fn len_prefix(&mut self) -> Result<usize, WireError> {
+        let len = usize::decode(self)?;
+        if len > self.remaining() {
+            return Err(WireError::BadLength {
+                announced: len,
+                remaining: self.remaining(),
+            });
+        }
+        Ok(len)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
+        let len = self.len_prefix()?;
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
     /// Reads a LEB128 varint.
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut value = 0u64;
@@ -325,17 +346,7 @@ impl Wire for String {
         out.extend_from_slice(self.as_bytes());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = usize::decode(r)?;
-        if len > r.remaining() {
-            return Err(WireError::BadLength {
-                announced: len,
-                remaining: r.remaining(),
-            });
-        }
-        let bytes = r.bytes(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadUtf8)
+        r.str().map(str::to_owned)
     }
 }
 
@@ -369,15 +380,7 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = usize::decode(r)?;
-        // Every element costs at least one byte, so a count beyond the
-        // remaining bytes is provably corrupt — reject before allocating.
-        if len > r.remaining() {
-            return Err(WireError::BadLength {
-                announced: len,
-                remaining: r.remaining(),
-            });
-        }
+        let len = r.len_prefix()?;
         let mut v = Vec::with_capacity(len);
         for _ in 0..len {
             v.push(T::decode(r)?);
