@@ -1,4 +1,5 @@
-//! CLI regenerating every experiment table/series (E1–E23).
+//! CLI regenerating every experiment table/series (E1–E23; E10 is folded
+//! into E15).
 //!
 //! Usage:
 //!   cargo run -p omega-bench --release --bin experiments -- all
@@ -25,8 +26,8 @@ use std::path::PathBuf;
 use omega_bench::json::{self, JsonValue};
 use omega_bench::table::Table;
 use omega_bench::{
-    e_chaos, e_consensus, e_latency, e_obs, e_omega, e_read, e_recovery, e_shard, e_thread,
-    e_throughput, e_trace, e_wire,
+    e_chaos, e_consensus, e_latency, e_obs, e_omega, e_read, e_recovery, e_shard, e_throughput,
+    e_trace, e_wire,
 };
 
 struct Scale {
@@ -142,12 +143,6 @@ fn run(id: &str, s: &Scale) -> bool {
             "ablation: accusation dedup × timeout policy",
             s,
             e_omega::e9_ablation(5, s.seeds.min(6), s.horizon),
-        ),
-        "e10" => print_exp(
-            id,
-            "thread-runtime validation (wall clock)",
-            s,
-            e_thread::e10_threadnet(6, 0.05, 10, 400),
         ),
         "e11" => print_exp(
             id,
@@ -310,9 +305,9 @@ fn passed(summary: &JsonValue) -> bool {
         .any(|(k, v)| k == "pass" && matches!(v, JsonValue::Bool(true)))
 }
 
-const ALL: [&str; 23] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
+const ALL: [&str; 22] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e14", "e15", "e16",
+    "e17", "e18", "e19", "e20", "e21", "e22", "e23",
 ];
 
 fn main() {
@@ -359,7 +354,7 @@ fn main() {
         .iter()
         .find(|i| *i != "all" && *i != "e23-violation" && !ALL.contains(&i.as_str()))
     {
-        eprintln!("unknown experiment id: {bad} (expected e1..e23, e23-violation or all)");
+        eprintln!("unknown experiment id: {bad} (expected e1..e9, e11..e23, e23-violation or all)");
         std::process::exit(2);
     }
     let mut ok = true;

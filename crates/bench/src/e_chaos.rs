@@ -1,5 +1,5 @@
 //! Experiment E16: a deterministic, seed-driven chaos campaign of
-//! crash–restart scenarios across all three substrates.
+//! crash–restart scenarios on the simulator and over TCP.
 //!
 //! Every scenario boots a cluster whose processes carry durable storage
 //! (`StorageHandle`), then composes kill/restart cycles with the existing
@@ -11,12 +11,12 @@
 //!   (all correct processes trust the same correct process);
 //! * **netsim / consensus** — [`check_consensus_safety`] over every decision
 //!   emitted so far (agreement, integrity, validity survive the restart);
-//! * **threadnet, wirenet / Ω** — the wall-clock analogue of the Ω checker:
+//! * **wirenet / Ω** — the wall-clock analogue of the Ω checker:
 //!   unanimity of the latest outputs, held stable, within a deadline.
 //!
 //! All schedules derive from the scenario seed (splitmix64), so a campaign
 //! is reproducible run-to-run on the simulator and statistically stable on
-//! the wall-clock substrates.
+//! the wall clock.
 //!
 //! Every scenario's machines carry a [`lls_obs::RecordingProbe`] into a per-node
 //! flight recorder; when a checker trips, the campaign prints the relevant
@@ -38,23 +38,14 @@ use consensus::checker::{check_consensus_safety, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams};
 use lls_obs::{NodeRecorders, Probe, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
 use lls_primitives::runtime::Cluster;
-use lls_primitives::{Env, Instant, LamportClock, ProcessId, StorageHandle};
+use lls_primitives::{mix64, Env, Instant, LamportClock, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 use omega::spec::{stabilization, LeaderRecord};
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::WireCluster;
 
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
-
-/// splitmix64: all per-scenario schedule choices derive from this, so a
-/// campaign (E16's, E21's) is a pure function of its seeds.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::wall::{all, stable_leader, wire_config};
 
 /// Per-configuration tally of a chaos campaign slice (E16's, E21's).
 #[derive(Debug, Default, Clone, Copy)]
@@ -150,7 +141,7 @@ fn alive_set<S: lls_primitives::Sm>(sim: &Simulator<S>, n: usize) -> Vec<Process
 /// the current leader, under seed-chosen mesh loss and (on odd seeds) a
 /// transient partition that heals before the first kill window closes.
 fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
-    let source = ProcessId((mix(seed) % n as u64) as u32);
+    let source = ProcessId((mix64(seed) % n as u64) as u32);
     let mesh_loss = if seed.is_multiple_of(2) { 0.05 } else { 0.2 };
     let base = Topology::system_s(
         n,
@@ -194,7 +185,7 @@ fn netsim_omega_scenario(n: usize, seed: u64, tally: &mut Tally) {
         let victim = sim.node(ProcessId(0)).leader();
         sim.kill(victim);
         tally.kills += 1;
-        now += 6_000 + mix(seed ^ cycle) % 2_000;
+        now += 6_000 + mix64(seed ^ cycle) % 2_000;
         sim.run_until(Instant::from_ticks(now));
         // Survivors must have stabilized on a live leader.
         stabilized &= tally.check(
@@ -280,7 +271,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         });
     tally.scenarios += 1;
     // Crash inside the protocol's critical window, at a seed-chosen point.
-    let mut now = 80 + mix(seed) % 240;
+    let mut now = 80 + mix64(seed) % 240;
     sim.run_until(Instant::from_ticks(now));
     let mut safe = true;
     for cycle in 0..2u64 {
@@ -289,7 +280,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         } else {
             // Second cycle: a different process, so both leader and
             // follower recovery paths are exercised.
-            ProcessId((mix(seed ^ 0xC0FFEE) % n as u64) as u32)
+            ProcessId((mix64(seed ^ 0xC0FFEE) % n as u64) as u32)
         };
         sim.kill(victim);
         tally.kills += 1;
@@ -397,12 +388,12 @@ fn tally_row(t: &mut Table, substrate: &str, n: String, tally: Tally, outcome_la
 }
 
 /// **E16** — the chaos campaign. `seeds_per_config` seeded scenarios per
-/// (substrate, n) cell on the simulator, `wall_seeds` per wall-clock
-/// substrate. The claim under test: durable state plus the recovering
-/// rejoin mode keep both theorems' checkers green across every
-/// crash–restart composition — zero violations. Returns the table and the
-/// campaign's total violation count (watchdog alarms included), so the CLI
-/// can gate its exit status on it.
+/// (substrate, n) cell on the simulator, `wall_seeds` on wirenet. The
+/// claim under test: durable state plus the recovering rejoin mode keep
+/// both theorems' checkers green across every crash–restart composition —
+/// zero violations. Returns the table and the campaign's total violation
+/// count (watchdog alarms included), so the CLI can gate its exit status
+/// on it.
 pub fn e16_chaos(seeds_per_config: u64, sizes: &[usize], wall_seeds: u64) -> (Table, usize) {
     let mut t = Table::new(vec![
         "substrate",
@@ -443,19 +434,6 @@ pub fn e16_chaos(seeds_per_config: u64, sizes: &[usize], wall_seeds: u64) -> (Ta
         );
     }
     let wall_n = sizes.first().copied().unwrap_or(3);
-    let mut tally = Tally::default();
-    for seed in 0..wall_seeds {
-        wall_scenario("threadnet", wall_n, &mut tally, |clocks, make| {
-            threadnet::Cluster::spawn_traced(thread_config(wall_n, 0.02, 900, seed), clocks, make)
-        });
-    }
-    add(
-        &mut t,
-        "threadnet/omega",
-        wall_n.to_string(),
-        tally,
-        "agreed",
-    );
     let mut tally = Tally::default();
     for seed in 0..wall_seeds {
         wall_scenario("wirenet", wall_n, &mut tally, |clocks, make| {

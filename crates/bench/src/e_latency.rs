@@ -15,7 +15,7 @@
 //!    per-stage latencies over all completed commands must land within
 //!    `GATE_PCT` of the end-to-end latency the harness measures through
 //!    its *own* bookkeeping (sim output log on netsim, unquantized wall
-//!    durations on threadnet/wirenet). This is what catches clock-anchor
+//!    durations on wirenet). This is what catches clock-anchor
 //!    drift between the client and replica tick domains.
 //! 2. **The dominant stage is identified** per `(batch, pipeline, shard)`
 //!    configuration — the evidence the ROADMAP's next optimisations
@@ -54,12 +54,12 @@ use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
 
 use crate::json::JsonValue;
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
+use crate::wall::{all, stable_leader, wire_config};
 
 /// The `(max_batch, pipeline_depth, shards)` grid. The sharded
-/// configuration runs on netsim only (the wall substrates reuse E20 for
-/// shard scaling; here they carry the clock-anchoring and live-timeline
-/// gates on the unsharded path).
+/// configuration runs on netsim only (wirenet reuses E20 for shard
+/// scaling; here it carries the clock-anchoring and live-timeline gates on
+/// the unsharded path).
 const CONFIGS: &[(usize, usize, u32)] = &[(1, 1, 1), (8, 4, 1), (8, 4, 2)];
 
 /// Acceptance: attributed stage sums must land within this percentage of
@@ -105,7 +105,7 @@ struct LatencyRow {
     /// client-domain ticks.
     attributed_ticks: u64,
     /// The same commands' end-to-end latency summed from the harness's own
-    /// bookkeeping (fractional on the wall substrates).
+    /// bookkeeping (fractional on wirenet).
     measured_ticks: f64,
     /// `|attributed - measured| / measured`, in percent.
     gap_pct: f64,
@@ -501,20 +501,18 @@ struct LiveTimeline {
 /// Wall-clock run: the commands are tagged through a submit queue stamped
 /// on the cluster's tick domain and burst at the elected leader; the
 /// recorded outputs are polled, sampling `timeline` every 5 ms, until the
-/// leader applied them all; then the run is settled and attributed from the
-/// stopped report. `spawn` starts the cluster, each process built by
-/// `make`. `live` runs once the leader applied every command, while the
-/// cluster still runs, with the recorders and a way to take one more
-/// timeline sample (wirenet serves its live `/timeline` there).
+/// leader applied them all; then, while the cluster still runs, the timeline
+/// is served live (see [`serve_timeline`]), and the run is settled and
+/// attributed from the stopped report. `spawn` starts the cluster, each
+/// process built by `make`.
 fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
     substrate: &'static str,
     (n, commands): (usize, u64),
     (max_batch, depth): (usize, usize),
     registry: &Registry,
-    timeline: &Mutex<TimelineSampler>,
+    timeline: &Arc<Mutex<TimelineSampler>>,
     spawn: impl FnOnce(&dyn Fn(&Env) -> KvReplica<RecordingProbe>) -> C,
-    live: impl FnOnce(&Arc<NodeRecorders>, &dyn Fn()),
-) -> (LatencyRow, C::Report) {
+) -> (LatencyRow, C::Report, LiveTimeline) {
     let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
     let p = params(max_batch, depth);
     let cluster = spawn(&|env| {
@@ -566,7 +564,7 @@ fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
         }
         std::thread::sleep(StdDuration::from_millis(5));
     }
-    live(&recorders, &sample);
+    let live = serve_timeline(&recorders, timeline, &sample);
     let report = cluster.stop();
     let (submit_at, reply_at) =
         settle_wall_outputs(report.outputs(), leader, tick, &submit_wall, &mut queue);
@@ -579,11 +577,10 @@ fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
         &submit_at,
         &reply_at,
     );
-    (row, report)
+    (row, report, live)
 }
 
-/// The wirenet leg's live `/timeline` check, once its leader applied every
-/// command: tops the sampler up to [`MIN_LIVE_FRAMES`], then serves it over
+/// The live `/timeline` check, once the leader applied every command: tops the sampler up to [`MIN_LIVE_FRAMES`], then serves it over
 /// the scrape route and compares the served body with the sampler's own
 /// rendering.
 fn serve_timeline(
@@ -662,30 +659,17 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
         .as_ref()
         .is_some_and(|t| t.committed == noop.committed && t.last_commit == noop.last_commit);
 
-    // Wall substrates: the unsharded configs (all of them on a full run,
+    // wirenet: the unsharded configs (all of them on a full run,
     // the batched one only under --quick).
     let wall_configs: Vec<(usize, usize)> = if quick {
         vec![(8, 4)]
     } else {
         vec![(1, 1), (8, 4)]
     };
-    let threadnet_timeline = Mutex::new(TimelineSampler::new(64));
-    for &(b, d) in &wall_configs {
-        let (row, _) = wall_run(
-            "threadnet",
-            (n, commands),
-            (b, d),
-            &registry,
-            &threadnet_timeline,
-            |make| threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make),
-            |_, _| {},
-        );
-        rows.push(row);
-    }
     let mut live: Option<LiveTimeline> = None;
     for &(b, d) in &wall_configs {
         let sampler = Arc::new(Mutex::new(TimelineSampler::new(64)));
-        let (row, report) = wall_run(
+        let (row, report, timeline) = wall_run(
             "wirenet",
             (n, commands),
             (b, d),
@@ -695,14 +679,13 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
                 WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
                     .expect("bind 127.0.0.1 listeners")
             },
-            // The last wirenet leg's timeline carries the live gate.
-            |recorders, sample| live = Some(serve_timeline(recorders, &sampler, sample)),
         );
+        // The last leg's timeline carries the live gate.
+        live = Some(timeline);
         report.export(&registry);
         rows.push(row);
     }
     let live = live.expect("at least one wirenet leg runs");
-    let threadnet_timeline = threadnet_timeline.into_inner().expect("sampler lock");
     let timeline_live = live.matched && live.frames >= MIN_LIVE_FRAMES;
 
     let pass = rows.iter().all(|r| r.pass) && noop_parity && timeline_live;
@@ -780,7 +763,6 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
             "timelines",
             JsonValue::obj(vec![
                 ("netsim", JsonValue::Raw(netsim_timeline.to_json())),
-                ("threadnet", JsonValue::Raw(threadnet_timeline.to_json())),
                 ("wirenet", JsonValue::Raw(live.json)),
             ]),
         ),

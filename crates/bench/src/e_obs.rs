@@ -1,6 +1,6 @@
 //! Experiment E17: election-stabilization QoS and a live check of the
 //! steady-state communication-efficiency claim, measured through the
-//! observability layer on all three substrates.
+//! observability layer on the simulator and over TCP.
 //!
 //! Unlike E2/E3/E15 — which infer the sender-set collapse from substrate
 //! traffic counters after the fact — E17 drives the measurement through the
@@ -22,16 +22,15 @@
 
 use std::time::Duration as StdDuration;
 
-use lls_obs::{NodeRecorders, ProbeEvent, RecordingProbe, Registry};
-use lls_primitives::runtime::Cluster;
-use lls_primitives::{Env, Instant, ProcessId};
+use lls_obs::{NodeRecorders, ProbeEvent};
+use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
 use wirenet::{LinkStats, WireCluster};
 
 use crate::json::JsonValue;
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
+use crate::wall::{all, stable_leader, wire_config};
 
 /// How long a sum of the two accusation counters is at some instant.
 fn accusation_total(recorders: &NodeRecorders) -> u64 {
@@ -60,14 +59,14 @@ struct QosRow {
     substrate: &'static str,
     n: usize,
     /// Stabilization instant, with unit ("ticks" on the simulator, "ms" on
-    /// the wall-clock substrates whose driver tick is 1 ms).
+    /// wirenet, whose driver tick is 1 ms).
     stabilization: String,
     stab_value: u64,
     /// The steady-window sender set, rendered.
     senders: String,
     sender_count: usize,
     /// Active directed links in the steady window (only wirenet measures
-    /// this directly; the others report the broadcast-implied figure).
+    /// this directly; netsim reports the broadcast-implied figure).
     links: String,
     link_count: Option<u64>,
     accusation_delta: u64,
@@ -132,61 +131,45 @@ fn netsim_qos(n: usize, horizon: u64, seed: u64) -> QosRow {
     }
 }
 
-/// Wall-clock run (1 ms ticks, no loss): once every process names one
-/// leader and the election's tail traffic has drained, a 1 s steady window
-/// in which `measure` is read at both ends and the accusation counters must
-/// not move. `finish` exports the stopped cluster's report into the
-/// registry and turns the two readings into the window's sender set and,
-/// where links are measured, how many carried frames.
-fn wall_qos<C: Cluster<Sm = CommEffOmega<RecordingProbe>>, M>(
-    substrate: &'static str,
-    n: usize,
-    spawn: impl FnOnce(&dyn Fn(&Env) -> CommEffOmega<RecordingProbe>) -> C,
-    measure: impl Fn(&C) -> M,
-    finish: impl FnOnce(&C::Report, &Registry, M, M) -> (Vec<ProcessId>, Option<u64>),
-) -> QosRow {
+/// TCP run (1 ms ticks, no loss): once every process names one leader and
+/// the election's tail traffic has drained, a 1 s steady window at whose
+/// ends the per-link counters are read and across which the accusation
+/// counters must not move. The window's sender set is the processes that
+/// wrote frames in it.
+fn wire_qos(n: usize, seed: u64) -> QosRow {
     let recorders = NodeRecorders::new(n, 1024);
-    let cluster = spawn(&|env| {
+    let cluster = WireCluster::spawn(wire_config(n, 0.0, seed), |env| {
         CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
     });
     let leader = stable_leader(&cluster, &all(n), |l| Some(*l));
     // Let the election's tail traffic (final accusations in flight) drain
     // before opening the measurement window.
     std::thread::sleep(StdDuration::from_millis(400));
-    let at_cut = measure(&cluster);
+    let at_cut = cluster.link_snapshot();
     let accusations_at_cut = accusation_total(&recorders);
     std::thread::sleep(StdDuration::from_millis(1_000));
-    let at_end = measure(&cluster);
+    let at_end = cluster.link_snapshot();
     let accusation_delta = accusation_total(&recorders) - accusations_at_cut;
-    let report = cluster.stop();
-    let (senders, link_count) = finish(&report, &recorders.registry(), at_cut, at_end);
+    cluster.stop().export(&recorders.registry());
+    let (senders, active) = active_links(&at_cut, &at_end);
     let stab = last_leader_change(&recorders);
     let pass = leader.is_some()
         && senders == leader.into_iter().collect::<Vec<_>>()
-        && link_count.is_none_or(|l| l == n as u64 - 1)
+        && active == n as u64 - 1
         && accusation_delta == 0;
     QosRow {
-        substrate,
+        substrate: "wirenet",
         n,
         stabilization: format!("{stab} ms"),
         stab_value: stab,
         senders: render_senders(&senders),
         sender_count: senders.len(),
-        links: link_count.map_or(format!("{} (broadcast)", n - 1), |l| {
-            format!("{l} measured")
-        }),
-        link_count,
+        links: format!("{active} measured"),
+        link_count: Some(active),
         accusation_delta,
         pass,
         metrics: recorders.registry().snapshot_json(),
     }
-}
-
-/// The processes that sent during a window, from per-process send counts
-/// read at its start and end.
-fn senders_between(cut: &[u64], end: &[u64]) -> Vec<ProcessId> {
-    let sent = |p: &ProcessId| end[p.as_usize()] > cut[p.as_usize()];
-    all(cut.len()).into_iter().filter(sent).collect()
 }
 
 /// Directed links that carried at least one frame during a window, from
@@ -235,30 +218,7 @@ fn row_json(row: &QosRow) -> JsonValue {
 /// probe/metrics pipeline. Returns the human table and the full JSON
 /// summary (written by the CLI as `BENCH_E17.json`).
 pub fn e17_observability(n: usize, horizon: u64, seed: u64) -> (Table, JsonValue) {
-    let rows = vec![
-        netsim_qos(n, horizon, seed),
-        wall_qos(
-            "threadnet",
-            n,
-            |make| threadnet::Cluster::spawn(thread_config(n, 0.0, 900, seed), make),
-            |c| c.traffic_snapshot().0,
-            |report, registry, cut, end| {
-                report.export(registry);
-                (senders_between(&cut, &end), None)
-            },
-        ),
-        wall_qos(
-            "wirenet",
-            n,
-            |make| WireCluster::spawn(wire_config(n, 0.0, seed), make),
-            WireCluster::link_snapshot,
-            |report, registry, cut, end| {
-                report.export(registry);
-                let (sources, active) = active_links(&cut, &end);
-                (sources, Some(active))
-            },
-        ),
-    ];
+    let rows = vec![netsim_qos(n, horizon, seed), wire_qos(n, seed)];
     let mut t = Table::new(vec![
         "substrate",
         "n",

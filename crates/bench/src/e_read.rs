@@ -12,7 +12,7 @@
 //! 2. **Zero stale reads** — three adversarial safety scenarios on netsim
 //!    (lease expiry under a partition, a widened clock-skew bound, the
 //!    leader killed mid-lease) plus a kill-the-leader round workload on
-//!    threadnet and wirenet. A *stale* read is one whose observed value
+//!    wirenet. A *stale* read is one whose observed value
 //!    predates a write that committed before the read was issued. The
 //!    gate: zero stale reads and zero watchdog alarms
 //!    ([`lls_obs::AlarmKind::StaleRead`] / `LeaseOverlap`) everywhere.
@@ -48,7 +48,7 @@ use wirenet::WireCluster;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
+use crate::wall::{all, stable_leader, wire_config};
 
 /// The acceptance threshold: netsim lease-read throughput over the
 /// log-read baseline.
@@ -797,7 +797,7 @@ pub fn e23_violation(seed: u64) -> (usize, usize, String) {
     violation_run(true, seed)
 }
 
-/// **E23** — the fast read path on every substrate. Returns the table,
+/// **E23** — the fast read path on both substrates. Returns the table,
 /// the JSON summary written as `BENCH_E23.json`, and the gate-violation
 /// count (non-zero fails the CLI).
 pub fn e23_read(n: usize, reads: u64, rounds: u64, seed: u64) -> (Table, JsonValue, usize) {
@@ -809,10 +809,6 @@ pub fn e23_read(n: usize, reads: u64, rounds: u64, seed: u64) -> (Table, JsonVal
     for kind in ["expiry", "skew", "kill"] {
         rows.push(netsim_safety_scenario(kind, n, seed));
     }
-    rows.push(wall_safety_run("threadnet", n, rounds, |clocks, make| {
-        let config = thread_config(n, 0.0, 500, seed);
-        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
-    }));
     rows.push(wall_safety_run("wirenet", n, rounds, |clocks, make| {
         WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), clocks, make).ok()
     }));
@@ -962,8 +958,8 @@ mod tests {
 
     #[test]
     fn netsim_summary_conforms_to_the_bench_shape() {
-        // The wall substrates run under the CLI and the integration
-        // suites; two rounds here keep the unit test fast.
+        // The wirenet leg runs under the CLI and the integration suites;
+        // two rounds here keep the unit test fast.
         let (_, json, violations) = e23_read(3, 120, 2, 7);
         assert_eq!(violations, 0, "reduced E23 must pass its gates");
         validate_bench_summary(&json).expect("E23 summary must validate");

@@ -24,11 +24,10 @@
 //!   store. Its restart replay bytes grow with uptime; the ratio
 //!   `full / snapshots` is the experiment's headline gate.
 //!
-//! The wall-clock substrates (threadnet, wirenet) each run a lighter
-//! kill → durable-restart → kill → wipe-restart cycle under injected loss
-//! and delay, gating that snapshot-install completes and the wiped node
-//! rejoins the session (its re-issued command answers `Duplicate`, proving
-//! the snapshot carried the dedup table).
+//! wirenet runs a lighter kill → durable-restart → kill → wipe-restart
+//! cycle under injected loss and delay, gating that snapshot-install
+//! completes and the wiped node rejoins the session (its re-issued command
+//! answers `Duplicate`, proving the snapshot carried the dedup table).
 //!
 //! Every scenario routes probes through per-node flight recorders and the
 //! online [`Watchdog`] (counter monotonicity is enforced throughout; a
@@ -45,14 +44,14 @@ use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
 use lls_primitives::runtime::{Cluster, OutputCursor};
-use lls_primitives::{Env, Instant, LamportClock, ProcessId, SnapshotHandle, StorageHandle};
+use lls_primitives::{mix64, Env, Instant, LamportClock, ProcessId, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use wirenet::WireCluster;
 
-use crate::e_chaos::{gate_on_watchdog, mix, violation_dump, Tally};
+use crate::e_chaos::{gate_on_watchdog, violation_dump, Tally};
 use crate::json::{self, JsonValue};
 use crate::table::Table;
-use crate::wall::{all, thread_config, wire_config};
+use crate::wall::{all, wire_config};
 
 /// Segment budget of every on-disk WAL in the campaign.
 const SEGMENT_BUDGET: u64 = 8 * 1024;
@@ -310,7 +309,7 @@ fn netsim_scenario(
             }
             down = Some((
                 victim,
-                now + 6_000 + mix(seed ^ next_kill as u64) % 2_000,
+                now + 6_000 + mix64(seed ^ next_kill as u64) % 2_000,
                 wipe,
             ));
             next_kill += 1;
@@ -557,7 +556,7 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
 
     phase(&cluster, tally, &all, (1, 16), "warm-up convergence");
 
-    let victim1 = ProcessId((mix(seed) % n as u64) as u32);
+    let victim1 = ProcessId((mix64(seed) % n as u64) as u32);
     cluster.kill(victim1);
     tally.kills += 1;
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim1).collect();
@@ -572,7 +571,7 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
     cluster.restart(victim1, node(&Env::new(victim1, n), &stores, &snaps));
     phase(&cluster, tally, &all, (29, 29), "durable-restart rejoin");
 
-    let victim2 = ProcessId(((mix(seed) + 1) % n as u64) as u32);
+    let victim2 = ProcessId(((mix64(seed) + 1) % n as u64) as u32);
     cluster.kill(victim2);
     tally.kills += 1;
     tally.wipes += 1;
@@ -693,22 +692,6 @@ pub fn e21_recovery(
         );
     }
 
-    let mut thread_tally = Tally::default();
-    for seed in 0..wall_seeds {
-        wall_scenario(
-            "threadnet",
-            wall_n,
-            seed,
-            &mut thread_tally,
-            |clocks, make| {
-                threadnet::Cluster::spawn_traced(
-                    thread_config(wall_n, 0.02, 900, seed),
-                    clocks,
-                    make,
-                )
-            },
-        );
-    }
     let mut wire_tally = Tally::default();
     for seed in 0..wall_seeds {
         wall_scenario("wirenet", wall_n, seed, &mut wire_tally, |clocks, make| {
@@ -745,14 +728,10 @@ pub fn e21_recovery(
         &full_wal_max.to_string(),
         &format!("baseline ({ratio:.1}x)"),
     );
-    tally_row(&mut t, "threadnet/kv", thread_tally, "-", "-", "agreed");
     tally_row(&mut t, "wirenet/kv", wire_tally, "-", "-", "agreed");
-    let total_violations = snap_tally.violations
-        + full_tally.violations
-        + thread_tally.violations
-        + wire_tally.violations;
-    let total_kills = snap_tally.kills + full_tally.kills + thread_tally.kills + wire_tally.kills;
-    let total_installs = snap_tally.installs + thread_tally.installs + wire_tally.installs;
+    let total_violations = snap_tally.violations + full_tally.violations + wire_tally.violations;
+    let total_kills = snap_tally.kills + full_tally.kills + wire_tally.kills;
+    let total_installs = snap_tally.installs + wire_tally.installs;
 
     let wal_pass = snap_wal_max <= WAL_BOUND;
     let summary = JsonValue::obj(vec![
@@ -784,7 +763,7 @@ pub fn e21_recovery(
         ("kills", JsonValue::U64(total_kills as u64)),
         (
             "wipes",
-            JsonValue::U64((snap_tally.wipes + thread_tally.wipes + wire_tally.wipes) as u64),
+            JsonValue::U64((snap_tally.wipes + wire_tally.wipes) as u64),
         ),
         ("snapshot_installs", JsonValue::U64(total_installs)),
         (

@@ -49,7 +49,7 @@ use crate::e_throughput::timed_burst;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
-use crate::wall::{thread_config, wire_config};
+use crate::wall::wire_config;
 
 /// The measured shard counts, always starting at the unsharded baseline.
 const SHARD_COUNTS: &[u32] = &[1, 2, 4, 8];
@@ -76,17 +76,17 @@ struct ShardRow {
     per_shard: Vec<u64>,
     /// Committed commands per unit of `unit`.
     throughput: f64,
-    /// `"cmds/ktick"` on netsim, `"cmds/s"` on the wall-clock substrates.
+    /// `"cmds/ktick"` on netsim, `"cmds/s"` on wirenet.
     unit: &'static str,
     /// Issue-to-commit latency percentiles, in `lat_unit`.
     p50: u64,
     p99: u64,
-    /// `"ticks"` on netsim, `"us"` on the wall-clock substrates.
+    /// `"ticks"` on netsim, `"us"` on wirenet.
     lat_unit: &'static str,
     /// Throughput relative to the same substrate's `S = 1` baseline.
     scaling: f64,
-    /// Ω heartbeat messages observed in the run (netsim only; 0 on the
-    /// wall-clock substrates, whose totals are time- not run-bound).
+    /// Ω heartbeat messages observed in the run (netsim only; 0 on wirenet,
+    /// whose totals are time- not run-bound).
     omega_alive: u64,
     /// Ω accusation messages observed in the run (netsim only).
     omega_accuse: u64,
@@ -456,12 +456,6 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
     let mut rows = Vec::new();
     for &s in SHARD_COUNTS {
         rows.push(netsim_run(n, commands, s, seed, &registry));
-    }
-    for &s in SHARD_COUNTS {
-        let (row, _) = wall_run("threadnet", (n, commands, s), &registry, |make| {
-            threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make)
-        });
-        rows.push(row);
     }
     for &s in SHARD_COUNTS {
         let (row, report) = wall_run("wirenet", (n, commands, s), &registry, |make| {

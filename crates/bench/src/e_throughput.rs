@@ -17,7 +17,7 @@
 //!   bound. Throughput is reported in committed commands per kilotick and
 //!   latencies (issue → leader commit) in ticks, exactly reproducible
 //!   from the seed.
-//! * **threadnet** and **wirenet** — wall clock; the whole burst is fired
+//! * **wirenet** — wall clock; the whole burst is fired
 //!   at once and the run is timed until the leader has committed every
 //!   command. Throughput is commands per second, latencies in
 //!   microseconds measured against the burst start.
@@ -45,7 +45,7 @@ use wirenet::WireCluster;
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
+use crate::wall::{all, stable_leader, wire_config};
 
 /// The measured grid: the mandatory baseline plus two batched/pipelined
 /// configurations.
@@ -67,12 +67,12 @@ struct ThroughputRow {
     batched_slots: u64,
     /// Committed commands per unit of `unit`.
     throughput: f64,
-    /// `"cmds/ktick"` on netsim, `"cmds/s"` on the wall-clock substrates.
+    /// `"cmds/ktick"` on netsim, `"cmds/s"` on wirenet.
     unit: &'static str,
     /// Issue-to-commit latency percentiles, in `lat_unit`.
     p50: u64,
     p99: u64,
-    /// `"ticks"` on netsim, `"us"` on the wall-clock substrates.
+    /// `"ticks"` on netsim, `"us"` on wirenet.
     lat_unit: &'static str,
     /// Throughput relative to the same substrate's `(1, 1)` baseline.
     speedup: f64,
@@ -405,12 +405,6 @@ pub fn e19_throughput(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) 
     let mut rows = Vec::new();
     for &(b, d) in CONFIGS {
         rows.push(netsim_run(n, commands, b, d, seed, &registry));
-    }
-    for &(b, d) in CONFIGS {
-        let (row, _) = wall_run("threadnet", (n, commands), (b, d), &registry, |make| {
-            threadnet::Cluster::spawn(thread_config(n, 0.0, 500, seed), make)
-        });
-        rows.push(row);
     }
     for &(b, d) in CONFIGS {
         let (row, report) = wall_run("wirenet", (n, commands), (b, d), &registry, |make| {

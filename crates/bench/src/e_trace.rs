@@ -1,5 +1,5 @@
-//! Experiment E18: the causal tracing plane, end to end, on every
-//! substrate.
+//! Experiment E18: the causal tracing plane, end to end, on the simulator
+//! and over TCP.
 //!
 //! E17 measured the steady state *through* the probe pipeline; E18
 //! exercises the plane built on top of it. Each substrate run:
@@ -12,7 +12,7 @@
 //!    feeds the observed sender set through
 //!    [`Watchdog::check_senders`]);
 //! 3. induces a link cut against the elected leader (a partition on the
-//!    simulator, a kill on the wall-clock substrates) — the watchdog,
+//!    simulator, a kill over TCP) — the watchdog,
 //!    still armed, must raise at least one structured alarm *with* a
 //!    captured flight-recorder dump;
 //! 4. reconstructs cross-node spans (accusation → counter bump → leader
@@ -29,12 +29,8 @@
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-use lls_obs::{
-    reconstruct_spans, NodeRecorders, RecordingProbe, SpanKind, SpanRecord, Watchdog,
-    WatchdogConfig, WatchdogProbe,
-};
-use lls_primitives::runtime::Cluster;
-use lls_primitives::{Env, Instant, LamportClock, ProcessId};
+use lls_obs::{reconstruct_spans, NodeRecorders, SpanKind, SpanRecord, Watchdog, WatchdogConfig};
+use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
 use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
@@ -42,7 +38,7 @@ use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
-use crate::wall::{all, stable_leader, thread_config, wire_config};
+use crate::wall::{all, stable_leader, wire_config};
 
 /// Distribution summary over the reconstructed spans of one run.
 struct SpanStats {
@@ -174,28 +170,20 @@ fn netsim_trace(n: usize, horizon: u64, seed: u64) -> TraceRow {
     finish_row("netsim", n, &recorders, &watchdog, alarms_steady, None)
 }
 
-/// The Ω machine of a traced wall-clock run.
-type TracedOmega = CommEffOmega<WatchdogProbe<RecordingProbe>>;
-
-/// Wall-clock run (1 ms ticks, no loss): stabilize, arm the watchdog for a
-/// 500 ms steady window, then cut by killing the elected leader and await
-/// the survivors' re-election. `spawn` starts the cluster on the recorders'
-/// clocks. After the steady window `live` may start a live endpoint over
-/// the recorders and check it (wirenet's scrape); `churn` checks it again
-/// once the survivors agree. Both verdicts make the row's scrape column.
-fn wall_trace<C: Cluster<Sm = TracedOmega>, L>(
-    substrate: &'static str,
-    n: usize,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> TracedOmega) -> C,
-    live: impl FnOnce(&Arc<NodeRecorders>) -> Option<(L, bool)>,
-    churn: impl FnOnce(L) -> bool,
-) -> TraceRow {
+/// TCP run (1 ms ticks, no loss): stabilize, arm the watchdog for a 500 ms
+/// steady window, then cut by killing the elected leader and await the
+/// survivors' re-election. After the steady window a live scrape endpoint
+/// starts over the recorders and is checked, and checked again once the
+/// survivors agree; both verdicts make the row's scrape column.
+fn wire_trace(n: usize, seed: u64) -> TraceRow {
     let recorders = Arc::new(NodeRecorders::new(n, 1024));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let mut cluster = spawn(recorders.clocks(), &|env| {
-        let probe = watchdog.probe(recorders.probe_for(env.id()));
-        CommEffOmega::new_with_probe(env, OmegaParams::default(), probe)
-    });
+    let mut cluster =
+        WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), recorders.clocks(), |env| {
+            let probe = watchdog.probe(recorders.probe_for(env.id()));
+            CommEffOmega::new_with_probe(env, OmegaParams::default(), probe)
+        })
+        .expect("bind 127.0.0.1 listeners");
     let all = all(n);
     let leader = stable_leader(&cluster, &all, |l| Some(*l));
     // Let the election's tail traffic drain before arming.
@@ -203,16 +191,16 @@ fn wall_trace<C: Cluster<Sm = TracedOmega>, L>(
     watchdog.arm();
     std::thread::sleep(StdDuration::from_millis(500));
     let alarms_steady = watchdog.alarm_count();
-    let endpoint = live(&recorders);
+    let (server, steady_ok) = scrape_metrics(&recorders);
     let victim = leader.unwrap_or(ProcessId(0));
     cluster.kill(victim);
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
     let _ = stable_leader(&cluster, &survivors, |l| Some(*l));
-    let scrape_ok = endpoint.map(|(endpoint, steady_ok)| churn(endpoint) && steady_ok);
+    let scrape_ok = Some(scrape_churn(server) && steady_ok);
     watchdog.disarm();
     cluster.stop();
     finish_row(
-        substrate,
+        "wirenet",
         n,
         &recorders,
         &watchdog,
@@ -272,35 +260,14 @@ fn row_json(row: &TraceRow) -> JsonValue {
     ])
 }
 
-/// **E18** — drive the tracing plane on every substrate: steady window
+/// **E18** — drive the tracing plane on both substrates: steady window
 /// with an armed watchdog (zero alarms), induced link cut (≥ 1 alarm with
 /// post-mortem dump), cross-node span reconstruction (all causally
 /// ordered), latency/depth distributions, and — on wirenet — a live HTTP
 /// scrape that matches the in-process registry. Returns the human table
 /// and the JSON summary the CLI writes as `BENCH_E18.json`.
 pub fn e18_tracing(n: usize, horizon: u64, seed: u64) -> (Table, JsonValue) {
-    let rows = vec![
-        netsim_trace(n, horizon, seed),
-        wall_trace(
-            "threadnet",
-            n,
-            |clocks, make| {
-                threadnet::Cluster::spawn_traced(thread_config(n, 0.0, 900, seed), clocks, make)
-            },
-            |_| None,
-            |()| true,
-        ),
-        wall_trace(
-            "wirenet",
-            n,
-            |clocks, make| {
-                WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), clocks, make)
-                    .expect("bind 127.0.0.1 listeners")
-            },
-            |recorders| Some(scrape_metrics(recorders)),
-            scrape_churn,
-        ),
-    ];
+    let rows = vec![netsim_trace(n, horizon, seed), wire_trace(n, seed)];
     let mut t = Table::new(vec![
         "substrate",
         "n",

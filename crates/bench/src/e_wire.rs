@@ -3,16 +3,61 @@
 
 use std::time::Duration as StdDuration;
 
+use lls_primitives::runtime::{await_stable_leader, Cluster};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{FaultConfig, LinkStats, WireCluster, WireConfig};
 
-use crate::e_thread::sender_series;
 use crate::table::Table;
+use crate::wall::all;
 
-/// **E15** — E10's election over real localhost TCP connections (framed
-/// wire codec, per-peer sockets, injected loss at the socket layer). The
-/// final rows add socket-level totals the other substrates cannot measure:
+/// Samples the sender set every `window_ms` while the election runs, then
+/// waits up to 10 s for every process to name one leader for five heartbeat
+/// periods, stops the cluster, and adds a row saying whether they did. The
+/// series must collapse toward a single sender, matching the simulator's E2
+/// shape on a wall clock.
+fn sender_series<C: Cluster<Sm = CommEffOmega>>(
+    cluster: C,
+    windows: usize,
+    window_ms: u64,
+) -> (Table, C::Report) {
+    let n = cluster.n();
+    let mut t = Table::new(vec!["t(ms)", "msgs_in_window", "senders"]);
+    let mut prev = vec![0u64; n];
+    for step in 1..=windows {
+        std::thread::sleep(StdDuration::from_millis(window_ms));
+        let (sent, _) = cluster.traffic_snapshot();
+        let window: Vec<u64> = sent.iter().zip(&prev).map(|(a, b)| a - b).collect();
+        let senders = window.iter().filter(|c| **c > 0).count();
+        t.row(vec![
+            (step as u64 * window_ms).to_string(),
+            window.iter().sum::<u64>().to_string(),
+            senders.to_string(),
+        ]);
+        prev = sent;
+    }
+    // A late accusation can split the processes' views at any one instant,
+    // so agreement is read off an election that has held still.
+    let hold = cluster.tick() * OmegaParams::default().eta.ticks() as u32 * 5;
+    let timeout = StdDuration::from_secs(10);
+    let settled = await_stable_leader(&cluster, &all(n), |l| Some(*l), hold, timeout);
+    let report = cluster.stop();
+    let agreed = settled.is_some();
+    let leader = settled.or_else(|| report.final_output_of(ProcessId(0)).copied());
+    t.row(vec![
+        "final".into(),
+        format!(
+            "leader={}",
+            leader.map(|l| l.to_string()).unwrap_or("-".into())
+        ),
+        format!("agreement={agreed}"),
+    ]);
+    (t, report)
+}
+
+/// **E15** — the election over real localhost TCP connections (framed wire
+/// codec, per-peer sockets, injected loss at the socket layer), its sender
+/// set sampled every `window_ms`. The final rows add socket-level totals:
 /// real bytes on the wire, reconnects, and decode failures.
 pub fn e15_wirenet(n: usize, loss: f64, windows: usize, window_ms: u64) -> Table {
     // A generous tick (η = 5 ms, suspicion timeout = 15 ms): on a loaded

@@ -1,9 +1,10 @@
 //! Experiment harness for the limited-link-synchrony reproduction.
 //!
 //! PODC 2004 is a theory paper — its "evaluation" is a set of theorems and
-//! complexity claims. Each experiment here (E1–E16, indexed in `DESIGN.md`
-//! and reported in `EXPERIMENTS.md`) turns one claim into a measurement and
-//! regenerates the corresponding table or series:
+//! complexity claims. Each experiment here (E1–E23, indexed in `DESIGN.md`
+//! and reported in `EXPERIMENTS.md`; E10's thread-runtime run folded into
+//! E15) turns one claim into a measurement and regenerates the
+//! corresponding table or series:
 //!
 //! | Id  | Claim |
 //! |-----|-------|
@@ -16,7 +17,6 @@
 //! | E7  | Consensus steady state is communication-efficient |
 //! | E8  | Synchrony crossover: one ♦-source suffices; all-to-all needs more |
 //! | E9  | Ablation: accusation dedup and timeout growth both matter |
-//! | E10 | The communication-efficiency shape survives on real threads |
 //! | E11 | Relaying extends Ω to eventually-timely *paths* |
 //! | E12 | Timeout adaptation is necessary (deterministic blink adversary) |
 //! | E13 | QoS: detection time vs timeout after a leader crash |
@@ -45,7 +45,6 @@ pub mod e_omega;
 pub mod e_read;
 pub mod e_recovery;
 pub mod e_shard;
-pub mod e_thread;
 pub mod e_throughput;
 pub mod e_trace;
 pub mod e_wire;

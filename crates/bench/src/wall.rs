@@ -1,28 +1,13 @@
-//! What the wall-clock legs of the experiments share: each substrate's
+//! What the wall-clock legs of the experiments share: the TCP cluster's
 //! configuration and the stable-leader wait. Each leg itself is one function
-//! generic over [`Cluster`], called once per substrate; only the spawn, and
-//! what only sockets have (link counters, scrape routes), stay at the call
-//! sites.
+//! generic over [`Cluster`]; only the spawn, and what only sockets have
+//! (link counters, scrape routes), stay at the call sites.
 
 use std::time::Duration as StdDuration;
 
 use lls_primitives::runtime::{await_stable_leader, Cluster, Output};
 use lls_primitives::ProcessId;
-use threadnet::NetConfig;
 use wirenet::{FaultConfig, WireConfig};
-
-/// A thread mesh of `n` processes at 1 ms ticks that drops `loss` of the
-/// messages and delays each by 100 µs to `max_delay_us`.
-pub(crate) fn thread_config(n: usize, loss: f64, max_delay_us: u64, seed: u64) -> NetConfig {
-    NetConfig {
-        n,
-        loss,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(max_delay_us),
-        tick: StdDuration::from_millis(1),
-        seed,
-    }
-}
 
 /// A TCP cluster of `n` processes at 1 ms ticks that records its output
 /// history. With `loss` positive its sockets drop that share of the frames

@@ -110,8 +110,8 @@ use std::marker::PhantomData;
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
 use lls_primitives::wire::crc32;
 use lls_primitives::{
-    Ctx, Duration, Effects, Env, Instant, ProcessId, Sm, Snapshot, SnapshotHandle, StorageError,
-    StorageHandle, StorageStats, TimerCmd, TimerId, Wire,
+    mix64, Ctx, Duration, Effects, Env, Instant, ProcessId, Sm, Snapshot, SnapshotHandle,
+    StorageError, StorageHandle, StorageStats, TimerCmd, TimerId, Wire,
 };
 use omega::{CommEffOmega, OmegaMsg};
 
@@ -234,16 +234,6 @@ const SNAP_MAX_ATTEMPTS: u32 = 10;
 /// while its known frontier is still ahead, so a long gap streams at one
 /// window per round trip and one huge burst never floods a link.
 pub const CATCHUP_BURST: u64 = 128;
-
-/// splitmix64 — the deterministic hash behind retransmission jitter (no RNG
-/// dependency; the same seeds always produce the same schedule, which keeps
-/// netsim campaigns reproducible).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Sender side of one snapshot transfer to one peer.
 #[derive(Debug, Clone)]

@@ -271,10 +271,13 @@ impl Wire for KvState {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut data = BTreeMap::new();
-        for _ in 0..r.len_prefix()? {
-            data.insert(CompactStr::decode(r)?, CompactStr::decode(r)?);
-        }
+        // Collected, not inserted one by one: `FromIterator` sorts and then
+        // builds the tree bottom-up with full leaves, where inserting in key
+        // order splits each leaf half full. A key repeated in a malformed
+        // snapshot keeps its last value either way.
+        let data = (0..r.len_prefix()?)
+            .map(|_| Ok((CompactStr::decode(r)?, CompactStr::decode(r)?)))
+            .collect::<Result<BTreeMap<_, _>, WireError>>()?;
         let sessions = Vec::<(u64, u64)>::decode(r)?;
         Ok(KvState {
             data,
@@ -639,6 +642,23 @@ mod tests {
         }
         t.apply(&tag(1, 2, KvCmd::put("k1", "stale")));
         assert_eq!(t.to_bytes(), bytes, "canonical encoding");
+    }
+
+    #[test]
+    fn a_key_repeated_in_a_snapshot_keeps_its_last_value() {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, 3);
+        for (key, value) in [("k", "first"), ("a", "1"), ("k", "last")] {
+            CompactStr::new(key).encode(&mut bytes);
+            CompactStr::new(value).encode(&mut bytes);
+        }
+        Vec::<(u64, u64)>::new().encode(&mut bytes);
+        0u64.encode(&mut bytes);
+        0u64.encode(&mut bytes);
+        let state = KvState::from_bytes(&bytes).expect("snapshot decodes");
+        assert_eq!(state.len(), 2);
+        assert_eq!(state.get("k"), Some("last"));
+        assert_eq!(state.get("a"), Some("1"));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
-use lls_primitives::{Instant, ProcessId};
+use lls_primitives::{mix64, Instant, ProcessId};
 
 use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
 
@@ -79,16 +79,6 @@ pub struct SubmitQueue<P: Probe = NoopProbe> {
     probe: P,
     node: ProcessId,
     now: Instant,
-}
-
-/// splitmix64: a cheap deterministic bit mixer for retry jitter (the
-/// workspace has no RNG dependency, and determinism keeps simulated runs
-/// reproducible).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl SubmitQueue {

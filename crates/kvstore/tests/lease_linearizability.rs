@@ -1,13 +1,13 @@
 //! Lease-read linearizability: three concurrent writer sessions and three
-//! reader sessions on every substrate, with *real-time read witnesses* —
+//! reader sessions on both substrates, with *real-time read witnesses* —
 //! a read must observe the latest write that real-time-precedes it, no
 //! matter which path (lease, read-index, or log) served it.
 //!
 //! On netsim the witness is exact: the simulator's virtual clock dates
 //! every commit and every read issue, so "write `w` committed anywhere
 //! before read `r` was issued" is a decidable predicate and any read
-//! observing an older register position is convicted as stale. On the
-//! wall-clock substrates the witness is by construction: a round's reads
+//! observing an older register position is convicted as stale. Over TCP
+//! the witness is by construction: a round's reads
 //! are only issued after the round's write settled at the leader, so
 //! observing an earlier round is a real-time violation.
 
@@ -19,11 +19,10 @@ use std::time::Duration as StdDuration;
 
 use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::runtime::{await_stable_leader, Cluster};
-use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
+use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
+use lls_primitives::runtime::await_stable_leader;
+use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::NetConfig;
 use util::Settled;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
@@ -238,28 +237,33 @@ fn judge(round: u64, node: ProcessId, response: Option<KvResponse>) -> bool {
     }
 }
 
-/// The replica of the wall-clock legs.
-type Replica = KvReplica<WatchdogProbe<RecordingProbe>>;
-
-/// Settle-then-read rounds on a wall-clock cluster of `n`, with the leader
-/// killed halfway through: each round's write (three writer sessions take
-/// turns) settles at the leader before the leaseholder and two followers
-/// read it. `spawn` starts the cluster on the recorders' clocks, or returns
-/// `None` where no loopback listener can be bound (the test then skips).
-fn rounds_stay_fresh<C: Cluster<Sm = Replica>>(
-    n: usize,
-    rounds: u64,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> Replica) -> Option<C>,
-) {
+/// Settle-then-read rounds over TCP, with the leader killed halfway
+/// through: each round's write (three writer sessions take turns) settles
+/// at the leader before the leaseholder and two followers read it. At
+/// n = 5 the kill exercises the overlapping-lease window the lease holdoff
+/// closes: a deposed leader must not re-elect inside its successor's live
+/// lease. Skips where no loopback listener can be bound.
+#[test]
+fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
+    let (n, rounds) = (5, 6);
+    let config = WireConfig {
+        n,
+        tick: StdDuration::from_millis(1),
+        queue_capacity: 1024,
+        backoff: BackoffConfig::default(),
+        faults: None,
+        record_outputs: true,
+    };
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let Some(mut cluster) = spawn(recorders.clocks(), &|env| {
+    let spawned = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ReplicatedLog::builder(env, lease_params())
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(KvReplica::from_log)
             .unwrap()
-    }) else {
+    });
+    let Ok(mut cluster) = spawned else {
         eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
         return;
     };
@@ -308,34 +312,4 @@ fn rounds_stay_fresh<C: Cluster<Sm = Replica>>(
     cluster.stop();
     assert!(served > 0, "some reads must settle");
     assert_eq!(watchdog.alarm_count(), 0, "watchdog must stay quiet");
-}
-
-#[test]
-fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
-    let config = NetConfig {
-        n: 5,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed: 23,
-    };
-    rounds_stay_fresh(5, 6, |clocks, make| {
-        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
-    });
-}
-
-#[test]
-fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
-    let config = WireConfig {
-        n: 3,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
-    };
-    rounds_stay_fresh(3, 4, |clocks, make| {
-        WireCluster::try_spawn_traced(config, clocks, make).ok()
-    });
 }

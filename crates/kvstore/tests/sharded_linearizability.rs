@@ -1,13 +1,13 @@
-//! Cross-shard linearizability for the sharded KV node, on all three
-//! substrates. Each key is a monotone register owned by one writer
+//! Cross-shard linearizability for the sharded KV node, on the simulator
+//! and over TCP. Each key is a monotone register owned by one writer
 //! session and routed to whatever shard its hash lands on; reads go down
 //! the sharded fast path (lease-read or read-index per shard) and must
 //! observe the latest write that real-time-precedes them.
 //!
-//! The wall-clock substrates use *quiescence polling* throughout — every
+//! The TCP leg uses *quiescence polling* throughout — every
 //! wait polls for an observable settlement (unanimous leader view, a
 //! specific `(client, seq)` settle) with client-style retries, never a
-//! fixed sleep — so the suites are immune to scheduler jitter.
+//! fixed sleep — so it is immune to scheduler jitter.
 
 mod util;
 
@@ -18,11 +18,10 @@ use std::time::Duration as StdDuration;
 use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardedNode};
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
-use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::runtime::{await_stable_leader, Cluster};
-use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
+use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
+use lls_primitives::runtime::await_stable_leader;
+use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::NetConfig;
 use util::Settled;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
@@ -254,29 +253,31 @@ fn assert_prefix_agreement(per_node: &BTreeMap<ProcessId, Vec<(u32, u64, ClientI
     }
 }
 
-/// The node of the wall-clock legs.
-type Node = ShardedKvNode<WatchdogProbe<RecordingProbe>>;
-
-/// One wall-clock round workload on a cluster of `n`: `writes_per_key`
-/// settled writes per key at the unanimous leader, a read of every key at
-/// every node after its final write, then per-shard prefix agreement over
-/// the stop report. `spawn` starts the cluster on the recorders' clocks, or
-/// returns `None` where no loopback listener can be bound (the test then
-/// skips).
-fn cross_shard_settles<C: Cluster<Sm = Node>>(
-    n: usize,
-    writes_per_key: u64,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> Node) -> Option<C>,
-) {
+/// One round workload over TCP on a cluster of 3: four settled writes per
+/// key at the unanimous leader, a read of every key at every node after its
+/// final write, then per-shard prefix agreement over the stop report. Skips
+/// where no loopback listener can be bound.
+#[test]
+fn wirenet_cross_shard_settles_by_quiescence_polling() {
+    let (n, writes_per_key) = (3, 4);
+    let config = WireConfig {
+        n,
+        tick: StdDuration::from_millis(1),
+        queue_capacity: 1024,
+        backoff: BackoffConfig::default(),
+        faults: None,
+        record_outputs: true,
+    };
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let Some(cluster) = spawn(recorders.clocks(), &|env| {
+    let spawned = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ShardedNode::builder(env, lease_params(), placement(n))
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(ShardedKvNode::from_log)
             .unwrap()
-    }) else {
+    });
+    let Ok(cluster) = spawned else {
         eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
         return;
     };
@@ -339,34 +340,4 @@ fn cross_shard_settles<C: Cluster<Sm = Node>>(
     }
     assert_prefix_agreement(&per_node);
     assert_eq!(watchdog.alarm_count(), 0, "watchdog must stay quiet");
-}
-
-#[test]
-fn threadnet_cross_shard_settles_by_quiescence_polling() {
-    let config = NetConfig {
-        n: 3,
-        loss: 0.0,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(500),
-        tick: StdDuration::from_millis(1),
-        seed: 29,
-    };
-    cross_shard_settles(3, 4, |clocks, make| {
-        Some(threadnet::Cluster::spawn_traced(config, clocks, make))
-    });
-}
-
-#[test]
-fn wirenet_cross_shard_settles_by_quiescence_polling() {
-    let config = WireConfig {
-        n: 3,
-        tick: StdDuration::from_millis(1),
-        queue_capacity: 1024,
-        backoff: BackoffConfig::default(),
-        faults: None,
-        record_outputs: true,
-    };
-    cross_shard_settles(3, 3, |clocks, make| {
-        WireCluster::try_spawn_traced(config, clocks, make).ok()
-    });
 }

@@ -14,7 +14,7 @@
 //! * **[`Registry`]** — a lock-light metrics registry (atomic
 //!   [`Counter`]s, [`Gauge`]s, fixed-bucket log-scale [`Histogram`]s) with
 //!   Prometheus text exposition and a JSON snapshot. Substrate accounting
-//!   (`netsim` stats, `threadnet` reports, `wirenet` socket counters)
+//!   (`netsim` stats, `wirenet` socket counters)
 //!   exports into the same table, so one scrape shows protocol events next
 //!   to wire traffic.
 //! * **[`FlightRecorder`]** — a bounded per-node ring of recent events,

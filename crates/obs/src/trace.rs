@@ -87,8 +87,8 @@ impl SpanRecord {
     }
 
     /// Tick latency from root to final hop, when both carry a time.
-    /// On netsim these are virtual ticks; on threadnet/wirenet whatever
-    /// the harness mapped real time onto.
+    /// On netsim these are virtual ticks; on wirenet whatever the harness
+    /// mapped real time onto.
     pub fn latency_ticks(&self) -> Option<u64> {
         match (self.start().at, self.end().at) {
             (Some(a), Some(b)) => Some(b.ticks().saturating_sub(a.ticks())),

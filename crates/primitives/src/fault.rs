@@ -1,10 +1,10 @@
-//! Shared fault injection: the loss/delay model applied to messages in
-//! flight, used identically by the thread mesh (`threadnet`) and the TCP
-//! substrate (`wirenet`).
+//! Fault injection: the loss/delay model the TCP substrate (`wirenet`)
+//! applies to frames in flight, and the jitter source of its reconnect
+//! backoff.
 //!
 //! The injector is deliberately self-contained (its PRNG is an internal
 //! xorshift, no external dependency) so that the primitives crate stays
-//! dependency-free and both runtimes sample from the same model.
+//! dependency-free.
 
 use std::time::Duration as StdDuration;
 
@@ -51,16 +51,6 @@ impl FaultInjector {
             // Avoid the xorshift fixed point at zero.
             state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1),
         }
-    }
-
-    /// An injector that never drops and never delays.
-    pub fn passthrough() -> Self {
-        FaultInjector::new(0.0, StdDuration::ZERO, StdDuration::ZERO, 0)
-    }
-
-    /// The configured loss probability.
-    pub fn loss(&self) -> f64 {
-        self.loss
     }
 
     /// Decides one message's fate.
@@ -129,14 +119,6 @@ mod tests {
         let (mut a, mut b) = (mk(), mk());
         for _ in 0..100 {
             assert_eq!(a.fate(), b.fate());
-        }
-    }
-
-    #[test]
-    fn passthrough_never_drops_or_delays() {
-        let mut inj = FaultInjector::passthrough();
-        for _ in 0..100 {
-            assert_eq!(inj.fate(), Fate::DeliverAfter(StdDuration::ZERO));
         }
     }
 

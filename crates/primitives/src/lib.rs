@@ -10,19 +10,19 @@
 //!   algorithms are written as pure state machines that react to messages and
 //!   timers by emitting *effects* (sends, timer commands, outputs). The same
 //!   algorithm code then runs unchanged on the deterministic discrete-event
-//!   simulator (`netsim`), on the real-time thread runtime (`threadnet`), and
-//!   over real TCP sockets (`wirenet`),
+//!   simulator (`netsim`) and over real TCP sockets (`wirenet`),
 //! * the [`wire`] codec — a versioned, checksummed binary framing shared by
 //!   every transport that serialises messages onto a byte stream,
-//! * the [`FaultInjector`] — the seeded loss/delay model both real-time
-//!   runtimes apply to messages in flight,
+//! * the [`FaultInjector`] — the seeded loss/delay model `wirenet` applies
+//!   to frames in flight,
 //! * the [`clock`] module — per-process [`LamportClock`]s the substrates
 //!   advance on every send and receive, giving each observability event a
 //!   causal (happens-before) position for cross-node trace reconstruction,
 //! * the [`runtime`] module — the one wall-clock node driver (timers,
 //!   tick mapping, dispatch, each process's latest output plus opt-in
-//!   output history, send counters) that `threadnet` and `wirenet` both
-//!   run, each supplying only a send closure,
+//!   output history, send counters) that `wirenet` runs, supplying only a
+//!   send closure, and the [`runtime::Cluster`] trait harnesses drive it
+//!   through,
 //! * the [`storage`] module — durable per-process state ([`Storage`],
 //!   [`StorageHandle`], in-memory and file-WAL backends) through which
 //!   protocols persist crash-critical state so a killed process can restart
@@ -105,3 +105,13 @@ pub use storage::{
 };
 pub use time::{Duration, Instant};
 pub use wire::{TraceEnvelope, Wire, WireError};
+
+/// splitmix64: a cheap deterministic bit mixer. Retry jitter and seeded
+/// schedule choices derive from it instead of an RNG, so the same seeds
+/// always give the same schedule and simulated runs stay reproducible.
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}

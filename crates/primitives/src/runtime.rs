@@ -1,5 +1,5 @@
-//! The wall-clock node driver every real-time substrate runs, and the one
-//! [`Cluster`] interface a harness drives those substrates through.
+//! The wall-clock node driver, and the one [`Cluster`] interface a harness
+//! drives a wall-clock substrate through.
 //!
 //! An [`Sm`] is pure, so what a runtime adds exists once, here: the timer
 //! table with reset semantics, the wall-clock → tick mapping, dispatch of
@@ -9,19 +9,17 @@
 //! communication-efficiency oracle reads. A [`Process`] holds one process's
 //! state and is stepped with a send sink passed per call, taking
 //! `(to, msg, envelope)`; [`drive`] is the one loop that fires its timers
-//! and handles its inbox. `threadnet` runs that loop alone per process
-//! ([`run`]) and its router delivers through the inbox. `wirenet` shares
-//! the process behind a `Mutex` between the loop, which keeps requests,
-//! kill/restart/stop and timers, and its socket reader threads, which call
-//! [`Process::deliver`] themselves. Both transports merge the envelope into
-//! the receiver's [`LamportClock`] before delivery, so the handler runs
-//! causally after the send.
+//! and handles its inbox. `wirenet` shares the process behind a `Mutex`
+//! between the loop, which keeps requests, kill/restart/stop and timers,
+//! and its socket reader threads, which merge each frame's envelope into
+//! the receiver's [`LamportClock`] and then call [`Process::deliver`]
+//! themselves, so the handler runs causally after the send.
 //!
-//! Each substrate's cluster implements [`Cluster`]: spawn is its own, and
+//! A wall-clock cluster implements [`Cluster`]: spawn is its own, and
 //! everything after it (requests, kill and restart, the reads over each
-//! process's [`NodeLog`], stop and the shared [`RunReport`]) has one
-//! meaning on both. [`await_stable_leader`] is the one wait for a settled
-//! election.
+//! process's [`NodeLog`], stop and the shared [`RunReport`]) is written
+//! once against the trait. [`await_stable_leader`] is the one wait for a
+//! settled election.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,16 +30,11 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use crate::TraceEnvelope;
 use crate::{Ctx, Effects, Env, Instant, LamportClock, ProcessId, Sm, TimerCmd, TimerId};
 
-/// One stimulus queued for a process's driver.
+/// One stimulus queued for a process's driver. Messages do not pass through
+/// the inbox: the transport's own threads hand them to
+/// [`Process::deliver`].
 #[derive(Debug)]
 pub enum Control<S: Sm> {
-    /// A message from `from`, its trace envelope already merged.
-    Deliver {
-        /// The sender.
-        from: ProcessId,
-        /// The payload.
-        msg: S::Msg,
-    },
     /// An external request (client command).
     Request(S::Request),
     /// Crashes the process: its timers are disarmed and every stimulus is
@@ -350,11 +343,11 @@ pub fn traffic_snapshot<O>(logs: &[Arc<NodeLog<O>>]) -> (Vec<u64>, Vec<Option<St
 /// The output type of cluster `C`'s state machine.
 pub type Output<C> = <<C as Cluster>::Sm as Sm>::Output;
 
-/// A running wall-clock cluster, as a harness drives it: the one interface
-/// `threadnet::Cluster` and `wirenet::WireCluster` share, so an experiment
-/// or a test is written once and run on both.
+/// A running wall-clock cluster, as a harness drives it. `wirenet::WireCluster`
+/// implements it; an experiment or a test written against it would run
+/// unchanged on another substrate that did.
 ///
-/// The contract both substrates keep:
+/// The contract an implementation keeps:
 ///
 /// - A request sent to a killed process is dropped, like one sent to a
 ///   crashed server: it is never handled, not even after a restart.
@@ -485,20 +478,6 @@ pub struct NodeSpec<O> {
     pub log: Arc<NodeLog<O>>,
 }
 
-/// Drives one process on the caller's thread until [`Control::Stop`]
-/// arrives or every sender of `inbox` is gone: runs `on_start`, then fires
-/// due timers and dispatches the inbox, handing each send to `send` with its
-/// fresh Lamport stamp. This is [`drive`] over a [`Process`] no other thread
-/// touches.
-pub fn run<S: Sm>(
-    spec: NodeSpec<S::Output>,
-    sm: S,
-    inbox: Receiver<Control<S>>,
-    send: impl FnMut(ProcessId, S::Msg, TraceEnvelope),
-) {
-    drive(&Mutex::new(Process::new(spec, sm)), &inbox, send);
-}
-
 /// The driver loop: runs `on_start`, then fires due timers and handles the
 /// inbox until [`Control::Stop`] arrives or every sender of `inbox` is gone.
 ///
@@ -621,9 +600,6 @@ impl<S: Sm> Process<S> {
         send: &mut impl FnMut(ProcessId, S::Msg, TraceEnvelope),
     ) -> bool {
         match control {
-            Control::Deliver { from, msg } => {
-                self.deliver(from, msg, send);
-            }
             Control::Request(req) if self.life == Life::Alive => {
                 self.step(StdInstant::now(), send, |sm, ctx| sm.on_request(ctx, req));
             }
@@ -787,7 +763,8 @@ mod tests {
         };
         let handle = std::thread::spawn(move || {
             let mut stamps = 0;
-            run(spec, Race, rx, |_, _, envelope| stamps = envelope.lamport);
+            let process = Mutex::new(Process::new(spec, Race));
+            drive(&process, &rx, |_, _, envelope| stamps = envelope.lamport);
             stamps
         });
         (tx, log, handle)

@@ -11,7 +11,7 @@
 //!   opaque byte records;
 //! * [`MemStorage`] — an in-memory log that survives a *simulated* restart
 //!   (the handle outlives the state machine) but not the host process; the
-//!   deterministic backend used by `netsim` and `threadnet` campaigns;
+//!   deterministic backend used by `netsim` and wall-clock chaos campaigns;
 //! * [`FileWal`] — an append-only file WAL whose records are framed with the
 //!   [`wire`](crate::wire) codec (length prefix, protocol version, CRC-32).
 //!   Recovery scans from the front and truncates at the first torn or
@@ -188,7 +188,7 @@ pub trait Storage: Send + fmt::Debug {
 
 /// In-memory [`Storage`]: survives a simulated process restart (the handle
 /// outlives the state machine) but not the host process. Deterministic and
-/// infallible — the backend used by `netsim`/`threadnet` chaos campaigns.
+/// infallible — the backend used by `netsim` and `wirenet` chaos campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct MemStorage {
     records: Vec<Vec<u8>>,
@@ -669,9 +669,9 @@ pub trait SnapshotStore: Send + fmt::Debug {
     fn load(&mut self) -> Result<Option<Snapshot>, StorageError>;
 }
 
-/// In-memory [`SnapshotStore`] — the deterministic backend for
-/// `netsim`/`threadnet` campaigns, surviving simulated restarts through
-/// the shared handle.
+/// In-memory [`SnapshotStore`] — the deterministic backend for `netsim`
+/// and `wirenet` campaigns, surviving simulated restarts through the shared
+/// handle.
 #[derive(Debug, Clone, Default)]
 pub struct MemSnapshotStore {
     snap: Option<Snapshot>,

@@ -1,8 +1,8 @@
 //! Cluster lifecycle over real sockets: bind, spawn, drive, sever, stop,
 //! report. [`WireCluster`] implements the substrate-generic
-//! [`runtime::Cluster`] trait, so an experiment or test written against it
-//! runs here and on `threadnet` unchanged; what only sockets have (link
-//! counters, sever, listen addresses) stays inherent.
+//! [`runtime::Cluster`] trait, which wall-clock experiments and tests are
+//! written against; what only sockets have (link counters, sever, listen
+//! addresses) stays inherent.
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;

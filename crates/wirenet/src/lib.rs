@@ -1,21 +1,21 @@
-//! Real TCP transport substrate: the third runtime for the *same* sans-io
-//! state machines.
+//! Real TCP transport substrate: the wall-clock runtime for the *same*
+//! sans-io state machines the simulator runs.
 //!
 //! The workspace's algorithms ([`CommEffOmega`], the consensus machines,
 //! the replicated KV store) are pure [`Sm`] state machines. `netsim` runs
-//! them on a deterministic discrete-event simulator and `threadnet` on an
-//! in-process thread mesh; this crate runs them over **real TCP sockets**
-//! with zero changes to the algorithm code:
+//! them on a deterministic discrete-event simulator; this crate runs them
+//! over **real TCP sockets** on a wall clock with zero changes to the
+//! algorithm code:
 //!
 //! * every process is one listener, one reader thread per inbound
 //!   connection, one link thread per peer, and one protocol thread running
-//!   the shared [`lls_primitives::runtime`] driver (the same one
-//!   `threadnet` runs). The process sits behind a lock: a reader thread
-//!   runs `on_message` for each frame it decodes, while the protocol thread
-//!   keeps requests, kill/restart/stop and timers. A handler's sends are
-//!   encoded on its own thread and written straight onto the peer's
-//!   socket when that link is idle, so a message costs two thread
-//!   hand-offs (sender to kernel, kernel to reader), not four;
+//!   the [`lls_primitives::runtime`] driver. The process sits behind a
+//!   lock: a reader thread runs `on_message` for each frame it decodes,
+//!   while the protocol thread keeps requests, kill/restart/stop and
+//!   timers. A handler's sends are encoded on its own thread and written
+//!   straight onto the peer's socket when that link is idle, so a message
+//!   costs two thread hand-offs (sender to kernel, kernel to reader), not
+//!   four;
 //! * messages travel as versioned, CRC-checked frames (the shared
 //!   [`lls_primitives::wire`] codec) — corrupted frames are counted and
 //!   skipped, never panics;
@@ -31,9 +31,9 @@
 //!   ([`FaultConfig`], backed by the shared
 //!   [`FaultInjector`](lls_primitives::FaultInjector));
 //! * [`WireCluster`] implements the substrate-generic
-//!   [`lls_primitives::runtime::Cluster`] trait, as `threadnet`'s cluster
-//!   does, so an experiment or test is written once for both; bring the
-//!   trait into scope for `latest_outputs`, `outputs_since` and `tick`;
+//!   [`lls_primitives::runtime::Cluster`] trait, which wall-clock
+//!   experiments and tests are written against; bring the trait into scope
+//!   for `latest_outputs`, `outputs_since` and `tick`;
 //! * per-link counters (bytes/messages both ways, reconnects, queue drops,
 //!   decode failures) surface in the [`ClusterReport`], which extends the
 //!   shared [`RunReport`](lls_primitives::runtime::RunReport);

@@ -1,29 +1,33 @@
-//! Thread-runtime integration: the same Ω state machine elects a leader over
-//! real threads, real clocks, and an injected-loss mesh.
+//! Cluster-level Ω properties over real sockets: the unchanged Ω state
+//! machine elects one leader under heavy injected loss, becomes
+//! communication-efficient, replaces a crashed leader, and counts every
+//! send it makes.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig};
+use wirenet::{ClusterReport, FaultConfig, WireCluster, WireConfig};
 
 /// 2 ms ticks: Ω's initial timeout (60 ms) then outlasts the scheduler
-/// stalls of a loaded 2-core host. At 200 µs ticks a 6 ms stall forged an
-/// accusation, which raised timeouts past a fixed wait or left a second
-/// sender in the tail.
-fn config(n: usize, loss: f64) -> NetConfig {
-    NetConfig {
+/// stalls of a loaded 2-core host. Every frame is delayed by 100 to 800 µs
+/// and `loss` of them are dropped at the socket layer.
+fn config(n: usize, loss: f64) -> WireConfig {
+    WireConfig {
         n,
-        loss,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(800),
         tick: StdDuration::from_millis(2),
-        seed: 7,
+        faults: Some(FaultConfig {
+            loss,
+            min_delay: StdDuration::from_micros(100),
+            max_delay: StdDuration::from_micros(800),
+            seed: 7,
+        }),
+        ..WireConfig::default()
     }
 }
 
-fn final_leaders(report: &threadnet::Report<ProcessId>, n: usize) -> Vec<Option<ProcessId>> {
+fn final_leaders(report: &ClusterReport<ProcessId>, n: usize) -> Vec<Option<ProcessId>> {
     (0..n as u32)
         .map(|p| report.final_output_of(ProcessId(p)).copied())
         .collect()
@@ -38,7 +42,7 @@ const HOLD: StdDuration = StdDuration::from_millis(400);
 #[test]
 fn cluster_elects_a_single_leader_under_loss() {
     let n = 5;
-    let cluster = Cluster::spawn(config(n, 0.15), |env| {
+    let cluster = WireCluster::spawn(config(n, 0.15), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
@@ -59,7 +63,7 @@ fn cluster_becomes_communication_efficient() {
     // The property is eventual: wait for one window of 1,500 ticks in which
     // only one process sent anything.
     let window = config.tick * 1_500;
-    let cluster = Cluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
+    let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let deadline = StdInstant::now() + StdDuration::from_secs(20);
     let (mut start, mut at_start) = (StdInstant::now(), cluster.traffic_snapshot().0);
     let sender = loop {
@@ -87,9 +91,9 @@ fn cluster_becomes_communication_efficient() {
 #[test]
 fn crashed_leader_is_replaced_on_real_threads() {
     let n = 4;
-    // Lossless, low-latency mesh: every process is effectively a source, so
-    // re-election is guaranteed even after the leader dies.
-    let mut cluster = Cluster::spawn(config(n, 0.0), |env| {
+    // Lossless, low-latency links: every process is effectively a source,
+    // so re-election is guaranteed even after the leader dies.
+    let mut cluster = WireCluster::spawn(config(n, 0.0), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
@@ -119,7 +123,7 @@ fn crashed_leader_is_replaced_on_real_threads() {
 
 #[test]
 fn traffic_snapshot_counts_progress() {
-    let cluster = Cluster::spawn(config(3, 0.0), |env| {
+    let cluster = WireCluster::spawn(config(3, 0.0), |env| {
         CommEffOmega::new(env, OmegaParams::default())
     });
     std::thread::sleep(StdDuration::from_millis(300));
@@ -127,6 +131,12 @@ fn traffic_snapshot_counts_progress() {
     let report = cluster.stop();
     assert!(sent.iter().sum::<u64>() > 0, "no traffic at all");
     assert!(report.sent.iter().sum::<u64>() >= sent.iter().sum::<u64>());
-    // Loss 0: nothing dropped.
-    assert_eq!(report.dropped.iter().sum::<u64>(), 0);
+    // Loss 0 and queues far from full: nothing dropped.
+    let dropped: u64 = report
+        .links
+        .iter()
+        .flatten()
+        .map(|s| s.injected_drops + s.queue_drops)
+        .sum();
+    assert_eq!(dropped, 0, "links {:?}", report.links);
 }

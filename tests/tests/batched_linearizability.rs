@@ -1,4 +1,4 @@
-//! Linearizability of the batched/pipelined KV path, on every substrate.
+//! Linearizability of the batched/pipelined KV path, on both substrates.
 //!
 //! Three concurrent clients write an interleaved stream of unique values
 //! to one register while the log runs with batching and pipelining
@@ -16,18 +16,17 @@
 //!    was issued must precede it (checked on netsim, where both issue
 //!    and commit times are exact ticks).
 //!
-//! The same workload and checker run on the deterministic simulator, the
-//! thread mesh, and real TCP sockets.
+//! The same workload and checker run on the deterministic simulator and
+//! over real TCP sockets.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{BatchParams, ConsensusParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_primitives::runtime::{await_stable_leader, Cluster, OutputCursor};
+use lls_primitives::runtime::{await_stable_leader, Cluster as _, OutputCursor};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use threadnet::NetConfig;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 const N: usize = 3;
@@ -192,55 +191,6 @@ fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
 /// named for 300 ms, every replica must apply all of it (counting each
 /// output of the cluster's history once through a cursor), and the stopped
 /// report's history must be linearizable.
-fn wall_history_is_linearizable(cluster: impl Cluster<Sm = KvReplica>, substrate: &str) {
-    let all: Vec<ProcessId> = (0..N as u32).map(ProcessId).collect();
-    let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
-    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
-        .unwrap_or_else(|| panic!("{substrate}: no stable leader"));
-    let ops = workload();
-    for op in &ops {
-        cluster.request(leader, op.clone());
-    }
-    let deadline = StdInstant::now() + StdDuration::from_secs(30);
-    let mut cursor = OutputCursor::default();
-    let mut applied = [0; N];
-    while applied.iter().any(|&a| a < ops.len()) {
-        assert!(
-            StdInstant::now() < deadline,
-            "{substrate}: replicas never applied the full workload"
-        );
-        std::thread::sleep(StdDuration::from_millis(5));
-        for t in cluster.outputs_since(&mut cursor) {
-            if matches!(t.output, KvEvent::Applied { .. }) {
-                applied[t.process.as_usize()] += 1;
-            }
-        }
-    }
-    let report = cluster.stop();
-    let outputs: Vec<(ProcessId, KvEvent)> = report
-        .outputs()
-        .iter()
-        .map(|t| (t.process, t.output.clone()))
-        .collect();
-    check_linearizable(&histories_from(&outputs), substrate);
-}
-
-#[test]
-fn batched_history_is_linearizable_on_threadnet() {
-    let cluster = threadnet::Cluster::spawn(
-        NetConfig {
-            n: N,
-            loss: 0.0,
-            min_delay: StdDuration::from_micros(100),
-            max_delay: StdDuration::from_micros(500),
-            tick: StdDuration::from_millis(1),
-            seed: 13,
-        },
-        |env| KvReplica::new(env, batched_params()),
-    );
-    wall_history_is_linearizable(cluster, "threadnet");
-}
-
 #[test]
 fn batched_history_is_linearizable_on_wirenet() {
     let cluster = WireCluster::try_spawn(
@@ -255,5 +205,34 @@ fn batched_history_is_linearizable_on_wirenet() {
         |env| KvReplica::new(env, batched_params()),
     )
     .expect("bind 127.0.0.1 listeners");
-    wall_history_is_linearizable(cluster, "wirenet");
+    let all: Vec<ProcessId> = (0..N as u32).map(ProcessId).collect();
+    let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
+    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
+        .expect("wirenet: no stable leader");
+    let ops = workload();
+    for op in &ops {
+        cluster.request(leader, op.clone());
+    }
+    let deadline = StdInstant::now() + StdDuration::from_secs(30);
+    let mut cursor = OutputCursor::default();
+    let mut applied = [0; N];
+    while applied.iter().any(|&a| a < ops.len()) {
+        assert!(
+            StdInstant::now() < deadline,
+            "wirenet: replicas never applied the full workload"
+        );
+        std::thread::sleep(StdDuration::from_millis(5));
+        for t in cluster.outputs_since(&mut cursor) {
+            if matches!(t.output, KvEvent::Applied { .. }) {
+                applied[t.process.as_usize()] += 1;
+            }
+        }
+    }
+    let report = cluster.stop();
+    let outputs: Vec<(ProcessId, KvEvent)> = report
+        .outputs()
+        .iter()
+        .map(|t| (t.process, t.output.clone()))
+        .collect();
+    check_linearizable(&histories_from(&outputs), "wirenet");
 }

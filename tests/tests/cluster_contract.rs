@@ -1,5 +1,5 @@
-//! The `runtime::Cluster` contract, checked by one body on both wall-clock
-//! substrates: a request sent to a killed process is never handled, a
+//! The `runtime::Cluster` contract, checked through the trait on wirenet's
+//! TCP cluster: a request sent to a killed process is never handled, a
 //! killed incarnation's last output stays readable, and restarting a live
 //! process does nothing.
 
@@ -7,7 +7,6 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use lls_primitives::runtime::Cluster;
 use lls_primitives::{Ctx, ProcessId, Sm, TimerId};
-use threadnet::NetConfig;
 use wirenet::{WireCluster, WireConfig};
 
 /// Incarnation `i` outputs `(i, 0)` when it starts and `(i, r)` for each
@@ -83,17 +82,6 @@ fn keeps_the_contract(mut cluster: impl Cluster<Sm = Tagger>) {
         history.iter().all(|&(_, (i, r))| r != 2 && i != 9),
         "a request to a dead process or a live restart ran: {history:?}"
     );
-}
-
-#[test]
-fn threadnet_keeps_the_cluster_contract() {
-    let config = NetConfig {
-        n: 2,
-        loss: 0.0,
-        tick: StdDuration::from_millis(1),
-        ..NetConfig::default()
-    };
-    keeps_the_contract(threadnet::Cluster::spawn(config, |_| Tagger(1)));
 }
 
 #[test]

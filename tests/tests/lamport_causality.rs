@@ -6,7 +6,7 @@
 //!    ever causally before its send.
 //! 2. **Per-node monotonicity** — each node's recorded probe events carry
 //!    non-decreasing Lamport values (a node's clock never runs backwards),
-//!    on the deterministic simulator and on the thread mesh alike.
+//!    on the deterministic simulator and over TCP alike.
 //! 3. **Reconstruction soundness** — every span reconstructed from those
 //!    streams is causally ordered (cross-node hops strictly increase the
 //!    clock), for any seed.
@@ -15,12 +15,11 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use lls_obs::{reconstruct_spans, NodeRecorders, SpanRecord};
-use lls_primitives::runtime::Cluster as _;
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::{classify_msg, CommEffOmega, OmegaParams};
 use proptest::prelude::*;
-use threadnet::{Cluster, NetConfig};
+use wirenet::{FaultConfig, WireCluster, WireConfig};
 
 /// Runs a seeded Ω election on the simulator with trace clocks attached
 /// and returns (per-delivery causal log, per-node event streams).
@@ -104,23 +103,27 @@ fn netsim_causal_log_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// The same monotonicity and soundness properties hold on the thread mesh,
-/// where clock ticks and merges race with real scheduling.
+/// The same monotonicity and soundness properties hold over TCP, where
+/// clock ticks and merges race with real scheduling.
 #[test]
-fn threadnet_streams_are_monotone_and_spans_ordered() {
+fn wirenet_streams_are_monotone_and_spans_ordered() {
     let n = 4;
     let recorders = Arc::new(NodeRecorders::new(n, 4096));
-    let config = NetConfig {
+    let config = WireConfig {
         n,
-        loss: 0.05,
-        min_delay: StdDuration::from_micros(100),
-        max_delay: StdDuration::from_micros(900),
-        tick: StdDuration::from_millis(1),
-        seed: 3,
+        tick: StdDuration::from_millis(2),
+        faults: Some(FaultConfig {
+            loss: 0.05,
+            min_delay: StdDuration::from_micros(100),
+            max_delay: StdDuration::from_micros(900),
+            seed: 3,
+        }),
+        ..WireConfig::default()
     };
-    let mut cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
+    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         CommEffOmega::new_with_probe(env, OmegaParams::default(), recorders.probe_for(env.id()))
-    });
+    })
+    .expect("bind 127.0.0.1 listeners");
     std::thread::sleep(StdDuration::from_millis(800));
     cluster.kill(ProcessId(0));
     std::thread::sleep(StdDuration::from_millis(800));
@@ -129,6 +132,6 @@ fn threadnet_streams_are_monotone_and_spans_ordered() {
     let spans = reconstruct_spans(&recorders.all_events());
     assert!(
         spans.iter().all(SpanRecord::causally_ordered),
-        "threadnet spans must be causally ordered: {spans:?}"
+        "wirenet spans must be causally ordered: {spans:?}"
     );
 }

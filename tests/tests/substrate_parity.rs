@@ -1,16 +1,34 @@
 //! Substrate parity: the same state-machine code produces the same
-//! *qualitative* behaviour on the deterministic simulator and on the
-//! real-thread runtime — the property that makes simulator results
-//! transferable.
+//! *qualitative* behaviour on the deterministic simulator and over real
+//! TCP sockets — the property that makes simulator results transferable.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{await_stable_leader, Cluster as _};
+use lls_primitives::runtime::{await_stable_leader, Cluster as _, OutputCursor};
 use lls_primitives::{Ctx, Duration, Instant, ProcessId, Sm, TimerId};
 use netsim::{SimBuilder, Topology};
 use omega::{CommEffOmega, OmegaParams};
-use threadnet::{Cluster, NetConfig, OutputCursor};
-use wirenet::{WireCluster, WireConfig};
+use wirenet::{FaultConfig, WireCluster, WireConfig};
+
+/// A TCP cluster of `n` at 2 ms ticks whose sockets drop `loss` of the
+/// frames and delay each by 50 µs to `max_delay_us`. At 2 ms ticks Ω's
+/// initial timeout (60 ms) outlasts the scheduler stalls of a loaded 2-core
+/// host; at shorter ticks a stall could forge an accusation, get p0
+/// suspected, or move the leadership in the middle of a workload.
+fn config(n: usize, loss: f64, max_delay_us: u64, seed: u64) -> WireConfig {
+    WireConfig {
+        n,
+        tick: StdDuration::from_millis(2),
+        faults: Some(FaultConfig {
+            loss,
+            min_delay: StdDuration::from_micros(50),
+            max_delay: StdDuration::from_micros(max_delay_us),
+            seed,
+        }),
+        record_outputs: true,
+        ..WireConfig::default()
+    }
+}
 
 /// Five heartbeat periods at `tick`: how long a wall-clock election must
 /// name one leader before these tests count it as settled.
@@ -36,32 +54,20 @@ fn both_substrates_elect_p0_on_perfect_links() {
         assert_eq!(sim.node(p).leader(), ProcessId(0), "sim: {p} disagrees");
     }
 
-    // Threads, at 2 ms ticks: p0 is suspected only after its initial
-    // 60 ms timeout passes without an ALIVE, longer than the scheduler
-    // stalls of a loaded 2-core host (at 200 µs ticks a 6 ms stall was
-    // enough to get p0 accused, and everyone then named p1).
-    let tick = StdDuration::from_millis(2);
-    let cluster = Cluster::spawn(
-        NetConfig {
-            n,
-            loss: 0.0,
-            min_delay: StdDuration::from_micros(50),
-            max_delay: StdDuration::from_micros(200),
-            tick,
-            seed: 0,
-        },
-        |env| CommEffOmega::new(env, OmegaParams::default()),
-    );
+    // TCP: p0 is suspected only after its initial 60 ms timeout passes
+    // without an ALIVE.
+    let config = config(n, 0.0, 200, 0);
+    let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(20);
-    let settled = await_stable_leader(&cluster, &all, |l| Some(*l), hold(tick), timeout);
+    let settled = await_stable_leader(&cluster, &all, |l| Some(*l), hold(config.tick), timeout);
     let report = cluster.stop();
-    assert_eq!(settled, Some(ProcessId(0)), "threads: no stable p0");
+    assert_eq!(settled, Some(ProcessId(0)), "tcp: no stable p0");
     for p in (0..n as u32).map(ProcessId) {
         assert_eq!(
             report.final_output_of(p),
             Some(&ProcessId(0)),
-            "threads: {p} disagrees"
+            "tcp: {p} disagrees"
         );
     }
 }
@@ -88,76 +94,54 @@ fn failover_shape_matches_across_substrates() {
         .iter()
         .all(|&l| l == sim_final[0] && l != ProcessId(0)));
 
-    // Thread run, at the same 2 ms ticks as the election test above (at
-    // 200 µs ticks and fixed sleeps a scheduler stall could leave the
-    // survivors undecided when the run was cut). Whichever process the
-    // stable election names is killed (a scheduler stall can get p0 accused
-    // first); then the survivors must name one other leader for five
-    // heartbeat periods.
-    let tick = StdDuration::from_millis(2);
-    let mut cluster = Cluster::spawn(
-        NetConfig {
-            n,
-            loss: 0.0,
-            min_delay: StdDuration::from_micros(50),
-            max_delay: StdDuration::from_micros(200),
-            tick,
-            seed: 1,
-        },
-        |env| CommEffOmega::new(env, OmegaParams::default()),
-    );
+    // TCP run. Whichever process the stable election names is killed (a
+    // scheduler stall can get p0 accused first); then the survivors must
+    // name one other leader for five heartbeat periods.
+    let config = config(n, 0.0, 200, 1);
+    let mut cluster =
+        WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let timeout = StdDuration::from_secs(20);
-    let victim = await_stable_leader(&cluster, &all, |l| Some(*l), hold(tick), timeout)
-        .expect("threads: no stable leader");
+    let (hold, timeout) = (hold(config.tick), StdDuration::from_secs(20));
+    let victim = await_stable_leader(&cluster, &all, |l| Some(*l), hold, timeout)
+        .expect("tcp: no stable leader");
     cluster.kill(victim);
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|&p| p != victim).collect();
     // A survivor still naming the victim counts as undecided.
     let live = |l: &ProcessId| (*l != victim).then_some(*l);
-    let after = await_stable_leader(&cluster, &survivors, live, hold(tick), timeout);
-    assert!(after.is_some(), "threads: the survivors never settled");
+    let after = await_stable_leader(&cluster, &survivors, live, hold, timeout);
+    assert!(after.is_some(), "tcp: the survivors never settled");
     let report = cluster.stop();
-    let thread_final: Vec<ProcessId> = survivors
+    let tcp_final: Vec<ProcessId> = survivors
         .iter()
         .map(|&p| report.final_output_of(p).copied().expect("survivor output"))
         .collect();
     assert!(
-        thread_final
-            .iter()
-            .all(|&l| l == thread_final[0] && l != victim),
-        "thread failover disagrees after killing {victim}: {thread_final:?}"
+        tcp_final.iter().all(|&l| l == tcp_final[0] && l != victim),
+        "tcp failover disagrees after killing {victim}: {tcp_final:?}"
     );
 }
 
-/// The full consensus stack (replicated log + embedded Ω) also runs on the
-/// thread runtime: commands submitted to the leader commit at every replica.
+/// The full consensus stack (replicated log + embedded Ω) also runs off the
+/// simulator, on each node's real threads: commands submitted to the leader
+/// commit at every replica.
 #[test]
 fn replicated_log_commits_on_real_threads() {
     use consensus::{ConsensusParams, ReplicatedLog};
 
     let n = 3;
-    // A generous tick (suspicion timeout = 15 ms) keeps scheduler jitter on
-    // a loaded machine from churning the leadership mid-workload.
-    let cluster = Cluster::spawn(
-        NetConfig {
-            n,
-            loss: 0.05,
-            min_delay: StdDuration::from_micros(50),
-            max_delay: StdDuration::from_micros(400),
-            tick: StdDuration::from_micros(500),
-            seed: 5,
-        },
-        |env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()),
-    );
+    let cluster = WireCluster::spawn(config(n, 0.05, 400, 5), |env| {
+        ReplicatedLog::<u64>::new(env, ConsensusParams::default())
+    });
     // Await a leader that is not merely unanimous but *stays* unanimous for
     // a while: submitting during a momentary agreement risks the commands
     // landing on a leader that is still running (or about to rerun) its
-    // prepare phase, and the workload cannot be resubmitted without
-    // breaking the exact-log assertion below.
+    // prepare phase. The workload cannot be resubmitted: `ReplicatedLog`
+    // keeps no client sessions, so a resubmitted value would commit twice
+    // and break the exact-log assertion below.
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let (hold, timeout) = (StdDuration::from_millis(400), StdDuration::from_secs(10));
     let leader = await_stable_leader(&cluster, &all, consensus::RsmEvent::leader, hold, timeout)
-        .expect("no stable leader on threads");
+        .expect("no stable leader over TCP");
     for k in 0..5u64 {
         cluster.request(leader, k);
         std::thread::sleep(StdDuration::from_millis(30));
@@ -235,12 +219,29 @@ fn outputs_per_process(n: usize, emitters: impl Iterator<Item = ProcessId>) -> V
     counts
 }
 
-/// How many timers each process fired: polls until every process has fired
-/// one, reading each output once, then stops the cluster. A firing batch
-/// completes before the driver reads its inbox again, so whatever else the
-/// batch emits lands before the stop.
-fn fired_per_process(cluster: impl lls_primitives::runtime::Cluster<Sm = TimerRace>) -> Vec<usize> {
-    let n = cluster.n();
+/// Timer reset semantics hold inside one firing batch: a timer cancelled by
+/// a handler that ran earlier in the same batch does not fire, on the
+/// simulator and over TCP.
+#[test]
+fn a_timer_cancelled_within_its_firing_batch_never_fires() {
+    let n = 3;
+    let mut sim = SimBuilder::new(n)
+        .record_outputs()
+        .build_with(|_| TimerRace);
+    sim.run_until(Instant::from_ticks(100));
+    let netsim = outputs_per_process(n, sim.outputs().iter().map(|o| o.process));
+    assert_eq!(netsim, vec![1; n], "netsim");
+
+    let config = WireConfig {
+        n,
+        tick: StdDuration::from_millis(1),
+        record_outputs: true,
+        ..WireConfig::default()
+    };
+    let cluster = WireCluster::spawn(config, |_| TimerRace);
+    // Poll until every process has fired one timer, reading each output
+    // once. A firing batch completes before the driver reads its inbox
+    // again, so whatever else the batch emits lands before the stop.
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
     let mut cursor = OutputCursor::default();
     let mut fired = vec![false; n];
@@ -252,38 +253,6 @@ fn fired_per_process(cluster: impl lls_primitives::runtime::Cluster<Sm = TimerRa
         }
     }
     let report = cluster.stop();
-    outputs_per_process(n, report.outputs().iter().map(|t| t.process))
-}
-
-/// Timer reset semantics hold inside one firing batch: a timer cancelled by
-/// a handler that ran earlier in the same batch does not fire, on the
-/// simulator and on both wall-clock substrates.
-#[test]
-fn a_timer_cancelled_within_its_firing_batch_never_fires() {
-    let n = 3;
-    let mut sim = SimBuilder::new(n)
-        .record_outputs()
-        .build_with(|_| TimerRace);
-    sim.run_until(Instant::from_ticks(100));
-    let netsim = outputs_per_process(n, sim.outputs().iter().map(|o| o.process));
-    assert_eq!(netsim, vec![1; n], "netsim");
-
-    let tick = StdDuration::from_millis(1);
-    let config = NetConfig {
-        n,
-        loss: 0.0,
-        tick,
-        ..NetConfig::default()
-    };
-    let threadnet = fired_per_process(Cluster::spawn(config, |_| TimerRace));
-    assert_eq!(threadnet, vec![1; n], "threadnet");
-
-    let config = WireConfig {
-        n,
-        tick,
-        record_outputs: true,
-        ..WireConfig::default()
-    };
-    let wirenet = fired_per_process(WireCluster::spawn(config, |_| TimerRace));
+    let wirenet = outputs_per_process(n, report.outputs().iter().map(|t| t.process));
     assert_eq!(wirenet, vec![1; n], "wirenet");
 }
