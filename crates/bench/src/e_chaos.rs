@@ -36,9 +36,8 @@ use std::sync::Arc;
 
 use consensus::checker::{check_consensus_safety, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams};
-use lls_obs::{NodeRecorders, Probe, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::runtime::Cluster;
-use lls_primitives::{mix64, Env, Instant, LamportClock, ProcessId, StorageHandle};
+use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
+use lls_primitives::{mix64, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 use omega::spec::{stabilization, LeaderRecord};
 use omega::{CommEffOmega, OmegaParams};
@@ -324,21 +323,11 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
     }
 }
 
-/// The Ω machine of a chaos scenario: durable state in an in-memory store,
-/// probes into the flight recorders through the watchdog.
-type ChaosOmega = CommEffOmega<WatchdogProbe<RecordingProbe>>;
-
-/// One Ω kill/restart cycle on a wall-clock substrate, under injected loss
-/// and delay: the elected leader is killed, then restarted from its store.
-/// On wirenet its listener and sockets are torn down and re-bound, so the
-/// survivors' reconnect path runs from the accepting side. `spawn` starts
-/// the cluster on the recorders' clocks, each process built by `make`.
-fn wall_scenario<C: Cluster<Sm = ChaosOmega>>(
-    substrate: &str,
-    n: usize,
-    tally: &mut Tally,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> ChaosOmega) -> C,
-) {
+/// One Ω kill/restart cycle over TCP, under injected loss and delay: the
+/// elected leader is killed, then restarted from its store. Its listener
+/// and sockets are torn down and re-bound, so the survivors' reconnect path
+/// runs from the accepting side.
+fn wall_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
@@ -348,10 +337,12 @@ fn wall_scenario<C: Cluster<Sm = ChaosOmega>>(
         CommEffOmega::with_storage_and_probe(env, OmegaParams::default(), store, probe)
             .expect("open the in-memory store")
     };
-    let mut cluster = spawn(recorders.clocks(), &make);
+    let mut cluster =
+        WireCluster::try_spawn_traced(wire_config(n, 0.02, seed), recorders.clocks(), &make)
+            .expect("bind 127.0.0.1 listeners");
     tally.scenarios += 1;
     let dump = |context: &str, nodes: &[ProcessId]| {
-        violation_dump(&format!("{substrate} {context}"), &recorders, nodes)
+        violation_dump(&format!("wirenet {context}"), &recorders, nodes)
     };
     let all = all(n);
     let leader = stable_leader(&cluster, &all, |l| Some(*l));
@@ -362,14 +353,16 @@ fn wall_scenario<C: Cluster<Sm = ChaosOmega>>(
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
     let agreed = stable_leader(&cluster, &survivors, |l| Some(*l)).is_some();
     ok &= tally.check(agreed, || dump("post-kill unanimity", &[victim]));
-    cluster.restart(victim, make(&Env::new(victim, n)));
+    cluster
+        .restart(victim, make(&Env::new(victim, n)))
+        .expect("re-bind the victim's address");
     let agreed = stable_leader(&cluster, &all, |l| Some(*l)).is_some();
     ok &= tally.check(agreed, || dump("post-restart unanimity", &[victim]));
     cluster.stop();
     // Wall-clock runs keep the watchdog disarmed (steady windows are not
     // deterministic here), but the always-on counter-monotonicity invariant
     // gates the scenario.
-    gate_on_watchdog(&format!("{substrate} monotonicity"), &watchdog, tally);
+    gate_on_watchdog("wirenet monotonicity", &watchdog, tally);
     if ok {
         tally.successes += 1;
     }
@@ -436,10 +429,7 @@ pub fn e16_chaos(seeds_per_config: u64, sizes: &[usize], wall_seeds: u64) -> (Ta
     let wall_n = sizes.first().copied().unwrap_or(3);
     let mut tally = Tally::default();
     for seed in 0..wall_seeds {
-        wall_scenario("wirenet", wall_n, &mut tally, |clocks, make| {
-            WireCluster::try_spawn_traced(wire_config(wall_n, 0.02, seed), clocks, make)
-                .expect("bind 127.0.0.1 listeners")
-        });
+        wall_scenario(wall_n, seed, &mut tally);
     }
     add(&mut t, "wirenet/omega", wall_n.to_string(), tally, "agreed");
     tally_row(&mut t, "TOTAL", "-".into(), total, "ok");

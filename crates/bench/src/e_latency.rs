@@ -40,17 +40,16 @@ use consensus::{
     BatchParams, ConsensusParams, PlacementManager, PlacementMap, ReplicatedLog, ShardedNode,
 };
 use kvstore::{
-    ClientId, KvCmd, KvEvent, KvReplica, KvResponse, ShardedKvEvent, ShardedKvNode,
-    ShardedSubmitQueue, SubmitQueue, Tagged,
+    ClientId, KvCmd, KvEvent, KvReplica, KvResponse, LogPlane, ReplicatedKv, ShardedKvEvent,
+    ShardedKvNode, SubmitQueue, Tagged,
 };
 use lls_obs::{
     attribute, fold_into_registry, reconstruct_paths, Attribution, CmdPath, NodeRecorders,
-    NoopProbe, Probe, RecordingProbe, Registry, TimelineSampler,
+    NoopProbe, Probe, Registry, TimelineSampler,
 };
-use lls_primitives::runtime::{Cluster, OutputCursor, TimedOutput};
-use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
+use lls_primitives::{Duration, Env, Instant, ProcessId, Sm, StorageHandle};
 use netsim::{SimBuilder, Topology};
-use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster};
+use wirenet::{scrape, OutputCursor, ScrapeRoutes, ScrapeServer, TimedOutput, WireCluster};
 
 use crate::json::JsonValue;
 use crate::table::Table;
@@ -193,34 +192,61 @@ struct NetsimDrive {
     reply_at: BTreeMap<u64, f64>,
 }
 
-/// Drives `commands` PUTs through an unsharded kv cluster on the
-/// deterministic simulator at two commands per tick, settling replies off
-/// the leader's `Applied` outputs. Generic over the probe so the exact
-/// same loop produces both the traced run and the NoopProbe parity run.
-#[allow(clippy::too_many_arguments)]
-fn netsim_drive<P: Probe>(
+/// A kv node's event that settles a client command.
+trait Settles {
+    /// The `(client, seq)` an `Applied` event settles, and its response.
+    fn settlement(&self) -> Option<(ClientId, u64, &KvResponse)>;
+}
+
+impl Settles for KvEvent {
+    fn settlement(&self) -> Option<(ClientId, u64, &KvResponse)> {
+        match self {
+            KvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } => Some((*client, *seq, response)),
+            _ => None,
+        }
+    }
+}
+
+impl Settles for ShardedKvEvent {
+    fn settlement(&self) -> Option<(ClientId, u64, &KvResponse)> {
+        match self {
+            ShardedKvEvent::Applied {
+                client,
+                seq,
+                response,
+                ..
+            } => Some((*client, *seq, response)),
+            _ => None,
+        }
+    }
+}
+
+/// Drives `commands` PUTs through a kv cluster of nodes built by `make` on
+/// the deterministic simulator at two commands per tick, submitting them
+/// through `queue` at the leader and settling replies off its `Applied`
+/// outputs. The same loop produces the traced runs, sharded or not, and the
+/// NoopProbe parity run.
+fn netsim_drive<L: LogPlane, P: Probe>(
     n: usize,
     commands: u64,
-    max_batch: usize,
-    depth: usize,
     seed: u64,
-    node_probe: impl Fn(ProcessId) -> P,
+    make: impl FnMut(&Env) -> ReplicatedKv<L>,
     mut queue: SubmitQueue<P>,
     mut on_tick: impl FnMut(u64),
-) -> NetsimDrive {
-    let p = params(max_batch, depth);
+) -> NetsimDrive
+where
+    <ReplicatedKv<L> as Sm>::Output: Settles,
+{
     let mut sim = SimBuilder::new(n)
         .record_outputs()
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| {
-            ReplicatedLog::builder(env, p)
-                .storage(StorageHandle::in_memory())
-                .probe(node_probe(env.id()))
-                .build()
-                .and_then(KvReplica::from_log)
-                .expect("open in-memory store")
-        });
+        .build_with(make);
     let issue_base = 2_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -254,19 +280,13 @@ fn netsim_drive<P: Probe>(
             if ev.process != leader {
                 continue;
             }
-            if let KvEvent::Applied {
-                client,
-                seq,
-                response,
-                ..
-            } = &ev.output
-            {
-                if *client == CLIENT && !reply_at.contains_key(seq) {
+            if let Some((client, seq, response)) = ev.output.settlement() {
+                if client == CLIENT && !reply_at.contains_key(&seq) {
                     // Stamp the reply at the tick the response exists, not
                     // at the (coarser) harness observation point.
                     queue.set_now(ev.at);
-                    if queue.settle(*client, *seq, response).is_some() {
-                        reply_at.insert(*seq, ev.at.ticks() as f64);
+                    if queue.settle(client, seq, response).is_some() {
+                        reply_at.insert(seq, ev.at.ticks() as f64);
                         last_commit = last_commit.max(ev.at.ticks());
                     }
                 }
@@ -283,43 +303,61 @@ fn netsim_drive<P: Probe>(
     }
 }
 
-/// Traced netsim run: recorder probes on every node *and* on the client's
-/// submit queue, a timeline sample every 64 ticks.
+/// An unsharded kv replica at `env` over an in-memory store, probed by
+/// `probe`.
+fn kv_replica<P: Probe>(env: &Env, p: ConsensusParams, probe: P) -> KvReplica<P> {
+    ReplicatedLog::builder(env, p)
+        .storage(StorageHandle::in_memory())
+        .probe(probe)
+        .build()
+        .and_then(KvReplica::from_log)
+        .expect("open in-memory store")
+}
+
+/// Traced netsim run over `shards` groups: one `ReplicatedLog` with its own
+/// Ω when 1, else a `ShardedNode` of them under one shared Ω. Recorder
+/// probes sit on every node *and* on the client's submit queue, whose
+/// `ShardRoute` stage stamps every path with its true group. An unsharded
+/// run also samples the timeline every 64 ticks.
 fn netsim_run(
     n: usize,
     commands: u64,
-    max_batch: usize,
-    depth: usize,
+    (max_batch, depth, shards): (usize, usize, u32),
     seed: u64,
     registry: &Registry,
     sampler: &mut TimelineSampler,
 ) -> (LatencyRow, NetsimDrive) {
     let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
-    let rec = Arc::clone(&recorders);
+    let p = params(max_batch, depth);
+    let map = PlacementMap::uniform(shards, n);
     let queue = SubmitQueue::with_probe(
+        map.clone(),
         commands as usize,
         ProcessId(0),
         recorders.probe_for(ProcessId(0)),
     );
-    let reg = recorders.registry();
-    let drive = netsim_drive(
-        n,
-        commands,
-        max_batch,
-        depth,
-        seed,
-        |id| rec.probe_for(id),
-        queue,
-        |now| {
+    let drive = if shards == 1 {
+        let reg = recorders.registry();
+        let node = |env: &Env| kv_replica(env, p, recorders.probe_for(env.id()));
+        netsim_drive(n, commands, seed, node, queue, |now| {
             if now % 64 == 0 {
                 sampler.sample(&reg, now);
             }
-        },
-    );
+        })
+    } else {
+        let node = |env: &Env| {
+            ShardedNode::builder(env, p, PlacementManager::with_all_attached(map.clone()))
+                .probe(recorders.probe_for(env.id()))
+                .build()
+                .and_then(ShardedKvNode::from_log)
+                .expect("in-memory log")
+        };
+        netsim_drive(n, commands, seed, node, queue, |_| {})
+    };
     let row = close_row(
         registry,
         "netsim",
-        (max_batch, depth, 1),
+        (max_batch, depth, shards),
         commands,
         &recorders,
         &drive.submit_at,
@@ -337,106 +375,14 @@ fn netsim_noop_run(
     depth: usize,
     seed: u64,
 ) -> NetsimDrive {
+    let p = params(max_batch, depth);
     netsim_drive(
         n,
         commands,
-        max_batch,
-        depth,
         seed,
-        |_| NoopProbe,
+        |env| kv_replica(env, p, NoopProbe),
         SubmitQueue::new(commands as usize),
         |_| {},
-    )
-}
-
-/// Sharded netsim run: `shards` groups under one shared Ω, commands routed
-/// by the placement map's key hash through a [`ShardedSubmitQueue`], so
-/// the `ShardRoute` stage stamps every path with its true group.
-fn netsim_sharded_run(
-    n: usize,
-    commands: u64,
-    max_batch: usize,
-    depth: usize,
-    shards: u32,
-    seed: u64,
-    registry: &Registry,
-) -> LatencyRow {
-    let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
-    let rec = Arc::clone(&recorders);
-    let p = params(max_batch, depth);
-    let map = PlacementMap::uniform(shards, n);
-    let mut sim = SimBuilder::new(n)
-        .record_outputs()
-        .seed(seed)
-        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| {
-            ShardedNode::builder(env, p, PlacementManager::with_all_attached(map.clone()))
-                .probe(rec.probe_for(env.id()))
-                .build()
-                .and_then(ShardedKvNode::from_log)
-                .expect("in-memory log")
-        });
-    let mut queue = ShardedSubmitQueue::with_probe(
-        map,
-        commands as usize,
-        ProcessId(0),
-        recorders.probe_for(ProcessId(0)),
-    );
-    let issue_base = 2_000u64;
-    sim.run_until(Instant::from_ticks(issue_base));
-    let leader = sim.node(ProcessId(0)).omega().leader();
-    let mut now = issue_base;
-    let mut submitted = 0u64;
-    let mut submit_at = BTreeMap::new();
-    let mut reply_at = BTreeMap::new();
-    let mut seen = 0usize;
-    let horizon = issue_base + commands * 20 + 20_000;
-    while now < horizon && (reply_at.len() as u64) < commands {
-        now += 1;
-        queue.set_now(Instant::from_ticks(now));
-        for _ in 0..2 {
-            if submitted < commands {
-                submitted += 1;
-                submit_at.insert(submitted, now as f64);
-                queue.submit(put(submitted));
-            }
-        }
-        for (_, cmds) in queue.drain().into_iter().chain(queue.on_tick()) {
-            for cmd in cmds {
-                sim.schedule_request(Instant::from_ticks(now), leader, cmd);
-            }
-        }
-        sim.run_until(Instant::from_ticks(now));
-        let outputs = sim.outputs();
-        for ev in &outputs[seen..] {
-            if ev.process != leader {
-                continue;
-            }
-            if let ShardedKvEvent::Applied {
-                client,
-                seq,
-                response,
-                ..
-            } = &ev.output
-            {
-                if *client == CLIENT && !reply_at.contains_key(seq) {
-                    queue.set_now(ev.at);
-                    if queue.settle(*client, *seq, response).is_some() {
-                        reply_at.insert(*seq, ev.at.ticks() as f64);
-                    }
-                }
-            }
-        }
-        seen = outputs.len();
-    }
-    close_row(
-        registry,
-        "netsim",
-        (max_batch, depth, shards),
-        commands,
-        &recorders,
-        &submit_at,
-        &reply_at,
     )
 }
 
@@ -498,24 +444,23 @@ struct LiveTimeline {
     json: String,
 }
 
-/// Wall-clock run: the commands are tagged through a submit queue stamped
-/// on the cluster's tick domain and burst at the elected leader; the
-/// recorded outputs are polled, sampling `timeline` every 5 ms, until the
-/// leader applied them all; then, while the cluster still runs, the timeline
-/// is served live (see [`serve_timeline`]), and the run is settled and
-/// attributed from the stopped report. `spawn` starts the cluster, each
-/// process built by `make`.
-fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
-    substrate: &'static str,
+/// Wall-clock run over TCP: the commands are tagged through a submit queue
+/// stamped on the cluster's tick domain and burst at the elected leader;
+/// the recorded outputs are polled, sampling `timeline` every 5 ms, until
+/// the leader applied them all; then, while the cluster still runs, the
+/// timeline is served live (see [`serve_timeline`]), and the run is settled
+/// and attributed from the stopped report, whose socket counters go into
+/// `registry` too.
+fn wall_run(
     (n, commands): (usize, u64),
     (max_batch, depth): (usize, usize),
+    seed: u64,
     registry: &Registry,
     timeline: &Arc<Mutex<TimelineSampler>>,
-    spawn: impl FnOnce(&dyn Fn(&Env) -> KvReplica<RecordingProbe>) -> C,
-) -> (LatencyRow, C::Report, LiveTimeline) {
+) -> (LatencyRow, LiveTimeline) {
     let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
     let p = params(max_batch, depth);
-    let cluster = spawn(&|env| {
+    let cluster = WireCluster::spawn(wire_config(n, 0.0, seed), |env| {
         ReplicatedLog::builder(env, p)
             .storage(StorageHandle::in_memory())
             .probe(recorders.probe_for(env.id()))
@@ -526,6 +471,7 @@ fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
     let leader = stable_leader(&cluster, &all(n), KvEvent::leader).unwrap_or(ProcessId(0));
     let (epoch, tick) = (cluster.epoch(), cluster.tick());
     let mut queue = SubmitQueue::with_probe(
+        PlacementMap::uniform(1, n),
         commands as usize,
         ProcessId(0),
         recorders.probe_for(ProcessId(0)),
@@ -570,14 +516,15 @@ fn wall_run<C: Cluster<Sm = KvReplica<RecordingProbe>>>(
         settle_wall_outputs(report.outputs(), leader, tick, &submit_wall, &mut queue);
     let row = close_row(
         registry,
-        substrate,
+        "wirenet",
         (max_batch, depth, 1),
         commands,
         &recorders,
         &submit_at,
         &reply_at,
     );
-    (row, report, live)
+    report.export(registry);
+    (row, live)
 }
 
 /// The live `/timeline` check, once the leader applied every command: tops the sampler up to [`MIN_LIVE_FRAMES`], then serves it over
@@ -641,16 +588,12 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
 
     // netsim: the full grid, including the sharded configuration.
     let mut traced_ref: Option<NetsimDrive> = None;
-    for &(b, d, s) in CONFIGS {
-        if s == 1 {
-            let (row, drive) = netsim_run(n, commands, b, d, seed, &registry, &mut netsim_timeline);
-            if (b, d) == (8, 4) {
-                traced_ref = Some(drive);
-            }
-            rows.push(row);
-        } else {
-            rows.push(netsim_sharded_run(n, commands, b, d, s, seed, &registry));
+    for &config in CONFIGS {
+        let (row, drive) = netsim_run(n, commands, config, seed, &registry, &mut netsim_timeline);
+        if config == (8, 4, 1) {
+            traced_ref = Some(drive);
         }
+        rows.push(row);
     }
     // NoopProbe parity: the untraced run of the (8,4) config must be
     // tick-for-tick identical to the traced one.
@@ -669,20 +612,9 @@ pub fn e22_latency(n: usize, commands: u64, seed: u64, quick: bool) -> (Table, J
     let mut live: Option<LiveTimeline> = None;
     for &(b, d) in &wall_configs {
         let sampler = Arc::new(Mutex::new(TimelineSampler::new(64)));
-        let (row, report, timeline) = wall_run(
-            "wirenet",
-            (n, commands),
-            (b, d),
-            &registry,
-            &sampler,
-            |make| {
-                WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
-                    .expect("bind 127.0.0.1 listeners")
-            },
-        );
+        let (row, timeline) = wall_run((n, commands), (b, d), seed, &registry, &sampler);
         // The last leg's timeline carries the live gate.
         live = Some(timeline);
-        report.export(&registry);
         rows.push(row);
     }
     let live = live.expect("at least one wirenet leg runs");
@@ -782,7 +714,7 @@ mod tests {
     fn netsim_attribution_telescopes_within_gate() {
         let registry = Registry::new();
         let mut tl = TimelineSampler::new(32);
-        let (row, drive) = netsim_run(3, 120, 8, 4, 7, &registry, &mut tl);
+        let (row, drive) = netsim_run(3, 120, (8, 4, 1), 7, &registry, &mut tl);
         assert_eq!(row.complete, 120, "every path must close");
         assert!(row.pass, "gap {:.2}% exceeds the gate", row.gap_pct);
         assert!(row.gap_pct < 1.0, "netsim clocks are exact");
@@ -800,7 +732,8 @@ mod tests {
     #[test]
     fn netsim_sharded_paths_carry_their_shard() {
         let registry = Registry::new();
-        let row = netsim_sharded_run(3, 120, 8, 4, 2, 11, &registry);
+        let mut tl = TimelineSampler::new(32);
+        let (row, _) = netsim_run(3, 120, (8, 4, 2), 11, &registry, &mut tl);
         assert_eq!(row.complete, 120);
         assert!(row.pass, "gap {:.2}%", row.gap_pct);
         let snap = registry.snapshot_json();
@@ -815,7 +748,7 @@ mod tests {
     fn noop_probe_run_is_tick_identical_to_traced() {
         let registry = Registry::new();
         let mut tl = TimelineSampler::new(32);
-        let (_, traced) = netsim_run(3, 120, 8, 4, 7, &registry, &mut tl);
+        let (_, traced) = netsim_run(3, 120, (8, 4, 1), 7, &registry, &mut tl);
         let noop = netsim_noop_run(3, 120, 8, 4, 7);
         assert_eq!(traced.committed, noop.committed);
         assert_eq!(traced.last_commit, noop.last_commit);

@@ -40,10 +40,9 @@ use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{
     AlarmKind, NodeRecorders, RecordingProbe, Registry, Watchdog, WatchdogConfig, WatchdogProbe,
 };
-use lls_primitives::runtime::{Cluster, OutputCursor, TimedOutput};
-use lls_primitives::{Duration, Env, Instant, LamportClock, ProcessId};
+use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, Topology};
-use wirenet::WireCluster;
+use wirenet::{OutputCursor, WireCluster};
 
 use crate::json::JsonValue;
 use crate::percentile;
@@ -491,31 +490,6 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
     }
 }
 
-/// Polls `poll` until it yields, re-invoking `reissue` on a client-style
-/// retry cadence (forwarded read-index messages may race a leader change
-/// and drop; the retry is the liveness story, exactly as a real client).
-fn await_settle(
-    mut poll: impl FnMut() -> Option<KvResponse>,
-    reissue: impl Fn(),
-    timeout: StdDuration,
-) -> Option<KvResponse> {
-    let deadline = StdInstant::now() + timeout;
-    let mut last_issue = StdInstant::now();
-    loop {
-        if let Some(r) = poll() {
-            return Some(r);
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        if last_issue.elapsed() >= StdDuration::from_millis(400) {
-            reissue();
-            last_issue = StdInstant::now();
-        }
-        std::thread::sleep(StdDuration::from_millis(10));
-    }
-}
-
 /// The first settlement of each `(node, client, seq)` a wall-clock
 /// cluster has emitted, read once each through a cursor.
 #[derive(Default)]
@@ -525,33 +499,52 @@ struct Settled {
 }
 
 impl Settled {
-    /// Folds in what `outputs_since` returns past the cursor, then looks up
-    /// the first settlement of `(client, seq)` observed at `node`.
-    fn find(
+    /// Sends `cmd` to `node` and polls until `node` has settled it,
+    /// re-sending it every 400 ms as a client retries (a forwarded
+    /// read-index may race a leader change and drop; the retry is the
+    /// liveness story, exactly as for a real client). `None` after
+    /// `timeout`.
+    fn request(
         &mut self,
-        outputs_since: impl FnOnce(&mut OutputCursor) -> Vec<TimedOutput<KvEvent>>,
+        cluster: &WireCluster<WallReplica>,
         node: ProcessId,
-        client: ClientId,
-        seq: u64,
+        cmd: Tagged<KvCmd>,
+        timeout: StdDuration,
     ) -> Option<KvResponse> {
-        for t in outputs_since(&mut self.cursor) {
-            if let KvEvent::Applied {
-                client,
-                seq,
-                response,
-                ..
-            } = t.output
-            {
-                self.first
-                    .entry((t.process, client, seq))
-                    .or_insert(response);
+        let key = (node, cmd.client, cmd.seq);
+        let deadline = StdInstant::now() + timeout;
+        let mut last_issue = StdInstant::now();
+        cluster.request(node, cmd.clone());
+        loop {
+            for t in cluster.outputs_since(&mut self.cursor) {
+                if let KvEvent::Applied {
+                    client,
+                    seq,
+                    response,
+                    ..
+                } = t.output
+                {
+                    self.first
+                        .entry((t.process, client, seq))
+                        .or_insert(response);
+                }
             }
+            if let Some(response) = self.first.get(&key) {
+                return Some(response.clone());
+            }
+            if StdInstant::now() > deadline {
+                return None;
+            }
+            if last_issue.elapsed() >= StdDuration::from_millis(400) {
+                cluster.request(node, cmd.clone());
+                last_issue = StdInstant::now();
+            }
+            std::thread::sleep(StdDuration::from_millis(10));
         }
-        self.first.get(&(node, client, seq)).cloned()
     }
 }
 
-/// Wall-clock accumulator shared by the two substrate drivers.
+/// What the wall-clock run's reads came to.
 #[derive(Default)]
 struct WallTally {
     reads: u64,
@@ -582,7 +575,7 @@ impl WallTally {
         }
     }
 
-    fn into_row(mut self, substrate: &'static str, alarms: u64) -> ReadRow {
+    fn into_row(mut self, alarms: u64) -> ReadRow {
         self.latencies_us.sort_unstable();
         let (p50, p99) = if self.latencies_us.is_empty() {
             (0, 0)
@@ -593,7 +586,7 @@ impl WallTally {
             )
         };
         ReadRow {
-            substrate,
+            substrate: "wirenet",
             mode: "kill".to_owned(),
             reads: self.reads,
             served: self.served,
@@ -609,32 +602,24 @@ impl WallTally {
     }
 }
 
-/// Lockstep round workload on a wall-clock cluster: per round, one write
-/// settled at the leader, then a lease read at the leader and a read-index
-/// read at a follower — with the leader killed halfway through the rounds
-/// (on wirenet its sockets are torn down). Freshness is by construction:
-/// round `i`'s reads are only issued after write `i` settled, so observing
-/// anything older is stale. `spawn` starts the cluster on the recorders'
-/// clocks, or returns `None` where it cannot (no loopback listeners in a
-/// sandbox): the row is then empty and violation-free rather than failing
-/// the whole experiment.
-fn wall_safety_run<C: Cluster<Sm = WallReplica>>(
-    substrate: &'static str,
-    n: usize,
-    rounds: u64,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> WallReplica) -> Option<C>,
-) -> ReadRow {
+/// Lockstep round workload over TCP: per round, one write settled at the
+/// leader, then a lease read at the leader and a read-index read at a
+/// follower — with the leader killed halfway through the rounds (its
+/// sockets are torn down). Freshness is by construction: round `i`'s reads
+/// are only issued after write `i` settled, so observing anything older is
+/// stale.
+fn wall_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let Some(mut cluster) = spawn(recorders.clocks(), &|env| {
+    let config = wire_config(n, 0.0, seed);
+    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ReplicatedLog::builder(env, lease_params())
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(KvReplica::from_log)
             .expect("in-memory log")
-    }) else {
-        return WallTally::default().into_row(substrate, 0);
-    };
+    })
+    .expect("bind 127.0.0.1 listeners");
     let mut alive = all(n);
     let timeout = StdDuration::from_secs(10);
     let mut tally = WallTally::default();
@@ -654,14 +639,7 @@ fn wall_safety_run<C: Cluster<Sm = WallReplica>>(
             seq: round,
             cmd: KvCmd::put(KEY, value_of(round)),
         };
-        cluster.request(l, write.clone());
-        if await_settle(
-            || settled.find(|c| cluster.outputs_since(c), l, WRITER, round),
-            || cluster.request(l, write.clone()),
-            timeout,
-        )
-        .is_none()
-        {
+        if settled.request(&cluster, l, write, timeout).is_none() {
             continue; // Unsettled write: this round's reads cannot be judged.
         }
         let follower = alive.iter().copied().find(|&p| p != l);
@@ -672,17 +650,12 @@ fn wall_safety_run<C: Cluster<Sm = WallReplica>>(
                 cmd: KvCmd::read(KEY),
             };
             let issued = StdInstant::now();
-            cluster.request(node, read.clone());
-            let response = await_settle(
-                || settled.find(|c| cluster.outputs_since(c), node, reader_at(node), round),
-                || cluster.request(node, read.clone()),
-                timeout,
-            );
+            let response = settled.request(&cluster, node, read, timeout);
             tally.settle(round, issued, response);
         }
     }
     cluster.stop();
-    tally.into_row(substrate, watchdog.alarm_count() as u64)
+    tally.into_row(watchdog.alarm_count() as u64)
 }
 
 /// The E12-style lease adversary, parameterized by the sabotage switch.
@@ -809,9 +782,7 @@ pub fn e23_read(n: usize, reads: u64, rounds: u64, seed: u64) -> (Table, JsonVal
     for kind in ["expiry", "skew", "kill"] {
         rows.push(netsim_safety_scenario(kind, n, seed));
     }
-    rows.push(wall_safety_run("wirenet", n, rounds, |clocks, make| {
-        WireCluster::try_spawn_traced(wire_config(n, 0.0, seed), clocks, make).ok()
-    }));
+    rows.push(wall_safety_run(n, rounds, seed));
     let lease_tp = rows[0].throughput;
     let log_tp = rows[1].throughput;
     let speedup = if log_tp > 0.0 { lease_tp / log_tp } else { 0.0 };
@@ -830,6 +801,13 @@ pub fn e23_read(n: usize, reads: u64, rounds: u64, seed: u64) -> (Table, JsonVal
         violations += 1;
     }
     if stale > 0 || alarms > 0 {
+        violations += 1;
+    }
+    // The wirenet row must complete every round: its write settled and both
+    // its reads were served. A round whose write never settles issues no
+    // reads, so a row short of rounds would otherwise pass on nothing.
+    let wall = rows.last().expect("the wirenet row");
+    if wall.reads != 2 * rounds || wall.served != wall.reads {
         violations += 1;
     }
     let mut t = Table::new(vec![

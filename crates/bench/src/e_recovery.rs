@@ -43,10 +43,9 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::runtime::{Cluster, OutputCursor};
-use lls_primitives::{mix64, Env, Instant, LamportClock, ProcessId, SnapshotHandle, StorageHandle};
+use lls_primitives::{mix64, Env, Instant, ProcessId, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
-use wirenet::WireCluster;
+use wirenet::{OutputCursor, WireCluster};
 
 use crate::e_chaos::{gate_on_watchdog, violation_dump, Tally};
 use crate::json::{self, JsonValue};
@@ -469,8 +468,8 @@ struct Applied {
 /// then polls until every member has applied `to`, re-issuing it each round
 /// (replicas answer re-issues with `Duplicate`, so even a fully caught-up
 /// cluster keeps emitting evidence). `false` if that takes over 15 s.
-fn wall_phase<C: Cluster<Sm = WallReplica>>(
-    cluster: &C,
+fn wall_phase(
+    cluster: &WireCluster<WallReplica>,
     applied: &mut Applied,
     members: &[ProcessId],
     (from, to): (u64, u64),
@@ -506,18 +505,11 @@ fn wall_phase<C: Cluster<Sm = WallReplica>>(
     }
 }
 
-/// One wall-clock scenario: in-memory stores with snapshots, loss and delay
-/// injected, kill → durable restart → kill → wipe restart, which must
-/// finish with a snapshot-install. On wirenet the wiped node's catch-up
-/// crosses reconnecting sockets. `spawn` starts the cluster on the
-/// recorders' clocks, each process built by `make`.
-fn wall_scenario<C: Cluster<Sm = WallReplica>>(
-    substrate: &str,
-    n: usize,
-    seed: u64,
-    tally: &mut Tally,
-    spawn: impl FnOnce(Vec<LamportClock>, &dyn Fn(&Env) -> WallReplica) -> C,
-) {
+/// One wall-clock scenario over TCP: in-memory stores with snapshots, loss
+/// and delay injected, kill → durable restart → kill → wipe restart, which
+/// must finish with a snapshot-install. The wiped node's catch-up crosses
+/// reconnecting sockets.
+fn wall_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let mut stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let mut snaps: Vec<SnapshotHandle> = (0..n).map(|_| SnapshotHandle::in_memory()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
@@ -542,15 +534,23 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
         let probe = watchdog.probe(recorders.probe_for(env.id()));
         make(env, stores[i].clone(), snaps[i].clone(), probe)
     };
-    let mut cluster = spawn(recorders.clocks(), &|env| node(env, &stores, &snaps));
+    let mut cluster =
+        WireCluster::try_spawn_traced(wire_config(n, 0.02, seed), recorders.clocks(), |env| {
+            node(env, &stores, &snaps)
+        })
+        .expect("bind 127.0.0.1 listeners");
     tally.scenarios += 1;
     let all = all(n);
     let mut ok = true;
     let mut applied = Applied::default();
-    let mut phase = |cluster: &C, tally: &mut Tally, members: &[ProcessId], seqs, context| {
+    let mut phase = |cluster: &WireCluster<WallReplica>,
+                     tally: &mut Tally,
+                     members: &[ProcessId],
+                     seqs,
+                     context| {
         let passed = wall_phase(cluster, &mut applied, members, seqs);
         ok &= tally.check(passed, || {
-            violation_dump(&format!("{substrate} {context}"), &recorders, &all)
+            violation_dump(&format!("wirenet {context}"), &recorders, &all)
         });
     };
 
@@ -568,7 +568,9 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
         "progress during outage",
     );
 
-    cluster.restart(victim1, node(&Env::new(victim1, n), &stores, &snaps));
+    cluster
+        .restart(victim1, node(&Env::new(victim1, n), &stores, &snaps))
+        .expect("re-bind the victim's address");
     phase(&cluster, tally, &all, (29, 29), "durable-restart rejoin");
 
     let victim2 = ProcessId(((mix64(seed) + 1) % n as u64) as u32);
@@ -594,7 +596,9 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
         snaps[victim2.as_usize()].clone(),
         probe,
     );
-    cluster.restart(victim2, fresh);
+    cluster
+        .restart(victim2, fresh)
+        .expect("re-bind the victim's address");
     phase(&cluster, tally, &all, (41, 41), "wipe-restart catch-up");
 
     let report = cluster.stop();
@@ -604,15 +608,11 @@ fn wall_scenario<C: Cluster<Sm = WallReplica>>(
         .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
         .count() as u64;
     ok &= tally.check(installs > 0, || {
-        format!("E21 VIOLATION ({substrate} seed {seed}): no snapshot-install observed")
+        format!("E21 VIOLATION (wirenet seed {seed}): no snapshot-install observed")
     });
     tally.installs += installs;
-    gate_on_watchdog(&format!("{substrate} monotonicity"), &watchdog, tally);
-    gate_on_watchdog(
-        &format!("{substrate} monotonicity (wiped node)"),
-        &wipe_watchdog,
-        tally,
-    );
+    gate_on_watchdog("wirenet monotonicity", &watchdog, tally);
+    gate_on_watchdog("wirenet monotonicity (wiped node)", &wipe_watchdog, tally);
     if ok {
         tally.successes += 1;
     }
@@ -694,10 +694,7 @@ pub fn e21_recovery(
 
     let mut wire_tally = Tally::default();
     for seed in 0..wall_seeds {
-        wall_scenario("wirenet", wall_n, seed, &mut wire_tally, |clocks, make| {
-            WireCluster::try_spawn_traced(wire_config(wall_n, 0.02, seed), clocks, make)
-                .expect("bind 127.0.0.1 listeners")
-        });
+        wall_scenario(wall_n, seed, &mut wire_tally);
     }
 
     let mut t = Table::new(vec![

@@ -40,8 +40,7 @@ use consensus::shard::{
 use consensus::{BatchParams, ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{aggregate_shard_registries, NodeRecorders, Registry};
-use lls_primitives::runtime::Cluster;
-use lls_primitives::{Duration, Env, Instant, ProcessId};
+use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use wirenet::WireCluster;
 
@@ -244,17 +243,14 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
     }
 }
 
-/// Wall-clock run: the whole round-robin burst fired at the elected
-/// leader at once (E19's timed burst), timed until the leader has committed
-/// every command. `spawn` starts the cluster, each process built by `make`.
-fn wall_run<C: Cluster<Sm = ShardedNode<u64>>>(
-    substrate: &'static str,
-    (n, commands, shards): (usize, u64, u32),
-    registry: &Registry,
-    spawn: impl FnOnce(&dyn Fn(&Env) -> ShardedNode<u64>) -> C,
-) -> (ShardRow, C::Report) {
+/// Wall-clock run over TCP: the whole round-robin burst fired at the
+/// elected leader at once (E19's timed burst), timed until the leader has
+/// committed every command; the socket counters go into `registry` too.
+fn wall_run((n, commands, shards): (usize, u64, u32), seed: u64, registry: &Registry) -> ShardRow {
     let params = shard_params();
-    let cluster = spawn(&|env| ShardedNode::<u64>::new(env, params, placement(shards, n)));
+    let cluster = WireCluster::spawn(wire_config(n, 0.0, seed), |env| {
+        ShardedNode::<u64>::new(env, params, placement(shards, n))
+    });
     let requests = (0..commands).map(|i| ShardRequest {
         shard: shard_of(i, shards),
         cmd: i,
@@ -280,9 +276,10 @@ fn wall_run<C: Cluster<Sm = ShardedNode<u64>>>(
         per_shard_latencies.entry(shard).or_default().push(latency);
     }
     let throughput = committed as f64 / burst.wall.as_secs_f64().max(f64::EPSILON);
-    let (p50, p99) = record_sharded_run(registry, substrate, shards, "us", &per_shard_latencies);
-    let row = ShardRow {
-        substrate,
+    report.export(registry);
+    let (p50, p99) = record_sharded_run(registry, "wirenet", shards, "us", &per_shard_latencies);
+    ShardRow {
+        substrate: "wirenet",
         shards,
         commands,
         committed,
@@ -295,8 +292,7 @@ fn wall_run<C: Cluster<Sm = ShardedNode<u64>>>(
         scaling: 1.0,
         omega_alive: 0,
         omega_accuse: 0,
-    };
-    (row, report)
+    }
 }
 
 /// Fills in per-substrate scaling ratios relative to the `S = 1` baseline
@@ -458,12 +454,7 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
         rows.push(netsim_run(n, commands, s, seed, &registry));
     }
     for &s in SHARD_COUNTS {
-        let (row, report) = wall_run("wirenet", (n, commands, s), &registry, |make| {
-            WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
-                .expect("bind 127.0.0.1 listeners")
-        });
-        report.export(&registry);
-        rows.push(row);
+        rows.push(wall_run((n, commands, s), seed, &registry));
     }
     let lease_rows: Vec<LeaseRow> = SHARD_COUNTS
         .iter()

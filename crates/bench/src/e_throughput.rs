@@ -36,11 +36,10 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
-use lls_obs::{NodeRecorders, RecordingProbe, Registry};
-use lls_primitives::runtime::{Cluster, Output, OutputCursor};
-use lls_primitives::{Duration, Env, Instant, ProcessId, Sm};
+use lls_obs::{NodeRecorders, Registry};
+use lls_primitives::{Duration, Instant, ProcessId, Sm};
 use netsim::{SimBuilder, Topology};
-use wirenet::WireCluster;
+use wirenet::{ClusterReport, OutputCursor, WireCluster};
 
 use crate::json::JsonValue;
 use crate::percentile;
@@ -236,12 +235,12 @@ pub(crate) struct Burst {
 /// the report's since-spawn clock via the last commit (`anchor =
 /// last_commit - wall`), which confines the error to the polling
 /// granularity.
-pub(crate) fn timed_burst<C: Cluster>(
-    cluster: C,
-    requests: Vec<<C::Sm as Sm>::Request>,
-    leader: impl Fn(&Output<C>) -> Option<ProcessId>,
-    commit: impl Fn(&Output<C>) -> Option<(u64, u32)>,
-) -> (Burst, C::Report) {
+pub(crate) fn timed_burst<S: Sm>(
+    cluster: WireCluster<S>,
+    requests: Vec<S::Request>,
+    leader: impl Fn(&S::Output) -> Option<ProcessId>,
+    commit: impl Fn(&S::Output) -> Option<(u64, u32)>,
+) -> (Burst, ClusterReport<S::Output>) {
     let leader = stable_leader(&cluster, &all(cluster.n()), leader).unwrap_or(ProcessId(0));
     let target = requests.len() as u64;
     let start = StdInstant::now();
@@ -281,19 +280,18 @@ pub(crate) fn timed_burst<C: Cluster>(
     (Burst { commits, wall }, report)
 }
 
-/// Wall-clock run: the whole burst fired at the elected leader at once,
-/// timed until the leader has committed every command. `spawn` starts the
-/// cluster, each process built by `make`.
-fn wall_run<C: Cluster<Sm = ReplicatedLog<u64, RecordingProbe>>>(
-    substrate: &'static str,
+/// Wall-clock run over TCP: the whole burst fired at the elected leader at
+/// once, timed until the leader has committed every command; the socket
+/// counters go into `registry` too.
+fn wall_run(
     (n, commands): (usize, u64),
     (max_batch, depth): (usize, usize),
+    seed: u64,
     registry: &Registry,
-    spawn: impl FnOnce(&dyn Fn(&Env) -> ReplicatedLog<u64, RecordingProbe>) -> C,
-) -> (ThroughputRow, C::Report) {
+) -> ThroughputRow {
     let recorders = NodeRecorders::new(n, 256);
     let params = rsm_params(max_batch, depth);
-    let cluster = spawn(&|env| {
+    let cluster = WireCluster::spawn(wire_config(n, 0.0, seed), |env| {
         ReplicatedLog::<u64>::builder(env, params)
             .probe(recorders.probe_for(env.id()))
             .build()
@@ -315,17 +313,18 @@ fn wall_run<C: Cluster<Sm = ReplicatedLog<u64, RecordingProbe>>>(
     let batched_slots = recorders
         .registry()
         .counter_value("probe_batch_commit_total");
+    report.export(registry);
     let (p50, p99) = record_run(
         registry,
-        substrate,
+        "wirenet",
         "us",
         (max_batch, depth),
         &mut latencies,
         committed,
         batched_slots,
     );
-    let row = ThroughputRow {
-        substrate,
+    ThroughputRow {
+        substrate: "wirenet",
         max_batch,
         depth,
         commands,
@@ -337,8 +336,7 @@ fn wall_run<C: Cluster<Sm = ReplicatedLog<u64, RecordingProbe>>>(
         p99,
         lat_unit: "us",
         speedup: 1.0,
-    };
-    (row, report)
+    }
 }
 
 /// Fills in per-substrate speedups relative to the `(1, 1)` baseline row
@@ -407,12 +405,7 @@ pub fn e19_throughput(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) 
         rows.push(netsim_run(n, commands, b, d, seed, &registry));
     }
     for &(b, d) in CONFIGS {
-        let (row, report) = wall_run("wirenet", (n, commands), (b, d), &registry, |make| {
-            WireCluster::try_spawn(wire_config(n, 0.0, seed), make)
-                .expect("bind 127.0.0.1 listeners")
-        });
-        report.export(&registry);
-        rows.push(row);
+        rows.push(wall_run((n, commands), (b, d), seed, &registry));
     }
     let (max_speedup, pass) = verdict(&mut rows);
     let mut t = Table::new(vec![

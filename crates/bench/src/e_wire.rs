@@ -3,10 +3,9 @@
 
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::{await_stable_leader, Cluster};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
-use wirenet::{FaultConfig, LinkStats, WireCluster, WireConfig};
+use wirenet::{ClusterReport, FaultConfig, LinkStats, WireCluster, WireConfig};
 
 use crate::table::Table;
 use crate::wall::all;
@@ -16,11 +15,11 @@ use crate::wall::all;
 /// periods, stops the cluster, and adds a row saying whether they did. The
 /// series must collapse toward a single sender, matching the simulator's E2
 /// shape on a wall clock.
-fn sender_series<C: Cluster<Sm = CommEffOmega>>(
-    cluster: C,
+fn sender_series(
+    cluster: WireCluster<CommEffOmega>,
     windows: usize,
     window_ms: u64,
-) -> (Table, C::Report) {
+) -> (Table, ClusterReport<ProcessId>) {
     let n = cluster.n();
     let mut t = Table::new(vec!["t(ms)", "msgs_in_window", "senders"]);
     let mut prev = vec![0u64; n];
@@ -40,7 +39,7 @@ fn sender_series<C: Cluster<Sm = CommEffOmega>>(
     // so agreement is read off an election that has held still.
     let hold = cluster.tick() * OmegaParams::default().eta.ticks() as u32 * 5;
     let timeout = StdDuration::from_secs(10);
-    let settled = await_stable_leader(&cluster, &all(n), |l| Some(*l), hold, timeout);
+    let settled = cluster.await_stable_leader(&all(n), |l| Some(*l), hold, timeout);
     let report = cluster.stop();
     let agreed = settled.is_some();
     let leader = settled.or_else(|| report.final_output_of(ProcessId(0)).copied());

@@ -1,13 +1,11 @@
 //! What the wall-clock legs of the experiments share: the TCP cluster's
-//! configuration and the stable-leader wait. Each leg itself is one function
-//! generic over [`Cluster`]; only the spawn, and what only sockets have
-//! (link counters, scrape routes), stay at the call sites.
+//! configuration and the stable-leader wait. Each leg is one function that
+//! spawns its [`WireCluster`] and drives it.
 
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::{await_stable_leader, Cluster, Output};
-use lls_primitives::ProcessId;
-use wirenet::{FaultConfig, WireConfig};
+use lls_primitives::{ProcessId, Sm};
+use wirenet::{FaultConfig, WireCluster, WireConfig};
 
 /// A TCP cluster of `n` processes at 1 ms ticks that records its output
 /// history. With `loss` positive its sockets drop that share of the frames
@@ -29,13 +27,13 @@ pub(crate) fn wire_config(n: usize, loss: f64, seed: u64) -> WireConfig {
 
 /// The leader every one of `members` has named for 150 ms, if they do so
 /// within 10 s; `leader` reads a process's view from its latest output.
-pub(crate) fn stable_leader<C: Cluster>(
-    cluster: &C,
+pub(crate) fn stable_leader<S: Sm>(
+    cluster: &WireCluster<S>,
     members: &[ProcessId],
-    leader: impl Fn(&Output<C>) -> Option<ProcessId>,
+    leader: impl Fn(&S::Output) -> Option<ProcessId>,
 ) -> Option<ProcessId> {
     let (hold, timeout) = (StdDuration::from_millis(150), StdDuration::from_secs(10));
-    await_stable_leader(cluster, members, leader, hold, timeout)
+    cluster.await_stable_leader(members, leader, hold, timeout)
 }
 
 /// Every process of an `n`-process cluster.

@@ -57,13 +57,11 @@
 mod client;
 mod command;
 mod replica;
-mod sharded;
 mod state;
 mod submit;
 
 pub use client::KvClient;
 pub use command::{ClientId, KvCmd, KvResponse, Tagged};
 pub use replica::{KvEvent, KvReplica, LogPlane, ReplicatedKv, ShardedKvEvent, ShardedKvNode};
-pub use sharded::ShardedSubmitQueue;
 pub use state::KvState;
 pub use submit::{Settled, SubmitQueue};

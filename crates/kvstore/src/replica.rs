@@ -1086,4 +1086,96 @@ mod tests {
         )));
         assert_eq!(r.state().get("x"), Some("1"));
     }
+
+    /// A key that `map` routes to `shard`.
+    fn key_for(map: &PlacementMap, shard: u32) -> String {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .find(|k| map.shard_of_key(k).0 == shard)
+            .unwrap()
+    }
+
+    #[test]
+    fn node_routes_requests_by_key_and_applies_per_shard() {
+        let env = Env::new(ProcessId(0), 3);
+        let map = PlacementMap::uniform(2, 3);
+        let k0 = key_for(&map, 0);
+        let k1 = key_for(&map, 1);
+        let mut node = ShardedKvNode::new(
+            &env,
+            ConsensusParams::default(),
+            PlacementManager::with_all_attached(map),
+        );
+        let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
+        node.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
+        fx.take();
+        // Establish p0's ballot in both groups (one promise = quorum at p0).
+        for shard in [0u32, 1] {
+            node.on_message(
+                &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+                ProcessId(1),
+                ShardMsg::Rsm {
+                    shard: ShardId(shard),
+                    msg: RsmMsg::Promise {
+                        b: Ballot::new(1, ProcessId(0)),
+                        accepted: vec![],
+                        low_slot: 0,
+                    },
+                },
+            );
+            fx.take();
+        }
+        // A put on each key: the node must route each to its own shard.
+        node.on_request(
+            &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+            tag(1, KvCmd::put(&k0, "zero")),
+        );
+        let out = fx.take();
+        assert!(
+            out.sends.iter().all(|s| matches!(
+                &s.msg,
+                ShardMsg::Rsm {
+                    shard: ShardId(0),
+                    msg: RsmMsg::Accept { .. }
+                }
+            )),
+            "key {k0} must route to shard0: {:?}",
+            out.sends
+        );
+        node.on_request(
+            &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+            tag(2, KvCmd::put(&k1, "one")),
+        );
+        fx.take();
+        // Ack both slots from p1: each shard commits *its own* slot 0.
+        for shard in [0u32, 1] {
+            node.on_message(
+                &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+                ProcessId(1),
+                ShardMsg::Rsm {
+                    shard: ShardId(shard),
+                    msg: RsmMsg::Accepted {
+                        b: Ballot::new(1, ProcessId(0)),
+                        slot: 0,
+                    },
+                },
+            );
+            let out = fx.take();
+            assert!(
+                out.outputs.iter().any(|o| matches!(
+                    o,
+                    ShardedKvEvent::Applied { shard: s, slot: 0, .. } if s.0 == shard
+                )),
+                "shard{shard} applies its slot 0: {:?}",
+                out.outputs
+            );
+        }
+        assert_eq!(node.state(ShardId(0)).unwrap().get(&k0), Some("zero"));
+        assert_eq!(node.state(ShardId(1)).unwrap().get(&k1), Some("one"));
+        assert_eq!(
+            node.state(ShardId(0)).unwrap().len(),
+            1,
+            "shard stores are disjoint"
+        );
+    }
 }

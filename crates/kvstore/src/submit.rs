@@ -1,22 +1,31 @@
-//! Client-side submit queue for the batched throughput path.
+//! Client-side submit queue for the batched and sharded throughput paths.
 //!
 //! With pipelining and batching enabled in the log
 //! ([`BatchParams`](consensus::BatchParams)), a client that fires one
 //! command and waits for its reply leaves the whole pipeline idle. A
 //! [`SubmitQueue`] is the client-side half of the throughput path: callers
 //! [`submit`](SubmitQueue::submit) commands as fast as they are minted, the
-//! queue releases up to a `window` of them to the transport
+//! queue releases up to a `window` of them per shard to the transport
 //! ([`drain`](SubmitQueue::drain)) while the rest coalesce locally, and
 //! every [`KvEvent::Applied`](crate::KvEvent) coming back — one per command,
 //! even when the replica decided them as a single batched slot — is routed
 //! to its originating command by `(client, seq)` tag
 //! ([`settle`](SubmitQueue::settle)).
 //!
+//! Over a [`PlacementMap`] of `S` shard groups
+//! ([`SubmitQueue::sharded`]), the queue routes each command by its key's
+//! stable hash and keeps one window per shard, so the `S` pipelines fill
+//! independently; the server side is
+//! [`ShardedKvNode`](crate::ShardedKvNode), which routes by key itself.
+//! [`SubmitQueue::new`] is the one-shard case. Exactly-once holds per
+//! shard: a key always routes to the same shard, whose session table
+//! deduplicates the command's `(client, seq)` tag.
+//!
 //! Like [`KvClient`](crate::KvClient), the queue is transport-agnostic: it
 //! never sends anything itself. The caller delivers drained commands by
 //! whatever means the deployment uses (`Simulator::schedule_request`,
-//! `Cluster::request`, a socket) and feeds replica events back in. After a
-//! leader change or timeout, [`outstanding`](SubmitQueue::outstanding)
+//! `WireCluster::request`, a socket) and feeds replica events back in.
+//! After a leader change or timeout, [`outstanding`](SubmitQueue::outstanding)
 //! re-issues exact copies of everything released but unsettled — safe to
 //! resubmit because the replicas' session tables suppress duplicates.
 //!
@@ -42,6 +51,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use consensus::shard::{PlacementMap, ShardId};
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
 use lls_primitives::{mix64, Instant, ProcessId};
 
@@ -58,49 +68,65 @@ pub struct Settled {
 
 /// A windowed client submit queue with per-command reply routing.
 ///
-/// Commands enter via [`SubmitQueue::submit`], at most `window` of them are
-/// released to the transport by [`SubmitQueue::drain`], and each decided
-/// command is matched back to its originator by [`SubmitQueue::settle`] —
-/// even when many commands ride in one batched slot.
-#[derive(Debug, Clone, Default)]
+/// Commands enter via [`SubmitQueue::submit`], at most `window` of them per
+/// shard are released to the transport by [`SubmitQueue::drain`], and each
+/// decided command is matched back to its originator by
+/// [`SubmitQueue::settle`] — even when many commands ride in one batched
+/// slot.
+#[derive(Debug, Clone)]
 pub struct SubmitQueue<P: Probe = NoopProbe> {
+    map: PlacementMap,
     window: usize,
-    queued: VecDeque<Tagged<KvCmd>>,
-    released: BTreeMap<(ClientId, u64), Tagged<KvCmd>>,
+    /// Per shard, the commands waiting for its window, oldest first.
+    queued: Vec<VecDeque<Tagged<KvCmd>>>,
+    /// Every released-but-unsettled command, with the shard it went to.
+    released: BTreeMap<(ClientId, u64), (ShardId, Tagged<KvCmd>)>,
+    /// Per shard, how much of its window the released commands hold.
+    in_flight: Vec<usize>,
     retry_base: u64,
     retry_seed: u64,
     ticks: u64,
     attempt: u32,
     retry_at: Option<u64>,
     // Lifecycle instrumentation: the queue is where a command's latency
-    // story starts (Enqueue) and ends (Reply), so it stamps both stages
-    // through the same probe plane the replicas feed. `NoopProbe` (the
-    // default) compiles all of it away.
+    // story starts (Enqueue, ShardRoute) and ends (Reply), so it stamps
+    // those stages through the same probe plane the replicas feed.
+    // `NoopProbe` (the default) compiles all of it away.
     probe: P,
     node: ProcessId,
     now: Instant,
 }
 
 impl SubmitQueue {
-    /// Creates a queue that keeps at most `window` commands released to the
-    /// transport at once (0 is treated as 1: a window that can never open
-    /// would deadlock the session).
+    /// Creates a one-shard queue that keeps at most `window` commands
+    /// released to the transport at once (0 is treated as 1: a window that
+    /// can never open would deadlock the session).
     pub fn new(window: usize) -> Self {
-        SubmitQueue::with_probe(window, ProcessId(0), NoopProbe)
+        SubmitQueue::sharded(PlacementMap::uniform(1, 1), window)
+    }
+
+    /// Creates a queue over `map` with a `window` of in-flight commands
+    /// **per shard**.
+    pub fn sharded(map: PlacementMap, window: usize) -> Self {
+        SubmitQueue::with_probe(map, window, ProcessId(0), NoopProbe)
     }
 }
 
 impl<P: Probe> SubmitQueue<P> {
-    /// Like [`SubmitQueue::new`], with a lifecycle probe: the queue emits
-    /// [`CmdStage::Enqueue`] when a command is submitted and
+    /// Like [`SubmitQueue::sharded`], with a lifecycle probe: the queue
+    /// emits [`CmdStage::Enqueue`] and [`CmdStage::ShardRoute`] (carrying
+    /// the owning shard) when a command is submitted and
     /// [`CmdStage::Reply`] when its response settles, attributed to `node`
     /// (the process the client session is co-located with). Advance the
     /// event clock with [`SubmitQueue::set_now`].
-    pub fn with_probe(window: usize, node: ProcessId, probe: P) -> Self {
+    pub fn with_probe(map: PlacementMap, window: usize, node: ProcessId, probe: P) -> Self {
+        let shards = map.shard_count() as usize;
         SubmitQueue {
+            map,
             window: window.max(1),
-            queued: VecDeque::new(),
+            queued: vec![VecDeque::new(); shards],
             released: BTreeMap::new(),
+            in_flight: vec![0; shards],
             retry_base: 0,
             retry_seed: 0,
             ticks: 0,
@@ -119,7 +145,7 @@ impl<P: Probe> SubmitQueue<P> {
         self.now = now;
     }
 
-    fn emit_stage(&self, client: ClientId, seq: u64, stage: CmdStage, shard: u32) {
+    fn emit_stage(&self, client: ClientId, seq: u64, stage: CmdStage, shard: ShardId) {
         if !P::ENABLED {
             return;
         }
@@ -131,15 +157,8 @@ impl<P: Probe> SubmitQueue<P> {
                 seq,
             },
             stage,
-            shard,
+            shard: shard.0,
         });
-    }
-
-    /// Stamps the [`CmdStage::ShardRoute`] stage for a command this queue
-    /// owns — called by the sharded router, which is the only layer that
-    /// knows the key→shard mapping.
-    pub(crate) fn note_route(&self, client: ClientId, seq: u64, shard: u32) {
-        self.emit_stage(client, seq, CmdStage::ShardRoute, shard);
     }
 
     /// Enables automatic re-submission of in-flight commands: after
@@ -178,9 +197,9 @@ impl<P: Probe> SubmitQueue<P> {
 
     /// Advances the retry clock by one tick. When a scheduled retry comes
     /// due with commands still in flight, returns exact copies of all of
-    /// them (oldest first) for the caller to re-deliver, and schedules the
-    /// next round with doubled (jittered) backoff. Returns an empty vector
-    /// otherwise.
+    /// them (see [`outstanding`](SubmitQueue::outstanding)) for the caller
+    /// to re-deliver, and schedules the next round with doubled (jittered)
+    /// backoff. Returns an empty vector otherwise.
     pub fn on_tick(&mut self) -> Vec<Tagged<KvCmd>> {
         self.ticks += 1;
         let Some(due) = self.retry_at else {
@@ -204,40 +223,50 @@ impl<P: Probe> SubmitQueue<P> {
         self.attempt
     }
 
-    /// Enqueues a minted command. Nothing is sent; call
-    /// [`SubmitQueue::drain`] to obtain the commands the window admits.
+    /// Enqueues a minted command on the shard that owns its key. Nothing
+    /// is sent; call [`SubmitQueue::drain`] to obtain the commands the
+    /// windows admit.
     pub fn submit(&mut self, cmd: Tagged<KvCmd>) {
-        self.emit_stage(cmd.client, cmd.seq, CmdStage::Enqueue, 0);
-        self.queued.push_back(cmd);
+        let shard = self.map.shard_of_key(cmd.cmd.key());
+        self.emit_stage(cmd.client, cmd.seq, CmdStage::Enqueue, shard);
+        self.emit_stage(cmd.client, cmd.seq, CmdStage::ShardRoute, shard);
+        self.queued[shard.0 as usize].push_back(cmd);
     }
 
-    /// Releases queued commands up to the free window and returns them for
-    /// the caller to deliver. Commands stay tracked until
-    /// [`settle`](SubmitQueue::settle)d, so replies can be routed and
-    /// retries re-issued.
+    /// Releases queued commands up to each shard's free window and returns
+    /// them, in shard order, for the caller to deliver. Commands stay
+    /// tracked until [`settle`](SubmitQueue::settle)d, so replies can be
+    /// routed and retries re-issued.
     pub fn drain(&mut self) -> Vec<Tagged<KvCmd>> {
-        let free = self.window.saturating_sub(self.released.len());
-        let take = self.queued.len().min(free);
-        let mut out = Vec::with_capacity(take);
-        for cmd in self.queued.drain(..take) {
-            self.released.insert((cmd.client, cmd.seq), cmd.clone());
-            out.push(cmd);
+        let mut out = Vec::new();
+        for (i, queued) in self.queued.iter_mut().enumerate() {
+            let free = self.window.saturating_sub(self.in_flight[i]);
+            let take = queued.len().min(free);
+            self.in_flight[i] += take;
+            for cmd in queued.drain(..take) {
+                let shard = ShardId(i as u32);
+                self.released
+                    .insert((cmd.client, cmd.seq), (shard, cmd.clone()));
+                out.push(cmd);
+            }
         }
         out
     }
 
     /// Routes one replica `Applied` event — one command out of a decided
-    /// (possibly batched) slot — back to its originating command. Returns
-    /// the completed pair, or `None` if the tag matches nothing outstanding
-    /// (another session's command, or a duplicate completion).
+    /// (possibly batched) slot — back to its originating command and
+    /// reopens its shard's window. Returns the completed pair, or `None`
+    /// if the tag matches nothing outstanding (another session's command,
+    /// or a duplicate completion).
     pub fn settle(&mut self, client: ClientId, seq: u64, response: &KvResponse) -> Option<Settled> {
-        let settled = self.released.remove(&(client, seq)).map(|cmd| Settled {
-            cmd,
-            response: response.clone(),
+        let settled = self.released.remove(&(client, seq)).map(|(shard, cmd)| {
+            self.in_flight[shard.0 as usize] -= 1;
+            self.emit_stage(client, seq, CmdStage::Reply, shard);
+            Settled {
+                cmd,
+                response: response.clone(),
+            }
         });
-        if settled.is_some() {
-            self.emit_stage(client, seq, CmdStage::Reply, 0);
-        }
         if self.released.is_empty() {
             // Everything in flight has landed: stand down the retry clock.
             self.retry_at = None;
@@ -246,16 +275,19 @@ impl<P: Probe> SubmitQueue<P> {
         settled
     }
 
-    /// Exact copies of every released-but-unsettled command, oldest first —
-    /// what a caller resubmits after a timeout or leader change. Safe to
-    /// deliver repeatedly: replicas deduplicate by `(client, seq)`.
+    /// Exact copies of every released-but-unsettled command, in shard
+    /// order and oldest first within a shard — what a caller resubmits
+    /// after a timeout or leader change. Safe to deliver repeatedly:
+    /// replicas deduplicate by `(client, seq)`.
     pub fn outstanding(&self) -> Vec<Tagged<KvCmd>> {
-        self.released.values().cloned().collect()
+        let mut out: Vec<&(ShardId, Tagged<KvCmd>)> = self.released.values().collect();
+        out.sort_by_key(|(shard, _)| *shard);
+        out.into_iter().map(|(_, cmd)| cmd.clone()).collect()
     }
 
-    /// Commands waiting locally for the window to open.
+    /// Commands waiting locally for a window to open.
     pub fn queued_len(&self) -> usize {
-        self.queued.len()
+        self.queued.iter().map(VecDeque::len).sum()
     }
 
     /// Commands released to the transport and awaiting replies.
@@ -265,7 +297,7 @@ impl<P: Probe> SubmitQueue<P> {
 
     /// `true` once every submitted command has been settled.
     pub fn is_idle(&self) -> bool {
-        self.queued.is_empty() && self.released.is_empty()
+        self.queued.iter().all(VecDeque::is_empty) && self.released.is_empty()
     }
 }
 
@@ -405,5 +437,56 @@ mod tests {
     fn zero_window_is_promoted_to_one() {
         let (_, mut q) = queue_with(2, 0);
         assert_eq!(q.drain().len(), 1, "a zero window must not deadlock");
+    }
+
+    /// A key that `map` routes to `shard`.
+    fn key_for(map: &PlacementMap, shard: u32) -> String {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .find(|k| map.shard_of_key(k).0 == shard)
+            .unwrap()
+    }
+
+    fn tag(seq: u64, cmd: KvCmd) -> Tagged<KvCmd> {
+        Tagged {
+            client: ClientId(1),
+            seq,
+            cmd,
+        }
+    }
+
+    #[test]
+    fn submit_queue_fans_out_by_key_and_settles_per_shard() {
+        let map = PlacementMap::uniform(2, 3);
+        let mut q = SubmitQueue::sharded(map.clone(), 1); // window 1 per shard
+        let k0 = key_for(&map, 0);
+        let k1 = key_for(&map, 1);
+        q.submit(tag(1, KvCmd::put(&k0, "a")));
+        q.submit(tag(2, KvCmd::put(&k1, "b")));
+        q.submit(tag(3, KvCmd::put(&k0, "c"))); // behind seq 1 on shard 0
+        let burst = q.drain();
+        // Both shards release concurrently despite the 1-wide window, in
+        // shard order.
+        assert_eq!(burst.len(), 2);
+        assert_eq!(q.released_len(), 2);
+        assert_eq!(q.queued_len(), 1);
+        let shards: Vec<u32> = burst
+            .iter()
+            .map(|c| map.shard_of_key(c.cmd.key()).0)
+            .collect();
+        assert_eq!(shards, vec![0, 1]);
+        // Settling shard 0's command reopens only shard 0's window.
+        let done = q
+            .settle(ClientId(1), 1, &KvResponse::Applied { previous: None })
+            .expect("seq 1 settles");
+        assert_eq!(done.cmd.seq, 1);
+        let burst = q.drain();
+        assert_eq!(burst.len(), 1);
+        assert_eq!(map.shard_of_key(burst[0].cmd.key()), ShardId(0));
+        assert_eq!(burst[0].seq, 3);
+        // Unknown tags settle nothing.
+        assert!(q
+            .settle(ClientId(9), 1, &KvResponse::Applied { previous: None })
+            .is_none());
     }
 }

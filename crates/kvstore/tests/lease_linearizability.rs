@@ -20,7 +20,6 @@ use std::time::Duration as StdDuration;
 use consensus::{ConsensusParams, LeaseParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
-use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use util::Settled;
@@ -242,7 +241,7 @@ fn judge(round: u64, node: ProcessId, response: Option<KvResponse>) -> bool {
 /// at the leader before the leaseholder and two followers read it. At
 /// n = 5 the kill exercises the overlapping-lease window the lease holdoff
 /// closes: a deposed leader must not re-elect inside its successor's live
-/// lease. Skips where no loopback listener can be bound.
+/// lease.
 #[test]
 fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
     let (n, rounds) = (5, 6);
@@ -256,30 +255,27 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
     };
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let spawned = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
+    let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ReplicatedLog::builder(env, lease_params())
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(KvReplica::from_log)
             .unwrap()
-    });
-    let Ok(mut cluster) = spawned else {
-        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
-        return;
-    };
+    })
+    .expect("bind 127.0.0.1 listeners");
     let mut alive: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
     let hold = StdDuration::from_millis(150);
     let mut settled = Settled::default();
     let mut served = 0u64;
-    let mut leader = await_stable_leader(&cluster, &alive, KvEvent::leader, hold, timeout);
+    let mut leader = cluster.await_stable_leader(&alive, KvEvent::leader, hold, timeout);
     for round in 1..=rounds {
         if round == rounds / 2 + 1 {
             if let Some(victim) = leader {
                 cluster.kill(victim);
                 alive.retain(|p| *p != victim);
             }
-            leader = await_stable_leader(&cluster, &alive, KvEvent::leader, hold, timeout);
+            leader = cluster.await_stable_leader(&alive, KvEvent::leader, hold, timeout);
         }
         let Some(l) = leader else {
             panic!("no leader settled for round {round}")

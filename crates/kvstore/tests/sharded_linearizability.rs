@@ -19,7 +19,6 @@ use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardedNode};
 use consensus::{ConsensusParams, LeaseParams};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
-use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use util::Settled;
@@ -255,8 +254,7 @@ fn assert_prefix_agreement(per_node: &BTreeMap<ProcessId, Vec<(u32, u64, ClientI
 
 /// One round workload over TCP on a cluster of 3: four settled writes per
 /// key at the unanimous leader, a read of every key at every node after its
-/// final write, then per-shard prefix agreement over the stop report. Skips
-/// where no loopback listener can be bound.
+/// final write, then per-shard prefix agreement over the stop report.
 #[test]
 fn wirenet_cross_shard_settles_by_quiescence_polling() {
     let (n, writes_per_key) = (3, 4);
@@ -270,22 +268,20 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
     };
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
-    let spawned = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
+    let cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
         ShardedNode::builder(env, lease_params(), placement(n))
             .probe(watchdog.probe(recorders.probe_for(env.id())))
             .build()
             .and_then(ShardedKvNode::from_log)
             .unwrap()
-    });
-    let Ok(cluster) = spawned else {
-        eprintln!("skipping: cannot bind 127.0.0.1 listeners in this sandbox");
-        return;
-    };
+    })
+    .expect("bind 127.0.0.1 listeners");
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
     let hold = StdDuration::from_millis(150);
     let mut settled = Settled::default();
-    let leader = await_stable_leader(&cluster, &all, ShardedKvEvent::leader, hold, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, ShardedKvEvent::leader, hold, timeout)
         .expect("a leader must settle");
     for i in 1..=writes_per_key {
         for (k, key) in KEYS.iter().enumerate() {

@@ -1,12 +1,12 @@
 //! What the wall-clock legs of the kvstore linearizability suites share:
-//! settling a client command on any `runtime::Cluster`.
+//! settling a client command on a `WireCluster`.
 
 use std::collections::BTreeMap;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use kvstore::{ClientId, KvCmd, KvEvent, KvResponse, ShardedKvEvent, Tagged};
-use lls_primitives::runtime::{Cluster, Output, OutputCursor};
 use lls_primitives::{ProcessId, Sm};
+use wirenet::{OutputCursor, WireCluster};
 
 /// A replica event that settles a client command.
 pub trait Settles {
@@ -56,17 +56,16 @@ impl Settled {
     /// read-index may race a leader change and drop; the retry is the
     /// liveness story, exactly as for a real client). `None` after
     /// `timeout`.
-    pub fn request<C>(
+    pub fn request<S>(
         &mut self,
-        cluster: &C,
+        cluster: &WireCluster<S>,
         node: ProcessId,
         cmd: Tagged<KvCmd>,
         timeout: StdDuration,
     ) -> Option<KvResponse>
     where
-        C: Cluster,
-        C::Sm: Sm<Request = Tagged<KvCmd>>,
-        Output<C>: Settles,
+        S: Sm<Request = Tagged<KvCmd>>,
+        S::Output: Settles,
     {
         let key = (node, cmd.client, cmd.seq);
         let deadline = StdInstant::now() + timeout;

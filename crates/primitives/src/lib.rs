@@ -18,11 +18,6 @@
 //! * the [`clock`] module — per-process [`LamportClock`]s the substrates
 //!   advance on every send and receive, giving each observability event a
 //!   causal (happens-before) position for cross-node trace reconstruction,
-//! * the [`runtime`] module — the one wall-clock node driver (timers,
-//!   tick mapping, dispatch, each process's latest output plus opt-in
-//!   output history, send counters) that `wirenet` runs, supplying only a
-//!   send closure, and the [`runtime::Cluster`] trait harnesses drive it
-//!   through,
 //! * the [`storage`] module — durable per-process state ([`Storage`],
 //!   [`StorageHandle`], in-memory and file-WAL backends) through which
 //!   protocols persist crash-critical state so a killed process can restart
@@ -89,7 +84,6 @@
 pub mod clock;
 pub mod fault;
 mod id;
-pub mod runtime;
 mod sm;
 pub mod storage;
 mod time;

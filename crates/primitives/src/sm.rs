@@ -4,8 +4,8 @@
 //! start, message delivery, timer expiry (plus optional external requests) —
 //! that reacts by recording *effects* into a [`Ctx`]: message sends, timer
 //! commands and protocol outputs. A runtime (the `netsim` simulator, or the
-//! wall-clock driver in [`runtime`](crate::runtime) that `wirenet` runs)
-//! owns the loop that feeds stimuli in and carries effects out.
+//! wall-clock driver each `wirenet` node runs) owns the loop that feeds
+//! stimuli in and carries effects out.
 //!
 //! Timers follow *reset semantics*: setting a timer that is already pending
 //! re-arms it (the old deadline is discarded), and cancelling or re-arming

@@ -1,20 +1,18 @@
-//! Cluster lifecycle over real sockets: bind, spawn, drive, sever, stop,
-//! report. [`WireCluster`] implements the substrate-generic
-//! [`runtime::Cluster`] trait, which wall-clock experiments and tests are
-//! written against; what only sockets have (link counters, sever, listen
-//! addresses) stays inherent.
+//! Cluster lifecycle over real sockets: bind, spawn, drive, kill and
+//! restart, sever, stop, report. [`WireCluster`] is the wall-clock cluster
+//! every wall-clock experiment, test and the benchmark drive.
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{self, NodeLog, NodeSpec, RunReport};
 use lls_primitives::wire::Wire;
 use lls_primitives::{Env, LamportClock, ProcessId, Sm};
 
 use crate::counters::{LinkCounters, LinkStats};
 use crate::link::BackoffConfig;
 use crate::node::{Counters, FaultConfig, NodeError, WireNode};
+use crate::runtime::{self, NodeLog, NodeSpec, OutputCursor, TimedOutput, HISTORY_OFF};
 
 /// Configuration of a TCP cluster on localhost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,8 +27,8 @@ pub struct WireConfig {
     pub backoff: BackoffConfig,
     /// Optional socket-layer loss/delay injection.
     pub faults: Option<FaultConfig>,
-    /// Keep every output for [`runtime::Cluster::outputs_since`] and
-    /// [`RunReport::outputs`]. Off by default: each process then keeps
+    /// Keep every output for [`WireCluster::outputs_since`] and
+    /// [`ClusterReport::outputs`]. Off by default: each process then keeps
     /// only its latest output.
     pub record_outputs: bool,
 }
@@ -50,12 +48,17 @@ impl Default for WireConfig {
     }
 }
 
-/// Everything a finished run reports: the shared [`RunReport`] (outputs,
-/// send counts, `senders_since`), which it dereferences to, plus the
-/// per-link socket counters and the plumbing failures.
+/// Everything a finished run reports: each process's newest output, its
+/// send count and, when the cluster recorded them, every output of the run;
+/// plus the per-link socket counters and the plumbing failures. Killed
+/// incarnations are included.
 #[derive(Debug, Clone)]
 pub struct ClusterReport<O> {
-    run: RunReport<O>,
+    latest: Vec<Option<O>>,
+    history: Option<Vec<TimedOutput<O>>>,
+    /// Protocol-level sends per process, counted when the state machine
+    /// emits them, before any loss or queueing.
+    pub sent: Vec<u64>,
     /// Socket counters: `links[p][q]` is node `p`'s view of its link to
     /// `q` (bytes/messages both ways, reconnects, drops, decode errors).
     pub links: Vec<Vec<LinkStats>>,
@@ -64,15 +67,23 @@ pub struct ClusterReport<O> {
     pub errors: Vec<NodeError>,
 }
 
-impl<O> std::ops::Deref for ClusterReport<O> {
-    type Target = RunReport<O>;
-
-    fn deref(&self) -> &RunReport<O> {
-        &self.run
-    }
-}
-
 impl<O> ClusterReport<O> {
+    /// Every output of the run, killed incarnations included, ordered by
+    /// emission time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster did not record its history
+    /// ([`WireConfig::record_outputs`]).
+    pub fn outputs(&self) -> &[TimedOutput<O>] {
+        self.history.as_deref().expect(HISTORY_OFF)
+    }
+
+    /// The last output `p` emitted, in whichever incarnation, if any.
+    pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
+        self.latest[p.as_usize()].as_ref()
+    }
+
     /// All of node `p`'s link counters merged into one total.
     pub fn node_links_total(&self, p: ProcessId) -> LinkStats {
         self.links[p.as_usize()]
@@ -131,10 +142,22 @@ impl<O> ClusterReport<O> {
 
 /// A running cluster of `n` nodes joined by real TCP connections over
 /// localhost. Each node is a listener, its reader and link threads, and a
-/// protocol thread running the shared [`runtime`](lls_primitives::runtime)
-/// driver. A message's handler runs on the reader thread that read it;
-/// requests ([`WireCluster::request`]), timers and kill/restart/stop run on
-/// the protocol thread, so a caller never runs protocol code.
+/// protocol thread running the node driver. A message's handler runs on the
+/// reader thread that read it; requests ([`WireCluster::request`]), timers
+/// and stop run on the protocol thread, so a caller never runs protocol
+/// code.
+///
+/// The contract it keeps across [`kill`](WireCluster::kill) and
+/// [`restart`](WireCluster::restart):
+///
+/// - A request sent to a killed process is dropped, like one sent to a
+///   crashed server: it is never handled, not even after a restart.
+/// - A killed incarnation's last output stays in
+///   [`latest_outputs`](WireCluster::latest_outputs) and in the report's
+///   [`final_output_of`](ClusterReport::final_output_of) until the process
+///   emits again, and its sends stay counted.
+/// - Restarting a live process does nothing: the running incarnation
+///   carries on and the fresh machine is dropped.
 ///
 /// See the [crate example](crate).
 pub struct WireCluster<S: Sm> {
@@ -288,6 +311,31 @@ where
         )
     }
 
+    /// Restarts a killed `p` with a fresh state machine `sm` — typically one
+    /// recovered from the durable storage its predecessor wrote. Re-binds
+    /// the process's original listen address (retrying briefly while the OS
+    /// releases it), so the surviving peers' reconnect loops — which have
+    /// been redialling that address since the kill — find the new
+    /// incarnation from the *accepting* side.
+    ///
+    /// Does nothing while `p` is alive: the running incarnation carries on
+    /// and `sm` is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`NodeError::Bind`] if the address cannot be re-bound
+    /// within the retry budget.
+    pub fn restart(&mut self, p: ProcessId, sm: S) -> Result<(), NodeError> {
+        if self.is_alive(p) {
+            return Ok(());
+        }
+        let listener = bind_with_retry(self.addrs[p.as_usize()], StdDuration::from_secs(10))?;
+        self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm));
+        Ok(())
+    }
+}
+
+impl<S: Sm> WireCluster<S> {
     /// Kills process `p`: tears down its listener and every live TCP
     /// connection it has, and joins all its threads. Peers observe the dead
     /// sockets, fall back to their redial/backoff loops, and keep knocking
@@ -305,39 +353,28 @@ where
         self.nodes[p.as_usize()].is_some()
     }
 
-    /// Restarts a killed `p` with a fresh state machine `sm` — typically one
-    /// recovered from the durable storage its predecessor wrote. Re-binds
-    /// the process's original listen address (retrying briefly while the OS
-    /// releases it), so the surviving peers' reconnect loops — which have
-    /// been redialling that address since the kill — find the new
-    /// incarnation from the *accepting* side.
-    ///
-    /// Does nothing while `p` is alive: the running incarnation carries on
-    /// and `sm` is dropped, as on every [`runtime::Cluster`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`NodeError::Bind`] if the address cannot be re-bound
-    /// within the retry budget.
-    pub fn restart(&mut self, p: ProcessId, sm: S) -> Result<(), NodeError> {
-        if self.is_alive(p) {
-            return Ok(());
-        }
-        let listener = bind_with_retry(self.addrs[p.as_usize()], StdDuration::from_secs(10))?;
-        self.nodes[p.as_usize()] = Some(self.spawn_node(p, listener, sm));
-        Ok(())
-    }
-
     /// The listen address of process `p` (fixed for the cluster's lifetime,
     /// even while `p` is dead).
     pub fn addr_of(&self, p: ProcessId) -> SocketAddr {
         self.addrs[p.as_usize()]
     }
 
-    /// The wall-clock instant every node's virtual clock counts ticks from
-    /// (the same as [`runtime::Cluster::epoch`]).
+    /// The wall-clock instant every node's virtual clock counts ticks from.
+    /// An external client maps its own timestamps into the same tick domain
+    /// with `(now - epoch) / tick`, so client- and replica-side probe events
+    /// share one timeline.
     pub fn epoch(&self) -> StdInstant {
         self.start
+    }
+
+    /// The wall-clock length of one tick.
+    pub fn tick(&self) -> StdDuration {
+        self.config.tick
+    }
+
+    /// Number of processes.
+    pub fn n(&self) -> usize {
+        self.addrs.len()
     }
 
     /// Delivers an external request to `p`. Dropped if `p` is dead, like a
@@ -355,9 +392,63 @@ where
         self.nodes[p.as_usize()].as_ref().map_or(0, |nd| nd.sever())
     }
 
+    /// Each process's most recent output, if any; for a dead (or restarted
+    /// and still quiet) process, its last incarnation's.
+    pub fn latest_outputs(&self) -> Vec<Option<S::Output>> {
+        self.logs.iter().map(|log| log.latest()).collect()
+    }
+
+    /// What every process emitted since `cursor` last read, killed
+    /// incarnations included, advancing the cursor past it: each output
+    /// once, each process's in emission order, the whole call's result
+    /// sorted by `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster records its output history
+    /// ([`WireConfig::record_outputs`]).
+    pub fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<S::Output>> {
+        runtime::outputs_since(&self.logs, cursor)
+    }
+
+    /// Polls every 20 ms until every process in `members` names the same
+    /// leader through `leader`, and has named it for `hold` without a
+    /// break; returns that leader, or `None` once `timeout` has passed.
+    /// Agreement that does not hold for `hold` (start-up churn) does not
+    /// count.
+    pub fn await_stable_leader(
+        &self,
+        members: &[ProcessId],
+        leader: impl Fn(&S::Output) -> Option<ProcessId>,
+        hold: StdDuration,
+        timeout: StdDuration,
+    ) -> Option<ProcessId> {
+        let deadline = StdInstant::now() + timeout;
+        let mut agreed: Option<(ProcessId, StdInstant)> = None;
+        loop {
+            let latest = self.latest_outputs();
+            let mut views = members
+                .iter()
+                .map(|p| latest[p.as_usize()].as_ref().and_then(&leader));
+            let first = views.next().flatten();
+            match (first.filter(|l| views.all(|v| v == Some(*l))), agreed) {
+                (Some(l), Some((held, since))) if l == held => {
+                    if since.elapsed() >= hold {
+                        return Some(l);
+                    }
+                }
+                (Some(l), _) => agreed = Some((l, StdInstant::now())),
+                (None, _) => agreed = None,
+            }
+            if StdInstant::now() > deadline {
+                return None;
+            }
+            std::thread::sleep(StdDuration::from_millis(20));
+        }
+    }
+
     /// A live snapshot of `(sent, last_send)` per process, killed
-    /// incarnations included (the same as
-    /// [`runtime::Cluster::traffic_snapshot`]).
+    /// incarnations included.
     pub fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
         runtime::traffic_snapshot(&self.logs)
     }
@@ -383,50 +474,15 @@ where
         for node in std::mem::take(&mut self.nodes).into_iter().flatten() {
             self.errors.extend(node.stop_collecting());
         }
+        let (sent, _) = self.traffic_snapshot();
+        let (latest, history) = runtime::collect(&self.logs);
         ClusterReport {
-            run: RunReport::collect(&self.logs),
+            latest,
+            history,
+            sent,
             links: self.link_snapshot(),
             errors: self.errors,
         }
-    }
-}
-
-impl<S> runtime::Cluster for WireCluster<S>
-where
-    S: Sm + std::marker::Send + 'static,
-    S::Msg: Wire,
-{
-    type Sm = S;
-    type Report = ClusterReport<S::Output>;
-
-    fn logs(&self) -> &[Arc<NodeLog<S::Output>>] {
-        &self.logs
-    }
-
-    fn epoch(&self) -> StdInstant {
-        WireCluster::epoch(self)
-    }
-
-    fn tick(&self) -> StdDuration {
-        self.config.tick
-    }
-
-    fn request(&self, p: ProcessId, req: S::Request) {
-        WireCluster::request(self, p, req);
-    }
-
-    fn kill(&mut self, p: ProcessId) {
-        WireCluster::kill(self, p);
-    }
-
-    fn restart(&mut self, p: ProcessId, sm: S) {
-        if let Err(e) = WireCluster::restart(self, p, sm) {
-            panic!("cannot restart {p}: {e}");
-        }
-    }
-
-    fn stop(self) -> ClusterReport<S::Output> {
-        WireCluster::stop(self)
     }
 }
 

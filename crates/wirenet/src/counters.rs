@@ -1,5 +1,6 @@
-//! Per-link socket counters. (Protocol-level send counts live in the
-//! shared driver's [`NodeLog`](lls_primitives::runtime::NodeLog).)
+//! Per-link socket counters. (Protocol-level send counts live in each
+//! process's driver log, read through
+//! [`WireCluster::traffic_snapshot`](crate::WireCluster::traffic_snapshot).)
 //!
 //! All counters are atomics so the link, reader and protocol threads (any
 //! of which may write a frame, since handlers send on whichever thread they

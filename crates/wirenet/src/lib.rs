@@ -9,10 +9,10 @@
 //!
 //! * every process is one listener, one reader thread per inbound
 //!   connection, one link thread per peer, and one protocol thread running
-//!   the [`lls_primitives::runtime`] driver. The process sits behind a
+//!   the node driver (timers, tick mapping, dispatch, outputs, send
+//!   counters; a private module of this crate). The process sits behind a
 //!   lock: a reader thread runs `on_message` for each frame it decodes,
-//!   while the protocol thread keeps requests, kill/restart/stop and
-//!   timers. A handler's sends are encoded on its own thread and written
+//!   while the protocol thread keeps requests, stop and timers. A handler's sends are encoded on its own thread and written
 //!   straight onto the peer's socket when that link is idle, so a message
 //!   costs two thread hand-offs (sender to kernel, kernel to reader), not
 //!   four;
@@ -30,13 +30,13 @@
 //! * loss and delay can be injected at the socket layer
 //!   ([`FaultConfig`], backed by the shared
 //!   [`FaultInjector`](lls_primitives::FaultInjector));
-//! * [`WireCluster`] implements the substrate-generic
-//!   [`lls_primitives::runtime::Cluster`] trait, which wall-clock
-//!   experiments and tests are written against; bring the trait into scope
-//!   for `latest_outputs`, `outputs_since` and `tick`;
+//! * [`WireCluster`] is the one wall-clock cluster: requests, kill and
+//!   restart, each process's latest output or recorded history
+//!   ([`OutputCursor`]), send counters and the stable-leader wait
+//!   ([`WireCluster::await_stable_leader`]);
 //! * per-link counters (bytes/messages both ways, reconnects, queue drops,
-//!   decode failures) surface in the [`ClusterReport`], which extends the
-//!   shared [`RunReport`](lls_primitives::runtime::RunReport);
+//!   decode failures) surface in the [`ClusterReport`] beside each
+//!   process's outputs and send count;
 //! * every frame carries a version-2 trace envelope (the sender's Lamport
 //!   clock), merged on receive, so recorded probe events line up on one
 //!   causal timeline across nodes;
@@ -77,11 +77,12 @@ mod cluster;
 mod counters;
 mod link;
 mod node;
+mod runtime;
 pub mod scrape;
 
 pub use cluster::{ClusterReport, WireCluster, WireConfig};
 pub use counters::{LinkCounters, LinkStats};
 pub use link::BackoffConfig;
-pub use lls_primitives::runtime::{OutputCursor, TimedOutput};
 pub use node::{FaultConfig, NodeError};
+pub use runtime::{OutputCursor, TimedOutput};
 pub use scrape::{scrape, ScrapeRoutes, ScrapeServer};

@@ -1,11 +1,11 @@
 //! One wirenet node incarnation: a TCP listener whose acceptor spawns one
 //! reader thread per inbound connection, one link thread per peer
-//! (outbound), and a protocol thread running the shared
-//! [`runtime`](lls_primitives::runtime) driver.
+//! (outbound), and a protocol thread running the [`runtime`](crate::runtime)
+//! driver.
 //!
 //! The process sits behind a `Mutex`. A reader thread decodes each frame
-//! and runs `on_message` itself; the protocol thread keeps requests,
-//! kill/restart/stop and timers, and a reader whose handler armed a timer
+//! and runs `on_message` itself; the protocol thread keeps requests, stop
+//! and timers, and a reader whose handler armed a timer
 //! due before the protocol thread's planned wake-up nudges it with
 //! [`Control::Wake`]. Every handler, on whichever thread, sends through the
 //! same [`Outbound`] sink, which encodes each message with the shared wire
@@ -20,7 +20,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::{self, Control, NodeSpec, Process};
 use lls_primitives::wire::{
     decode_frame, decode_frame_any, encode_frame, encode_frame_sharded, encode_frame_stamped,
     Deframer, Wire,
@@ -30,6 +29,7 @@ use lls_primitives::{FaultInjector, LamportClock, ProcessId, Sm, TraceEnvelope};
 use crate::cluster::WireConfig;
 use crate::counters::LinkCounters;
 use crate::link::{run_link, PeerLink};
+use crate::runtime::{self, Control, NodeSpec, Process};
 
 /// A typed failure of a node's socket plumbing, surfaced through the node
 /// and cluster APIs instead of panicking — restart logic has to distinguish
@@ -240,7 +240,7 @@ where
             }),
         ));
 
-        // The protocol thread: requests, kill/restart/stop and timers.
+        // The protocol thread: requests, stop and timers.
         handles.push((
             "protocol",
             spawn_named("wirenet-protocol", {
@@ -264,7 +264,9 @@ where
             reader_handles,
         }
     }
+}
 
+impl<S: Sm> WireNode<S> {
     /// Delivers an external request to the state machine, through the
     /// protocol thread's inbox.
     pub(crate) fn request(&self, req: S::Request) {

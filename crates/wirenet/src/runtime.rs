@@ -1,25 +1,18 @@
-//! The wall-clock node driver, and the one [`Cluster`] interface a harness
-//! drives a wall-clock substrate through.
+//! The wall-clock node driver every wirenet process runs.
 //!
 //! An [`Sm`] is pure, so what a runtime adds exists once, here: the timer
 //! table with reset semantics, the wall-clock → tick mapping, dispatch of
 //! the stimuli, each process's latest [`TimedOutput`] (plus its whole output
 //! history for a harness that asks for it), Lamport stamping of each send
-//! attempt, and the protocol-level send counters the
-//! communication-efficiency oracle reads. A [`Process`] holds one process's
+//! attempt, and the protocol-level send counters a harness reads to tell
+//! which processes still send. A [`Process`] holds one process's
 //! state and is stepped with a send sink passed per call, taking
 //! `(to, msg, envelope)`; [`drive`] is the one loop that fires its timers
-//! and handles its inbox. `wirenet` shares the process behind a `Mutex`
-//! between the loop, which keeps requests, kill/restart/stop and timers,
-//! and its socket reader threads, which merge each frame's envelope into
-//! the receiver's [`LamportClock`] and then call [`Process::deliver`]
-//! themselves, so the handler runs causally after the send.
-//!
-//! A wall-clock cluster implements [`Cluster`]: spawn is its own, and
-//! everything after it (requests, kill and restart, the reads over each
-//! process's [`NodeLog`], stop and the shared [`RunReport`]) is written
-//! once against the trait. [`await_stable_leader`] is the one wait for a
-//! settled election.
+//! and handles its inbox. A node shares the process behind a `Mutex`
+//! between the loop, which keeps requests, stop and timers, and its socket
+//! reader threads, which merge each frame's envelope into the receiver's
+//! [`LamportClock`] and then call [`Process::deliver`] themselves, so the
+//! handler runs causally after the send.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,24 +20,16 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use crate::TraceEnvelope;
-use crate::{Ctx, Effects, Env, Instant, LamportClock, ProcessId, Sm, TimerCmd, TimerId};
+use lls_primitives::{
+    Ctx, Effects, Env, Instant, LamportClock, ProcessId, Sm, TimerCmd, TimerId, TraceEnvelope,
+};
 
 /// One stimulus queued for a process's driver. Messages do not pass through
-/// the inbox: the transport's own threads hand them to
-/// [`Process::deliver`].
+/// the inbox: the node's reader threads hand them to [`Process::deliver`].
 #[derive(Debug)]
-pub enum Control<S: Sm> {
+pub(crate) enum Control<S: Sm> {
     /// An external request (client command).
     Request(S::Request),
-    /// Crashes the process: its timers are disarmed and every stimulus is
-    /// discarded until [`Control::Restart`].
-    Kill,
-    /// Brings a killed process back with a fresh machine (typically one
-    /// recovered from the storage its predecessor wrote) and runs its
-    /// `on_start`. Ignored while the process is alive. Boxed so a bounded
-    /// inbox's slots stay message-sized, not machine-sized.
-    Restart(Box<S>),
     /// Makes the driver re-read its timer table: sent after
     /// [`Process::deliver`] on another thread armed a timer due before the
     /// driver's planned wake-up. Otherwise a no-op.
@@ -69,9 +54,9 @@ const NEVER: u64 = u64::MAX;
 
 /// Protocol-level send accounting for one process: a send is counted when
 /// the state machine emits it, before loss or queueing can interfere. This
-/// is what the communication-efficiency oracle (`senders_since`) measures.
+/// is what a harness reads to tell which processes still send.
 #[derive(Debug)]
-pub struct NodeTraffic {
+pub(crate) struct NodeTraffic {
     sent: AtomicU64,
     last_send_nanos: AtomicU64,
 }
@@ -87,7 +72,7 @@ impl Default for NodeTraffic {
 
 impl NodeTraffic {
     /// Counts `sends` sends emitted `at` (an offset from the epoch).
-    pub fn record(&self, sends: u64, at: StdDuration) {
+    pub(crate) fn record(&self, sends: u64, at: StdDuration) {
         self.sent.fetch_add(sends, Ordering::Relaxed);
         let nanos = at.as_nanos().min(u128::from(NEVER - 1)) as u64;
         self.last_send_nanos.store(nanos, Ordering::Relaxed);
@@ -102,7 +87,7 @@ impl NodeTraffic {
     /// are still two relaxed atomics, but every caller now gets both fields
     /// from one named snapshot, so a torn pair can't be split across
     /// decision points.
-    pub fn snapshot(&self) -> NodeTrafficStats {
+    pub(crate) fn snapshot(&self) -> NodeTrafficStats {
         NodeTrafficStats {
             sent: self.sent.load(Ordering::Relaxed),
             last_send: match self.last_send_nanos.load(Ordering::Relaxed) {
@@ -115,15 +100,15 @@ impl NodeTraffic {
 
 /// A frozen copy of one process's protocol-level send accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeTrafficStats {
+pub(crate) struct NodeTrafficStats {
     /// Total protocol-level sends.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Offset from the epoch of the most recent send, if any.
-    pub last_send: Option<StdDuration>,
+    pub(crate) last_send: Option<StdDuration>,
 }
 
 /// The panic message for reading history a cluster did not record.
-const HISTORY_OFF: &str = "output history was not recorded: spawn the cluster with \
+pub(crate) const HISTORY_OFF: &str = "output history was not recorded: spawn the cluster with \
      `record_outputs: true` in its config to read it";
 
 /// What a [`NodeLog`] keeps of its process's outputs.
@@ -161,23 +146,16 @@ impl<O> Kept<O> {
 /// What the drivers of one process leave for its cluster: the newest output
 /// and the send counts of all its incarnations, so a killed process stays in
 /// live snapshots and in the final report. With recording on it also keeps
-/// every output, read through [`outputs_since`] and [`RunReport`].
+/// every output, read through [`outputs_since`] and the stop report.
 #[derive(Debug)]
-pub struct NodeLog<O> {
+pub(crate) struct NodeLog<O> {
     outputs: Mutex<Kept<O>>,
     traffic: NodeTraffic,
 }
 
-impl<O> Default for NodeLog<O> {
-    /// A log that keeps only the latest output.
-    fn default() -> Self {
-        NodeLog::new(false)
-    }
-}
-
 impl<O> NodeLog<O> {
     /// A log that keeps the latest output, and every output if `record`.
-    pub fn new(record: bool) -> Self {
+    pub(crate) fn new(record: bool) -> Self {
         NodeLog {
             outputs: Mutex::new(if record {
                 Kept::History(Vec::new())
@@ -189,7 +167,7 @@ impl<O> NodeLog<O> {
     }
 
     /// The process's send counters.
-    pub fn traffic(&self) -> NodeTrafficStats {
+    pub(crate) fn traffic(&self) -> NodeTrafficStats {
         self.traffic.snapshot()
     }
 
@@ -223,13 +201,14 @@ impl<O> NodeLog<O> {
 
 impl<O: Clone> NodeLog<O> {
     /// The newest output, if any.
-    pub fn latest(&self) -> Option<O> {
+    pub(crate) fn latest(&self) -> Option<O> {
         self.lock().latest().map(|t| t.output.clone())
     }
 }
 
 /// How far a reader has read each process's recorded outputs; see
-/// [`outputs_since`]. A fresh cursor reads from the start of the run.
+/// [`WireCluster::outputs_since`](crate::WireCluster::outputs_since). A
+/// fresh cursor reads from the start of the run.
 #[derive(Debug, Clone, Default)]
 pub struct OutputCursor {
     read: Vec<usize>,
@@ -242,7 +221,7 @@ pub struct OutputCursor {
 /// # Panics
 ///
 /// Panics if the logs keep no history (`record_outputs` off).
-pub fn outputs_since<O: Clone>(
+pub(crate) fn outputs_since<O: Clone>(
     logs: &[Arc<NodeLog<O>>],
     cursor: &mut OutputCursor,
 ) -> Vec<TimedOutput<O>> {
@@ -260,78 +239,32 @@ pub fn outputs_since<O: Clone>(
     fresh
 }
 
-/// What every wall-clock substrate reports when it stops: each process's
-/// newest output, its send counters and, when the cluster recorded them,
-/// every output of the run. A substrate's report adds its own counters and
-/// dereferences to this one.
-#[derive(Debug, Clone)]
-pub struct RunReport<O> {
-    latest: Vec<Option<O>>,
-    history: Option<Vec<TimedOutput<O>>>,
-    /// Protocol-level sends per process, counted when the state machine
-    /// emits them, before any loss or queueing.
-    pub sent: Vec<u64>,
-    /// Offset from the epoch of each process's last protocol-level send.
-    pub last_send: Vec<Option<StdDuration>>,
-}
-
-impl<O: Clone> RunReport<O> {
-    /// Moves what `logs` kept into one record, history ordered by emission
-    /// time. Call it once, after every driver has been joined.
-    pub fn collect(logs: &[Arc<NodeLog<O>>]) -> Self {
-        let (sent, last_send) = traffic_snapshot(logs);
-        let mut latest = Vec::with_capacity(logs.len());
-        let mut history = Some(Vec::new());
-        for log in logs {
-            let mut kept = log.lock();
-            latest.push(kept.latest().map(|t| t.output.clone()));
-            match (&mut *kept, &mut history) {
-                (Kept::History(own), Some(all)) => all.append(own),
-                _ => history = None,
-            }
-        }
-        if let Some(all) = &mut history {
-            all.sort_by_key(|t| t.at);
-        }
-        RunReport {
-            latest,
-            history,
-            sent,
-            last_send,
+/// Moves what `logs` kept out for the stop report: each process's newest
+/// output and, when every log recorded it, the whole run's history ordered
+/// by emission time. Call it once, after every driver has been joined.
+pub(crate) fn collect<O: Clone>(
+    logs: &[Arc<NodeLog<O>>],
+) -> (Vec<Option<O>>, Option<Vec<TimedOutput<O>>>) {
+    let mut latest = Vec::with_capacity(logs.len());
+    let mut history = Some(Vec::new());
+    for log in logs {
+        let mut kept = log.lock();
+        latest.push(kept.latest().map(|t| t.output.clone()));
+        match (&mut *kept, &mut history) {
+            (Kept::History(own), Some(all)) => all.append(own),
+            _ => history = None,
         }
     }
-}
-
-impl<O> RunReport<O> {
-    /// Every output of the run, killed incarnations included, ordered by
-    /// emission time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster did not record its history.
-    pub fn outputs(&self) -> &[TimedOutput<O>] {
-        self.history.as_deref().expect(HISTORY_OFF)
+    if let Some(all) = &mut history {
+        all.sort_by_key(|t| t.at);
     }
-
-    /// The last output `p` emitted, in whichever incarnation, if any.
-    pub fn final_output_of(&self, p: ProcessId) -> Option<&O> {
-        self.latest[p.as_usize()].as_ref()
-    }
-
-    /// Processes whose last send happened at or after `since` (from the
-    /// epoch): the communication-efficiency oracle, as in `netsim`.
-    pub fn senders_since(&self, since: StdDuration) -> Vec<ProcessId> {
-        self.last_send
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_some_and(|t| t >= since))
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect()
-    }
+    (latest, history)
 }
 
 /// Every process's `(sent, last_send)` counters, indexed by process.
-pub fn traffic_snapshot<O>(logs: &[Arc<NodeLog<O>>]) -> (Vec<u64>, Vec<Option<StdDuration>>) {
+pub(crate) fn traffic_snapshot<O>(
+    logs: &[Arc<NodeLog<O>>],
+) -> (Vec<u64>, Vec<Option<StdDuration>>) {
     logs.iter()
         .map(|log| {
             let t = log.traffic();
@@ -340,142 +273,19 @@ pub fn traffic_snapshot<O>(logs: &[Arc<NodeLog<O>>]) -> (Vec<u64>, Vec<Option<St
         .unzip()
 }
 
-/// The output type of cluster `C`'s state machine.
-pub type Output<C> = <<C as Cluster>::Sm as Sm>::Output;
-
-/// A running wall-clock cluster, as a harness drives it. `wirenet::WireCluster`
-/// implements it; an experiment or a test written against it would run
-/// unchanged on another substrate that did.
-///
-/// The contract an implementation keeps:
-///
-/// - A request sent to a killed process is dropped, like one sent to a
-///   crashed server: it is never handled, not even after a restart.
-/// - A killed incarnation's last output stays in
-///   [`latest_outputs`](Cluster::latest_outputs) and in the report's
-///   [`final_output_of`](RunReport::final_output_of) until the process
-///   emits again, and its sends stay counted.
-/// - Restarting a live process does nothing: the running incarnation
-///   carries on and the fresh machine is dropped.
-///
-/// The read methods are written once here, over each process's
-/// [`NodeLog`].
-pub trait Cluster: Sized {
-    /// The state machine every process runs.
-    type Sm: Sm;
-    /// What [`stop`](Cluster::stop) returns: the shared [`RunReport`] plus
-    /// the substrate's own counters.
-    type Report: std::ops::Deref<Target = RunReport<Output<Self>>>;
-
-    /// Each process's log, indexed by process, written by all its
-    /// incarnations.
-    fn logs(&self) -> &[Arc<NodeLog<Output<Self>>>];
-
-    /// The wall-clock instant every node's virtual clock counts ticks from.
-    /// An external client maps its own timestamps into the same tick domain
-    /// with `(now - epoch) / tick`, so client- and replica-side probe events
-    /// share one timeline.
-    fn epoch(&self) -> StdInstant;
-
-    /// The wall-clock length of one tick.
-    fn tick(&self) -> StdDuration;
-
-    /// Hands an external request to `p`; dropped if `p` is dead.
-    fn request(&self, p: ProcessId, req: <Self::Sm as Sm>::Request);
-
-    /// Crashes `p`: it handles nothing until [`restart`](Cluster::restart)
-    /// brings it back; without a restart this is crash-stop.
-    fn kill(&mut self, p: ProcessId);
-
-    /// Brings a killed `p` back with a fresh machine, typically one recovered
-    /// from the storage its predecessor wrote, and runs its `on_start`.
-    /// Does nothing while `p` is alive.
-    ///
-    /// # Panics
-    ///
-    /// A substrate that cannot bring `p` back panics (wirenet: its listen
-    /// address cannot be re-bound).
-    fn restart(&mut self, p: ProcessId, sm: Self::Sm);
-
-    /// Stops every process, joins every thread, and reports the run.
-    fn stop(self) -> Self::Report;
-
-    /// Number of processes.
-    fn n(&self) -> usize {
-        self.logs().len()
-    }
-
-    /// Each process's most recent output, if any; for a dead (or restarted
-    /// and still quiet) process, its last incarnation's.
-    fn latest_outputs(&self) -> Vec<Option<Output<Self>>> {
-        self.logs().iter().map(|log| log.latest()).collect()
-    }
-
-    /// Every output emitted since `cursor` last read, killed incarnations
-    /// included; see [`outputs_since`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster records its output history.
-    fn outputs_since(&self, cursor: &mut OutputCursor) -> Vec<TimedOutput<Output<Self>>> {
-        outputs_since(self.logs(), cursor)
-    }
-
-    /// A live snapshot of `(sent, last_send)` per process, killed
-    /// incarnations included.
-    fn traffic_snapshot(&self) -> (Vec<u64>, Vec<Option<StdDuration>>) {
-        traffic_snapshot(self.logs())
-    }
-}
-
-/// Polls `cluster` every 20 ms until every process in `members` names the
-/// same leader through `leader`, and has named it for `hold` without a
-/// break; returns that leader, or `None` once `timeout` has passed.
-/// Agreement that does not hold for `hold` (start-up churn) does not count.
-pub fn await_stable_leader<C: Cluster>(
-    cluster: &C,
-    members: &[ProcessId],
-    leader: impl Fn(&Output<C>) -> Option<ProcessId>,
-    hold: StdDuration,
-    timeout: StdDuration,
-) -> Option<ProcessId> {
-    let deadline = StdInstant::now() + timeout;
-    let mut agreed: Option<(ProcessId, StdInstant)> = None;
-    loop {
-        let latest = cluster.latest_outputs();
-        let mut views = members
-            .iter()
-            .map(|p| latest[p.as_usize()].as_ref().and_then(&leader));
-        let first = views.next().flatten();
-        match (first.filter(|l| views.all(|v| v == Some(*l))), agreed) {
-            (Some(l), Some((held, since))) if l == held => {
-                if since.elapsed() >= hold {
-                    return Some(l);
-                }
-            }
-            (Some(l), _) => agreed = Some((l, StdInstant::now())),
-            (None, _) => agreed = None,
-        }
-        if StdInstant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(StdDuration::from_millis(20));
-    }
-}
-
 /// What one process's driver runs with, besides its machine and inbox.
 #[derive(Debug, Clone)]
-pub struct NodeSpec<O> {
+pub(crate) struct NodeSpec<O> {
     /// The process's identity and system size.
-    pub env: Env,
+    pub(crate) env: Env,
     /// The instant tick 0 starts at, shared by the whole cluster.
-    pub epoch: StdInstant,
+    pub(crate) epoch: StdInstant,
     /// Wall-clock length of one tick (scales η and timeouts).
-    pub tick: StdDuration,
+    pub(crate) tick: StdDuration,
     /// Ticked once per send attempt; the stamp travels in the envelope.
-    pub clock: LamportClock,
+    pub(crate) clock: LamportClock,
     /// Where the outputs and send counts go.
-    pub log: Arc<NodeLog<O>>,
+    pub(crate) log: Arc<NodeLog<O>>,
 }
 
 /// The driver loop: runs `on_start`, then fires due timers and handles the
@@ -486,7 +296,7 @@ pub struct NodeSpec<O> {
 /// [`deliver`](Process::deliver) messages in between. A poisoned lock means
 /// a handler panicked on such a thread; the process is then dead and the
 /// loop ends.
-pub fn drive<S: Sm>(
+pub(crate) fn drive<S: Sm>(
     process: &Mutex<Process<S>>,
     inbox: &Receiver<Control<S>>,
     mut send: impl FnMut(ProcessId, S::Msg, TraceEnvelope),
@@ -522,18 +332,16 @@ enum Life {
     /// Created; `on_start` runs at the first stimulus.
     Unstarted,
     Alive,
-    /// Killed: stimuli are dropped until a restart.
-    Dead,
     /// Processed [`Control::Stop`]: no handler runs again.
     Stopped,
 }
 
 /// One process's driver state: its machine, timer table, life and spec.
 /// The send sink is passed per call, so whichever thread holds the process
-/// can step it. [`drive`] runs it from an inbox; a transport whose own
-/// threads handle messages shares it with the driving thread behind a
-/// `Mutex` and calls [`Process::deliver`] from them.
-pub struct Process<S: Sm> {
+/// can step it. [`drive`] runs it from an inbox; the node's reader threads
+/// share it with the driving thread behind a `Mutex` and call
+/// [`Process::deliver`] themselves.
+pub(crate) struct Process<S: Sm> {
     spec: NodeSpec<S::Output>,
     sm: S,
     timers: HashMap<TimerId, StdInstant>,
@@ -555,7 +363,7 @@ impl<S: Sm> std::fmt::Debug for Process<S> {
 
 impl<S: Sm> Process<S> {
     /// A process whose `on_start` runs at its first stimulus.
-    pub fn new(spec: NodeSpec<S::Output>, sm: S) -> Self {
+    pub(crate) fn new(spec: NodeSpec<S::Output>, sm: S) -> Self {
         Process {
             spec,
             sm,
@@ -565,11 +373,10 @@ impl<S: Sm> Process<S> {
         }
     }
 
-    /// Runs `on_message` for `msg` from `from`; a dead or stopped process
-    /// drops it. Returns `true` when the handler armed a timer due before
+    /// Runs `on_message` for `msg` from `from`; a stopped process drops it. Returns `true` when the handler armed a timer due before
     /// the driving thread's planned wake-up: the caller must then send
     /// [`Control::Wake`] to the driver's inbox, or that timer fires late.
-    pub fn deliver(
+    pub(crate) fn deliver(
         &mut self,
         from: ProcessId,
         msg: S::Msg,
@@ -603,18 +410,8 @@ impl<S: Sm> Process<S> {
             Control::Request(req) if self.life == Life::Alive => {
                 self.step(StdInstant::now(), send, |sm, ctx| sm.on_request(ctx, req));
             }
-            Control::Kill => {
-                self.life = Life::Dead;
-                self.timers.clear();
-            }
-            Control::Restart(fresh) if self.life == Life::Dead => {
-                self.sm = *fresh;
-                self.life = Life::Alive;
-                self.step(StdInstant::now(), send, |sm, ctx| sm.on_start(ctx));
-            }
-            // A dead process drops its stimuli, like the network dropping
-            // traffic to a crashed node; a live one ignores restarts.
-            Control::Request(_) | Control::Restart(_) | Control::Wake => {}
+            // A stopped process drops its stimuli.
+            Control::Request(_) | Control::Wake => {}
             Control::Stop => {
                 self.life = Life::Stopped;
                 self.timers.clear();
@@ -710,7 +507,7 @@ impl<S: Sm> Process<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
+    use lls_primitives::Duration;
     use std::sync::mpsc::{channel, Sender};
     use std::thread::JoinHandle;
 
@@ -740,19 +537,9 @@ mod tests {
         }
     }
 
-    /// Starts a `Race` driver with `queued` already in its inbox; the
-    /// handle yields the last Lamport stamp it sent.
-    fn spawn_race(
-        queued: Vec<Control<Race>>,
-    ) -> (
-        Sender<Control<Race>>,
-        Arc<NodeLog<TimerId>>,
-        JoinHandle<u64>,
-    ) {
+    /// Starts a `Race` driver.
+    fn spawn_race() -> (Sender<Control<Race>>, Arc<NodeLog<TimerId>>, JoinHandle<()>) {
         let (tx, rx) = channel();
-        for control in queued {
-            tx.send(control).expect("inbox open");
-        }
         let log = Arc::new(NodeLog::new(true));
         let spec = NodeSpec {
             env: Env::new(ProcessId(0), 2),
@@ -762,10 +549,8 @@ mod tests {
             log: Arc::clone(&log),
         };
         let handle = std::thread::spawn(move || {
-            let mut stamps = 0;
             let process = Mutex::new(Process::new(spec, Race));
-            drive(&process, &rx, |_, _, envelope| stamps = envelope.lamport);
-            stamps
+            drive(&process, &rx, |_, _, _| {});
         });
         (tx, log, handle)
     }
@@ -790,28 +575,11 @@ mod tests {
 
     #[test]
     fn a_timer_cancelled_earlier_in_its_batch_does_not_fire() {
-        let (tx, log, handle) = spawn_race(Vec::new());
+        let (tx, log, handle) = spawn_race();
         await_first_fire(&log);
         tx.send(Control::Stop).expect("driver alive");
         handle.join().expect("driver exits cleanly");
         assert_eq!(fired(&log), vec![TimerId(1)], "earliest id wins the tie");
-    }
-
-    #[test]
-    fn a_killed_process_drops_stimuli_until_restarted() {
-        let (tx, log, handle) = spawn_race(vec![Control::Kill, Control::Request(())]);
-        // Absence can only be observed by waiting past the timers' deadline.
-        std::thread::sleep(StdDuration::from_millis(50));
-        assert_eq!(fired(&log), vec![], "kill disarms the pending timers");
-        assert_eq!(log.traffic().sent, 0, "a dead process sends nothing");
-        tx.send(Control::Restart(Box::new(Race)))
-            .expect("driver alive");
-        tx.send(Control::Request(())).expect("driver alive");
-        await_first_fire(&log);
-        drop(tx);
-        assert_eq!(handle.join().expect("driver exits cleanly"), 1);
-        assert_eq!(fired(&log), vec![TimerId(1)], "the fresh machine ran");
-        assert_eq!(log.traffic().sent, 1);
     }
 
     /// Process 0 of 2 running `sm`, with 1 ms ticks.
@@ -821,7 +589,7 @@ mod tests {
             epoch: StdInstant::now(),
             tick: StdDuration::from_millis(1),
             clock: LamportClock::new(0),
-            log: Arc::default(),
+            log: Arc::new(NodeLog::new(false)),
         };
         Process::new(spec, sm)
     }
@@ -911,7 +679,7 @@ mod tests {
 
     #[test]
     fn a_log_without_history_holds_only_the_latest_output() {
-        let log = NodeLog::default();
+        let log = NodeLog::new(false);
         for v in 0..10_000_u64 {
             log.push(StdDuration::from_micros(v), ProcessId(0), vec![v]);
         }
@@ -937,9 +705,8 @@ mod tests {
         let read = |batch: &[TimedOutput<u64>]| batch.iter().map(|t| t.output).collect::<Vec<_>>();
         assert_eq!(read(&first), vec![10, 11, 0], "sorted by `at`");
         assert_eq!(read(&second), vec![1, 2]);
-        let report = RunReport::collect(&logs);
-        assert_eq!(read(report.outputs()), vec![10, 11, 0, 1, 2]);
-        assert_eq!(report.final_output_of(ProcessId(0)), Some(&2));
-        assert_eq!(report.final_output_of(ProcessId(1)), Some(&11));
+        let (latest, history) = collect(&logs);
+        assert_eq!(read(&history.expect("recorded")), vec![10, 11, 0, 1, 2]);
+        assert_eq!(latest, vec![Some(2), Some(11)]);
     }
 }

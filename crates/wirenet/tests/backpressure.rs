@@ -11,7 +11,6 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
 use lls_obs::Registry;
-use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
@@ -47,7 +46,8 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
     // Await a unanimous stable leader before flooding it.
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
-    let leader = await_stable_leader(&cluster, &all, RsmEvent::leader, hold, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, RsmEvent::leader, hold, timeout)
         .expect("no stable leader over TCP");
 
     // Take one follower down, so the leader's link to it must queue.

@@ -1,11 +1,9 @@
-//! The `runtime::Cluster` contract, checked through the trait on wirenet's
-//! TCP cluster: a request sent to a killed process is never handled, a
-//! killed incarnation's last output stays readable, and restarting a live
-//! process does nothing.
+//! The contract `WireCluster` keeps across kill and restart: a request
+//! sent to a killed process is never handled, a killed incarnation's last
+//! output stays readable, and restarting a live process does nothing.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::Cluster;
 use lls_primitives::{Ctx, ProcessId, Sm, TimerId};
 use wirenet::{WireCluster, WireConfig};
 
@@ -35,7 +33,7 @@ impl Sm for Tagger {
 /// Polls until `p`'s latest output is `want`. A process handles its
 /// requests and restarts in the order they were sent, so once `want` shows,
 /// everything sent before it has been handled or dropped.
-fn await_latest(cluster: &impl Cluster<Sm = Tagger>, p: ProcessId, want: (u64, u64)) {
+fn await_latest(cluster: &WireCluster<Tagger>, p: ProcessId, want: (u64, u64)) {
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
     while cluster.latest_outputs()[p.as_usize()] != Some(want) {
         let latest = cluster.latest_outputs();
@@ -47,7 +45,15 @@ fn await_latest(cluster: &impl Cluster<Sm = Tagger>, p: ProcessId, want: (u64, u
     }
 }
 
-fn keeps_the_contract(mut cluster: impl Cluster<Sm = Tagger>) {
+#[test]
+fn wirenet_keeps_the_cluster_contract() {
+    let config = WireConfig {
+        n: 2,
+        tick: StdDuration::from_millis(1),
+        record_outputs: true,
+        ..WireConfig::default()
+    };
+    let mut cluster = WireCluster::spawn(config, |_| Tagger(1));
     let (p0, p1) = (ProcessId(0), ProcessId(1));
     cluster.request(p1, 1);
     await_latest(&cluster, p1, (1, 1));
@@ -58,11 +64,15 @@ fn keeps_the_contract(mut cluster: impl Cluster<Sm = Tagger>) {
         Some((1, 1)),
         "killed p1's output"
     );
-    cluster.restart(p1, Tagger(2));
+    cluster
+        .restart(p1, Tagger(2))
+        .expect("re-bind p1's address");
     await_latest(&cluster, p1, (2, 0));
     cluster.request(p1, 3);
     await_latest(&cluster, p1, (2, 3));
-    cluster.restart(p0, Tagger(9));
+    cluster
+        .restart(p0, Tagger(9))
+        .expect("a live restart is a no-op");
     cluster.request(p0, 4);
     await_latest(&cluster, p0, (1, 4));
     cluster.kill(p0);
@@ -82,15 +92,4 @@ fn keeps_the_contract(mut cluster: impl Cluster<Sm = Tagger>) {
         history.iter().all(|&(_, (i, r))| r != 2 && i != 9),
         "a request to a dead process or a live restart ran: {history:?}"
     );
-}
-
-#[test]
-fn wirenet_keeps_the_cluster_contract() {
-    let config = WireConfig {
-        n: 2,
-        tick: StdDuration::from_millis(1),
-        record_outputs: true,
-        ..WireConfig::default()
-    };
-    keeps_the_contract(WireCluster::spawn(config, |_| Tagger(1)));
 }

@@ -5,7 +5,6 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{ClusterReport, FaultConfig, WireCluster, WireConfig};
@@ -47,7 +46,8 @@ fn cluster_elects_a_single_leader_under_loss() {
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(20);
-    let leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, timeout)
         .expect("no stable agreement under loss");
     let report = cluster.stop();
     let finals = final_leaders(&report, n);
@@ -98,14 +98,15 @@ fn crashed_leader_is_replaced_on_real_threads() {
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(10);
-    let dead = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, timeout)
+    let dead = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, timeout)
         .expect("no stable leader before the crash");
     cluster.kill(dead);
     // Wait until the survivors have named one live leader for 200 ms.
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|&p| p != dead).collect();
     let live = |l: &ProcessId| (*l != dead).then_some(*l);
     let (hold, timeout) = (StdDuration::from_millis(200), StdDuration::from_secs(20));
-    let settled = await_stable_leader(&cluster, &survivors, live, hold, timeout);
+    let settled = cluster.await_stable_leader(&survivors, live, hold, timeout);
     assert!(
         settled.is_some(),
         "survivors never settled on a live leader after {dead} died: {:?}",

@@ -4,7 +4,6 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::ProcessId;
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{BackoffConfig, FaultConfig, WireCluster, WireConfig};
@@ -41,7 +40,8 @@ fn three_processes_elect_one_leader_over_tcp() {
         CommEffOmega::new(env, OmegaParams::default())
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+    let leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, TIMEOUT)
         .expect("no agreement over TCP");
     let report = cluster.stop();
     for p in (0..n as u32).map(ProcessId) {
@@ -75,7 +75,8 @@ fn severed_leader_triggers_reelection_and_reconnect() {
     };
     let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-    let old_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+    let old_leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, TIMEOUT)
         .expect("no initial agreement");
 
     // Kill the leader's connections in a tight loop for half a second,
@@ -93,7 +94,8 @@ fn severed_leader_triggers_reelection_and_reconnect() {
     assert!(severed > 0, "nothing to sever: no live connections");
 
     // The survivors must have moved off the silent leader during the storm.
-    let new_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+    let new_leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, TIMEOUT)
         .expect("no re-agreement after sever storm");
     let report = cluster.stop();
     let reelected = report

@@ -9,7 +9,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::Cluster as _;
 use lls_primitives::{Ctx, Duration, ProcessId, Sm, TimerId};
 use wirenet::{NodeError, OutputCursor, WireCluster, WireConfig};
 

@@ -6,7 +6,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::Cluster as _;
 use lls_primitives::{Ctx, ProcessId, Sm, TimerId};
 use wirenet::{OutputCursor, TimedOutput, WireCluster, WireConfig};
 

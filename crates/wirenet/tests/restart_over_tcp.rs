@@ -2,20 +2,27 @@
 //! connections torn down, threads joined), the survivors re-elect, and the
 //! old leader restarts from its durable storage — re-binding its original
 //! address so the survivors' redial loops find it from the *accepting*
-//! side — and rejoins as a follower.
+//! side — and rejoins the agreement.
+//!
+//! Ω trusts the process with the least `(counter, id)`, and a restarted
+//! process comes back at its pre-crash counter plus one. So it ranks below
+//! any survivor whose counter is at most its pre-crash counter, and only
+//! then must it stay a follower. A survivor's counter rises each time
+//! another survivor accuses it (during the interim election, say); once
+//! every survivor's counter exceeds the old leader's pre-crash counter, the
+//! old leader, with the lowest id, may lead again.
 
 use std::time::Duration as StdDuration;
 
-use lls_primitives::runtime::await_stable_leader;
 use lls_primitives::{ProcessId, StorageHandle};
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 fn config(n: usize) -> WireConfig {
-    // A coarser tick than the election tests: leader-check timeouts get
-    // 30ms of wall-clock slack, so scheduler hiccups among the survivors
-    // cannot forge accusations that would tie their counters with the
-    // restarted process's bumped one.
+    // Leader-check timeouts get 30 ms of wall-clock slack at 1 ms ticks.
+    // Scheduler hiccups can still forge accusations among the survivors,
+    // which raise their counters; the assertions allow for that (see the
+    // module doc).
     WireConfig {
         n,
         tick: StdDuration::from_millis(1),
@@ -30,6 +37,13 @@ fn config(n: usize) -> WireConfig {
 /// elected, and how long it waits for that.
 const HOLD: StdDuration = StdDuration::from_millis(400);
 const TIMEOUT: StdDuration = StdDuration::from_secs(10);
+
+/// The accusation counter a process's Ω last made durable: the largest
+/// record in its store, since Ω writes each bump ahead.
+fn own_counter(store: &StorageHandle) -> u64 {
+    let records: Vec<u64> = store.load_records().expect("read the store");
+    records.into_iter().max().expect("Ω writes a boot record")
+}
 
 #[test]
 fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
@@ -47,22 +61,24 @@ fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
 
-    let old_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+    let old_leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, TIMEOUT)
         .expect("no initial agreement");
 
     // Kill the leader for real: listener gone, sockets severed, threads
     // joined. The survivors' writers fall back to redialling its address.
     cluster.kill(old_leader);
     assert!(!cluster.is_alive(old_leader));
+    let pre_crash = own_counter(&stores[old_leader.as_usize()]);
 
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|p| *p != old_leader).collect();
-    let interim = await_stable_leader(&cluster, &survivors, |l| Some(*l), HOLD, TIMEOUT)
+    let interim = cluster
+        .await_stable_leader(&survivors, |l| Some(*l), HOLD, TIMEOUT)
         .expect("survivors did not re-elect after the kill");
     assert_ne!(interim, old_leader, "survivors still trust the dead leader");
 
-    // Restart from the same durable store. The incarnation bump recovered
-    // from the WAL (counter 0 -> 1) ranks the old leader below the
-    // incumbents, so it must rejoin as a follower and adopt the new leader.
+    // Restart from the same durable store, at the incarnation bump
+    // `pre_crash + 1` recovered from the WAL.
     let env = lls_primitives::Env::new(old_leader, n);
     let recovered = CommEffOmega::with_storage(
         &env,
@@ -75,18 +91,26 @@ fn killed_leader_restarts_from_wal_and_rejoins_as_follower() {
         .expect("re-bind the old leader's address");
     assert!(cluster.is_alive(old_leader));
 
-    let final_leader = await_stable_leader(&cluster, &all, |l| Some(*l), HOLD, TIMEOUT)
+    let final_leader = cluster
+        .await_stable_leader(&all, |l| Some(*l), HOLD, TIMEOUT)
         .expect("no full agreement after the restart");
-    assert_ne!(
-        final_leader, old_leader,
-        "the restarted leader must not reclaim leadership"
-    );
 
     let report = cluster.stop();
+    let counters: Vec<u64> = stores.iter().map(own_counter).collect();
+    if survivors
+        .iter()
+        .any(|s| counters[s.as_usize()] <= pre_crash)
+    {
+        assert_ne!(
+            final_leader, old_leader,
+            "a survivor outranks the restarted leader, which must not reclaim \
+             leadership: counters {counters:?}, pre-crash {pre_crash}"
+        );
+    }
     assert_eq!(
         report.final_output_of(old_leader).copied(),
         Some(final_leader),
-        "the restarted process must follow the new leader"
+        "the restarted process must follow the agreed leader"
     );
     assert!(
         report.errors.is_empty(),

@@ -23,7 +23,6 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use consensus::{ConsensusParams, ReplicatedLog};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe};
-use lls_primitives::runtime::{await_stable_leader, Cluster as _};
 use lls_primitives::ProcessId;
 use wirenet::{scrape, OutputCursor, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
 
@@ -187,7 +186,8 @@ fn main() {
     // must hold for 300 ms.
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
-    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, KvEvent::leader, hold, timeout)
         .expect("no stable leader over TCP");
     println!("stable leader over TCP: {leader}\n");
 

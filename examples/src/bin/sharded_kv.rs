@@ -6,9 +6,9 @@
 //!
 //! * a [`PlacementMap`] hashes every key to one of `S` shard groups, each
 //!   an independent replicated log with its own slot sequence;
-//! * a [`ShardedSubmitQueue`] fans the client's commands out by key —
-//!   one flow-control window per shard — and routes each reply back to
-//!   the shard that owns it;
+//! * a [`SubmitQueue`] over the same map fans the client's commands out by
+//!   key — one flow-control window per shard — and routes each reply back
+//!   to the shard that owns it;
 //! * a [`ShardedKvNode`] per replica runs **one** shared Ω however many
 //!   groups it hosts, so going from one shard to four adds *no* election
 //!   traffic — leadership fans out to every co-located group.
@@ -21,7 +21,7 @@
 
 use consensus::shard::{PlacementManager, PlacementMap};
 use consensus::{BatchParams, ConsensusParams};
-use kvstore::{ClientId, KvClient, KvCmd, ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue};
+use kvstore::{ClientId, KvClient, KvCmd, ShardedKvEvent, ShardedKvNode, SubmitQueue};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 
@@ -66,10 +66,10 @@ fn drive(shards: u32) -> (u64, Vec<u64>, Vec<Option<String>>) {
     sim.run_until(Instant::from_ticks(start));
     let leader = sim.node(ProcessId(0)).omega().leader();
 
-    // The client mints its whole workload up front; the sharded queue
-    // routes each command by key and windows each shard independently.
+    // The client mints its whole workload up front; the queue routes each
+    // command by key and windows each shard independently.
     let mut client = KvClient::new(ClientId(1));
-    let mut queue = ShardedSubmitQueue::new(map.clone(), 8);
+    let mut queue = SubmitQueue::sharded(map.clone(), 8);
     for i in 0..COMMANDS {
         queue.submit(client.issue(KvCmd::put(key(i), format!("v{i}"))));
     }
@@ -80,10 +80,8 @@ fn drive(shards: u32) -> (u64, Vec<u64>, Vec<Option<String>>) {
     while !queue.is_idle() && now < start + 60_000 {
         // Release what each shard's window admits. The node routes by key
         // itself, so the wire request is just the tagged command.
-        for (_shard, cmds) in queue.drain() {
-            for cmd in cmds {
-                sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
-            }
+        for cmd in queue.drain() {
+            sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
         }
         now += 20;
         sim.run_until(Instant::from_ticks(now));

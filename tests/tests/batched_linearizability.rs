@@ -24,10 +24,9 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::{BatchParams, ConsensusParams};
 use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_primitives::runtime::{await_stable_leader, Cluster as _, OutputCursor};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
-use wirenet::{BackoffConfig, WireCluster, WireConfig};
+use wirenet::{BackoffConfig, OutputCursor, WireCluster, WireConfig};
 
 const N: usize = 3;
 const CLIENTS: u64 = 3;
@@ -207,7 +206,8 @@ fn batched_history_is_linearizable_on_wirenet() {
     .expect("bind 127.0.0.1 listeners");
     let all: Vec<ProcessId> = (0..N as u32).map(ProcessId).collect();
     let (hold, timeout) = (StdDuration::from_millis(300), StdDuration::from_secs(10));
-    let leader = await_stable_leader(&cluster, &all, KvEvent::leader, hold, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, KvEvent::leader, hold, timeout)
         .expect("wirenet: no stable leader");
     let ops = workload();
     for op in &ops {

@@ -4,11 +4,10 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use lls_primitives::runtime::{await_stable_leader, Cluster as _, OutputCursor};
 use lls_primitives::{Ctx, Duration, Instant, ProcessId, Sm, TimerId};
 use netsim::{SimBuilder, Topology};
 use omega::{CommEffOmega, OmegaParams};
-use wirenet::{FaultConfig, WireCluster, WireConfig};
+use wirenet::{FaultConfig, OutputCursor, WireCluster, WireConfig};
 
 /// A TCP cluster of `n` at 2 ms ticks whose sockets drop `loss` of the
 /// frames and delay each by 50 µs to `max_delay_us`. At 2 ms ticks Ω's
@@ -60,7 +59,7 @@ fn both_substrates_elect_p0_on_perfect_links() {
     let cluster = WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let timeout = StdDuration::from_secs(20);
-    let settled = await_stable_leader(&cluster, &all, |l| Some(*l), hold(config.tick), timeout);
+    let settled = cluster.await_stable_leader(&all, |l| Some(*l), hold(config.tick), timeout);
     let report = cluster.stop();
     assert_eq!(settled, Some(ProcessId(0)), "tcp: no stable p0");
     for p in (0..n as u32).map(ProcessId) {
@@ -102,13 +101,14 @@ fn failover_shape_matches_across_substrates() {
         WireCluster::spawn(config, |env| CommEffOmega::new(env, OmegaParams::default()));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let (hold, timeout) = (hold(config.tick), StdDuration::from_secs(20));
-    let victim = await_stable_leader(&cluster, &all, |l| Some(*l), hold, timeout)
+    let victim = cluster
+        .await_stable_leader(&all, |l| Some(*l), hold, timeout)
         .expect("tcp: no stable leader");
     cluster.kill(victim);
     let survivors: Vec<ProcessId> = all.iter().copied().filter(|&p| p != victim).collect();
     // A survivor still naming the victim counts as undecided.
     let live = |l: &ProcessId| (*l != victim).then_some(*l);
-    let after = await_stable_leader(&cluster, &survivors, live, hold, timeout);
+    let after = cluster.await_stable_leader(&survivors, live, hold, timeout);
     assert!(after.is_some(), "tcp: the survivors never settled");
     let report = cluster.stop();
     let tcp_final: Vec<ProcessId> = survivors
@@ -140,7 +140,8 @@ fn replicated_log_commits_on_real_threads() {
     // and break the exact-log assertion below.
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let (hold, timeout) = (StdDuration::from_millis(400), StdDuration::from_secs(10));
-    let leader = await_stable_leader(&cluster, &all, consensus::RsmEvent::leader, hold, timeout)
+    let leader = cluster
+        .await_stable_leader(&all, consensus::RsmEvent::leader, hold, timeout)
         .expect("no stable leader over TCP");
     for k in 0..5u64 {
         cluster.request(leader, k);
