@@ -34,8 +34,8 @@
 
 use std::sync::Arc;
 
-use consensus::checker::{check_consensus_safety, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams};
+use consensus::checker::check_consensus_safety;
+use consensus::{Consensus, ConsensusParams};
 use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
 use lls_primitives::{mix64, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
@@ -43,6 +43,7 @@ use omega::spec::{stabilization, LeaderRecord};
 use omega::{CommEffOmega, OmegaParams};
 use wirenet::WireCluster;
 
+use crate::e_consensus::decisions;
 use crate::table::Table;
 use crate::wall::{all, stable_leader, wire_config};
 
@@ -111,20 +112,6 @@ fn omega_records<P: Probe>(sim: &Simulator<CommEffOmega<P>>) -> Vec<LeaderRecord
             at: e.at,
             process: e.process,
             leader: e.output,
-        })
-        .collect()
-}
-
-fn consensus_decisions<P: Probe>(sim: &Simulator<Consensus<u64, P>>) -> Vec<DecisionRecord<u64>> {
-    sim.outputs()
-        .iter()
-        .filter_map(|e| match &e.output {
-            ConsensusEvent::Decided(v) => Some(DecisionRecord {
-                at: e.at,
-                process: e.process,
-                value: *v,
-            }),
-            _ => None,
         })
         .collect()
 }
@@ -286,7 +273,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         now += 4_000;
         sim.run_until(Instant::from_ticks(now));
         safe &= tally.check(
-            check_consensus_safety(&consensus_decisions(&sim), &proposals).is_ok(),
+            check_consensus_safety(&decisions(&sim), &proposals).is_ok(),
             || violation_dump("netsim/consensus post-kill safety", &recorders, &[victim]),
         );
         let env = Env::new(victim, n);
@@ -302,7 +289,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
         now += 10_000;
         sim.run_until(Instant::from_ticks(now));
         safe &= tally.check(
-            check_consensus_safety(&consensus_decisions(&sim), &proposals).is_ok(),
+            check_consensus_safety(&decisions(&sim), &proposals).is_ok(),
             || {
                 violation_dump(
                     "netsim/consensus post-restart safety",
@@ -316,7 +303,7 @@ fn netsim_consensus_scenario(n: usize, seed: u64, tally: &mut Tally) {
     gate_on_watchdog("netsim/consensus monotonicity", &watchdog, tally);
     // Liveness across the chaos: every process (restarted ones included)
     // decided at some point.
-    let ds = consensus_decisions(&sim);
+    let ds = decisions(&sim);
     let all_decided = (0..n as u32).all(|p| ds.iter().any(|d| d.process == ProcessId(p)));
     if safe && all_decided {
         tally.successes += 1;

@@ -1,25 +1,38 @@
 //! Experiments E6–E7: the consensus claims.
 
 use consensus::checker::{check_consensus_safety, DecisionRecord};
-use consensus::{classify_rsm_msg, Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
-use lls_primitives::{Instant, ProcessId};
+use consensus::{classify_rsm_msg, Consensus, ConsensusParams, ReplicatedLog};
+use lls_obs::Probe;
+use lls_primitives::{Env, Instant, ProcessId, Sm};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 
 use crate::percentile;
 use crate::table::Table;
 
-fn decisions(sim: &Simulator<Consensus<u64>>) -> Vec<DecisionRecord<u64>> {
-    sim.outputs()
-        .iter()
-        .filter_map(|e| match &e.output {
-            ConsensusEvent::Decided(v) => Some(DecisionRecord {
-                at: e.at,
-                process: e.process,
-                value: *v,
-            }),
-            _ => None,
-        })
+/// Every `Decided` output of a single-shot consensus run (E6, E14, E16).
+pub(crate) fn decisions<P: Probe>(sim: &Simulator<Consensus<u64, P>>) -> Vec<DecisionRecord<u64>> {
+    let outputs = sim.outputs().iter();
+    outputs
+        .filter_map(|e| e.output.decision(e.at, e.process))
         .collect()
+}
+
+/// Single-shot consensus at `env`, proposing 100 + its id (E6, E14).
+fn proposer(env: &Env) -> Consensus<u64> {
+    Consensus::new(
+        env,
+        ConsensusParams::default(),
+        Some(100 + env.id().0 as u64),
+    )
+}
+
+/// The `q`-th percentile of the sorted `values`, or `-` when there are none.
+fn percentile_cell(values: &[u64], q: f64) -> String {
+    if values.is_empty() {
+        "-".into()
+    } else {
+        percentile(values, q).to_string()
+    }
 }
 
 /// **E6** — consensus safety (always) and liveness (with a correct majority)
@@ -70,13 +83,7 @@ pub fn e6_consensus(seeds: u64, horizon: u64) -> Table {
                                 .crash_at(ProcessId(p), Instant::from_ticks(40 * (p as u64 + 1)));
                         }
                     }
-                    let mut sim = builder.build_with(|env| {
-                        Consensus::new(
-                            env,
-                            ConsensusParams::default(),
-                            Some(100 + env.id().0 as u64),
-                        )
-                    });
+                    let mut sim = builder.build_with(proposer);
                     sim.run_until(Instant::from_ticks(horizon));
                     let ds = decisions(&sim);
                     let proposals: Vec<u64> = (0..n as u64).map(|p| 100 + p).collect();
@@ -98,16 +105,8 @@ pub fn e6_consensus(seeds: u64, horizon: u64) -> Table {
                     crashes.to_string(),
                     violations.to_string(),
                     format!("{all_decided}/{seeds}"),
-                    if decide_times.is_empty() {
-                        "-".into()
-                    } else {
-                        percentile(&decide_times, 50.0).to_string()
-                    },
-                    if decide_times.is_empty() {
-                        "-".into()
-                    } else {
-                        percentile(&decide_times, 95.0).to_string()
-                    },
+                    percentile_cell(&decide_times, 50.0),
+                    percentile_cell(&decide_times, 95.0),
                 ]);
             }
         }
@@ -238,11 +237,60 @@ fn msgs_until(stats: &netsim::Stats, t: u64) -> u64 {
         .sum()
 }
 
+/// One E14 row: `seeds` runs of the arm `build` makes, to `horizon`. A run
+/// counts once every process decided (`decided` lists the decision ticks).
+/// Its messages and its churn are both read at its last decision: messages
+/// from the stats windows, churn (`churn` of the final state) by running
+/// the same seed again to that tick, since the Ω-gated log keeps electing
+/// after its decision when its leader changes.
+#[allow(clippy::too_many_arguments)]
+fn e14_row<S: Sm>(
+    algorithm: &str,
+    loss: f64,
+    gst: u64,
+    seeds: u64,
+    horizon: u64,
+    build: impl Fn(u64) -> Simulator<S>,
+    decided: impl Fn(&Simulator<S>) -> Vec<u64>,
+    churn: impl Fn(&Simulator<S>) -> u64,
+) -> Vec<String> {
+    let mut times = Vec::new();
+    let mut msgs = 0u64;
+    let mut churned = 0u64;
+    let mut decided_runs = 0usize;
+    for seed in 0..seeds {
+        let mut sim = build(seed);
+        sim.run_until(Instant::from_ticks(horizon));
+        let ds = decided(&sim);
+        if ds.len() == sim.n() {
+            decided_runs += 1;
+            let last = *ds.iter().max().unwrap();
+            times.push(last);
+            msgs += msgs_until(sim.stats(), last);
+            let mut rerun = build(seed);
+            rerun.run_until(Instant::from_ticks(last));
+            churned += churn(&rerun);
+        }
+    }
+    times.sort_unstable();
+    vec![
+        algorithm.to_owned(),
+        format!("{loss:.1}"),
+        gst.to_string(),
+        format!("{decided_runs}/{seeds}"),
+        percentile_cell(&times, 50.0),
+        percentile_cell(&times, 95.0),
+        format!("{:.0}", msgs as f64 / decided_runs.max(1) as f64),
+        format!("{:.1}", churned as f64 / decided_runs.max(1) as f64),
+    ]
+}
+
 /// **E14** — Ω-gated consensus vs the rotating-coordinator baseline
 /// (Chandra–Toueg ◇S style), same substrate and adversary: decision
-/// latency, total messages until everyone has decided, and churn
-/// (ballots/rounds burned). The comparison the paper's consensus section
-/// implies: Ω-gating removes coordinator roulette.
+/// latency, total messages until everyone has decided, and churn until
+/// everyone has decided (the highest ballot round any process promised, or
+/// the most rounds any process entered). The comparison the paper's
+/// consensus section implies: Ω-gating removes coordinator roulette.
 pub fn e14_vs_rotating(n: usize, seeds: u64, horizon: u64) -> Table {
     use consensus::{RotEvent, RotatingConsensus};
     let mut t = Table::new(vec![
@@ -255,6 +303,7 @@ pub fn e14_vs_rotating(n: usize, seeds: u64, horizon: u64) -> Table {
         "msgs_to_decide(mean)",
         "churn(mean)",
     ]);
+    let max_over = |f: &dyn Fn(ProcessId) -> u64| (0..n as u32).map(|p| f(ProcessId(p))).max();
     for &(loss, gst) in &[(0.1, 200u64), (0.4, 2_000)] {
         let topo = |seed: u64| {
             Topology::system_s(
@@ -267,107 +316,40 @@ pub fn e14_vs_rotating(n: usize, seeds: u64, horizon: u64) -> Table {
                 },
             )
         };
-        // Ω-gated.
-        let mut times = Vec::new();
-        let mut msgs = 0u64;
-        let mut churn = 0u64;
-        let mut decided_runs = 0usize;
-        for seed in 0..seeds {
-            let mut sim = SimBuilder::new(n)
-                .record_outputs()
-                .seed(seed)
-                .topology(topo(seed))
-                .build_with(|env| {
-                    Consensus::new(
-                        env,
-                        ConsensusParams::default(),
-                        Some(100 + env.id().0 as u64),
-                    )
-                });
-            sim.run_until(Instant::from_ticks(horizon));
-            let ds = decisions(&sim);
-            if ds.len() == n {
-                decided_runs += 1;
-                let last = ds.iter().map(|d| d.at.ticks()).max().unwrap();
-                times.push(last);
-                msgs += msgs_until(sim.stats(), last);
-                churn += (0..n as u32)
-                    .map(|p| sim.node(ProcessId(p)).promised().round())
-                    .max()
-                    .unwrap();
-            }
-        }
-        times.sort_unstable();
-        t.row(vec![
-            "omega-gated".to_owned(),
-            format!("{loss:.1}"),
-            gst.to_string(),
-            format!("{decided_runs}/{seeds}"),
-            if times.is_empty() {
-                "-".into()
-            } else {
-                percentile(&times, 50.0).to_string()
+        t.row(e14_row(
+            "omega-gated",
+            loss,
+            gst,
+            seeds,
+            horizon,
+            |seed| {
+                let sim = SimBuilder::new(n).record_outputs().seed(seed);
+                sim.topology(topo(seed)).build_with(proposer)
             },
-            if times.is_empty() {
-                "-".into()
-            } else {
-                percentile(&times, 95.0).to_string()
-            },
-            format!("{:.0}", msgs as f64 / decided_runs.max(1) as f64),
-            format!("{:.1}", churn as f64 / decided_runs.max(1) as f64),
-        ]);
-        // Rotating coordinator.
-        let mut times = Vec::new();
-        let mut msgs = 0u64;
-        let mut churn = 0u64;
-        let mut decided_runs = 0usize;
-        for seed in 0..seeds {
-            let mut sim = SimBuilder::new(n)
-                .record_outputs()
-                .seed(seed)
-                .topology(topo(seed))
-                .build_with(|env| {
+            |sim| decisions(sim).iter().map(|d| d.at.ticks()).collect(),
+            |sim| max_over(&|p| sim.node(p).promised().round()).unwrap(),
+        ));
+        t.row(e14_row(
+            "rotating-coord",
+            loss,
+            gst,
+            seeds,
+            horizon,
+            |seed| {
+                let sim = SimBuilder::new(n).record_outputs().seed(seed);
+                sim.topology(topo(seed)).build_with(|env| {
                     RotatingConsensus::new(env, ConsensusParams::default(), 100 + env.id().0 as u64)
-                });
-            sim.run_until(Instant::from_ticks(horizon));
-            let ds: Vec<Instant> = sim
-                .outputs()
-                .iter()
-                .filter_map(|e| match &e.output {
-                    RotEvent::Decided(_) => Some(e.at),
-                    _ => None,
                 })
-                .collect();
-            if ds.len() == n {
-                decided_runs += 1;
-                let last = ds.iter().map(|t| t.ticks()).max().unwrap();
-                times.push(last);
-                msgs += msgs_until(sim.stats(), last);
-                churn += (0..n as u32)
-                    .map(|p| sim.node(ProcessId(p)).rounds_entered())
-                    .max()
-                    .unwrap();
-            }
-        }
-        times.sort_unstable();
-        t.row(vec![
-            "rotating-coord".to_owned(),
-            format!("{loss:.1}"),
-            gst.to_string(),
-            format!("{decided_runs}/{seeds}"),
-            if times.is_empty() {
-                "-".into()
-            } else {
-                percentile(&times, 50.0).to_string()
             },
-            if times.is_empty() {
-                "-".into()
-            } else {
-                percentile(&times, 95.0).to_string()
+            |sim| {
+                let decided = sim.outputs().iter().filter_map(|e| match e.output {
+                    RotEvent::Decided(_) => Some(e.at.ticks()),
+                    _ => None,
+                });
+                decided.collect()
             },
-            format!("{:.0}", msgs as f64 / decided_runs.max(1) as f64),
-            format!("{:.1}", churn as f64 / decided_runs.max(1) as f64),
-        ]);
+            |sim| max_over(&|p| sim.node(p).rounds_entered()).unwrap(),
+        ));
     }
     t
 }

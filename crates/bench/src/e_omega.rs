@@ -152,18 +152,18 @@ pub fn e3_message_complexity(sizes: &[usize], horizon: u64) -> Table {
         "reduction",
     ]);
     for &n in sizes {
-        let tail_start = horizon / 2;
-        let periods = (horizon - tail_start) / eta;
+        // Messages per η over the whole stats windows inside
+        // [horizon/2, horizon): `Stats::finish` also flushes the partial
+        // window that starts at the horizon, which would count extra.
         let tail_rate = |stats: &netsim::Stats| -> f64 {
-            let cut = Instant::from_ticks(tail_start);
-            let total: u64 = stats
-                .windows()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (*i as u64 * stats.window_len().ticks()) >= cut.ticks())
-                .map(|(_, w)| w.messages)
-                .sum();
-            total as f64 / periods as f64
+            let w = stats.window_len().ticks();
+            let whole = stats.windows().iter().enumerate().filter(|(i, _)| {
+                let start = *i as u64 * w;
+                start >= horizon / 2 && start + w <= horizon
+            });
+            let (count, total) =
+                whole.fold((0u64, 0u64), |(c, m), (_, win)| (c + 1, m + win.messages));
+            total as f64 * eta as f64 / (count * w) as f64
         };
 
         let topo = Topology::system_s(n, ProcessId(0), SystemSParams::default());

@@ -491,26 +491,28 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
 }
 
 /// The first settlement of each `(node, client, seq)` a wall-clock
-/// cluster has emitted, read once each through a cursor.
+/// cluster has emitted, with its stamp (the offset from the cluster's
+/// epoch), read once each through a cursor.
 #[derive(Default)]
 struct Settled {
     cursor: OutputCursor,
-    first: BTreeMap<(ProcessId, ClientId, u64), KvResponse>,
+    first: BTreeMap<(ProcessId, ClientId, u64), (StdDuration, KvResponse)>,
 }
 
 impl Settled {
     /// Sends `cmd` to `node` and polls until `node` has settled it,
     /// re-sending it every 400 ms as a client retries (a forwarded
     /// read-index may race a leader change and drop; the retry is the
-    /// liveness story, exactly as for a real client). `None` after
-    /// `timeout`.
+    /// liveness story, exactly as for a real client). Returns the first
+    /// settlement's stamp and response, so its timing does not depend on
+    /// the poll; `None` after `timeout`.
     fn request(
         &mut self,
         cluster: &WireCluster<WallReplica>,
         node: ProcessId,
         cmd: Tagged<KvCmd>,
         timeout: StdDuration,
-    ) -> Option<KvResponse> {
+    ) -> Option<(StdDuration, KvResponse)> {
         let key = (node, cmd.client, cmd.seq);
         let deadline = StdInstant::now() + timeout;
         let mut last_issue = StdInstant::now();
@@ -526,7 +528,7 @@ impl Settled {
                 {
                     self.first
                         .entry((t.process, client, seq))
-                        .or_insert(response);
+                        .or_insert((t.at, response));
                 }
             }
             if let Some(response) = self.first.get(&key) {
@@ -556,14 +558,20 @@ struct WallTally {
 impl WallTally {
     /// Folds one read's outcome in: `round` is the write index the read
     /// must observe (the round's write settled before the read was
-    /// issued, so anything older is stale).
-    fn settle(&mut self, round: u64, issued: StdInstant, response: Option<KvResponse>) {
+    /// issued, so anything older is stale). `issued` and the settlement's
+    /// stamp are both offsets from the cluster's epoch.
+    fn settle(
+        &mut self,
+        round: u64,
+        issued: StdDuration,
+        settled: Option<(StdDuration, KvResponse)>,
+    ) {
         self.reads += 1;
-        match response {
-            Some(KvResponse::Value { value }) => {
+        match settled.map(|(at, response)| (at.saturating_sub(issued), response)) {
+            Some((latency, KvResponse::Value { value })) => {
                 self.served += 1;
                 self.latencies_us
-                    .push(u64::try_from(issued.elapsed().as_micros()).unwrap_or(u64::MAX));
+                    .push(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
                 if index_of(value.as_deref()) < round {
                     self.stale += 1;
                 }
@@ -649,7 +657,7 @@ fn wall_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
                 seq: round,
                 cmd: KvCmd::read(KEY),
             };
-            let issued = StdInstant::now();
+            let issued = StdInstant::now() - cluster.epoch();
             let response = settled.request(&cluster, node, read, timeout);
             tally.settle(round, issued, response);
         }

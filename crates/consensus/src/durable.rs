@@ -2,8 +2,10 @@
 //! arguments.
 //!
 //! A process that can be killed and restarted is only safe if everything it
-//! *told the rest of the system* survives the restart. For the protocols in
-//! this crate, that is exactly four kinds of state, each appended to the
+//! *told the rest of the system* survives the restart. For the
+//! [`ReplicatedLog`](crate::ReplicatedLog) — which single-shot
+//! [`Consensus`](crate::Consensus) and every shard group run — that is
+//! exactly four kinds of state, each an [`RsmRecord`] appended to the
 //! process's [`StorageHandle`](lls_primitives::StorageHandle) *before* the
 //! message that exposes it can leave the process (the runtimes drain effects
 //! only after a handler returns, so an append inside the handler is durable
@@ -13,19 +15,20 @@
 //! |---|---|---|
 //! | Ω own counter | `OmegaCounter` | Peers adopt the largest counter heard from us and accusations only count when they match it (the counter *is* the phase). Regressing it would let a demoted candidate re-claim leadership it lost — breaking eventual agreement — and desynchronise the accusation phase forever. |
 //! | promised ballot | `Promised` | A `Promise(b)` tells a proposer "no ballot `< b` can succeed through me". Forgetting it would let a restarted acceptor promise/accept an older ballot, producing two quorums for different values — the classic Paxos split brain. |
-//! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. A replicated-log acceptor keeps a slot's vote only until it learns the slot chosen, and reveals the chosen entry in its place (see *Votes of chosen slots*). |
-//! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and observable: the local application sees them, a single-shot decider announces its decision, a replicated-log leader advertises its chosen prefix (see *Learning from the leader's prefix*), and any replica serves chosen slots to laggards. A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
+//! | accepted ballot/entry | `Accepted` | A vote at `b` for a slot may already be part of a quorum that chose the entry. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting entry. An acceptor keeps a slot's vote only until it learns the slot chosen, and reveals the chosen entry in its place (see *Votes of chosen slots*). |
+//! | chosen slot | `Chosen` | Decisions are irrevocable and observable: the local application sees them, a leader advertises its chosen prefix (see *Learning from the leader's prefix*), and any replica serves chosen slots to laggards. A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
 //!
 //! # Recovery ("recovering rejoin mode")
 //!
-//! Recovery is performed synchronously inside `with_storage` constructors,
-//! **before** `on_start` delivers the first stimulus — the machine is never
-//! observable in a half-recovered state, so a restart cannot answer a
-//! `Prepare`/`Accept` from pre-crash amnesia. Recovered decisions are
-//! restored *without* re-emitting their outputs (the trace checkers require
-//! each process to decide at most once); and the recovered Ω counter is
-//! bumped by one (the incarnation bump), so the restarted process rejoins
-//! as a follower and defers to whoever was elected while it was down.
+//! Recovery is performed synchronously inside the builder
+//! ([`LogBuilder::build`](crate::LogBuilder::build)), **before** `on_start`
+//! delivers the first stimulus — the machine is never observable in a
+//! half-recovered state, so a restart cannot answer a `Prepare`/`Accept`
+//! from pre-crash amnesia. Recovered chosen slots are restored *without*
+//! re-emitting their outputs (the trace checkers require each process to
+//! decide at most once); and the recovered Ω counter is bumped by one (the
+//! incarnation bump), so the restarted process rejoins as a follower and
+//! defers to whoever was elected while it was down.
 //!
 //! If an append fails at runtime, the machine *wedges*: it stops reacting to
 //! all stimuli. A process whose durable storage is broken cannot safely keep
@@ -74,6 +77,31 @@
 //! the same `v`. Nothing in the WAL changes: the same records are appended
 //! as before, and recovery simply prefers `Chosen` over `Accepted` for a
 //! slot holding both.
+//!
+//! # Never lead below one's own promise
+//!
+//! A replica prepares, leads and votes for its own proposals only at a
+//! ballot at or above its own promise. When its acceptor promises a
+//! `Prepare`, or votes for an `Accept`, at a ballot `b` above the ballot
+//! `c` it is preparing or leading, it abdicates before the reply leaves:
+//! it drops its in-flight proposals and any lease, exactly as after a
+//! `Nack`, and re-prepares above its promise at its next retry tick if Ω
+//! still names it. The self-vote debug-asserts the rule.
+//!
+//! Why: a proposer's own acceptor counts in every quorum it gathers, by its
+//! self-promise while it prepares `c` and by its self-vote while it leads
+//! `c`. Promising `b` tells the leader of `b` that this acceptor casts no
+//! vote below `b`, and that leader picks its entries from what its promise
+//! quorum revealed. A replica that kept leading `c` would cast exactly that
+//! vote, and it could complete a quorum at `c` for an entry the leader of
+//! `b` never saw: two ballots would then choose different entries for one
+//! slot. The model checker found this schedule at n = 3, with no crash:
+//! p0 prepares `(1,p0)` and promises p1's `(1,p1)`, then completes its own
+//! prepare with p1's promise of `(1,p0)`; p0 and p2 choose p0's value at
+//! `(1,p0)` while p1 and p0 choose p1's at `(1,p1)`. A `Nack`, a higher
+//! lease grant and an Ω demotion already deposed a leader; the rule adds
+//! the two acceptor paths, so no acceptor — the leader's own included —
+//! ever votes below its promise.
 //!
 //! # Learning from the leader's prefix
 //!
@@ -151,59 +179,8 @@ use lls_primitives::wire::{Wire, WireError, WireReader};
 use crate::ballot::Ballot;
 use crate::msg::Entry;
 
-/// One durable record of a single-shot [`Consensus`](crate::Consensus)
-/// process. See the module docs for the per-field safety argument.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AcceptorRecord<V> {
-    /// The embedded Ω detector's own accusation counter reached this value.
-    OmegaCounter(u64),
-    /// The acceptor promised this ballot.
-    Promised(Ballot),
-    /// The acceptor accepted this (ballot, value) pair.
-    Accepted(Ballot, V),
-    /// This process decided this value.
-    Decided(V),
-}
-
-impl<V: Wire> Wire for AcceptorRecord<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AcceptorRecord::OmegaCounter(c) => {
-                out.push(0);
-                c.encode(out);
-            }
-            AcceptorRecord::Promised(b) => {
-                out.push(1);
-                b.encode(out);
-            }
-            AcceptorRecord::Accepted(b, v) => {
-                out.push(2);
-                b.encode(out);
-                v.encode(out);
-            }
-            AcceptorRecord::Decided(v) => {
-                out.push(3);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(AcceptorRecord::OmegaCounter(u64::decode(r)?)),
-            1 => Ok(AcceptorRecord::Promised(Ballot::decode(r)?)),
-            2 => Ok(AcceptorRecord::Accepted(Ballot::decode(r)?, V::decode(r)?)),
-            3 => Ok(AcceptorRecord::Decided(V::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                type_name: "AcceptorRecord",
-                tag,
-            }),
-        }
-    }
-}
-
 /// One durable record of a [`ReplicatedLog`](crate::ReplicatedLog) replica.
-/// Same safety arguments as [`AcceptorRecord`], per slot.
+/// See the module docs for the per-field safety argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmRecord<V> {
     /// The embedded Ω detector's own accusation counter reached this value.
@@ -300,21 +277,6 @@ mod tests {
     use lls_primitives::ProcessId;
 
     #[test]
-    fn acceptor_records_round_trip() {
-        let b = Ballot::new(3, ProcessId(1));
-        let records: Vec<AcceptorRecord<u64>> = vec![
-            AcceptorRecord::OmegaCounter(7),
-            AcceptorRecord::Promised(b),
-            AcceptorRecord::Accepted(b, 42),
-            AcceptorRecord::Decided(42),
-        ];
-        for rec in records {
-            let bytes = rec.to_bytes();
-            assert_eq!(AcceptorRecord::<u64>::from_bytes(&bytes).unwrap(), rec);
-        }
-    }
-
-    #[test]
     fn rsm_records_round_trip() {
         let b = Ballot::new(2, ProcessId(0));
         let records: Vec<RsmRecord<u64>> = vec![
@@ -339,7 +301,7 @@ mod tests {
     #[test]
     fn bad_tag_is_rejected() {
         assert!(matches!(
-            AcceptorRecord::<u64>::from_bytes(&[9]),
+            RsmRecord::<u64>::from_bytes(&[9]),
             Err(WireError::BadTag { .. })
         ));
     }

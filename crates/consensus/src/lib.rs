@@ -9,14 +9,15 @@
 //!
 //! This crate provides:
 //!
-//! * [`Consensus`] — single-shot, ballot-based, leader-driven consensus
-//!   (Synod-style) coordinated by the embedded communication-efficient Ω
-//!   detector. Retransmission timers defeat fair-lossy links; safety never
-//!   depends on timing, only liveness does.
-//! * [`ReplicatedLog`] — repeated consensus (Multi-Paxos style): the stable
-//!   leader runs the ballot phase *once* and then commits a stream of
-//!   commands at one round trip each — the steady state measured by
-//!   experiment E7.
+//! * [`ReplicatedLog`] — repeated consensus (Multi-Paxos style), ballot-based
+//!   and leader-driven, coordinated by the embedded communication-efficient
+//!   Ω detector: the stable leader runs the ballot phase *once* and then
+//!   commits a stream of commands at one round trip each — the steady state
+//!   measured by experiment E7. Retransmission timers defeat fair-lossy
+//!   links; safety never depends on timing, only liveness does.
+//! * [`Consensus`] — single-shot consensus as a thin wrapper over the log:
+//!   each process submits its proposal once, and the first command the log
+//!   commits is the decision.
 //! * [`RotatingConsensus`] — the pre-Ω state of the art (Chandra–Toueg ◇S
 //!   rotating coordinator), implemented as the baseline experiment E14
 //!   compares against.
@@ -62,21 +63,23 @@ pub mod checker;
 mod chosen;
 pub mod durable;
 mod msg;
+mod params;
 mod rotating;
 mod rsm;
 pub mod shard;
 mod single;
 
 pub use ballot::Ballot;
-pub use durable::{AcceptorRecord, RsmRecord};
-pub use msg::{classify_consensus_msg, classify_rsm_msg, ConsensusMsg, Entry, RsmMsg};
+pub use durable::RsmRecord;
+pub use msg::{classify_rsm_msg, Entry, RsmMsg};
+pub use params::{ConsensusParams, LeaseParams};
 pub use rotating::{classify_rot_msg, RotEvent, RotMsg, RotatingConsensus};
 pub use rsm::{LifecycleId, LogBuilder, ReplicatedLog, RsmEvent, CATCHUP_BURST};
 pub use shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg,
     ShardRequest, ShardedNode, ShardedNodeBuilder,
 };
-pub use single::{Consensus, ConsensusEvent, ConsensusParams, LeaseParams};
+pub use single::{Consensus, ConsensusEvent};
 // Re-exported so callers can tune the log's throughput path without
 // depending on the Ω crate directly.
 pub use omega::BatchParams;

@@ -5,53 +5,6 @@ use omega::OmegaMsg;
 
 use crate::ballot::Ballot;
 
-/// Messages of the single-shot [`Consensus`](crate::Consensus) protocol over
-/// values `V`. The embedded Ω detector's traffic travels in the same
-/// envelope (`Omega`), so one transport carries the whole stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConsensusMsg<V> {
-    /// Embedded leader-election traffic.
-    Omega(OmegaMsg),
-    /// Phase 1a: the proposer asks acceptors to promise ballot `b`.
-    Prepare {
-        /// The proposer's ballot.
-        b: Ballot,
-    },
-    /// Phase 1b: the acceptor promises `b` and reveals what it last accepted.
-    Promise {
-        /// The promised ballot (echoed).
-        b: Ballot,
-        /// The acceptor's highest accepted (ballot, value), if any.
-        accepted: Option<(Ballot, V)>,
-    },
-    /// Phase 2a: the proposer asks acceptors to accept `v` at ballot `b`.
-    Accept {
-        /// The proposer's ballot.
-        b: Ballot,
-        /// The value to accept.
-        v: V,
-    },
-    /// Phase 2b: the acceptor accepted ballot `b`.
-    Accepted {
-        /// The accepted ballot (echoed).
-        b: Ballot,
-    },
-    /// The acceptor refuses `b` because it promised `higher`.
-    Nack {
-        /// The refused ballot (echoed).
-        b: Ballot,
-        /// The ballot the acceptor is promised to.
-        higher: Ballot,
-    },
-    /// The decided value, broadcast (and retransmitted) by the decider.
-    Decide {
-        /// The chosen value.
-        v: V,
-    },
-    /// Acknowledges a `Decide`, silencing retransmission to the sender.
-    DecideAck,
-}
-
 /// A slot's content in the replicated log: a client command, a batch of
 /// commands decided atomically as one entry, or a no-op filler used by a
 /// new leader to close gaps left by its predecessor.
@@ -281,75 +234,6 @@ impl<V: Wire> Wire for Entry<V> {
     }
 }
 
-impl<V: Wire> Wire for ConsensusMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConsensusMsg::Omega(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            ConsensusMsg::Prepare { b } => {
-                out.push(1);
-                b.encode(out);
-            }
-            ConsensusMsg::Promise { b, accepted } => {
-                out.push(2);
-                b.encode(out);
-                accepted.encode(out);
-            }
-            ConsensusMsg::Accept { b, v } => {
-                out.push(3);
-                b.encode(out);
-                v.encode(out);
-            }
-            ConsensusMsg::Accepted { b } => {
-                out.push(4);
-                b.encode(out);
-            }
-            ConsensusMsg::Nack { b, higher } => {
-                out.push(5);
-                b.encode(out);
-                higher.encode(out);
-            }
-            ConsensusMsg::Decide { v } => {
-                out.push(6);
-                v.encode(out);
-            }
-            ConsensusMsg::DecideAck => out.push(7),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ConsensusMsg::Omega(OmegaMsg::decode(r)?)),
-            1 => Ok(ConsensusMsg::Prepare {
-                b: Ballot::decode(r)?,
-            }),
-            2 => Ok(ConsensusMsg::Promise {
-                b: Ballot::decode(r)?,
-                accepted: Option::decode(r)?,
-            }),
-            3 => Ok(ConsensusMsg::Accept {
-                b: Ballot::decode(r)?,
-                v: V::decode(r)?,
-            }),
-            4 => Ok(ConsensusMsg::Accepted {
-                b: Ballot::decode(r)?,
-            }),
-            5 => Ok(ConsensusMsg::Nack {
-                b: Ballot::decode(r)?,
-                higher: Ballot::decode(r)?,
-            }),
-            6 => Ok(ConsensusMsg::Decide { v: V::decode(r)? }),
-            7 => Ok(ConsensusMsg::DecideAck),
-            tag => Err(WireError::BadTag {
-                type_name: "ConsensusMsg",
-                tag,
-            }),
-        }
-    }
-}
-
 impl<V: Wire> Wire for RsmMsg<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -534,20 +418,6 @@ impl<V: Wire> Wire for RsmMsg<V> {
     }
 }
 
-/// Classifier for per-kind message statistics of [`ConsensusMsg`].
-pub fn classify_consensus_msg<V>(msg: &ConsensusMsg<V>) -> &'static str {
-    match msg {
-        ConsensusMsg::Omega(m) => omega::classify_msg(m),
-        ConsensusMsg::Prepare { .. } => "PREPARE",
-        ConsensusMsg::Promise { .. } => "PROMISE",
-        ConsensusMsg::Accept { .. } => "ACCEPT",
-        ConsensusMsg::Accepted { .. } => "ACCEPTED",
-        ConsensusMsg::Nack { .. } => "NACK",
-        ConsensusMsg::Decide { .. } => "DECIDE",
-        ConsensusMsg::DecideAck => "DECIDE_ACK",
-    }
-}
-
 /// Classifier for per-kind message statistics of [`RsmMsg`].
 pub fn classify_rsm_msg<V>(msg: &RsmMsg<V>) -> &'static str {
     match msg {
@@ -573,35 +443,6 @@ pub fn classify_rsm_msg<V>(msg: &RsmMsg<V>) -> &'static str {
 mod tests {
     use super::*;
     use lls_primitives::ProcessId;
-
-    #[test]
-    fn classify_covers_every_variant() {
-        let b = Ballot::new(1, ProcessId(0));
-        let msgs: Vec<ConsensusMsg<u64>> = vec![
-            ConsensusMsg::Omega(OmegaMsg::Alive { counter: 0 }),
-            ConsensusMsg::Prepare { b },
-            ConsensusMsg::Promise { b, accepted: None },
-            ConsensusMsg::Accept { b, v: 1 },
-            ConsensusMsg::Accepted { b },
-            ConsensusMsg::Nack { b, higher: b },
-            ConsensusMsg::Decide { v: 1 },
-            ConsensusMsg::DecideAck,
-        ];
-        let kinds: Vec<_> = msgs.iter().map(classify_consensus_msg).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "ALIVE",
-                "PREPARE",
-                "PROMISE",
-                "ACCEPT",
-                "ACCEPTED",
-                "NACK",
-                "DECIDE",
-                "DECIDE_ACK"
-            ]
-        );
-    }
 
     #[test]
     fn entry_command_projection() {

@@ -31,10 +31,8 @@ use std::fmt;
 use lls_obs::{NoopProbe, Probe, ProbeEvent};
 use lls_primitives::{Ctx, Duration, Env, ProcessId, Sm, TimerId};
 
-use crate::single::ConsensusParams;
+use crate::params::{ConsensusParams, RETRY_TIMER};
 
-/// Timer driving retransmission of the current phase's message.
-pub const RETRY_TIMER: TimerId = TimerId(0);
 /// Timer implementing the ◇S suspicion of the current coordinator.
 pub const SUSPECT_TIMER: TimerId = TimerId(1);
 

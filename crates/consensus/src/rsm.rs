@@ -119,7 +119,7 @@ use crate::ballot::Ballot;
 use crate::chosen::ChosenLog;
 use crate::durable::RsmRecord;
 use crate::msg::{Entry, RsmMsg};
-use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
+use crate::params::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
 
 /// Extracts a client-visible [`CmdId`] from a command payload, letting the
 /// replicated log emit per-command [`CmdStage`] lifecycle events without
@@ -1049,6 +1049,11 @@ where
         self.accepted.get(&slot).map(|(b, e)| (*b, e))
     }
 
+    /// The acceptor's current promise: every slot refuses ballots below it.
+    pub fn promised(&self) -> Ballot {
+        self.promised
+    }
+
     /// All contiguously committed client commands in slot order (no-ops
     /// skipped; batched slots contribute each of their commands in batch
     /// order).
@@ -1179,6 +1184,19 @@ where
                 shard: self.probe_shard,
                 seq: self.lease_seq,
             });
+        }
+    }
+
+    /// Abdicates if this replica prepares or leads a ballot below `b`,
+    /// which its acceptor is about to promise or vote for, or which a lease
+    /// grant proves exists (see [`crate::durable`], "Never lead below one's
+    /// own promise").
+    fn yield_to(&mut self, b: Ballot, now: Instant) {
+        if let LeaderState::Preparing { b: cur, .. } | LeaderState::Led { b: cur, .. } = self.state
+        {
+            if b > cur {
+                self.abdicate(now);
+            }
         }
     }
 
@@ -1406,6 +1424,7 @@ where
         let LeaderState::Led { b, .. } = self.state else {
             return;
         };
+        debug_assert!(b >= self.promised, "self-vote at {b:?} below promise");
         self.accepted.insert(slot, (b, entry.clone()));
         let mut acks = vec![false; self.env.n()];
         acks[self.me().as_usize()] = true;
@@ -2016,6 +2035,7 @@ where
                     if !self.persist(&RsmRecord::Promised(b)) {
                         return;
                     }
+                    self.yield_to(b, ctx.now());
                     self.promised = b;
                     ctx.send(
                         from,
@@ -2109,6 +2129,7 @@ where
                 if !self.commit_lessons(ctx, vec![vote], lessons) {
                     return;
                 }
+                self.yield_to(b, ctx.now());
                 self.promised = b;
                 if fresh && !learned {
                     self.accepted.insert(slot, (b, entry));
@@ -2213,13 +2234,7 @@ where
                     // the holdoff to the new holder and keep renewing its
                     // own lease on every retry tick, silently replacing
                     // that promise with a self-grant.
-                    if let LeaderState::Preparing { b: cur, .. } | LeaderState::Led { b: cur, .. } =
-                        &self.state
-                    {
-                        if b > *cur {
-                            self.abdicate(ctx.now());
-                        }
-                    }
+                    self.yield_to(b, ctx.now());
                     let until = ctx.now() + self.lease_grant_margin();
                     self.holdoff_until = self.holdoff_until.max(until);
                     self.holdoff_for = Some(b.leader());
@@ -2773,6 +2788,62 @@ mod tests {
             0,
             "inflight must be dropped on abdication"
         );
+    }
+
+    #[test]
+    fn promising_a_rival_ballot_abandons_our_own_prepare() {
+        // p0 prepares (1,p0), promises p1's (1,p1), then receives p1's
+        // promise of (1,p0): it must neither lead (1,p0) nor vote below the
+        // ballot it promised.
+        let mut h = Harness::new(0, 3);
+        h.start();
+        h.request(100);
+        h.deliver(
+            1,
+            RsmMsg::Prepare {
+                b: b(1, 1),
+                from_slot: 0,
+            },
+        );
+        let fx = h.deliver(
+            1,
+            RsmMsg::Promise {
+                b: b(1, 0),
+                accepted: vec![],
+                low_slot: 0,
+            },
+        );
+        assert!(
+            !fx.sends
+                .iter()
+                .any(|s| matches!(s.msg, RsmMsg::Accept { b: ab, .. } if ab == b(1, 0))),
+            "no Accept at the abandoned ballot: {fx:?}"
+        );
+        assert!(h.sm.vote(0).is_none_or(|(vb, _)| vb >= b(1, 1)));
+        assert!(!h.sm.is_established_leader());
+    }
+
+    #[test]
+    fn a_leader_that_votes_a_higher_ballot_stops_leading() {
+        let mut h = led_leader();
+        h.deliver(
+            2,
+            RsmMsg::Accept {
+                b: b(2, 2),
+                slot: 0,
+                entry: Entry::Cmd(9),
+                commit: 0,
+            },
+        );
+        let fx = h.request(7);
+        assert!(
+            !fx.sends
+                .iter()
+                .any(|s| matches!(s.msg, RsmMsg::Accept { b: ab, .. } if ab == b(1, 0))),
+            "no Accept at the old ballot: {fx:?}"
+        );
+        assert_eq!(h.sm.vote(0), Some((b(2, 2), &Entry::Cmd(9))));
+        assert!(!h.sm.is_established_leader());
     }
 
     #[test]
@@ -3853,7 +3924,7 @@ mod tests {
 
     // ---- Leader leases and the fast read path ----
 
-    use crate::single::LeaseParams;
+    use crate::params::LeaseParams;
 
     fn t(ticks: u64) -> Instant {
         Instant::from_ticks(ticks)

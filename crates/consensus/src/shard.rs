@@ -45,8 +45,8 @@ use omega::{CommEffOmega, OmegaMsg};
 use crate::ballot::Ballot;
 use crate::durable::RsmRecord;
 use crate::msg::{classify_rsm_msg, RsmMsg};
+use crate::params::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
 use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent};
-use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
 
 /// Identifier of one shard group. Shard ids are dense: `0..shard_count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

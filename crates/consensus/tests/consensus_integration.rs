@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
 use consensus::{
-    Consensus, ConsensusEvent, ConsensusParams, PlacementManager, PlacementMap, ReplicatedLog,
-    ShardId, ShardRequest, ShardedNode,
+    Consensus, ConsensusParams, PlacementManager, PlacementMap, ReplicatedLog, ShardId,
+    ShardRequest, ShardedNode,
 };
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
@@ -16,16 +16,9 @@ fn system_s(n: usize, source: u32) -> Topology {
 }
 
 fn decisions(sim: &Simulator<Consensus<u64>>) -> Vec<DecisionRecord<u64>> {
-    sim.outputs()
-        .iter()
-        .filter_map(|e| match &e.output {
-            ConsensusEvent::Decided(v) => Some(DecisionRecord {
-                at: e.at,
-                process: e.process,
-                value: *v,
-            }),
-            _ => None,
-        })
+    let outputs = sim.outputs().iter();
+    outputs
+        .filter_map(|e| e.output.decision(e.at, e.process))
         .collect()
 }
 

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
+use consensus::{Consensus, ConsensusParams, ReplicatedLog};
 use lls_primitives::{Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use proptest::prelude::*;
@@ -77,16 +77,9 @@ fn run(adv: &Adversary, horizon: u64) -> netsim::Simulator<Consensus<u64>> {
 }
 
 fn decisions(sim: &netsim::Simulator<Consensus<u64>>) -> Vec<DecisionRecord<u64>> {
-    sim.outputs()
-        .iter()
-        .filter_map(|e| match &e.output {
-            ConsensusEvent::Decided(v) => Some(DecisionRecord {
-                at: e.at,
-                process: e.process,
-                value: *v,
-            }),
-            _ => None,
-        })
+    let outputs = sim.outputs().iter();
+    outputs
+        .filter_map(|e| e.output.decision(e.at, e.process))
         .collect()
 }
 

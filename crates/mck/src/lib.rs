@@ -24,6 +24,9 @@
 //!
 //! # Example: consensus agreement under all interleavings
 //!
+//! Single-shot `Consensus` runs the replicated log, so this checks the
+//! ballot rules the replicated store runs.
+//!
 //! ```
 //! use consensus::{Consensus, ConsensusParams};
 //! use mck::{CheckConfig, CheckOutcome, ModelChecker};

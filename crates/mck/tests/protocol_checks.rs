@@ -1,12 +1,23 @@
 //! Model-checking the real protocols: safety invariants under *every*
 //! message/timer/crash interleaving within the bounds (not just sampled
-//! schedules). Bounds are chosen so each check runs in seconds; `complete`
-//! tells us whether the bound was exhausted.
+//! schedules). Single-shot consensus runs the replicated log, so its checks
+//! exercise the log the replicated store runs. Bounds are chosen so each
+//! check runs in seconds, except the ignored deep check; `complete` tells
+//! us whether the bound was exhausted.
 
 use consensus::{Consensus, ConsensusParams};
-use lls_primitives::ProcessId;
+use lls_primitives::{Env, ProcessId};
 use mck::{CheckConfig, CheckOutcome, ModelChecker, World};
 use omega::{CommEffOmega, OmegaParams};
+
+/// Each process proposes 100 + its id.
+fn proposer(env: &Env) -> Consensus<u64> {
+    Consensus::new(
+        env,
+        ConsensusParams::default(),
+        Some(100 + env.id().0 as u64),
+    )
+}
 
 fn consensus_agreement(world: &World<Consensus<u64>>) -> Result<(), String> {
     let decisions: Vec<&u64> = world.live_nodes().filter_map(|sm| sm.decision()).collect();
@@ -39,16 +50,9 @@ fn consensus_agreement_exhaustive_n2() {
         max_states: 300_000,
         max_crashes: 0,
     })
-    .check(
-        |env| {
-            Consensus::new(
-                env,
-                ConsensusParams::default(),
-                Some(100 + env.id().0 as u64),
-            )
-        },
-        |w| consensus_agreement(w).and_then(|_| consensus_validity(w)),
-    );
+    .check(proposer, |w| {
+        consensus_agreement(w).and_then(|_| consensus_validity(w))
+    });
     match outcome {
         CheckOutcome::Ok { states, .. } => {
             assert!(states > 1_000, "suspiciously small space: {states}");
@@ -69,16 +73,7 @@ fn consensus_agreement_with_crashes_n3() {
         max_states: 150_000,
         max_crashes: 1,
     })
-    .check(
-        |env| {
-            Consensus::new(
-                env,
-                ConsensusParams::default(),
-                Some(100 + env.id().0 as u64),
-            )
-        },
-        consensus_agreement,
-    );
+    .check(proposer, consensus_agreement);
     match outcome {
         CheckOutcome::Ok { states, .. } => {
             assert!(
@@ -91,6 +86,34 @@ fn consensus_agreement_with_crashes_n3() {
                 "consensus unsafe under crash: {message}\ntrace:\n{}",
                 trace.join("\n")
             )
+        }
+    }
+}
+
+#[test]
+#[ignore = "about 100 s in release and 4 min in debug: CI runs it with --release"]
+fn consensus_agreement_deep_n3() {
+    // Two dueling proposers need ten transitions at n = 3 to choose two
+    // values when a proposer keeps leading a ballot below its own promise:
+    // p0 prepares, promises p1's higher ballot, still completes its own
+    // prepare, and each ballot then gathers a majority. The checks above
+    // stop short of that depth.
+    let outcome = ModelChecker::new(CheckConfig {
+        n: 3,
+        max_depth: 10,
+        max_states: 1_000_000,
+        max_crashes: 0,
+    })
+    .check(proposer, |w| {
+        consensus_agreement(w).and_then(|_| consensus_validity(w))
+    });
+    match outcome {
+        CheckOutcome::Ok { states, complete } => {
+            eprintln!("n = 3, depth 10: {states} states, complete: {complete}");
+            assert!(states > 100_000, "space too small: {states}");
+        }
+        CheckOutcome::Violation { message, trace } => {
+            panic!("consensus unsafe: {message}\ntrace:\n{}", trace.join("\n"))
         }
     }
 }

@@ -443,7 +443,8 @@ impl<S: Sm> Simulator<S> {
 
     /// Restarts a killed `p` with a fresh state machine `sm` — typically one
     /// recovered from the same durable storage the pre-crash incarnation
-    /// wrote (e.g. `Consensus::with_storage`), which is what makes the
+    /// wrote (e.g. a replicated log built with `LogBuilder::storage`,
+    /// which single-shot `Consensus::with_storage` wraps), which is what makes the
     /// crash–restart fault model interesting. Runs `on_start` immediately at
     /// the current virtual time.
     ///

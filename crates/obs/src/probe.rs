@@ -179,14 +179,14 @@ pub enum ProbeEvent {
         node: ProcessId,
         /// Virtual time of the transition.
         at: Instant,
-        /// Which phase: `"prepare"`, `"accept"`, `"led"`, `"follower"`,
-        /// `"round"`.
+        /// Which phase: `"prepare"`, `"led"`, `"follower"` (the replicated
+        /// log), `"round"` (the rotating coordinator).
         label: &'static str,
         /// The ballot (or round) number driving the transition.
         number: u64,
     },
-    /// A value was decided (slot 0 for single-shot consensus; the log slot
-    /// for the replicated machines).
+    /// A log slot was decided (single-shot consensus decides the first
+    /// command its log commits; the rotating coordinator reports slot 0).
     Decide {
         /// Emitting process.
         node: ProcessId,

@@ -1,11 +1,23 @@
 //! Model-checking demo: exhaustively verify consensus agreement over every
 //! message/timer interleaving of a small system, then watch the checker
 //! catch a deliberately broken invariant with a counterexample trace.
+//! Single-shot consensus runs the replicated log, so the trace shows the
+//! log's own messages.
 //!
 //! Run with: `cargo run --release -p lls-examples --bin model_check`
 
 use consensus::{Consensus, ConsensusParams};
+use lls_primitives::Env;
 use mck::{CheckConfig, CheckOutcome, ModelChecker};
+
+/// Each process proposes 100 + its id.
+fn proposer(env: &Env) -> Consensus<u64> {
+    Consensus::new(
+        env,
+        ConsensusParams::default(),
+        Some(100 + env.id().0 as u64),
+    )
+}
 
 fn main() {
     println!("== exhaustive agreement check: 2 processes, depth 10 ==");
@@ -15,23 +27,14 @@ fn main() {
         max_states: 300_000,
         max_crashes: 0,
     })
-    .check(
-        |env| {
-            Consensus::new(
-                env,
-                ConsensusParams::default(),
-                Some(100 + env.id().0 as u64),
-            )
-        },
-        |world| {
-            let decisions: Vec<&u64> = world.live_nodes().filter_map(|sm| sm.decision()).collect();
-            if decisions.windows(2).all(|w| w[0] == w[1]) {
-                Ok(())
-            } else {
-                Err(format!("disagreement: {decisions:?}"))
-            }
-        },
-    );
+    .check(proposer, |world| {
+        let decisions: Vec<&u64> = world.live_nodes().filter_map(|sm| sm.decision()).collect();
+        if decisions.windows(2).all(|w| w[0] == w[1]) {
+            Ok(())
+        } else {
+            Err(format!("disagreement: {decisions:?}"))
+        }
+    });
     match &outcome {
         CheckOutcome::Ok { states, complete } => {
             println!("agreement holds across {states} states (complete: {complete})");
@@ -54,22 +57,13 @@ fn main() {
         max_states: 300_000,
         max_crashes: 0,
     })
-    .check(
-        |env| {
-            Consensus::new(
-                env,
-                ConsensusParams::default(),
-                Some(100 + env.id().0 as u64),
-            )
-        },
-        |world| {
-            if world.live_nodes().any(|sm| sm.decision().is_some()) {
-                Err("someone decided (as they should!)".to_owned())
-            } else {
-                Ok(())
-            }
-        },
-    );
+    .check(proposer, |world| {
+        if world.live_nodes().any(|sm| sm.decision().is_some()) {
+            Err("someone decided (as they should!)".to_owned())
+        } else {
+            Ok(())
+        }
+    });
     match outcome {
         CheckOutcome::Violation { message, trace } => {
             println!("counterexample found ({message}):");

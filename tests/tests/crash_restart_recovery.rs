@@ -1,9 +1,10 @@
 //! Property: an acceptor killed at an arbitrary point of a ballot storm and
 //! restarted from its WAL never votes contrary to its pre-crash promises.
 //!
-//! The acceptor (a non-proposing `Consensus` instance) absorbs a random
-//! prefix of `Prepare`/`Accept` messages with random ballots, crashes
-//! (dropped), and is rebuilt from the same [`StorageHandle`]. Afterwards:
+//! The acceptor (a non-proposing `Consensus` instance, which runs the
+//! replicated log) absorbs a random prefix of `Prepare`/`Accept` messages
+//! for slot 0 with random ballots, crashes (dropped), and is rebuilt from
+//! the same [`StorageHandle`]. Afterwards:
 //!
 //! 1. its promised ballot is at least the pre-crash one (monotone across
 //!    the crash);
@@ -25,11 +26,24 @@ use std::path::PathBuf;
 use consensus::shard::{
     PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest, ShardedNode,
 };
-use consensus::{Ballot, Consensus, ConsensusMsg, ConsensusParams, Entry, RsmMsg};
+use consensus::{Ballot, Consensus, ConsensusEvent, ConsensusParams, Entry, RsmMsg};
 use lls_primitives::{Ctx, Effects, Env, Instant, ProcessId, Sm, StorageHandle};
 use proptest::prelude::*;
 
-type Msg = ConsensusMsg<u64>;
+type Msg = RsmMsg<u64>;
+
+fn prepare(b: Ballot) -> Msg {
+    Msg::Prepare { b, from_slot: 0 }
+}
+
+fn accept(b: Ballot, v: u64) -> Msg {
+    Msg::Accept {
+        b,
+        slot: 0,
+        entry: Entry::Cmd(v),
+        commit: 0,
+    }
+}
 
 /// One scripted stimulus for the acceptor.
 #[derive(Debug, Clone)]
@@ -56,10 +70,10 @@ fn stim() -> impl Strategy<Value = Stim> {
 fn deliver(
     env: &Env,
     sm: &mut Consensus<u64>,
-    fx: &mut Effects<Msg, consensus::ConsensusEvent<u64>>,
+    fx: &mut Effects<Msg, ConsensusEvent<u64>>,
     from: ProcessId,
     msg: Msg,
-) -> Effects<Msg, consensus::ConsensusEvent<u64>> {
+) -> Effects<Msg, ConsensusEvent<u64>> {
     let mut ctx = Ctx::new(env, Instant::ZERO, fx);
     sm.on_message(&mut ctx, from, msg);
     fx.take()
@@ -92,14 +106,14 @@ proptest! {
         for s in &script[..cut] {
             match *s {
                 Stim::Prepare { b } => {
-                    deliver(&env, &mut sm, &mut fx, b.leader(), Msg::Prepare { b });
+                    deliver(&env, &mut sm, &mut fx, b.leader(), prepare(b));
                 }
                 Stim::Accept { b, v } => {
-                    let out = deliver(&env, &mut sm, &mut fx, b.leader(), Msg::Accept { b, v });
+                    let out = deliver(&env, &mut sm, &mut fx, b.leader(), accept(b, v));
                     let accepted = out
                         .sends
                         .iter()
-                        .any(|s| matches!(s.msg, Msg::Accepted { b: ab } if ab == b));
+                        .any(|s| matches!(s.msg, Msg::Accepted { b: ab, .. } if ab == b));
                     if accepted && acked.as_ref().is_none_or(|(ab, _)| b >= *ab) {
                         acked = Some((b, v));
                     }
@@ -125,14 +139,12 @@ proptest! {
         // (2) Ballots below the pre-crash promise stay closed.
         if promised_before > Ballot::ZERO && promised_before.round() > 0 {
             let low = Ballot::new(promised_before.round() - 1, ProcessId(0));
-            let out = deliver(&env, &mut sm, &mut fx, ProcessId(0), Msg::Prepare { b: low });
+            let out = deliver(&env, &mut sm, &mut fx, ProcessId(0), prepare(low));
             prop_assert!(
                 !out.sends.iter().any(|s| matches!(s.msg, Msg::Promise { .. })),
                 "restarted acceptor re-promised a stale ballot {low:?}: {out:?}"
             );
-            let out = deliver(
-                &env, &mut sm, &mut fx, ProcessId(0), Msg::Accept { b: low, v: 999 },
-            );
+            let out = deliver(&env, &mut sm, &mut fx, ProcessId(0), accept(low, 999));
             prop_assert!(
                 !out.sends.iter().any(|s| matches!(s.msg, Msg::Accepted { .. })),
                 "restarted acceptor voted for a stale ballot {low:?}: {out:?}"
@@ -141,11 +153,13 @@ proptest! {
 
         // (3) A higher Prepare reveals exactly the pre-crash accepted pair.
         let high = Ballot::new(1_000, ProcessId(0));
-        let out = deliver(&env, &mut sm, &mut fx, ProcessId(0), Msg::Prepare { b: high });
+        let out = deliver(&env, &mut sm, &mut fx, ProcessId(0), prepare(high));
         let revealed = out.sends.iter().find_map(|s| match &s.msg {
-            Msg::Promise { accepted, .. } => Some(*accepted),
+            Msg::Promise { accepted, .. } => Some(accepted.clone()),
             _ => None,
         });
+        let acked: Vec<(u64, Ballot, Entry<u64>)> =
+            acked.into_iter().map(|(b, v)| (0, b, Entry::Cmd(v))).collect();
         prop_assert_eq!(
             revealed,
             Some(acked),

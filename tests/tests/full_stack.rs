@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
+use consensus::{Consensus, ConsensusParams, ReplicatedLog};
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::spec::{stabilization, tail_cut, LeaderRecord};
@@ -47,17 +47,9 @@ fn omega_then_consensus_pipeline() {
         .topology(topo)
         .build_with(|env| Consensus::new(env, ConsensusParams::default(), Some(env.id().0 as u64)));
     csim.run_until(Instant::from_ticks(80_000));
-    let ds: Vec<DecisionRecord<u64>> = csim
-        .outputs()
-        .iter()
-        .filter_map(|e| match &e.output {
-            ConsensusEvent::Decided(v) => Some(DecisionRecord {
-                at: e.at,
-                process: e.process,
-                value: *v,
-            }),
-            _ => None,
-        })
+    let outputs = csim.outputs().iter();
+    let ds: Vec<DecisionRecord<u64>> = outputs
+        .filter_map(|e| e.output.decision(e.at, e.process))
         .collect();
     let proposals: Vec<u64> = (0..n as u64).collect();
     check_consensus_safety(&ds, &proposals).unwrap();

@@ -1,7 +1,7 @@
 //! Properties of the wire codec shared by every message type that crosses a
 //! TCP connection in `wirenet`:
 //!
-//! 1. **Roundtrip** — encoding any Ω, consensus, RSM, or KV message into a
+//! 1. **Roundtrip** — encoding any Ω, RSM, shard or KV message into a
 //!    frame and deframing + decoding it yields the original value.
 //! 2. **Corruption is detected** — flipping any single bit of a frame's
 //!    payload (version, body, or checksum) makes decoding fail with an
@@ -14,7 +14,7 @@
 //! 6. **Retired tags stay retired** — an RSM frame with the retired tag 7
 //!    (the former decide acknowledgement) decodes to `BadTag`.
 
-use consensus::{Ballot, ConsensusMsg, Entry, RsmMsg, ShardId, ShardMsg};
+use consensus::{Ballot, Entry, RsmMsg, ShardId, ShardMsg};
 use kvstore::{ClientId, KvCmd, KvResponse, Tagged};
 use lls_primitives::wire::{decode_frame, encode_frame, Deframer, Wire, WireError, WireReader};
 use lls_primitives::ProcessId;
@@ -75,21 +75,6 @@ fn entry() -> impl Strategy<Value = Entry<Tagged<KvCmd>>> {
     prop_oneof![Just(Entry::Noop), tagged().prop_map(Entry::Cmd)]
 }
 
-fn consensus_msg() -> impl Strategy<Value = ConsensusMsg<Tagged<KvCmd>>> {
-    prop_oneof![
-        omega_msg().prop_map(ConsensusMsg::Omega),
-        ballot().prop_map(|b| ConsensusMsg::Prepare { b }),
-        (ballot(), proptest::option::of((ballot(), tagged())))
-            .prop_map(|(b, accepted)| ConsensusMsg::Promise { b, accepted }),
-        (ballot(), tagged()).prop_map(|(b, v)| ConsensusMsg::Accept { b, v }),
-        ballot().prop_map(|b| ConsensusMsg::Accepted { b }),
-        (ballot(), ballot()).prop_map(|(b, higher)| ConsensusMsg::Nack { b, higher }),
-        tagged().prop_map(|v| ConsensusMsg::Decide { v }),
-        Just(ConsensusMsg::DecideAck),
-    ]
-}
-
-/// A leader's advertised `(ballot, chosen prefix)`, or none.
 fn prefix() -> impl Strategy<Value = Option<(Ballot, u64)>> {
     proptest::option::of((ballot(), any::<u64>()))
 }
@@ -180,11 +165,6 @@ proptest! {
 
     #[test]
     fn omega_messages_roundtrip(msg in omega_msg()) {
-        assert_roundtrip(&msg)?;
-    }
-
-    #[test]
-    fn consensus_messages_roundtrip(msg in consensus_msg()) {
         assert_roundtrip(&msg)?;
     }
 
